@@ -28,46 +28,36 @@ class BlockHeader:
     difficulty: int
     gas_limit: int
     parent_hash: bytes = b"\x00" * 32
-    #: Merkle root of the post-block world state (see repro.trie).
-    #: Empty until sealed; a header without one (legacy wire form, or a
-    #: node running with Merkleization off) still round-trips.
+    #: Merkle root of the post-block world state (see repro.trie);
+    #: empty until :meth:`~repro.chain.node.Node.seal_state_root` seals
+    #: the header at commit.
     state_root: bytes = b""
 
     def to_rlp(self) -> bytes:
-        fields = [
-            rlp.encode_int(self.height),
-            rlp.encode_int(self.timestamp),
-            rlp.encode_int(self.coinbase),
-            rlp.encode_int(self.difficulty),
-            rlp.encode_int(self.gas_limit),
-            self.parent_hash,
-        ]
-        # Deprecation-window wire form: the 7th field is only emitted
-        # once sealed, so unsealed headers keep their legacy encoding
-        # (and hash) bit-identically.
-        if self.state_root:
-            fields.append(self.state_root)
-        return rlp.encode(fields)
+        return rlp.encode(
+            [
+                rlp.encode_int(self.height),
+                rlp.encode_int(self.timestamp),
+                rlp.encode_int(self.coinbase),
+                rlp.encode_int(self.difficulty),
+                rlp.encode_int(self.gas_limit),
+                self.parent_hash,
+                self.state_root,
+            ]
+        )
 
     @classmethod
     def from_rlp(cls, blob: bytes) -> "BlockHeader":
         """Decode a header; malformed input raises RLPDecodingError."""
-        fields = rlp.as_list(rlp.decode(blob), "block header")
-        if len(fields) not in (6, 7):
-            raise rlp.RLPDecodingError(
-                f"block header must be a 6- or 7-item list, "
-                f"got {len(fields)}"
-            )
+        fields = rlp.as_list(rlp.decode(blob), "block header", 7)
         parent_hash = rlp.as_bytes(fields[5], "header parent_hash")
         if len(parent_hash) != 32:
             raise rlp.RLPDecodingError("header parent_hash must be 32 bytes")
-        state_root = b""
-        if len(fields) == 7:
-            state_root = rlp.as_bytes(fields[6], "header state_root")
-            if len(state_root) != 32:
-                raise rlp.RLPDecodingError(
-                    "header state_root must be 32 bytes"
-                )
+        state_root = rlp.as_bytes(fields[6], "header state_root")
+        if len(state_root) not in (0, 32):
+            raise rlp.RLPDecodingError(
+                "header state_root must be empty or 32 bytes"
+            )
         return cls(
             height=rlp.decode_int(fields[0]),
             timestamp=rlp.decode_int(fields[1]),

@@ -102,11 +102,13 @@ class Node:
         #: mutating in-memory structures, so anything the node claims to
         #: have committed is at least as durable as the fsync policy.
         self.store = store
-        #: Authenticated state (repro.trie). With ``merkleize`` on (the
-        #: default; the flat digest remains alongside during the
-        #: deprecation window) every committed header is sealed with the
-        #: incremental trie's root; ``emit_witness`` additionally builds
-        #: a stateless-validation witness per block.
+        #: Authenticated state (repro.trie). Every committed header is
+        #: sealed with the incremental trie's root — the one commitment
+        #: the WAL, snapshots and the replication stream carry;
+        #: ``emit_witness`` additionally builds a stateless-validation
+        #: witness per block. ``merkleize=False`` is for offline
+        #: reference runs only: such a node cannot be made durable,
+        #: served or replicated.
         self.emit_witness = emit_witness
         self.trie: StateTrie | None = None
         #: height -> witness blob, bounded to the BLOCKHASH window.
@@ -118,17 +120,25 @@ class Node:
 
     def attach_trie(self) -> bytes:
         """(Re)build the state trie over the current state and enable
-        first-touch capture; returns the current root. Call again after
-        wholesale state replacement (snapshot resync, recovery attach)."""
-        self.trie = StateTrie()
-        root = self.trie.attach(self.state)
-        if self.emit_witness:
-            self.state._track_reads = True
+        first-touch capture; returns the current root."""
+        trie = StateTrie()
+        root = trie.attach(self.state)
+        self.adopt(self.state, trie)
         return root
+
+    def adopt(self, state: WorldState, trie: StateTrie) -> None:
+        """Swap in a wholesale replacement *state* together with the
+        *trie* already attached to it (snapshot resync, recovery
+        transplant) — the trie is built once, by whoever verified the
+        state against its stamped root."""
+        self.state = state
+        self.mempool.state = state
+        self.trie = trie
+        state._track_reads = self.emit_witness
 
     @property
     def state_root(self) -> bytes:
-        """Current trie root (empty bytes when not Merkleizing)."""
+        """Current trie root (empty bytes on a trie-less reference node)."""
         return self.trie.root() if self.trie is not None else b""
 
     # -- dissemination stage -------------------------------------------------
@@ -152,13 +162,16 @@ class Node:
         """Environment for executing the next block."""
         if height is None:
             height = len(self.chain) + 1
-        parent_hashes = [b.hash() for b in reversed(self.chain)]
+        # Only the BLOCKHASH window is reachable, and a header is hashed
+        # only when a BLOCKHASH actually asks for it — the per-block
+        # cost does not grow with the chain.
+        window = self.chain[-BLOCKHASH_WINDOW:]
 
-        def blockhash_fn(query_height: int, _hashes=parent_hashes,
+        def blockhash_fn(query_height: int, _window=window,
                          _height=height) -> int:
             distance = _height - query_height
-            if 1 <= distance <= BLOCKHASH_WINDOW and distance <= len(_hashes):
-                return int.from_bytes(_hashes[distance - 1], "big")
+            if 1 <= distance <= len(_window):
+                return int.from_bytes(_window[-distance].hash(), "big")
             return 0
 
         return BlockContext(
@@ -238,7 +251,9 @@ class Node:
             gas_limit=context.gas_limit,
             parent_hash=parent_hash,
         )
-        recent = [b.hash() for b in reversed(self.chain)][:BLOCKHASH_WINDOW]
+        recent = [
+            b.hash() for b in reversed(self.chain[-BLOCKHASH_WINDOW:])
+        ]
         block = Block(
             header=header,
             transactions=txs,

@@ -115,8 +115,9 @@ class WorldState:
         # Per-account digest leaf cache (maintained by
         # repro.storage.codec.state_digest_bytes): addresses whose leaf
         # must be recomputed, and the cached 32-byte leaf hashes. Every
-        # mutator marks the touched address dirty so the commit-path
-        # digest costs O(touched accounts), not O(total state).
+        # mutator marks the touched address dirty so a repeated
+        # on-demand digest (repro_health) costs O(accounts touched since
+        # the last one), not O(total state).
         self._digest_dirty: set[int] = set()
         self._leaf_hashes: dict[int, bytes] = {}
         # First-touch pre-image capture for the authenticated state trie

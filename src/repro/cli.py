@@ -223,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
              "force-included (default: 8)",
     )
     serve.add_argument(
-        "--no-merkleize", action="store_true",
-        help="skip the incremental Merkle trie (no sealed state roots, "
-             "no repro_getProof; legacy flat-digest operation)",
-    )
-    serve.add_argument(
         "--emit-witness", action="store_true",
         help="emit a stateless-validation witness per block (rides in "
              "the WAL; lets witness-mode replicas skip full state)",
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument(
         "--corrupt-at-height", type=int, default=None, metavar="H",
         help="chaos drill: silently corrupt one balance before applying "
-             "block H — the digest assertion must detect it and heal "
+             "block H — the state-root check must detect it and heal "
              "via snapshot resync",
     )
 
@@ -489,13 +484,11 @@ def _run_serve(args) -> int:
         packing=args.packing,
         packing_lane_depth=args.packing_lane_depth,
         packing_aging_bound=args.packing_aging_bound,
-        merkleize=not args.no_merkleize,
         emit_witness=args.emit_witness,
     )
     deployment = build_deployment(num_accounts=args.accounts)
     node = Node(state=deployment.state,
                 per_sender_cap=args.per_sender_cap,
-                merkleize=config.merkleize,
                 emit_witness=config.emit_witness)
     server = RpcServer(node=node, config=config)
     if server.recovery is not None:
@@ -835,8 +828,8 @@ def _run_verify_store(args) -> int:
         for note in report.notes:
             print(f"note: {note}", file=sys.stderr)
     if not report.ok:
-        print("verify-store: FAILED (unrecoverable damage)",
-              file=sys.stderr)
+        print("verify-store: FAILED (unrecoverable damage or "
+              "unsupported format)", file=sys.stderr)
         return 1
     if report.corruption is not None:
         print("verify-store: ok with recoverable tail damage",

@@ -13,8 +13,7 @@ of the software DB cache:
 * the decoded path beats the legacy loop by ``--min-speedup`` on a
   best-of-N interleaved microbench.
 
-The CI ``evm-smoke`` job runs exactly this; ``benchmarks/emit_bench.py``
-measures the same ratio with tighter methodology for ``baseline.json``.
+The CI ``evm-smoke`` job runs exactly this.
 """
 
 from __future__ import annotations

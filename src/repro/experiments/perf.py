@@ -6,8 +6,9 @@ dependency block, runs it spatio-temporally under a scoped
 :func:`~repro.obs.use_registry`/:func:`~repro.obs.use_tracing` pair, runs
 the paper's plain-core baseline for the headline speedup, and folds
 everything into a :class:`~repro.obs.BlockPerfReport`. Both the CLI
-subcommand and ``benchmarks/emit_bench.py`` call it, so the benchmark
-JSON and the interactive report always measure the same thing.
+subcommand and the repo's benchmark (``bench/run.py``, its ``core.*``
+metrics) call it, so the benchmark JSON and the interactive report
+always measure the same thing.
 """
 
 from __future__ import annotations

@@ -250,10 +250,10 @@ class FaultInjector:
     def corrupt_replica_state(self, state, height: int) -> bool:
         """The divergence drill: flip one balance in applied state.
 
-        Mutates through the state's own setters so the digest cache is
-        invalidated — the corruption *will* be visible to the next
-        digest computation, which is exactly what the replica's
-        per-block assertion must catch. Fires once.
+        Mutates through the state's own setters so the trie's dirty
+        capture sees it — the corruption *will* be folded into the next
+        root update, which is exactly what the replica's per-block
+        state-root check must catch. Fires once.
         """
         spec = self.plan.network
         if spec is None or spec.corrupt_at_height != height:

@@ -95,7 +95,7 @@ class NetworkFault:
     that applies slowly, a partition that refuses connections for a
     while, and — the one that must never be survivable silently — a
     follower whose state is corrupted between blocks so its re-executed
-    digest diverges from the writer's stamp.
+    state root diverges from the one the writer sealed.
     """
 
     #: Sever the writer→replica stream after this many BLOCK messages
@@ -112,7 +112,7 @@ class NetworkFault:
     #: the replica keeps backing off until it lifts).
     partition_connects: int = 0
     #: Corrupt the replica's world state just before it applies this
-    #: block height. The digest assertion must catch it — the byte is
+    #: block height. The state-root check must catch it — the byte is
     #: flipped *past* the stream CRC, in applied state.
     corrupt_at_height: int | None = None
 

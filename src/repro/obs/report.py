@@ -9,8 +9,8 @@ effectiveness, and the block's fault/degradation counters (shared with
 ``faults.*`` registry series, see ``DegradationReport.count``).
 
 Reports round-trip exactly through JSON (``from_json(to_json(r)) == r``),
-which the metric-invariant suite asserts, and are the payload of both the
-``repro obs-report`` CLI subcommand and ``benchmarks/emit_bench.py``.
+which the metric-invariant suite asserts, and are the payload of the
+``repro obs-report`` CLI subcommand.
 """
 
 from __future__ import annotations

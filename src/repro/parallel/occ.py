@@ -15,10 +15,9 @@ sensitive*: total work is one execution per transaction **plus one per
 abort**, and aborts are precisely intra-block conflicts. A
 conflict-heavy FIFO block with a hot-key chain of length L costs
 Θ(L²/2) executions; the same transactions spread across lanes and
-blocks by conflict-aware packing cost Θ(N). That is the quantity
-``benchmarks/emit_bench.py``'s ``packing`` section measures — it is
-real single-threaded wall time, portable across machines, unlike a
-core-count-dependent parallel speedup.
+blocks by conflict-aware packing cost Θ(N) — real single-threaded
+wall time, portable across machines, unlike a core-count-dependent
+parallel speedup.
 
 Determinism: commits happen *strictly* in block order — a transaction
 commits only after every earlier transaction in the block has, so the

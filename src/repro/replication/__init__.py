@@ -4,8 +4,8 @@ The durability layer already writes every committed block to a CRC-framed
 WAL; this package turns that log into a replication stream. The writer's
 :class:`WalStreamer` tails its own WAL and ships each record over TCP to
 any number of :class:`Replica` followers, which *re-execute* every block
-and assert bit-identity of the resulting state digest against the
-writer's — a diverged replica raises a typed
+and assert bit-identity of the resulting state root against the one
+the writer sealed into the header — a diverged replica raises a typed
 :class:`ReplicaDivergenceError` and resyncs itself from the writer's
 newest snapshot rather than ever serving a wrong answer. Followers
 reconnect through torn streams with jittered exponential backoff and

@@ -1,8 +1,8 @@
 """Typed replication-tier errors.
 
 Divergence is the error that must never be silent: a replica that
-re-executed a block and produced a different state digest than the
-writer stamped into the WAL is serving a different universe. It gets a
+re-executed a block and produced a different state root than the
+writer sealed into its header is serving a different universe. It gets a
 type of its own, it is counted, and the replica's reaction is mandatory
 (drop the diverged state, resync from the writer's snapshot) — never
 "log and keep serving".
@@ -20,7 +20,7 @@ class StreamProtocolError(ReplicationError):
 
 
 class ReplicaDivergenceError(ReplicationError):
-    """A replica's re-executed state digest differs from the writer's.
+    """A replica's re-executed state root differs from the writer's.
 
     Carries enough to debug the divergence offline; the replica's
     required response is a snapshot resync, never continued serving.
@@ -28,7 +28,7 @@ class ReplicaDivergenceError(ReplicationError):
 
     def __init__(self, height: int, expected: bytes, actual: bytes):
         super().__init__(
-            f"replica diverged at block {height}: re-executed digest "
+            f"replica diverged at block {height}: re-executed root "
             f"{actual.hex()[:16]}… != writer's {expected.hex()[:16]}…"
         )
         self.height = height

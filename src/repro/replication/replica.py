@@ -6,13 +6,14 @@ loop is a small, explicit state machine:
     CONNECT → HELLO → (SNAPSHOT?) → APPLY* → torn? → BACKOFF → CONNECT
 
 * **CONNECT/HELLO** — dial the writer's stream port and claim the
-  applied height and state digest. The writer decides incremental
+  applied height and state root. The writer decides incremental
   stream vs snapshot resync from that claim.
 * **APPLY** — for each BLOCK message: re-execute the block's
   transactions against local state (on a worker thread, under the
   builder's state lock so concurrent reads stay consistent) and assert
-  the resulting state digest is bit-identical to the one the writer
-  stamped into its WAL. A match commits and feeds the serve layer
+  the resulting trie root is bit-identical to the ``state_root`` the
+  writer sealed into the block's header — the same compare-or-stamp
+  check a commit runs. A match commits and feeds the serve layer
   (getReceipt, newHeads subscribers); a mismatch raises
   :class:`~repro.replication.errors.ReplicaDivergenceError` *after
   rolling the block back* — diverged state is never committed and never
@@ -38,13 +39,9 @@ from ..evm.context import BlockContext
 from ..evm.decoded import warm_code, warm_state_codes
 from ..evm.interpreter import EVM
 from ..obs import get_registry
-from ..storage import codec
-from ..trie import (
-    StatelessValidator,
-    StateRootMismatchError,
-    StateTrie,
-    WitnessError,
-)
+from ..storage import codec, snapshot
+from ..storage.errors import StorageError
+from ..trie import StatelessValidator, StateRootMismatchError, WitnessError
 from . import stream
 from .config import ReplicationConfig
 from .errors import ReplicaDivergenceError, StreamProtocolError
@@ -68,26 +65,29 @@ class Replica:
     ) -> None:
         if mode not in ("execute", "witness"):
             raise ValueError(f"unknown replica mode {mode!r}")
+        if node.trie is None:
+            raise ValueError(
+                "a replica must Merkleize: the sealed state_root is "
+                "the stream's only commitment"
+            )
         self.node = node
         self.builder = builder
         self.writer_host = writer_host
         self.writer_stream_port = writer_stream_port
         self.config = config or ReplicationConfig()
         self.fault_injector = fault_injector
-        #: ``execute`` re-runs every block against full local state (and,
-        #: when Merkleizing, additionally asserts the sealed header
-        #: root). ``witness`` validates statelessly: each block must
+        #: ``execute`` re-runs every block against full local state and
+        #: asserts the sealed header root. ``witness`` validates
+        #: statelessly: each block must
         #: arrive with a witness, is re-executed from it alone, and only
         #: the root chain is maintained — the full state is never
         #: updated, so witness replicas serve receipts and validation,
         #: not balance reads.
         self.mode = mode
         self._validator = StatelessValidator()
-        #: Witness-mode chain anchors: the last verified root, and the
-        #: writer's echoed digest stamp (our HELLO claim — we cannot
-        #: recompute a flat digest without full state).
+        #: Witness-mode chain anchor: the last verified root (our HELLO
+        #: claim — the full state stays frozen at the last snapshot).
         self._last_root: bytes | None = None
-        self._last_digest: bytes | None = None
         self._rng = random.Random(self.config.seed)
         #: Applied chain height. Decoupled from ``len(node.chain)``
         #: because a snapshot resync replaces state without replaying
@@ -169,23 +169,16 @@ class Replica:
         self.connected = True
         try:
             with self.builder.state_lock:
-                if self.mode == "witness":
-                    # A witness replica's state is frozen at its last
-                    # anchor; its claim is the writer's own echoed stamp
-                    # plus the root chain it has verified itself.
-                    digest = self._last_digest or codec.state_digest_bytes(
-                        self.node.state
-                    )
-                    root = self._last_root or b""
-                else:
-                    digest = codec.state_digest_bytes(self.node.state)
-                    root = (
-                        self.node.state_root
-                        if getattr(self.node, "trie", None) is not None
-                        else b""
-                    )
+                # A witness replica's state is frozen at its last
+                # anchor; its claim is the root chain it has verified.
+                # An execute replica claims its live trie root.
+                root = (
+                    self._last_root
+                    if self.mode == "witness" and self._last_root
+                    else self.node.state_root
+                )
             writer.write(stream.encode_hello(
-                self.height, digest, self._need_snapshot, root
+                self.height, root, self._need_snapshot
             ))
             await writer.drain()
             loop = asyncio.get_running_loop()
@@ -216,7 +209,10 @@ class Replica:
             stall = self.fault_injector.stall_follower()
             if stall > 0:
                 await asyncio.sleep(stall)
-        record = codec.decode_wal_record(wal_payload)
+        try:
+            record = codec.decode_wal_record(wal_payload)
+        except (rlp.RLPDecodingError, StorageError) as exc:
+            raise StreamProtocolError(f"undecodable block: {exc}") from None
         block = record.block
         height = block.header.height
         if height <= self.height:
@@ -271,7 +267,7 @@ class Replica:
         )
 
     def _apply_block(self, record):
-        block, expected = record.block, record.digest
+        block = record.block
         with self.builder.state_lock:
             state = self.node.state
             height = block.header.height
@@ -288,30 +284,27 @@ class Replica:
                 state.revert(token)
                 state.clear_journal()
                 raise
-            actual = codec.state_digest_bytes(state)
-            if actual != expected:
-                # Roll the block back *before* raising: between now and
-                # the snapshot resync, reads keep seeing the last good
-                # state — diverged state is never served.
+            try:
+                # Compare-or-stamp: the header the writer sealed must
+                # re-seal bit-identically from our replayed state.
+                self.node.seal_state_root(block)
+            except StateRootMismatchError:
+                actual = self.node.state_root
+                # Roll the block back *before* raising — in the state
+                # and, the mismatching update being already folded in,
+                # by rebuilding the trie over it. The rebuild is
+                # required, not tidiness: this replica keeps answering
+                # repro_getProof / stateRoot through the backoff until
+                # the snapshot resync lands, and a proof cut from the
+                # un-rolled-back trie would bind diverged contents to a
+                # root no header sealed. O(state) twice on this (fault-
+                # only) heal path is the price of never serving it.
                 state.revert(token)
                 state.clear_journal()
-                raise ReplicaDivergenceError(height, expected, actual)
-            if getattr(self.node, "trie", None) is not None:
-                try:
-                    # Compare-or-stamp: a header the writer sealed must
-                    # re-seal bit-identically from our replayed state.
-                    self.node.seal_state_root(block)
-                except StateRootMismatchError:
-                    state.revert(token)
-                    state.clear_journal()
-                    # The trie now disagrees with the reverted state,
-                    # but divergence forces a snapshot resync which
-                    # re-attaches it from scratch.
-                    raise ReplicaDivergenceError(
-                        height,
-                        block.header.state_root or b"",
-                        self.node.state_root,
-                    ) from None
+                self.node.attach_trie()
+                raise ReplicaDivergenceError(
+                    height, block.header.state_root, actual
+                ) from None
             state.clear_journal()
             self.node.chain.append(block)
             self.node.receipts[block.hash()] = receipts
@@ -333,17 +326,15 @@ class Replica:
         """Stateless apply: re-execute from the block witness alone.
 
         The full world state is never touched — only the verified root
-        chain (and the writer's echoed digest stamp, for HELLO claims)
-        advances. Any witness damage or root mismatch is a divergence:
-        the only continuation is a snapshot resync.
+        chain advances. Any witness damage or root mismatch is a
+        divergence: the only continuation is a snapshot resync.
         """
         block = record.block
         height = block.header.height
-        if not record.witness or not block.header.state_root:
+        if not record.witness:
             raise StreamProtocolError(
-                f"block {height} carries no witness/state root; a "
-                "witness-mode replica needs a writer running with "
-                "--emit-witness"
+                f"block {height} carries no witness; a witness-mode "
+                "replica needs a writer running with --emit-witness"
             )
         try:
             result = self._validator.validate(
@@ -358,7 +349,6 @@ class Replica:
             ) from exc
         with self.builder.state_lock:
             self._last_root = result.post_root
-            self._last_digest = record.digest
             self.node.chain.append(block)
             self.node.receipts[block.hash()] = result.receipts
             self._hashes[height] = block.hash()
@@ -371,39 +361,13 @@ class Replica:
         self, payload: bytes, recent: list[tuple[int, bytes]]
     ) -> None:
         try:
-            fields = rlp.as_list(rlp.decode(payload), "snapshot")
-            if len(fields) not in (3, 4):
-                raise rlp.RLPDecodingError(
-                    f"snapshot must be a 3- or 4-item list, "
-                    f"got {len(fields)}"
-                )
-            height = rlp.decode_int(fields[0])
-            digest = rlp.as_bytes(fields[1], "snapshot digest")
-            state = codec.state_from_rlp(
-                rlp.as_bytes(fields[2], "snapshot state")
-            )
-            root = b""
-            if len(fields) == 4:
-                root = rlp.as_bytes(fields[3], "snapshot state root")
-                if root and len(root) != 32:
-                    raise rlp.RLPDecodingError(
-                        "snapshot state root must be 32 bytes"
-                    )
-        except rlp.RLPDecodingError as exc:
+            height, root, state, trie = snapshot.decode_snapshot(payload)
+        except StorageError as exc:
             raise StreamProtocolError(
-                f"undecodable snapshot: {exc}"
+                f"unusable snapshot: {exc}"
             ) from None
-        if codec.state_digest_bytes(state) != digest:
-            raise StreamProtocolError(
-                "snapshot state does not match its stamped digest"
-            )
-        if root and StateTrie.rebuild_root(state) != root:
-            raise StreamProtocolError(
-                "snapshot state does not match its stamped state root"
-            )
         with self.builder.state_lock:
-            self.node.state = state
-            self.node.mempool.state = state
+            self.node.adopt(state, trie)
             # A snapshot may carry contracts this replica never executed;
             # pre-decode them so post-resync blocks replay at full speed.
             warm_state_codes(state)
@@ -413,15 +377,8 @@ class Replica:
             self.builder._history.clear()
             self._hashes = dict(recent)
             self.height = height
-            if getattr(self.node, "trie", None) is not None:
-                self.node.attach_trie()
             # Re-anchor the witness-mode chain at the snapshot.
-            self._last_digest = digest
-            self._last_root = root or (
-                self.node.state_root
-                if getattr(self.node, "trie", None) is not None
-                else None
-            )
+            self._last_root = root
         self._need_snapshot = False
         self.resyncs += 1
         registry = get_registry()

@@ -18,8 +18,8 @@ drill over real processes and sockets:
 
 With ``--divergence`` a third replica is started with an injected
 silent state corruption (``--corrupt-at-height``); the drill then also
-asserts the divergence was detected by the digest assertion and healed
-by a snapshot resync — never served.
+asserts the divergence was detected by the per-block state-root check
+and healed by a snapshot resync — never served.
 
 The CI ``replication-smoke`` job runs exactly this.
 """
@@ -363,8 +363,8 @@ async def _divergence_drill(
 ) -> dict:
     """A replica with injected silent corruption must detect and heal.
 
-    The corrupted block's digest cannot match the writer's WAL stamp,
-    so the replica must raise the typed divergence, roll back, and
+    The corrupted block's trie root cannot match the root the writer
+    sealed into its header, so the replica must raise the typed divergence, roll back, and
     resync from a snapshot — ending bit-identical anyway.
     """
     replica = ManagedProcess(

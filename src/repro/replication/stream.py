@@ -7,23 +7,25 @@ cut mid-message is indistinguishable from EOF (both mean "reconnect").
 
 Message payloads are RLP lists tagged with a type byte:
 
-* ``HELLO``    (replica → writer): ``[type, height, digest, need_snapshot,
-  state_root?]`` — "I have applied blocks through *height* and my state
-  digest is *digest*; start me from there (or send a snapshot if I
-  asked, or if you cannot vouch for my digest)". Merkleizing replicas
-  append their applied trie root; the writer cross-checks it against
-  its WAL stamps exactly like the digest.
+* ``HELLO``    (replica → writer): ``[type, version, height,
+  state_root, need_snapshot]`` — "I have applied blocks through
+  *height* and my trie root is *state_root*; start me from there (or
+  send a snapshot if I asked, or if you cannot vouch for my root)". The
+  writer checks the claim against the root sealed into its WAL's header
+  at that height. A HELLO in any other shape is refused with
+  :class:`~repro.storage.errors.UnsupportedFormatError`.
 * ``SNAPSHOT`` (writer → replica): ``[type, snapshot_payload,
   recent_hashes]`` — the exact payload of a snapshot file
-  (``RLP([height, digest, state])``) plus the hashes of up to the 256
-  blocks ending at the snapshot height, so a replica that never saw
-  those blocks can still answer BLOCKHASH for them; the replica
-  replaces its world wholesale.
+  (``RLP([version, height, state_root, state])``) plus the hashes of
+  up to the 256 blocks ending at the snapshot height, so a replica that
+  never saw those blocks can still answer BLOCKHASH for them; the
+  replica replaces its world wholesale.
 * ``BLOCK``    (writer → replica): ``[type, sent_at_us, writer_height,
-  wal_payload]`` — one WAL record (``RLP([block, post_state_digest])``)
-  plus the writer's wall-clock send time and chain height at send,
-  which is what replication lag (seconds and blocks) is measured
-  against on a shared clock.
+  wal_payload]`` — one WAL record (``RLP([version, block, witness])``,
+  the block's header sealed with its post-state root) plus the writer's
+  wall-clock send time and chain height at send, which is what
+  replication lag (seconds and blocks) is measured against on a shared
+  clock.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import asyncio
 import zlib
 
 from ..chain import rlp
+from ..storage import codec
 from ..storage.wal import RECORD_HEADER, frame_record
 from .errors import StreamProtocolError
 
@@ -44,22 +47,15 @@ MAX_MESSAGE_BYTES = 1 << 30
 
 
 def encode_hello(
-    height: int,
-    digest: bytes,
-    need_snapshot: bool,
-    state_root: bytes = b"",
+    height: int, state_root: bytes, need_snapshot: bool
 ) -> bytes:
-    """HELLO claim. A Merkleizing replica appends its applied state
-    root as a 5th field; legacy replicas keep the 4-field form."""
-    fields = [
+    return frame_record(rlp.encode([
         rlp.encode_int(MSG_HELLO),
+        codec.VERSION_ITEM,
         rlp.encode_int(height),
-        digest,
+        state_root,
         rlp.encode_int(1 if need_snapshot else 0),
-    ]
-    if state_root:
-        fields.append(state_root)
-    return frame_record(rlp.encode(fields))
+    ]))
 
 
 def encode_snapshot(
@@ -95,25 +91,20 @@ def decode_message(payload: bytes) -> tuple[int, tuple]:
             raise rlp.RLPDecodingError("empty stream message")
         msg_type = rlp.decode_int(rlp.as_bytes(fields[0], "message type"))
         if msg_type == MSG_HELLO:
-            if len(fields) not in (4, 5):
+            height, state_root, need_snapshot = codec.expect_version(
+                fields[1:], "hello", 3
+            )
+            state_root = rlp.as_bytes(state_root, "hello state root")
+            if len(state_root) != 32:
                 raise rlp.RLPDecodingError(
-                    f"hello must be a 4- or 5-item list, "
-                    f"got {len(fields)}"
+                    "hello state root must be 32 bytes"
                 )
-            state_root = b""
-            if len(fields) == 5:
-                state_root = rlp.as_bytes(fields[4], "hello state root")
-                if state_root and len(state_root) != 32:
-                    raise rlp.RLPDecodingError(
-                        "hello state root must be 32 bytes"
-                    )
             return MSG_HELLO, (
-                rlp.decode_int(rlp.as_bytes(fields[1], "hello height")),
-                rlp.as_bytes(fields[2], "hello digest"),
-                bool(rlp.decode_int(
-                    rlp.as_bytes(fields[3], "hello need_snapshot")
-                )),
+                rlp.decode_int(rlp.as_bytes(height, "hello height")),
                 state_root,
+                bool(rlp.decode_int(
+                    rlp.as_bytes(need_snapshot, "hello need_snapshot")
+                )),
             )
         if msg_type == MSG_SNAPSHOT:
             wanted = rlp.as_list(fields, "snapshot", 3)

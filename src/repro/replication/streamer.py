@@ -2,20 +2,21 @@
 
 The :class:`WalStreamer` is an asyncio TCP server the writer runs next
 to its RPC listener. Each follower connection opens with a HELLO naming
-the follower's applied height and state digest; the streamer validates
-that claim against its own WAL stamps and either
+the follower's applied height and state root; the streamer validates
+that claim against the root sealed into its own WAL at that height and
+either
 
 * streams incrementally — a :class:`~repro.storage.tail.WalTailReader`
   positioned at the follower's height feeds CRC-framed BLOCK messages as
   commits land (woken by the block builder's ``on_new_head`` callback,
   with a poll-interval fallback), or
 * resyncs from snapshot — when the follower asked for one, claims a
-  digest the WAL stamps contradict (divergence), or is further behind
+  root the WAL contradicts (divergence), or is further behind
   than ``snapshot_catchup_blocks`` — by shipping the newest on-disk
   snapshot at/below the writer's head and streaming the WAL suffix from
   there.
 
-The streamer never trusts the follower: a digest mismatch at HELLO time
+The streamer never trusts the follower: a root mismatch at HELLO time
 means the follower's universe is wrong, and the only thing it is offered
 is a snapshot, never a suffix that would silently extend a diverged
 state.
@@ -31,9 +32,10 @@ import time
 from ..chain.block import BLOCKHASH_WINDOW
 from ..obs import get_registry
 from ..storage import codec, snapshot
-from ..storage.errors import CorruptSnapshotError
+from ..storage.errors import CorruptSnapshotError, UnsupportedFormatError
 from ..storage.store import WAL_NAME
 from ..storage.tail import WalTailReader
+from ..storage.wal import unframe_record
 from . import stream
 from .config import ReplicationConfig
 from .errors import StreamProtocolError
@@ -46,9 +48,9 @@ FRAME_CACHE_RECORDS = 1024
 
 
 class _WalIndex:
-    """The writer's in-memory view of its own WAL: stamps and hashes.
+    """The writer's in-memory view of its own WAL: roots and hashes.
 
-    ``stamps[i]`` is the post-state digest of block height ``i + 1``;
+    ``roots[i]`` is the state root sealed into block height ``i + 1``;
     ``hashes[i]`` its block hash (served to resyncing followers so
     BLOCKHASH stays answerable across a snapshot gap). Refreshed
     incrementally by tailing the same file the store appends to.
@@ -65,38 +67,29 @@ class _WalIndex:
 
     def __init__(self, wal_path: str) -> None:
         self._tail = WalTailReader(wal_path)
-        self.stamps: list[bytes] = []
         self.hashes: list[bytes] = []
         self.roots: list[bytes] = []
         self.frames: dict[int, bytes] = {}
 
     @property
     def height(self) -> int:
-        return len(self.stamps)
+        return len(self.roots)
 
     def refresh(self) -> None:
         for payload in self._tail.poll():
-            record = codec.decode_wal_record(payload)
-            self.stamps.append(record.digest)
-            self.hashes.append(record.block.hash())
-            self.roots.append(record.block.header.state_root)
-            index = len(self.stamps) - 1
+            block = codec.decode_wal_record(payload).block
+            self.hashes.append(block.hash())
+            self.roots.append(block.header.state_root)
+            index = len(self.roots) - 1
             self.frames[index] = stream.encode_block(
-                int(time.time() * 1e6), len(self.stamps), payload
+                int(time.time() * 1e6), len(self.roots), payload
             )
             self.frames.pop(index - FRAME_CACHE_RECORDS, None)
 
-    def stamp(self, height: int) -> bytes | None:
-        """The writer's digest after block *height* (None if unknown)."""
-        if 1 <= height <= len(self.stamps):
-            return self.stamps[height - 1]
-        return None
-
     def root(self, height: int) -> bytes | None:
-        """The sealed state root of block *height* (None if unknown or
-        written by an un-Merkleized node)."""
+        """The sealed state root of block *height* (None if unknown)."""
         if 1 <= height <= len(self.roots):
-            return self.roots[height - 1] or None
+            return self.roots[height - 1]
         return None
 
     def recent_hashes(self, height: int) -> list[tuple[int, bytes]]:
@@ -123,13 +116,12 @@ class WalStreamer:
         self._server: asyncio.base_events.Server | None = None
         #: Per-connection commit wake-ups (set by notify_commit).
         self._wakes: set[asyncio.Event] = set()
-        self._genesis_digest: bytes | None = None
+        self._genesis: bytes | None = None
         # -- counters (mirrored into repro.obs when enabled) -------------
         self.connections_total = 0
         self.connections_active = 0
         self.blocks_streamed = 0
         self.snapshots_sent = 0
-        self.rejected_hellos = 0
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -162,54 +154,33 @@ class WalStreamer:
             wake.set()
 
     # -- hello validation ----------------------------------------------------
-    def _genesis_stamp(self) -> bytes | None:
-        if self._genesis_digest is None:
+    def _genesis_root(self) -> bytes | None:
+        if self._genesis is None:
             path = os.path.join(self.data_dir, snapshot.snapshot_name(0))
             try:
-                _, self._genesis_digest = snapshot.read_snapshot_stamp(
-                    path
-                )
-            except (OSError, CorruptSnapshotError):
+                _, self._genesis = snapshot.read_snapshot_stamp(path)
+            except (
+                OSError, CorruptSnapshotError, UnsupportedFormatError
+            ):
                 return None
-        return self._genesis_digest
+        return self._genesis
 
-    def _needs_snapshot(
-        self,
-        height: int,
-        digest: bytes,
-        asked: bool,
-        state_root: bytes = b"",
-    ) -> bool:
-        """Whether a follower's HELLO claim forces a snapshot resync."""
-        if asked or height > self._index.height:
-            return True
-        if height == 0:
-            genesis = self._genesis_stamp()
-            if genesis is not None and digest != genesis:
-                return True
-        elif self._index.stamp(height) != digest:
-            return True  # divergence: never extend a wrong universe
-        if state_root and height > 0:
-            # A claimed Merkle root is validated exactly like the
-            # digest; a WAL written without roots vouches for nothing
-            # and stays silent.
-            stamped = self._index.root(height)
-            if stamped is not None and stamped != state_root:
-                return True
-        return (
-            self._index.height - height
-            > self.config.snapshot_catchup_blocks
+    def _diverged(self, height: int, state_root: bytes) -> bool:
+        """Whether the WAL contradicts a follower's claimed root — never
+        extend a wrong universe. A height the writer cannot vouch for
+        (beyond its head, unreadable genesis anchor) is not divergence."""
+        vouched = (
+            self._genesis_root() if height == 0
+            else self._index.root(height)
         )
+        return vouched is not None and vouched != state_root
 
     def _newest_snapshot(self) -> tuple[int, bytes] | None:
         """(height, raw file payload) of the newest loadable snapshot."""
         for height, path in snapshot.list_snapshots(self.data_dir):
             try:
                 with open(path, "rb") as fh:
-                    blob = fh.read()
-                from ..storage.wal import unframe_record
-
-                return height, unframe_record(blob)
+                    return height, unframe_record(fh.read())
             except Exception:
                 continue  # damaged anchor: fall back to an older one
         return None
@@ -233,6 +204,7 @@ class WalStreamer:
         except (
             ConnectionError,
             StreamProtocolError,
+            UnsupportedFormatError,
             asyncio.TimeoutError,
             OSError,
         ):
@@ -257,31 +229,20 @@ class WalStreamer:
             reader, timeout=self.config.stream_read_timeout_s
         )
         if msg_type != stream.MSG_HELLO:
-            self.rejected_hellos += 1
             raise StreamProtocolError("expected HELLO")
-        height, digest, need_snapshot, claimed_root = fields
+        height, claimed_root, need_snapshot = fields
         self._index.refresh()
         start_height = height
-        stamped_root = (
-            self._index.root(height) if claimed_root and height > 0 else None
-        )
-        if height == 0:
-            genesis = self._genesis_stamp()
-            diverged = genesis is not None and digest != genesis
-        else:
-            diverged = height <= self._index.height and (
-                self._index.stamp(height) != digest
-                or (
-                    stamped_root is not None
-                    and stamped_root != claimed_root
-                )
-            )
-        if self._needs_snapshot(
-            height, digest, need_snapshot, claimed_root
+        diverged = self._diverged(height, claimed_root)
+        behind = self._index.height - height
+        if (
+            need_snapshot
+            or diverged
+            or not 0 <= behind <= self.config.snapshot_catchup_blocks
         ):
             newest = self._newest_snapshot()
             if newest is not None and (
-                newest[0] > height or diverged or need_snapshot
+                newest[0] > height or need_snapshot or diverged
             ):
                 snap_height, payload = newest
                 writer.write(stream.encode_snapshot(

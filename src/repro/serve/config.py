@@ -85,13 +85,8 @@ class ServeConfig:
     fsync_interval_blocks: int = 16
 
     # -- authenticated state ----------------------------------------------
-    #: Maintain the incremental Merkle trie and seal every committed
-    #: header with its state root (serves repro_getProof /
-    #: repro_getStorageProof). Off: legacy flat-digest-only operation.
-    merkleize: bool = True
-    #: Additionally emit a stateless-validation witness per block (rides
-    #: in the WAL; lets witness-mode replicas skip full state). Requires
-    #: ``merkleize``.
+    #: Emit a stateless-validation witness per block (rides in the WAL;
+    #: lets witness-mode replicas skip full state).
     emit_witness: bool = False
 
     # -- execution --------------------------------------------------------
@@ -134,8 +129,6 @@ class ServeConfig:
             raise ValueError("packing_lane_depth must be positive")
         if self.packing_aging_bound < 0:
             raise ValueError("packing_aging_bound must be >= 0")
-        if self.emit_witness and not self.merkleize:
-            raise ValueError("emit_witness requires merkleize")
         if self.role not in ("writer", "replica"):
             raise ValueError(f"unknown role {self.role!r}")
         if self.replication_port is not None and self.data_dir is None:

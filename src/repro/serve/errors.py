@@ -36,9 +36,8 @@ EXECUTION_FAILED = -32006
 #: This node is a read replica; it serves reads and subscriptions but
 #: never admits transactions. Send writes to the writer.
 READ_ONLY = -32007
-#: A Merkle proof cannot be served: the node is not Merkleizing, or the
-#: account/slot is absent from the trie (only inclusion is provable —
-#: ``data.reason`` distinguishes the cases).
+#: A Merkle proof cannot be served: the account/slot is absent from the
+#: trie (only inclusion is provable; ``data.reason`` is ``absent``).
 PROOF_UNAVAILABLE = -32008
 
 

@@ -62,9 +62,13 @@ class RpcServer:
         self._fault_injector = fault_injector
         self.node = node or Node(
             per_sender_cap=self.config.per_sender_cap,
-            merkleize=self.config.merkleize,
             emit_witness=self.config.emit_witness,
         )
+        if self.node.trie is None:
+            raise ValueError(
+                "a served node must Merkleize: headers are sealed with "
+                "the trie's state_root and proofs are cut from it"
+            )
         if self.config.per_sender_cap is not None:
             self.node.mempool.per_sender_cap = self.config.per_sender_cap
         #: :class:`repro.storage.RecoveryResult` when startup recovered
@@ -508,16 +512,6 @@ class RpcServer:
             raise RpcError(INVALID_PARAMS, f"{key} required")
         return value
 
-    def _require_trie(self):
-        trie = self.node.trie
-        if trie is None:
-            raise RpcError(
-                PROOF_UNAVAILABLE,
-                "node is not Merkleizing (started with merkleize off)",
-                {"reason": "not_merkleizing"},
-            )
-        return trie
-
     def _observe_proof(self, blob: bytes) -> None:
         registry = get_registry()
         if registry.enabled:
@@ -530,8 +524,8 @@ class RpcServer:
         the trie gets a typed PROOF_UNAVAILABLE error instead.
         """
         address = self._parse_address(params)
-        trie = self._require_trie()
         with self.builder.state_lock:
+            trie = self.node.trie
             try:
                 proof = trie.account_proof(address)
             except KeyError:
@@ -555,8 +549,8 @@ class RpcServer:
         """Inclusion proof binding one storage slot to the state root."""
         address = self._parse_address(params)
         slot = self._parse_address(params, key="slot")
-        trie = self._require_trie()
         with self.builder.state_lock:
+            trie = self.node.trie
             with self.node.state.untracked():
                 value = self.node.state.get_storage(address, slot)
             try:
@@ -648,9 +642,11 @@ class RpcServer:
     def health(self) -> dict:
         """Liveness + identity: what the read proxy routes on.
 
-        The digest is the same commitment the WAL stamps carry, so two
-        healthy nodes at the same height answering with the same digest
-        are serving bit-identical universes.
+        ``stateRoot`` is the commitment headers, the WAL and the stream
+        carry; ``stateDigest`` is the trie-independent flat digest,
+        computed here on demand. Two healthy nodes at the same height
+        answering with the same pair are serving bit-identical
+        universes.
         """
         self.health_checks += 1
         registry = get_registry()

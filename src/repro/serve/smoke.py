@@ -10,8 +10,9 @@ and asserts the acceptance gates:
   sequential execution of the same transactions;
 * p99 end-to-end latency under a (generous) bound.
 
-The CI ``serve-smoke`` job runs exactly this; ``benchmarks/emit_bench.py``
-reuses :func:`run_serve_load` for its ``serve`` section.
+The CI ``serve-smoke`` job runs exactly this. (Throughput is measured
+by the repo's benchmark, ``bench/run.py`` — from a separate process,
+over sustained runs — not here.)
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ async def _run(
     deployment = build_deployment(num_accounts=num_accounts)
     node = Node(state=deployment.state.copy(),
                 per_sender_cap=config.per_sender_cap,
-                merkleize=config.merkleize,
                 emit_witness=config.emit_witness)
     arrival: list = []
     if config.packing == "conflict_aware" and check_digest:
@@ -86,11 +86,9 @@ async def _run(
         # and final state must be bit-identical.
         from ..chain.receipt import receipts_root
 
-        # Same merkleize setting as the server: a Merkleizing reference
-        # *checks* the sealed roots as it replays; an un-Merkleized one
-        # must not stamp (and re-hash) the server's header in place.
-        reference = Node(state=deployment.state.copy(),
-                         merkleize=config.merkleize)
+        # The Merkleizing reference *checks* the sealed roots as it
+        # replays.
+        reference = Node(state=deployment.state.copy())
         started = time.perf_counter()
         roots_match = True
         for block in node.chain:
@@ -138,7 +136,6 @@ def run_serve_load(
     packing: str = "fifo",
     packing_lane_depth: int | None = None,
     packing_aging_bound: int = 8,
-    merkleize: bool = True,
     emit_witness: bool = False,
 ) -> dict:
     """Boot + load + drain, synchronously; returns the result dict."""
@@ -153,7 +150,6 @@ def run_serve_load(
         packing=packing,
         packing_lane_depth=packing_lane_depth,
         packing_aging_bound=packing_aging_bound,
-        merkleize=merkleize,
         emit_witness=emit_witness,
     )
     return asyncio.run(_run(

@@ -3,15 +3,17 @@
 The durability contract, end to end:
 
 * every committed block is appended to an append-only, CRC-framed
-  write-ahead log together with the post-state digest it produced
+  write-ahead log, its header sealed with the post-state Merkle root —
+  the one commitment the store carries
   (:mod:`repro.storage.wal`, :mod:`repro.storage.codec`);
 * every ``snapshot_interval_blocks`` the full world state is written
   atomically as a recovery anchor (:mod:`repro.storage.snapshot`);
 * :func:`recover` rebuilds a live node by replaying the WAL suffix from
   the newest usable anchor through the real execution pipeline,
-  asserting bit-identical state digests block by block;
-* torn tails are truncated and counted, mid-log corruption is a typed
-  refusal, and ``repro verify-store`` audits a directory offline.
+  asserting bit-identical sealed state roots block by block;
+* torn tails are truncated and counted, mid-log corruption and payloads
+  in any format but the current one are typed refusals, and
+  ``repro verify-store`` audits a directory offline.
 """
 
 from .config import (
@@ -27,6 +29,7 @@ from .errors import (
     RecoveryError,
     StorageError,
     StoreLockedError,
+    UnsupportedFormatError,
 )
 from .recovery import (
     RecoveryResult,
@@ -53,6 +56,7 @@ __all__ = [
     "StorageError",
     "StoreLockedError",
     "StoreReport",
+    "UnsupportedFormatError",
     "WalTailReader",
     "attach",
     "has_store",

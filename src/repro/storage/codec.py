@@ -3,14 +3,24 @@
 Everything the store writes is RLP over the chain's own codec
 (:mod:`repro.chain.rlp`) so the WAL, snapshots, and the spilled mempool
 share one wire discipline — and one hardened decoder — with the rest of
-the system.
+the system. Each payload has exactly one encoding, led by one
+format-version item::
+
+    wal record      RLP([version, block_rlp, witness])
+    snapshot        RLP([version, height, state_root_32, state_rlp])
+    mempool spill   RLP([version, [[tx_rlp, bloom], ...]])
+
+The one state commitment on disk is the Merkle ``state_root``: a WAL
+record's is the root sealed into its block header, a snapshot's is its
+third item. An intact payload in any other shape — the unversioned
+records older builds wrote included — is refused with a typed
+:class:`~repro.storage.errors.UnsupportedFormatError`; there is no
+second decoder.
 
 The world-state encoding is *canonical*: accounts sorted by address,
 storage slots sorted, empty accounts skipped (the same filter
-:meth:`~repro.chain.state.WorldState.state_digest` applies). Two states
-that are semantically equal therefore encode to identical bytes, which
-is what lets :func:`state_digest_bytes` serve as the commit stamp the
-WAL records and recovery re-derives.
+:meth:`~repro.chain.state.WorldState.state_digest` applies), so two
+semantically equal states encode to identical bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +33,36 @@ from ..chain.block import Block
 from ..chain.state import WorldState
 from ..chain.transaction import Transaction
 from ..crypto import keccak256
+from .errors import UnsupportedFormatError
+
+#: The format version leading every durable payload and the replication
+#: HELLO. There is one; anything else is refused.
+FORMAT_VERSION = 1
+VERSION_ITEM = rlp.encode_int(FORMAT_VERSION)
+
+
+def expect_version(item, what: str, length: int) -> list:
+    """The *length* fields behind the version item of a decoded
+    envelope; any other shape is an :class:`UnsupportedFormatError`."""
+    if (
+        not isinstance(item, list)
+        or len(item) != length + 1
+        or item[0] != VERSION_ITEM
+    ):
+        raise UnsupportedFormatError(
+            f"{what} is not a format-{FORMAT_VERSION} payload "
+            f"({length + 1} items led by the version)"
+        )
+    return item[1:]
+
+
+def decode_envelope(payload: bytes, what: str, length: int) -> list:
+    """Decode an intact payload and strip its version item."""
+    try:
+        item = rlp.decode(payload)
+    except rlp.RLPDecodingError as exc:
+        raise UnsupportedFormatError(f"{what}: {exc}") from None
+    return expect_version(item, what, length)
 
 
 def state_to_rlp(state: WorldState) -> bytes:
@@ -84,18 +124,20 @@ def account_leaf_rlp(address: int, account: Account) -> bytes:
 
 
 def state_digest_bytes(state: WorldState) -> bytes:
-    """32-byte commitment to the full world state — the digest stamped
-    into every WAL record and snapshot.
+    """32-byte flat commitment to the full world state — the
+    trie-independent reference two states are compared with.
+
+    Nothing durable or streamed carries it (the sealed ``state_root``
+    is the one stamp); ``repro_health``, the recovery report, the smoke
+    drills and the tests compute it on demand to cross-check the trie.
 
     keccak over the sorted ``(address, leaf_hash)`` pairs of every
     non-empty account, where a leaf hash is keccak over
     :func:`account_leaf_rlp`. Leaf hashes are cached on the state and
-    invalidated per-account by its mutators, so the commit-path digest
-    costs O(accounts touched since the last digest) leaf encodings plus
-    one keccak over ~52 bytes per live account — not a full state
-    serialization per block. A freshly loaded state (empty cache)
-    recomputes every leaf and lands on the same value, which is what
-    lets recovery assert bit-identity against the stamps.
+    invalidated per-account by its mutators, so a repeated digest costs
+    O(accounts touched since the last one) leaf encodings plus one
+    keccak over ~52 bytes per live account. A freshly loaded state
+    (empty cache) recomputes every leaf and lands on the same value.
     """
     accounts = state._accounts
     leaves = state._leaf_hashes
@@ -125,116 +167,57 @@ def state_digest_bytes(state: WorldState) -> bytes:
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One fully decoded WAL record (all wire generations)."""
+    """One decoded WAL record: the sealed block and its witness."""
 
     block: Block
-    digest: bytes
-    #: Post-block Merkle state root; empty for legacy records and for
-    #: writers running with Merkleization off.
-    state_root: bytes = b""
     #: Block witness blob (see repro.trie.witness); empty unless the
     #: writer was started with witness emission on.
     witness: bytes = b""
 
 
-def encode_wal_payload(
-    block: Block,
-    post_state_digest: bytes,
-    state_root: bytes = b"",
-    witness: bytes = b"",
-) -> bytes:
-    """One WAL record payload: block, flat digest, and (when the writer
-    Merkleizes) the state root and optional witness.
-
-    The field count grows only as far as needed — 2 (legacy), 3 (root),
-    4 (root + witness) — so records written by an un-Merkleized node are
-    byte-identical to the previous wire generation.
-    """
-    fields: list = [block.to_rlp(), post_state_digest]
-    if state_root or witness:
-        fields.append(state_root)
-    if witness:
-        fields.append(witness)
-    return rlp.encode(fields)
+def encode_wal_payload(block: Block, witness: bytes = b"") -> bytes:
+    """One WAL record payload. The block's header must be sealed: its
+    ``state_root`` is the record's post-state commitment."""
+    if not block.header.state_root:
+        raise ValueError("a WAL record needs a sealed block header")
+    return rlp.encode([VERSION_ITEM, block.to_rlp(), witness])
 
 
 def decode_wal_record(payload: bytes) -> WalRecord:
-    """Decode any wire generation of a WAL record."""
-    fields = rlp.as_list(rlp.decode(payload), "wal record")
-    if len(fields) not in (2, 3, 4):
-        raise rlp.RLPDecodingError(
-            f"wal record must be a 2-, 3- or 4-item list, "
-            f"got {len(fields)}"
+    """Decode a WAL record; see the module docstring for the layout."""
+    block_rlp, witness = decode_envelope(payload, "wal record", 2)
+    block = Block.from_rlp(rlp.as_bytes(block_rlp, "wal block"))
+    if not block.header.state_root:
+        raise UnsupportedFormatError(
+            f"wal record of block {block.header.height} carries an "
+            f"unsealed header"
         )
-    digest = rlp.as_bytes(fields[1], "wal state digest")
-    if len(digest) != 32:
-        raise rlp.RLPDecodingError("wal state digest must be 32 bytes")
-    state_root = b""
-    if len(fields) >= 3:
-        state_root = rlp.as_bytes(fields[2], "wal state root")
-        if state_root and len(state_root) != 32:
-            raise rlp.RLPDecodingError("wal state root must be 32 bytes")
-    witness = (
-        rlp.as_bytes(fields[3], "wal witness") if len(fields) == 4 else b""
-    )
-    block = Block.from_rlp(rlp.as_bytes(fields[0], "wal block"))
     return WalRecord(
-        block=block, digest=digest, state_root=state_root, witness=witness
+        block=block, witness=rlp.as_bytes(witness, "wal witness")
     )
-
-
-def decode_wal_payload(payload: bytes) -> tuple[Block, bytes]:
-    """Decode a WAL record to its (block, digest) core — the shape every
-    pre-Merkle call site consumes; newer fields are simply ignored."""
-    record = decode_wal_record(payload)
-    return record.block, record.digest
 
 
 def mempool_to_rlp(entries) -> bytes:
-    """Encode a spilled mempool.
-
-    *entries* is a list of bare :class:`Transaction` objects or of
-    ``(transaction, bloom_bytes)`` pairs (the
-    :meth:`Mempool.spill_entries` shape — access blooms ride along so
-    declared-access filters, whose tags are not on the wire, survive a
-    restart). Each pair encodes as a 2-list; a bare transaction encodes
-    as its wire blob, which keeps old spill files decodable.
-    """
-    items = []
-    for entry in entries:
-        if isinstance(entry, Transaction):
-            items.append(entry.to_rlp())
-        else:
-            tx, bloom_bytes = entry
-            items.append([tx.to_rlp(), bytes(bloom_bytes)])
-    return rlp.encode(items)
+    """Encode a spilled mempool from ``(transaction, bloom_bytes)``
+    pairs (the :meth:`Mempool.spill_entries` shape — access blooms ride
+    along so declared-access filters, whose tags are not on the wire,
+    survive a restart)."""
+    return rlp.encode([
+        VERSION_ITEM,
+        [[tx.to_rlp(), bytes(bloom_bytes)] for tx, bloom_bytes in entries],
+    ])
 
 
-def mempool_from_rlp(blob: bytes) -> list[tuple[Transaction, bytes | None]]:
-    """Decode a spilled mempool into ``(transaction, bloom_bytes)`` pairs.
-
-    ``bloom_bytes`` is ``None`` for legacy records that spilled the bare
-    transaction; the re-admitting mempool then rebuilds the bloom.
-    """
-    entries: list[tuple[Transaction, bytes | None]] = []
-    for item in rlp.as_list(rlp.decode(blob), "spilled mempool"):
-        if isinstance(item, list):
-            fields = rlp.as_list(item, "spilled entry", 2)
-            entries.append(
-                (
-                    Transaction.from_rlp(
-                        rlp.as_bytes(fields[0], "spilled transaction")
-                    ),
-                    rlp.as_bytes(fields[1], "spilled bloom"),
-                )
-            )
-        else:
-            entries.append(
-                (
-                    Transaction.from_rlp(
-                        rlp.as_bytes(item, "spilled transaction")
-                    ),
-                    None,
-                )
-            )
+def mempool_from_rlp(blob: bytes) -> list[tuple[Transaction, bytes]]:
+    """Decode a spilled mempool into ``(transaction, bloom_bytes)`` pairs."""
+    (items,) = decode_envelope(blob, "spilled mempool", 1)
+    entries = []
+    for item in rlp.as_list(items, "spilled mempool"):
+        tx_rlp, bloom_bytes = rlp.as_list(item, "spilled entry", 2)
+        entries.append((
+            Transaction.from_rlp(
+                rlp.as_bytes(tx_rlp, "spilled transaction")
+            ),
+            rlp.as_bytes(bloom_bytes, "spilled bloom"),
+        ))
     return entries

@@ -23,7 +23,17 @@ class CorruptWalError(StorageError):
 
 
 class RecoveryError(StorageError):
-    """Replaying the WAL diverged from the digests stamped in it."""
+    """Replaying the WAL could not reproduce a sealed header's root."""
+
+
+class UnsupportedFormatError(StorageError):
+    """An intact (CRC-valid) payload is not in the one supported format.
+
+    Raised for a WAL record, snapshot, mempool spill or replication
+    HELLO whose envelope is not led by the expected format version —
+    including the unversioned records older builds wrote. It is never
+    tail damage: nothing is truncated, the files stay byte-identical.
+    """
 
 
 class StoreLockedError(StorageError):

@@ -1,12 +1,13 @@
 """Crash recovery: rebuild a live node from a data directory.
 
 Recovery is *re-execution*, not deserialization of trust: the WAL's
-blocks replay through the node's own execution pipeline against the
-newest usable snapshot, and after every replayed block the resulting
-``state_digest`` must be bit-identical to the digest stamped into that
-block's WAL record at commit time. A store that cannot reproduce its own
-chain is corrupt, and recovery says so with a typed error instead of
-serving a silently divergent state.
+blocks replay through a Merkleizing node's own execution pipeline
+against the newest usable snapshot, and every replayed block must
+reproduce, bit for bit, the ``state_root`` sealed into its header at
+commit time — the same compare-or-stamp check
+(:meth:`~repro.chain.node.Node.seal_state_root`) a live commit runs. A
+store that cannot reproduce its own chain is corrupt, and recovery says
+so with a typed error instead of serving a silently divergent state.
 
 Anchor choice honours the receipt-retention contract: receipts are
 rebuilt by replay, so the replayed suffix must cover the newest
@@ -21,14 +22,20 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 
+from ..chain import rlp
+from ..chain.block import Block
 from ..chain.bloom import AccessBloom
 from ..chain.node import Node
-from ..chain.state import WorldState
 from ..core.hotspot.tracker import HotspotTracker
 from ..obs import get_registry
 from ..trie import StateRootMismatchError
 from . import codec, snapshot as snapshots
-from .errors import CorruptSnapshotError, CorruptWalError, RecoveryError
+from .errors import (
+    CorruptSnapshotError,
+    CorruptWalError,
+    RecoveryError,
+    UnsupportedFormatError,
+)
 from .store import MEMPOOL_NAME, WAL_NAME
 from .wal import scan_wal, truncate_wal, unframe_record
 
@@ -54,7 +61,8 @@ class RecoveryResult:
     skipped_snapshots: list[str] = field(default_factory=list)
     #: Transactions waiting in ``mempool.rlp`` (spilled on drain).
     spilled_pending: int = 0
-    #: Post-recovery canonical state digest.
+    #: Post-recovery flat state digest (the report's cross-check; the
+    #: replay itself is verified against the sealed roots).
     state_digest: bytes = b""
     #: Hotspot profile rebuilt from the whole chain's traffic.
     tracker: HotspotTracker | None = None
@@ -68,79 +76,57 @@ class RecoveryResult:
 
 def _decode_chain(
     records: list[bytes],
-) -> tuple[list, str | None, int]:
-    """Decode WAL payloads into (block, digest) pairs.
+) -> tuple[list[Block], str | None, int]:
+    """Decode WAL payloads into the chain's blocks.
 
     Stops at the first record that fails structural decode, height
-    contiguity, or parent-hash linkage; returns (pairs, reason, index)
-    where *index* is the offending record (len(records) when clean).
+    contiguity, or parent-hash linkage; returns (blocks, reason, index)
+    where *index* is the offending record (len(records) when clean). An
+    intact record in another format is not damage: its
+    :class:`UnsupportedFormatError` propagates.
     """
-    from ..chain import rlp
-
-    pairs = []
+    blocks: list[Block] = []
     prev_hash = b"\x00" * 32
     for index, payload in enumerate(records):
         try:
-            block, digest = codec.decode_wal_payload(payload)
+            block = codec.decode_wal_record(payload).block
         except rlp.RLPDecodingError as exc:
-            return pairs, f"record {index}: {exc}", index
+            return blocks, f"record {index}: {exc}", index
         if block.header.height != index + 1:
-            return pairs, (
+            return blocks, (
                 f"record {index}: height {block.header.height}, "
                 f"expected {index + 1}"
             ), index
         if block.header.parent_hash != prev_hash:
-            return pairs, (
+            return blocks, (
                 f"record {index}: parent hash does not link to "
                 f"block {index}"
             ), index
         prev_hash = block.hash()
-        pairs.append((block, digest))
-    return pairs, None, len(records)
+        blocks.append(block)
+    return blocks, None, len(records)
 
 
-def _choose_anchor(
-    data_dir: str,
-    pairs: list,
-    receipt_history_blocks: int | None,
-) -> tuple[int, WorldState, list[str]]:
-    """The newest snapshot that keeps the retention window replayable."""
-    wal_height = len(pairs)
-    if receipt_history_blocks is None:
-        anchor_ceiling = 0
-    else:
-        anchor_ceiling = max(0, wal_height - receipt_history_blocks)
-    skipped: list[str] = []
-    for height, path in snapshots.list_snapshots(data_dir):
-        if height > anchor_ceiling:
-            continue
-        try:
-            loaded_height, digest, state = snapshots.read_snapshot(path)
-        except CorruptSnapshotError:
-            skipped.append(path)
-            continue
-        if loaded_height != height:
-            skipped.append(path)
-            continue
-        if height > 0 and digest != pairs[height - 1][1]:
-            # Snapshot disagrees with the WAL stamp at its own height —
-            # fall back to an older anchor rather than trust it.
-            skipped.append(path)
-            continue
-        return height, state, skipped
-    raise RecoveryError(
-        f"no usable snapshot anchor in {data_dir!r} "
-        f"(skipped {len(skipped)}); cannot recover"
-    )
+def _sealed_roots(blocks: list[Block]):
+    """height -> the root the chain sealed there (None: not in the WAL)."""
+    return {b.header.height: b.header.state_root for b in blocks}.get
 
 
 def _count_spilled(data_dir: str) -> int:
+    """Entries waiting in the spill file (0 when absent or unreadable).
+
+    An intact spill in another format is the one thing not counted as
+    zero: boot (``ChainStore.load_mempool``) refuses it, so the audit
+    and recovery must too — :class:`UnsupportedFormatError` propagates.
+    """
     path = os.path.join(data_dir, MEMPOOL_NAME)
     if not os.path.exists(path):
         return 0
     try:
         with open(path, "rb") as fh:
             return len(codec.mempool_from_rlp(unframe_record(fh.read())))
+    except UnsupportedFormatError:
+        raise
     except Exception:
         return 0
 
@@ -149,7 +135,6 @@ def recover(
     data_dir: str,
     receipt_history_blocks: int | None = 1024,
     repair: bool = True,
-    node_factory=None,
 ) -> RecoveryResult:
     """Rebuild a node from *data_dir*: snapshot + WAL-suffix replay.
 
@@ -158,8 +143,12 @@ def recover(
     trimmed — warned about, and counted. Damage *followed by further
     valid records* is mid-log corruption and raises
     :class:`CorruptWalError`: truncating there would silently drop
-    durably committed blocks. A replayed block whose state digest
-    differs from its WAL stamp raises :class:`RecoveryError`.
+    durably committed blocks. An intact WAL record, anchor snapshot or
+    mempool spill in another format raises
+    :class:`UnsupportedFormatError` before anything is touched — the
+    repair truncation runs only after all three have been read. A
+    replayed block whose sealed state root cannot be reproduced raises
+    :class:`RecoveryError`.
     """
     data_dir = str(data_dir)
     wal_path = os.path.join(data_dir, WAL_NAME)
@@ -174,17 +163,17 @@ def recover(
             f"truncate durably committed blocks (run `repro verify-store`)"
         )
 
-    pairs, decode_reason, bad_index = _decode_chain(scan.records)
+    blocks, decode_reason, bad_index = _decode_chain(scan.records)
     if decode_reason is not None and bad_index < len(scan.records) - 1:
         raise CorruptWalError(
             f"{wal_path}: {decode_reason} followed by further records — "
             f"mid-log corruption"
         )
 
-    truncated_records = len(scan.records) - len(pairs)
+    truncated_records = len(scan.records) - len(blocks)
     corruption = scan.corruption or decode_reason
     valid_prefix_bytes = sum(
-        len(record) + 8 for record in scan.records[:len(pairs)]
+        len(record) + 8 for record in scan.records[:len(blocks)]
     )
     truncated_bytes = (
         scan.file_bytes - valid_prefix_bytes if corruption else 0
@@ -192,74 +181,56 @@ def recover(
     if corruption is not None:
         truncated_records += 1 if scan.corruption else 0
         warnings.append(
-            f"WAL tail truncated at block {len(pairs) + 1}: {corruption} "
+            f"WAL tail truncated at block {len(blocks) + 1}: {corruption} "
             f"({truncated_bytes} trailing bytes dropped)"
         )
         if registry.enabled:
             registry.counter("storage.wal_truncated_records").inc(
                 max(1, truncated_records)
             )
-        if repair and os.path.exists(wal_path):
-            truncate_wal(wal_path, valid_prefix_bytes)
 
-    anchor_height, state, skipped = _choose_anchor(
-        data_dir, pairs, receipt_history_blocks
+    # Anchor: the newest snapshot that keeps the retention window
+    # replayable and agrees with the root sealed at its own height.
+    if receipt_history_blocks is None:
+        anchor_ceiling = 0
+    else:
+        anchor_ceiling = max(0, len(blocks) - receipt_history_blocks)
+    anchor_height, state, trie, skipped = snapshots.load_latest_snapshot(
+        data_dir, anchor_ceiling, _sealed_roots(blocks)
     )
     for path in skipped:
         warnings.append(f"skipped damaged/inconsistent snapshot {path}")
+    spilled_pending = _count_spilled(data_dir)
 
-    # The replay node is deliberately *not* Merkleizing: re-sealing
-    # would stamp legacy (rootless) headers in place, changing their
-    # hashes and poisoning parent linkage for blocks appended after
-    # recovery. Roots are verified once at the tip instead, and the
-    # caller's node re-attaches its own trie after the transplant.
-    if node_factory is None:
-        def node_factory(state):
-            return Node(state=state, merkleize=False)
-    node = node_factory(state=state)
-    node.chain = [block for block, _ in pairs[:anchor_height]]
+    # Every payload this recovery uses has now been read in the supported
+    # format (anything else raised above, files byte-identical): repair.
+    if corruption is not None and repair and os.path.exists(wal_path):
+        truncate_wal(wal_path, valid_prefix_bytes)
+
+    # The snapshot's trie was built once, to verify it; the replay node
+    # adopts it, and its per-block seal check is the divergence detector.
+    node = Node()
+    node.adopt(state, trie)
+    node.chain = blocks[:anchor_height]
 
     replayed = 0
-    for block, stamped in pairs[anchor_height:]:
+    for block in blocks[anchor_height:]:
         try:
-            # A Merkleizing node re-seals as it replays, so a header
-            # whose WAL-stamped state root cannot be reproduced is
-            # caught here, before the digest comparison.
             node.execute_block(block)
         except StateRootMismatchError as exc:
             raise RecoveryError(
                 f"replay diverged at block {block.header.height}: {exc}"
             ) from None
-        actual = codec.state_digest_bytes(node.state)
-        if actual != stamped:
-            raise RecoveryError(
-                f"replay diverged at block {block.header.height}: "
-                f"state digest {actual.hex()[:16]}… != stamped "
-                f"{stamped.hex()[:16]}…"
-            )
         replayed += 1
-
-    if pairs and pairs[-1][0].header.state_root:
-        # The WAL tip was sealed by a Merkleizing writer: the recovered
-        # state must reproduce that root bit-identically.
-        from ..trie import StateTrie
-
-        rebuilt = StateTrie.rebuild_root(node.state)
-        claimed = pairs[-1][0].header.state_root
-        if rebuilt != claimed:
-            raise RecoveryError(
-                f"recovered state root {rebuilt.hex()[:16]}… does not "
-                f"match the sealed tip root {claimed.hex()[:16]}…"
-            )
 
     # Receipt retention: replay may have gone further back than the
     # window (anchor granularity); trim to the newest N blocks.
     if receipt_history_blocks is not None:
-        for block, _ in pairs[:max(0, len(pairs) - receipt_history_blocks)]:
+        for block in blocks[:max(0, len(blocks) - receipt_history_blocks)]:
             node.receipts.pop(block.hash(), None)
 
     tracker = HotspotTracker()
-    for block, _ in pairs:
+    for block in blocks:
         tracker.observe_block(block.transactions)
 
     if registry.enabled:
@@ -267,14 +238,14 @@ def recover(
 
     return RecoveryResult(
         node=node,
-        height=len(pairs),
+        height=len(blocks),
         snapshot_height=anchor_height,
         replayed_blocks=replayed,
         truncated_records=truncated_records if corruption else 0,
         truncated_bytes=truncated_bytes,
         corruption=corruption,
         skipped_snapshots=skipped,
-        spilled_pending=_count_spilled(data_dir),
+        spilled_pending=spilled_pending,
         state_digest=codec.state_digest_bytes(node.state),
         tracker=tracker,
         warnings=warnings,
@@ -292,15 +263,24 @@ def attach(
 
     Fresh directory: writes the genesis snapshot for the node's current
     state and starts logging. Existing store: runs :func:`recover`,
-    transplants the recovered chain/state/receipts into *node*, then
-    re-admits any spilled mempool transactions (consuming the spill
-    file) and counts them via ``storage.mempool_respilled``. Returns
-    the :class:`RecoveryResult` when a recovery ran, else ``None``.
+    transplants the recovered state (with the trie the replay kept
+    current), chain and receipts into *node*, then re-admits any
+    spilled mempool transactions (consuming the spill file) and counts
+    them via ``storage.mempool_respilled``. Returns the
+    :class:`RecoveryResult` when a recovery ran, else ``None``.
+
+    The store's one commitment is the sealed ``state_root``, so a
+    trie-less node (``Node(merkleize=False)``) is refused.
     """
     from ..chain.mempool import AdmissionError
     from .config import StorageConfig
     from .store import ChainStore
 
+    if node.trie is None:
+        raise ValueError(
+            "a durable node must Merkleize: the sealed state_root is "
+            "the store's only commitment"
+        )
     # Keep enough snapshots that a bounded recovery can anchor at or
     # below ``wal_height - receipt_history_blocks`` — pruning to a bare
     # count would silently push the anchor back to genesis and turn
@@ -320,28 +300,19 @@ def attach(
         result = recover(
             data_dir, receipt_history_blocks=receipt_history_blocks
         )
-        node.state = result.node.state
-        node.mempool.state = node.state
+        node.adopt(result.node.state, result.node.trie)
         node.chain = result.node.chain
         node.receipts = result.node.receipts
-        if node.trie is not None:
-            # The transplant replaced the state object wholesale; the
-            # trie must re-bind (and re-enable first-touch capture) on
-            # the recovered state.
-            node.attach_trie()
 
     store = ChainStore(data_dir, config, fault_injector=fault_injector)
     store.init_genesis(node.state, state_root=node.state_root)
 
     respilled = 0
     for tx, bloom_bytes in store.load_mempool(delete=True):
-        bloom = (
-            AccessBloom.from_bytes(bloom_bytes)
-            if bloom_bytes is not None
-            else None
-        )
         try:
-            if node.mempool.add(tx, bloom=bloom):
+            if node.mempool.add(
+                tx, bloom=AccessBloom.from_bytes(bloom_bytes)
+            ):
                 respilled += 1
         except AdmissionError:
             # Stale against the recovered state (nonce consumed,
@@ -377,6 +348,8 @@ class StoreReport:
     chain_height: int = 0
     corruption: str | None = None
     mid_log: bool = False
+    #: An intact payload is in a format this build does not read.
+    unsupported: bool = False
     truncated_bytes: int = 0
     snapshots: list[tuple[int, str]] = field(default_factory=list)
     damaged_snapshots: list[str] = field(default_factory=list)
@@ -386,7 +359,9 @@ class StoreReport:
     @property
     def ok(self) -> bool:
         """False on unrecoverable damage (tail tears stay recoverable)."""
-        return not self.mid_log and not self.damaged_snapshots
+        return not (
+            self.mid_log or self.unsupported or self.damaged_snapshots
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -395,6 +370,7 @@ class StoreReport:
             "chainHeight": self.chain_height,
             "corruption": self.corruption,
             "midLogCorruption": self.mid_log,
+            "unsupportedFormat": self.unsupported,
             "truncatedBytes": self.truncated_bytes,
             "snapshots": [
                 {"height": height, "path": path}
@@ -412,9 +388,11 @@ def verify_store(data_dir: str) -> StoreReport:
 
     Never mutates anything: scans the WAL (framing + CRC + structural
     decode + height/parent linkage), validates every snapshot against
-    its own digest and the WAL stamp at its height, and decodes the
-    spilled mempool. Mid-log corruption or damaged snapshots make the
-    report not-``ok``; a torn tail alone is recoverable and only noted.
+    its own stamped root and the root sealed into the WAL's header at
+    its height, and decodes the spilled mempool. Mid-log corruption, an
+    intact payload in an unsupported format, or damaged snapshots make
+    the report not-``ok``; a torn tail alone is recoverable and only
+    noted.
     """
     data_dir = str(data_dir)
     report = StoreReport()
@@ -425,8 +403,13 @@ def verify_store(data_dir: str) -> StoreReport:
     report.truncated_bytes = scan.truncated_bytes
     report.mid_log = scan.mid_log_corruption
 
-    pairs, decode_reason, bad_index = _decode_chain(scan.records)
-    report.chain_height = len(pairs)
+    try:
+        blocks, decode_reason, bad_index = _decode_chain(scan.records)
+    except UnsupportedFormatError as exc:
+        blocks, decode_reason, bad_index = [], None, 0
+        report.unsupported = True
+        report.notes.append(str(exc))
+    report.chain_height = len(blocks)
     if decode_reason is not None:
         if bad_index < len(scan.records) - 1:
             report.mid_log = True
@@ -442,12 +425,15 @@ def verify_store(data_dir: str) -> StoreReport:
             "mid-log corruption: valid records exist beyond the damage"
         )
 
+    sealed_root = _sealed_roots(blocks)
     if os.path.isdir(data_dir):
         for height, path in snapshots.list_snapshots(data_dir):
             try:
-                loaded_height, digest, _state = snapshots.read_snapshot(
-                    path
-                )
+                loaded_height, root, _, _ = snapshots.read_snapshot(path)
+            except UnsupportedFormatError as exc:
+                report.unsupported = True
+                report.notes.append(str(exc))
+                continue
             except CorruptSnapshotError as exc:
                 report.damaged_snapshots.append(path)
                 report.notes.append(str(exc))
@@ -456,13 +442,17 @@ def verify_store(data_dir: str) -> StoreReport:
                 report.damaged_snapshots.append(path)
                 report.notes.append(f"{path}: height field mismatch")
                 continue
-            if 0 < height <= len(pairs) and digest != pairs[height - 1][1]:
+            if sealed_root(height) not in (None, root):
                 report.damaged_snapshots.append(path)
                 report.notes.append(
-                    f"{path}: digest disagrees with the WAL stamp"
+                    f"{path}: root disagrees with the sealed header"
                 )
                 continue
             report.snapshots.append((height, path))
 
-    report.spilled_pending = _count_spilled(data_dir)
+    try:
+        report.spilled_pending = _count_spilled(data_dir)
+    except UnsupportedFormatError as exc:
+        report.unsupported = True
+        report.notes.append(str(exc))
     return report

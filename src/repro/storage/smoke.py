@@ -176,16 +176,14 @@ def _offline_replay_digest(data_dir: str) -> tuple[int, bytes]:
     the WAL's decoded blocks, and the plain sequential executor, so a
     bug in recovery's own replay can't vouch for itself.
     """
-    from ..chain import rlp as _  # noqa: F401  (keeps import local)
     from .wal import scan_wal
 
     genesis = os.path.join(data_dir, snapshot.snapshot_name(0))
-    _height, _digest, state = snapshot.read_snapshot(genesis)
+    _height, _root, state, _trie = snapshot.read_snapshot(genesis)
     node = Node(state=state)
     scan = scan_wal(os.path.join(data_dir, "wal.log"))
     for payload in scan.records:
-        block, _stamp = codec.decode_wal_payload(payload)
-        node.execute_block(block)
+        node.execute_block(codec.decode_wal_record(payload).block)
     return len(scan.records), codec.state_digest_bytes(node.state)
 
 

@@ -1,7 +1,9 @@
 """World-state snapshots: bounded-replay recovery anchors.
 
 A snapshot is one CRC-framed record (the WAL's framing, reused) whose
-payload is ``RLP([height, state_digest_32, state_rlp])``, written
+payload is ``RLP([version, height, state_root_32, state_rlp])`` — the
+root being the Merkle root of the encoded state, equal to the
+``state_root`` sealed into the block header at that height — written
 atomically — encode to ``<name>.tmp``, fsync, then ``rename`` — so a
 crash mid-write leaves either the previous snapshot set or the new one,
 never a half file under the real name.
@@ -19,6 +21,7 @@ import re
 
 from ..chain import rlp
 from ..chain.state import WorldState
+from ..trie import StateTrie
 from . import codec
 from .errors import CorruptSnapshotError, CorruptWalError
 from .wal import frame_record, unframe_record
@@ -40,98 +43,88 @@ def atomic_write(path: str, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _snapshot_fields(path: str, blob: bytes) -> list:
-    """Decode a snapshot payload to its 3 (legacy) or 4 field list."""
-    try:
-        fields = rlp.as_list(rlp.decode(unframe_record(blob)), "snapshot")
-    except (rlp.RLPDecodingError, CorruptWalError, ValueError) as exc:
-        raise CorruptSnapshotError(f"{path}: {exc}") from exc
-    if len(fields) not in (3, 4):
-        raise CorruptSnapshotError(
-            f"{path}: snapshot must be a 3- or 4-item list, "
-            f"got {len(fields)}"
-        )
-    return fields
-
-
 def write_snapshot(
-    data_dir: str, height: int, state: WorldState, state_root: bytes = b""
+    data_dir: str, height: int, state: WorldState, state_root: bytes
 ) -> str:
-    """Atomically persist *state* at *height*; returns the file path.
-
-    With a Merkleizing writer the trie's *state_root* rides along as a
-    4th field; legacy 3-field snapshots keep being written (and read)
-    when no root is supplied.
-    """
-    digest = codec.state_digest_bytes(state)
-    fields = [rlp.encode_int(height), digest, codec.state_to_rlp(state)]
-    if state_root:
-        fields.append(state_root)
-    payload = rlp.encode(fields)
+    """Atomically persist *state* at *height*, stamped with its Merkle
+    *state_root* (the caller's trie already has it); returns the path."""
+    payload = rlp.encode([
+        codec.VERSION_ITEM,
+        rlp.encode_int(height),
+        state_root,
+        codec.state_to_rlp(state),
+    ])
     path = os.path.join(data_dir, snapshot_name(height))
     atomic_write(path, frame_record(payload))
     return path
 
 
-def read_snapshot(path: str) -> tuple[int, bytes, WorldState]:
-    """Load one snapshot; returns (height, digest, state).
+def _stamp(payload: bytes, source: str) -> tuple[int, bytes, bytes]:
+    """(height, state_root, state_rlp) of a snapshot payload."""
+    height, root, state_rlp = codec.decode_envelope(
+        payload, f"snapshot {source}", 3
+    )
+    try:
+        root = rlp.as_bytes(root, "snapshot state root")
+        if len(root) != 32:
+            raise rlp.RLPDecodingError(
+                "snapshot state root must be 32 bytes"
+            )
+        return (
+            rlp.decode_int(rlp.as_bytes(height, "snapshot height")),
+            root,
+            rlp.as_bytes(state_rlp, "snapshot state"),
+        )
+    except rlp.RLPDecodingError as exc:
+        raise CorruptSnapshotError(f"{source}: {exc}") from exc
 
-    Raises :class:`CorruptSnapshotError` on CRC or structural damage,
-    including a digest that does not match the decoded state.
+
+def decode_snapshot(
+    payload: bytes, source: str = "payload"
+) -> tuple[int, bytes, WorldState, StateTrie]:
+    """Decode and *verify* a snapshot payload.
+
+    Returns (height, state_root, state, trie): the trie is built over
+    the decoded state to check it against the stamped root, and handed
+    back attached so the caller never builds it a second time
+    (:meth:`repro.chain.node.Node.adopt`). A state that does not
+    reproduce its stamp — one flipped storage slot is enough — raises
+    :class:`CorruptSnapshotError`.
     """
+    height, root, state_rlp = _stamp(payload, source)
+    try:
+        state = codec.state_from_rlp(state_rlp)
+    except (rlp.RLPDecodingError, ValueError) as exc:
+        raise CorruptSnapshotError(f"{source}: {exc}") from exc
+    trie = StateTrie()
+    if trie.attach(state) != root:
+        raise CorruptSnapshotError(
+            f"{source}: state does not match its stamped state root"
+        )
+    return height, root, state, trie
+
+
+def _read_payload(path: str) -> bytes:
     with open(path, "rb") as fh:
         blob = fh.read()
-    fields = _snapshot_fields(path, blob)
     try:
-        height = rlp.decode_int(fields[0])
-        digest = rlp.as_bytes(fields[1], "snapshot digest")
-        state = codec.state_from_rlp(
-            rlp.as_bytes(fields[2], "snapshot state")
-        )
-    except (rlp.RLPDecodingError, CorruptWalError, ValueError) as exc:
+        return unframe_record(blob)
+    except CorruptWalError as exc:
         raise CorruptSnapshotError(f"{path}: {exc}") from exc
-    if codec.state_digest_bytes(state) != digest:
-        raise CorruptSnapshotError(
-            f"{path}: state does not match its stamped digest"
-        )
-    return height, digest, state
+
+
+def read_snapshot(path: str) -> tuple[int, bytes, WorldState, StateTrie]:
+    """Load one snapshot file; see :func:`decode_snapshot`."""
+    return decode_snapshot(_read_payload(path), path)
 
 
 def read_snapshot_stamp(path: str) -> tuple[int, bytes]:
-    """(height, digest) of a snapshot without decoding its state.
+    """(height, state_root) of a snapshot without decoding its state.
 
     The cheap header read the replication streamer uses to validate a
-    replica's claimed digest against an anchor it is not going to ship.
+    replica's claimed root against an anchor it is not going to ship.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    fields = _snapshot_fields(path, blob)
-    try:
-        return (
-            rlp.decode_int(fields[0]),
-            rlp.as_bytes(fields[1], "snapshot digest"),
-        )
-    except (rlp.RLPDecodingError, CorruptWalError, ValueError) as exc:
-        raise CorruptSnapshotError(f"{path}: {exc}") from exc
-
-
-def read_snapshot_root(path: str) -> bytes:
-    """The Merkle state root a snapshot was stamped with (b"" for
-    legacy 3-field snapshots or un-Merkleized writers)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    fields = _snapshot_fields(path, blob)
-    if len(fields) < 4:
-        return b""
-    try:
-        root = rlp.as_bytes(fields[3], "snapshot state root")
-    except rlp.RLPDecodingError as exc:
-        raise CorruptSnapshotError(f"{path}: {exc}") from exc
-    if root and len(root) != 32:
-        raise CorruptSnapshotError(
-            f"{path}: snapshot state root must be 32 bytes"
-        )
-    return root
+    return _stamp(_read_payload(path), path)[:2]
 
 
 def list_snapshots(data_dir: str) -> list[tuple[int, str]]:
@@ -146,30 +139,35 @@ def list_snapshots(data_dir: str) -> list[tuple[int, str]]:
 
 
 def load_latest_snapshot(
-    data_dir: str, max_height: int | None = None
-) -> tuple[int, bytes, WorldState, list[str]]:
-    """The newest *loadable* snapshot (optionally at/below *max_height*).
+    data_dir: str, max_height: int | None = None, sealed_root=None
+) -> tuple[int, WorldState, StateTrie, list[str]]:
+    """The newest *usable* snapshot (optionally at/below *max_height*).
 
     Damaged snapshots are skipped — recovery falls back to the next
-    older anchor and replays a longer WAL suffix instead of failing.
-    Returns (height, digest, state, skipped_paths).
+    older anchor and replays a longer WAL suffix instead of failing —
+    and so is one whose stamp disagrees with ``sealed_root(height)``,
+    the root the chain sealed into that height's header (``None``:
+    no opinion). Returns (height, state, trie, skipped_paths).
     """
     skipped: list[str] = []
     for height, path in list_snapshots(data_dir):
         if max_height is not None and height > max_height:
             continue
         try:
-            loaded_height, digest, state = read_snapshot(path)
+            loaded_height, root, state, trie = read_snapshot(path)
         except CorruptSnapshotError:
             skipped.append(path)
             continue
-        if loaded_height != height:
+        expected = sealed_root(height) if sealed_root else None
+        if loaded_height != height or (
+            expected is not None and root != expected
+        ):
             skipped.append(path)
             continue
-        return height, digest, state, skipped
+        return height, state, trie, skipped
     raise CorruptSnapshotError(
-        f"no loadable snapshot in {data_dir!r} "
-        f"(skipped {len(skipped)} damaged files)"
+        f"no usable snapshot in {data_dir!r} "
+        f"(skipped {len(skipped)} damaged or inconsistent files)"
     )
 
 

@@ -106,9 +106,7 @@ class ChainStore:
         return os.path.join(self.data_dir, MEMPOOL_NAME)
 
     # -- genesis -----------------------------------------------------------
-    def init_genesis(
-        self, state: WorldState, state_root: bytes = b""
-    ) -> bool:
+    def init_genesis(self, state: WorldState, state_root: bytes) -> bool:
         """Write the height-0 snapshot anchor if this is a fresh store."""
         path = os.path.join(self.data_dir, snapshot.snapshot_name(0))
         if os.path.exists(path):
@@ -121,26 +119,21 @@ class ChainStore:
     def append_block(
         self, block: Block, state: WorldState, witness: bytes | None = None
     ) -> None:
-        """Durably record a committed block and its post-state digest.
+        """Durably record a committed (sealed) block.
 
         Runs on the execution thread *before* client futures resolve:
         under ``fsync=always`` the record is on stable storage by the
         time anyone is told the transaction committed. Every
-        ``snapshot_interval_blocks`` a state snapshot follows the
+        ``snapshot_interval_blocks`` a snapshot of *state* follows the
         append, so recovery replays a bounded suffix.
 
-        A Merkleizing node's header carries its sealed ``state_root``;
-        the record echoes it (and the block *witness*, when emitted) so
-        replicas and recovery can validate roots without re-deriving.
+        The header's sealed ``state_root`` is the record's post-state
+        commitment — what recovery and replicas must reproduce; the
+        block *witness* rides along when the node emits one.
         """
         registry = get_registry()
         started = time.perf_counter()
-        payload = codec.encode_wal_payload(
-            block,
-            codec.state_digest_bytes(state),
-            state_root=block.header.state_root,
-            witness=witness or b"",
-        )
+        payload = codec.encode_wal_payload(block, witness or b"")
         written = self._writer.append(payload)
         self.wal_records += 1
         self.wal_bytes += written
@@ -200,8 +193,8 @@ class ChainStore:
     def spill_mempool(self, entries) -> int:
         """Persist still-pending transactions on drain (atomic write).
 
-        *entries*: bare transactions or ``(transaction, bloom_bytes)``
-        pairs (:meth:`Mempool.spill_entries` — carries the admission-time
+        *entries*: ``(transaction, bloom_bytes)`` pairs
+        (:meth:`Mempool.spill_entries` — carries the admission-time
         access blooms across the restart).
         """
         if not entries:
@@ -217,11 +210,10 @@ class ChainStore:
 
     def load_mempool(
         self, delete: bool = True
-    ) -> list[tuple[Transaction, bytes | None]]:
+    ) -> list[tuple[Transaction, bytes]]:
         """Read (and by default consume) the spilled mempool.
 
-        Returns ``(transaction, bloom_bytes)`` pairs, ``bloom_bytes``
-        ``None`` for legacy bare-transaction spill files. The file is
+        Returns ``(transaction, bloom_bytes)`` pairs. The file is
         deleted after a successful read: once the transactions are back
         in a live pool they either commit (and must never be re-admitted
         by a later restart — they would execute twice) or get spilled

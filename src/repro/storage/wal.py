@@ -6,7 +6,11 @@ One record per committed block::
     | length (u32 BE)| crc32 (u32 BE) | payload (length bytes)  |
     +----------------+----------------+-------------------------+
 
-    payload = RLP([ block_rlp, post_state_digest_32 ])
+    payload = RLP([ version, block_rlp, witness ])
+
+The block's header is sealed: its ``state_root`` is the record's
+post-state commitment (see :mod:`repro.storage.codec` for the payload
+formats and the refusal of any other).
 
 The CRC covers the payload, so a torn tail write (partial header,
 partial payload, or a payload whose bits never made it to the platter)

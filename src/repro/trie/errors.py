@@ -26,7 +26,7 @@ class WitnessError(ValueError):
 class StateRootMismatchError(RuntimeError):
     """A block's claimed ``state_root`` disagrees with the recomputed one.
 
-    This is the Merkleized analogue of a WAL digest mismatch: raised by
+    The system's one divergence signal: raised by
     :meth:`repro.chain.node.Node.seal_state_root` when a header already
     carries a root (replication, recovery replay) that the local trie
     update does not reproduce bit-identically.

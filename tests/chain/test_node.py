@@ -88,6 +88,53 @@ class TestConsensusAndExecution:
         )
         assert context.blockhash_fn(2) == 0
 
+    def test_block_work_does_not_grow_with_chain_height(
+        self, monkeypatch
+    ):
+        """On a 1,000-block chain, preparing a block hashes at most the
+        256-header BLOCKHASH window — not the chain — and BLOCKHASH
+        answers are what hashing the whole chain gave."""
+        from repro.chain.block import BLOCKHASH_WINDOW, Block, BlockHeader
+
+        node = Node()
+        parent = b"\x00" * 32
+        for height in range(1, 1001):
+            header = BlockHeader(
+                height=height, timestamp=height, coinbase=1,
+                difficulty=1, gas_limit=1, parent_hash=parent,
+                state_root=height.to_bytes(32, "big"),
+            )
+            node.chain.append(Block(header=header))
+            parent = header.hash()
+        expected = {
+            distance: int.from_bytes(node.chain[-distance].hash(), "big")
+            for distance in (1, 256)
+        }
+
+        hashed: list[int] = []
+        real_hash = BlockHeader.hash
+        monkeypatch.setattr(
+            BlockHeader, "hash",
+            lambda self: hashed.append(self.height) or real_hash(self),
+        )
+        context = node.block_context()
+        assert context.height == 1001
+        answers = {
+            distance: context.blockhash_fn(1001 - distance)
+            for distance in (1, 256, 257)
+        }
+        assert len(hashed) <= BLOCKHASH_WINDOW
+        assert answers == {**expected, 257: 0}
+        assert context.blockhash_fn(1001) == 0  # not a parent
+
+        hashed.clear()
+        block = node.propose_block()
+        assert len(hashed) <= BLOCKHASH_WINDOW + 1  # window + parent
+        assert len(block.recent_hashes) == BLOCKHASH_WINDOW
+        assert block.blockhash(1000) == expected[1]
+        assert block.blockhash(1001 - 256) == expected[256]
+        assert block.blockhash(1001 - 257) == 0
+
     def test_execution_is_deterministic_across_nodes(self, deployment):
         results = []
         for _ in range(2):

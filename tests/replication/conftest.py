@@ -83,12 +83,18 @@ async def stop_replica(server: RpcServer, replica: Replica) -> None:
     await server.shutdown()
 
 
-async def send_transfers(deployment, port: int, count: int, seed=0):
-    """Commit *count* transfer transactions through the writer's RPC."""
+async def send_transfers(
+    deployment, port: int, count: int, seed=0, skip: int = 0
+):
+    """Commit *count* transfer transactions through the writer's RPC.
+
+    ``skip`` continues an earlier call with the same seed (the generator
+    is deterministic, so the nonces carry on where that call stopped).
+    """
     from repro.serve import protocol
     from repro.serve.loadgen import RpcClient, make_transactions
 
-    txs = make_transactions(deployment, count, seed=seed)
+    txs = make_transactions(deployment, skip + count, seed=seed)[skip:]
     client = await RpcClient.connect("127.0.0.1", port)
     try:
         for tx in txs:

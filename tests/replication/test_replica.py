@@ -105,11 +105,19 @@ def test_replica_rejects_writes_with_typed_error(deployment, tmp_path):
     asyncio.run(run())
 
 
-def test_injected_divergence_detected_and_healed(deployment, tmp_path):
-    """Silent state corruption must trip the digest assertion, then heal."""
+def test_injected_divergence_detected_and_healed(
+    deployment, tmp_path, monkeypatch
+):
+    """Silent state corruption must trip the per-block state-root check
+    — alone: the flat digest is out of reach while the drill runs, on
+    the writer's commit path and on the replica's apply path — then
+    heal through a snapshot resync."""
     injector = FaultInjector(FaultPlan(
         seed=3, network=NetworkFault(corrupt_at_height=2)
     ))
+
+    def no_flat_digest(state):
+        raise AssertionError("state_digest_bytes on a commit/apply path")
 
     async def run():
         writer = await start_writer(deployment, tmp_path)
@@ -117,19 +125,24 @@ def test_injected_divergence_detected_and_healed(deployment, tmp_path):
             deployment, writer, fault_injector=injector
         )
         try:
-            await send_transfers(
-                deployment, writer.config.port, 16, seed=22
-            )
-            await eventually(
-                lambda: replica.divergences >= 1,
-                desc="divergence detected",
-            )
-            await eventually(
-                lambda: replica.resyncs >= 1
-                and replica.height == len(writer.node.chain)
-                and digest_of(replica_server) == digest_of(writer),
-                desc="snapshot resync reconverged",
-            )
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    codec, "state_digest_bytes", no_flat_digest
+                )
+                await send_transfers(
+                    deployment, writer.config.port, 16, seed=22
+                )
+                await eventually(
+                    lambda: replica.divergences >= 1,
+                    desc="divergence detected",
+                )
+                await eventually(
+                    lambda: replica.resyncs >= 1
+                    and replica.height == len(writer.node.chain)
+                    and replica.node.state_root == writer.node.state_root,
+                    desc="snapshot resync reconverged",
+                )
+            assert digest_of(replica_server) == digest_of(writer)
         finally:
             await stop_replica(replica_server, replica)
             await writer.shutdown()
@@ -211,8 +224,107 @@ def test_far_behind_replica_catches_up_from_snapshot(
     asyncio.run(run())
 
 
+def test_reconnect_after_resync_streams_without_second_snapshot(
+    deployment, tmp_path
+):
+    """An execute replica that bootstrapped from a snapshot and then
+    applied blocks must, on a torn stream, claim its live root — not the
+    snapshot's — so the writer resumes the stream instead of diagnosing
+    divergence and rewinding it to the snapshot on every reconnect."""
+    injector = FaultInjector(FaultPlan(
+        seed=6,
+        network=NetworkFault(tear_after_blocks=2, tear_count=1),
+    ))
+
+    async def run():
+        writer = await start_writer(
+            deployment, tmp_path, fault_injector=injector,
+            snapshot_interval_blocks=2,
+        )
+        writer.streamer.config.snapshot_catchup_blocks = 2
+        try:
+            await send_transfers(
+                deployment, writer.config.port, 24, seed=25
+            )
+            assert len(writer.node.chain) >= 6
+            replica_server, replica = await start_replica(
+                deployment, writer
+            )
+            try:
+                await eventually(
+                    lambda: replica.resyncs == 1
+                    and replica.height == len(writer.node.chain),
+                    desc="far-behind bootstrap from snapshot",
+                )
+                assert writer.streamer.snapshots_sent == 1
+                # From here only a requested or diagnosed resync may
+                # ship a snapshot: a reconnect gap is not a reason.
+                writer.streamer.config.snapshot_catchup_blocks = 1 << 20
+                heights = [replica.height]
+
+                def reconverged():
+                    heights.append(replica.height)
+                    return (
+                        injector.injected["stream_torn"] == 1
+                        and replica.reconnects >= 1
+                        and replica.height == len(writer.node.chain)
+                        and replica.node.state_root
+                        == writer.node.state_root
+                    )
+
+                await send_transfers(
+                    deployment, writer.config.port, 24, seed=25, skip=24
+                )
+                await eventually(
+                    reconverged, desc="post-tear reconvergence"
+                )
+                assert replica.blocks_applied >= 2
+                assert replica.divergences == 0
+                assert replica.resyncs == 1
+                assert writer.streamer.snapshots_sent == 1
+                assert heights == sorted(heights)
+                assert digest_of(replica_server) == digest_of(writer)
+            finally:
+                await stop_replica(replica_server, replica)
+        finally:
+            await writer.shutdown()
+
+    asyncio.run(run())
+
+
+def test_streamer_has_no_opinion_on_an_unreadable_genesis_anchor(
+    deployment, tmp_path
+):
+    """A height-0 claim is checked against the genesis snapshot's stamp;
+    an anchor the streamer cannot read — damaged, or intact in another
+    format — is "cannot vouch", not divergence and not a raise that
+    would drop the follower's connection."""
+    from repro.chain import rlp
+    from repro.replication.streamer import WalStreamer
+    from repro.storage import snapshot
+    from repro.storage.wal import frame_record
+
+    state = deployment.state.copy()
+    root = Node(state=state).state_root
+    path = tmp_path / snapshot.snapshot_name(0)
+    for unreadable in (
+        b"torn",
+        frame_record(rlp.encode([  # the parent's unversioned layout
+            rlp.encode_int(0), bytes(32), codec.state_to_rlp(state), root,
+        ])),
+    ):
+        path.write_bytes(unreadable)
+        assert not WalStreamer(str(tmp_path))._diverged(0, bytes(32))
+    snapshot.write_snapshot(str(tmp_path), 0, state, root)
+    streamer = WalStreamer(str(tmp_path))
+    assert streamer._diverged(0, bytes(32))
+    assert not streamer._diverged(0, root)
+
+
 def test_apply_block_rolls_back_on_divergence(deployment):
-    """Unit-level: a wrong digest never commits, never leaks to reads."""
+    """Unit-level: a wrong root never commits, never leaks to reads."""
+    import dataclasses
+
     writer_node = Node(state=deployment.state.copy())
     from repro.serve.loadgen import make_transactions
 
@@ -221,6 +333,10 @@ def test_apply_block_rolls_back_on_divergence(deployment):
     block = writer_node.propose_block(max_transactions=4)
     writer_node.execute_block(block)
     good_digest = codec.state_digest_bytes(writer_node.state)
+    forged = dataclasses.replace(
+        block,
+        header=dataclasses.replace(block.header, state_root=b"\x00" * 32),
+    )
 
     replica_node = Node(state=deployment.state.copy())
     builder = BlockBuilder(
@@ -234,19 +350,24 @@ def test_apply_block_rolls_back_on_divergence(deployment):
         writer_stream_port=1,
     )
     before = codec.state_digest_bytes(replica_node.state)
+    root_before = replica_node.state_root
     with pytest.raises(ReplicaDivergenceError) as err:
-        replica._apply_block(codec.WalRecord(block, b"\x00" * 32))
+        replica._apply_block(codec.WalRecord(forged))
     assert err.value.height == 1
-    # Rolled back completely: nothing committed, nothing served.
+    assert err.value.actual == block.header.state_root
+    # Rolled back completely — state and trie: nothing committed,
+    # nothing served, proofs still bind to the last good root.
     assert codec.state_digest_bytes(replica_node.state) == before
+    assert replica_node.state_root == root_before
     assert replica_node.chain == []
     assert replica.height == 0
     assert replica.blocks_applied == 0
 
-    # The same block with the honest digest applies cleanly.
-    receipts = replica._apply_block(codec.WalRecord(block, good_digest))
+    # The same block with the honest root applies cleanly.
+    receipts = replica._apply_block(codec.WalRecord(block))
     assert len(receipts) == len(block.transactions)
     assert replica.height == 1
+    assert replica_node.state_root == block.header.state_root
     assert (
         codec.state_digest_bytes(replica_node.state) == good_digest
     )

@@ -27,11 +27,11 @@ def read_one(data: bytes, timeout=None):
 
 
 def test_hello_round_trip():
-    digest = bytes(range(32))
-    frame = stream.encode_hello(17, digest, need_snapshot=True)
+    root = bytes(range(32))
+    frame = stream.encode_hello(17, root, need_snapshot=True)
     msg_type, fields = read_one(frame)
     assert msg_type == stream.MSG_HELLO
-    assert fields == (17, digest, True, b"")
+    assert fields == (17, root, True)
 
 
 def test_snapshot_round_trip_with_recent_hashes():

@@ -70,10 +70,7 @@ def _committed_record(deployment, count=4):
     block = writer.propose_block(max_transactions=count)
     writer.execute_block(block)
     return writer, codec.WalRecord(
-        block,
-        codec.state_digest_bytes(writer.state),
-        state_root=block.header.state_root,
-        witness=writer.witnesses[block.header.height],
+        block, witness=writer.witnesses[block.header.height]
     )
 
 
@@ -85,7 +82,6 @@ def test_witness_apply_advances_root_chain_without_state(deployment):
     assert len(receipts) == len(record.block.transactions)
     assert replica.height == 1
     assert replica._last_root == writer.state_root
-    assert replica._last_digest == record.digest
     assert replica.node.receipts[record.block.hash()] == receipts
     # The replica's resident state was never executed against.
     assert codec.state_digest_bytes(replica.node.state) == untouched
@@ -94,7 +90,7 @@ def test_witness_apply_advances_root_chain_without_state(deployment):
 def test_witness_mode_demands_a_witness(deployment):
     writer, record = _committed_record(deployment)
     replica = _witness_replica(deployment)
-    bare = codec.WalRecord(record.block, record.digest)
+    bare = codec.WalRecord(record.block)
     with pytest.raises(StreamProtocolError) as err:
         replica._apply_block_witness(bare)
     assert "--emit-witness" in str(err.value)
@@ -105,12 +101,7 @@ def test_corrupted_witness_is_divergence(deployment):
     replica = _witness_replica(deployment)
     mutated = bytearray(record.witness)
     mutated[len(mutated) // 2] ^= 0xFF
-    bad = codec.WalRecord(
-        record.block,
-        record.digest,
-        state_root=record.state_root,
-        witness=bytes(mutated),
-    )
+    bad = codec.WalRecord(record.block, witness=bytes(mutated))
     with pytest.raises(ReplicaDivergenceError) as err:
         replica._apply_block_witness(bad)
     assert err.value.height == 1

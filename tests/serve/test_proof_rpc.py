@@ -118,26 +118,20 @@ def test_absent_account_is_typed_proof_unavailable(deployment):
     assert err.data["reason"] == "absent"
 
 
-def test_unmerkleized_server_refuses_proofs(deployment):
-    config = make_config(merkleize=False)
+def test_trie_less_node_cannot_be_served(deployment):
+    """There is no un-Merkleized serving mode: no config field for it,
+    and a reference node built without a trie is refused up front
+    instead of answering proofs with a "not Merkleizing" error."""
+    import dataclasses
 
-    async def run():
-        server, client = await booted(deployment, config, merkleize=False)
-        try:
-            with pytest.raises(RpcClientError) as err:
-                await client.call("repro_getProof", {"address": "0x1"})
-            health = await client.call("repro_health")
-            block = await client.call("repro_getBlock", {"height": 0})
-        finally:
-            await client.close()
-            await server.shutdown()
-        return err.value, health, block
-
-    err, health, block = asyncio.run(run())
-    assert err.code == PROOF_UNAVAILABLE
-    assert err.data["reason"] == "not_merkleizing"
-    assert health["stateRoot"] == ""
-    assert block is None or block.get("stateRoot") == ""
+    assert "merkleize" not in {
+        field.name for field in dataclasses.fields(ServeConfig)
+    }
+    with pytest.raises(TypeError):
+        make_config(merkleize=False)
+    node = Node(state=deployment.state.copy(), merkleize=False)
+    with pytest.raises(ValueError, match="Merkleize"):
+        RpcServer(node=node, config=make_config())
 
 
 def test_get_block_unknown_height_is_null(deployment):

@@ -20,13 +20,15 @@ from repro.storage import (
     RecoveryError,
     StorageConfig,
     StoreLockedError,
+    UnsupportedFormatError,
     attach,
     codec,
     has_store,
     recover,
     verify_store,
 )
-from repro.storage.wal import RECORD_HEADER, scan_wal
+from repro.storage.wal import RECORD_HEADER, frame_record, scan_wal
+from repro.trie import StateTrie
 
 ACCOUNTS = [0x1000 + i for i in range(8)]
 
@@ -165,26 +167,190 @@ def test_recover_refuses_mid_log_corruption(tmp_path):
     assert report.mid_log
 
 
-def test_recover_raises_on_replay_divergence(tmp_path):
-    # Re-frame the final record with a lying digest: CRC and structure
-    # are valid, so only the replay assertion can catch it.
-    from repro.chain import rlp
-    from repro.storage.wal import frame_record
-
-    build_store(tmp_path)
-    wal = os.path.join(str(tmp_path), "wal.log")
+def rewrite_last_record(wal: str, payload: bytes) -> None:
+    """Replace the WAL's final record with a freshly framed *payload*."""
     scan = scan_wal(wal)
-    block, _stamp = codec.decode_wal_payload(scan.records[-1])
-    forged = rlp.encode([block.to_rlp(), bytes(32)])
     prefix = sum(
         len(r) + RECORD_HEADER.size for r in scan.records[:-1]
     )
     with open(wal, "r+b") as fh:
         fh.truncate(prefix)
         fh.seek(prefix)
-        fh.write(frame_record(forged))
-    with pytest.raises(RecoveryError, match="diverged"):
+        fh.write(frame_record(payload))
+
+
+def test_recover_raises_on_replay_divergence(tmp_path):
+    # Re-frame the final record with a lying sealed root: CRC and
+    # structure are valid, so only the replay's seal check can catch it.
+    import dataclasses
+
+    build_store(tmp_path)
+    wal = os.path.join(str(tmp_path), "wal.log")
+    block = codec.decode_wal_record(scan_wal(wal).records[-1]).block
+    block.header = dataclasses.replace(block.header, state_root=bytes(32))
+    rewrite_last_record(wal, codec.encode_wal_payload(block))
+    with pytest.raises(RecoveryError, match="diverged at block 7"):
         recover(str(tmp_path))
+
+
+def parent_format_record(payload: bytes) -> bytes:
+    """The record as the parent commit wrote it: unversioned
+    ``[block, digest, root]``."""
+    from repro.chain import rlp
+
+    block = codec.decode_wal_record(payload).block
+    return rlp.encode([
+        block.to_rlp(), bytes(32), block.header.state_root
+    ])
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+def test_parent_format_record_is_refused_not_truncated(tmp_path, blocks):
+    """A CRC-valid record in another format is neither tail damage nor
+    corruption: typed refusal, nothing on disk changes — also for a
+    one-record WAL, which a tail-damage reading would truncate to
+    nothing."""
+    build_store(tmp_path, blocks=blocks)
+    wal = os.path.join(str(tmp_path), "wal.log")
+    rewrite_last_record(
+        wal, parent_format_record(scan_wal(wal).records[-1])
+    )
+    assert scan_wal(wal).clean  # framing and CRCs are all valid
+    before = open(wal, "rb").read()
+
+    with pytest.raises(UnsupportedFormatError, match="wal record"):
+        recover(str(tmp_path))
+    with pytest.raises(UnsupportedFormatError):
+        attach(fresh_node(), str(tmp_path), StorageConfig(fsync="never"))
+    report = verify_store(str(tmp_path))
+    assert not report.ok and report.unsupported
+    assert any("wal record" in note for note in report.notes)
+    assert not report.mid_log
+    assert open(wal, "rb").read() == before
+
+
+@pytest.mark.parametrize("which", ["anchor snapshot", "mempool spill"])
+def test_other_format_is_refused_before_the_tail_repair(tmp_path, which):
+    """The refusal covers all three durable payloads and comes before
+    any repair: a torn WAL tail beside an intact anchor snapshot or
+    mempool spill in the parent's format stays exactly as torn, and the
+    audit agrees with the boot path that the store is not usable."""
+    from repro.chain import rlp
+
+    node, _ = build_store(tmp_path)
+    wal = os.path.join(str(tmp_path), "wal.log")
+    with open(wal, "r+b") as fh:
+        fh.truncate(os.path.getsize(wal) - 4)
+    if which == "anchor snapshot":
+        # ``[height, digest, state, root]``, on the genesis anchor.
+        path = str(tmp_path / "snapshot-000000000000.rlp")
+        genesis = fresh_node()
+        payload = rlp.encode([
+            rlp.encode_int(0),
+            codec.state_digest_bytes(genesis.state),
+            codec.state_to_rlp(genesis.state),
+            genesis.state_root,
+        ])
+        note = "snapshot"
+    else:
+        # Unversioned ``[[tx, bloom], …]``.
+        path = str(tmp_path / "mempool.rlp")
+        payload = rlp.encode([
+            [tx.to_rlp(), bytes(16)] for tx in transfer_txs(2, id(node))
+        ])
+        note = "spilled mempool"
+    with open(path, "wb") as fh:
+        fh.write(frame_record(payload))
+    before = {
+        name: open(os.path.join(str(tmp_path), name), "rb").read()
+        for name in sorted(os.listdir(str(tmp_path)))
+    }
+    assert not scan_wal(wal).clean
+
+    with pytest.raises(UnsupportedFormatError, match=note):
+        recover(str(tmp_path))
+    with pytest.raises(UnsupportedFormatError, match=note):
+        attach(fresh_node(), str(tmp_path), StorageConfig(fsync="never"))
+    report = verify_store(str(tmp_path))
+    assert not report.ok and report.unsupported
+    assert any(note in line for line in report.notes)
+    assert {
+        name: open(os.path.join(str(tmp_path), name), "rb").read()
+        for name in sorted(os.listdir(str(tmp_path)))
+    } == before
+
+
+def flip_one_slot_in_snapshot(path: str) -> None:
+    """Rewrite a snapshot with one storage slot changed and the CRC
+    re-stamped: framing, structure and the stamped root all stay."""
+    from repro.chain import rlp
+    from repro.storage.wal import unframe_record
+
+    version, height, root, state_rlp = rlp.decode(
+        unframe_record(open(path, "rb").read())
+    )
+    state = codec.state_from_rlp(state_rlp)
+    state.set_storage(ACCOUNTS[0], 0, state.get_storage(ACCOUNTS[0], 0) ^ 1)
+    payload = rlp.encode(
+        [version, height, root, codec.state_to_rlp(state)]
+    )
+    with open(path, "wb") as fh:
+        fh.write(frame_record(payload))
+
+
+def test_snapshot_with_flipped_slot_is_rejected_by_root(tmp_path):
+    from repro.storage.errors import CorruptSnapshotError
+    from repro.storage.snapshot import read_snapshot
+
+    _, digest = build_store(tmp_path)
+    latest = str(tmp_path / "snapshot-000000000006.rlp")
+    flip_one_slot_in_snapshot(latest)
+    with pytest.raises(CorruptSnapshotError, match="state root"):
+        read_snapshot(latest)
+    result = recover(str(tmp_path), receipt_history_blocks=1)
+    assert result.snapshot_height == 3  # fell back past the forged 6
+    assert latest in result.skipped_snapshots
+    assert result.state_digest == digest
+    report = verify_store(str(tmp_path))
+    assert not report.ok and report.damaged_snapshots == [latest]
+
+
+def test_restart_builds_the_trie_once(tmp_path, monkeypatch):
+    """Recovery verifies the anchor by building its trie, replays on
+    it, and hands it to the live node: one build, no rebuild at the
+    tip, no re-attach after the transplant."""
+    node, _ = build_store(tmp_path)
+    restarted = fresh_node()
+    builds: list[int] = []
+    real_attach = StateTrie.attach
+
+    def counting_attach(self, state):
+        if state._accounts:
+            builds.append(len(state._accounts))
+        return real_attach(self, state)
+
+    def no_rebuild(state):
+        raise AssertionError("rebuild_root on the restart path")
+
+    monkeypatch.setattr(StateTrie, "attach", counting_attach)
+    monkeypatch.setattr(StateTrie, "rebuild_root", no_rebuild)
+    result = attach(restarted, str(tmp_path), StorageConfig(fsync="never"))
+    monkeypatch.undo()
+    assert result.height == 7 and result.replayed_blocks > 0
+    assert len(builds) == 1
+    assert restarted.trie is result.node.trie
+    assert restarted.state_root == node.state_root
+    assert restarted.state_root == StateTrie.rebuild_root(restarted.state)
+    # The adopted trie keeps tracking: the next block seals correctly.
+    commit_blocks(restarted, 1)
+    assert restarted.state_root == StateTrie.rebuild_root(restarted.state)
+    restarted.store.close()
+
+
+def test_attach_refuses_a_trie_less_node(tmp_path):
+    with pytest.raises(ValueError, match="Merkleize"):
+        attach(Node(merkleize=False), str(tmp_path))
+    assert not has_store(str(tmp_path))
 
 
 def test_recover_falls_back_past_damaged_snapshot(tmp_path):
@@ -236,8 +402,9 @@ def test_attach_fresh_then_reattach(tmp_path):
 
 def test_attach_respills_mempool_once(tmp_path):
     node, _ = build_store(tmp_path, blocks=2, close=False)
-    pending = transfer_txs(3, id(node))
-    node.store.spill_mempool(pending)
+    for tx in transfer_txs(3, id(node)):
+        node.hear(tx)
+    node.store.spill_mempool(node.mempool.spill_entries())
     node.store.close()
 
     node2 = fresh_node()
