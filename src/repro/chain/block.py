@@ -69,7 +69,19 @@ class BlockHeader:
         )
 
     def hash(self) -> bytes:
-        return keccak256(self.to_rlp())
+        """Block hash over the header encoding (memoized).
+
+        Headers are frozen, and sealing goes through
+        ``dataclasses.replace`` — a new object with no cached hash — so
+        the keccak is computed once per header however many later blocks
+        ask for it (``recent_hashes``, ``parent_hash``, BLOCKHASH, the
+        receipt and streamer indexes).
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = keccak256(self.to_rlp())
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
 
 @dataclass
@@ -86,7 +98,8 @@ class Block:
     recent_hashes: list[bytes] = field(default_factory=list)
     #: Consensus-stage pre-execution artifacts, one per transaction
     #: (:class:`~repro.chain.journal.ExecutionArtifact`). Node-local —
-    #: never serialized; executors use them for execute-once replay.
+    #: never serialized, set only by ``Node.propose_block``; the
+    #: proposer's executors use them for execute-once replay.
     artifacts: list | None = field(default=None, repr=False, compare=False)
     #: Conflict-aware packing lanes: index lists partitioning
     #: ``transactions`` into serial chains with no conflicts between

@@ -148,6 +148,10 @@ class Mempool:
         self.per_sender_cap = per_sender_cap
         #: Pending-transaction count per sender address.
         self._by_sender: dict[int, int] = {}
+        #: Sum of the pooled transactions' gas limits, kept in step by
+        #: :meth:`add` / :meth:`_forget` so the block builder's gas-target
+        #: check does not walk the pool.
+        self.pending_gas = 0
         #: Optional world state used for balance-aware admission and the
         #: pure-transfer bloom derivation.
         self.state = state
@@ -240,6 +244,7 @@ class Mempool:
             )
         self._pool[tx_hash] = _PoolEntry(tx, heard_at, bloom)
         self._by_sender[tx.sender] = self._by_sender.get(tx.sender, 0) + 1
+        self.pending_gas += tx.gas_limit
         registry.counter("mempool.added").inc()
         if self.capacity is not None and len(self._pool) > self.capacity:
             self._evict_oldest(len(self._pool) - self.capacity)
@@ -260,6 +265,7 @@ class Mempool:
 
     def _forget(self, tx_hash: bytes) -> None:
         entry = self._pool.pop(tx_hash)
+        self.pending_gas -= entry.tx.gas_limit
         remaining = self._by_sender.get(entry.tx.sender, 0) - 1
         if remaining > 0:
             self._by_sender[entry.tx.sender] = remaining

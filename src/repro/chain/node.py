@@ -97,6 +97,17 @@ class Node:
         self.coinbase = coinbase
         self.chain: list[Block] = []
         self.receipts: dict[bytes, list[Receipt]] = {}
+        #: The block :meth:`propose_block` built last. Its artifacts were
+        #: discovered here, under this node's context (coinbase, clock,
+        #: BLOCKHASH history) — the only block :meth:`execute_block`
+        #: will replay instead of executing.
+        self._proposed: Block | None = None
+        #: Execute-once split of :meth:`execute_block` over blocks it
+        #: replayed: transactions committed by journal replay, and those
+        #: whose artifact was refused (stale or another transaction's)
+        #: and ran through the EVM again.
+        self.txs_replayed = 0
+        self.txs_reexecuted = 0
         #: Optional :class:`repro.storage.ChainStore`. When set,
         #: :meth:`commit_block` appends the block to the WAL *before*
         #: mutating in-memory structures, so anything the node claims to
@@ -269,6 +280,7 @@ class Node:
                 registry.histogram("block.packed_parallelism").observe(
                     packed.parallelism
                 )
+        self._proposed = block
         return block
 
     # -- execution stage ----------------------------------------------------------
@@ -279,10 +291,47 @@ class Node:
         executors (the MTPU simulator) produce the same receipts and final
         state; tests compare against this path via
         :func:`repro.chain.receipt.receipts_root`.
+
+        Execute-once: the block this node itself just proposed carries
+        its consensus-stage pre-execution on ``block.artifacts``. In
+        block order, an artifact whose read values still hold
+        (:meth:`~repro.chain.journal.ExecutionArtifact.is_fresh`) is
+        committed by applying its write journal and taking its receipt;
+        a transaction whose artifact belongs to another transaction or
+        is stale runs through the EVM, and so does the whole block when
+        the artifact list does not line up with it. Every other block
+        — another node's proposal, recovery, replicas, hand-built or
+        decoded blocks — runs every transaction through the EVM, as the
+        paper's verifying nodes do.
         """
         context = self.block_context(block.header.height)
         evm = EVM(self.state, block=context)
-        receipts = [evm.execute_transaction(tx) for tx in block.transactions]
+        transactions = block.transactions
+        artifacts = block.artifacts if block is self._proposed else None
+        if artifacts is None or len(artifacts) != len(transactions):
+            receipts = [evm.execute_transaction(tx) for tx in transactions]
+        else:
+            receipts = []
+            reexecuted = 0
+            for tx, artifact in zip(transactions, artifacts):
+                if (
+                    artifact.tx.hash() == tx.hash()
+                    and artifact.is_fresh(self.state)
+                ):
+                    artifact.journal.apply(self.state)
+                    receipts.append(artifact.receipt)
+                else:
+                    receipts.append(evm.execute_transaction(tx))
+                    reexecuted += 1
+            replayed = len(receipts) - reexecuted
+            self.txs_replayed += replayed
+            self.txs_reexecuted += reexecuted
+            registry = get_registry()
+            if registry.enabled:
+                if replayed:
+                    registry.counter("evm.tx_reuses").inc(replayed)
+                if reexecuted:
+                    registry.counter("evm.tx_reexecutions").inc(reexecuted)
         self.commit_block(block, receipts)
         return receipts
 
@@ -396,6 +445,11 @@ class Node:
         self, block: Block, claimed_root: bytes
     ) -> BlockVerification:
         """Re-execute against a snapshot and compare the receipts digest.
+
+        Verification never replays ``block.artifacts``: every
+        transaction runs through the EVM, whatever the block carries —
+        checking a proposer's results by applying the proposer's own
+        journals would check nothing.
 
         On a match the block commits exactly as :meth:`execute_block`
         would. On a mismatch *nothing* changes: world state is rolled

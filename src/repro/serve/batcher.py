@@ -8,8 +8,8 @@ backend); and each transaction's response future resolves the moment its
 receipt commits. Receipts and ``state_digest()`` are bit-identical to
 offline sequential execution — the MTPU and parallel backends guarantee
 it, and any executor failure (e.g. every PU killed by an injected fault)
-degrades to a clean sequential re-execution of the same block instead of
-wedging the loop.
+degrades to a clean sequential re-execution of the same block (through
+the EVM, the proposal's artifacts dropped) instead of wedging the loop.
 """
 
 from __future__ import annotations
@@ -256,14 +256,11 @@ class BlockBuilder:
                     registry.counter("serve.execution_failures").inc()
 
     def _gas_target_met(self) -> bool:
-        if self.config.gas_target is None:
-            return False
-        gas = 0
-        for tx in self.node.mempool.pending():
-            gas += tx.gas_limit
-            if gas >= self.config.gas_target:
-                return True
-        return False
+        gas_target = self.config.gas_target
+        return (
+            gas_target is not None
+            and self.node.mempool.pending_gas >= gas_target
+        )
 
     async def _cut_and_execute(self) -> None:
         config = self.config
@@ -346,8 +343,11 @@ class BlockBuilder:
             receipts = self._execute(block)
         except Exception:
             # Degrade, never wedge: whatever the executor left behind is
-            # rolled back and the block re-executes sequentially.
+            # rolled back and the block re-executes sequentially — through
+            # the EVM, not from the artifacts the failed executor was
+            # working off.
             self.node.state.revert(token)
+            block.artifacts = None
             self.sequential_fallbacks += 1
             registry = get_registry()
             if registry.enabled:

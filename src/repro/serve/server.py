@@ -695,6 +695,11 @@ class RpcServer:
             "readOnlyRejects": self.read_only_rejects,
             "sequentialFallbacks": self.builder.sequential_fallbacks,
             "executionFailures": self.builder.execution_failures,
+            # Execute-once split of Node.execute_block (the sequential
+            # executor): commits by artifact replay vs. stale artifacts
+            # re-run through the EVM.
+            "txsReplayed": self.node.txs_replayed,
+            "txsReexecuted": self.node.txs_reexecuted,
             "packing": self.config.packing,
             "packedBlocks": self.builder.packed_blocks,
             "packedDeferred": self.builder.packed_deferred_total,

@@ -163,6 +163,38 @@ def test_take_respects_gas_target(gas_limits, gas_target, count):
 
 @settings(max_examples=80, deadline=None)
 @given(
+    capacity=st.one_of(st.none(), st.integers(1, 6)),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "take", "take_packed", "remove"]),
+            st.integers(21_000, 200_000),
+        ),
+        max_size=40,
+    ),
+)
+def test_pending_gas_tracks_the_pool(capacity, ops):
+    """The running total the block builder's gas-target check reads is
+    the sum a walk over the pool would give, through every way in
+    (add, readmission) and out (take, packed take, remove, eviction)."""
+    pool = Mempool(capacity=capacity)
+    for nonce, (op, gas_limit) in enumerate(ops):
+        if op == "add":
+            pool.add(tx(sender=nonce % 3, nonce=nonce,
+                        gas_limit=gas_limit))
+        elif op == "take":
+            pool.take(2, gas_target=gas_limit)
+        elif op == "take_packed":
+            pool.take_packed(2, gas_target=gas_limit)
+        else:
+            pool.remove(pool.pending()[:1])
+        assert pool.pending_gas == sum(
+            t.gas_limit for t in pool.pending()
+        )
+    assert (len(pool) == 0) == (pool.pending_gas == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
     stamps=st.lists(st.integers(0, 50), min_size=1, max_size=25),
     chunk=st.integers(1, 5),
 )

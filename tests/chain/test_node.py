@@ -91,31 +91,36 @@ class TestConsensusAndExecution:
     def test_block_work_does_not_grow_with_chain_height(
         self, monkeypatch
     ):
-        """On a 1,000-block chain, preparing a block hashes at most the
-        256-header BLOCKHASH window — not the chain — and BLOCKHASH
-        answers are what hashing the whole chain gave."""
+        """On a 1,000-block chain, BLOCKHASH hashes only the headers it
+        is asked for, a cold node hashes the 256-header window once, and
+        from then on a whole propose → execute → commit round costs at
+        most two header keccaks (the new header, unsealed and sealed) —
+        every older header answers from its cached hash."""
+        import repro.chain.block as block_module
         from repro.chain.block import BLOCKHASH_WINDOW, Block, BlockHeader
 
         node = Node()
         parent = b"\x00" * 32
+        expected = {}
         for height in range(1, 1001):
             header = BlockHeader(
                 height=height, timestamp=height, coinbase=1,
                 difficulty=1, gas_limit=1, parent_hash=parent,
                 state_root=height.to_bytes(32, "big"),
             )
-            node.chain.append(Block(header=header))
             parent = header.hash()
-        expected = {
-            distance: int.from_bytes(node.chain[-distance].hash(), "big")
-            for distance in (1, 256)
-        }
+            expected[1001 - height] = int.from_bytes(parent, "big")
+            # Decoded copies: the chain starts with nothing cached, as
+            # after recovery.
+            node.chain.append(
+                Block(header=BlockHeader.from_rlp(header.to_rlp()))
+            )
 
-        hashed: list[int] = []
-        real_hash = BlockHeader.hash
+        keccaks: list[bytes] = []
+        real_keccak = block_module.keccak256
         monkeypatch.setattr(
-            BlockHeader, "hash",
-            lambda self: hashed.append(self.height) or real_hash(self),
+            block_module, "keccak256",
+            lambda blob: keccaks.append(blob) or real_keccak(blob),
         )
         context = node.block_context()
         assert context.height == 1001
@@ -123,17 +128,26 @@ class TestConsensusAndExecution:
             distance: context.blockhash_fn(1001 - distance)
             for distance in (1, 256, 257)
         }
-        assert len(hashed) <= BLOCKHASH_WINDOW
-        assert answers == {**expected, 257: 0}
+        assert len(keccaks) == 2  # the two headers inside the window
+        assert answers == {1: expected[1], 256: expected[256], 257: 0}
         assert context.blockhash_fn(1001) == 0  # not a parent
 
-        hashed.clear()
+        keccaks.clear()
         block = node.propose_block()
-        assert len(hashed) <= BLOCKHASH_WINDOW + 1  # window + parent
+        assert len(keccaks) == BLOCKHASH_WINDOW - 2  # the rest, once
         assert len(block.recent_hashes) == BLOCKHASH_WINDOW
         assert block.blockhash(1000) == expected[1]
         assert block.blockhash(1001 - 256) == expected[256]
         assert block.blockhash(1001 - 257) == 0
+        node.execute_block(block)
+
+        keccaks.clear()
+        block = node.propose_block()
+        node.execute_block(block)
+        assert len(node.chain) == 1002
+        assert len(keccaks) <= 2
+        assert block.header.parent_hash == node.chain[-2].hash()
+        assert block.blockhash(1000) == expected[1]
 
     def test_execution_is_deterministic_across_nodes(self, deployment):
         results = []

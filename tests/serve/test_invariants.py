@@ -234,4 +234,8 @@ def test_forced_sequential_fallback_matches_offline(
         deployment, txs, sabotage=True
     )
     assert builder.sequential_fallbacks == builder.blocks_built > 0
+    # A clean re-execution: the failed executor's artifacts are dropped,
+    # so nothing the fallback committed came from a journal replay.
+    assert all(block.artifacts is None for block in node.chain)
+    assert node.txs_replayed == node.txs_reexecuted == 0
     assert_matches_offline(deployment, node, committed, txs)
