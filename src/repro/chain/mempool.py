@@ -21,11 +21,14 @@ Storage is insertion-ordered (Python dicts preserve insertion order and
 re-sorting the pool; an explicit out-of-order ``heard_at`` (tests,
 gossip replays) just marks the order dirty for one lazy re-sort.
 
-Admission also builds each transaction's access-set bloom filter
+Each pooled transaction has an access-set bloom filter
 (:mod:`repro.chain.bloom`), which :meth:`take_packed` uses for
 FAFO-style conflict-aware block packing: greedily fill the cut with
 mutually non-conflicting transactions grouped into parallel *lanes*,
 deferring conflicters — bounded by an aging rule so nothing starves.
+The bloom is derived on first use (:meth:`Mempool.bloom_of`, a packed
+cut, or a spill), not at admission: a FIFO pool never reads one, so it
+never pays for one.
 """
 
 from __future__ import annotations
@@ -60,9 +63,12 @@ class SenderLimitError(AdmissionError):
 class _PoolEntry:
     __slots__ = ("tx", "heard_at", "bloom", "deferrals")
 
-    def __init__(self, tx: Transaction, heard_at: int, bloom: AccessBloom):
+    def __init__(
+        self, tx: Transaction, heard_at: int, bloom: AccessBloom | None
+    ):
         self.tx = tx
         self.heard_at = heard_at
+        #: None until first use (see :meth:`Mempool._bloom`).
         self.bloom = bloom
         #: Consecutive packed cuts that skipped this transaction.
         self.deferrals = 0
@@ -203,8 +209,7 @@ class Mempool:
         pooled hash, or would push its sender past the per-sender cap
         (in every case it is not pooled). *bloom* carries a previously
         derived access bloom across a spill/readmit cycle; by default
-        one is built here, at admission, where the caller already holds
-        whatever lock guards :attr:`state`.
+        the entry has none until something reads it.
         """
         registry = get_registry()
         tx_hash = tx.hash()
@@ -235,13 +240,6 @@ class Mempool:
         ).heard_at:
             self._order_dirty = True
         self._arrival_counter = max(self._arrival_counter, heard_at) + 1
-        if bloom is None:
-            bloom = bloom_for_transaction(
-                tx,
-                state=self.state,
-                estimator=self.estimator,
-                trust_estimates=self.trust_estimates,
-            )
         self._pool[tx_hash] = _PoolEntry(tx, heard_at, bloom)
         self._by_sender[tx.sender] = self._by_sender.get(tx.sender, 0) + 1
         self.pending_gas += tx.gas_limit
@@ -250,6 +248,28 @@ class Mempool:
             self._evict_oldest(len(self._pool) - self.capacity)
         registry.gauge("mempool.size").set(len(self._pool))
         return True
+
+    def _bloom(self, entry: _PoolEntry) -> AccessBloom:
+        """The entry's access bloom, derived on first use.
+
+        The pure-transfer derivation probes :attr:`state`, so the first
+        use must happen under whatever lock guards it.
+        """
+        bloom = entry.bloom
+        if bloom is None:
+            bloom = entry.bloom = bloom_for_transaction(
+                entry.tx,
+                state=self.state,
+                estimator=self.estimator,
+                trust_estimates=self.trust_estimates,
+            )
+        return bloom
+
+    def bloom_of(self, tx: Transaction) -> AccessBloom:
+        """The access bloom of a pooled transaction (``KeyError`` when
+        it is not pooled). A caller that will :meth:`take_packed`
+        without the state lock calls this once per admission with it."""
+        return self._bloom(self._pool[tx.hash()])
 
     def _ordered(self) -> dict[bytes, _PoolEntry]:
         """The pool in arrival order; re-sorts only after an
@@ -391,7 +411,7 @@ class Mempool:
             if len(selected) >= count or scanned >= scan_window:
                 break
             scanned += 1
-            bloom = entry.bloom
+            bloom = self._bloom(entry)
             if (
                 gas_target is not None
                 and selected
@@ -493,6 +513,6 @@ class Mempool:
         preserved.
         """
         return [
-            (entry.tx, entry.bloom.to_bytes())
+            (entry.tx, self._bloom(entry).to_bytes())
             for entry in self._ordered().values()
         ]

@@ -64,6 +64,13 @@ class Transaction:
         Malformed input — wrong shape, non-bytes fields, bad address
         widths — raises :class:`~repro.chain.rlp.RLPDecodingError`, never
         a raw ``IndexError``/``TypeError``.
+
+        The hash is stamped from *blob* itself rather than from a
+        re-encoding: :mod:`repro.chain.rlp` decodes strict-canonical RLP
+        only (single-byte rule, minimal lengths, no leading-zero
+        integers, no trailing bytes) and the address widths are checked
+        here, so an accepted blob is the one encoding of its
+        transaction — ``tx.to_rlp() == blob``.
         """
         item = rlp.as_list(rlp.decode(blob), "transaction", 7)
         nonce, gas_price, gas_limit, sender, to, value, data = item
@@ -75,7 +82,7 @@ class Transaction:
             raise rlp.RLPDecodingError(
                 "transaction to must be empty or 20 bytes"
             )
-        return cls(
+        tx = cls(
             sender=int.from_bytes(sender_bytes, "big"),
             to=None if to_bytes == b"" else int.from_bytes(to_bytes, "big"),
             nonce=rlp.decode_int(nonce),
@@ -84,6 +91,8 @@ class Transaction:
             value=rlp.decode_int(value),
             data=rlp.as_bytes(data, "transaction data"),
         )
+        tx.__dict__["_hash"] = keccak256(bytes(blob))
+        return tx
 
     def hash(self) -> bytes:
         """Transaction hash over the wire encoding (memoized).

@@ -29,6 +29,7 @@ from ..obs import get_registry
 from ..serve import protocol
 from ..serve.errors import INTERNAL_ERROR, INVALID_PARAMS, RpcError
 from ..serve.loadgen import RpcClient, RpcClientError
+from ..serve.outbox import Outbox
 from .config import ReplicationConfig
 
 #: Read methods that are safe to serve from any healthy replica.
@@ -190,7 +191,7 @@ class ReadProxy:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        lock = asyncio.Lock()
+        out = Outbox(writer)
         tasks: set[asyncio.Task] = set()
         try:
             while True:
@@ -202,23 +203,27 @@ class ReadProxy:
                     break
                 if line.strip() == b"":
                     continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, lock)
-                )
+                # A task per request: unlike the server's, every proxied
+                # call awaits an upstream backend.
+                task = asyncio.ensure_future(self._handle_line(line, out))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                if out.backlogged:
+                    await out.drain()
+        except ConnectionError:
+            pass  # reset while parked in drain()
         finally:
             for task in tasks:
                 task.cancel()
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _handle_line(self, line, writer, lock) -> None:
+    async def _handle_line(self, line: bytes, out: Outbox) -> None:
         request_id = None
         try:
             obj = protocol.decode_frame(line)
             request_id = obj.get("id")
-            result = await self._dispatch(obj, writer, lock)
+            result = await self._dispatch(obj, out)
             reply = protocol.response(request_id, result)
         except RpcError as err:
             reply = protocol.error_response(request_id, err)
@@ -228,13 +233,10 @@ class ReadProxy:
             reply = protocol.error_response(
                 request_id, RpcError(INTERNAL_ERROR, repr(exc))
             )
-        async with lock:
-            writer.write(protocol.encode_frame(reply))
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
+        out.write(protocol.encode_frame(reply))
 
     # -- routing -------------------------------------------------------------
-    async def _dispatch(self, obj: dict, writer, lock) -> object:
+    async def _dispatch(self, obj: dict, out: Outbox) -> object:
         method = obj.get("method")
         params = obj.get("params") or {}
         if method in _READ_METHODS:
@@ -242,7 +244,7 @@ class ReadProxy:
         if method == "repro_sendTransaction":
             return await self._forward_write(params)
         if method == "repro_subscribe":
-            return self._subscribe(params, writer, lock)
+            return self._subscribe(params, out)
         if method == "repro_stats":
             return self.stats()
         if method == "repro_health":
@@ -302,20 +304,18 @@ class ReadProxy:
         return result
 
     # -- subscriptions ---------------------------------------------------------
-    def _subscribe(self, params: dict, writer, lock) -> dict:
+    def _subscribe(self, params: dict, out: Outbox) -> dict:
         topic = params.get("topic", "newHeads")
         if topic != "newHeads":
             raise RpcError(INVALID_PARAMS, f"unknown topic {topic!r}")
         sub_id = self._next_subscription
         self._next_subscription += 1
-        task = asyncio.ensure_future(
-            self._run_subscription(writer, lock, sub_id)
-        )
+        task = asyncio.ensure_future(self._run_subscription(out, sub_id))
         self._sub_tasks.add(task)
         task.add_done_callback(self._sub_tasks.discard)
         return {"subscription": sub_id}
 
-    async def _run_subscription(self, down_writer, lock, sub_id) -> None:
+    async def _run_subscription(self, down: Outbox, sub_id) -> None:
         """Pump upstream newHeads to one downstream subscriber.
 
         Each subscription owns its own upstream connection, so a dying
@@ -323,7 +323,7 @@ class ReadProxy:
         by height across the switch.
         """
         last_height = 0
-        while not self._stopping and not down_writer.is_closing():
+        while not self._stopping and not down.is_closing():
             backend = self._read_order()[0]
             client = None
             try:
@@ -333,7 +333,7 @@ class ReadProxy:
                 await client.call(
                     "repro_subscribe", {"topic": "newHeads"}
                 )
-                while not down_writer.is_closing():
+                while not down.is_closing():
                     try:
                         note = await client.next_notification(
                             timeout=0.5
@@ -357,10 +357,10 @@ class ReadProxy:
                             },
                         )
                     )
-                    async with lock:
-                        down_writer.write(frame)
+                    down.write(frame)
+                    if down.backlogged:
                         with contextlib.suppress(ConnectionError):
-                            await down_writer.drain()
+                            await down.drain()
             except asyncio.CancelledError:
                 raise
             except Exception:

@@ -61,7 +61,9 @@ class BlockBuilder:
         self.fault_injector = fault_injector
         #: tx hash -> future resolving to a :class:`CommittedReceipt`.
         self._pending: dict[bytes, asyncio.Future] = {}
-        #: tx hash -> admission wall time (for the e2e latency SLO).
+        #: tx hash -> admission wall time, kept only while the metrics
+        #: registry is enabled: its one reader is the
+        #: ``serve.e2e_latency_ms`` histogram.
         self._admitted_at: dict[bytes, float] = {}
         #: tx hash -> committed receipt, for ``getReceipt`` lookups.
         #: Bounded to ``config.receipt_history_blocks`` recent blocks.
@@ -141,14 +143,21 @@ class BlockBuilder:
             )
         # Admission reads balances off the shared state; hold the lock so
         # a concurrently executing block can't interleave.
+        mempool = self.node.mempool
         with self.state_lock:
-            self.node.mempool.add(tx)
+            mempool.add(tx)
+            if self.packing_policy is not None:
+                # The bloom's code probe reads the same state, and
+                # take_packed runs on the event loop without the lock:
+                # derive it here so the cut only ever reads it. FIFO
+                # cuts never look at blooms and skip the derivation.
+                mempool.bloom_of(tx)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[tx_hash] = future
-        self._admitted_at[tx_hash] = time.monotonic()
         self._wake.set()
         registry = get_registry()
         if registry.enabled:
+            self._admitted_at[tx_hash] = time.monotonic()
             registry.counter("serve.admitted").inc()
             registry.gauge("serve.queue_depth").set(self.depth)
         return future
@@ -266,9 +275,10 @@ class BlockBuilder:
         config = self.config
         packed = None
         if self.packing_policy is not None:
-            # take_packed reads only admission-time blooms — never the
-            # shared world state — so it is safe here on the event loop
-            # without state_lock, exactly like take().
+            # take_packed reads only the blooms submit() derived under
+            # state_lock — never the shared world state — so it is safe
+            # here on the event loop without the lock, exactly like
+            # take().
             packed = self.node.mempool.take_packed(
                 config.block_size_target,
                 gas_target=config.gas_target,
@@ -429,23 +439,25 @@ class BlockBuilder:
     # -- commit ------------------------------------------------------------
     def _resolve(self, block, receipts: list[Receipt]) -> None:
         height = block.header.height
-        now = time.monotonic()
-        registry = get_registry()
-        for index, (tx, receipt) in enumerate(
-            zip(block.transactions, receipts)
+        tx_hashes = [tx.hash() for tx in block.transactions]
+        for index, (tx_hash, receipt) in enumerate(
+            zip(tx_hashes, receipts)
         ):
-            tx_hash = tx.hash()
             committed = CommittedReceipt(receipt, height, index)
             self.committed[tx_hash] = committed
             future = self._pending.pop(tx_hash, None)
             if future is not None and not future.done():
                 future.set_result(committed)
-            admitted = self._admitted_at.pop(tx_hash, None)
-            if registry.enabled and admitted is not None:
-                registry.histogram("serve.e2e_latency_ms").observe(
-                    (now - admitted) * 1000.0
-                )
-        self._evict_history(block)
+        registry = get_registry()
+        if self._admitted_at:
+            now = time.monotonic()
+            for tx_hash in tx_hashes:
+                admitted = self._admitted_at.pop(tx_hash, None)
+                if registry.enabled and admitted is not None:
+                    registry.histogram("serve.e2e_latency_ms").observe(
+                        (now - admitted) * 1000.0
+                    )
+        self._evict_history(block, tx_hashes)
         self.blocks_built += 1
         self.txs_committed += len(receipts)
         if registry.enabled:
@@ -458,7 +470,7 @@ class BlockBuilder:
                 # A broken head subscriber must not kill the builder.
                 callback(block, receipts)
 
-    def _evict_history(self, block) -> None:
+    def _evict_history(self, block, tx_hashes: list[bytes]) -> None:
         """Bound receipt retention to ``receipt_history_blocks`` blocks.
 
         Without a bound, ``committed`` (and ``Node.receipts``) grow
@@ -470,9 +482,7 @@ class BlockBuilder:
         retain = self.config.receipt_history_blocks
         if retain is None:
             return
-        self._history.append(
-            (block.hash(), [tx.hash() for tx in block.transactions])
-        )
+        self._history.append((block.hash(), tx_hashes))
         while len(self._history) > retain:
             old_block_hash, old_tx_hashes = self._history.popleft()
             self.node.receipts.pop(old_block_hash, None)

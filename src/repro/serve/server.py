@@ -17,6 +17,15 @@ request rates, deadlines cancel abandoned waits, and shutdown drains the
 block builder before the listener closes. Every refusal is a *typed*
 error — a saturated server answers quickly and cheaply; it never hangs a
 client or buffers without bound.
+
+A request costs one pass on the way in and a share of one socket write
+on the way out. Each connection's reader handles its lines inline: reads
+answer at once, and a waiting ``repro_sendTransaction`` leaves a
+:class:`_ReceiptWait` (a done-callback on the builder's future plus one
+deadline timer) instead of a task. Replies queue on the connection's
+:class:`~repro.serve.outbox.Outbox`, flushed once per loop turn, and the
+reader stops reading a connection whose transport is over its
+write-buffer high-water mark.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from . import protocol
 from .batcher import BlockBuilder
 from .config import ServeConfig
 from ..trie import encode_proof
+from .outbox import Outbox
 from .errors import (
     ADMISSION_REJECTED,
     INTERNAL_ERROR,
@@ -47,6 +57,91 @@ from .errors import (
     ShuttingDownError,
 )
 from .ratelimit import RateLimiter
+
+#: ``_dispatch``'s result for a request whose reply comes later, from a
+#: :class:`_ReceiptWait`.
+_DEFERRED = object()
+
+
+def _failure(request_id, exc: BaseException) -> dict:
+    """The error reply for *exc*: typed errors as they are, anything
+    else as INTERNAL_ERROR — a traceback never reaches the wire."""
+    if isinstance(exc, asyncio.CancelledError):
+        # The drain timed out and cancelled the receipt future.
+        exc = ShuttingDownError()
+    elif not isinstance(exc, RpcError):
+        exc = RpcError(INTERNAL_ERROR, repr(exc))
+    return protocol.error_response(request_id, exc)
+
+
+class _ReceiptWait:
+    """One ``repro_sendTransaction`` waiting for its receipt.
+
+    A done-callback on the builder's future and one deadline timer;
+    whichever fires first answers the request, exactly once, and
+    disarms the other. Several waits may hang off one future (a retry
+    of an in-flight hash attaches to it). The transaction itself is
+    never affected: past the deadline it stays admitted, commits, and
+    is served by ``repro_getReceipt``.
+    """
+
+    __slots__ = (
+        "server", "out", "waits", "request_id", "future", "deadline_ms",
+        "timer",
+    )
+
+    def __init__(self, server, out, waits, request_id, future,
+                 deadline_ms) -> None:
+        self.server = server
+        self.out = out
+        #: The connection's live waits; the reader cancels them all
+        #: when the connection goes away.
+        self.waits = waits
+        self.request_id = request_id
+        self.future = future
+        self.deadline_ms = deadline_ms
+        self.timer = asyncio.get_running_loop().call_later(
+            deadline_ms / 1000.0, self._expired
+        )
+        future.add_done_callback(self._resolved)
+        waits.add(self)
+
+    def _resolved(self, future: asyncio.Future) -> None:
+        self.timer.cancel()
+        self.waits.discard(self)
+        try:
+            committed = future.result()
+            reply = protocol.response(
+                self.request_id,
+                protocol.receipt_to_wire(
+                    committed.receipt,
+                    committed.block_height,
+                    committed.tx_index,
+                ),
+            )
+        except (Exception, asyncio.CancelledError) as exc:
+            reply = _failure(self.request_id, exc)
+        self.server._reply(self.out, reply)
+
+    def _expired(self) -> None:
+        self.future.remove_done_callback(self._resolved)
+        self.waits.discard(self)
+        server = self.server
+        server.deadline_misses += 1
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("serve.deadline_misses").inc()
+        server._reply(
+            self.out,
+            protocol.error_response(
+                self.request_id, DeadlineExceededError(self.deadline_ms)
+            ),
+        )
+
+    def cancel(self) -> None:
+        """The connection is gone: nobody is left to answer."""
+        self.timer.cancel()
+        self.future.remove_done_callback(self._resolved)
 
 
 class RpcServer:
@@ -110,22 +205,25 @@ class RpcServer:
         #: health RPC and stats report through it when present.
         self.replication = None
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: One outbox per open connection; it is the connection's
+        #: identity everywhere below.
+        self._connections: set[Outbox] = set()
         #: Per-connection last-activity clock readings (idle reaping).
-        self._last_activity: dict[asyncio.StreamWriter, float] = {}
+        self._last_activity: dict[Outbox, float] = {}
         #: Injectable for fake-clock idle-timeout tests.
         self._clock = time.monotonic
         self._started_at = time.monotonic()
         self._reaper: asyncio.Task | None = None
-        #: In-flight request tasks (replies must flush before close).
-        self._request_tasks: set[asyncio.Task] = set()
-        #: subscription id -> (writer, topic).
-        self._subscriptions: dict[int, asyncio.StreamWriter] = {}
+        #: subscription id -> the subscriber's outbox.
+        self._subscriptions: dict[int, Outbox] = {}
         self._next_subscription = 1
         self._shutting_down = False
         self.builder.on_new_head.append(self._publish_new_head)
         # -- counters the stats endpoint exposes -------------------------
         self.requests_served = 0
+        #: Transport writes across all connections; with
+        #: ``requests_served`` it gives frames per write.
+        self.socket_writes = 0
         self.busy_rejects = 0
         self.rate_limit_rejects = 0
         self.deadline_misses = 0
@@ -195,26 +293,33 @@ class RpcServer:
         if self.streamer is not None:
             await self.streamer.stop()
         await self.builder.drain_and_stop()
-        if self._request_tasks:
-            # The drain resolved every pending receipt future; give the
-            # per-request tasks a bounded chance to write their replies
-            # before the transports close underneath them.
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(
-                        *self._request_tasks, return_exceptions=True
-                    ),
-                    timeout=self.config.drain_timeout_s,
-                )
+        # The drain resolved (or, past its timeout, cancelled) every
+        # receipt future and queued the waits' callbacks on the loop:
+        # one turn runs them, then every reply still in an outbox goes
+        # to its transport, which close() flushes before it closes.
+        await asyncio.sleep(0)
         if self._server is not None:
             self._server.close()
+        connections = list(self._connections)
+        for out in connections:
+            out.flush()
+            out.writer.close()
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(out.writer.wait_closed() for out in connections),
+                    return_exceptions=True,
+                ),
+                timeout=self.config.drain_timeout_s,
+            )
+        except asyncio.TimeoutError:
+            # A peer that never reads its replies cannot hold the
+            # shutdown hostage.
+            for out in connections:
+                out.transport.abort()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._connections):
-            writer.close()
-        for writer in list(self._connections):
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
         self._connections.clear()
         self._subscriptions.clear()
         if self.node.store is not None:
@@ -233,17 +338,21 @@ class RpcServer:
         await self._server.serve_forever()
 
     # -- connection handling -----------------------------------------------
-    def _client_id(self, writer: asyncio.StreamWriter) -> str:
-        peer = writer.get_extra_info("peername")
+    def _client_id(self, out: Outbox) -> str:
+        peer = out.transport.get_extra_info("peername")
         return peer[0] if peer else "unknown"
+
+    def _count_socket_write(self) -> None:
+        self.socket_writes += 1
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
-        self._last_activity[writer] = self._clock()
-        lock = asyncio.Lock()  # serializes interleaved writes
-        tasks: set[asyncio.Task] = set()
+        out = Outbox(writer, on_write=self._count_socket_write)
+        self._connections.add(out)
+        self._last_activity[out] = self._clock()
+        #: This connection's sendTransaction calls awaiting a receipt.
+        waits: set[_ReceiptWait] = set()
         try:
             while True:
                 try:
@@ -252,32 +361,33 @@ class RpcServer:
                     break  # oversized frame: drop the connection
                 if not line:
                     break
-                self._last_activity[writer] = self._clock()
+                self._last_activity[out] = self._clock()
                 if line.strip() == b"":
                     continue
-                # Handle each request in its own task so one slow
-                # sendTransaction wait never blocks the next request on
-                # the same connection (pipelining).
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
+                # Inline, never awaiting: a sendTransaction wait parks
+                # a _ReceiptWait and returns, so the next pipelined
+                # request is read at once.
+                self._handle_request(line, out, waits)
+                if out.backlogged:
+                    # The peer is not taking its replies: stop reading
+                    # its requests until it does, instead of buffering
+                    # answers without bound.
+                    await out.drain()
+        except ConnectionError:
+            pass  # reset while parked in drain()
         finally:
-            for task in tasks:
-                task.cancel()
-            self._drop_connection(writer)
+            for wait in waits:
+                wait.cancel()
+            self._drop_connection(out)
 
-    def _drop_connection(self, writer: asyncio.StreamWriter) -> None:
-        self._connections.discard(writer)
-        self._last_activity.pop(writer, None)
-        for sub_id, sub_writer in list(self._subscriptions.items()):
-            if sub_writer is writer:
+    def _drop_connection(self, out: Outbox) -> None:
+        self._connections.discard(out)
+        self._last_activity.pop(out, None)
+        for sub_id, subscriber in list(self._subscriptions.items()):
+            if subscriber is out:
                 del self._subscriptions[sub_id]
         with contextlib.suppress(Exception):
-            writer.close()
+            out.writer.close()
 
     # -- idle reaping --------------------------------------------------------
     async def _reap_idle_forever(self) -> None:
@@ -298,11 +408,11 @@ class RpcServer:
         cutoff = self._clock() - self.config.idle_timeout_s
         subscribed = set(self._subscriptions.values())
         reaped = 0
-        for writer, last in list(self._last_activity.items()):
-            if writer in subscribed:
+        for out, last in list(self._last_activity.items()):
+            if out in subscribed:
                 continue  # push traffic is the point; never reap
             if last < cutoff:
-                self._drop_connection(writer)
+                self._drop_connection(out)
                 reaped += 1
         if reaped:
             self.idle_drops += reaped
@@ -311,45 +421,35 @@ class RpcServer:
                 registry.counter("serve.idle_drops").inc(reaped)
         return reaped
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, obj: dict
-    ) -> None:
-        async with lock:
-            writer.write(protocol.encode_frame(obj))
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
+    def _reply(self, out: Outbox, reply: dict) -> None:
+        self.requests_served += 1
+        out.write(protocol.encode_frame(reply))
 
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+    def _handle_request(
+        self, line: bytes, out: Outbox, waits: set
     ) -> None:
         request_id = None
         try:
             obj = protocol.decode_frame(line)
             request_id = obj.get("id")
-            result = await self._dispatch(obj, writer)
+            result = self._dispatch(obj, request_id, out, waits)
+            if result is _DEFERRED:
+                return
             reply = protocol.response(request_id, result)
-        except RpcError as err:
-            reply = protocol.error_response(request_id, err)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never leak a traceback to the wire
-            reply = protocol.error_response(
-                request_id, RpcError(INTERNAL_ERROR, repr(exc))
-            )
-        self.requests_served += 1
-        await self._send(writer, lock, reply)
+        except Exception as exc:
+            reply = _failure(request_id, exc)
+        self._reply(out, reply)
 
     # -- dispatch ----------------------------------------------------------
-    async def _dispatch(self, obj: dict, writer) -> object:
+    def _dispatch(
+        self, obj: dict, request_id, out: Outbox, waits: set
+    ) -> object:
         method = obj.get("method")
         params = obj.get("params") or {}
         if not isinstance(params, dict):
             raise RpcError(INVALID_PARAMS, "params must be an object")
         if method == "repro_sendTransaction":
-            return await self._send_transaction(params, writer)
+            return self._send_transaction(params, request_id, out, waits)
         if method == "repro_getReceipt":
             return self._get_receipt(params)
         if method == "repro_getBalance":
@@ -361,21 +461,25 @@ class RpcServer:
         if method == "repro_getBlock":
             return self._get_block(params)
         if method == "repro_subscribe":
-            return self._subscribe(params, writer)
+            return self._subscribe(params, out)
         if method == "repro_health":
             return self.health()
         if method == "repro_stats":
             return self.stats()
         raise RpcError(METHOD_NOT_FOUND, f"unknown method {method!r}")
 
-    async def _send_transaction(self, params: dict, writer) -> object:
+    def _send_transaction(
+        self, params: dict, request_id, out: Outbox, waits: set
+    ) -> object:
+        """Admit a transaction; the receipt, the hash (``wait`` false)
+        or :data:`_DEFERRED` with a :class:`_ReceiptWait` parked."""
         if self.config.role != "writer":
             self.read_only_rejects += 1
             raise ReadOnlyError()
         if self._shutting_down or self.builder.draining:
             raise ShuttingDownError()
         if self.limiter is not None:
-            client = self._client_id(writer)
+            client = self._client_id(out)
             if not self.limiter.try_acquire(client):
                 self.rate_limit_rejects += 1
                 registry = get_registry()
@@ -389,6 +493,8 @@ class RpcServer:
         deadline_ms = params.get(
             "deadline_ms", self.config.default_deadline_ms
         )
+        if not isinstance(deadline_ms, (int, float)):
+            raise RpcError(INVALID_PARAMS, "deadline_ms must be a number")
         tx_hash = tx.hash()
         # Idempotent resubmission: a hash that already committed must
         # never re-execute — serve its receipt instead.
@@ -418,7 +524,8 @@ class RpcServer:
                     f"transaction {tx_hash.hex()[:16]}… already pending",
                     {"reason": "DuplicateTransactionError"},
                 )
-            return await self._await_receipt(future, deadline_ms)
+            _ReceiptWait(self, out, waits, request_id, future, deadline_ms)
+            return _DEFERRED
         if self.builder.depth >= self.config.max_pending:
             self.busy_rejects += 1
             registry = get_registry()
@@ -442,28 +549,8 @@ class RpcServer:
             ) from None
         if not wait:
             return {"txHash": tx_hash.hex()}
-        return await self._await_receipt(future, deadline_ms)
-
-    async def _await_receipt(
-        self, future: asyncio.Future, deadline_ms: float
-    ) -> object:
-        try:
-            committed = await asyncio.wait_for(
-                asyncio.shield(future), timeout=deadline_ms / 1000.0
-            )
-        except asyncio.TimeoutError:
-            # The transaction stays admitted (it may still commit and
-            # remains fetchable via getReceipt); only the wait ends.
-            self.deadline_misses += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("serve.deadline_misses").inc()
-            raise DeadlineExceededError(deadline_ms) from None
-        except asyncio.CancelledError:
-            raise
-        return protocol.receipt_to_wire(
-            committed.receipt, committed.block_height, committed.tx_index
-        )
+        _ReceiptWait(self, out, waits, request_id, future, deadline_ms)
+        return _DEFERRED
 
     def _get_receipt(self, params: dict) -> object:
         tx_hash_hex = params.get("txHash")
@@ -600,13 +687,13 @@ class RpcServer:
                 return None
             return protocol.header_to_wire(block)
 
-    def _subscribe(self, params: dict, writer) -> dict:
+    def _subscribe(self, params: dict, out: Outbox) -> dict:
         topic = params.get("topic", "newHeads")
         if topic != "newHeads":
             raise RpcError(INVALID_PARAMS, f"unknown topic {topic!r}")
         sub_id = self._next_subscription
         self._next_subscription += 1
-        self._subscriptions[sub_id] = writer
+        self._subscriptions[sub_id] = out
         return {"subscription": sub_id}
 
     def _publish_new_head(self, block, receipts) -> None:
@@ -619,24 +706,22 @@ class RpcServer:
                  "result": protocol.header_to_wire(block)},
             )
         )
-        for sub_id, writer in list(self._subscriptions.items()):
-            if writer.is_closing():
+        for sub_id, out in list(self._subscriptions.items()):
+            if out.is_closing():
                 del self._subscriptions[sub_id]
                 continue
             # Fire-and-forget, but bounded: a subscriber that stops
             # reading would otherwise grow its transport write buffer
             # with every block, forever. Past the cap, the subscription
             # is dropped rather than buffered.
-            transport = writer.transport
             if (
-                transport is not None
-                and transport.get_write_buffer_size()
+                out.transport.get_write_buffer_size()
                 > self.config.max_subscriber_buffer
             ):
                 del self._subscriptions[sub_id]
                 self.subscription_drops += 1
                 continue
-            writer.write(frame)
+            out.write(frame)
 
     # -- health ------------------------------------------------------------
     def health(self) -> dict:
@@ -682,6 +767,7 @@ class RpcServer:
         return {
             "role": self.config.role,
             "requestsServed": self.requests_served,
+            "socketWrites": self.socket_writes,
             "blocksBuilt": self.builder.blocks_built,
             "txsCommitted": self.builder.txs_committed,
             "queueDepth": self.builder.depth,

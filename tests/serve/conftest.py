@@ -5,10 +5,17 @@ durable store attached: every ``ServeConfig`` constructed without an
 explicit ``data_dir`` gets a fresh temporary directory (fsync=never, so
 the suite's timing assumptions hold). CI runs the suite both ways; the
 tests themselves don't change.
+
+Under ``python -X dev`` (asyncio debug mode; CI runs the suite once that
+way with warnings as errors) anything asyncio reports through its
+logger — a future exception nobody retrieved, an exception escaping a
+callback or a transport — fails the test that produced it.
 """
 
+import logging
 import os
 import shutil
+import sys
 import tempfile
 
 import pytest
@@ -38,3 +45,17 @@ def serve_data_dir_variant(monkeypatch):
     yield created
     for path in created:
         shutil.rmtree(path, ignore_errors=True)
+
+
+@pytest.fixture(autouse=True)
+def asyncio_errors_fail_under_dev_mode(caplog):
+    yield
+    if not sys.flags.dev_mode:
+        return
+    errors = [
+        record.getMessage()
+        for phase in ("setup", "call", "teardown")
+        for record in caplog.get_records(phase)
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert not errors, errors

@@ -34,7 +34,14 @@ def test_retry_policy_honors_server_hint():
 
 
 async def _scripted_server(handler):
-    server = await asyncio.start_server(handler, "127.0.0.1", 0)
+    async def closing(reader, writer):
+        # A script that just returns must not leak its transport.
+        try:
+            await handler(reader, writer)
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(closing, "127.0.0.1", 0)
     return server, server.sockets[0].getsockname()[1]
 
 
