@@ -17,9 +17,10 @@ in decreasing precision:
 
 * **declared** — the submitter attached explicit read/write key sets in
   ``Transaction.tags`` (``"reads"`` / ``"writes"``); trusted as exact.
-* **pure transfer** — no calldata, recipient has no code at admission
-  time: the access set is exactly {sender/recipient balances, recipient
-  code probe}; derived and exact.
+* **plain transfer** — the recipient has no code at admission time, so
+  nothing executes (calldata or not): the access set is the closed form
+  of :func:`repro.chain.transfer.transfer_access` — the one discovery
+  uses; derived and exact.
 * **estimated** — last-seen access keys for the same ``(to, selector)``
   from committed execution artifacts (the hotspot-profile shape). A
   heuristic: marked ``exact=False`` and only used for reordering when
@@ -38,7 +39,8 @@ from __future__ import annotations
 from hashlib import blake2b
 
 from ..obs import get_registry
-from .state import BALANCE_KEY, CODE_KEY, NONCE_KEY
+from .state import BALANCE_KEY, NONCE_KEY
+from .transfer import is_plain_transfer, transfer_access
 
 #: Default filter geometry. Conflict tests are *mask intersections*, so
 #: the false-positive rate is ~(k·n₁)(k·n₂)/m per side pair — unlike a
@@ -319,7 +321,7 @@ def bloom_for_transaction(
     """Build the admission-time bloom for *tx* (see module docstring).
 
     Callers hold whatever lock guards *state*: the code probe for the
-    pure-transfer case reads shared world state.
+    plain-transfer case reads shared world state.
     """
     declared = _declared_sets(tx)
     if declared is not None:
@@ -330,27 +332,18 @@ def bloom_for_transaction(
         bloom.add_read((tx.sender, NONCE_KEY))
         bloom.add_write((tx.sender, NONCE_KEY))
         return bloom
-    if not tx.is_create and not tx.data and state is not None:
-        with state.untracked():
-            code = state.get_code(tx.to)
-        if not code:
-            # Pure value transfer to a code-free account: the access set
-            # is closed-form (verified against discover_access_sets).
-            return AccessBloom.from_keys(
-                reads=[
-                    (tx.sender, BALANCE_KEY),
-                    (tx.sender, NONCE_KEY),
-                    (tx.to, BALANCE_KEY),
-                    (tx.to, CODE_KEY),
-                ],
-                writes=[
-                    (tx.sender, BALANCE_KEY),
-                    (tx.sender, NONCE_KEY),
-                    (tx.to, BALANCE_KEY),
-                ],
-                bits=bits,
-                hashes=hashes,
-            )
+    if state is not None and is_plain_transfer(tx, state):
+        # Nothing executes at a code-free target, with or without
+        # calldata: the access set is the closed form discovery itself
+        # uses, plus the sender's implicit fee and nonce keys.
+        access = transfer_access(tx)
+        implicit = ((tx.sender, BALANCE_KEY), (tx.sender, NONCE_KEY))
+        return AccessBloom.from_keys(
+            reads={*access.reads, *implicit},
+            writes={*access.writes, *implicit},
+            bits=bits,
+            hashes=hashes,
+        )
     if trust_estimates and estimator is not None:
         estimate = estimator.estimate(tx)
         if estimate is not None:

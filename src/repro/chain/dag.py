@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..obs import get_registry
 from .journal import ExecutionArtifact, capture_artifact
 from .state import WorldState
 from .transaction import Transaction
+from .transfer import execute_transfer, is_plain_transfer
 
 
 def discover_access_sets(
@@ -40,17 +42,34 @@ def discover_access_sets(
     a journal snapshot that is reverted at the end (no more deep-copying
     the whole world state per block, so pre-execution cost scales with
     the block, not with total chain state).
+
+    A transaction whose target holds no code when its turn comes never
+    enters the interpreter: :func:`~repro.chain.transfer.execute_transfer`
+    writes down the same artifact in closed form. Creates, calls into
+    code and every transaction of a ``trace=True`` pass run the EVM.
     """
     from ..evm.context import BlockContext  # local imports avoid a cycle
-    from ..evm.interpreter import EVM
+    from ..evm.gas import DEFAULT_SCHEDULE
+    from ..evm.interpreter import EVM, count_transaction
     from ..evm.tracer import Tracer
 
     context = block_context or BlockContext()
+    registry = get_registry()
     artifacts: list[ExecutionArtifact] = []
     block_token = state.snapshot()
     saved_access, state.access = state.access, None
     try:
         for tx in transactions:
+            if not trace and is_plain_transfer(tx, state):
+                artifact = execute_transfer(
+                    state, tx, context.coinbase,
+                    DEFAULT_SCHEDULE.intrinsic_gas(tx.data),
+                )
+                artifacts.append(artifact)
+                if registry.enabled:
+                    count_transaction(registry, artifact.receipt)
+                    registry.counter("evm.closed_form_txs").inc()
+                continue
             tracer = Tracer() if trace else None
             evm = EVM(state, block=context, tracer=tracer)
             tx_token = state.snapshot()

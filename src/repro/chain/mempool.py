@@ -159,7 +159,7 @@ class Mempool:
         #: check does not walk the pool.
         self.pending_gas = 0
         #: Optional world state used for balance-aware admission and the
-        #: pure-transfer bloom derivation.
+        #: plain-transfer bloom derivation.
         self.state = state
         #: Optional last-seen access estimator for undeclared calls.
         self.estimator = estimator
@@ -252,7 +252,7 @@ class Mempool:
     def _bloom(self, entry: _PoolEntry) -> AccessBloom:
         """The entry's access bloom, derived on first use.
 
-        The pure-transfer derivation probes :attr:`state`, so the first
+        The plain-transfer derivation probes :attr:`state`, so the first
         use must happen under whatever lock guards it.
         """
         bloom = entry.bloom

@@ -239,6 +239,16 @@ class WorldState:
         acct = self._accounts.get(address)
         return acct.code if acct else b""
 
+    def has_code(self, address: int) -> bool:
+        """True when code is deployed at *address*.
+
+        A bookkeeping probe for choosing an execution path: it is neither
+        access-tracked nor captured as a witness read, so asking leaves
+        no trace the execution itself would not have left.
+        """
+        acct = self._accounts.get(address)
+        return acct is not None and bool(acct.code)
+
     def set_code(self, address: int, code: bytes) -> None:
         acct = self.account(address)
         old = acct.code

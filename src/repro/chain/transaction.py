@@ -42,7 +42,17 @@ class Transaction:
         return self.data[:4]
 
     def to_rlp(self) -> bytes:
-        """RLP wire encoding (paper: transactions are RLP transported)."""
+        """RLP wire encoding (paper: transactions are RLP transported).
+
+        Memoized like :meth:`hash`: a transaction that arrived as bytes
+        keeps those bytes (:meth:`from_rlp`), so writing it back out —
+        WAL append, replication stream, mempool spill — encodes nothing.
+        ``dataclasses.replace`` builds a new object that carries neither
+        cache.
+        """
+        cached = self.__dict__.get("_rlp")
+        if cached is not None:
+            return cached
         # Addresses are fixed 20-byte fields (as in Ethereum): this keeps
         # the zero address distinguishable from the empty `to` of a
         # contract-creation transaction.
@@ -55,7 +65,9 @@ class Transaction:
             rlp.encode_int(self.value),
             self.data,
         ]
-        return rlp.encode(fields)
+        cached = rlp.encode(fields)
+        object.__setattr__(self, "_rlp", cached)
+        return cached
 
     @classmethod
     def from_rlp(cls, blob: bytes) -> "Transaction":
@@ -65,12 +77,12 @@ class Transaction:
         widths — raises :class:`~repro.chain.rlp.RLPDecodingError`, never
         a raw ``IndexError``/``TypeError``.
 
-        The hash is stamped from *blob* itself rather than from a
-        re-encoding: :mod:`repro.chain.rlp` decodes strict-canonical RLP
-        only (single-byte rule, minimal lengths, no leading-zero
-        integers, no trailing bytes) and the address widths are checked
-        here, so an accepted blob is the one encoding of its
-        transaction — ``tx.to_rlp() == blob``.
+        The hash and the memoized encoding are stamped from *blob*
+        itself rather than from a re-encoding: :mod:`repro.chain.rlp`
+        decodes strict-canonical RLP only (single-byte rule, minimal
+        lengths, no leading-zero integers, no trailing bytes) and the
+        address widths are checked here, so an accepted blob is the one
+        encoding of its transaction — ``tx.to_rlp() == blob``.
         """
         item = rlp.as_list(rlp.decode(blob), "transaction", 7)
         nonce, gas_price, gas_limit, sender, to, value, data = item
@@ -91,7 +103,9 @@ class Transaction:
             value=rlp.decode_int(value),
             data=rlp.as_bytes(data, "transaction data"),
         )
-        tx.__dict__["_hash"] = keccak256(bytes(blob))
+        blob = bytes(blob)
+        tx.__dict__["_rlp"] = blob
+        tx.__dict__["_hash"] = keccak256(blob)
         return tx
 
     def hash(self) -> bytes:

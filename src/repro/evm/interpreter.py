@@ -64,6 +64,23 @@ if sys.getrecursionlimit() < 16 * MAX_CALL_DEPTH:
     sys.setrecursionlimit(16 * MAX_CALL_DEPTH)
 
 
+def count_transaction(registry, receipt: Receipt) -> None:
+    """Publish the receipt-level ``evm.*`` counts of one execution.
+
+    Shared with the closed-form transfer path of
+    :func:`repro.chain.dag.discover_access_sets`, which produces a
+    receipt without an :class:`EVM`.
+    """
+    registry.counter("evm.transactions").inc()
+    # Functional executions only — artifact replays in the execute-once
+    # pipeline do not pass through here, so this counter exposes how
+    # many times each block's transactions actually ran.
+    registry.counter("evm.tx_executions").inc()
+    registry.counter("evm.gas_used").inc(receipt.gas_used)
+    if not receipt.success:
+        registry.counter("evm.failures").inc()
+
+
 @dataclass
 class Frame:
     """One message-call execution frame (an entry of the Call_Contract
@@ -223,14 +240,7 @@ class EVM:
         are derived post-hoc from the attached tracer's trace (free when
         a :class:`NullTracer` is attached — its step list stays empty).
         """
-        registry.counter("evm.transactions").inc()
-        # Functional executions only — artifact replays in the execute-
-        # once pipeline do not pass through here, so this counter exposes
-        # how many times each block's transactions actually ran.
-        registry.counter("evm.tx_executions").inc()
-        registry.counter("evm.gas_used").inc(receipt.gas_used)
-        if not receipt.success:
-            registry.counter("evm.failures").inc()
+        count_transaction(registry, receipt)
         if self._fast:
             registry.counter("evm.fast_path_txs").inc()
         steps = self.tracer.steps

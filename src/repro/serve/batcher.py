@@ -369,6 +369,11 @@ class BlockBuilder:
                 # before the block; the caller fails the futures.
                 self.node.state.revert(token)
                 raise
+        # The pre-execution dies with its block: commit_block has fed the
+        # packing estimator, nothing downstream reads artifacts again,
+        # and left on node.chain they are what every later full
+        # collection walks.
+        block.artifacts = None
         return block, receipts
 
     def _execute(self, block) -> list[Receipt]:

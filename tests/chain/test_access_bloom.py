@@ -147,19 +147,34 @@ def test_declared_sets_build_exact_bloom_with_sender_keys():
 
 
 def test_transfer_bloom_covers_discovered_access_set():
-    """The closed-form pure-transfer bloom is a superset of what the EVM
-    actually touches — checked against discover_access_sets itself."""
+    """The plain-transfer bloom is a superset of what execution actually
+    touches — checked against discover_access_sets itself, which derives
+    its access set from the same ``transfer_access``."""
     state = WorldState()
     state.set_balance(0xA1, 10**18)
     state.clear_journal()
-    tx = Transaction(sender=0xA1, to=0xB2, value=5, gas_limit=50_000)
-    bloom = bloom_for_transaction(tx, state=state)
-    assert bloom.exact and not bloom.is_opaque
-    [artifact] = discover_access_sets([tx], state)
-    for key in artifact.access.reads:
-        assert bloom.may_read(key), key
-    for key in artifact.access.writes:
-        assert bloom.may_write(key), key
+    for value, data, gas_limit in [
+        (5, b"", 50_000),
+        (0, b"", 50_000),
+        # Calldata to a code-free account executes nothing: same form.
+        (5, b"\xAA\xBB\xCC\xDD\x00", 50_000),
+        (0, b"\xAA\xBB\xCC\xDD\x00", 50_000),
+        # Refused before the call: touches nothing, still covered.
+        (5, b"", 20_000),
+        (10**19, b"", 50_000),
+    ]:
+        tx = Transaction(sender=0xA1, to=0xB2, value=value, data=data,
+                         gas_limit=gas_limit)
+        bloom = bloom_for_transaction(tx, state=state)
+        assert bloom.exact and not bloom.is_opaque
+        [artifact] = discover_access_sets([tx], state)
+        for key in artifact.access.reads:
+            assert bloom.may_read(key), key
+        for key in artifact.access.writes:
+            assert bloom.may_write(key), key
+        # The sender's implicit fee and nonce keys keep its nonce order.
+        for key in ((0xA1, BALANCE_KEY), (0xA1, NONCE_KEY)):
+            assert bloom.may_read(key) and bloom.may_write(key)
 
 
 def test_contract_call_without_declaration_gets_opaque_bloom():
@@ -172,7 +187,7 @@ def test_contract_call_without_declaration_gets_opaque_bloom():
         gas_limit=100_000,
     )
     assert bloom_for_transaction(call, state=state).is_opaque
-    # Transfers *to* the contract are not pure either (its code runs).
+    # Transfers *to* the contract are not plain either (its code runs).
     to_contract = Transaction(sender=0xA1, to=0xB2, value=1,
                               gas_limit=50_000)
     assert bloom_for_transaction(to_contract, state=state).is_opaque

@@ -8,6 +8,8 @@ uniqueness, so a second accepted encoding of one transaction would be a
 second hash for it — and a double spend.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +38,9 @@ def assert_hash_is_of_the_wire(blob: bytes) -> None:
         tx = Transaction.from_rlp(blob)
     except rlp.RLPDecodingError:
         return
+    # ``tx`` itself kept the blob; a copy carries no cache and encodes
+    # its seven fields for real.
+    assert dataclasses.replace(tx).to_rlp() == blob
     assert tx.to_rlp() == blob
     assert tx.hash() == keccak256(blob)
     # The stamped hash is the one a locally built twin computes.
@@ -54,6 +59,23 @@ def test_decoded_transaction_carries_the_hash_of_its_blob(tx):
     assert decoded == tx
     assert "_hash" in decoded.__dict__  # stamped, not recomputed lazily
     assert decoded.hash() == keccak256(blob) == tx.hash()
+
+
+@given(transactions)
+def test_the_wire_blob_is_kept_and_a_copy_carries_neither_cache(tx):
+    """``Block.to_rlp`` writes back the bytes that arrived; a transaction
+    built any other way — ``dataclasses.replace`` included — encodes and
+    hashes its own fields."""
+    blob = tx.to_rlp()
+    assert tx.to_rlp() is blob  # memoized
+    decoded = Transaction.from_rlp(bytearray(blob))
+    assert decoded.to_rlp() == blob and type(decoded.to_rlp()) is bytes
+    assert decoded == tx  # the caches are not part of the value
+    bumped = dataclasses.replace(decoded, nonce=decoded.nonce + 1)
+    assert "_rlp" not in bumped.__dict__ and "_hash" not in bumped.__dict__
+    assert bumped.to_rlp() != blob
+    assert Transaction.from_rlp(bumped.to_rlp()) == bumped
+    assert bumped.hash() == keccak256(bumped.to_rlp()) != decoded.hash()
 
 
 @given(

@@ -18,6 +18,12 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Same, with more examples per property: CI selects it for the suites
+# that hold two statements of one rule together (``--hypothesis-profile
+# thorough`` on the closed-form transfer differential test).
+settings.register_profile(
+    "thorough", settings.get_profile("repro"), max_examples=1000
+)
 settings.load_profile("repro")
 
 from repro.chain import Transaction, WorldState  # noqa: E402

@@ -149,6 +149,46 @@ def test_fallback_state_matches_clean_sequential(deployment):
     assert clean == degraded
 
 
+@pytest.mark.parametrize("executor", ["sequential", "mtpu", "parallel"])
+def test_pre_execution_state_dies_with_its_block(deployment, executor):
+    """Served blocks keep no artifacts — a fallback block included — while
+    ``Node.execute_block`` called directly still leaves them in place."""
+    txs = make_transactions(deployment, 8, workload="transfer", seed=2)
+
+    async def run():
+        builder = build(deployment, block_size_target=4, executor=executor)
+        real = builder._execute
+        calls = []
+
+        def first_block_dies(block):
+            calls.append(block.header.height)
+            if len(calls) == 1:
+                raise RuntimeError("mid-block executor death")
+            assert len(block.artifacts) == len(block.transactions)
+            return real(block)
+
+        builder._execute = first_block_dies
+        builder.start()
+        futures = [builder.submit(tx) for tx in txs]
+        await asyncio.wait_for(asyncio.gather(*futures), timeout=10.0)
+        await builder.drain_and_stop()
+        return builder
+
+    builder = asyncio.run(run())
+    node = builder.node
+    assert builder.sequential_fallbacks == 1 and len(node.chain) == 2
+    assert all(block.artifacts is None for block in node.chain)
+    if executor == "sequential":
+        # Block 2 was committed from its artifacts before they went.
+        assert (node.txs_replayed, node.txs_reexecuted) == (4, 0)
+
+    direct = Node(state=deployment.state.copy())
+    block = direct.propose_block(transactions=txs)
+    direct.execute_block(block)
+    assert len(direct.chain[-1].artifacts) == len(txs)
+    assert direct.state_root == node.state_root
+
+
 def test_drain_and_stop_idles_cleanly_when_empty(deployment):
     async def run():
         builder = build(deployment)
