@@ -5,9 +5,11 @@ formation time* using compact per-transaction access summaries: two bit
 masks (read side / write side) over hashed ``(address, slot)`` keys. Two
 transactions *may* conflict when write∩write, write∩read, or read∩write
 of their masks is non-empty — the same predicate as
-:meth:`repro.chain.state.AccessSet.conflicts_with`, evaluated with two
-integer ANDs. Bloom filters have **no false negatives**: if the masks
-are disjoint the underlying key sets are disjoint, so packing
+:meth:`repro.chain.state.AccessSet.conflicts_with`. A transaction sets a
+handful of the mask's bits, so each side is held as the set of its bit
+positions and the test costs those few positions; the dense masks are
+the spill-file form only. Bloom filters have **no false negatives**: if
+the masks are disjoint the underlying key sets are disjoint, so packing
 non-conflicting lanes from blooms can never miss a real conflict (it can
 only be conservative about phantom ones).
 
@@ -52,6 +54,8 @@ from .transfer import is_plain_transfer, transfer_access
 DEFAULT_BITS = 8192
 DEFAULT_HASHES = 1
 
+_LOW64 = (1 << 64) - 1
+
 
 def _key_hash(key: tuple) -> int:
     """Stable 128-bit hash of an ``(address, slot)`` key.
@@ -64,14 +68,40 @@ def _key_hash(key: tuple) -> int:
     return int.from_bytes(blake2b(blob, digest_size=16).digest(), "big")
 
 
-class AccessBloom:
-    """Read/write bit masks over hashed access keys.
+def _mask_of(side: set | None, bits: int) -> int:
+    if side is None:
+        return (1 << bits) - 1
+    mask = 0
+    for position in side:
+        mask |= 1 << position
+    return mask
 
-    ``exact=True`` promises the masks cover a superset of the keys the
+
+def _positions_of(mask: int) -> set:
+    positions = set()
+    while mask:
+        low = mask & -mask
+        positions.add(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+class AccessBloom:
+    """Read/write filters over hashed access keys, held sparse.
+
+    A filter of 8192 bits with four of them set is four integers, not a
+    kilobyte: ``reads`` and ``writes`` are the *sets of bit positions*
+    set on each side, and every test is a set operation over a
+    transaction's own handful of positions. The dense masks exist only
+    on disk (:meth:`to_bytes` / :meth:`from_bytes`) and behind the
+    :attr:`read_mask` / :attr:`write_mask` views. An opaque filter —
+    every bit set on both sides — holds ``None`` for both.
+
+    ``exact=True`` promises the filter covers a superset of the keys the
     transaction will actually touch — the precondition for reordering.
     """
 
-    __slots__ = ("bits", "hashes", "read_mask", "write_mask", "exact")
+    __slots__ = ("bits", "hashes", "reads", "writes", "exact")
 
     def __init__(
         self,
@@ -85,24 +115,17 @@ class AccessBloom:
             raise ValueError("bloom hashes must be positive")
         self.bits = bits
         self.hashes = hashes
-        self.read_mask = 0
-        self.write_mask = 0
+        #: Set bit positions per side; both ``None`` when opaque.
+        self.reads: set | None = set()
+        self.writes: set | None = set()
         self.exact = exact
 
     # -- construction ------------------------------------------------------
-    def _mask_for(self, key: tuple) -> int:
+    def _positions(self, key: tuple) -> list[int]:
         digest = _key_hash(key)
-        h1, h2 = digest >> 64, digest & ((1 << 64) - 1)
-        mask = 0
-        for i in range(self.hashes):
-            mask |= 1 << ((h1 + i * h2) % self.bits)
-        return mask
-
-    def add_read(self, key: tuple) -> None:
-        self.read_mask |= self._mask_for(key)
-
-    def add_write(self, key: tuple) -> None:
-        self.write_mask |= self._mask_for(key)
+        h1, h2 = digest >> 64, digest & _LOW64
+        bits = self.bits
+        return [(h1 + i * h2) % bits for i in range(self.hashes)]
 
     @classmethod
     def from_keys(
@@ -113,11 +136,17 @@ class AccessBloom:
         hashes: int = DEFAULT_HASHES,
         exact: bool = True,
     ) -> "AccessBloom":
+        """The filter of two key collections; a key on both sides (or
+        repeated) is hashed once."""
         bloom = cls(bits=bits, hashes=hashes, exact=exact)
-        for key in reads:
-            bloom.add_read(tuple(key))
-        for key in writes:
-            bloom.add_write(tuple(key))
+        hashed: dict[tuple, list[int]] = {}
+        for side, keys in ((bloom.reads, reads), (bloom.writes, writes)):
+            for key in keys:
+                key = tuple(key)
+                positions = hashed.get(key)
+                if positions is None:
+                    positions = hashed[key] = bloom._positions(key)
+                side.update(positions)
         return bloom
 
     @classmethod
@@ -130,22 +159,34 @@ class AccessBloom:
         the packer treats them exactly as FIFO does.
         """
         bloom = cls(bits=bits, hashes=hashes, exact=False)
-        bloom.read_mask = bloom.write_mask = (1 << bits) - 1
+        bloom.reads = bloom.writes = None
         return bloom
 
     @property
     def is_opaque(self) -> bool:
-        full = (1 << self.bits) - 1
-        return self.read_mask == full and self.write_mask == full
+        if self.reads is None:
+            return True
+        return len(self.reads) == len(self.writes) == self.bits
+
+    @property
+    def read_mask(self) -> int:
+        """The read side as the dense integer mask (the spill form)."""
+        return _mask_of(self.reads, self.bits)
+
+    @property
+    def write_mask(self) -> int:
+        return _mask_of(self.writes, self.bits)
 
     # -- queries -----------------------------------------------------------
     def may_read(self, key: tuple) -> bool:
-        mask = self._mask_for(key)
-        return (self.read_mask & mask) == mask
+        return self.reads is None or self.reads.issuperset(
+            self._positions(key)
+        )
 
     def may_write(self, key: tuple) -> bool:
-        mask = self._mask_for(key)
-        return (self.write_mask & mask) == mask
+        return self.writes is None or self.writes.issuperset(
+            self._positions(key)
+        )
 
     def may_conflict(self, other: "AccessBloom") -> bool:
         """True unless the two access sets are *provably* disjoint.
@@ -154,18 +195,27 @@ class AccessBloom:
         A ``False`` here is definitive (no false negatives); ``True``
         may be a bloom collision.
         """
-        return bool(
-            (self.write_mask & other.write_mask)
-            | (self.write_mask & other.read_mask)
-            | (self.read_mask & other.write_mask)
+        mine, theirs = self.writes, other.writes
+        # An opaque filter meets whatever bits the other one has set.
+        if mine is None:
+            return theirs is None or bool(theirs or other.reads)
+        if theirs is None:
+            return bool(mine or self.reads)
+        return not (
+            mine.isdisjoint(theirs)
+            and mine.isdisjoint(other.reads)
+            and theirs.isdisjoint(self.reads)
         )
 
     def merge(self, other: "AccessBloom") -> None:
-        """Fold *other* into this filter (lane / deferred aggregates)."""
+        """Fold *other* into this filter (the packer's deferred set)."""
         if other.bits != self.bits:
             raise ValueError("cannot merge blooms of different widths")
-        self.read_mask |= other.read_mask
-        self.write_mask |= other.write_mask
+        if self.reads is None or other.reads is None:
+            self.reads = self.writes = None
+        else:
+            self.reads |= other.reads
+            self.writes |= other.writes
         self.exact = self.exact and other.exact
 
     # -- serialization (mempool spill file) --------------------------------
@@ -186,18 +236,20 @@ class AccessBloom:
             raise ValueError("truncated access-bloom masks")
         width = len(body) // 2
         bloom = cls(bits=width * 8, hashes=blob[1], exact=bool(blob[2]))
-        bloom.read_mask = int.from_bytes(body[:width], "big")
-        bloom.write_mask = int.from_bytes(body[width:], "big")
+        if body.count(0xFF) == len(body):
+            bloom.reads = bloom.writes = None
+        else:
+            bloom.reads = _positions_of(int.from_bytes(body[:width], "big"))
+            bloom.writes = _positions_of(int.from_bytes(body[width:], "big"))
         return bloom
 
     def __eq__(self, other) -> bool:
+        # Equal filters are the ones that spill to the same bytes: bits,
+        # hashes, exactness and both masks, a saturated side and an
+        # opaque one alike.
         return (
             isinstance(other, AccessBloom)
-            and self.bits == other.bits
-            and self.hashes == other.hashes
-            and self.exact == other.exact
-            and self.read_mask == other.read_mask
-            and self.write_mask == other.write_mask
+            and self.to_bytes() == other.to_bytes()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -302,12 +354,23 @@ class AccessEstimator:
         return entry
 
 
-def _declared_sets(tx) -> tuple[list, list] | None:
-    reads = tx.tags.get("reads")
-    writes = tx.tags.get("writes")
-    if reads is None and writes is None:
-        return None
-    return (list(reads or ()), list(writes or ()))
+def _access_sets(tx, state, estimator, trust_estimates):
+    """``(reads, writes, exact)`` from the most precise source that
+    knows *tx* (see module docstring), or None when none does."""
+    reads, writes = tx.tags.get("reads"), tx.tags.get("writes")
+    if reads is not None or writes is not None:
+        return reads or (), writes or (), True
+    if state is not None and is_plain_transfer(tx, state):
+        # Nothing executes at a code-free target, with or without
+        # calldata: the access set is the closed form discovery itself
+        # uses.
+        access = transfer_access(tx)
+        return access.reads, access.writes, True
+    if trust_estimates and estimator is not None:
+        estimate = estimator.estimate(tx)
+        if estimate is not None:
+            return (*estimate, False)
+    return None
 
 
 def bloom_for_transaction(
@@ -323,37 +386,13 @@ def bloom_for_transaction(
     Callers hold whatever lock guards *state*: the code probe for the
     plain-transfer case reads shared world state.
     """
-    declared = _declared_sets(tx)
-    if declared is not None:
-        reads, writes = declared
-        bloom = AccessBloom.from_keys(reads, writes, bits, hashes)
-        bloom.add_read((tx.sender, BALANCE_KEY))
-        bloom.add_write((tx.sender, BALANCE_KEY))
-        bloom.add_read((tx.sender, NONCE_KEY))
-        bloom.add_write((tx.sender, NONCE_KEY))
-        return bloom
-    if state is not None and is_plain_transfer(tx, state):
-        # Nothing executes at a code-free target, with or without
-        # calldata: the access set is the closed form discovery itself
-        # uses, plus the sender's implicit fee and nonce keys.
-        access = transfer_access(tx)
-        implicit = ((tx.sender, BALANCE_KEY), (tx.sender, NONCE_KEY))
-        return AccessBloom.from_keys(
-            reads={*access.reads, *implicit},
-            writes={*access.writes, *implicit},
-            bits=bits,
-            hashes=hashes,
-        )
-    if trust_estimates and estimator is not None:
-        estimate = estimator.estimate(tx)
-        if estimate is not None:
-            reads, writes = estimate
-            bloom = AccessBloom.from_keys(
-                reads, writes, bits, hashes, exact=False
-            )
-            bloom.add_read((tx.sender, BALANCE_KEY))
-            bloom.add_write((tx.sender, BALANCE_KEY))
-            bloom.add_read((tx.sender, NONCE_KEY))
-            bloom.add_write((tx.sender, NONCE_KEY))
-            return bloom
-    return AccessBloom.opaque(bits=bits, hashes=hashes)
+    source = _access_sets(tx, state, estimator, trust_estimates)
+    if source is None:
+        return AccessBloom.opaque(bits=bits, hashes=hashes)
+    reads, writes, exact = source
+    # Whatever the source, the sender's fee and nonce keys are read and
+    # written; ``from_keys`` hashes a key on both sides once.
+    implicit = ((tx.sender, BALANCE_KEY), (tx.sender, NONCE_KEY))
+    return AccessBloom.from_keys(
+        (*reads, *implicit), (*writes, *implicit), bits, hashes, exact
+    )

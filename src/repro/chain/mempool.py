@@ -24,8 +24,9 @@ gossip replays) just marks the order dirty for one lazy re-sort.
 Each pooled transaction has an access-set bloom filter
 (:mod:`repro.chain.bloom`), which :meth:`take_packed` uses for
 FAFO-style conflict-aware block packing: greedily fill the cut with
-mutually non-conflicting transactions grouped into parallel *lanes*,
-deferring conflicters — bounded by an aging rule so nothing starves.
+transactions grouped into mutually non-conflicting parallel *lanes*,
+deferring only what would push a conflict chain past its cap — bounded
+by an aging rule so nothing starves.
 The bloom is derived on first use (:meth:`Mempool.bloom_of`, a packed
 cut, or a spill), not at admission: a FIFO pool never reads one, so it
 never pays for one.
@@ -79,10 +80,11 @@ class PackingPolicy:
     """Knobs for :meth:`Mempool.take_packed`.
 
     *lane_depth* caps how many transactions one conflict chain (lane)
-    contributes per block once a second lane exists — it balances lanes
-    for parallel dispatch; ``None`` leaves chains unbounded. With
-    *aging_bound* deferrals behind it, a transaction is force-included
-    (its conflicting lanes merge) rather than skipped again.
+    contributes per block — it balances lanes for parallel dispatch;
+    ``None`` leaves chains unbounded, and then nothing is ever deferred.
+    A transaction that would extend a chain at its cap waits for a later
+    block; with *aging_bound* deferrals behind it, it is force-included
+    rather than skipped again.
     *scan_window* bounds how far past the cut size the packer looks for
     non-conflicting fill (``None``: 8× the cut size).
     """
@@ -115,8 +117,11 @@ class PackedTake:
     lanes: list[list[int]] = field(default_factory=list)
     #: Transactions scanned but pushed to a later block this cut.
     deferred: int = 0
-    #: Aged transactions force-included by merging their lanes.
+    #: Aged transactions force-included past a chain's cap.
     forced: int = 0
+    #: Lanes folded into another because a transaction bridged them
+    #: while the joined chain stayed under the cap.
+    merged: int = 0
 
     @property
     def parallelism(self) -> float:
@@ -355,14 +360,24 @@ class Mempool:
         """Cut up to *count* transactions, conflict-aware (FAFO-style).
 
         Scans arrival order and greedily groups transactions into
-        parallel *lanes* via their access blooms:
+        parallel *lanes* (serial conflict chains) via their access
+        blooms:
 
         * no conflict with any lane → opens a new lane;
-        * conflict with exactly one lane with room → joins it (a serial
-          chain);
-        * conflict with several lanes → deferred to a later block —
-          unless it has already been deferred ``aging_bound`` times, in
-          which case the lanes merge and it is included (no starvation).
+        * conflicts with one or more lanes that together hold fewer than
+          ``lane_depth`` transactions → joins them, merging several into
+          one chain (the transaction orders after all of them, so they
+          are one chain now);
+        * the chain it would extend is at its cap → deferred to a later
+          block — unless it has already been deferred ``aging_bound``
+          times, in which case it is included anyway (no starvation).
+
+        Lanes are found through an inverted index over bloom bit
+        positions — each write position has the one lane that owns it,
+        each read-only position the lanes that read it — so placing a
+        transaction costs its own handful of positions, however many
+        lanes are open. Merged lanes are tracked by union-find over lane
+        ids; the index is never rewritten.
 
         **Skipped-set rule** (the pack-equivalence invariant): once a
         transaction is deferred, every later transaction whose bloom
@@ -371,7 +386,10 @@ class Mempool:
         conflicting transactions keeps its arrival order — across the
         whole chain the packed history is a conflict-preserving
         permutation of FIFO, so receipts and state digest are
-        bit-identical to FIFO replay (property-tested).
+        bit-identical to FIFO replay (property-tested). Merging does not
+        touch the argument: which lane a selected transaction sits in
+        never decides *whether* a conflicting pair is reordered, only
+        the deferrals do.
 
         The oldest pooled transaction is always selected (scanned first,
         nothing deferred yet), so every transaction's backlog rank
@@ -382,32 +400,50 @@ class Mempool:
         transaction that would exceed *gas_target* (first always fits).
         """
         policy = policy or PackingPolicy()
+        lane_depth = policy.lane_depth
         scan_window = policy.scan_window or count * 8
-        ordered = self._ordered()
 
-        # A group is [aggregate bloom, indices, member blooms]: the
-        # aggregate is the no-conflict fast path (no false negatives);
-        # on a hit the member list is checked pairwise, so aggregate
-        # saturation costs time, never packing quality.
-        def hits(bloom: AccessBloom, group: list) -> bool:
-            return bloom.may_conflict(group[0]) and any(
-                bloom.may_conflict(member) for member in group[2]
-            )
+        #: Lane id -> selected indices; None once merged into another.
+        lanes: list[list[int] | None] = []
+        #: Union-find over lane ids: a merged lane points at its heir.
+        heir: list[int] = []
+        #: Bit position -> the lane that writes it. Two writers of one
+        #: position conflict, so they share a lane: one owner suffices.
+        writer: dict[int, int] = {}
+        #: Bit position nobody writes -> the lanes that read it.
+        readers: dict[int, list[int]] = {}
+        #: The lane holding the opaque transactions (they all conflict).
+        opaque_lane: int | None = None
 
-        def absorb(group: list, bloom: AccessBloom) -> None:
-            group[0].merge(bloom)
-            group[2].append(bloom)
+        def root(lane: int) -> int:
+            while heir[lane] != lane:
+                heir[lane] = lane = heir[heir[lane]]
+            return lane
 
-        def new_group(bloom: AccessBloom) -> list:
-            return [AccessBloom(bits=bloom.bits, hashes=bloom.hashes),
-                    [], []]
+        def conflicting(bloom: AccessBloom) -> set[int]:
+            """The open lanes *bloom* conflicts with."""
+            if bloom.reads is None:
+                # Opaque: ordered after everything selected so far.
+                return {root(lane) for lane in range(len(lanes))}
+            hits = set()
+            for position in bloom.writes:
+                if position in writer:
+                    hits.add(root(writer[position]))
+                for lane in readers.get(position, ()):
+                    hits.add(root(lane))
+            for position in bloom.reads:
+                if position in writer:
+                    hits.add(root(writer[position]))
+            if opaque_lane is not None and (bloom.reads or bloom.writes):
+                hits.add(root(opaque_lane))
+            return hits
 
         selected: list[Transaction] = []
-        lanes: list[list] = []
-        skipped: list | None = None
-        deferred = forced = scanned = 0
+        #: Union of the deferred blooms (the skipped set).
+        skipped: AccessBloom | None = None
+        deferred = forced = merged = scanned = 0
         gas = 0
-        for entry in ordered.values():
+        for entry in self._ordered().values():
             if len(selected) >= count or scanned >= scan_window:
                 break
             scanned += 1
@@ -418,44 +454,56 @@ class Mempool:
                 and gas + entry.tx.gas_limit > gas_target
             ):
                 break
-            if skipped is not None and hits(bloom, skipped):
-                # Skipped-set rule: never jump the queue past a deferred
-                # conflicter — that would reorder a conflicting pair.
-                entry.deferrals += 1
-                absorb(skipped, bloom)
-                deferred += 1
-                continue
-            conflicting = [lane for lane in lanes if hits(bloom, lane)]
-            if not conflicting:
-                lane = new_group(bloom)
-                lanes.append(lane)
-            elif len(conflicting) == 1 and (
-                policy.lane_depth is None
-                or len(conflicting[0][1]) < policy.lane_depth
-            ):
-                lane = conflicting[0]
-            elif entry.deferrals >= policy.aging_bound:
-                # Aged out: merge every conflicting lane into one and
-                # include the transaction — it never conflicts with the
-                # deferred set (checked above), so FIFO order among
-                # conflicters is still intact.
-                lane = conflicting[0]
-                for other in conflicting[1:]:
-                    lane[0].merge(other[0])
-                    lane[1].extend(other[1])
-                    lane[2].extend(other[2])
-                    lanes.remove(other)
-                lane[1].sort()
-                forced += 1
-            else:
+            # Skipped-set rule: never jump the queue past a deferred
+            # conflicter — that would reorder a conflicting pair.
+            waits = skipped is not None and bloom.may_conflict(skipped)
+            if not waits:
+                hits = conflicting(bloom)
+                capped = lane_depth is not None and lane_depth <= sum(
+                    len(lanes[lane]) for lane in hits
+                )
+                # A chain at its cap makes the transaction wait — until
+                # it has aged out: it does not conflict with the deferred
+                # set (checked above), so including it keeps FIFO order
+                # among conflicters intact.
+                waits = capped and entry.deferrals < policy.aging_bound
+            if waits:
                 entry.deferrals += 1
                 if skipped is None:
-                    skipped = new_group(bloom)
-                absorb(skipped, bloom)
+                    skipped = AccessBloom(bloom.bits, bloom.hashes)
+                skipped.merge(bloom)
                 deferred += 1
                 continue
-            absorb(lane, bloom)
-            lane[1].append(len(selected))
+            if capped:
+                forced += 1
+            elif len(hits) > 1:
+                merged += len(hits) - 1
+            if hits:
+                # The oldest lane inherits the others, so lanes stay in
+                # the order their first transactions arrived.
+                lane, *others = sorted(hits)
+                for other in others:
+                    lanes[lane].extend(lanes[other])
+                    lanes[other] = None
+                    heir[other] = lane
+                if others:
+                    lanes[lane].sort()
+            else:
+                lane = len(lanes)
+                lanes.append([])
+                heir.append(lane)
+            lanes[lane].append(len(selected))
+            if bloom.reads is None:
+                opaque_lane = lane
+            else:
+                for position in bloom.writes:
+                    writer[position] = lane
+                    # Its readers conflicted with this write, so they
+                    # are in this lane now: the owner answers for them.
+                    readers.pop(position, None)
+                for position in bloom.reads:
+                    if position not in writer:
+                        readers.setdefault(position, []).append(lane)
             selected.append(entry.tx)
             gas += entry.tx.gas_limit
 
@@ -466,12 +514,15 @@ class Mempool:
             registry.counter("mempool.packed_deferred").inc(deferred)
             if forced:
                 registry.counter("mempool.packed_forced").inc(forced)
+            if merged:
+                registry.counter("mempool.packed_merged").inc(merged)
             registry.gauge("mempool.size").set(len(self._pool))
         return PackedTake(
             transactions=selected,
-            lanes=[lane[1] for lane in lanes],
+            lanes=[lane for lane in lanes if lane is not None],
             deferred=deferred,
             forced=forced,
+            merged=merged,
         )
 
     def observe_block(self, artifacts) -> None:

@@ -209,9 +209,14 @@ class ParallelBlockExecutor:
 
         token = self.state.snapshot()
         try:
-            receipts = self._run_dag(
-                transactions, edges, access_sets, artifacts, result
-            )
+            if self.backend == "serial":
+                receipts = self._run_in_order(
+                    transactions, access_sets, artifacts, result
+                )
+            else:
+                receipts = self._run_dag(
+                    transactions, edges, access_sets, artifacts, result
+                )
         except AccessMismatch:
             self.state.revert(token)
             self._pool_dirty = True
@@ -220,6 +225,35 @@ class ParallelBlockExecutor:
         result.wall_seconds = time.perf_counter() - start
         self._publish_metrics(result)
         return result
+
+    def _run_in_order(
+        self,
+        transactions: list[Transaction],
+        access_sets: list,
+        artifacts: list[ExecutionArtifact] | None,
+        result: ParallelBlockResult,
+    ) -> list[Receipt]:
+        """The serial backend: nothing is dispatched, so the ready heap
+        of :meth:`_run_dag` would pop 0, 1, 2, … (every predecessor has
+        a lower index) — walk the block instead, with no edges, heap or
+        pool overlay to keep."""
+        state = self.state
+        receipts: list[Receipt] = []
+        for index, tx in enumerate(transactions):
+            artifact = artifacts[index] if artifacts is not None else None
+            if artifact is not None and artifact.is_fresh(state):
+                receipt, journal = artifact.receipt, artifact.journal
+                result.replayed += 1
+            else:
+                if artifact is not None:
+                    result.stale_artifacts += 1
+                receipt, journal = self._execute_inline(
+                    tx, access_sets[index], index, result
+                )
+                result.executed_inline += 1
+            journal.apply(state)
+            receipts.append(receipt)
+        return receipts
 
     def _run_dag(
         self,
@@ -279,14 +313,6 @@ class ParallelBlockExecutor:
                         continue
                     if artifact is not None:
                         result.stale_artifacts += 1
-                    if self.backend == "serial":
-                        receipt, journal = self._execute_inline(
-                            tx, access_sets[index], index, result
-                        )
-                        complete(index, receipt, journal)
-                        result.executed_inline += 1
-                        progressed = True
-                        continue
                     if len(inflight) < self.num_workers:
                         overlay = self._overlay_for(tx, access_sets[index])
                         future = self._ensure_pool().submit(
@@ -340,7 +366,7 @@ class ParallelBlockExecutor:
         )
         self._validate(index, declared, access, result)
         # The inline execution already mutated state; revert so the
-        # shared complete() path can apply the journal uniformly.
+        # caller applies the journal exactly as it does for a replay.
         state.revert(tx_token)
         return receipt, artifact.journal
 

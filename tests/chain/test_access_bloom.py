@@ -96,6 +96,141 @@ def test_serialization_round_trip_and_stability():
     )
 
 
+#: ``to_bytes()`` of two admission blooms as the commit before blooms
+#: were held as positions wrote them (``5d462d5``): a value transfer
+#: 0xA1 → 0xB2 (read bits 426, 3365, 5732, 7345; write bits the first
+#: three) and an undeclared contract call (opaque). Spill files carry
+#: exactly these bytes, so a build that reads or writes anything else
+#: re-admits a drained mempool with the wrong conflicts.
+GOLDEN_TRANSFER = bytes.fromhex(
+    "010101"
+    + "00" * 105 + "02" + "00" * 201 + "10" + "00" * 295 + "20"
+    + "00" * 366 + "04" + "00" * 53
+    + "00" * 307 + "10" + "00" * 295 + "20" + "00" * 366 + "04"
+    + "00" * 53
+)
+GOLDEN_OPAQUE = bytes.fromhex("010100" + "ff" * 2048)
+
+
+def golden_state():
+    state = WorldState()
+    state.set_balance(0xA1, 10**18)
+    state.set_code(0xC0DE, b"\x00\x01\x02")
+    state.clear_journal()
+    return state
+
+
+def test_spill_bytes_are_the_ones_older_builds_wrote():
+    state = golden_state()
+    transfer = bloom_for_transaction(
+        Transaction(sender=0xA1, to=0xB2, value=5, nonce=1,
+                    gas_limit=50_000),
+        state=state,
+    )
+    call = bloom_for_transaction(
+        Transaction(sender=0xA1, to=0xC0DE, data=b"\xAA\xBB\xCC\xDD",
+                    gas_limit=100_000),
+        state=state,
+    )
+    assert len(GOLDEN_TRANSFER) == len(GOLDEN_OPAQUE) == 3 + 2 * 1024
+    for bloom, golden in (
+        (transfer, GOLDEN_TRANSFER), (call, GOLDEN_OPAQUE)
+    ):
+        assert bloom.to_bytes() == golden
+        restored = AccessBloom.from_bytes(golden)
+        assert restored == bloom
+        assert restored.exact == bloom.exact
+        assert restored.is_opaque == bloom.is_opaque
+        assert restored.to_bytes() == golden
+    # The positions behind the bytes, and the mask views over them.
+    assert transfer.reads == {426, 3365, 5732, 7345}
+    assert transfer.writes == {426, 3365, 5732}
+    assert transfer.write_mask == 1 << 426 | 1 << 3365 | 1 << 5732
+    assert transfer.read_mask == transfer.write_mask | 1 << 7345
+    assert call.reads is None and call.writes is None
+    assert call.read_mask == call.write_mask == (1 << DEFAULT_BITS) - 1
+
+
+def test_each_distinct_key_is_hashed_once(monkeypatch):
+    """A transfer names four distinct keys, three of them on both
+    sides; declared and estimated sets add the two sender keys to both
+    sides too. One digest per distinct key, whatever the source."""
+    from repro.chain import bloom as bloom_module
+
+    hashed = []
+    key_hash = bloom_module._key_hash
+
+    def counting(key):
+        hashed.append(key)
+        return key_hash(key)
+
+    monkeypatch.setattr(bloom_module, "_key_hash", counting)
+    state = golden_state()
+    bloom_for_transaction(
+        Transaction(sender=0xA1, to=0xB2, value=5, gas_limit=50_000),
+        state=state,
+    )
+    assert sorted(hashed, key=repr) == sorted({
+        (0xB2, CODE_KEY), (0xA1, BALANCE_KEY), (0xB2, BALANCE_KEY),
+        (0xA1, NONCE_KEY),
+    }, key=repr)
+    del hashed[:]
+    call = Transaction(
+        sender=0xA1, to=0xC0DE, data=b"\xAA\xBB\xCC\xDD",
+        gas_limit=100_000,
+        tags={"reads": [[0xC0DE, 3], (0xC0DE, 4)],
+              "writes": [(0xC0DE, 3), (0xA1, BALANCE_KEY)]},
+    )
+    declared = bloom_for_transaction(call, state=state)
+    assert len(hashed) == len(set(hashed)) == 4
+    assert declared.may_read((0xA1, NONCE_KEY))
+    assert declared.may_write((0xA1, NONCE_KEY))
+    del hashed[:]
+
+    class Seen:
+        tx = call
+        reads = {(0xC0DE, 3), (0xC0DE, CODE_KEY)}
+        writes = {(0xC0DE, 3)}
+
+    estimator = AccessEstimator()
+    estimator.observe(Seen())
+    untagged = Transaction(
+        sender=0xA1, to=0xC0DE, data=b"\xAA\xBB\xCC\xDD",
+        gas_limit=100_000,
+    )
+    estimated = bloom_for_transaction(
+        untagged, state=state, estimator=estimator, trust_estimates=True
+    )
+    assert len(hashed) == len(set(hashed)) == 4
+    assert not estimated.exact and not estimated.is_opaque
+    assert estimated.may_write((0xA1, BALANCE_KEY))
+
+
+def test_opaque_absorbs_a_merge_and_saturation_reads_as_opaque():
+    """The packer's deferred set folds blooms together: once an opaque
+    one is in it everything conflicts; and a filter saturated by keys
+    is the same filter as an opaque one (same bytes)."""
+    skipped = AccessBloom(bits=8)
+    skipped.merge(AccessBloom.from_keys([(1, 1)], [], bits=8))
+    lone_reader = AccessBloom.from_keys([(9, 9)], [], bits=8)
+    assert not lone_reader.may_conflict(skipped)
+    skipped.merge(AccessBloom.opaque(bits=8))
+    assert skipped.is_opaque and not skipped.exact
+    assert lone_reader.may_conflict(skipped)
+    assert skipped.may_conflict(lone_reader)
+    saturated = AccessBloom.from_keys(
+        [(a, 0) for a in range(64)], [(a, 1) for a in range(64)],
+        bits=8, exact=False,
+    )
+    assert saturated.reads is not None and saturated.is_opaque
+    assert saturated == AccessBloom.opaque(bits=8)
+    assert AccessBloom.from_bytes(saturated.to_bytes()).reads is None
+    import pytest
+
+    with pytest.raises(ValueError):
+        skipped.merge(AccessBloom(bits=16))
+
+
 def test_serialization_rejects_garbage():
     import pytest
 

@@ -224,3 +224,49 @@ class TestAccessMismatchFallback:
             counters = registry.counters_flat()
         assert counters.get("parallel.replayed") == len(block.transactions)
         assert "parallel.fallbacks" not in counters
+
+
+class TestSerialWalksBlockOrder:
+    def test_serial_equals_process_on_mixed_fresh_and_stale(
+        self, deployment
+    ):
+        """The serial backend walks the block in order instead of
+        draining the DAG's ready heap; on a block whose artifacts are
+        part fresh, part stale it must land where the process backend
+        (which still schedules off the heap) lands — same receipts,
+        same state, same replay/stale accounting."""
+        block = generate_dependency_block(
+            deployment, num_transactions=16, target_ratio=0.5, seed=19
+        )
+        txs = block.transactions
+        state, artifacts, edges = discover(deployment, txs)
+        # Stale every artifact that read this balance, without changing
+        # what any transaction touches.
+        victim = txs[0].sender
+        state.set_balance(victim, state.get_balance(victim) + 1)
+        state.clear_journal()
+        reference = state.copy()
+        evm = EVM(reference)
+        receipts = [evm.execute_transaction(tx) for tx in txs]
+
+        outcomes = {}
+        for backend in ("serial", "process"):
+            run_state = state.copy()
+            with ParallelBlockExecutor(
+                run_state, num_workers=2, backend=backend
+            ) as executor:
+                result = executor.execute_block(
+                    txs, edges, artifacts, artifacts=artifacts
+                )
+            assert result.backend == backend
+            assert not result.fell_back
+            assert result.receipts == receipts
+            assert run_state.state_digest() == reference.state_digest()
+            outcomes[backend] = result
+        serial, process = outcomes["serial"], outcomes["process"]
+        assert 0 < serial.stale_artifacts < len(txs)
+        assert serial.replayed == process.replayed
+        assert serial.stale_artifacts == process.stale_artifacts
+        assert serial.executed_inline == serial.stale_artifacts
+        assert process.dispatched == process.stale_artifacts
+        assert serial.replayed + serial.stale_artifacts == len(txs)

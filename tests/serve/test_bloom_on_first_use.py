@@ -69,10 +69,14 @@ def derivations(monkeypatch):
 
 
 def test_fifo_serving_derives_no_bloom(deployment, monkeypatch):
-    def refuse(tx, **kwargs):
-        raise AssertionError("FIFO admission derived an access bloom")
+    """FIFO serving runs no line of the packed path: no derivation, no
+    ``AccessBloom`` built by any route, no packed cut."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("FIFO serving entered the packed path")
 
     monkeypatch.setattr(mempool_module, "bloom_for_transaction", refuse)
+    monkeypatch.setattr(AccessBloom, "__init__", refuse)
+    monkeypatch.setattr(mempool_module.Mempool, "take_packed", refuse)
 
     async def run():
         server = make_server(deployment, make_config())
