@@ -27,6 +27,7 @@ def discover_access_sets(
     state: WorldState,
     block_context=None,
     trace: bool = False,
+    gas_target: int | None = None,
 ) -> list[ExecutionArtifact]:
     """Speculatively execute the batch once, keeping everything it found.
 
@@ -47,6 +48,17 @@ def discover_access_sets(
     enters the interpreter: :func:`~repro.chain.transfer.execute_transfer`
     writes down the same artifact in closed form. Creates, calls into
     code and every transaction of a ``trace=True`` pass run the EVM.
+
+    With *gas_target* this pass is also where a block is filled — the
+    one place that knows what each transaction *used*, not what its
+    sender promised. It stops before the first transaction (never the
+    very first: one over-budget transaction must not wedge block
+    building) whose ``gas_limit`` exceeds what the gas used so far
+    leaves of the target, and returns artifacts for the prefix that fit;
+    the caller keeps ``transactions[:len(result)]``. A block so filled
+    uses at most *gas_target* unless it is a single transaction, and the
+    first transaction left out would not have fit. Without a target
+    (validators, ``rebuild_dag``, traced passes) every transaction runs.
     """
     from ..evm.context import BlockContext  # local imports avoid a cycle
     from ..evm.gas import DEFAULT_SCHEDULE
@@ -56,10 +68,15 @@ def discover_access_sets(
     context = block_context or BlockContext()
     registry = get_registry()
     artifacts: list[ExecutionArtifact] = []
+    gas_used = 0
     block_token = state.snapshot()
     saved_access, state.access = state.access, None
     try:
         for tx in transactions:
+            if gas_target is not None and artifacts:
+                gas_used += artifacts[-1].receipt.gas_used
+                if tx.gas_limit > gas_target - gas_used:
+                    break
             if not trace and is_plain_transfer(tx, state):
                 artifact = execute_transfer(
                     state, tx, context.coinbase,

@@ -160,9 +160,12 @@ class Mempool:
         #: Pending-transaction count per sender address.
         self._by_sender: dict[int, int] = {}
         #: Sum of the pooled transactions' gas limits, kept in step by
-        #: :meth:`add` / :meth:`_forget` so the block builder's gas-target
-        #: check does not walk the pool.
+        #: :meth:`add` / :meth:`_forget` / :meth:`put_back` so the block
+        #: builder's gas-target check does not walk the pool.
         self.pending_gas = 0
+        #: The entries of the cut :meth:`take` made last, in cut order —
+        #: what :meth:`put_back` returns a tail of.
+        self._last_cut: list[_PoolEntry] = []
         #: Optional world state used for balance-aware admission and the
         #: plain-transfer bloom derivation.
         self.state = state
@@ -334,22 +337,60 @@ class Mempool:
         very first transaction is always taken (a single over-budget
         transaction must not wedge block building forever).
         """
-        taken: list[Transaction] = []
+        cut: list[_PoolEntry] = []
         gas = 0
         for entry in self._ordered().values():
-            if len(taken) >= count:
+            if len(cut) >= count:
                 break
             if (
                 gas_target is not None
-                and taken
+                and cut
                 and gas + entry.tx.gas_limit > gas_target
             ):
                 break
-            taken.append(entry.tx)
+            cut.append(entry)
             gas += entry.tx.gas_limit
-        for tx in taken:
-            self._forget(tx.hash())
-        return taken
+        for entry in cut:
+            self._forget(entry.tx.hash())
+        self._last_cut = cut
+        return [entry.tx for entry in cut]
+
+    def put_back(self, transactions: list[Transaction]) -> None:
+        """Return the tail of the cut :meth:`take` just made to the
+        front of the pool.
+
+        The proposer cuts candidates by count and fills the block by
+        the gas its pre-execution measured
+        (:func:`~repro.chain.dag.discover_access_sets`); what did not
+        fit comes back here. This is *not* admission: the transactions
+        were admitted once and never left the node, so nothing is
+        re-checked, nothing counts as ``mempool.added`` and capacity is
+        left to the next :meth:`add`. Each entry returns as it was —
+        its ``heard_at``, bloom and deferral count — ahead of everything
+        admitted since the cut, so the pool is again in arrival order
+        and a sender's later nonce is never cut before an earlier one.
+        Anything but a tail of the last cut raises ``ValueError``.
+        """
+        if not transactions:
+            return
+        hashes = [tx.hash() for tx in transactions]
+        tail = self._last_cut[-len(hashes):]
+        if [entry.tx.hash() for entry in tail] != hashes:
+            raise ValueError(
+                "put_back takes a tail of the cut take() made last"
+            )
+        del self._last_cut[-len(tail):]
+        by_sender = self._by_sender
+        for entry in tail:
+            sender = entry.tx.sender
+            by_sender[sender] = by_sender.get(sender, 0) + 1
+            self.pending_gas += entry.tx.gas_limit
+        returned = dict(zip(hashes, tail))
+        returned.update(self._pool)
+        self._pool = returned
+        registry = get_registry()
+        registry.counter("mempool.returned").inc(len(tail))
+        registry.gauge("mempool.size").set(len(self._pool))
 
     def take_packed(
         self,

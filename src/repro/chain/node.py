@@ -190,7 +190,6 @@ class Node:
             timestamp=1_600_000_000 + height * int(self.clock.block_interval),
             coinbase=self.coinbase,
             difficulty=1,
-            gas_limit=30_000_000,
             blockhash_fn=blockhash_fn,
         )
 
@@ -205,11 +204,23 @@ class Node:
     ) -> Block:
         """Package mempool transactions into a block with its DAG.
 
-        The block is cut when either *max_transactions* or the
-        cumulative *gas_target* is reached (oldest first) — the same
-        policy the serve loop's continuous block builder uses. Passing
-        *transactions* skips the mempool take (the serve loop cuts on
-        the event loop and proposes on a worker thread).
+        The block holds the oldest transactions, up to
+        *max_transactions* and up to the cumulative *gas_target* — the
+        same policy the serve loop's continuous block builder uses.
+        Gas is bounded by what the block *used*: candidates are taken by
+        count, the discovery pass below measures them and stops at the
+        target (:func:`~repro.chain.dag.discover_access_sets` states the
+        rule), and the candidates that did not fit go back to the front
+        of the pool (:meth:`~repro.chain.mempool.Mempool.put_back`).
+        Passing *transactions* — the cut :meth:`Mempool.take` just made —
+        skips the take (the serve loop cuts on the event loop and
+        proposes on a worker thread); the target applies all the same.
+
+        Where nothing is measured before the cut the senders' promise
+        stands in: a packed cut and an ``executor="occ"`` one stop on
+        the sum of gas *limits*. A receipt never uses more than its
+        limit, so that bound implies the measured one and such a cut is
+        never shortened (its lanes stay valid).
 
         ``packing="conflict_aware"`` cuts via
         :meth:`~repro.chain.mempool.Mempool.take_packed` instead:
@@ -243,16 +254,30 @@ class Node:
             )
             txs = packed.transactions
         else:
-            txs = self.mempool.take(max_transactions, gas_target=gas_target)
+            txs = self.mempool.take(
+                max_transactions,
+                gas_target=gas_target if executor == "occ" else None,
+            )
         height = len(self.chain) + 1
         context = self.block_context(height)
+        registry = get_registry()
         if executor == "occ":
             artifacts, edges = None, []
         else:
-            artifacts = discover_access_sets(txs, self.state, context)
+            artifacts = discover_access_sets(
+                txs, self.state, context, gas_target=gas_target
+            )
+            if len(artifacts) < len(txs):
+                assert packed is None, "a packed cut is never shortened"
+                self.mempool.put_back(txs[len(artifacts):])
+                txs = txs[:len(artifacts)]
             edges = transitive_reduction(
                 len(txs), build_dag_edges(txs, artifacts)
             )
+            if registry.enabled:
+                registry.histogram("block.gas_used").observe(
+                    sum(artifact.receipt.gas_used for artifact in artifacts)
+                )
         parent_hash = self.chain[-1].hash() if self.chain else b"\x00" * 32
         header = BlockHeader(
             height=height,
@@ -275,7 +300,6 @@ class Node:
         if packed is not None:
             block.packed_lanes = packed.lanes
             block.packed_parallelism = packed.parallelism
-            registry = get_registry()
             if registry.enabled and packed.transactions:
                 registry.histogram("block.packed_parallelism").observe(
                     packed.parallelism

@@ -151,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--gas-target", type=int, default=30_000_000,
-        help="cut a block at this cumulative gas (default: 30M)",
+        help="cumulative gas a block may use, at most the 30M block "
+             "gas limit; pending gas limits reaching it cut a block "
+             "early (default: 30M)",
     )
     serve.add_argument(
         "--interval-ms", type=float, default=50.0,

@@ -54,10 +54,13 @@ class GasSchedule:
 
     def intrinsic_gas(self, data: bytes, is_create: bool = False) -> int:
         """Intrinsic cost charged before a transaction starts executing."""
-        cost = self.tx_base + (32000 if is_create else 0)
-        for byte in data:
-            cost += self.tx_data_zero_byte if byte == 0 else self.tx_data_nonzero_byte
-        return cost
+        zero_bytes = data.count(0)
+        return (
+            self.tx_base
+            + (32000 if is_create else 0)
+            + self.tx_data_nonzero_byte * (len(data) - zero_bytes)
+            + self.tx_data_zero_byte * zero_bytes
+        )
 
 
 DEFAULT_SCHEDULE = GasSchedule()

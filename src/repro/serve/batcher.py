@@ -1,11 +1,14 @@
 """The continuous block builder: queue → batch → execute → futures.
 
 The inference-stack continuous-batching shape applied to blocks: client
-transactions stream into the node's mempool; the builder cuts a block as
-soon as a size target, a gas target, or a time budget is hit; the block
-executes on a worker thread (sequential, MTPU, or the multicore parallel
-backend); and each transaction's response future resolves the moment its
-receipt commits. Receipts and ``state_digest()`` are bit-identical to
+transactions stream into the node's mempool; the builder closes the
+batching window as soon as a size target, a promised-gas target, or a
+time budget is hit — what *could* fill a block; the proposer fills the
+block by the gas its pre-execution measured and returns what did not fit
+to the pool — what *does*; the block executes on a worker thread
+(sequential, MTPU, or the multicore parallel backend); and each
+transaction's response future resolves the moment its receipt commits.
+Receipts and ``state_digest()`` are bit-identical to
 offline sequential execution — the MTPU and parallel backends guarantee
 it, and any executor failure (e.g. every PU killed by an injected fault)
 degrades to a clean sequential re-execution of the same block (through
@@ -265,6 +268,9 @@ class BlockBuilder:
                     registry.counter("serve.execution_failures").inc()
 
     def _gas_target_met(self) -> bool:
+        """*Could* the pool fill a block? Promised gas (the limits)
+        closes the window early; whether the block *is* full is decided
+        by measured gas when it is proposed."""
         gas_target = self.config.gas_target
         return (
             gas_target is not None
@@ -286,8 +292,15 @@ class BlockBuilder:
             )
             txs = packed.transactions
         else:
+            # Candidates by count: the proposal keeps the prefix whose
+            # measured gas fits the target and puts the rest back. occ
+            # proposes without pre-executing, so nothing is measured
+            # before its cut and the promised bound stays.
             txs = self.node.mempool.take(
-                config.block_size_target, gas_target=config.gas_target
+                config.block_size_target,
+                gas_target=(
+                    config.gas_target if config.executor == "occ" else None
+                ),
             )
         if not txs:
             return
@@ -303,8 +316,13 @@ class BlockBuilder:
             # Even the sequential fallback failed. State was rolled
             # back; fail exactly this block's futures with a typed
             # error and keep the loop alive for everything else.
+            # Candidates the proposal put back are in the pool again
+            # and will still execute: they are not this block's.
             self._in_flight = 0
-            self._fail(txs, exc)
+            mempool = self.node.mempool
+            self._fail(
+                [tx for tx in txs if not mempool.contains(tx)], exc
+            )
             return
         finally:
             self._in_flight = 0
@@ -335,9 +353,17 @@ class BlockBuilder:
 
     def _build_and_execute_locked(self, txs, packed=None):
         block = self.node.propose_block(
-            transactions=txs, executor=self.config.executor
+            transactions=txs,
+            executor=self.config.executor,
+            gas_target=self.config.gas_target,
         )
+        # Candidates that did not fit are back in the pool, which counts
+        # them: in flight is the block alone.
+        self._in_flight = len(block.transactions)
         if packed is not None:
+            # Promised gas bounded the packed cut, and that bound
+            # implies the measured one: the lanes index this block.
+            assert len(block.transactions) == len(packed.transactions)
             block.packed_lanes = packed.lanes
             block.packed_parallelism = packed.parallelism
             self.packed_blocks += 1

@@ -10,11 +10,15 @@ class ServeConfig:
     """Everything the server and its block builder need to know.
 
     The block-cutting policy is the inference-stack continuous-batching
-    shape: a block is cut as soon as *either* ``block_size_target``
-    transactions are pending, *or* the cumulative gas of the pending
-    transactions reaches ``gas_target``, *or* ``block_interval_ms`` has
-    elapsed since the oldest pending transaction arrived — whichever
-    comes first. Small targets trade throughput for latency.
+    shape. The batching window closes as soon as the pool *could* fill a
+    block: ``block_size_target`` transactions are pending, *or* the gas
+    they promise (their limits) reaches ``gas_target``, *or*
+    ``block_interval_ms`` has elapsed since the window opened —
+    whichever comes first. The block then holds what *does* fit: up to
+    ``block_size_target`` transactions whose measured gas — what the
+    proposer's pre-execution saw them use — stays within
+    ``gas_target``; the rest wait in the pool for the next block. Small
+    targets trade throughput for latency.
     """
 
     host: str = "127.0.0.1"
@@ -33,7 +37,11 @@ class ServeConfig:
     # -- block cutting ----------------------------------------------------
     #: Cut a block at this many transactions.
     block_size_target: int = 128
-    #: Cut a block when pending gas limits reach this target (None: off).
+    #: Cumulative gas a block may use, at most the header's gas limit
+    #: (None: off). Pending gas *limits* reaching it close the batching
+    #: window; the gas the block's transactions *used* fills it. Cuts
+    #: that are not pre-executed (``executor="occ"``) or that fix their
+    #: lanes at the cut (``packing="conflict_aware"``) stay on limits.
     gas_target: int | None = 30_000_000
     #: Cut a block this long after the first pending transaction arrived.
     block_interval_ms: float = 50.0
@@ -137,6 +145,18 @@ class ServeConfig:
             raise ValueError("idle_timeout_s must be positive")
         if self.block_size_target <= 0:
             raise ValueError("block_size_target must be positive")
+        if self.gas_target is not None:
+            from ..evm.context import BlockContext
+
+            if self.gas_target <= 0:
+                raise ValueError("gas_target must be positive")
+            # A block uses at most gas_target; its header declares
+            # BlockContext.gas_limit.
+            if self.gas_target > BlockContext.gas_limit:
+                raise ValueError(
+                    f"gas_target {self.gas_target} exceeds the block "
+                    f"gas limit {BlockContext.gas_limit}"
+                )
         if self.max_pending <= 0:
             raise ValueError("max_pending must be positive")
         if self.block_interval_ms < 0:

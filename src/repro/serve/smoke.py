@@ -186,6 +186,11 @@ def main(argv: list[str] | None = None) -> int:
         "--min-parallelism", type=float, default=None,
         help="fail when the mean packed-block parallelism is below this",
     )
+    parser.add_argument(
+        "--max-blocks", type=int, default=None,
+        help="fail when the load took more blocks than this (blocks "
+             "cut on promised instead of measured gas run small)",
+    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--min-tps", type=float, default=500.0,
@@ -230,6 +235,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"packed parallelism {parallelism:.2f} "
                 f"< floor {args.min_parallelism:.2f}"
             )
+    blocks_built = result["stats"]["blocksBuilt"]
+    if args.max_blocks is not None and blocks_built > args.max_blocks:
+        failures.append(
+            f"{blocks_built} blocks > bound {args.max_blocks}"
+        )
     if load["tx_per_second"] < args.min_tps:
         failures.append(
             f"throughput {load['tx_per_second']:.0f} tx/s "
@@ -245,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"serve-smoke ok: {load['tx_per_second']:.0f} tx/s closed-loop, "
         f"p50/p99 {latency.p50_ms:.1f}/{latency.p99_ms:.1f} ms, "
-        f"{result['stats']['blocksBuilt']} blocks",
+        f"{blocks_built} blocks",
         file=sys.stderr,
     )
     return 0

@@ -166,7 +166,9 @@ def test_take_respects_gas_target(gas_limits, gas_target, count):
     capacity=st.one_of(st.none(), st.integers(1, 6)),
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["add", "take", "take_packed", "remove"]),
+            st.sampled_from(
+                ["add", "take", "take_packed", "remove", "put_back"]
+            ),
             st.integers(21_000, 200_000),
         ),
         max_size=40,
@@ -175,7 +177,8 @@ def test_take_respects_gas_target(gas_limits, gas_target, count):
 def test_pending_gas_tracks_the_pool(capacity, ops):
     """The running total the block builder's gas-target check reads is
     the sum a walk over the pool would give, through every way in
-    (add, readmission) and out (take, packed take, remove, eviction)."""
+    (add, readmission, a cut's tail put back) and out (take, packed
+    take, remove, eviction)."""
     pool = Mempool(capacity=capacity)
     for nonce, (op, gas_limit) in enumerate(ops):
         if op == "add":
@@ -185,6 +188,12 @@ def test_pending_gas_tracks_the_pool(capacity, ops):
             pool.take(2, gas_target=gas_limit)
         elif op == "take_packed":
             pool.take_packed(2, gas_target=gas_limit)
+        elif op == "put_back":
+            # Cut three, keep the first `kept`, return the rest: the
+            # pool is what it was, less the kept prefix.
+            before, kept = pool.pending(), gas_limit % 3
+            pool.put_back(pool.take(3)[kept:])
+            assert pool.pending() == before[kept:]
         else:
             pool.remove(pool.pending()[:1])
         assert pool.pending_gas == sum(
@@ -271,13 +280,38 @@ def test_spill_entries_round_trip_preserves_order_and_blooms():
 
 
 def test_propose_block_gas_target_matches_mempool_take():
-    """The offline proposal path cuts on gas exactly like the serve loop."""
+    """The offline proposal path cuts on gas exactly like the serve loop:
+    by the gas the block used. Each transfer promises 40k and uses 21k,
+    so a 100k target has room for a third (42k spent, 58k left) and not
+    for a fourth (63k spent, 37k left)."""
+    import asyncio
+
+    from repro.serve.batcher import BlockBuilder
+    from repro.serve.config import ServeConfig
+
+    txs = [tx(nonce=nonce, gas_limit=40_000) for nonce in range(6)]
     node = Node()
-    for nonce in range(6):
-        node.hear(tx(nonce=nonce, gas_limit=40_000))
+    for t in txs:
+        node.hear(t)
     block = node.propose_block(max_transactions=10, gas_target=100_000)
-    assert [t.nonce for t in block.transactions] == [0, 1]
-    assert len(node.mempool) == 4
+    assert [t.nonce for t in block.transactions] == [0, 1, 2]
+    assert [t.nonce for t in node.mempool.pending()] == [3, 4, 5]
     node.execute_block(block)
     follow_up = node.propose_block(max_transactions=10, gas_target=100_000)
-    assert [t.nonce for t in follow_up.transactions] == [2, 3]
+    assert [t.nonce for t in follow_up.transactions] == [3, 4, 5]
+
+    async def serve():
+        builder = BlockBuilder(Node(), ServeConfig(
+            block_size_target=10, gas_target=100_000,
+            block_interval_ms=10_000.0,
+        ))
+        builder.start()
+        futures = [builder.submit(t) for t in txs]
+        await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
+        await builder.drain_and_stop()
+        return builder.node.chain
+
+    served = asyncio.run(serve())
+    assert [[t.nonce for t in b.transactions] for b in served] == [
+        [0, 1, 2], [3, 4, 5]
+    ]

@@ -78,3 +78,25 @@ class TestSchedule:
     def test_intrinsic_gas_create_surcharge(self):
         schedule = GasSchedule()
         assert schedule.intrinsic_gas(b"", is_create=True) == 53000
+
+    @given(
+        data=st.binary(max_size=300),
+        is_create=st.booleans(),
+        schedule=st.sampled_from([
+            DEFAULT_SCHEDULE,
+            GasSchedule(tx_base=1000, tx_data_zero_byte=7,
+                        tx_data_nonzero_byte=3),
+        ]),
+    )
+    def test_intrinsic_gas_equals_the_per_byte_definition(
+        self, data, is_create, schedule
+    ):
+        """The closed form is the yellow paper's loop: a base, the create
+        surcharge, and each calldata byte priced by whether it is zero."""
+        expected = schedule.tx_base + (32000 if is_create else 0)
+        for byte in data:
+            expected += (
+                schedule.tx_data_zero_byte if byte == 0
+                else schedule.tx_data_nonzero_byte
+            )
+        assert schedule.intrinsic_gas(data, is_create) == expected

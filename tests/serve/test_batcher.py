@@ -72,12 +72,15 @@ def test_time_window_cuts_partial_block(deployment):
 def test_gas_target_cuts_and_drain_flushes_rest(deployment):
     async def run():
         builder = build(
-            deployment, block_size_target=100, gas_target=100_000
+            deployment, block_size_target=100, gas_target=90_000
         )
         builder.start()
         txs = make_transactions(deployment, 3)  # 50k gas limit each
         futures = [builder.submit(tx) for tx in txs]
-        # Two transactions reach the 100k gas target; the third waits.
+        # Promised gas (150k) closes the window; the block is filled by
+        # gas used: two transfers spend 42k of the 90k target, which
+        # leaves less than the third's 50k limit — it goes back to the
+        # pool and waits.
         first_two = await asyncio.wait_for(
             asyncio.gather(*futures[:2]), timeout=5.0
         )
@@ -92,6 +95,156 @@ def test_gas_target_cuts_and_drain_flushes_rest(deployment):
     assert last.block_height == 2
     assert builder.blocks_built == 2
     assert len(builder.node.mempool) == 0
+
+
+def test_calls_fill_blocks_by_gas_used_not_gas_promised(deployment):
+    """40 TOP8 calls promise 5M gas each and use about 50k: their
+    promises close the window at once, and the default 30M target holds
+    them all (cut on promised gas, they took seven blocks)."""
+    calls = make_transactions(deployment, 40, workload="erc20", seed=3)
+
+    async def run():
+        builder = build(
+            deployment, block_size_target=128, gas_target=30_000_000
+        )
+        builder.start()
+        futures = [builder.submit(tx) for tx in calls]
+        await asyncio.wait_for(asyncio.gather(*futures), timeout=10.0)
+        await builder.drain_and_stop()
+        return builder
+
+    builder = asyncio.run(run())
+    assert builder.blocks_built <= 2
+    assert builder.txs_committed == 40 and builder.depth == 0
+    assert [
+        tx for block in builder.node.chain for tx in block.transactions
+    ] == calls
+
+
+def test_gas_target_binding_mid_candidates_returns_the_tail(deployment):
+    """Transfers promise 50k and use 21k: under a 200k target the eighth
+    still fits (147k spent, 53k left) and the ninth does not (32k left).
+    19 candidates go out as 8 + 8, and the last three — 150k promised,
+    short of the trigger — wait for the drain."""
+    txs = make_transactions(deployment, 19)
+    depths = []
+
+    async def run():
+        builder = build(
+            deployment, block_size_target=100, gas_target=200_000
+        )
+        builder.on_new_head.append(
+            lambda block, receipts: depths.append(builder.depth)
+        )
+        builder.start()
+        futures = [builder.submit(tx) for tx in txs]
+        depths.append(builder.depth)
+        await asyncio.wait_for(asyncio.gather(*futures[:16]), timeout=5.0)
+        depths.append(builder.depth)
+        assert not any(future.done() for future in futures[16:])
+        await asyncio.wait_for(builder.drain_and_stop(), timeout=5.0)
+        return builder, [future.result() for future in futures]
+
+    builder, committed = asyncio.run(run())
+    chain = builder.node.chain
+    assert [len(block.transactions) for block in chain] == [8, 8, 3]
+    # Each block starts with exactly the first transaction left out.
+    assert [tx for block in chain for tx in block.transactions] == txs
+    assert [c.block_height for c in committed] == [1] * 8 + [2] * 8 + [3] * 3
+    # Every admitted-uncommitted transaction counts once, wherever it is.
+    assert depths == [19, 11, 3, 3, 0]
+    assert len(builder.node.mempool) == 0
+
+
+def test_failed_block_fails_its_own_futures_not_the_returned_tail(
+    deployment,
+):
+    from repro.serve.errors import ExecutionFailedError
+
+    txs = make_transactions(deployment, 12)
+
+    async def run():
+        builder = build(
+            deployment, block_size_target=100, gas_target=200_000
+        )
+        real_execute, real_fallback = (
+            builder._execute, builder.node.execute_block
+        )
+
+        def explode(block):
+            builder._execute = real_execute
+            raise RuntimeError("executor dead")
+
+        def explode_fallback(block):
+            builder.node.execute_block = real_fallback
+            raise RuntimeError("fallback dead too")
+
+        builder._execute = explode
+        builder.node.execute_block = explode_fallback
+        builder.start()
+        futures = [builder.submit(tx) for tx in txs]
+        results = await asyncio.wait_for(
+            asyncio.gather(*futures, return_exceptions=True), timeout=5.0
+        )
+        await builder.drain_and_stop()
+        return builder, results
+
+    builder, results = asyncio.run(run())
+    # The first block (eight fit, four went back) died with both
+    # executors; the four returned were never its transactions.
+    assert all(isinstance(r, ExecutionFailedError) for r in results[:8])
+    assert [(r.block_height, r.tx_index) for r in results[8:]] == [
+        (1, 0), (1, 1), (1, 2), (1, 3)
+    ]
+    assert builder.execution_failures == 1 and builder.blocks_built == 1
+    assert builder.node.chain[0].transactions == txs[8:]
+    assert builder.depth == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(executor="occ"),
+    dict(packing="conflict_aware"),
+])
+def test_unmeasured_cuts_stay_on_promised_gas(deployment, overrides):
+    """occ proposes without pre-executing, and a packed cut's lanes index
+    the cut: both stop on the sum of gas limits (two 50k transfers per
+    100k, where measured gas would fit three), and the proposal never
+    returns anything — a packed cut is never shortened."""
+    from repro.obs import use_registry
+
+    txs = make_transactions(deployment, 6)
+
+    async def run():
+        builder = build(
+            deployment, block_size_target=100, gas_target=100_000,
+            **overrides,
+        )
+        builder.start()
+        futures = [builder.submit(tx) for tx in txs]
+        await asyncio.wait_for(asyncio.gather(*futures), timeout=10.0)
+        await builder.drain_and_stop()
+        return builder
+
+    with use_registry() as registry:
+        builder = asyncio.run(run())
+    chain = builder.node.chain
+    assert [len(block.transactions) for block in chain] == [2, 2, 2]
+    assert "mempool.returned" not in registry.counters_flat()
+    if "packing" in overrides:
+        assert all(
+            sorted(i for lane in block.packed_lanes for i in lane) == [0, 1]
+            for block in chain
+        )
+
+
+@pytest.mark.parametrize("gas_target", [0, -1, 30_000_001])
+def test_config_refuses_a_gas_target_it_cannot_honour(gas_target):
+    """Zero or less makes every block one transaction; more than the
+    header's gas limit lets a block use more gas than it declares."""
+    with pytest.raises(ValueError, match="gas_target"):
+        ServeConfig(gas_target=gas_target)
+    assert ServeConfig(gas_target=None).gas_target is None
+    assert ServeConfig(gas_target=30_000_000).gas_target == 30_000_000
 
 
 def test_executor_failure_degrades_to_sequential(deployment):
