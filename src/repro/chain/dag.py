@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import get_registry
-from .journal import ExecutionArtifact, capture_artifact
+from .journal import ExecutionArtifact, execute_captured
 from .state import WorldState
 from .transaction import Transaction
 from .transfer import execute_transfer, is_plain_transfer
@@ -62,7 +62,7 @@ def discover_access_sets(
     """
     from ..evm.context import BlockContext  # local imports avoid a cycle
     from ..evm.gas import DEFAULT_SCHEDULE
-    from ..evm.interpreter import EVM, count_transaction
+    from ..evm.interpreter import count_transaction
     from ..evm.tracer import Tracer
 
     context = block_context or BlockContext()
@@ -87,19 +87,8 @@ def discover_access_sets(
                     count_transaction(registry, artifact.receipt)
                     registry.counter("evm.closed_form_txs").inc()
                 continue
-            tracer = Tracer() if trace else None
-            evm = EVM(state, block=context, tracer=tracer)
-            tx_token = state.snapshot()
-            access = state.begin_access_tracking()
-            try:
-                receipt = evm.execute_transaction(tx)
-            finally:
-                state.end_access_tracking()
-            artifacts.append(capture_artifact(
-                state, tx, receipt, access,
-                state.changes_since(tx_token),
-                coinbase=context.coinbase,
-                steps=tracer.steps if tracer is not None else None,
+            artifacts.append(execute_captured(
+                state, tx, context, Tracer() if trace else None
             ))
     finally:
         state.access = None

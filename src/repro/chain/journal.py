@@ -142,17 +142,36 @@ class ExecutionArtifact:
         """
         with state.untracked():
             for (address, slot), expected in self.read_values.items():
-                if slot == BALANCE_KEY:
-                    current = state.get_balance(address)
-                elif slot == NONCE_KEY:
-                    current = state.get_nonce(address)
-                elif slot == CODE_KEY:
-                    current = state.get_code(address)
-                else:
-                    current = state.get_storage(address, slot)
-                if current != expected:
+                if _read_key(state, address, slot) != expected:
                     return False
         return True
+
+
+def replay_in_order(
+    state: WorldState,
+    transactions: list[Transaction],
+    artifacts: list[ExecutionArtifact],
+    run,
+) -> tuple[list[Receipt], int]:
+    """Execute-once in block order, the walk every in-order consumer of
+    pre-execution artifacts shares: a transaction whose artifact (they
+    line up by index) is its own and still
+    :meth:`~ExecutionArtifact.is_fresh` commits by applying the
+    artifact's journal and taking its receipt; any other is handed to
+    ``run(index, tx)``, which executes it on *state* and returns its
+    receipt. Returns the receipts and how many were replayed."""
+    receipts: list[Receipt] = []
+    replayed = 0
+    for index, (tx, artifact) in enumerate(
+        zip(transactions, artifacts, strict=True)
+    ):
+        if artifact.tx.hash() == tx.hash() and artifact.is_fresh(state):
+            artifact.journal.apply(state)
+            receipts.append(artifact.receipt)
+            replayed += 1
+        else:
+            receipts.append(run(index, tx))
+    return receipts, replayed
 
 
 def _journal_key(entry: tuple) -> tuple | None:
@@ -177,6 +196,28 @@ def _read_key(state: WorldState, address: int, slot) -> object:
     if slot == CODE_KEY:
         return state.get_code(address)
     return state.get_storage(address, slot)
+
+
+def execute_captured(
+    state: WorldState, tx: Transaction, context, tracer=None
+) -> ExecutionArtifact:
+    """Run *tx* through the EVM on *state* under access tracking and
+    capture what it did; *state* is left as executed."""
+    from ..evm.interpreter import EVM  # local import avoids a cycle
+
+    token = state.snapshot()
+    access = state.begin_access_tracking()
+    try:
+        receipt = EVM(
+            state, block=context, tracer=tracer
+        ).execute_transaction(tx)
+    finally:
+        state.end_access_tracking()
+    return capture_artifact(
+        state, tx, receipt, access, state.changes_since(token),
+        coinbase=context.coinbase,
+        steps=tracer.steps if tracer is not None else None,
+    )
 
 
 def capture_artifact(

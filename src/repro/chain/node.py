@@ -14,7 +14,9 @@ an idle budget for offline optimization (paper section 2.2.4).
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..evm.context import BlockContext
 from ..evm.decoded import warm_code
@@ -23,6 +25,7 @@ from ..obs import get_registry
 from ..trie import StateRootMismatchError, StateTrie, build_witness
 from .block import BLOCKHASH_WINDOW, Block, BlockHeader
 from .dag import build_dag_edges, discover_access_sets, transitive_reduction
+from .journal import replay_in_order
 from .mempool import DuplicateTransactionError, Mempool
 from .receipt import Receipt, receipts_root
 from .state import WorldState
@@ -200,7 +203,7 @@ class Node:
         transactions: list[Transaction] | None = None,
         packing: str = "fifo",
         packing_policy=None,
-        executor: str | None = None,
+        executor: str = "sequential",
     ) -> Block:
         """Package mempool transactions into a block with its DAG.
 
@@ -217,10 +220,11 @@ class Node:
         proposes on a worker thread); the target applies all the same.
 
         Where nothing is measured before the cut the senders' promise
-        stands in: a packed cut and an ``executor="occ"`` one stop on
-        the sum of gas *limits*. A receipt never uses more than its
-        limit, so that bound implies the measured one and such a cut is
-        never shortened (its lanes stay valid).
+        stands in: a packed cut and one for an engine that does not
+        pre-execute (``occ``) stop on the sum of gas *limits*. A receipt
+        never uses more than its limit, so that bound implies the
+        measured one and such a cut is never shortened (its lanes stay
+        valid).
 
         ``packing="conflict_aware"`` cuts via
         :meth:`~repro.chain.mempool.Mempool.take_packed` instead:
@@ -235,14 +239,16 @@ class Node:
         paper's consensus-stage nodes do; the pre-execution artifacts
         ride along on ``Block.artifacts`` for execute-once replay.
 
-        ``executor="occ"`` skips discovery entirely: the block carries no
-        DAG and no artifacts, and the speculative engine
-        (:meth:`execute_block_occ`) finds conflicts at run time — the
+        *executor* names the engine (:data:`ENGINES`) the block is
+        proposed for. One that does not pre-execute (``occ``) skips
+        discovery entirely: the block carries no DAG and no artifacts,
+        and the speculative engine finds conflicts at run time — the
         path for dynamic-storage-key workloads whose access sets cannot
         be declared or discovered ahead of reordering.
         """
         if packing not in ("fifo", "conflict_aware"):
             raise ValueError(f"unknown packing {packing!r}")
+        preexecutes = _engine(executor).preexecutes
         packed = None
         if transactions is not None:
             txs = transactions
@@ -256,12 +262,12 @@ class Node:
         else:
             txs = self.mempool.take(
                 max_transactions,
-                gas_target=gas_target if executor == "occ" else None,
+                gas_target=None if preexecutes else gas_target,
             )
         height = len(self.chain) + 1
         context = self.block_context(height)
         registry = get_registry()
-        if executor == "occ":
+        if not preexecutes:
             artifacts, edges = None, []
         else:
             artifacts = discover_access_sets(
@@ -308,17 +314,26 @@ class Node:
         return block
 
     # -- execution stage ----------------------------------------------------------
-    def execute_block(self, block: Block) -> list[Receipt]:
-        """Sequentially execute a block's transactions and append it.
+    def execute_block(
+        self,
+        block: Block,
+        executor: str = "sequential",
+        num_workers: int = 4,
+        fault_injector=None,
+    ) -> list[Receipt]:
+        """Execute a block's transactions and append it: the one place
+        an engine (:data:`ENGINES`, by name) is chosen, run and
+        committed. Every engine leaves receipts and state bit-identical
+        to the default, the paper's sequential baseline (Fig. 1);
+        *num_workers* sizes those that have workers, *fault_injector*
+        strikes the ``mtpu`` engine's PUs. An engine that raises leaves
+        the state part-executed and nothing committed: a caller that
+        means to survive it takes a snapshot first (the serve loop does).
 
-        This is the paper's baseline behaviour (Fig. 1). Parallel
-        executors (the MTPU simulator) produce the same receipts and final
-        state; tests compare against this path via
-        :func:`repro.chain.receipt.receipts_root`.
-
-        Execute-once: the block this node itself just proposed carries
-        its consensus-stage pre-execution on ``block.artifacts``. In
-        block order, an artifact whose read values still hold
+        Execute-once, on the default engine: the block this node itself
+        just proposed carries its consensus-stage pre-execution on
+        ``block.artifacts``. In block order, an artifact whose read
+        values still hold
         (:meth:`~repro.chain.journal.ExecutionArtifact.is_fresh`) is
         committed by applying its write journal and taking its receipt;
         a transaction whose artifact belongs to another transaction or
@@ -328,96 +343,60 @@ class Node:
         decoded blocks — runs every transaction through the EVM, as the
         paper's verifying nodes do.
         """
+        engine = _engine(executor)
+        token = self.state.snapshot()
         context = self.block_context(block.header.height)
-        evm = EVM(self.state, block=context)
-        transactions = block.transactions
-        artifacts = block.artifacts if block is self._proposed else None
-        if artifacts is None or len(artifacts) != len(transactions):
-            receipts = [evm.execute_transaction(tx) for tx in transactions]
-        else:
-            receipts = []
-            reexecuted = 0
-            for tx, artifact in zip(transactions, artifacts):
-                if (
-                    artifact.tx.hash() == tx.hash()
-                    and artifact.is_fresh(self.state)
-                ):
-                    artifact.journal.apply(self.state)
-                    receipts.append(artifact.receipt)
-                else:
-                    receipts.append(evm.execute_transaction(tx))
-                    reexecuted += 1
-            replayed = len(receipts) - reexecuted
-            self.txs_replayed += replayed
-            self.txs_reexecuted += reexecuted
-            registry = get_registry()
-            if registry.enabled:
-                if replayed:
-                    registry.counter("evm.tx_reuses").inc(replayed)
-                if reexecuted:
-                    registry.counter("evm.tx_reexecutions").inc(reexecuted)
-        self.commit_block(block, receipts)
+        receipts = engine.run(
+            self, block, context, num_workers, fault_injector
+        )
+        self.commit_block(block, receipts, token)
         return receipts
 
-    def execute_block_occ(
-        self,
-        block: Block,
-        num_workers: int = 4,
-        backend: str = "process",
-        max_retries: int = 8,
-    ):
-        """Execute a block speculatively (Block-STM OCC) and commit it.
-
-        No declared access sets, DAG, or pre-execution artifacts are
-        needed — conflicts are discovered by read-set validation at
-        commit time, and receipts/state stay bit-identical to
-        :meth:`execute_block` (the engine guarantees it, falling back to
-        sequential execution past the retry budget). The engine's
-        *actual* access sets and abort counts feed the mempool's
-        :class:`~repro.chain.bloom.AccessEstimator`, so conflict-aware
-        packing of future blocks improves from observed behaviour.
-
-        Node contexts carry a live BLOCKHASH service, which cannot cross
-        the process boundary — the engine degrades to its ``serial``
-        backend here. Returns the engine's
-        :class:`~repro.parallel.speculate.SpeculativeBlockResult`.
-        """
-        from ..parallel.speculate import SpeculativeBlockExecutor
-
-        context = self.block_context(block.header.height)
-        with SpeculativeBlockExecutor(
-            self.state,
-            block=context,
-            num_workers=num_workers,
-            backend=backend,
-            max_retries=max_retries,
-        ) as executor:
-            result = executor.execute_block(block.transactions)
-        self.mempool.observe_outcomes(result.artifacts, result.abort_counts)
-        self.commit_block(block, result.receipts)
-        return result
-
-    def commit_block(self, block: Block, receipts: list[Receipt]) -> None:
+    def commit_block(
+        self, block: Block, receipts: list[Receipt], token: int = 0
+    ) -> None:
         """Append an executed block: chain, receipts, mempool, journal.
 
-        The caller has already applied the block's state effects (via
-        :meth:`execute_block`, the MTPU, or the parallel backend); this
-        is the one shared commit path. With a store attached the WAL
-        append (and, per policy, the fsync) happens first — a crash
-        after this method returns costs nothing that was committed.
+        The caller has already applied the block's state effects; this
+        is the one shared commit path and the one place the journal is
+        cleared (*token*: the snapshot from before the block touched the
+        state; by default everything journaled since the last commit).
+        With a store attached the WAL append (and, per policy, the
+        fsync) happens first — a crash after this method returns costs
+        nothing that was committed.
 
         When Merkleizing, the witness (which needs the *pre-block* trie
         shape and the undrained touch capture) is built first, then the
         header is sealed with the post-block root, so the WAL record and
         the chain both carry the sealed header.
+
+        A refused append (:class:`~repro.storage.AppendFailedError`: the
+        log is where it was) commits nothing: the state goes back to
+        *token*, the header is unsealed, the trie rebuilt, and the error
+        re-raised with chain, receipts and mempool never touched. It is
+        no reason to execute the block again — it did not fail to
+        execute.
         """
         witness = None
         if self.trie is not None and self.emit_witness:
             witness = build_witness(self.trie, self.state, block)
+        unsealed = block.header
         self.seal_state_root(block)
-        self.state.clear_journal()
         if self.store is not None:
-            self.store.append_block(block, self.state, witness=witness)
+            # Imported here: repro.storage imports this module.
+            from ..storage.errors import AppendFailedError
+
+            try:
+                self.store.append_block(block, self.state, witness=witness)
+            except AppendFailedError:
+                self.state.revert(token)
+                block.header = unsealed
+                if self.trie is not None:
+                    # trie.update drained the first-touch capture: only
+                    # a rebuild undoes it (O(state), fault-only path).
+                    self.attach_trie()
+                raise
+        self.state.clear_journal()
         self.chain.append(block)
         if witness is not None:
             height = block.header.height
@@ -476,7 +455,7 @@ class Node:
         journals would check nothing.
 
         On a match the block commits exactly as :meth:`execute_block`
-        would. On a mismatch *nothing* changes: world state is rolled
+        does. On a mismatch *nothing* changes: world state is rolled
         back to the snapshot, the block is not appended, no receipts are
         stored and the mempool keeps its transactions — a bogus claimed
         root must not poison the node. The returned
@@ -494,7 +473,109 @@ class Node:
             return BlockVerification(
                 ok=False, claimed_root=claimed_root, actual_root=actual
             )
-        self.commit_block(block, receipts)
+        self.commit_block(block, receipts, token)
         return BlockVerification(
             ok=True, claimed_root=claimed_root, actual_root=actual
         )
+
+
+# -- the engines ------------------------------------------------------------
+class Engine(NamedTuple):
+    """One way to apply a block's effects to ``node.state``."""
+
+    #: ``run(node, block, context, num_workers, fault_injector)`` ->
+    #: receipts in block order, the effects applied and nothing else
+    #: done: an engine never commits, never clears the journal (whoever
+    #: took the snapshot owns it) and never catches in order to fall
+    #: back — its own convergence path is part of it.
+    run: Callable[..., list[Receipt]]
+    #: False: blocks are proposed for it without discovery — no
+    #: artifacts, no DAG, nothing measured before the cut.
+    preexecutes: bool = True
+
+
+def _run_sequential(node, block, context, num_workers, fault_injector):
+    execute = EVM(node.state, block=context).execute_transaction
+    transactions = block.transactions
+    artifacts = block.artifacts if block is node._proposed else None
+    if artifacts is None or len(artifacts) != len(transactions):
+        return [execute(tx) for tx in transactions]
+    receipts, replayed = replay_in_order(
+        node.state, transactions, artifacts, lambda _, tx: execute(tx)
+    )
+    reexecuted = len(receipts) - replayed
+    node.txs_replayed += replayed
+    node.txs_reexecuted += reexecuted
+    registry = get_registry()
+    if registry.enabled:
+        if replayed:
+            registry.counter("evm.tx_reuses").inc(replayed)
+        if reexecuted:
+            registry.counter("evm.tx_reexecutions").inc(reexecuted)
+    return receipts
+
+
+# The other engines live in packages that import this one, so they are
+# imported when first run. A node's context carries a BLOCKHASH service,
+# which cannot cross a process boundary: both pool engines run on their
+# serial backends here.
+def _run_mtpu(node, block, context, num_workers, fault_injector):
+    from ..core.mtpu import MTPUExecutor
+    from ..core.scheduler import run_spatial_temporal
+
+    # No artifacts: the MTPU replays only traced ones, and a proposal's
+    # discovery runs untraced.
+    executor = MTPUExecutor(node.state, block=context, num_pus=num_workers)
+    executor.auto_clear_journal = False
+    schedule = run_spatial_temporal(
+        executor, block.transactions, block.dag_edges,
+        fault_injector=fault_injector,
+    )
+    return schedule.receipts_in_block_order(block.transactions)
+
+
+def _run_parallel(node, block, context, num_workers, fault_injector):
+    from ..parallel import ParallelBlockExecutor
+
+    return ParallelBlockExecutor(
+        node.state, context, num_workers, backend="serial"
+    ).execute_block(
+        block.transactions, block.dag_edges, block.artifacts or [],
+        artifacts=block.artifacts,
+    ).receipts
+
+
+def _run_occ(node, block, context, num_workers, fault_injector):
+    from ..parallel import SpeculativeBlockExecutor
+
+    result = SpeculativeBlockExecutor(
+        node.state, context, num_workers, backend="serial"
+    ).execute_block(block.transactions)
+    # Actual access sets and abort counts: the packing estimator's
+    # online correction.
+    node.mempool.observe_outcomes(result.artifacts, result.abort_counts)
+    return result.receipts
+
+
+#: The only place engines are named. ``sequential``: the EVM in block
+#: order, replaying this node's own proposal; ``mtpu``: the
+#: spatio-temporal schedule on the MTPU simulator; ``parallel``: the
+#: declared-DAG pipeline of :mod:`repro.parallel`; ``occ``: Block-STM
+#: speculation — conflicts found by read-set validation, so
+#: dynamic-storage-key contracts run undeclared.
+ENGINES = {
+    "sequential": Engine(_run_sequential),
+    "mtpu": Engine(_run_mtpu),
+    "parallel": Engine(_run_parallel),
+    "occ": Engine(_run_occ, preexecutes=False),
+}
+EXECUTORS = tuple(ENGINES)
+
+
+def _engine(executor: str) -> Engine:
+    try:
+        return ENGINES[executor]
+    except KeyError:
+        raise ValueError(
+            f"unknown executor {executor!r}: expected one of {EXECUTORS}"
+        ) from None

@@ -19,6 +19,7 @@ import sys
 import time
 
 from . import experiments
+from .chain.node import EXECUTORS
 
 #: CLI name -> experiment callable.
 EXPERIMENTS = {
@@ -135,15 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="genesis accounts (loadgen must use the same value)",
     )
     serve.add_argument(
-        "--executor", choices=("sequential", "mtpu", "parallel", "occ"),
-        default="sequential",
+        "--executor", choices=EXECUTORS, default="sequential",
         help="block execution backend (default: sequential); occ is "
              "speculative Block-STM execution with no access-set "
              "discovery — dynamic-storage-key contracts run undeclared",
     )
     serve.add_argument(
         "--workers", type=int, default=4,
-        help="PUs (mtpu) or worker processes (parallel)",
+        help="PUs (mtpu) and the lanes conflict-aware packing sizes its "
+             "default lane depth for; parallel and occ run on their "
+             "serial backends inside a node, so no worker processes "
+             "start here (obs-report --parallel-workers / --occ-workers "
+             "and the parallel smokes measure those)",
     )
     serve.add_argument(
         "--block-size", type=int, default=128,

@@ -16,7 +16,6 @@ from .executor import (
     ParallelBlockExecutor,
     ParallelBlockResult,
 )
-from .occ import OccBlockResult, OptimisticBlockExecutor
 from .speculate import (
     MultiVersionStore,
     SpeculativeBlockExecutor,
@@ -26,8 +25,6 @@ from .speculate import (
 __all__ = [
     "AccessMismatch",
     "MultiVersionStore",
-    "OccBlockResult",
-    "OptimisticBlockExecutor",
     "ParallelBlockExecutor",
     "ParallelBlockResult",
     "SpeculativeBlockExecutor",

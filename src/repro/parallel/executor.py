@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
-from ..chain.journal import ExecutionArtifact, WriteJournal
+from ..chain.journal import ExecutionArtifact, WriteJournal, replay_in_order
 from ..chain.receipt import Receipt
-from ..chain.state import BALANCE_KEY, NONCE_KEY, WorldState
+from ..chain.state import BALANCE_KEY, NONCE_KEY
 from ..chain.transaction import Transaction
 from ..obs import get_registry
 from . import worker as worker_mod
-from .worker import apply_overlay  # noqa: F401  (re-export for tests)
 
 
 class AccessMismatch(Exception):
@@ -110,72 +109,15 @@ def _augmented_edges(
     return sorted(merged)
 
 
-class ParallelBlockExecutor:
+class ParallelBlockExecutor(worker_mod.PoolHolder):
     """DAG-guided parallel execution of blocks over *state*.
 
-    The worker pool is persistent: it is created lazily on the first
-    dispatch, seeded with the then-current state, and kept across
-    ``execute_block`` calls. The coordinator ships each task only the
-    committed post-values of the keys the transaction declares, and
-    invalidates the pool whenever the state diverges in a way overlays
-    cannot express (sequential fallback, account deletion).
+    The worker pool (:class:`~repro.parallel.worker.PoolHolder`) is
+    persistent across ``execute_block`` calls. The coordinator ships
+    each task only the committed post-values of the keys the transaction
+    declares, and invalidates the pool whenever the state diverges in a
+    way overlays cannot express (sequential fallback, account deletion).
     """
-
-    def __init__(
-        self,
-        state: WorldState,
-        block=None,
-        num_workers: int = 4,
-        backend: str = "process",
-    ) -> None:
-        from ..evm.context import BlockContext, _no_blockhash
-
-        if backend not in ("process", "serial"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.state = state
-        self.block = block or BlockContext()
-        self.num_workers = max(1, num_workers)
-        self.backend = backend
-        if backend == "process" and (
-            self.block.blockhash_fn is not _no_blockhash
-        ):
-            # A custom BLOCKHASH service cannot cross the process
-            # boundary; degrade to coordinator-side execution.
-            self.backend = "serial"
-        self._pool: ProcessPoolExecutor | None = None
-        #: Post-values committed since the pool snapshot was taken.
-        self._committed: dict[tuple, object] = {}
-        self._pool_dirty = False
-
-    # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and self._pool_dirty:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=worker_mod.init_worker,
-                initargs=(
-                    worker_mod.snapshot_accounts(self.state),
-                    worker_mod.context_args(self.block),
-                ),
-            )
-            self._committed = {}
-            self._pool_dirty = False
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelBlockExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- execution ---------------------------------------------------------
     def execute_block(
@@ -237,22 +179,29 @@ class ParallelBlockExecutor:
         of :meth:`_run_dag` would pop 0, 1, 2, … (every predecessor has
         a lower index) — walk the block instead, with no edges, heap or
         pool overlay to keep."""
+        from ..evm.interpreter import EVM
+
         state = self.state
-        receipts: list[Receipt] = []
-        for index, tx in enumerate(transactions):
-            artifact = artifacts[index] if artifacts is not None else None
-            if artifact is not None and artifact.is_fresh(state):
-                receipt, journal = artifact.receipt, artifact.journal
-                result.replayed += 1
-            else:
-                if artifact is not None:
-                    result.stale_artifacts += 1
-                receipt, journal = self._execute_inline(
-                    tx, access_sets[index], index, result
-                )
-                result.executed_inline += 1
-            journal.apply(state)
-            receipts.append(receipt)
+        evm = EVM(state, block=self.block)
+
+        def run(index: int, tx: Transaction) -> Receipt:
+            saved_access = state.access
+            access = state.begin_access_tracking()
+            try:
+                receipt = evm.execute_transaction(tx)
+            finally:
+                state.end_access_tracking()
+                state.access = saved_access
+            self._validate(index, access_sets[index], access, result)
+            result.executed_inline += 1
+            return receipt
+
+        if artifacts is None:
+            return [run(index, tx) for index, tx in enumerate(transactions)]
+        receipts, result.replayed = replay_in_order(
+            state, transactions, artifacts, run
+        )
+        result.stale_artifacts = result.executed_inline
         return receipts
 
     def _run_dag(
@@ -337,38 +286,11 @@ class ParallelBlockExecutor:
             finished, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in finished:
                 index = inflight.pop(future)
-                receipt, actual, ops = future.result()
+                receipt, actual, ops, _ = future.result()
                 self._validate(index, access_sets[index], actual, result)
                 complete(index, receipt, WriteJournal(ops))
 
         return receipts  # type: ignore[return-value]
-
-    def _execute_inline(
-        self, tx: Transaction, declared, index: int,
-        result: ParallelBlockResult,
-    ) -> tuple[Receipt, WriteJournal]:
-        """Serial-backend execution on the coordinator's own state."""
-        from ..chain.journal import capture_artifact
-        from ..evm.interpreter import EVM
-
-        state = self.state
-        tx_token = state.snapshot()
-        saved_access, state.access = state.access, None
-        access = state.begin_access_tracking()
-        try:
-            receipt = EVM(state, block=self.block).execute_transaction(tx)
-        finally:
-            state.end_access_tracking()
-            state.access = saved_access
-        artifact = capture_artifact(
-            state, tx, receipt, access, state.changes_since(tx_token),
-            coinbase=self.block.coinbase,
-        )
-        self._validate(index, declared, access, result)
-        # The inline execution already mutated state; revert so the
-        # caller applies the journal exactly as it does for a replay.
-        state.revert(tx_token)
-        return receipt, artifact.journal
 
     def _validate(
         self, index: int, declared, actual, result: ParallelBlockResult

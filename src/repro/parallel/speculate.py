@@ -28,14 +28,15 @@ Smart Contracts" by way of the multicore-STM line of work):
   attempt read a key that is currently estimate-marked by a lower
   pending transaction is *deferred*, not re-executed: re-running it
   before its dependency commits would almost surely abort again.
-* **Validation + strict in-order commit** — identical to
-  :class:`~repro.parallel.occ.OptimisticBlockExecutor` (the
-  single-threaded deterministic reference for this engine): a
-  transaction commits only when every earlier transaction has committed
-  *and* :meth:`ExecutionArtifact.is_fresh` holds against the
-  authoritative state, so the journal replays onto exactly its
-  sequential pre-state. Receipts and ``state_digest`` are bit-identical
-  to sequential execution by construction.
+* **Validation + strict in-order commit** — a transaction commits
+  only when every earlier transaction has committed *and*
+  :meth:`ExecutionArtifact.is_fresh` holds against the authoritative
+  state, so the journal replays onto exactly its sequential pre-state.
+  (Committing a fresh later transaction past a pending earlier one is
+  unsound: the earlier one's re-execution would then observe the later
+  one's writes — a serialization inversion that tight-balance workloads
+  turn into a digest fork.) Receipts and ``state_digest`` are
+  bit-identical to sequential execution by construction.
 * **Bounded retry + guaranteed sequential fallback** — a transaction
   aborting more than ``max_retries`` times (or a fault/abort hook that
   keeps firing) reverts the whole block to its entry snapshot and
@@ -52,10 +53,9 @@ the sequential fallback.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..chain.journal import ExecutionArtifact, WriteJournal, capture_artifact
+from ..chain.journal import ExecutionArtifact, WriteJournal, execute_captured
 from ..chain.receipt import Receipt
 from ..chain.state import WorldState
 from ..chain.transaction import Transaction
@@ -173,16 +173,17 @@ class SpeculativeBlockResult:
         return len(self.receipts) / self.wall_seconds
 
 
-class SpeculativeBlockExecutor:
+class SpeculativeBlockExecutor(worker_mod.PoolHolder):
     """Concurrent Block-STM-style OCC execution of blocks over *state*.
 
     ``backend="process"`` speculates rounds on a persistent worker pool
-    (the same worker protocol as :class:`ParallelBlockExecutor`, so a
-    custom BLOCKHASH service degrades it to ``"serial"`` — the service
-    cannot cross the process boundary). ``backend="serial"`` speculates
-    inline, one transaction at a time, which makes the engine exactly as
-    deterministic as :class:`~repro.parallel.occ.OptimisticBlockExecutor`
-    — the property harness and the golden trace both pin that mode.
+    (:class:`~repro.parallel.worker.PoolHolder`, shared with
+    :class:`ParallelBlockExecutor`, so a custom BLOCKHASH service
+    degrades it to ``"serial"`` — the service cannot cross the process
+    boundary). ``backend="serial"`` speculates inline, one transaction
+    at a time, which makes the engine exactly as deterministic as
+    sequential execution — the property harness and the golden trace
+    both pin that mode.
 
     *abort_hook(index, attempt)* — test/fault injection: force a
     validation abort for a fresh artifact. *fault_hook(index, attempt)*
@@ -202,71 +203,10 @@ class SpeculativeBlockExecutor:
         abort_hook=None,
         fault_hook=None,
     ) -> None:
-        from ..evm.context import BlockContext, _no_blockhash
-
-        if backend not in ("process", "serial"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.state = state
-        self.block = block or BlockContext()
-        self.num_workers = max(1, num_workers)
-        self.backend = backend
-        if backend == "process" and (
-            self.block.blockhash_fn is not _no_blockhash
-        ):
-            self.backend = "serial"
+        super().__init__(state, block, num_workers, backend)
         self.max_retries = max_retries
         self.abort_hook = abort_hook
         self.fault_hook = fault_hook
-        self._pool: ProcessPoolExecutor | None = None
-        #: Post-values committed since the pool's base snapshot.
-        self._committed: dict[tuple, object] = {}
-        self._pool_dirty = False
-        # Cumulative across blocks (mirrors OptimisticBlockExecutor).
-        self.executions = 0
-        self.aborts = 0
-
-    # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and self._pool_dirty:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=worker_mod.init_worker,
-                initargs=(
-                    worker_mod.snapshot_accounts(self.state),
-                    worker_mod.context_args(self.block),
-                ),
-            )
-            self._committed = {}
-            self._pool_dirty = False
-        return self._pool
-
-    def warm(self) -> None:
-        """Spin up and initialize every pool worker ahead of the first
-        block (steady-state serving keeps the pool across blocks; calling
-        this keeps one-shot measurements honest about that). No-op on the
-        serial backend."""
-        if self.backend != "process":
-            return
-        pool = self._ensure_pool()
-        for future in [
-            pool.submit(worker_mod.ping) for _ in range(self.num_workers)
-        ]:
-            future.result()
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "SpeculativeBlockExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- execution ---------------------------------------------------------
     def execute_block(
@@ -294,8 +234,6 @@ class SpeculativeBlockExecutor:
             self._pool_dirty = True
             self._fallback_sequential(transactions, result)
         result.wall_seconds = time.perf_counter() - start
-        self.executions += result.executions
-        self.aborts += result.aborts
         self._publish_metrics(result)
         return result
 
@@ -472,12 +410,14 @@ class SpeculativeBlockExecutor:
             for index in pool_batch:
                 account(index)
                 futures[pool.submit(
-                    worker_mod.speculate_task, transactions[index], overlay,
+                    worker_mod.execute_task, transactions[index], overlay,
                 )] = index
         for index in inline_batch:
             account(index)
             view = store.view_below(index) if attempts[index] > 0 else {}
-            artifact = self._execute_inline(transactions[index], view)
+            artifact = worker_mod.speculate_on(
+                self.state, self.block, transactions[index], view
+            )
             if not faulted(index):
                 executed.append((index, artifact))
         for future, index in futures.items():
@@ -494,37 +434,6 @@ class SpeculativeBlockExecutor:
         executed.sort(key=lambda pair: pair[0])
         return executed
 
-    def _execute_inline(
-        self, tx: Transaction, overlay: dict
-    ) -> ExecutionArtifact:
-        """One speculation on the coordinator's own state: overlay under a
-        snapshot, execute tracked, capture, revert — base left pristine."""
-        from ..evm.interpreter import EVM
-
-        state = self.state
-        token = state.snapshot()
-        try:
-            if overlay:
-                worker_mod.apply_overlay(state, overlay)
-                tx_token = state.snapshot()
-            else:
-                tx_token = token
-            access = state.begin_access_tracking()
-            try:
-                receipt = EVM(
-                    state, block=self.block
-                ).execute_transaction(tx)
-            finally:
-                state.end_access_tracking()
-            return capture_artifact(
-                state, tx, receipt, access,
-                state.changes_since(tx_token),
-                coinbase=self.block.coinbase,
-            )
-        finally:
-            state.access = None
-            state.revert(token)
-
     def _fallback_sequential(
         self,
         transactions: list[Transaction],
@@ -532,31 +441,16 @@ class SpeculativeBlockExecutor:
     ) -> None:
         """Guaranteed convergence path: plain in-order execution, with
         artifacts still captured so estimator feedback survives."""
-        from ..evm.interpreter import EVM
-
         state = self.state
-        receipts: list[Receipt] = []
         saved_access, state.access = state.access, None
         try:
-            for index, tx in enumerate(transactions):
-                token = state.snapshot()
-                access = state.begin_access_tracking()
-                try:
-                    receipt = EVM(
-                        state, block=self.block
-                    ).execute_transaction(tx)
-                finally:
-                    state.end_access_tracking()
-                receipts.append(receipt)
-                result.artifacts[index] = capture_artifact(
-                    state, tx, receipt, access,
-                    state.changes_since(token),
-                    coinbase=self.block.coinbase,
-                )
-                state.access = None
+            result.artifacts[:] = [
+                execute_captured(state, tx, self.block)
+                for tx in transactions
+            ]
         finally:
             state.access = saved_access
-        result.receipts = receipts
+        result.receipts = [a.receipt for a in result.artifacts]
         result.fell_back = True
         self._pool_dirty = True
 

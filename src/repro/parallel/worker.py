@@ -10,15 +10,18 @@ proportional to the transaction's access set, not to the world state.
 The worker applies the overlay under a journal snapshot, executes the
 transaction with access tracking on, captures the write journal from the
 structured state journal, and reverts — leaving the base pristine for
-the next task. The coordinator receives ``(receipt, access, ops)`` and
-decides whether the actual access set honours the declared one.
+the next task. The coordinator receives ``(receipt, access, ops,
+read_values)`` and decides whether the actual access set honours the
+declared one, or whether what was read still holds. Its own end of the
+pool, the same for both engines, is :class:`PoolHolder`.
 """
 
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
-from ..chain.journal import capture_artifact
+from ..chain.journal import ExecutionArtifact, execute_captured
 from ..chain.state import BALANCE_KEY, CODE_KEY, NONCE_KEY, WorldState
 from ..chain.transaction import Transaction
 
@@ -42,6 +45,82 @@ def context_args(context) -> dict:
         "difficulty": context.difficulty,
         "gas_limit": context.gas_limit,
     }
+
+
+class PoolHolder:
+    """The coordinator's side of the pool, shared by both engines.
+
+    The pool is persistent: created lazily on the first dispatch, seeded
+    with the then-current state, kept across ``execute_block`` calls.
+    ``_committed`` holds the post-values committed since that seed (task
+    overlays are cut from it); ``_pool_dirty`` says the state has moved
+    in a way overlays cannot express — a sequential fallback, an account
+    deletion — so the next dispatch starts a fresh pool.
+    """
+
+    def __init__(
+        self,
+        state: WorldState,
+        block=None,
+        num_workers: int = 4,
+        backend: str = "process",
+    ) -> None:
+        from ..evm.context import BlockContext, _no_blockhash
+
+        if backend not in ("process", "serial"):
+            raise ValueError(f"unknown backend {backend!r}")
+        self.state = state
+        self.block = block or BlockContext()
+        self.num_workers = max(1, num_workers)
+        if self.block.blockhash_fn is not _no_blockhash:
+            # A custom BLOCKHASH service cannot cross the process
+            # boundary; degrade to coordinator-side execution.
+            backend = "serial"
+        self.backend = backend
+        self._pool: ProcessPoolExecutor | None = None
+        self._committed: dict[tuple, object] = {}
+        self._pool_dirty = False
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool_dirty:
+            self.close()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.num_workers,
+                initializer=init_worker,
+                initargs=(
+                    snapshot_accounts(self.state),
+                    context_args(self.block),
+                ),
+            )
+            self._committed = {}
+            self._pool_dirty = False
+        return self._pool
+
+    def warm(self) -> None:
+        """Spin up and initialize every pool worker ahead of the first
+        block (steady-state serving keeps the pool across blocks; calling
+        this keeps one-shot measurements honest about that). No-op on the
+        serial backend."""
+        if self.backend != "process":
+            return
+        pool = self._ensure_pool()
+        for future in [
+            pool.submit(ping) for _ in range(self.num_workers)
+        ]:
+            future.result()
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def init_worker(accounts_blob: bytes, ctx_args: dict) -> None:
@@ -79,46 +158,31 @@ def ping() -> bool:
     return _BASE is not None
 
 
-def execute_task(
-    tx: Transaction, overlay: dict
-) -> tuple:
+def execute_task(tx: Transaction, overlay: dict) -> tuple:
     """Run one transaction against base ⊕ overlay; leave the base pristine.
 
-    Returns ``(receipt, access, ops)`` where *ops* is the transaction's
-    write journal (tagged tuples, see :mod:`repro.chain.journal`).
+    Returns ``(receipt, access, ops, read_values)``: *ops* is the
+    transaction's write journal (tagged tuples, see
+    :mod:`repro.chain.journal`) and *read_values* maps each
+    ``(address, slot)`` it read to the value it observed, which the
+    speculative (OCC) coordinator validates against the authoritative
+    state at commit time.
     """
-    receipt, access, ops, _ = speculate_task(tx, overlay)
-    return receipt, access, ops
+    artifact = speculate_on(_BASE, _CONTEXT, tx, overlay)
+    return (artifact.receipt, artifact.access, artifact.journal.ops,
+            artifact.read_values)
 
 
-def speculate_task(
-    tx: Transaction, overlay: dict
-) -> tuple:
-    """Like :func:`execute_task`, but also return the versioned read set.
-
-    Returns ``(receipt, access, ops, read_values)`` — *read_values* maps
-    each ``(address, slot)`` the transaction read to the value it
-    observed, which the speculative (OCC) coordinator validates against
-    the authoritative state at commit time.
-    """
-    from ..evm.interpreter import EVM
-
-    state = _BASE
+def speculate_on(
+    state: WorldState, context, tx: Transaction, overlay: dict
+) -> ExecutionArtifact:
+    """One speculation on *state* ⊕ *overlay* — a pool worker's base or
+    the coordinator's own state: overlay under a snapshot, execute
+    tracked, capture, revert. *state* is left as it was found."""
     token = state.snapshot()
     try:
-        apply_overlay(state, overlay)
-        tx_token = state.snapshot()
-        access = state.begin_access_tracking()
-        try:
-            receipt = EVM(state, block=_CONTEXT).execute_transaction(tx)
-        finally:
-            state.end_access_tracking()
-        artifact = capture_artifact(
-            state, tx, receipt, access,
-            state.changes_since(tx_token),
-            coinbase=_CONTEXT.coinbase,
-        )
-        return receipt, access, artifact.journal.ops, artifact.read_values
+        if overlay:
+            apply_overlay(state, overlay)
+        return execute_captured(state, tx, context)
     finally:
-        state.access = None
         state.revert(token)

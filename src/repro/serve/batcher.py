@@ -9,10 +9,14 @@ to the pool — what *does*; the block executes on a worker thread
 (sequential, MTPU, or the multicore parallel backend); and each
 transaction's response future resolves the moment its receipt commits.
 Receipts and ``state_digest()`` are bit-identical to
-offline sequential execution — the MTPU and parallel backends guarantee
-it, and any executor failure (e.g. every PU killed by an injected fault)
-degrades to a clean sequential re-execution of the same block (through
-the EVM, the proposal's artifacts dropped) instead of wedging the loop.
+offline sequential execution — every engine behind
+``Node.execute_block`` guarantees it, and any engine failure (e.g. every
+PU killed by an injected fault) degrades to a clean sequential
+re-execution of the same block (through the EVM, the proposal's
+artifacts dropped) instead of wedging the loop. A *commit* failure (the
+store refused the append) is not an engine failure: the node has put
+itself back where the block found it, and the block's futures fail
+without it running again.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from ..chain.mempool import (  # noqa: F401  (AdmissionError re-export)
     DuplicateTransactionError,
     PackingPolicy,
 )
-from ..chain.node import Node
+from ..chain.node import ENGINES, Node
 from ..chain.receipt import Receipt
 from ..evm.decoded import warm_state_codes
 from ..obs import get_registry
+from ..storage.errors import AppendFailedError
 from .config import ServeConfig
 from .errors import ExecutionFailedError
 
@@ -60,7 +65,7 @@ class BlockBuilder:
         self.node = node
         self.config = config or ServeConfig()
         #: Optional :class:`repro.faults.FaultInjector` whose PU faults
-        #: strike the MTPU executor (degradation, never divergence).
+        #: strike the MTPU engine (degradation, never divergence).
         self.fault_injector = fault_injector
         #: tx hash -> future resolving to a :class:`CommittedReceipt`.
         self._pending: dict[bytes, asyncio.Future] = {}
@@ -293,13 +298,14 @@ class BlockBuilder:
             txs = packed.transactions
         else:
             # Candidates by count: the proposal keeps the prefix whose
-            # measured gas fits the target and puts the rest back. occ
-            # proposes without pre-executing, so nothing is measured
-            # before its cut and the promised bound stays.
+            # measured gas fits the target and puts the rest back. For an
+            # engine that does not pre-execute nothing is measured before
+            # the cut and the promised bound stays.
             txs = self.node.mempool.take(
                 config.block_size_target,
                 gas_target=(
-                    config.gas_target if config.executor == "occ" else None
+                    None if ENGINES[config.executor].preexecutes
+                    else config.gas_target
                 ),
             )
         if not txs:
@@ -313,9 +319,10 @@ class BlockBuilder:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            # Even the sequential fallback failed. State was rolled
-            # back; fail exactly this block's futures with a typed
-            # error and keep the loop alive for everything else.
+            # Even the sequential fallback failed, or the store refused
+            # the block. State was rolled back; fail exactly this
+            # block's futures with a typed error and keep the loop alive
+            # for everything else.
             # Candidates the proposal put back are in the pool again
             # and will still execute: they are not this block's.
             self._in_flight = 0
@@ -377,10 +384,15 @@ class BlockBuilder:
         token = self.node.state.snapshot()
         try:
             receipts = self._execute(block)
+        except AppendFailedError:
+            # The block executed; its commit was refused, and the node
+            # rolled itself back. Running it again would answer a full
+            # disk with a second execution.
+            raise
         except Exception:
-            # Degrade, never wedge: whatever the executor left behind is
+            # Degrade, never wedge: whatever the engine left behind is
             # rolled back and the block re-executes sequentially — through
-            # the EVM, not from the artifacts the failed executor was
+            # the EVM, not from the artifacts the failed engine was
             # working off.
             self.node.state.revert(token)
             block.artifacts = None
@@ -403,69 +415,12 @@ class BlockBuilder:
         return block, receipts
 
     def _execute(self, block) -> list[Receipt]:
-        if self.config.executor == "sequential":
-            return self.node.execute_block(block)
-        if self.config.executor == "mtpu":
-            return self._execute_mtpu(block)
-        if self.config.executor == "occ":
-            return self._execute_occ(block)
-        return self._execute_parallel(block)
-
-    def _execute_occ(self, block) -> list[Receipt]:
-        # Speculative (Block-STM) execution: the block was proposed with
-        # no discovery pass, so this is the only serve path that never
-        # pre-executes — conflicts surface as commit-time aborts and the
-        # actual access sets feed the packing estimator.
-        result = self.node.execute_block_occ(
-            block, num_workers=self.config.num_workers
-        )
-        return result.receipts
-
-    def _execute_mtpu(self, block) -> list[Receipt]:
-        from ..core.mtpu import MTPUExecutor
-        from ..core.scheduler import run_spatial_temporal
-
-        context = self.node.block_context(block.header.height)
-        artifacts = {
-            artifact.tx.hash(): artifact
-            for artifact in (block.artifacts or [])
-        }
-        executor = MTPUExecutor(
-            self.node.state,
-            block=context,
-            num_pus=self.config.num_workers,
-            artifacts=artifacts,
-        )
-        schedule = run_spatial_temporal(
-            executor,
-            block.transactions,
-            block.dag_edges,
+        return self.node.execute_block(
+            block,
+            executor=self.config.executor,
+            num_workers=self.config.num_workers,
             fault_injector=self.fault_injector,
         )
-        receipts = schedule.receipts_in_block_order(block.transactions)
-        self.node.commit_block(block, receipts)
-        return receipts
-
-    def _execute_parallel(self, block) -> list[Receipt]:
-        from ..parallel import ParallelBlockExecutor
-
-        context = self.node.block_context(block.header.height)
-        # The per-block context carries a chain-local BLOCKHASH service,
-        # so the executor degrades itself to the in-process serial
-        # backend — still the artifact-replay execute-once path.
-        with ParallelBlockExecutor(
-            self.node.state,
-            block=context,
-            num_workers=self.config.num_workers,
-        ) as executor:
-            result = executor.execute_block(
-                block.transactions,
-                block.dag_edges,
-                block.artifacts or [],
-                artifacts=block.artifacts,
-            )
-        self.node.commit_block(block, result.receipts)
-        return result.receipts
 
     # -- commit ------------------------------------------------------------
     def _resolve(self, block, receipts: list[Receipt]) -> None:

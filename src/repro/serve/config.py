@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..chain.node import EXECUTORS
+
 
 @dataclass
 class ServeConfig:
@@ -40,7 +42,7 @@ class ServeConfig:
     #: Cumulative gas a block may use, at most the header's gas limit
     #: (None: off). Pending gas *limits* reaching it close the batching
     #: window; the gas the block's transactions *used* fills it. Cuts
-    #: that are not pre-executed (``executor="occ"``) or that fix their
+    #: that are not pre-executed (the ``occ`` engine) or that fix their
     #: lanes at the cut (``packing="conflict_aware"``) stay on limits.
     gas_target: int | None = 30_000_000
     #: Cut a block this long after the first pending transaction arrived.
@@ -98,14 +100,12 @@ class ServeConfig:
     emit_witness: bool = False
 
     # -- execution --------------------------------------------------------
-    #: "sequential" (Node.execute_block), "mtpu" (spatio-temporal
-    #: schedule on the MTPU simulator), "parallel" (the multicore
-    #: repro.parallel backend) or "occ" (Block-STM speculative
-    #: execution — no access-set discovery at propose time, conflicts
-    #: found by read-set validation; dynamic-storage-key contracts run
-    #: without declarations).
+    #: The engine behind ``Node.execute_block``: a name from
+    #: :data:`repro.chain.node.ENGINES`, which describes each.
     executor: str = "sequential"
-    #: PUs (mtpu) or worker processes (parallel).
+    #: PUs (mtpu) and the lanes packing's default lane depth is sized
+    #: for. ``parallel`` and ``occ`` run on their serial backends inside
+    #: a node: no worker processes here.
     num_workers: int = 4
 
     # -- block packing ----------------------------------------------------
@@ -126,7 +126,7 @@ class ServeConfig:
     packing_trust_estimates: bool = False
 
     def __post_init__(self) -> None:
-        if self.executor not in ("sequential", "mtpu", "parallel", "occ"):
+        if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r}")
         if self.packing not in ("fifo", "conflict_aware"):
             raise ValueError(f"unknown packing {self.packing!r}")

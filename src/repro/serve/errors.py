@@ -30,8 +30,9 @@ ADMISSION_REJECTED = -32003
 DEADLINE_EXCEEDED = -32004
 #: The server is draining and no longer admits transactions.
 SHUTTING_DOWN = -32005
-#: Block execution failed even after the sequential fallback. The
-#: transaction was dropped without committing; it is safe to resubmit.
+#: Block execution failed even after the sequential fallback, or the
+#: store refused the block. The transaction was dropped without
+#: committing (it is in neither the chain nor the state): safe to resubmit.
 EXECUTION_FAILED = -32006
 #: This node is a read replica; it serves reads and subscriptions but
 #: never admits transactions. Send writes to the writer.

@@ -23,7 +23,7 @@ import json
 import sys
 import time
 
-from ..chain.node import Node
+from ..chain.node import EXECUTORS, Node
 from ..contracts.registry import build_deployment
 from ..obs.report import LatencyReport
 from .config import ServeConfig
@@ -169,8 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--block-size-target", type=int, default=16)
     parser.add_argument(
-        "--executor", choices=("sequential", "mtpu", "parallel", "occ"),
-        default="sequential",
+        "--executor", choices=EXECUTORS, default="sequential",
     )
     parser.add_argument(
         "--workload",

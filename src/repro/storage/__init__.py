@@ -24,6 +24,7 @@ from .config import (
     StorageConfig,
 )
 from .errors import (
+    AppendFailedError,
     CorruptSnapshotError,
     CorruptWalError,
     RecoveryError,
@@ -47,6 +48,7 @@ __all__ = [
     "FSYNC_INTERVAL",
     "FSYNC_NEVER",
     "FSYNC_POLICIES",
+    "AppendFailedError",
     "ChainStore",
     "CorruptSnapshotError",
     "CorruptWalError",

@@ -36,5 +36,13 @@ class UnsupportedFormatError(StorageError):
     """
 
 
+class AppendFailedError(StorageError):
+    """The operating system refused part of a block append (the log
+    write, its fsync or the snapshot that follows it). The log ends
+    where it ended before the call: the block is not committed. This is
+    an error *return*, not process death — a crash mid-append is the
+    torn tail recovery truncates."""
+
+
 class StoreLockedError(StorageError):
     """Another live ChainStore already owns this data directory."""

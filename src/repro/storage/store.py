@@ -27,7 +27,7 @@ from ..chain.transaction import Transaction
 from ..obs import get_registry
 from . import codec, snapshot
 from .config import FSYNC_ALWAYS, FSYNC_INTERVAL, StorageConfig
-from .errors import StoreLockedError
+from .errors import AppendFailedError, StoreLockedError
 from .wal import WalWriter, frame_record, unframe_record
 
 WAL_NAME = "wal.log"
@@ -130,54 +130,73 @@ class ChainStore:
         The header's sealed ``state_root`` is the record's post-state
         commitment — what recovery and replicas must reproduce; the
         block *witness* rides along when the node emits one.
+
+        All-or-nothing for error returns: an ``OSError`` out of the
+        write, the fsync or the snapshot leaves the log ending where it
+        ended before the call (a partial record followed by the next
+        block's valid one is mid-log corruption at the next restart) and
+        surfaces as :class:`AppendFailedError`; a snapshot that did land
+        stays, recovery skips one the log does not reach. The injector's
+        crash point models process death, not an error return, and
+        passes through untouched.
         """
         registry = get_registry()
         started = time.perf_counter()
         payload = codec.encode_wal_payload(block, witness or b"")
-        written = self._writer.append(payload)
+        height = block.header.height
+        snapshot_due = height % self.config.snapshot_interval_blocks == 0
+        unsynced = self._appends_since_fsync + 1
+        policy = self.config.fsync
+        offset = self._writer.offset
+        try:
+            written = self._writer.append(payload)
+            if policy == FSYNC_ALWAYS or (
+                policy == FSYNC_INTERVAL
+                and unsynced >= self.config.fsync_interval_blocks
+            ):
+                fsync_started = time.perf_counter()
+                self._writer.sync()
+                unsynced = 0
+                if registry.enabled:
+                    registry.histogram("storage.fsync_latency_ms").observe(
+                        (time.perf_counter() - fsync_started) * 1000.0
+                    )
+            if snapshot_due:
+                if self.fault_injector is not None:
+                    # The drill window: the block is durable in the WAL
+                    # but its snapshot is not — recovery must come from
+                    # the previous anchor plus a longer replay.
+                    self.fault_injector.crash_point(
+                        "between_wal_and_snapshot"
+                    )
+                snap_started = time.perf_counter()
+                snapshot.write_snapshot(
+                    self.data_dir, height, state, block.header.state_root
+                )
+                snapshot.prune_snapshots(
+                    self.data_dir, self.config.retain_snapshots
+                )
+                snapshot.sync_dir(self.data_dir)
+                snapshot_ms = (time.perf_counter() - snap_started) * 1000.0
+        except OSError as exc:
+            reason = f"block {height} not appended: {exc!r}"
+            try:
+                self._writer.truncate(offset)
+            except OSError as cut:  # still typed: not an engine failure
+                reason += f"; log not cut back to byte {offset}: {cut!r}"
+            raise AppendFailedError(reason) from exc
+
+        self._appends_since_fsync = unsynced
         self.wal_records += 1
         self.wal_bytes += written
-
-        policy = self.config.fsync
-        self._appends_since_fsync += 1
-        if policy == FSYNC_ALWAYS or (
-            policy == FSYNC_INTERVAL
-            and self._appends_since_fsync
-            >= self.config.fsync_interval_blocks
-        ):
-            fsync_started = time.perf_counter()
-            self._writer.sync()
-            self._appends_since_fsync = 0
-            if registry.enabled:
-                registry.histogram("storage.fsync_latency_ms").observe(
-                    (time.perf_counter() - fsync_started) * 1000.0
-                )
-
-        height = block.header.height
-        if height % self.config.snapshot_interval_blocks == 0:
-            if self.fault_injector is not None:
-                # The drill window: the block is durable in the WAL but
-                # its snapshot is not — recovery must come from the
-                # previous anchor plus a longer replay.
-                self.fault_injector.crash_point("between_wal_and_snapshot")
-            snap_started = time.perf_counter()
-            snapshot.write_snapshot(
-                self.data_dir, height, state, block.header.state_root
-            )
-            snapshot.prune_snapshots(
-                self.data_dir, self.config.retain_snapshots
-            )
-            snapshot.sync_dir(self.data_dir)
+        if snapshot_due:
             self.snapshots_written += 1
-            if registry.enabled:
+        if registry.enabled:
+            if snapshot_due:
                 registry.counter("storage.snapshots_written").inc()
                 registry.histogram(
                     "storage.snapshot_duration_ms"
-                ).observe(
-                    (time.perf_counter() - snap_started) * 1000.0
-                )
-
-        if registry.enabled:
+                ).observe(snapshot_ms)
             registry.counter("storage.wal_records").inc()
             registry.counter("storage.wal_bytes").inc(written)
             registry.histogram("storage.commit_latency_ms").observe(

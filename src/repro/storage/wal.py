@@ -171,28 +171,38 @@ def truncate_wal(path: str, valid_bytes: int) -> None:
 
 
 class WalWriter:
-    """Appends framed records to the log; the caller owns fsync policy."""
+    """Appends framed records to the log; the caller owns fsync policy.
+    The file is unbuffered: a write that fails partway leaves nothing in
+    this process to reach the log later, so :meth:`truncate` cuts back
+    exactly what the failed append put there."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._fh = open(path, "ab")
+        self._fh = open(path, "ab", buffering=0)
 
     @property
     def offset(self) -> int:
         return self._fh.tell()
 
     def append(self, payload: bytes) -> int:
-        """Buffered append of one record; returns bytes written."""
+        """Append one record to the OS page cache (fsync is separate);
+        returns bytes written."""
         record = frame_record(payload)
-        self._fh.write(record)
-        self._fh.flush()  # into the OS page cache; fsync is separate
+        view = memoryview(record)
+        while view:
+            view = view[self._fh.write(view):]
         return len(record)
 
     def sync(self) -> None:
         """fsync the log to stable storage."""
         os.fsync(self._fh.fileno())
 
+    def truncate(self, offset: int) -> None:
+        """Cut the log back to *offset* (an append that failed partway)
+        and make the cut as durable as the bytes it removes may be."""
+        self._fh.truncate(offset)
+        self._fh.seek(offset)  # truncate leaves the position past the end
+        os.fsync(self._fh.fileno())
+
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        self._fh.close()

@@ -29,8 +29,6 @@ from repro.chain.mempool import Mempool, PackingPolicy
 from repro.chain.node import Node
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
-from repro.core.mtpu import MTPUExecutor
-from repro.core.scheduler import run_spatial_temporal
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 
 #: Small, overlapping account pool with tight balances: transfers
@@ -260,19 +258,9 @@ def test_packed_chain_survives_pu_faults(balances, specs, dead, at_cycle):
                 for p in dead
             ),
         ))
-        context = node.block_context(block.header.height)
-        executor = MTPUExecutor(
-            node.state, block=context, num_pus=4,
-            artifacts={
-                a.tx.hash(): a for a in (block.artifacts or [])
-            },
+        node.execute_block(
+            block, executor="mtpu", num_workers=4, fault_injector=injector
         )
-        schedule = run_spatial_temporal(
-            executor, block.transactions, block.dag_edges,
-            fault_injector=injector,
-        )
-        receipts = schedule.receipts_in_block_order(block.transactions)
-        node.commit_block(block, receipts)
 
     packed, _ = build_chain(
         balances, txs, "conflict_aware",

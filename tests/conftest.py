@@ -77,3 +77,28 @@ def run_code(state, source: str, data: bytes = b"", value: int = 0,
 def run():
     """The run_code helper as a fixture."""
     return run_code
+
+
+def refuse_next_append(store, site="append", half_written=False):
+    """The next ``ChainStore.append_block`` gets an ``OSError`` out of
+    *site* — ``append`` / ``sync`` on the WAL writer, or the
+    ``snapshot`` write — once; *half_written*: the append puts half its
+    record in the log first."""
+    from repro.storage import snapshot
+    from repro.storage.wal import frame_record
+
+    error = OSError(28, "No space left on device")
+    if site == "snapshot":
+        owner, name = snapshot, "atomic_write"
+    else:
+        owner, name = store._writer, site
+    real = getattr(owner, name)
+
+    def refuse(*args):
+        setattr(owner, name, real)
+        if half_written:
+            record = frame_record(*args)
+            store._writer._fh.write(record[:len(record) // 2])
+        raise error
+
+    setattr(owner, name, refuse)

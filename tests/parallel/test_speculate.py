@@ -280,8 +280,8 @@ def test_node_execute_block_occ_feeds_estimator_and_commits():
     )
     assert block.artifacts is None  # no discovery ran
     before = len(node.mempool.estimator)
-    result = node.execute_block_occ(block, backend="serial")
-    assert len(result.receipts) == len(block.transactions)
+    receipts = node.execute_block(block, executor="occ")
+    assert len(receipts) == len(block.transactions)
     assert len(node.mempool.estimator) > before
     assert node.chain[-1] is block
 

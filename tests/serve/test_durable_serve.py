@@ -1,14 +1,21 @@
 """Durable serving: acked-means-durable, restart resume, drain spill."""
 
 import asyncio
+import dataclasses
 import os
+
+import pytest
 
 from repro.chain.node import Node
 from repro.serve import RpcClient, RpcServer, ServeConfig
 from repro.serve import protocol
-from repro.serve.loadgen import make_transactions
-from repro.storage import verify_store
+from repro.serve.errors import EXECUTION_FAILED
+from repro.serve.loadgen import RpcClientError, make_transactions
+from repro.storage import recover, verify_store
+from repro.storage.codec import state_digest_bytes
 from repro.storage.wal import scan_wal
+from repro.trie import StateTrie
+from tests.conftest import refuse_next_append
 
 
 def make_config(data_dir, **overrides):
@@ -65,6 +72,79 @@ def test_durable_serve_round_trip(deployment, tmp_path):
     assert scan.clean
     assert len(scan.records) == stats["chainHeight"]
     assert verify_store(str(tmp_path)).ok
+
+
+@pytest.mark.parametrize("half_written", [False, True])
+def test_failed_append_fails_the_block_and_nothing_else(
+    deployment, tmp_path, half_written
+):
+    """A full disk under one block: its clients are told it failed, and
+    that is all that happened — the block is in neither the chain nor
+    the state, it was not run a second time, the log holds no part of
+    it, and what is served, sealed and recovered afterwards agree."""
+    config = make_config(tmp_path, block_interval_ms=500.0)
+    txs = make_transactions(deployment, 8, seed=3)
+
+    async def send_block(client, block_txs):
+        return await asyncio.gather(*(
+            client.call(
+                "repro_sendTransaction", {"tx": protocol.tx_to_wire(tx)}
+            )
+            for tx in block_txs
+        ), return_exceptions=True)
+
+    async def run():
+        server = make_server(deployment, config)
+        refuse_next_append(server.node.store, half_written=half_written)
+        await server.start()
+        client = await RpcClient.connect(server.config.host,
+                                         server.config.port)
+        try:
+            refused = await send_block(client, txs[:4])
+            served = await send_block(client, txs[4:])
+            node = server.node
+            live = (node.state_root, StateTrie.rebuild_root(node.state),
+                    state_digest_bytes(node.state))
+            resubmitted = await send_block(client, txs[:4])
+            stats = await client.call("repro_stats")
+        finally:
+            await client.close()
+            await server.shutdown()
+        return refused, served, live, resubmitted, stats, server
+
+    refused, served, live, resubmitted, stats, server = asyncio.run(run())
+    assert [type(r) for r in refused] == [RpcClientError] * 4
+    assert {r.code for r in refused} == {EXECUTION_FAILED}
+    assert [r["blockHeight"] for r in served] == [1] * 4
+    # "Safe to resubmit" is true: the refused transfers were nowhere.
+    assert [r["blockHeight"] for r in resubmitted] == [2] * 4
+    assert all(r["success"] for r in served + resubmitted)
+    assert server.builder.sequential_fallbacks == 0
+    assert stats["walRecords"] == stats["chainHeight"] == 2
+
+    # Served root == root of the served state == what a fresh node
+    # computes from block 1 alone: nothing of the refused block stayed.
+    node = server.node
+    live_root, rebuilt_root, live_digest = live
+    reference = Node(state=deployment.state.copy())
+    first = node.chain[0]
+    assert [tx.hash() for tx in first.transactions] == [
+        tx.hash() for tx in txs[4:]
+    ]
+    reference.execute_block(dataclasses.replace(
+        first,
+        header=dataclasses.replace(first.header, state_root=b""),
+    ))
+    assert (live_root == rebuilt_root == first.header.state_root
+            == reference.state_root)
+    assert live_digest == state_digest_bytes(reference.state)
+
+    scan = scan_wal(str(tmp_path / "wal.log"))
+    assert scan.clean and len(scan.records) == 2
+    assert verify_store(str(tmp_path)).ok
+    result = recover(str(tmp_path))
+    assert result.height == 2
+    assert result.state_digest == state_digest_bytes(node.state)
 
 
 def test_restart_resumes_and_serves_old_receipts(deployment, tmp_path):

@@ -2,16 +2,19 @@
 
 The acceptance property for the serving layer: receipts and
 ``state_digest()`` produced by the continuous batcher — under any
-executor backend, injected PU faults, or a forced sequential fallback —
-match offline sequential execution of the same blocks exactly.
+engine, injected PU faults, an engine that dies partway through a block,
+or a forced sequential fallback — match offline sequential execution of
+the same blocks exactly.
 """
 
 import asyncio
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.node import Node
+from repro.chain.node import EXECUTORS, Node
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 from repro.serve.batcher import BlockBuilder
 from repro.serve.config import ServeConfig
@@ -26,11 +29,17 @@ def run_serve_path(
     num_workers=4,
     fault_injector=None,
     sabotage=False,
+    dies_at=None,
     packing="fifo",
     packing_lane_depth=None,
     packing_aging_bound=8,
 ):
-    """Push *txs* through a BlockBuilder; returns (node, committed, builder)."""
+    """Push *txs* through a BlockBuilder; returns (node, committed, builder).
+
+    *sabotage*: every block's engine dies before it starts. *dies_at*:
+    every block's engine dies on its ``dies_at``-th transaction, the
+    ones before it applied (a block shorter than that runs clean).
+    """
 
     async def go():
         config = ServeConfig(
@@ -53,6 +62,10 @@ def run_serve_path(
                 raise RuntimeError("forced executor failure")
 
             builder._execute = explode
+        elif dies_at is not None:
+            builder._execute = dying_midway(
+                node, builder._execute, dies_at
+            )
         builder.start()
         futures = [builder.submit(tx) for tx in txs]
         committed = await asyncio.wait_for(
@@ -62,6 +75,34 @@ def run_serve_path(
         return node, committed, builder
 
     return asyncio.run(go())
+
+
+def dying_midway(node, run_engine, dies_at):
+    """*run_engine* with a tripwire on the sender-nonce bump — the one
+    state write every engine makes once per transaction, whichever way
+    it applies it (the EVM increments, a journal replay sets)."""
+
+    def execute(block):
+        bumps = 0
+
+        def tripwire(original):
+            def bump(*args):
+                nonlocal bumps
+                bumps += 1
+                if bumps == dies_at:
+                    raise RuntimeError("engine died mid-block")
+                return original(*args)
+            return bump
+
+        state = node.state
+        with mock.patch.object(
+            state, "increment_nonce", tripwire(state.increment_nonce)
+        ), mock.patch.object(
+            state, "set_nonce", tripwire(state.set_nonce)
+        ):
+            return run_engine(block)
+
+    return execute
 
 
 def assert_matches_offline(deployment, node, committed, txs):
@@ -81,8 +122,8 @@ def assert_matches_offline(deployment, node, committed, txs):
 
 @settings(max_examples=12, deadline=None)
 @given(
-    executor=st.sampled_from(["sequential", "mtpu", "parallel"]),
-    workload=st.sampled_from(["transfer", "erc20", "mixed"]),
+    executor=st.sampled_from(EXECUTORS),
+    workload=st.sampled_from(["transfer", "erc20", "mixed", "dynamic"]),
     seed=st.integers(0, 2**16),
     count=st.integers(1, 12),
     block_size=st.integers(1, 5),
@@ -97,6 +138,28 @@ def test_serve_path_matches_offline_sequential(
         deployment, txs,
         executor=executor, block_size_target=block_size,
     )
+    assert_matches_offline(deployment, node, committed, txs)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@settings(max_examples=6, deadline=None)
+@given(
+    workload=st.sampled_from(["transfer", "erc20", "dynamic"]),
+    seed=st.integers(0, 2**16),
+    dies_at=st.integers(1, 4),
+)
+def test_engine_dying_mid_block_is_invisible(
+    deployment, executor, workload, seed, dies_at
+):
+    """Whatever the engine had applied when it died is rolled back —
+    nobody but the builder, who took the snapshot, clears the journal —
+    and the block commits through the fallback."""
+    txs = make_transactions(deployment, 8, workload=workload, seed=seed)
+    node, committed, builder = run_serve_path(
+        deployment, txs,
+        executor=executor, block_size_target=4, dies_at=dies_at,
+    )
+    assert builder.sequential_fallbacks >= 1
     assert_matches_offline(deployment, node, committed, txs)
 
 

@@ -15,6 +15,7 @@ from repro.faults import (
 )
 from repro.obs import use_registry
 from repro.storage import (
+    AppendFailedError,
     ChainStore,
     CorruptWalError,
     RecoveryError,
@@ -29,6 +30,7 @@ from repro.storage import (
 )
 from repro.storage.wal import RECORD_HEADER, frame_record, scan_wal
 from repro.trie import StateTrie
+from tests.conftest import refuse_next_append
 
 ACCOUNTS = [0x1000 + i for i in range(8)]
 
@@ -477,6 +479,54 @@ def test_crash_between_wal_and_snapshot_drill(tmp_path):
     assert result.snapshot_height == 0
     # Recovered state == the state the node reached before "crashing".
     assert result.state_digest == codec.state_digest_bytes(node.state)
+
+
+@pytest.mark.parametrize("site,half_written", [
+    ("append", False), ("append", True), ("sync", False),
+    ("snapshot", False),
+])
+def test_refused_append_commits_nothing_and_leaves_the_log_whole(
+    tmp_path, site, half_written
+):
+    """An error *return* from the store is all-or-nothing: the node is
+    back where the block found it, the log ends where it ended, and the
+    chain that continues from there recovers."""
+    node = fresh_node()
+    attach(node, str(tmp_path), StorageConfig(
+        fsync="always", snapshot_interval_blocks=2,
+    ))
+    commit_blocks(node, 1)
+    before = (
+        codec.state_digest_bytes(node.state), node.state_root,
+        os.path.getsize(tmp_path / "wal.log"), node.store.wal_records,
+    )
+    refuse_next_append(node.store, site, half_written)
+    txs = transfer_txs(3, id(node))
+    for tx in txs:
+        node.hear(tx)
+    block = node.propose_block(max_transactions=3)
+    with pytest.raises(AppendFailedError):
+        node.execute_block(block)  # height 2: append, fsync, snapshot
+    assert (
+        codec.state_digest_bytes(node.state), node.state_root,
+        os.path.getsize(tmp_path / "wal.log"), node.store.wal_records,
+    ) == before
+    assert node.state_root == StateTrie.rebuild_root(node.state)
+    assert len(node.chain) == 1 and block.hash() not in node.receipts
+    assert block.header.state_root == b""
+    # The pool gave the transactions to the block and the commit that
+    # would have dropped them never ran: nothing to undo there.
+    assert not any(node.mempool.contains(tx) for tx in txs)
+
+    # The chain goes on from where it was, and all of it recovers.
+    commit_blocks(node, 2)
+    digest = codec.state_digest_bytes(node.state)
+    node.store.close()
+    assert scan_wal(str(tmp_path / "wal.log")).clean
+    assert verify_store(str(tmp_path)).ok
+    result = recover(str(tmp_path))
+    assert result.height == 3
+    assert result.state_digest == digest
 
 
 def test_injector_corrupt_wal_torn_tail(tmp_path):
