@@ -1,12 +1,11 @@
-"""Pure arithmetic/logic word operations shared by both execution paths.
+"""Pure arithmetic/logic word operations.
 
 These functions implement the value semantics of the Arithmetic and Logic
 functional units (paper Table 3) with no interpreter state: every input
-and output is an unsigned 256-bit word. The legacy traced interpreter
-dispatches them by mnemonic (:data:`_ARITH_FN` / :data:`_LOGIC_FN`); the
-decoded fast path (:mod:`repro.evm.decoded`) pre-binds them into program
-entries at decode time — including constant-folding them entirely when
-every operand is statically known.
+and output is an unsigned 256-bit word. They are keyed by mnemonic
+(:data:`_ARITH_FN` / :data:`_LOGIC_FN`); :mod:`repro.evm.decoded`
+pre-binds them into program entries at decode time — including
+constant-folding them entirely when every operand is statically known.
 """
 
 from __future__ import annotations

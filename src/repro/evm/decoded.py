@@ -1,11 +1,12 @@
-"""The software decoded-bytecode (DB) cache: AOT decode + superinstruction
-fusion + a trace-free fast execution path.
+"""The instruction set, stated once, and the two loops that run it.
 
 The paper's ILP layer decodes raw bytecode once, caches the decoded lines,
 and folds hot instruction patterns inside the fill unit (sections 3.3.3 and
 3.3.4); :mod:`repro.core.mtpu` models that in *timing*. This module is the
-*functional* analogue: it compiles a code blob, once per distinct content,
-into a :class:`DecodedProgram` — a flat entry table indexed by pc where
+*functional* analogue, and the only place in the tree that says what an
+opcode pops, charges and does: the ``_h_*`` handlers below. A code blob is
+compiled, once per distinct content, into a :class:`DecodedProgram` — a
+flat entry table indexed by pc where
 
 * every PUSH immediate is pre-extracted,
 * ``valid_jumpdests`` is precomputed (and statically resolved for fused
@@ -16,14 +17,22 @@ into a :class:`DecodedProgram` — a flat entry table indexed by pc where
   constant-producing stack code are folded to a single constant push
   (the software form of the paper's §4 constant merging).
 
-:func:`run_program` executes such a program without constructing a single
-``TraceStep`` and without shadow-stack maintenance. It is selected by
-``EVM._run`` only under a ``NullTracer``; the traced interpreter path is
-byte-for-byte untouched, and the fast path preserves *bit-identical*
-semantics — receipts, gas, logs, state digest, and crucially the exception
-*class* of the first failure (receipts carry ``type(exc).__name__``), which
-is why every fused handler stages its gas charges and stack-depth checks in
-exactly the legacy per-instruction order.
+``EVM._run`` hands a frame and its program to one of two loops:
+
+* :func:`run_program` — under a ``NullTracer``: the fused entries, no
+  ``TraceStep``, no shadow stack. Every request is served by it.
+* :func:`run_observed` — under a :class:`~repro.evm.tracer.Tracer`: the
+  same handlers over the program's *unfused* entries, one instruction at
+  a time, with a ``TraceStep`` read off the stack, the shadow stack and
+  the gas meter around each handler call. Tracing is an observation of
+  the handlers that serve, not a second statement of them.
+
+The two agree *bit for bit* — receipts, gas, logs, state digest, and
+crucially the exception *class* of the first failure (receipts carry
+``type(exc).__name__``): for a plain entry by construction, for a fused
+one because every fused handler stages its gas charges and stack-depth
+checks in exactly the order the unfused instructions would
+(``tests/evm/test_decoded_equivalence.py`` sweeps it).
 
 Why fusing interior pcs is sound: jumps may only land on JUMPDEST, JUMPDEST
 is never fused into a pattern's interior, and the fall-through into the
@@ -58,6 +67,7 @@ from .errors import (
     WriteInStaticContext,
 )
 from .stack import MAX_DEPTH, WORD_MASK
+from .tracer import TraceStep
 
 #: Fusion depth of the base folding pass (instructions absorbed per
 #: superinstruction). Hotspot-specialized programs fold deeper.
@@ -78,10 +88,10 @@ class _Halt(Exception):
 #
 # Each entry is a tuple whose first element is one of these functions;
 # ``handler(evm, frame, entry) -> next_pc``. Entries reference
-# ``frame.stack._items`` directly: the explicit depth checks below replicate
-# the exact legacy check order (pops-before-gas where the legacy handler
-# pops first, gas-before-push where it charges first) so the first failing
-# exception has the same class in both paths.
+# ``frame.stack._items`` directly. The order of each handler's checks
+# (operands before gas where it pops, gas before the overflow check where
+# it only pushes) decides which exception class a failing transaction's
+# receipt names; the fused handlers further down replay it.
 # ---------------------------------------------------------------------------
 
 
@@ -598,9 +608,9 @@ def _h_selfdestruct(evm, frame, e):
 
 
 # -- superinstruction handlers ----------------------------------------------
-# Gas charges and depth checks are staged in legacy per-instruction order so
-# the first failure raises the same exception class the unfused sequence
-# would (receipts record the class name).
+# Gas charges and depth checks are staged in per-instruction order so the
+# first failure raises the same exception class the unfused sequence would
+# (receipts record the class name).
 
 
 def _h_push_jump(evm, frame, e):
@@ -749,7 +759,7 @@ class DecodedProgram:
     __slots__ = (
         "code", "code_hash", "code_len", "entries", "jumpdests",
         "instruction_count", "fused_count", "folded_instructions",
-        "specialized", "hot_pcs",
+        "specialized", "hot_pcs", "unfused",
     )
 
     def __init__(self, code, code_hash, entries, jumpdests,
@@ -765,6 +775,9 @@ class DecodedProgram:
         self.folded_instructions = folded_instructions
         self.specialized = specialized
         self.hot_pcs = hot_pcs
+        #: pc -> (plain entry, Instruction, extra function) for
+        #: :func:`run_observed`, built on the first observed run.
+        self.unfused: list[tuple | None] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         tag = " specialized" if self.specialized else ""
@@ -842,7 +855,7 @@ def _match_const_chain(instrs, start, limit, jumpdests):
     return tuple(stages), tuple(vstack), length, next_pc
 
 
-def _plain_entry(ins, evm_pc_getter_cache=None):
+def _plain_entry(ins):
     """The unfused entry for one decoded instruction."""
     op = ins.op
     value = op.value
@@ -919,7 +932,6 @@ def build_program(
     code: bytes,
     *,
     chain_limit: int = BASE_CHAIN_LIMIT,
-    fuse: bool = True,
     specialized: bool = False,
     hot_pcs: frozenset[int] = frozenset(),
 ) -> DecodedProgram:
@@ -934,63 +946,62 @@ def build_program(
     while i < n:
         ins = instrs[i]
         value = ins.op.value
-        if fuse:
-            chain = _match_const_chain(instrs, i, chain_limit, jumpdests)
-            if chain is not None:
-                stages, values, length, next_pc = chain
-                entries[ins.pc] = (_h_const, next_pc, stages, values)
-                fused += 1
-                folded += length - 1
-                i += length
-                continue
-            nxt = instrs[i + 1] if i + 1 < n else None
-            if nxt is not None:
-                if 0x60 <= value <= 0x7F:
-                    imm = (ins.immediate or 0) & WORD_MASK
-                    nv = nxt.op.value
-                    if nv == 0x56:
-                        entries[ins.pc] = (
-                            _h_push_jump, imm, imm in jumpdests
-                        )
-                        fused += 1
-                        folded += 1
-                        i += 2
-                        continue
-                    if nv == 0x57:
-                        entries[ins.pc] = (
-                            _h_push_jumpi, nxt.next_pc, imm,
-                            imm in jumpdests,
-                        )
-                        fused += 1
-                        folded += 1
-                        i += 2
-                        continue
-                    fn = _BIN_FN.get(nv)
-                    if fn is not None:
-                        entries[ins.pc] = (
-                            _h_push_bin, nxt.next_pc, imm, fn, nxt.op.gas
-                        )
-                        fused += 1
-                        folded += 1
-                        i += 2
-                        continue
-                elif 0x80 <= value <= 0x8F:
-                    fn = _BIN_FN.get(nxt.op.value)
-                    if fn is not None:
-                        entries[ins.pc] = (
-                            _h_dup_bin, nxt.next_pc, value - 0x7F, fn,
-                            nxt.op.gas,
-                        )
-                        fused += 1
-                        folded += 1
-                        i += 2
-                        continue
-                elif value == 0x90 and nxt.op.value == 0x50:
-                    entries[ins.pc] = (_h_swap1_pop, nxt.next_pc)
+        chain = _match_const_chain(instrs, i, chain_limit, jumpdests)
+        if chain is not None:
+            stages, values, length, next_pc = chain
+            entries[ins.pc] = (_h_const, next_pc, stages, values)
+            fused += 1
+            folded += length - 1
+            i += length
+            continue
+        nxt = instrs[i + 1] if i + 1 < n else None
+        if nxt is not None:
+            if 0x60 <= value <= 0x7F:
+                imm = (ins.immediate or 0) & WORD_MASK
+                nv = nxt.op.value
+                if nv == 0x56:
+                    entries[ins.pc] = (
+                        _h_push_jump, imm, imm in jumpdests
+                    )
                     fused += 1
                     folded += 1
                     i += 2
                     continue
+                if nv == 0x57:
+                    entries[ins.pc] = (
+                        _h_push_jumpi, nxt.next_pc, imm,
+                        imm in jumpdests,
+                    )
+                    fused += 1
+                    folded += 1
+                    i += 2
+                    continue
+                fn = _BIN_FN.get(nv)
+                if fn is not None:
+                    entries[ins.pc] = (
+                        _h_push_bin, nxt.next_pc, imm, fn, nxt.op.gas
+                    )
+                    fused += 1
+                    folded += 1
+                    i += 2
+                    continue
+            elif 0x80 <= value <= 0x8F:
+                fn = _BIN_FN.get(nxt.op.value)
+                if fn is not None:
+                    entries[ins.pc] = (
+                        _h_dup_bin, nxt.next_pc, value - 0x7F, fn,
+                        nxt.op.gas,
+                    )
+                    fused += 1
+                    folded += 1
+                    i += 2
+                    continue
+            elif value == 0x90 and nxt.op.value == 0x50:
+                entries[ins.pc] = (_h_swap1_pop, nxt.next_pc)
+                fused += 1
+                folded += 1
+                i += 2
+                continue
         entries[ins.pc] = _plain_entry(ins)
         i += 1
     return DecodedProgram(
@@ -1012,7 +1023,8 @@ def build_program(
 
 
 def run_program(evm, frame, program: DecodedProgram) -> None:
-    """Execute *frame* over a decoded program (NullTracer fast path)."""
+    """Execute *frame* over a decoded program's fused entries, trace-free
+    (the loop under a ``NullTracer``)."""
     frame.jumpdests = program.jumpdests
     entries = program.entries
     code_len = program.code_len
@@ -1025,6 +1037,154 @@ def run_program(evm, frame, program: DecodedProgram) -> None:
         pass
     frame.pc = pc
     frame.halted = True  # fell off the end: implicit STOP
+
+
+# ---------------------------------------------------------------------------
+# The observed loop: the same handlers, one instruction at a time, with a
+# TraceStep read off the stack and the gas meter around each call
+# ---------------------------------------------------------------------------
+
+
+def _storage_key(operands, msg):
+    return {"address": msg.to, "slot": operands[0]}
+
+
+def _queried_account(operands, msg):
+    return {"address": operands[0] & ADDRESS_MASK}
+
+
+def _call_target(operands, msg):
+    return {"target": operands[1] & ADDRESS_MASK}
+
+
+#: ``TraceStep.extra`` by opcode: the five keys anything reads — the MTPU
+#: timing model (``core/mtpu/pu.py``: ``address`` + ``slot``, ``length``,
+#: ``target``) and the hotspot chunker (``core/hotspot/chunking.py``:
+#: ``taken``) — each a function of the operands and ``msg.to``.
+_EXTRA = {
+    0x54: _storage_key,  # SLOAD
+    0x55: _storage_key,  # SSTORE
+    0x31: _queried_account,  # BALANCE
+    0x3B: _queried_account,  # EXTCODESIZE
+    0x3C: _queried_account,  # EXTCODECOPY
+    0x3F: _queried_account,  # EXTCODEHASH
+    0x20: lambda operands, msg: {"length": operands[1]},  # SHA3
+    0x56: lambda operands, msg: {"target": operands[0], "taken": True},
+    0x57: lambda operands, msg: {
+        "target": operands[0], "taken": operands[1] != 0,
+    },
+    0xF1: _call_target,
+    0xF2: _call_target,
+    0xF4: _call_target,
+    0xFA: _call_target,
+}
+
+
+def _unfused_rows(code: bytes) -> list[tuple | None]:
+    """One plain entry per instruction of *code*, indexed by pc (fused
+    entries have no per-instruction steps to show)."""
+    rows: list[tuple | None] = [None] * len(code)
+    for ins in decode(code):
+        rows[ins.pc] = (_plain_entry(ins), ins, _EXTRA.get(ins.op.value))
+    return rows
+
+
+def run_observed(evm, frame, program: DecodedProgram) -> None:
+    """Execute *frame* under ``evm.tracer``, one instruction at a time.
+
+    The handlers are the ones :func:`run_program` dispatches; what a
+    :class:`TraceStep` holds is read from outside them — operands and
+    their producers off the stack and ``frame.shadow`` before the call,
+    the result and the gas meter's movement after it.
+
+    A step is recorded when its handler returns, halts the frame, or
+    raises ``Revert``, ``InvalidJump`` or ``StackOverflow``; any other
+    exception leaves none. A call-family step is recorded before its
+    handler runs and withdrawn if the handler refuses the call.
+    """
+    frame.jumpdests = program.jumpdests
+    rows = program.unfused
+    if rows is None:
+        rows = program.unfused = _unfused_rows(program.code)
+    tracer = evm.tracer
+    msg = frame.msg
+    gas = frame.gas
+    items = frame.stack._items
+    shadow = frame.shadow  # producer step of each stack word, same length
+    code_len = program.code_len
+    pc = frame.pc
+    while pc < code_len:
+        e, ins, extra = rows[pc]
+        handler = e[0]
+        op = ins.op
+        pops = op.pops
+        is_dup = handler is _h_dup
+        is_swap = handler is _h_swap
+        # The call family (CALL, CALLCODE, DELEGATECALL, STATICCALL,
+        # CREATE, CREATE2): its step goes in ahead of the callee's.
+        is_call = handler is _h_call or handler is _h_create
+        step = None
+        if len(items) >= pops:  # short of operands the handler refuses
+            if is_dup:  # reads the n-th word
+                operands, producers = (items[-pops],), (shadow[-pops],)
+            elif is_swap:  # reads the top and the word n below it
+                operands = (items[-1], items[-pops])
+                producers = (shadow[-1], shadow[-pops])
+            elif pops:
+                operands = tuple(items[:-pops - 1:-1])  # stack top first
+                producers = tuple(shadow[:-pops - 1:-1])
+            else:
+                operands = producers = ()
+            step = TraceStep(
+                index=tracer.next_index, pc=pc, op=op,
+                immediate=ins.immediate, gas_cost=0, depth=msg.depth,
+                code_address=msg.code_address, operands=operands,
+                producers=producers,
+                extra=extra(operands, msg) if extra else {},
+            )
+            if is_call:
+                tracer.record(step)
+        before = gas.consumed
+        try:
+            next_pc = handler(evm, frame, e)
+        except (_Halt, Revert, InvalidJump, StackOverflow) as stop:
+            step.gas_cost = gas.consumed - before
+            if isinstance(stop, StackOverflow):
+                # The word never reached the stack: read it off the entry.
+                if is_dup:
+                    step.results = operands
+                elif handler is _h_env0:
+                    step.results = (e[2](evm, frame) & WORD_MASK,)
+                else:
+                    step.results = (e[2],)
+            tracer.record(step)
+            if isinstance(stop, _Halt):
+                break
+            raise
+        except ExceptionalHalt:
+            if is_call and step is not None:
+                tracer.withdraw(step)
+            raise
+        step.gas_cost = gas.consumed - before
+        if is_dup:
+            step.results = operands
+            shadow.append(step.index)
+        elif is_swap:
+            shadow[-1], shadow[-pops] = producers[1], producers[0]
+        else:
+            if pops:
+                del shadow[-pops:]
+            if op.pushes:
+                shadow.append(step.index)
+                # A call's results stay (): the word it pushed is its
+                # callee's verdict, with the call step as its producer.
+                if not is_call:
+                    step.results = (items[-1],)
+        if not is_call:
+            tracer.record(step)
+        pc = next_pc
+    frame.pc = pc
+    frame.halted = True
 
 
 # ---------------------------------------------------------------------------

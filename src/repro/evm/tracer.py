@@ -12,7 +12,10 @@ paper's accelerator does with *how* code executed:
 Each executed instruction becomes a :class:`TraceStep` that records, for
 every popped operand, the index of the trace step that *produced* it (via
 a shadow stack maintained alongside the real operand stack). PUSH
-immediates and fixed-access results are the provenance roots.
+immediates and fixed-access results are the provenance roots. Steps are
+built by :func:`repro.evm.decoded.run_observed`, which watches the one
+set of instruction handlers from outside; its docstring has the rule for
+which instructions leave a step.
 """
 
 from __future__ import annotations
@@ -33,14 +36,21 @@ class TraceStep:
     pc: int
     op: OpcodeInfo
     immediate: int | None  # PUSH immediate value
+    #: The frame's gas meter after the instruction minus before it. For a
+    #: call-family instruction that includes the forwarded gas that did not
+    #: come back (so a value call that returns its stipend reads lower than
+    #: its static charge).
     gas_cost: int
     depth: int  # call depth of the frame
     code_address: int  # contract whose bytecode is executing
     operands: tuple[int, ...] = ()  # popped values, stack-top first
     producers: tuple[int, ...] = ()  # trace index producing each operand
-    results: tuple[int, ...] = ()  # pushed values
-    #: Op-specific details: storage key/address for SLOAD/SSTORE, call
-    #: target for CALL-family, memory ranges for copies, etc.
+    #: Pushed values; () on a call-family step, whose pushed word is the
+    #: callee's verdict (consumers name the call step as its producer).
+    results: tuple[int, ...] = ()
+    #: The op-specific details a consumer reads: ``address`` + ``slot`` on
+    #: SLOAD/SSTORE, ``address`` on BALANCE/EXTCODE*, ``length`` on SHA3,
+    #: ``target`` on the four calls, ``target`` + ``taken`` on JUMP/JUMPI.
     extra: dict = field(default_factory=dict)
 
     @property
@@ -90,14 +100,21 @@ class Tracer:
         record.end_index = self.next_index
         record.success = success
 
+    def withdraw(self, step: TraceStep) -> None:
+        """Take back *step*: a call recorded ahead of its callee, then
+        refused before the callee started."""
+        del self.steps[step.index:]
+
     # -- convenience queries --------------------------------------------------
     def instruction_count(self) -> int:
         """Number of executed instructions."""
         return len(self.steps)
 
     def gas_total(self) -> int:
-        """Sum of per-instruction gas charges in the trace."""
-        return sum(step.gas_cost for step in self.steps)
+        """Gas the traced execution consumed: the charges of the outermost
+        (depth-0) frames' steps. A callee's steps are not added again —
+        what it burned is already in its caller's call step."""
+        return sum(step.gas_cost for step in self.steps if step.depth == 0)
 
     def category_histogram(self) -> dict[str, int]:
         """Instruction count per functional-unit category (paper Table 6)."""

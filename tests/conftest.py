@@ -30,6 +30,7 @@ from repro.chain import Transaction, WorldState  # noqa: E402
 from repro.contracts import build_deployment  # noqa: E402
 from repro.contracts.asm import assemble  # noqa: E402
 from repro.evm import EVM, Tracer  # noqa: E402
+from repro.storage.codec import state_digest_bytes  # noqa: E402
 
 ALICE = 0xA11CE
 BOB = 0xB0B
@@ -63,13 +64,21 @@ def state():
 def run_code(state, source: str, data: bytes = b"", value: int = 0,
              sender: int = ALICE, address: int = CONTRACT,
              gas_limit: int = 5_000_000):
-    """Assemble, deploy and execute a program; return (receipt, tracer)."""
+    """Assemble, deploy and execute a program; return (receipt, tracer).
+
+    The program runs twice — observed on *state*, and trace-free (the
+    fused loop that serves requests) on a copy — and both must leave the
+    same receipt and state, so every expected value a caller asserts on
+    the returned receipt holds for both loops.
+    """
     state.set_code(address, assemble(source))
+    untraced_state = state.copy()
     tracer = Tracer()
-    evm = EVM(state, tracer=tracer)
     tx = Transaction(sender=sender, to=address, data=data, value=value,
                      gas_limit=gas_limit)
-    receipt = evm.execute_transaction(tx)
+    receipt = EVM(state, tracer=tracer).execute_transaction(tx)
+    assert EVM(untraced_state).execute_transaction(tx) == receipt
+    assert state_digest_bytes(untraced_state) == state_digest_bytes(state)
     return receipt, tracer
 
 

@@ -4,7 +4,7 @@ references (including hypothesis comparisons on 256-bit corner values)."""
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.evm.interpreter import _ARITH_FN, _LOGIC_FN, _to_signed
+from repro.evm.alu import _ARITH_FN, _LOGIC_FN, _to_signed
 
 WORD = (1 << 256) - 1
 words = st.integers(min_value=0, max_value=WORD)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.chain import Transaction, WorldState
 from repro.contracts.asm import assemble
-from repro.evm import EVM, opcodes
+from repro.evm import EVM, Tracer, opcodes
 from repro.evm.code import (
     clear_jumpdest_cache,
     jumpdest_cache_stats,
@@ -47,8 +47,8 @@ def _fresh_state():
     return state
 
 
-def _run_tx(state, address=CONTRACT, fast_path=None, data=b""):
-    evm = EVM(state, fast_path=fast_path)
+def _run_tx(state, address=CONTRACT, tracer=None, data=b""):
+    evm = EVM(state, tracer=tracer)
     tx = Transaction(sender=ALICE, to=address, data=data,
                      gas_limit=5_000_000)
     return evm.execute_transaction(tx)
@@ -225,13 +225,13 @@ class TestCacheCoherence:
         code = assemble(source)
         state.set_code(CONTRACT, code)
         data = (41).to_bytes(32, "big")
-        legacy = _run_tx(state, fast_path=False, data=data)
+        unfused = _run_tx(state, tracer=Tracer(), data=data)
         base = _run_tx(state, data=data)
         DECODE_CACHE.specialize(code, {0})
         specialized = _run_tx(state, data=data)
-        assert base.output == legacy.output
-        assert specialized.output == legacy.output
-        assert specialized.gas_used == legacy.gas_used
+        assert base.output == unfused.output
+        assert specialized.output == unfused.output
+        assert specialized.gas_used == unfused.gas_used
 
 
 class TestMetrics:
@@ -251,8 +251,6 @@ class TestMetrics:
         assert flat["evm.fused_instructions"] >= 1
 
     def test_traced_path_never_counts_fast_txs(self):
-        from repro.evm import Tracer
-
         state = _fresh_state()
         state.set_code(CONTRACT, assemble("STOP"))
         with use_registry() as registry:

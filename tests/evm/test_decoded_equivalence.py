@@ -1,18 +1,30 @@
-"""Differential harness: decoded fast path ≡ legacy traced path, bit for bit.
+"""Differential harness: the fused trace-free loop ≡ the observed loop,
+bit for bit.
 
-The fast path (`repro.evm.decoded`) is only admissible because it is
-observationally identical to the reference interpreter: same receipts
-(including the *exception class name* in ``error``), same gas, same
-logs, same post-state digest. This suite proves it three ways:
+Both loops of :mod:`repro.evm.decoded` dispatch the same ``_h_*``
+handlers, so an opcode's pop order, gas rule and effect cannot differ
+between them. What can differ, and what this suite holds to *same
+receipts (including the exception class name in ``error``), same gas,
+same logs, same post-state digest*, is everything around the handlers:
+
+* **fusion is sound** — the trace-free loop runs superinstructions and
+  folded constant chains, the observed loop one plain entry per
+  instruction; a fused handler that staged a charge or a depth check out
+  of per-instruction order would fail some limit of the sweeps below;
+* **observation does not perturb** — reading operands, producers,
+  results and the gas meter around each handler leaves the execution
+  alone.
+
+It checks that three ways:
 
 * hypothesis-generated workload blocks (dependency chains, varied seeds)
-  executed by both paths;
+  executed by both loops;
 * crafted edge-case programs — revert, OOG at every gas limit up to the
   success threshold (which probes failure *inside* fused patterns),
   invalid jumps, call-depth recursion, static-context violations,
   CREATE/CREATE2/SELFDESTRUCT, stack depth at the 1024 boundary;
 * MTPU replay under PU-fault injection: the committed receipts of a
-  faulted spatio-temporal run still match the fast sequential path.
+  faulted spatio-temporal run still match the trace-free sequential run.
 """
 
 from __future__ import annotations
@@ -37,39 +49,38 @@ CONTRACT = 0xC0DE
 
 
 def _both_paths(state, txs, block=None):
-    """Execute *txs* on copies of *state* via both paths.
+    """Execute *txs* on copies of *state* through both loops.
 
-    Returns ``(fast_receipts, legacy_receipts, fast_digest, legacy_digest)``.
-    The legacy run attaches a full :class:`Tracer` — the exact
-    configuration discovery/timing/profiling use — so this also proves
-    the fast path against the *traced* interpreter, not merely the
-    legacy loop.
+    Returns ``(fast_receipts, observed_receipts, fast_digest,
+    observed_digest)``. The observed run attaches a full
+    :class:`Tracer` — the exact configuration discovery/timing/profiling
+    use.
     """
     results = []
-    for mode in ("fast", "legacy"):
+    for mode in ("fast", "observed"):
         world = state.copy()
         if mode == "fast":
             evm = EVM(world, block=block)
-            assert evm._fast, "NullTracer run must engage the fast path"
+            assert evm._fast, "NullTracer run must take the trace-free loop"
         else:
             evm = EVM(world, block=block, tracer=Tracer())
             assert not evm._fast
         receipts = [evm.execute_transaction(tx) for tx in txs]
         results.append((receipts, state_digest_bytes(world)))
-    (fast, fast_digest), (legacy, legacy_digest) = results
-    return fast, legacy, fast_digest, legacy_digest
+    (fast, fast_digest), (observed, observed_digest) = results
+    return fast, observed, fast_digest, observed_digest
 
 
 def _assert_identical(state, txs, block=None):
-    fast, legacy, fast_digest, legacy_digest = _both_paths(
+    fast, observed, fast_digest, observed_digest = _both_paths(
         state, txs, block=block
     )
-    for fast_receipt, legacy_receipt in zip(fast, legacy):
-        assert fast_receipt == legacy_receipt
-        assert fast_receipt.gas_used == legacy_receipt.gas_used
-        assert fast_receipt.error == legacy_receipt.error
-        assert fast_receipt.logs == legacy_receipt.logs
-    assert fast_digest == legacy_digest
+    for fast_receipt, observed_receipt in zip(fast, observed):
+        assert fast_receipt == observed_receipt
+        assert fast_receipt.gas_used == observed_receipt.gas_used
+        assert fast_receipt.error == observed_receipt.error
+        assert fast_receipt.logs == observed_receipt.logs
+    assert fast_digest == observed_digest
 
 
 # ---------------------------------------------------------------------------

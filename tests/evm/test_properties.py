@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.chain import Transaction, WorldState
 from repro.contracts.asm import assemble
 from repro.evm import EVM, abi
-from repro.evm.interpreter import _ARITH_FN, _LOGIC_FN
+from repro.evm.alu import _ARITH_FN, _LOGIC_FN
 
 ALICE = 0xA1
 CONTRACT = 0xC0
