@@ -16,6 +16,8 @@ from .transaction import Transaction
 
 #: Number of recent block hashes reachable by BLOCKHASH (paper Table 4).
 BLOCKHASH_WINDOW = 256
+#: ``parent_hash`` of the first block.
+GENESIS_PARENT = b"\x00" * 32
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,7 @@ class BlockHeader:
     coinbase: int
     difficulty: int
     gas_limit: int
-    parent_hash: bytes = b"\x00" * 32
+    parent_hash: bytes = GENESIS_PARENT
     #: Merkle root of the post-block world state (see repro.trie);
     #: empty until :meth:`~repro.chain.node.Node.seal_state_root` seals
     #: the header at commit.
@@ -74,8 +76,8 @@ class BlockHeader:
         Headers are frozen, and sealing goes through
         ``dataclasses.replace`` — a new object with no cached hash — so
         the keccak is computed once per header however many later blocks
-        ask for it (``recent_hashes``, ``parent_hash``, BLOCKHASH, the
-        receipt and streamer indexes).
+        ask for it (``parent_hash``, BLOCKHASH, the receipt and streamer
+        indexes).
         """
         cached = self.__dict__.get("_hash")
         if cached is None:
@@ -93,9 +95,6 @@ class Block:
     #: Dependency edges as (i, j) index pairs: transaction j depends on the
     #: execution result of transaction i (i must commit before j starts).
     dag_edges: list[tuple[int, int]] = field(default_factory=list)
-    #: Hashes of up to the previous 256 blocks, most recent first
-    #: (services the BLOCKHASH instruction).
-    recent_hashes: list[bytes] = field(default_factory=list)
     #: Consensus-stage pre-execution artifacts, one per transaction
     #: (:class:`~repro.chain.journal.ExecutionArtifact`). Node-local —
     #: never serialized, set only by ``Node.propose_block``; the
@@ -147,12 +146,3 @@ class Block:
 
     def hash(self) -> bytes:
         return self.header.hash()
-
-    def blockhash(self, height: int) -> int:
-        """BLOCKHASH semantics: hash of one of the 256 most recent blocks."""
-        distance = self.header.height - height
-        if distance < 1 or distance > BLOCKHASH_WINDOW:
-            return 0
-        if distance - 1 < len(self.recent_hashes):
-            return int.from_bytes(self.recent_hashes[distance - 1], "big")
-        return 0

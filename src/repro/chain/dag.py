@@ -58,7 +58,7 @@ def discover_access_sets(
     the caller keeps ``transactions[:len(result)]``. A block so filled
     uses at most *gas_target* unless it is a single transaction, and the
     first transaction left out would not have fit. Without a target
-    (validators, ``rebuild_dag``, traced passes) every transaction runs.
+    (validators, followers, traced passes) every transaction runs.
     """
     from ..evm.context import BlockContext  # local imports avoid a cycle
     from ..evm.gas import DEFAULT_SCHEDULE
@@ -295,22 +295,19 @@ def verify_dag(
     return result
 
 
-def rebuild_dag(
+def checked_dag(
     transactions: list[Transaction],
-    state: WorldState,
-    block_context=None,
-) -> tuple[list[tuple[int, int]], list[ExecutionArtifact]]:
-    """Locally re-derive a block's dependency DAG (untrusted-DAG path).
-
-    Returns the transitively-reduced edges plus the execution artifacts
-    so the caller can reuse them (verification bookkeeping, and the
-    execute-once pipeline's replay path).
-    """
-    artifacts = discover_access_sets(transactions, state, block_context)
-    edges = transitive_reduction(
-        len(transactions), build_dag_edges(transactions, artifacts)
-    )
-    return edges, artifacts
+    edges: list[tuple[int, int]],
+    access_sets: list,
+) -> tuple[list[tuple[int, int]], DagVerification]:
+    """The untrusted-DAG path: *edges* as shipped when they pass
+    :func:`verify_dag` against what the locally discovered *access_sets*
+    require, else the reduced DAG rebuilt from those — and the verdict."""
+    required = set(build_dag_edges(transactions, access_sets))
+    verdict = verify_dag(len(transactions), edges, required)
+    if not verdict.ok:
+        edges = transitive_reduction(len(transactions), sorted(required))
+    return edges, verdict
 
 
 def to_networkx(count: int, edges: list[tuple[int, int]]):

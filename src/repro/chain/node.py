@@ -4,7 +4,9 @@
 * **Consensus** — the elected node packages transactions (plus the
   dependency DAG and execution results) into a block.
 * **Execution** — every node executes the block's transactions against its
-  local state and verifies the results.
+  local state and verifies the results: :meth:`Node.execute_block`, for
+  the proposer and for whoever follows it (validator, replica, recovery),
+  in the context the block's header declares.
 
 The :class:`StageClock` models the timing structure the hotspot optimizer
 exploits: execution occupies only a slice of each block interval, leaving
@@ -23,8 +25,13 @@ from ..evm.decoded import warm_code
 from ..evm.interpreter import EVM
 from ..obs import get_registry
 from ..trie import StateRootMismatchError, StateTrie, build_witness
-from .block import BLOCKHASH_WINDOW, Block, BlockHeader
-from .dag import build_dag_edges, discover_access_sets, transitive_reduction
+from .block import BLOCKHASH_WINDOW, GENESIS_PARENT, Block, BlockHeader
+from .dag import (
+    build_dag_edges,
+    checked_dag,
+    discover_access_sets,
+    transitive_reduction,
+)
 from .journal import replay_in_order
 from .mempool import DuplicateTransactionError, Mempool
 from .receipt import Receipt, receipts_root
@@ -32,26 +39,31 @@ from .state import WorldState
 from .transaction import Transaction
 
 
+class ReceiptsRootMismatchError(RuntimeError):
+    """A block's receipts do not hash to the root claimed for them."""
+
+    def __init__(self, height: int, claimed: bytes, actual: bytes) -> None:
+        super().__init__(
+            f"block {height}: receipts root mismatch: claimed "
+            f"{claimed.hex()[:16]}…, computed {actual.hex()[:16]}…"
+        )
+        self.claimed = claimed
+        self.actual = actual
+
+
 @dataclass
 class BlockVerification:
     """Outcome of :meth:`Node.verify_block` (truthiness = verified)."""
 
     ok: bool
+    #: The pair that disagreed — receipts roots, or a sealed
+    #: ``state_root`` and the local one: *detail* says which.
     claimed_root: bytes
     actual_root: bytes
+    detail: str = "receipts root matches"
 
     def __bool__(self) -> bool:
         return self.ok
-
-    @property
-    def detail(self) -> str:
-        if self.ok:
-            return "receipts root matches"
-        return (
-            f"receipts root mismatch: claimed "
-            f"{self.claimed_root.hex()[:16]}…, computed "
-            f"{self.actual_root.hex()[:16]}…"
-        )
 
 
 @dataclass
@@ -99,6 +111,10 @@ class Node:
         self.clock = clock or StageClock()
         self.coinbase = coinbase
         self.chain: list[Block] = []
+        #: height -> hash of the blocks below ``chain[0]``, shipped by a
+        #: snapshot resync instead of replayed: with ``chain`` where it
+        #: reaches, the BLOCKHASH window (:meth:`block_hash`).
+        self.ancestor_hashes: dict[int, bytes] = {}
         self.receipts: dict[bytes, list[Receipt]] = {}
         #: The block :meth:`propose_block` built last. Its artifacts were
         #: discovered here, under this node's context (coinbase, clock,
@@ -172,28 +188,48 @@ class Node:
             return False
 
     # -- consensus stage -------------------------------------------------------
-    def block_context(self, height: int | None = None) -> BlockContext:
-        """Environment for executing the next block."""
-        if height is None:
-            height = len(self.chain) + 1
-        # Only the BLOCKHASH window is reachable, and a header is hashed
-        # only when a BLOCKHASH actually asks for it — the per-block
-        # cost does not grow with the chain.
-        window = self.chain[-BLOCKHASH_WINDOW:]
+    def block_context(
+        self, header: BlockHeader | int | None = None
+    ) -> BlockContext:
+        """Environment a block executes in: its *header*'s, whoever
+        sealed it, plus this node's BLOCKHASH window. A height (default:
+        the next) stands for the header this node would propose there."""
+        if not isinstance(header, BlockHeader):
+            header = self._proposal_header(header)
+        height = header.height
 
-        def blockhash_fn(query_height: int, _window=window,
-                         _height=height) -> int:
-            distance = _height - query_height
-            if 1 <= distance <= len(_window):
-                return int.from_bytes(_window[-distance].hash(), "big")
+        def ancestor(query_height: int) -> int:
+            # Only the window is reachable, and a header is hashed only
+            # when a BLOCKHASH actually asks for it — the per-block cost
+            # does not grow with the chain.
+            if 1 <= height - query_height <= BLOCKHASH_WINDOW:
+                found = self.block_hash(query_height) or b""
+                return int.from_bytes(found, "big")
             return 0
 
-        return BlockContext(
+        return BlockContext.of_header(header, ancestor)
+
+    def block_hash(self, height: int) -> bytes | None:
+        """Hash of block *height* where this node holds it: on its
+        chain, or among the ancestors a snapshot resync shipped."""
+        chain = self.chain
+        index = height - chain[0].header.height if chain else -1
+        if 0 <= index < len(chain):
+            return chain[index].hash()
+        return self.ancestor_hashes.get(height)
+
+    def _proposal_header(self, height: int | None = None) -> BlockHeader:
+        """The unsealed header this node proposes at *height*: the
+        proposer's policy — its clock, its coinbase — stated once."""
+        if height is None:
+            height = len(self.chain) + 1
+        return BlockHeader(
             height=height,
             timestamp=1_600_000_000 + height * int(self.clock.block_interval),
             coinbase=self.coinbase,
             difficulty=1,
-            blockhash_fn=blockhash_fn,
+            gas_limit=BlockContext.gas_limit,
+            parent_hash=self.block_hash(height - 1) or GENESIS_PARENT,
         )
 
     def propose_block(
@@ -264,8 +300,8 @@ class Node:
                 max_transactions,
                 gas_target=None if preexecutes else gas_target,
             )
-        height = len(self.chain) + 1
-        context = self.block_context(height)
+        header = self._proposal_header()
+        context = self.block_context(header)
         registry = get_registry()
         if not preexecutes:
             artifacts, edges = None, []
@@ -284,23 +320,10 @@ class Node:
                 registry.histogram("block.gas_used").observe(
                     sum(artifact.receipt.gas_used for artifact in artifacts)
                 )
-        parent_hash = self.chain[-1].hash() if self.chain else b"\x00" * 32
-        header = BlockHeader(
-            height=height,
-            timestamp=context.timestamp,
-            coinbase=self.coinbase,
-            difficulty=1,
-            gas_limit=context.gas_limit,
-            parent_hash=parent_hash,
-        )
-        recent = [
-            b.hash() for b in reversed(self.chain[-BLOCKHASH_WINDOW:])
-        ]
         block = Block(
             header=header,
             transactions=txs,
             dag_edges=edges,
-            recent_hashes=recent,
             artifacts=artifacts,
         )
         if packed is not None:
@@ -320,15 +343,21 @@ class Node:
         executor: str = "sequential",
         num_workers: int = 4,
         fault_injector=None,
+        claimed_receipts_root: bytes | None = None,
     ) -> list[Receipt]:
-        """Execute a block's transactions and append it: the one place
-        an engine (:data:`ENGINES`, by name) is chosen, run and
-        committed. Every engine leaves receipts and state bit-identical
-        to the default, the paper's sequential baseline (Fig. 1);
-        *num_workers* sizes those that have workers, *fault_injector*
-        strikes the ``mtpu`` engine's PUs. An engine that raises leaves
-        the state part-executed and nothing committed: a caller that
-        means to survive it takes a snapshot first (the serve loop does).
+        """Execute a block's transactions and append it: the one way any
+        node applies any block — its own proposal or one somebody else
+        sealed (the context is the header's) — and the one place an
+        engine (:data:`ENGINES`, by name) is chosen, run and committed.
+        Every engine leaves receipts and state bit-identical to the
+        default, the paper's sequential baseline (Fig. 1); *num_workers*
+        sizes those that have workers, *fault_injector* strikes the
+        ``mtpu`` engine's PUs.
+
+        If this raises — the engine died, the receipts do not hash to
+        *claimed_receipts_root*, a sealed ``state_root`` does not
+        reproduce, the witness build or the store's append failed — the
+        node is exactly where the block found it (:meth:`rollback_block`).
 
         Execute-once, on the default engine: the block this node itself
         just proposed carries its consensus-stage pre-execution on
@@ -345,10 +374,20 @@ class Node:
         """
         engine = _engine(executor)
         token = self.state.snapshot()
-        context = self.block_context(block.header.height)
-        receipts = engine.run(
-            self, block, context, num_workers, fault_injector
-        )
+        try:
+            context = self.block_context(block.header)
+            receipts = engine.run(
+                self, block, context, num_workers, fault_injector
+            )
+            if claimed_receipts_root is not None:
+                actual = receipts_root(receipts)
+                if actual != claimed_receipts_root:
+                    raise ReceiptsRootMismatchError(
+                        block.header.height, claimed_receipts_root, actual
+                    )
+        except Exception:
+            self.rollback_block(token)
+            raise
         self.commit_block(block, receipts, token)
         return receipts
 
@@ -370,32 +409,27 @@ class Node:
         header is sealed with the post-block root, so the WAL record and
         the chain both carry the sealed header.
 
-        A refused append (:class:`~repro.storage.AppendFailedError`: the
-        log is where it was) commits nothing: the state goes back to
-        *token*, the header is unsealed, the trie rebuilt, and the error
-        re-raised with chain, receipts and mempool never touched. It is
-        no reason to execute the block again — it did not fail to
-        execute.
+        Anything raised before the append is durable — a refused one
+        included (:class:`~repro.storage.AppendFailedError`: the log is
+        where it was) — commits nothing: the header handed in goes back
+        on the block, :meth:`rollback_block` does the rest, and chain,
+        receipts and mempool were never touched. It is no reason to
+        execute the block again — it did not fail to execute.
         """
-        witness = None
-        if self.trie is not None and self.emit_witness:
-            witness = build_witness(self.trie, self.state, block)
         unsealed = block.header
-        self.seal_state_root(block)
-        if self.store is not None:
-            # Imported here: repro.storage imports this module.
-            from ..storage.errors import AppendFailedError
-
-            try:
+        folded = False
+        try:
+            witness = None
+            if self.trie is not None and self.emit_witness:
+                witness = build_witness(self.trie, self.state, block)
+            folded = True
+            self.seal_state_root(block)
+            if self.store is not None:
                 self.store.append_block(block, self.state, witness=witness)
-            except AppendFailedError:
-                self.state.revert(token)
-                block.header = unsealed
-                if self.trie is not None:
-                    # trie.update drained the first-touch capture: only
-                    # a rebuild undoes it (O(state), fault-only path).
-                    self.attach_trie()
-                raise
+        except Exception:
+            block.header = unsealed
+            self.rollback_block(token, folded)
+            raise
         self.state.clear_journal()
         self.chain.append(block)
         if witness is not None:
@@ -417,6 +451,27 @@ class Node:
         # is attached) for future undeclared calls of the same shape.
         self.mempool.observe_block(block.artifacts)
 
+    def rollback_block(self, token: int, folded: bool = False) -> None:
+        """Put the node back where a block found it: the state at
+        *token*, the journal empty, the trie its mirror (nothing else
+        is written before the last thing that can fail).
+
+        Execution leaves the trie alone, so draining the first-touch
+        capture restores it. *folded*: the seal folded the block in and
+        drained the capture, and only a rebuild undoes that — O(state),
+        fault-only, and required: this node keeps answering proofs, and
+        one cut from the un-rolled-back trie would bind diverged
+        contents to a root no header sealed.
+        """
+        self.state.revert(token)
+        self.state.clear_journal()
+        if self.trie is None:
+            return
+        if folded:
+            self.attach_trie()
+        else:
+            self.trie.update(self.state)
+
     def seal_state_root(self, block: Block) -> None:
         """Fold the block's state effects into the trie and seal (or
         check) the header's ``state_root``.
@@ -435,9 +490,7 @@ class Node:
         if claimed:
             if claimed != root:
                 raise StateRootMismatchError(
-                    f"block {block.header.height} claims state root "
-                    f"{claimed.hex()[:16]}…, local trie computed "
-                    f"{root.hex()[:16]}…"
+                    block.header.height, claimed, root
                 )
         else:
             block.header = dataclasses.replace(
@@ -447,36 +500,22 @@ class Node:
     def verify_block(
         self, block: Block, claimed_root: bytes
     ) -> BlockVerification:
-        """Re-execute against a snapshot and compare the receipts digest.
+        """:meth:`execute_block` with a receipts-root claim: commits on
+        a match; on a mismatch of either root — receipts, or a sealed
+        ``state_root`` — *nothing* changes (a bogus claim must not
+        poison the node) and the verdict is falsy.
 
         Verification never replays ``block.artifacts``: every
         transaction runs through the EVM, whatever the block carries —
         checking a proposer's results by applying the proposer's own
         journals would check nothing.
-
-        On a match the block commits exactly as :meth:`execute_block`
-        does. On a mismatch *nothing* changes: world state is rolled
-        back to the snapshot, the block is not appended, no receipts are
-        stored and the mempool keeps its transactions — a bogus claimed
-        root must not poison the node. The returned
-        :class:`BlockVerification` is truthy iff verified and carries
-        the mismatch detail otherwise.
         """
-        context = self.block_context(block.header.height)
-        token = self.state.snapshot()
-        evm = EVM(self.state, block=context)
-        receipts = [evm.execute_transaction(tx) for tx in block.transactions]
-        actual = receipts_root(receipts)
-        if actual != claimed_root:
-            self.state.revert(token)
-            self.state.clear_journal()
-            return BlockVerification(
-                ok=False, claimed_root=claimed_root, actual_root=actual
-            )
-        self.commit_block(block, receipts, token)
-        return BlockVerification(
-            ok=True, claimed_root=claimed_root, actual_root=actual
-        )
+        self._proposed = None  # a block under verification is nobody's own
+        try:
+            self.execute_block(block, claimed_receipts_root=claimed_root)
+        except (ReceiptsRootMismatchError, StateRootMismatchError) as exc:
+            return BlockVerification(False, exc.claimed, exc.actual, str(exc))
+        return BlockVerification(True, claimed_root, claimed_root)
 
 
 # -- the engines ------------------------------------------------------------
@@ -494,11 +533,20 @@ class Engine(NamedTuple):
     preexecutes: bool = True
 
 
+def _own_artifacts(node, block):
+    """The pre-execution *block* carries, when it is this node's own
+    proposal and lines up with the block; None for every other block."""
+    artifacts = block.artifacts if block is node._proposed else None
+    if artifacts is None or len(artifacts) != len(block.transactions):
+        return None
+    return artifacts
+
+
 def _run_sequential(node, block, context, num_workers, fault_injector):
     execute = EVM(node.state, block=context).execute_transaction
     transactions = block.transactions
-    artifacts = block.artifacts if block is node._proposed else None
-    if artifacts is None or len(artifacts) != len(transactions):
+    artifacts = _own_artifacts(node, block)
+    if artifacts is None:
         return [execute(tx) for tx in transactions]
     receipts, replayed = replay_in_order(
         node.state, transactions, artifacts, lambda _, tx: execute(tx)
@@ -537,11 +585,18 @@ def _run_mtpu(node, block, context, num_workers, fault_injector):
 def _run_parallel(node, block, context, num_workers, fault_injector):
     from ..parallel import ParallelBlockExecutor
 
+    transactions, edges = block.transactions, block.dag_edges
+    artifacts = _own_artifacts(node, block)
+    if artifacts is None:
+        # Somebody else's block: this discovery is its one execution
+        # here (the engine validates against it and replays it), and
+        # the shipped DAG is checked against it and rebuilt on a lie.
+        artifacts = discover_access_sets(transactions, node.state, context)
+        edges, _ = checked_dag(transactions, edges, artifacts)
     return ParallelBlockExecutor(
         node.state, context, num_workers, backend="serial"
     ).execute_block(
-        block.transactions, block.dag_edges, block.artifacts or [],
-        artifacts=block.artifacts,
+        transactions, edges, artifacts, artifacts=artifacts
     ).receipts
 
 

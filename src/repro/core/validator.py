@@ -16,10 +16,11 @@ Wires every subsystem into the node lifecycle the paper describes:
 Unlike the paper's trusting pipeline, :meth:`AcceleratedValidator.validate`
 treats every block as adversarial: the embedded DAG is verified (and
 rebuilt locally on mismatch) before scheduling, the whole block runs
-against a journal snapshot so a failed verification commits nothing, a
-receipts-root mismatch degrades to sequential re-execution, and every
-fault seen / fallback taken is counted in a per-block
-:class:`~repro.faults.DegradationReport`.
+against a journal snapshot so a failed verification commits nothing
+(the node's rollback) and a verified one commits as any block does
+(``Node.commit_block``), a receipts-root mismatch degrades to
+sequential re-execution, and every fault seen / fallback taken is
+counted in a per-block :class:`~repro.faults.DegradationReport`.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..chain.block import Block
-from ..chain.dag import (
-    DagVerification,
-    build_dag_edges,
-    discover_access_sets,
-    transitive_reduction,
-    verify_dag,
-)
+from ..chain.dag import DagVerification, checked_dag, discover_access_sets
 from ..chain.mempool import AdmissionError
 from ..chain.node import Node, StageClock
 from ..chain.receipt import Receipt, receipts_root
@@ -236,7 +231,7 @@ class AcceleratedValidator:
         # transactions the node never heard (the paper's 2-9% tail) are
         # simply absent from the mempool and not pre-executed.
         self.optimizer.dissemination_cutoff = self.node.mempool.clock
-        context = self.node.block_context(block.header.height)
+        context = self.node.block_context(block.header)
         self.optimizer.block = context
 
         edges = block.dag_edges
@@ -253,17 +248,11 @@ class AcceleratedValidator:
                     trace=True,
                 )
                 artifacts = {a.tx.hash(): a for a in access}
-                required = set(
-                    build_dag_edges(block.transactions, access)
-                )
-                dag_verdict = verify_dag(
-                    len(block.transactions), block.dag_edges, required
+                edges, dag_verdict = checked_dag(
+                    block.transactions, block.dag_edges, access
                 )
                 if not dag_verdict.ok:
                     report.count("dag_faults_detected")
-                    edges = transitive_reduction(
-                        len(block.transactions), sorted(required)
-                    )
                     report.count("dag_rebuilds")
                 dag_span.set(ok=dag_verdict.ok)
 
@@ -323,27 +312,18 @@ class AcceleratedValidator:
                 else:
                     # Even sequential execution disagrees: the claimed
                     # root itself is bogus. Commit nothing.
-                    self.node.state.revert(token)
+                    self.node.rollback_block(token)
                     report.count("blocks_rejected")
                     committed = False
 
-        self.node.state.clear_journal()
         hotspots: list[int] = []
         if committed:
-            # Seal before append: the chain must hold the hash the
-            # sealed header commits to.
-            self.node.seal_state_root(block)
-            self.node.chain.append(block)
-            self.node.receipts[block.hash()] = receipts
-            self.node.mempool.remove(block.transactions)
+            # The node's one commit: witness, seal, WAL append when a
+            # store is attached, chain, receipts, mempool. A sealed root
+            # that does not reproduce raises out of it, rolled back.
+            self.node.commit_block(block, receipts, token)
             self.tracker.observe_block(block.transactions)
             hotspots = self.idle_slice()
-        elif self.node.trie is not None:
-            # Rejected block: state is rolled back, but the first-touch
-            # capture still lists what execution touched. Drain it now
-            # (values re-read from the restored state leave the root
-            # unchanged) so the buffer never carries across blocks.
-            self.node.trie.update(self.node.state)
         self.total_degradation.merge(report)
         perf: BlockPerfReport | None = None
         if registry.enabled:

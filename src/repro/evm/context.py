@@ -31,6 +31,20 @@ class BlockContext:
     #: BLOCKHASH service: maps height -> 256-bit hash value.
     blockhash_fn: Callable[[int], int] = _no_blockhash
 
+    @classmethod
+    def of_header(cls, header, blockhash_fn=_no_blockhash) -> "BlockContext":
+        """A block executes in the environment its header
+        (:class:`~repro.chain.block.BlockHeader`) declares, plus the
+        executing node's BLOCKHASH service."""
+        return cls(
+            height=header.height,
+            timestamp=header.timestamp,
+            coinbase=header.coinbase,
+            difficulty=header.difficulty,
+            gas_limit=header.gas_limit,
+            blockhash_fn=blockhash_fn,
+        )
+
 
 class CallKind:
     """Message-call flavors (paper Table 3, context-switching unit)."""

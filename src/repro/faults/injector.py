@@ -24,8 +24,9 @@ _MALFORMED_GAS_LIMIT = 100
 _HOSTILE_SENDER_BASE = 0xBAD0_0000_0000
 
 
-class SimulatedCrashError(RuntimeError):
-    """Raised at an armed crash point to model sudden process death."""
+class SimulatedCrashError(BaseException):
+    """Raised at an armed crash point to model sudden process death —
+    not an :class:`Exception`: no fallback or rollback runs after it."""
 
 
 class FaultInjector:

@@ -8,16 +8,16 @@ loop is a small, explicit state machine:
 * **CONNECT/HELLO** — dial the writer's stream port and claim the
   applied height and state root. The writer decides incremental
   stream vs snapshot resync from that claim.
-* **APPLY** — for each BLOCK message: re-execute the block's
-  transactions against local state (on a worker thread, under the
-  builder's state lock so concurrent reads stay consistent) and assert
-  the resulting trie root is bit-identical to the ``state_root`` the
-  writer sealed into the block's header — the same compare-or-stamp
-  check a commit runs. A match commits and feeds the serve layer
-  (getReceipt, newHeads subscribers); a mismatch raises
-  :class:`~repro.replication.errors.ReplicaDivergenceError` *after
-  rolling the block back* — diverged state is never committed and never
-  served.
+* **APPLY** — for each BLOCK message that links to the block below it:
+  ``Node.execute_block`` (on a worker thread, under the builder's state
+  lock so concurrent reads stay consistent) — the same call the writer
+  and recovery make, its context read from the block's header, its
+  compare-or-stamp check against the ``state_root`` the writer sealed.
+  A match commits and feeds the serve layer (getReceipt, newHeads
+  subscribers); a mismatch comes back *rolled back* and is re-raised as
+  :class:`~repro.replication.errors.ReplicaDivergenceError` — diverged
+  state is never committed and never served. The replica adds policy
+  only: the lock, the fault hook, the typed error, its height.
 * **BACKOFF** — any torn stream (connection error, timeout, protocol
   damage) reconnects with jittered exponential backoff. A divergence
   also reconnects, but with ``need_snapshot`` set: the only acceptable
@@ -34,10 +34,7 @@ import time
 from collections import deque
 
 from ..chain import rlp
-from ..chain.block import BLOCKHASH_WINDOW
-from ..evm.context import BlockContext
-from ..evm.decoded import warm_code, warm_state_codes
-from ..evm.interpreter import EVM
+from ..evm.decoded import warm_state_codes
 from ..obs import get_registry
 from ..storage import codec, snapshot
 from ..storage.errors import StorageError
@@ -93,11 +90,6 @@ class Replica:
         #: because a snapshot resync replaces state without replaying
         #: the blocks below the anchor.
         self.height = len(node.chain)
-        #: height -> block hash for the BLOCKHASH window, including the
-        #: pre-snapshot prefix a resync ships alongside the state.
-        self._hashes: dict[int, bytes] = {
-            block.header.height: block.hash() for block in node.chain
-        }
         self._need_snapshot = False
         self._stopping = False
         self._task: asyncio.Task | None = None
@@ -221,6 +213,13 @@ class Replica:
             raise StreamProtocolError(
                 f"stream gap: got block {height}, applied {self.height}"
             )
+        parent = self.node.block_hash(height - 1)
+        if parent is not None and block.header.parent_hash != parent:
+            # Somebody else's parent: applied, the block would sit on
+            # this chain under a hash the writer never sealed. Resync.
+            raise ReplicaDivergenceError(
+                height - 1, block.header.parent_hash, parent
+            )
         if self.mode == "witness":
             apply = self._apply_block_witness
         else:
@@ -244,80 +243,24 @@ class Replica:
             )
 
     # -- apply paths (worker thread, under the state lock) -----------------
-    def _context_for(self, block) -> BlockContext:
-        header = block.header
-        height = header.height
-        hashes = self._hashes
-
-        def blockhash_fn(query_height: int) -> int:
-            distance = height - query_height
-            if 1 <= distance <= BLOCKHASH_WINDOW:
-                value = hashes.get(query_height)
-                if value is not None:
-                    return int.from_bytes(value, "big")
-            return 0
-
-        return BlockContext(
-            height=height,
-            timestamp=header.timestamp,
-            coinbase=header.coinbase,
-            difficulty=header.difficulty,
-            gas_limit=header.gas_limit,
-            blockhash_fn=blockhash_fn,
-        )
-
     def _apply_block(self, record):
         block = record.block
         with self.builder.state_lock:
-            state = self.node.state
             height = block.header.height
             if self.fault_injector is not None:
-                self.fault_injector.corrupt_replica_state(state, height)
-            token = state.snapshot()
-            evm = EVM(state, block=self._context_for(block))
+                self.fault_injector.corrupt_replica_state(
+                    self.node.state, height
+                )
             try:
-                receipts = [
-                    evm.execute_transaction(tx)
-                    for tx in block.transactions
-                ]
-            except Exception:
-                state.revert(token)
-                state.clear_journal()
-                raise
-            try:
-                # Compare-or-stamp: the header the writer sealed must
-                # re-seal bit-identically from our replayed state.
-                self.node.seal_state_root(block)
-            except StateRootMismatchError:
-                actual = self.node.state_root
-                # Roll the block back *before* raising — in the state
-                # and, the mismatching update being already folded in,
-                # by rebuilding the trie over it. The rebuild is
-                # required, not tidiness: this replica keeps answering
-                # repro_getProof / stateRoot through the backoff until
-                # the snapshot resync lands, and a proof cut from the
-                # un-rolled-back trie would bind diverged contents to a
-                # root no header sealed. O(state) twice on this (fault-
-                # only) heal path is the price of never serving it.
-                state.revert(token)
-                state.clear_journal()
-                self.node.attach_trie()
+                # Compare-or-stamp inside: the header the writer sealed
+                # must re-seal bit-identically from our replayed state.
+                receipts = self.node.execute_block(block)
+            except StateRootMismatchError as exc:
+                # Rolled back already, state and trie: until the resync
+                # lands this replica answers from the last good root.
                 raise ReplicaDivergenceError(
-                    height, block.header.state_root, actual
+                    height, exc.claimed, exc.actual
                 ) from None
-            state.clear_journal()
-            self.node.chain.append(block)
-            self.node.receipts[block.hash()] = receipts
-            # Keep the replica's decoded-program cache warm for code the
-            # block deployed (mirrors Node.commit_block on the primary).
-            accounts = state._accounts
-            for receipt in receipts:
-                if receipt.success and receipt.contract_address is not None:
-                    account = accounts.get(receipt.contract_address)
-                    if account is not None and account.code:
-                        warm_code(account.code)
-            self._hashes[height] = block.hash()
-            self._hashes.pop(height - BLOCKHASH_WINDOW, None)
             self.height = height
             self.blocks_applied += 1
             return receipts
@@ -340,7 +283,7 @@ class Replica:
             result = self._validator.validate(
                 block,
                 record.witness,
-                context=self._context_for(block),
+                context=self.node.block_context(block.header),
                 pre_root=self._last_root,
             )
         except (WitnessError, StateRootMismatchError) as exc:
@@ -351,8 +294,6 @@ class Replica:
             self._last_root = result.post_root
             self.node.chain.append(block)
             self.node.receipts[block.hash()] = result.receipts
-            self._hashes[height] = block.hash()
-            self._hashes.pop(height - BLOCKHASH_WINDOW, None)
             self.height = height
             self.blocks_applied += 1
         return result.receipts
@@ -372,10 +313,11 @@ class Replica:
             # pre-decode them so post-resync blocks replay at full speed.
             warm_state_codes(state)
             self.node.chain = []
+            # The BLOCKHASH window below the anchor: shipped, not replayed.
+            self.node.ancestor_hashes = dict(recent)
             self.node.receipts = {}
             self.builder.committed.clear()
             self.builder._history.clear()
-            self._hashes = dict(recent)
             self.height = height
             # Re-anchor the witness-mode chain at the snapshot.
             self._last_root = root

@@ -381,32 +381,24 @@ class BlockBuilder:
                 registry.histogram("block.packed_parallelism").observe(
                     packed.parallelism
                 )
-        token = self.node.state.snapshot()
         try:
             receipts = self._execute(block)
         except AppendFailedError:
-            # The block executed; its commit was refused, and the node
-            # rolled itself back. Running it again would answer a full
-            # disk with a second execution.
+            # The block executed; its commit was refused. Running it
+            # again would answer a full disk with a second execution.
             raise
         except Exception:
-            # Degrade, never wedge: whatever the engine left behind is
-            # rolled back and the block re-executes sequentially — through
-            # the EVM, not from the artifacts the failed engine was
-            # working off.
-            self.node.state.revert(token)
+            # Degrade, never wedge: the node is back where the block
+            # found it (state, unsealed header, trie) and the block
+            # re-executes sequentially — through the EVM, not from the
+            # artifacts the failed engine was working off. If that dies
+            # too the node is back there again; the caller fails the futures.
             block.artifacts = None
             self.sequential_fallbacks += 1
             registry = get_registry()
             if registry.enabled:
                 registry.counter("serve.sequential_fallbacks").inc()
-            try:
-                receipts = self.node.execute_block(block)
-            except Exception:
-                # The fallback died too: leave state exactly as it was
-                # before the block; the caller fails the futures.
-                self.node.state.revert(token)
-                raise
+            receipts = self.node.execute_block(block)
         # The pre-execution dies with its block: commit_block has fed the
         # packing estimator, nothing downstream reads artifacts again,
         # and left on node.chain they are what every later full

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..chain import rlp
-from ..chain.block import Block
+from ..chain.block import GENESIS_PARENT, Block
 from ..chain.bloom import AccessBloom
 from ..chain.node import Node
 from ..core.hotspot.tracker import HotspotTracker
@@ -86,7 +86,7 @@ def _decode_chain(
     :class:`UnsupportedFormatError` propagates.
     """
     blocks: list[Block] = []
-    prev_hash = b"\x00" * 32
+    prev_hash = GENESIS_PARENT
     for index, payload in enumerate(records):
         try:
             block = codec.decode_wal_record(payload).block

@@ -29,5 +29,15 @@ class StateRootMismatchError(RuntimeError):
     The system's one divergence signal: raised by
     :meth:`repro.chain.node.Node.seal_state_root` when a header already
     carries a root (replication, recovery replay) that the local trie
-    update does not reproduce bit-identically.
+    update does not reproduce bit-identically. By the time a caller
+    catches it the node has rolled back: *actual* is only here.
     """
+
+    def __init__(self, height: int, claimed: bytes, actual: bytes) -> None:
+        super().__init__(
+            f"block {height} claims state root {claimed.hex()[:16]}…, "
+            f"local trie computed {actual.hex()[:16]}…"
+        )
+        self.height = height
+        self.claimed = claimed
+        self.actual = actual

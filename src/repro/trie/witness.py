@@ -327,18 +327,6 @@ def _storage_tree(slots) -> MerkleTree:
     return tree
 
 
-def _default_context(header) -> BlockContext:
-    # No chain, no BLOCKHASH ancestry: queries answer 0, exactly like a
-    # fresh node. Callers that track hashes pass their own context.
-    return BlockContext(
-        height=header.height,
-        timestamp=header.timestamp,
-        coinbase=header.coinbase,
-        difficulty=header.difficulty,
-        gas_limit=header.gas_limit,
-    )
-
-
 class StatelessValidator:
     """Re-execute blocks from witnesses alone — no resident state."""
 
@@ -360,9 +348,9 @@ class StatelessValidator:
         """
         witness = decode_witness(witness_blob)
         if pre_root is not None and witness.pre_root != pre_root:
+            # The witness does not extend the expected tip.
             raise StateRootMismatchError(
-                f"witness pre-root {witness.pre_root.hex()[:16]}… does "
-                f"not extend the expected tip {pre_root.hex()[:16]}…"
+                block.header.height - 1, pre_root, witness.pre_root
             )
         tree = MerkleTree.from_nodes(list(witness.nodes))
         if tree.root() != witness.pre_root:
@@ -399,7 +387,11 @@ class StatelessValidator:
                     f"witness claims {entry.address:#x} absent but the "
                     "pre-state tree has a leaf for it"
                 )
-        evm = EVM(state, block=context or _default_context(block.header))
+        # No context handed in: no BLOCKHASH ancestry, queries answer 0
+        # exactly like a fresh node.
+        evm = EVM(
+            state, block=context or BlockContext.of_header(block.header)
+        )
         receipts = [
             evm.execute_transaction(tx) for tx in block.transactions
         ]
@@ -433,9 +425,7 @@ class StatelessValidator:
         claimed = getattr(block.header, "state_root", b"")
         if claimed and claimed != post_root:
             raise StateRootMismatchError(
-                f"stateless re-execution of block {block.header.height} "
-                f"produced root {post_root.hex()[:16]}…, header claims "
-                f"{claimed.hex()[:16]}…"
+                block.header.height, claimed, post_root
             )
         return StatelessResult(
             pre_root=witness.pre_root,

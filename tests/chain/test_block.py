@@ -1,6 +1,8 @@
 """Blocks: serialization (with the embedded DAG) and BLOCKHASH service."""
 
 from repro.chain import Block, BlockHeader, Transaction
+from repro.chain.node import Node
+from tests.conftest import block_env_call, block_env_seen, block_env_state
 
 
 def make_block(height=1, txs=None, edges=None):
@@ -39,17 +41,26 @@ class TestSerialization:
 
 
 class TestBlockhash:
+    """A block carries no hash list of its own: BLOCKHASH is answered by
+    the window of the node executing it, asked here through the opcode
+    (the 256-deep edge: ``test_engine_matrix``'s long chain)."""
+
+    @staticmethod
+    def seen_at_height_10():
+        node = Node(state=block_env_state())
+        for _ in range(9):
+            node.execute_block(node.propose_block())
+        node.hear(block_env_call())
+        node.execute_block(node.propose_block())
+        return node, block_env_seen(node.state)
+
     def test_recent_hash_window(self):
-        parents = [bytes([i]) * 32 for i in range(5)]
-        block = make_block(height=10)
-        block.recent_hashes = parents
-        # height 9 is distance 1 -> parents[0]
-        assert block.blockhash(9) == int.from_bytes(parents[0], "big")
-        assert block.blockhash(6) == int.from_bytes(parents[3], "big")
+        node, seen = self.seen_at_height_10()
+        assert seen[2] == 10
+        # height 9 is distance 1
+        assert seen[4] == int.from_bytes(node.chain[8].hash(), "big") != 0
 
     def test_out_of_window_is_zero(self):
-        block = make_block(height=500)
-        block.recent_hashes = [b"\x01" * 32]
-        assert block.blockhash(500) == 0  # self
-        assert block.blockhash(600) == 0  # future
-        assert block.blockhash(1) == 0  # too old (and not stored)
+        _, seen = self.seen_at_height_10()
+        assert seen[7] == 0  # self
+        assert seen[5] == seen[6] == 0  # below genesis (10 - 256 wraps)

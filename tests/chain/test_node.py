@@ -5,6 +5,7 @@ import pytest
 from repro.chain.node import Node, StageClock
 from repro.chain.receipt import receipts_root
 from repro.workload import ActionLibrary
+from tests.conftest import block_env_call, block_env_seen, block_env_state
 
 import random
 
@@ -92,14 +93,14 @@ class TestConsensusAndExecution:
         self, monkeypatch
     ):
         """On a 1,000-block chain, BLOCKHASH hashes only the headers it
-        is asked for, a cold node hashes the 256-header window once, and
-        from then on a whole propose → execute → commit round costs at
-        most two header keccaks (the new header, unsealed and sealed) —
-        every older header answers from its cached hash."""
+        is asked for — a proposal hashes its parent and nothing else of
+        the window — and a whole propose → execute → commit round costs
+        at most two header keccaks (the new header, unsealed and
+        sealed): every older header answers from its cached hash."""
         import repro.chain.block as block_module
-        from repro.chain.block import BLOCKHASH_WINDOW, Block, BlockHeader
+        from repro.chain.block import Block, BlockHeader
 
-        node = Node()
+        node = Node(state=block_env_state())
         parent = b"\x00" * 32
         expected = {}
         for height in range(1, 1001):
@@ -132,22 +133,26 @@ class TestConsensusAndExecution:
         assert answers == {1: expected[1], 256: expected[256], 257: 0}
         assert context.blockhash_fn(1001) == 0  # not a parent
 
+        # The window through the opcode, as the block itself sees it.
         keccaks.clear()
+        node.hear(block_env_call())
         block = node.propose_block()
-        assert len(keccaks) == BLOCKHASH_WINDOW - 2  # the rest, once
-        assert len(block.recent_hashes) == BLOCKHASH_WINDOW
-        assert block.blockhash(1000) == expected[1]
-        assert block.blockhash(1001 - 256) == expected[256]
-        assert block.blockhash(1001 - 257) == 0
+        assert len(keccaks) <= 1  # the parent; no hash list is built
         node.execute_block(block)
+        assert block_env_seen(node.state)[2:] == [
+            1001, 30_000_000, expected[1], expected[256], 0, 0
+        ]
 
         keccaks.clear()
+        node.hear(block_env_call(nonce=1))
         block = node.propose_block()
         node.execute_block(block)
         assert len(node.chain) == 1002
         assert len(keccaks) <= 2
         assert block.header.parent_hash == node.chain[-2].hash()
-        assert block.blockhash(1000) == expected[1]
+        assert block_env_seen(node.state)[4:6] == [
+            int.from_bytes(node.chain[-2].hash(), "big"), expected[255]
+        ]
 
     def test_execution_is_deterministic_across_nodes(self, deployment):
         results = []

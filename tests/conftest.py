@@ -111,3 +111,53 @@ def refuse_next_append(store, site="append", half_written=False):
         raise error
 
     setattr(owner, name, refuse)
+
+
+def foreign_proposer(state):
+    """A proposer whose coinbase and clock are not a default node's: what
+    it seals, a follower reproduces only from the header."""
+    from repro.chain.node import Node, StageClock
+
+    return Node(
+        state=state, coinbase=0xBEEF, clock=StageClock(block_interval=7)
+    )
+
+
+#: A contract that writes down the block environment it ran in — what a
+#: node's context looks like from the inside, BLOCKHASH window included.
+BLOCK_ENV = 0xE27
+_BLOCK_ENV_SLOTS = (
+    "COINBASE", "TIMESTAMP", "NUMBER", "GASLIMIT",
+    "PUSH 1\nNUMBER\nSUB\nBLOCKHASH",     # BLOCKHASH(height - 1)
+    "PUSH 256\nNUMBER\nSUB\nBLOCKHASH",   # BLOCKHASH(height - 256)
+    "PUSH 257\nNUMBER\nSUB\nBLOCKHASH",   # one past the window: 0
+    "NUMBER\nBLOCKHASH",                  # not a parent: 0
+)
+
+
+def block_env_state():
+    """A small world holding the block-environment contract and ALICE."""
+    world = WorldState()
+    world.set_balance(ALICE, 10**21)
+    world.set_code(BLOCK_ENV, assemble("\n".join(
+        f"{read}\nPUSH {slot}\nSSTORE"
+        for slot, read in enumerate(_BLOCK_ENV_SLOTS)
+    ) + "\nSTOP"))
+    world.clear_journal()
+    return world
+
+
+def block_env_call(nonce: int = 0):
+    return Transaction(
+        sender=ALICE, to=BLOCK_ENV, nonce=nonce, gas_limit=500_000
+    )
+
+
+def block_env_seen(state) -> list:
+    """[coinbase, timestamp, number, gas limit, BLOCKHASH(height - 1),
+    BLOCKHASH(height - 256), BLOCKHASH(height - 257), BLOCKHASH(height)]
+    as the contract's last call stored them."""
+    return [
+        state.get_storage(BLOCK_ENV, slot)
+        for slot in range(len(_BLOCK_ENV_SLOTS))
+    ]

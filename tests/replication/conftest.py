@@ -31,6 +31,18 @@ def fast_replication(**overrides) -> ReplicationConfig:
     return ReplicationConfig(**defaults)
 
 
+def offline_replica(node) -> Replica:
+    """A replica that never dials: for driving its apply paths by hand."""
+    from repro.serve.batcher import BlockBuilder
+
+    return Replica(
+        node=node,
+        builder=BlockBuilder(node, ServeConfig(port=0, role="replica")),
+        writer_host="127.0.0.1",
+        writer_stream_port=1,
+    )
+
+
 async def start_writer(
     deployment, tmp_path, fault_injector=None, **overrides
 ) -> RpcServer:

@@ -15,6 +15,7 @@ from repro.storage import codec
 from .conftest import (
     digest_of,
     eventually,
+    offline_replica,
     send_transfers,
     start_replica,
     start_writer,
@@ -371,3 +372,47 @@ def test_apply_block_rolls_back_on_divergence(deployment):
     assert (
         codec.state_digest_bytes(replica_node.state) == good_digest
     )
+
+
+def test_a_block_that_does_not_link_is_refused_before_execution(deployment):
+    """Right height, honest root, somebody else's parent: nothing in the
+    post-state depends on ``parent_hash``, so only the linkage check
+    keeps it off the chain under a hash the writer never sealed."""
+    import dataclasses
+    import time
+
+    from repro.serve.loadgen import make_transactions
+
+    writer_node = Node(state=deployment.state.copy())
+    txs = make_transactions(deployment, 8, seed=9)
+    for cut in (txs[:4], txs[4:]):
+        for tx in cut:
+            writer_node.hear(tx)
+        writer_node.execute_block(writer_node.propose_block())
+    first, second = writer_node.chain
+    foreign = dataclasses.replace(
+        second,
+        header=dataclasses.replace(second.header, parent_hash=b"\x07" * 32),
+    )
+    assert foreign.header.state_root == second.header.state_root
+
+    replica_node = Node(state=deployment.state.copy())
+    replica = offline_replica(replica_node)
+
+    async def handle(block):
+        await replica._handle_block(asyncio.get_running_loop(), (
+            int(time.time() * 1e6), 2, codec.encode_wal_payload(block),
+        ))
+
+    asyncio.run(handle(first))
+    before = codec.state_digest_bytes(replica_node.state)
+    with pytest.raises(ReplicaDivergenceError) as err:
+        asyncio.run(handle(foreign))
+    assert err.value.height == 1 and err.value.actual == first.hash()
+    assert codec.state_digest_bytes(replica_node.state) == before
+    assert [b.hash() for b in replica_node.chain] == [first.hash()]
+    assert replica.height == 1 and replica.blocks_applied == 1
+
+    asyncio.run(handle(second))
+    assert replica_node.chain[-1].hash() == second.hash()
+    assert replica_node.state_root == writer_node.state_root

@@ -273,28 +273,32 @@ def test_executor_failure_degrades_to_sequential(deployment):
     assert all(c.receipt.success for c in committed)
 
 
-def test_fallback_state_matches_clean_sequential(deployment):
+def test_fallback_state_matches_clean_sequential(deployment, monkeypatch):
+    from repro.chain.node import ENGINES, Engine
+
     txs = make_transactions(deployment, 4)
+    real = ENGINES["sequential"].run
 
     async def run(sabotage: bool):
         builder = build(deployment, block_size_target=4)
         if sabotage:
-            real = builder._execute
             calls = {"n": 0}
 
-            def flaky(block):
+            def flaky(node, block, *rest):
                 calls["n"] += 1
                 if calls["n"] == 1:
-                    # Dirty the state first: the revert must erase this.
-                    builder.node.state.set_balance(0xDEAD, 123)
+                    # Dirty the state first: the node's rollback must
+                    # erase this.
+                    node.state.set_balance(0xDEAD, 123)
                     raise RuntimeError("mid-block executor death")
-                return real(block)
+                return real(node, block, *rest)
 
-            builder._execute = flaky
+            monkeypatch.setitem(ENGINES, "sequential", Engine(flaky))
         builder.start()
         futures = [builder.submit(tx) for tx in txs]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
         await builder.drain_and_stop()
+        assert builder.sequential_fallbacks == int(sabotage)
         return builder.node.state.state_digest()
 
     clean = asyncio.run(run(sabotage=False))
