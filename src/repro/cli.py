@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
              "default lane depth for; parallel and occ run on their "
              "serial backends inside a node, so no worker processes "
              "start here (obs-report --parallel-workers / --occ-workers "
-             "and the parallel smokes measure those)",
+             "and the occ-speed drill measure those)",
     )
     serve.add_argument(
         "--block-size", type=int, default=128,

@@ -13,7 +13,7 @@ catch up from a snapshot when too far behind; a :class:`ReadProxy`
 round-robins reads across healthy replicas (probed via the ``health``
 RPC) and fails over to the writer so reads never stop.
 
-``python -m repro.replication.smoke`` is the chaos drill: SIGKILL a
+``python -m repro.drill replication`` is the chaos drill: SIGKILL a
 follower mid-stream under write load, restart it, and require digest
 bit-identical reconvergence while the proxy answers every read.
 """

@@ -7,7 +7,7 @@ for duplicates, sender floods, underfunded/underpriced traffic), and are
 cut into blocks when a size target, gas target, or time budget is hit —
 the continuous-batching shape. Receipts resolve per-transaction response
 futures; ``repro.serve.loadgen`` drives the whole path over real sockets
-and ``python -m repro.serve.smoke`` gates it in CI.
+and ``python -m repro.drill serve`` gates it in CI.
 """
 
 from .batcher import BlockBuilder, CommittedReceipt

@@ -27,7 +27,6 @@ import threading
 import time
 from collections import deque
 
-from ..chain.bloom import AccessEstimator
 from ..chain.mempool import (  # noqa: F401  (AdmissionError re-export)
     AdmissionError,
     DuplicateTransactionError,
@@ -115,10 +114,6 @@ class BlockBuilder:
                 lane_depth=depth,
                 aging_bound=self.config.packing_aging_bound,
             )
-            if self.config.packing_trust_estimates:
-                if self.node.mempool.estimator is None:
-                    self.node.mempool.estimator = AccessEstimator()
-                self.node.mempool.trust_estimates = True
 
     # -- ingress -----------------------------------------------------------
     @property

@@ -121,9 +121,6 @@ class ServeConfig:
     #: Deferred cuts before a conflicting transaction is force-included
     #: (the anti-starvation bound).
     packing_aging_bound: int = 8
-    #: Also reorder on heuristic last-seen access estimates. Off by
-    #: default: undeclared contract calls then stay in FIFO order.
-    packing_trust_estimates: bool = False
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:

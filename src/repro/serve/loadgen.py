@@ -190,6 +190,10 @@ class RpcClient:
                     continue  # endpoint still down: next backoff round
 
     async def _call_once(self, method: str, params: dict | None):
+        if self._pump.done():
+            # The peer closed (or was SIGKILLed): a half-open socket would
+            # still take the write, and nothing is left to route a reply.
+            raise ConnectionError("closed")
         request_id = self._next_id
         self._next_id += 1
         future = asyncio.get_running_loop().create_future()
@@ -355,6 +359,10 @@ class LoadResult:
     retries: int = 0
     wall_seconds: float = 0.0
     latency: LatencyReport | None = None
+    #: Closed loop only: the transactions whose receipt was acknowledged
+    #: (what a crash drill asks a restarted server for). Not in
+    #: :meth:`to_dict`.
+    acked: list = field(default_factory=list)
 
     @property
     def tx_per_second(self) -> float:
@@ -441,6 +449,7 @@ class LoadGenerator:
                         result.unanswered += 1
                     else:
                         result.ok += 1
+                        result.acked.append(tx)
                         samples.append(
                             (time.monotonic() - started) * 1000.0
                         )

@@ -9,7 +9,7 @@ no dependencies). Methods:
 * ``repro_getReceipt`` — look a committed receipt up by hash.
 * ``repro_getBalance`` — read an account balance.
 * ``repro_subscribe`` — ``newHeads`` push notifications per block.
-* ``repro_stats`` — server counters (loadgen/smoke consume this).
+* ``repro_stats`` — server counters (loadgen/drills consume this).
 
 Production behaviors are first-class: admission is bounded
 (``max_pending`` → typed BUSY errors), per-client token buckets police
@@ -270,7 +270,7 @@ class RpcServer:
             port=self.config.port,
             limit=protocol.MAX_LINE_BYTES,
         )
-        # Ephemeral-port runs (tests, smoke) read the bound port back.
+        # Ephemeral-port runs (tests, drills) read the bound port back.
         self.config.port = self._server.sockets[0].getsockname()[1]
         if self.config.idle_timeout_s is not None:
             self._reaper = asyncio.get_running_loop().create_task(

@@ -128,7 +128,7 @@ def state_digest_bytes(state: WorldState) -> bytes:
     trie-independent reference two states are compared with.
 
     Nothing durable or streamed carries it (the sealed ``state_root``
-    is the one stamp); ``repro_health``, the recovery report, the smoke
+    is the one stamp); ``repro_health``, the recovery report, the
     drills and the tests compute it on demand to cross-check the trie.
 
     keccak over the sorted ``(address, leaf_hash)`` pairs of every

@@ -14,8 +14,6 @@ The package splits along trust boundaries:
 * :mod:`repro.trie.proof` — RLP proof blobs served over JSON-RPC.
 * :mod:`repro.trie.witness` — block witnesses and the
   :class:`StatelessValidator` that re-executes a block from one.
-* :mod:`repro.trie.smoke` — ``python -m repro.trie.smoke`` end-to-end
-  self-check.
 """
 
 from .errors import (

@@ -39,7 +39,10 @@ from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.core.scheduler import run_spatial_temporal
 from repro.evm import EVM, Tracer
 from repro.evm.context import BlockContext
+from repro.evm.decoded import DECODE_CACHE
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
+from repro.obs import use_registry
+from repro.serve.loadgen import make_transactions
 from repro.storage.codec import state_digest_bytes
 from repro.workload import generate_dependency_block
 
@@ -103,6 +106,26 @@ class TestWorkloadBlocks:
             target_ratio=ratio, seed=seed,
         )
         _assert_identical(block.deployment.state, block.transactions)
+
+    def test_deployed_suite_stream_decodes_once_and_runs_trace_free(
+        self, deployment
+    ):
+        """200 hot ERC-20 calls over the whole deployed suite: both
+        loops agree, and the serving loop decodes each code blob once,
+        fuses, and takes every transaction trace-free."""
+        txs = make_transactions(deployment, 200, workload="erc20", seed=7)
+        _assert_identical(deployment.state, txs)
+        DECODE_CACHE.clear()
+        with use_registry() as registry:
+            evm = EVM(deployment.state.copy())
+            for tx in txs:
+                assert evm.execute_transaction(tx).success
+        counters = registry.counters_flat()
+        assert counters["evm.fast_path_txs"] == len(txs)
+        assert counters["evm.fused_instructions"] > 0
+        # Programs are not re-decoded: one miss per distinct blob.
+        assert 1 <= counters["evm.decode_cache_misses"] <= len(DECODE_CACHE) + 1
+        assert counters["evm.decode_cache_hits"] >= 1
 
 
 # ---------------------------------------------------------------------------

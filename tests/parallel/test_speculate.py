@@ -245,7 +245,7 @@ def test_process_backend_matches_serial_accounting():
 
 def test_dynamic_block_without_declared_sets_commits_identically():
     """The headline path: calldata-derived storage keys, no access sets
-    anywhere, bit-identical commit."""
+    anywhere, bit-identical commit — wherever speculation physically ran."""
     from repro.workload import generate_dynamic_block
 
     block = generate_dynamic_block(num_transactions=24, seed=11)
@@ -254,13 +254,19 @@ def test_dynamic_block_without_declared_sets_commits_identically():
     receipts = [evm.execute_transaction(tx) for tx in block.transactions]
     digest = state.state_digest()
 
-    occ_state = block.deployment.state.copy()
-    with SpeculativeBlockExecutor(
-        occ_state, block=BlockContext(height=1), backend="serial"
-    ) as executor:
-        result = executor.execute_block(block.transactions)
-    assert_identical(receipts, digest, result, occ_state)
-    assert result.aborts > 0  # the workload genuinely conflicts
+    accounting = set()
+    for backend in ("serial", "process"):
+        occ_state = block.deployment.state.copy()
+        with SpeculativeBlockExecutor(
+            occ_state, block=BlockContext(height=1), backend=backend
+        ) as executor:
+            result = executor.execute_block(block.transactions)
+        assert result.backend == backend  # the pool really ran it
+        assert_identical(receipts, digest, result, occ_state)
+        assert result.aborts > 0  # the workload genuinely conflicts
+        accounting.add((result.executions, result.aborts, result.rounds,
+                        result.validations))
+    assert len(accounting) == 1  # abort decisions do not depend on where
 
 
 def test_node_execute_block_occ_feeds_estimator_and_commits():

@@ -1,7 +1,7 @@
 """In-process replication harness: writer + replicas + proxy, no subprocesses.
 
-The chaos smoke (``python -m repro.replication.smoke``) covers the
-real-process SIGKILL drill; these fixtures wire the same components
+The chaos drill (``python -m repro.drill replication``) covers the
+real-process SIGKILL; these fixtures wire the same components
 inside one event loop so the tier-1 suite can exercise streaming,
 divergence, resync, and proxy routing deterministically and fast.
 """
