@@ -33,7 +33,7 @@ from .dag import (
     transitive_reduction,
 )
 from .journal import replay_in_order
-from .mempool import DuplicateTransactionError, Mempool
+from .mempool import DuplicateTransactionError, Mempool, PackedTake
 from .receipt import Receipt, receipts_root
 from .state import WorldState
 from .transaction import Transaction
@@ -232,11 +232,48 @@ class Node:
             parent_hash=self.block_hash(height - 1) or GENESIS_PARENT,
         )
 
+    def cut(
+        self,
+        max_transactions: int = 200,
+        gas_target: int | None = None,
+        packing: str = "fifo",
+        packing_policy=None,
+        executor: str = "sequential",
+    ) -> list[Transaction] | PackedTake:
+        """Take the next block's candidates out of the pool: the one
+        statement of the cut, for :meth:`propose_block` and for the
+        serve loop, which cuts on the event loop and proposes on a
+        worker thread. Reads the pool and its blooms only, never the
+        state.
+
+        ``fifo``: :meth:`Mempool.take` — the oldest, by count; promised
+        gas (the limits) bounds the cut only when *executor* measures
+        nothing before it runs, since a pre-executing proposal fills by
+        gas *used* and puts the rest back. ``conflict_aware``:
+        :meth:`Mempool.take_packed` under *packing_policy*, always
+        bounded by promised gas (its lanes index the cut, so it is never
+        shortened); the :class:`PackedTake` keeps the lanes for
+        :meth:`propose_block` to stamp.
+        """
+        if packing == "conflict_aware":
+            return self.mempool.take_packed(
+                max_transactions, gas_target=gas_target,
+                policy=packing_policy,
+            )
+        if packing != "fifo":
+            raise ValueError(f"unknown packing {packing!r}")
+        return self.mempool.take(
+            max_transactions,
+            gas_target=(
+                None if _engine(executor).preexecutes else gas_target
+            ),
+        )
+
     def propose_block(
         self,
         max_transactions: int = 200,
         gas_target: int | None = None,
-        transactions: list[Transaction] | None = None,
+        transactions: list[Transaction] | PackedTake | None = None,
         packing: str = "fifo",
         packing_policy=None,
         executor: str = "sequential",
@@ -251,21 +288,18 @@ class Node:
         target (:func:`~repro.chain.dag.discover_access_sets` states the
         rule), and the candidates that did not fit go back to the front
         of the pool (:meth:`~repro.chain.mempool.Mempool.put_back`).
-        Passing *transactions* — the cut :meth:`Mempool.take` just made —
-        skips the take (the serve loop cuts on the event loop and
-        proposes on a worker thread); the target applies all the same.
+        Passing *transactions* — what :meth:`cut` just returned — skips
+        the cut (the serve loop cuts on the event loop and proposes on a
+        worker thread); the target applies all the same.
 
         Where nothing is measured before the cut the senders' promise
-        stands in: a packed cut and one for an engine that does not
-        pre-execute (``occ``) stop on the sum of gas *limits*. A receipt
-        never uses more than its limit, so that bound implies the
-        measured one and such a cut is never shortened (its lanes stay
-        valid).
+        stands in (:meth:`cut` states when). A receipt never uses more
+        than its limit, so that bound implies the measured one and such
+        a cut is never shortened (its lanes stay valid).
 
-        ``packing="conflict_aware"`` cuts via
-        :meth:`~repro.chain.mempool.Mempool.take_packed` instead:
-        mutually conflicting transactions are spread across blocks (and
-        grouped into parallel lanes within one), with *packing_policy*
+        ``packing="conflict_aware"`` spreads mutually conflicting
+        transactions across blocks (and groups them into parallel lanes
+        within one), with *packing_policy*
         (:class:`~repro.chain.mempool.PackingPolicy`) controlling lane
         depth and the anti-starvation aging bound. The cut rides on
         ``Block.packed_lanes`` / ``packed_parallelism``.
@@ -282,24 +316,12 @@ class Node:
         path for dynamic-storage-key workloads whose access sets cannot
         be declared or discovered ahead of reordering.
         """
-        if packing not in ("fifo", "conflict_aware"):
-            raise ValueError(f"unknown packing {packing!r}")
-        preexecutes = _engine(executor).preexecutes
-        packed = None
-        if transactions is not None:
-            txs = transactions
-        elif packing == "conflict_aware":
-            packed = self.mempool.take_packed(
-                max_transactions,
-                gas_target=gas_target,
-                policy=packing_policy,
-            )
-            txs = packed.transactions
-        else:
-            txs = self.mempool.take(
-                max_transactions,
-                gas_target=None if preexecutes else gas_target,
-            )
+        preexecutes = _engine(executor).preexecutes  # before the pool moves
+        cut = transactions if transactions is not None else self.cut(
+            max_transactions, gas_target, packing, packing_policy, executor
+        )
+        packed = cut if isinstance(cut, PackedTake) else None
+        txs = cut if packed is None else packed.transactions
         header = self._proposal_header()
         context = self.block_context(header)
         registry = get_registry()

@@ -99,29 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON indentation (default: 2)",
     )
     obs.add_argument(
-        "--parallel-workers", type=int, default=None, metavar="N",
+        "--wall-clock-workers", type=int, default=None, metavar="N",
         help=(
-            "also measure wall-clock throughput of the multicore "
-            "parallel backend with N workers vs the sequential path"
+            "also time the block on every wall-clock lane — one EVM "
+            "pass (the sequential engine: the baseline), parallel "
+            "(discover + DAG + replay), occ as a node runs it and occ "
+            "on a pool of N worker processes — receipts and state "
+            "digest held to the baseline's, each lane's tx/s and ratio "
+            "to sequential printed"
         ),
-    )
-    obs.add_argument(
-        "--parallel-backend", choices=("process", "serial"),
-        default="process",
-        help="parallel backend for --parallel-workers (default: process)",
-    )
-    obs.add_argument(
-        "--occ-workers", type=int, default=None, metavar="N",
-        help=(
-            "also measure the speculative (OCC) executor on the "
-            "dynamic-storage-key workload with N workers: sequential "
-            "(discover-then-execute) vs declared-DAG vs OCC wall tx/s"
-        ),
-    )
-    obs.add_argument(
-        "--occ-backend", choices=("process", "serial"), default=None,
-        help="OCC backend for --occ-workers (default: process when "
-             "more than one core is available, else serial)",
     )
 
     serve = sub.add_parser(
@@ -146,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="PUs (mtpu) and the lanes conflict-aware packing sizes its "
              "default lane depth for; parallel and occ run on their "
              "serial backends inside a node, so no worker processes "
-             "start here (obs-report --parallel-workers / --occ-workers "
-             "and the occ-speed drill measure those)",
+             "start here (obs-report --wall-clock-workers and the "
+             "occ-speed drill start the only pool, the occ_pool lane)",
     )
     serve.add_argument(
         "--block-size", type=int, default=128,
@@ -419,46 +405,19 @@ def _run_obs_report(args) -> int:
         f"p50/p99 tx cycles {report.p50_tx_cycles}/{report.p99_tx_cycles}]",
         file=sys.stderr,
     )
-    if args.parallel_workers is not None:
-        from .experiments import measure_wall_clock
+    if args.wall_clock_workers is not None:
+        from .experiments.perf import lane_lines, measure_engines
+        from .workload.generator import generate_dependency_block
 
-        wall = measure_wall_clock(
-            num_transactions=args.transactions,
-            num_workers=args.parallel_workers,
-            ratio=args.ratio,
-            seed=args.seed,
-            backend=args.parallel_backend,
+        wall = measure_engines(
+            generate_dependency_block(
+                num_transactions=args.transactions,
+                target_ratio=args.ratio, seed=args.seed,
+            ),
+            num_workers=args.wall_clock_workers,
         )
-        print(
-            f"[wall-clock: sequential "
-            f"{wall['sequential']['tx_per_second']:.0f} tx/s, pipeline "
-            f"{wall['pipeline']['tx_per_second']:.0f} tx/s "
-            f"({wall['pipeline_speedup']:.2f}x, "
-            f"{wall['num_workers']} workers, {wall['backend']} backend, "
-            f"{wall['pipeline']['replayed']} replayed / "
-            f"{wall['pipeline']['dispatched']} dispatched)]",
-            file=sys.stderr,
-        )
-    if args.occ_workers is not None:
-        from .experiments import measure_occ_wall_clock
-
-        occ = measure_occ_wall_clock(
-            num_transactions=args.transactions,
-            num_workers=args.occ_workers,
-            seed=args.seed,
-            backend=args.occ_backend,
-        )
-        print(
-            f"[occ (dynamic keys, no access sets): sequential "
-            f"{occ['sequential']['tx_per_second']:.0f} tx/s, "
-            f"declared-DAG {occ['dag']['tx_per_second']:.0f} tx/s, "
-            f"occ {occ['occ']['tx_per_second']:.0f} tx/s "
-            f"({occ['occ_speedup']:.2f}x, {occ['backend']} backend, "
-            f"{occ['occ']['executions']} executions / "
-            f"{occ['occ']['aborts']} aborts / "
-            f"{occ['occ']['rounds']} rounds)]",
-            file=sys.stderr,
-        )
+        for line in lane_lines(wall):
+            print(f"[wall-clock {line}]", file=sys.stderr)
     return 0
 
 

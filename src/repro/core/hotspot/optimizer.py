@@ -22,7 +22,6 @@ from typing import Callable
 from ...chain.state import WorldState
 from ...chain.transaction import Transaction
 from ...evm.context import BlockContext
-from ...evm.decoded import DECODE_CACHE
 from ...evm.interpreter import EVM
 from ...evm.tracer import TraceStep, Tracer
 from ...obs import count, timed
@@ -206,17 +205,6 @@ class HotspotOptimizer:
         self._views[code_address] = CodeIndex.from_instructions(
             code_address, filtered
         )
-        # Feed the profile into the functional layer too: a contract hot
-        # enough for constant elimination gets a deeper-folded decoded
-        # program (the fold is statically sound, so this only changes
-        # speed, never semantics — and it is keyed by code content, so a
-        # redeploy at this address cannot see a stale specialization).
-        if eliminated:
-            code = self._code_lookup(code_address)
-            if code:
-                DECODE_CACHE.specialize(
-                    code, {pc for _, pc in eliminated}
-                )
 
     # ------------------------------------------------------------------
     # Execution-time queries

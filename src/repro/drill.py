@@ -649,27 +649,30 @@ def replication(*, transactions, clients, kill_after_blocks,
     }
 
 
-# -- scenarios: the one speed gate nothing else holds ---------------------------
-def occ_speed(*, transactions, workers, seed, min_speedup) -> dict:
-    """A dynamic-storage-key block (no access sets declared anywhere):
-    OCC wall throughput must clear *min_speedup* × the discover-then-
-    execute sequential pipeline on the same machine. Three-lane receipt
-    and digest parity is asserted inside ``measure_occ_wall_clock``; the
-    backend parity half is ``tests/parallel/test_speculate.py``."""
-    from .experiments.perf import measure_occ_wall_clock
+# -- scenarios: the wall-clock lanes, held to one baseline ----------------------
+def occ_speed(*, transactions, workers, seed) -> dict:
+    """A dynamic-storage-key block (no access sets declared anywhere)
+    through every wall-clock lane. Receipt and digest parity with one
+    EVM pass is asserted inside ``measure_engines`` (a break raises,
+    naming the lane); a lane that fell back to sequential re-execution
+    fails here. The ratios are printed, not gated: the speed gate is
+    ROADMAP item 1's ``dynamic_occ``. The backend parity half is
+    ``tests/parallel/test_speculate.py``."""
+    from .experiments.perf import lane_lines, measure_engines
+    from .workload.generator import generate_dynamic_block
 
-    wall = measure_occ_wall_clock(
-        num_transactions=transactions, num_workers=workers, seed=seed,
-        repeats=2,
+    wall = measure_engines(
+        generate_dynamic_block(num_transactions=transactions, seed=seed),
+        num_workers=workers, repeats=2,
     )
-    line = (
-        f"occ {wall['occ']['tx_per_second']:.0f} tx/s vs sequential "
-        f"{wall['sequential']['tx_per_second']:.0f} tx/s "
-        f"({wall['occ_speedup']:.2f}x, floor {min_speedup}x, "
-        f"{wall['backend']} backend)"
-    )
-    failures = [line] if wall["occ_speedup"] < min_speedup else []
-    return {**wall, "failures": failures, "summary": line}
+    failures = [
+        f"lane {name} fell back to sequential re-execution"
+        for name, lane in wall["lanes"].items() if lane.get("fell_back")
+    ]
+    return {
+        **wall, "failures": failures,
+        "summary": "; ".join(lane_lines(wall)),
+    }
 
 
 # -- the table -----------------------------------------------------------------
@@ -716,11 +719,9 @@ SCENARIOS: dict[str, tuple] = {
     "replication": (replication, dict(
         transactions=600, clients=8, kill_after_blocks=8, divergence=True,
     )),
-    # OCC wall throughput >= 1.3x the discover-then-execute sequential
-    # pipeline on the same machine (sized for 4 workers on 4 cores).
-    "occ-speed": (occ_speed, dict(
-        transactions=128, workers=4, seed=11, min_speedup=1.3,
-    )),
+    # Parity across lanes + reported ratios; the speed gate is item 1's
+    # ``dynamic_occ``.
+    "occ-speed": (occ_speed, dict(transactions=128, workers=4, seed=11)),
 }
 
 

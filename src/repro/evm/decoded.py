@@ -69,12 +69,10 @@ from .errors import (
 from .stack import MAX_DEPTH, WORD_MASK
 from .tracer import TraceStep
 
-#: Fusion depth of the base folding pass (instructions absorbed per
-#: superinstruction). Hotspot-specialized programs fold deeper.
-BASE_CHAIN_LIMIT = 4
-#: Fusion depth for programs specialized from hotspot constant-elimination
-#: profiles (see :meth:`DecodeCache.specialize`).
-DEEP_CHAIN_LIMIT = 64
+#: Fusion depth of the folding pass (instructions absorbed per
+#: superinstruction). No deployed contract holds a constant chain longer
+#: than 4; the bound is for hand-written code.
+CHAIN_LIMIT = 64
 #: Default LRU bound of the process-wide program cache.
 DEFAULT_CACHE_PROGRAMS = 4096
 
@@ -759,12 +757,11 @@ class DecodedProgram:
     __slots__ = (
         "code", "code_hash", "code_len", "entries", "jumpdests",
         "instruction_count", "fused_count", "folded_instructions",
-        "specialized", "hot_pcs", "unfused",
+        "unfused",
     )
 
     def __init__(self, code, code_hash, entries, jumpdests,
-                 instruction_count, fused_count, folded_instructions,
-                 specialized, hot_pcs):
+                 instruction_count, fused_count, folded_instructions):
         self.code = code
         self.code_hash = code_hash
         self.code_len = len(code)
@@ -773,22 +770,18 @@ class DecodedProgram:
         self.instruction_count = instruction_count
         self.fused_count = fused_count
         self.folded_instructions = folded_instructions
-        self.specialized = specialized
-        self.hot_pcs = hot_pcs
         #: pc -> (plain entry, Instruction, extra function) for
         #: :func:`run_observed`, built on the first observed run.
         self.unfused: list[tuple | None] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        tag = " specialized" if self.specialized else ""
         return (
             f"<DecodedProgram {self.code_hash.hex()[:12]}… "
-            f"{self.instruction_count} instrs, {self.fused_count} fused"
-            f"{tag}>"
+            f"{self.instruction_count} instrs, {self.fused_count} fused>"
         )
 
 
-def _match_const_chain(instrs, start, limit, jumpdests):
+def _match_const_chain(instrs, start, jumpdests):
     """Fold a maximal run of constant-producing stack code at *start*.
 
     Simulates PUSH/DUP/SWAP/POP and pure arithmetic/logic over a virtual
@@ -807,7 +800,7 @@ def _match_const_chain(instrs, start, limit, jumpdests):
     length = 0
     j = start
     n = len(instrs)
-    while j < n and length < limit:
+    while j < n and length < CHAIN_LIMIT:
         ins = instrs[j]
         value = ins.op.value
         if 0x60 <= value <= 0x7F:
@@ -928,13 +921,7 @@ def _plain_entry(ins):
     return (_h_invalid, value)  # INVALID and undefined bytes
 
 
-def build_program(
-    code: bytes,
-    *,
-    chain_limit: int = BASE_CHAIN_LIMIT,
-    specialized: bool = False,
-    hot_pcs: frozenset[int] = frozenset(),
-) -> DecodedProgram:
+def build_program(code: bytes) -> DecodedProgram:
     """AOT-compile *code* into a :class:`DecodedProgram`."""
     instrs = decode(code)
     jumpdests = valid_jumpdests(code)
@@ -946,7 +933,7 @@ def build_program(
     while i < n:
         ins = instrs[i]
         value = ins.op.value
-        chain = _match_const_chain(instrs, i, chain_limit, jumpdests)
+        chain = _match_const_chain(instrs, i, jumpdests)
         if chain is not None:
             stages, values, length, next_pc = chain
             entries[ins.pc] = (_h_const, next_pc, stages, values)
@@ -1012,8 +999,6 @@ def build_program(
         instruction_count=n,
         fused_count=fused,
         folded_instructions=folded,
-        specialized=specialized,
-        hot_pcs=hot_pcs,
     )
 
 
@@ -1209,7 +1194,6 @@ class DecodeCache:
         self._programs: OrderedDict[bytes, DecodedProgram] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.specialized_count = 0
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -1237,36 +1221,6 @@ class DecodeCache:
                 )
         return program
 
-    def specialize(
-        self, code: bytes, hot_pcs: set[int] | frozenset[int]
-    ) -> DecodedProgram | None:
-        """Install a deeper-folded program for profiled *code*.
-
-        Fed by the hotspot optimizer's constant-elimination results: a
-        contract whose profile shows eliminable constant traffic gets a
-        program rebuilt with :data:`DEEP_CHAIN_LIMIT` so long constant
-        chains collapse into single entries. Semantics never depend on
-        the profile (the fold is statically sound), so bit-identity holds
-        even if the profile is stale.
-        """
-        if not code:
-            return None
-        program = build_program(
-            code,
-            chain_limit=DEEP_CHAIN_LIMIT,
-            specialized=True,
-            hot_pcs=frozenset(hot_pcs),
-        )
-        self._insert(code, program)
-        self.specialized_count += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("evm.specialized_programs").inc()
-            extra = program.fused_count
-            if extra:
-                registry.counter("evm.fused_instructions").inc(extra)
-        return program
-
     def warm(self, code: bytes) -> bool:
         """Pre-decode *code* (deploy/commit/startup warming). Returns
         True when the cache now holds a program for it."""
@@ -1286,14 +1240,12 @@ class DecodeCache:
         self._programs.clear()
         self.hits = 0
         self.misses = 0
-        self.specialized_count = 0
 
     def stats(self) -> dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "programs": len(self._programs),
-            "specialized": self.specialized_count,
             "limit": self.max_programs,
         }
 

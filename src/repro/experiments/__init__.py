@@ -37,8 +37,7 @@ from .ablations import (
 )
 from .perf import (
     measure_block,
-    measure_occ_wall_clock,
-    measure_wall_clock,
+    measure_engines,
 )
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "ablation_unit_capacity",
     "ablation_window_size",
     "measure_block",
-    "measure_occ_wall_clock",
-    "measure_wall_clock",
+    "measure_engines",
 ]

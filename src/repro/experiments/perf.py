@@ -9,6 +9,12 @@ everything into a :class:`~repro.obs.BlockPerfReport`. Both the CLI
 subcommand and the repo's benchmark (``bench/run.py``, its ``core.*``
 metrics) call it, so the benchmark JSON and the interactive report
 always measure the same thing.
+
+:func:`measure_engines` is the wall-clock instrument: one table of
+lanes (:data:`LANES`), every one timed against a single EVM pass over
+the block — what the ``sequential`` engine does — and held to its
+receipts and state digest. ``obs-report --wall-clock-workers`` and the
+``occ-speed`` drill print it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from ..obs import (
     use_registry,
     use_tracing,
 )
-from ..parallel import ParallelBlockExecutor
+from ..parallel import ParallelBlockExecutor, SpeculativeBlockExecutor
 from ..workload import all_entry_function_calls
 from ..workload.generator import INDEPENDENT_TOKENS, generate_dependency_block
 
@@ -102,244 +108,155 @@ def measure_block(
     return report
 
 
-def measure_wall_clock(
-    num_transactions: int = 64,
-    num_workers: int = 4,
-    ratio: float = 0.0,
-    seed: int = 7,
-    backend: str = "process",
-    repeats: int = 3,
-) -> dict:
-    """Wall-clock throughput: seed sequential path vs execute-once pipeline.
+def _counters(result, *names: str) -> dict:
+    return {name: getattr(result, name) for name in names}
 
-    The *sequential* lane reproduces the seed pipeline's real cost: one
-    speculative pass for access discovery, DAG construction, then a
-    second, full functional execution of every transaction. The
-    *pipeline* lane keeps the discovery pass's artifacts and hands them
-    to :class:`~repro.parallel.ParallelBlockExecutor`, which replays
-    fresh write journals (and runs stale ones on workers), so each
-    transaction executes once. Both lanes must land on bit-identical
-    receipts and ``state_digest()`` — asserted, not assumed.
 
-    Times are best-of-*repeats* to damp scheduler noise; the reported
-    ``pipeline_speedup`` is a ratio of two runs on the same machine, so
-    it is comparable across machines.
-    """
-    block = generate_dependency_block(
-        num_transactions=num_transactions, target_ratio=ratio, seed=seed,
+def _lane_sequential(state, transactions, num_workers):
+    evm = EVM(state)
+    start = time.perf_counter()
+    receipts = [evm.execute_transaction(tx) for tx in transactions]
+    return time.perf_counter() - start, receipts, {}
+
+
+def _lane_parallel(state, transactions, num_workers):
+    # Handed the artifacts its own access sets come from, the executor
+    # replays every journal in order (``replayed == n``, ``dispatched ==
+    # 0``) on either backend: this lane is discover + DAG + replay on
+    # one core, never a pool.
+    executor = ParallelBlockExecutor(
+        state, num_workers=num_workers, backend="serial"
     )
-    transactions = block.transactions
-    base_state = block.deployment.state
-
-    def run_sequential_lane() -> tuple[float, list, tuple]:
-        state = base_state.copy()
-        start = time.perf_counter()
-        access = discover_access_sets(transactions, state)
-        build_dag_edges(transactions, access)
-        evm = EVM(state)
-        receipts = [evm.execute_transaction(tx) for tx in transactions]
-        elapsed = time.perf_counter() - start
-        return elapsed, receipts, state.state_digest()
-
-    def run_pipeline_lane() -> tuple[float, object, tuple]:
-        state = base_state.copy()
-        with ParallelBlockExecutor(
-            state, num_workers=num_workers, backend=backend,
-        ) as executor:
-            start = time.perf_counter()
-            artifacts = discover_access_sets(transactions, state)
-            edges = build_dag_edges(transactions, artifacts)
-            result = executor.execute_block(
-                transactions, edges, artifacts, artifacts=artifacts,
-            )
-            elapsed = time.perf_counter() - start
-        return elapsed, result, state.state_digest()
-
-    seq_seconds, seq_receipts, seq_digest = min(
-        (run_sequential_lane() for _ in range(repeats)),
-        key=lambda item: item[0],
+    start = time.perf_counter()
+    artifacts = discover_access_sets(transactions, state)
+    edges = build_dag_edges(transactions, artifacts)
+    result = executor.execute_block(
+        transactions, edges, artifacts, artifacts=artifacts
     )
-    pipe_seconds, pipe_result, pipe_digest = min(
-        (run_pipeline_lane() for _ in range(repeats)),
-        key=lambda item: item[0],
+    return time.perf_counter() - start, result.receipts, _counters(
+        result, "replayed", "dispatched", "executed_inline",
+        "stale_artifacts", "fell_back",
     )
-    if pipe_digest != seq_digest:
-        raise AssertionError(
-            "pipeline state digest diverged from sequential execution"
-        )
-    if pipe_result.receipts != seq_receipts:
-        raise AssertionError(
-            "pipeline receipts diverged from sequential execution"
-        )
-
-    seq_tps = num_transactions / seq_seconds if seq_seconds > 0 else 0.0
-    pipe_tps = num_transactions / pipe_seconds if pipe_seconds > 0 else 0.0
-    return {
-        "num_transactions": num_transactions,
-        "num_workers": num_workers,
-        "backend": pipe_result.backend,
-        "ratio": ratio,
-        "seed": seed,
-        "sequential": {
-            "seconds": seq_seconds,
-            "tx_per_second": seq_tps,
-        },
-        "pipeline": {
-            "seconds": pipe_seconds,
-            "tx_per_second": pipe_tps,
-            "replayed": pipe_result.replayed,
-            "dispatched": pipe_result.dispatched,
-            "executed_inline": pipe_result.executed_inline,
-            "stale_artifacts": pipe_result.stale_artifacts,
-            "fell_back": pipe_result.fell_back,
-        },
-        "pipeline_speedup": (
-            pipe_tps / seq_tps if seq_tps > 0 else 0.0
-        ),
-        "digest_match": True,
-    }
 
 
-def default_occ_backend() -> str:
-    """Pool speculation needs real cores; degrade to serial on one."""
-    import os
-
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        cores = os.cpu_count() or 1
-    return "process" if cores >= 2 else "serial"
-
-
-def measure_occ_wall_clock(
-    num_transactions: int = 192,
-    num_workers: int = 4,
-    seed: int = 11,
-    backend: str | None = None,
-    repeats: int = 4,
-) -> dict:
-    """Dynamic-storage-key wall clock: sequential vs declared-DAG vs OCC.
-
-    The workload is the one declared access sets cannot describe —
-    path-router swaps, batch airdrops and proxy hot paths whose storage
-    keys derive from calldata. Three lanes execute the same block:
-
-    * **sequential** — the seed pipeline's real cost (one speculative
-      pass for access discovery, DAG construction, then the full
-      in-order execution), exactly as in :func:`measure_wall_clock`;
-    * **dag** — discovery plus the execute-once
-      :class:`~repro.parallel.ParallelBlockExecutor` replay;
-    * **occ** — :class:`~repro.parallel.SpeculativeBlockExecutor` with
-      *no access sets anywhere*: speculate, validate, commit in order.
-
-    Lanes run interleaved per repeat so adjacent timings share the
-    machine's momentary load, and each lane reports its best-of-repeats;
-    the quoted speedups are same-machine ratios. Receipts and
-    ``state_digest()`` parity across all three lanes is asserted, never
-    assumed. *backend* defaults to :func:`default_occ_backend`.
-    """
-    from ..workload.generator import generate_dynamic_block
-
-    backend = backend or default_occ_backend()
-    block = generate_dynamic_block(
-        num_transactions=num_transactions, seed=seed,
-    )
-    transactions = block.transactions
-    base_state = block.deployment.state
-
-    def run_sequential_lane():
-        state = base_state.copy()
-        start = time.perf_counter()
-        artifacts = discover_access_sets(transactions, state)
-        build_dag_edges(transactions, artifacts)
-        evm = EVM(state)
-        receipts = [evm.execute_transaction(tx) for tx in transactions]
-        return time.perf_counter() - start, receipts, state.state_digest()
-
-    def run_dag_lane():
-        state = base_state.copy()
-        with ParallelBlockExecutor(
-            state, num_workers=num_workers, backend=backend,
-        ) as executor:
-            start = time.perf_counter()
-            artifacts = discover_access_sets(transactions, state)
-            edges = build_dag_edges(transactions, artifacts)
-            result = executor.execute_block(
-                transactions, edges, artifacts, artifacts=artifacts,
-            )
-            elapsed = time.perf_counter() - start
-        return elapsed, result.receipts, state.state_digest()
-
-    def run_occ_lane():
-        from ..parallel import SpeculativeBlockExecutor
-
-        state = base_state.copy()
+def _lane_occ(backend: str):
+    def lane(state, transactions, num_workers):
         with SpeculativeBlockExecutor(
-            state, num_workers=num_workers, backend=backend,
+            state, num_workers=num_workers, backend=backend
         ) as executor:
             executor.warm()  # pool spawn outside the timed region
             start = time.perf_counter()
             result = executor.execute_block(transactions)
             elapsed = time.perf_counter() - start
-        return elapsed, result, state.state_digest()
+        return elapsed, result.receipts, _counters(
+            result, "backend", "executions", "aborts", "validations",
+            "retries", "rounds", "fell_back",
+        )
 
-    lanes: dict[str, list] = {"sequential": [], "dag": [], "occ": []}
+    return lane
+
+
+#: The lane every ratio is to, and the reference every lane must match.
+BASELINE = "sequential"
+#: name -> ``lane(state, transactions, num_workers)`` -> (seconds of the
+#: timed region, receipts in block order, engine counters), the block's
+#: effects applied to *state*. ``sequential`` is what
+#: ``ENGINES["sequential"]`` does to a block it holds no artifacts for:
+#: one EVM pass, no discovery, no DAG. ``parallel`` and ``occ`` are the
+#: engines as a node runs them (serial backends); ``occ_pool`` is the
+#: only lane that starts worker processes.
+LANES = {
+    BASELINE: _lane_sequential,
+    "parallel": _lane_parallel,
+    "occ": _lane_occ("serial"),
+    "occ_pool": _lane_occ("process"),
+}
+
+
+def measure_engines(block, num_workers: int = 4, repeats: int = 3) -> dict:
+    """Wall clock of every lane in :data:`LANES` over one generated
+    *block* (anything with ``transactions`` and ``deployment.state``),
+    each on its own copy of the state.
+
+    Lanes run interleaved — one pass over the table per repeat — so
+    adjacent timings share the machine's momentary load. Every run's
+    receipt RLP and ``state_digest()`` must equal the baseline's:
+    asserted here, for every lane and repeat, naming the lane that broke.
+
+    ``lanes[name]``: ``seconds`` (best of *repeats*), ``repeat_seconds``
+    (every run, in order — the spread), ``tx_per_second`` and
+    ``ratio_to_sequential`` (both from the bests, same machine, same
+    interleaved runs), and the engine's counters (the same every run:
+    the block and the engines are deterministic).
+    """
+    transactions = block.transactions
+    base_state = block.deployment.state
+    seconds: dict[str, list[float]] = {name: [] for name in LANES}
+    counters = {}
+    reference = None
     for _ in range(repeats):
-        lanes["sequential"].append(run_sequential_lane())
-        lanes["dag"].append(run_dag_lane())
-        lanes["occ"].append(run_occ_lane())
+        for name, lane in LANES.items():
+            state = base_state.copy()
+            elapsed, receipts, counters[name] = lane(
+                state, transactions, num_workers
+            )
+            outcome = (
+                [receipt.to_rlp() for receipt in receipts],
+                state.state_digest(),
+            )
+            if reference is None:
+                reference = outcome  # the baseline runs first
+            for what, got, want in zip(
+                ("receipts", "state digest"), outcome, reference
+            ):
+                if got != want:
+                    raise AssertionError(
+                        f"lane {name!r}: {what} diverged from {BASELINE}"
+                    )
+            seconds[name].append(elapsed)
 
-    seq_seconds, seq_receipts, seq_digest = min(
-        lanes["sequential"], key=lambda item: item[0]
-    )
-    dag_seconds, dag_receipts, dag_digest = min(
-        lanes["dag"], key=lambda item: item[0]
-    )
-    occ_seconds, occ_result, occ_digest = min(
-        lanes["occ"], key=lambda item: item[0]
-    )
-    if not (seq_digest == dag_digest == occ_digest):
-        raise AssertionError(
-            "occ/dag state digest diverged from sequential execution"
-        )
-    if [r.to_rlp() for r in occ_result.receipts] != [
-        r.to_rlp() for r in seq_receipts
-    ] or [r.to_rlp() for r in dag_receipts] != [
-        r.to_rlp() for r in seq_receipts
-    ]:
-        raise AssertionError(
-            "occ/dag receipts diverged from sequential execution"
-        )
-
-    def lane(seconds: float) -> dict:
-        return {
-            "seconds": seconds,
-            "tx_per_second": (
-                num_transactions / seconds if seconds > 0 else 0.0
-            ),
-        }
-
-    seq_tps = lane(seq_seconds)["tx_per_second"]
-    occ_tps = lane(occ_seconds)["tx_per_second"]
-    dag_tps = lane(dag_seconds)["tx_per_second"]
+    count = len(transactions)
+    best = {name: min(seconds[name]) for name in LANES}
     return {
-        "num_transactions": num_transactions,
+        "num_transactions": count,
         "num_workers": num_workers,
-        "seed": seed,
-        "backend": occ_result.backend,
         "repeats": repeats,
-        "sequential": lane(seq_seconds),
-        "dag": lane(dag_seconds),
-        "occ": {
-            **lane(occ_seconds),
-            "executions": occ_result.executions,
-            "aborts": occ_result.aborts,
-            "validations": occ_result.validations,
-            "retries": occ_result.retries,
-            "rounds": occ_result.rounds,
-            "fell_back": occ_result.fell_back,
+        "lanes": {
+            name: {
+                "seconds": best[name],
+                "repeat_seconds": seconds[name],
+                "tx_per_second": count / best[name],
+                "ratio_to_sequential": best[BASELINE] / best[name],
+                **counters[name],
+            }
+            for name in LANES
         },
-        "occ_speedup": occ_tps / seq_tps if seq_tps > 0 else 0.0,
-        "dag_speedup": dag_tps / seq_tps if seq_tps > 0 else 0.0,
-        "digest_match": True,
     }
+
+
+_TIMING_KEYS = (
+    "seconds", "repeat_seconds", "tx_per_second", "ratio_to_sequential",
+)
+
+
+def lane_lines(wall: dict) -> list[str]:
+    """One line per lane: best and median tx/s, the ratio to the
+    baseline, and what the engine counted."""
+    # Imported here: `repro serve` imports this module through the CLI,
+    # and statistics brings decimal + fractions (≈ 0.7 MB of RSS) along.
+    import statistics
+
+    lines = []
+    for name, lane in wall["lanes"].items():
+        median = statistics.median(lane["repeat_seconds"])
+        counters = " ".join(
+            f"{key}={value}" for key, value in lane.items()
+            if key not in _TIMING_KEYS
+        )
+        lines.append(
+            f"{name}: {lane['tx_per_second']:.0f} tx/s best, "
+            f"{wall['num_transactions'] / median:.0f} median, "
+            f"{lane['ratio_to_sequential']:.2f}x {BASELINE}"
+            + (f" ({counters})" if counters else "")
+        )
+    return lines

@@ -30,9 +30,10 @@ from collections import deque
 from ..chain.mempool import (  # noqa: F401  (AdmissionError re-export)
     AdmissionError,
     DuplicateTransactionError,
+    PackedTake,
     PackingPolicy,
 )
-from ..chain.node import ENGINES, Node
+from ..chain.node import Node
 from ..chain.receipt import Receipt
 from ..evm.decoded import warm_state_codes
 from ..obs import get_registry
@@ -279,37 +280,21 @@ class BlockBuilder:
 
     async def _cut_and_execute(self) -> None:
         config = self.config
-        packed = None
-        if self.packing_policy is not None:
-            # take_packed reads only the blooms submit() derived under
-            # state_lock — never the shared world state — so it is safe
-            # here on the event loop without the lock, exactly like
-            # take().
-            packed = self.node.mempool.take_packed(
-                config.block_size_target,
-                gas_target=config.gas_target,
-                policy=self.packing_policy,
-            )
-            txs = packed.transactions
-        else:
-            # Candidates by count: the proposal keeps the prefix whose
-            # measured gas fits the target and puts the rest back. For an
-            # engine that does not pre-execute nothing is measured before
-            # the cut and the promised bound stays.
-            txs = self.node.mempool.take(
-                config.block_size_target,
-                gas_target=(
-                    None if ENGINES[config.executor].preexecutes
-                    else config.gas_target
-                ),
-            )
+        # The cut reads only the pool and the blooms submit() derived
+        # under state_lock — never the shared world state — so it is
+        # safe here on the event loop without the lock.
+        cut = self.node.cut(
+            config.block_size_target, config.gas_target, config.packing,
+            self.packing_policy, config.executor,
+        )
+        txs = cut.transactions if isinstance(cut, PackedTake) else cut
         if not txs:
             return
         self._in_flight = len(txs)
         loop = asyncio.get_running_loop()
         try:
             block, receipts = await loop.run_in_executor(
-                None, self._build_and_execute, txs, packed
+                None, self._build_and_execute, cut
             )
         except asyncio.CancelledError:
             raise
@@ -349,33 +334,23 @@ class BlockBuilder:
                 future.exception()
 
     # -- execution (worker thread; one block at a time) --------------------
-    def _build_and_execute(self, txs, packed=None):
+    def _build_and_execute(self, cut):
         with self.state_lock:
-            return self._build_and_execute_locked(txs, packed)
+            return self._build_and_execute_locked(cut)
 
-    def _build_and_execute_locked(self, txs, packed=None):
+    def _build_and_execute_locked(self, cut):
         block = self.node.propose_block(
-            transactions=txs,
+            transactions=cut,
             executor=self.config.executor,
             gas_target=self.config.gas_target,
         )
         # Candidates that did not fit are back in the pool, which counts
         # them: in flight is the block alone.
         self._in_flight = len(block.transactions)
-        if packed is not None:
-            # Promised gas bounded the packed cut, and that bound
-            # implies the measured one: the lanes index this block.
-            assert len(block.transactions) == len(packed.transactions)
-            block.packed_lanes = packed.lanes
-            block.packed_parallelism = packed.parallelism
+        if block.packed_lanes is not None:
             self.packed_blocks += 1
-            self.packed_parallelism_sum += packed.parallelism
-            self.packed_deferred_total += packed.deferred
-            registry = get_registry()
-            if registry.enabled:
-                registry.histogram("block.packed_parallelism").observe(
-                    packed.parallelism
-                )
+            self.packed_parallelism_sum += block.packed_parallelism
+            self.packed_deferred_total += cut.deferred
         try:
             receipts = self._execute(block)
         except AppendFailedError:

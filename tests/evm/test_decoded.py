@@ -23,7 +23,6 @@ from repro.evm.code import (
 )
 from repro.evm.decoded import (
     DECODE_CACHE,
-    DEEP_CHAIN_LIMIT,
     DecodeCache,
     _h_const,
     _h_dup_bin,
@@ -132,10 +131,11 @@ class TestFolding:
     def test_deep_limit_folds_longer_chains(self):
         lines = [f"PUSH {i}\nADD" for i in range(1, 20)]
         source = "PUSH 0\n" + "\n".join(lines) + "\nSTOP"
-        base = build_program(assemble(source))
-        deep = build_program(assemble(source), chain_limit=DEEP_CHAIN_LIMIT)
-        assert deep.folded_instructions > base.folded_instructions
-        assert deep.entries[0][3] == (sum(range(20)),)
+        program = build_program(assemble(source))
+        # One limit: the 39-instruction chain is one entry.
+        assert program.fused_count == 1
+        assert program.folded_instructions == 38
+        assert program.entries[0][3] == (sum(range(20)),)
 
 
 class TestDecodeCacheLRU:
@@ -225,13 +225,11 @@ class TestCacheCoherence:
         code = assemble(source)
         state.set_code(CONTRACT, code)
         data = (41).to_bytes(32, "big")
+        assert DECODE_CACHE.get(code).fused_count == 12  # PUSH+MUL/ADD pairs
         unfused = _run_tx(state, tracer=Tracer(), data=data)
-        base = _run_tx(state, data=data)
-        DECODE_CACHE.specialize(code, {0})
-        specialized = _run_tx(state, data=data)
-        assert base.output == unfused.output
-        assert specialized.output == unfused.output
-        assert specialized.gas_used == unfused.gas_used
+        fused = _run_tx(state, data=data)
+        assert fused.output == unfused.output
+        assert fused.gas_used == unfused.gas_used
 
 
 class TestMetrics:
