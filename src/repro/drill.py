@@ -226,16 +226,17 @@ def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
         server = RpcServer(node=node, config=config)
         await server.start()
         try:
-            return server, await LoadGenerator(
+            load = await LoadGenerator(
                 config.host, config.port, deployment=deployment
             ).run_closed_loop(
                 transactions, clients=clients, workload=workload, seed=7
             )
+            # What an operator reads off the live process, over the wire.
+            return load, await rpc(config.port, "repro_stats")
         finally:
             await server.shutdown()
 
-    server, load = asyncio.run(drive())
-    stats = server.stats()
+    load, stats = asyncio.run(drive())
     dropped = load.requested - load.ok - sum(load.errors.values())
     failures = []
     if load.unanswered:
@@ -244,6 +245,14 @@ def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
         failures.append(f"{dropped} dropped receipts")
     if load.errors:
         failures.append(f"typed errors under closed loop: {load.errors}")
+    # One set of books, and a process with no registry installed
+    # publishes it: the series, its legacy view and the load agree.
+    published = stats["metrics"]["counters"].get("serve.txs_committed")
+    if not (published == stats["txsCommitted"] == transactions):
+        failures.append(
+            f"serve.txs_committed {published} / txsCommitted "
+            f"{stats['txsCommitted']} / {transactions} sent disagree"
+        )
 
     roots, digest = sequential_reference(deployment.state.copy(), node.chain)
     served_roots = [

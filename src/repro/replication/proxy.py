@@ -25,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 
-from ..obs import get_registry
+from ..obs import MetricsRegistry
 from ..serve import protocol
 from ..serve.errors import INTERNAL_ERROR, INVALID_PARAMS, RpcError
 from ..serve.loadgen import RpcClient, RpcClientError
@@ -101,13 +101,15 @@ class ReadProxy:
         self._rr = 0
         self._next_subscription = 1
         self._stopping = False
-        # -- counters ----------------------------------------------------
-        self.reads_proxied = 0
-        self.writer_fallback_reads = 0
-        self.writes_forwarded = 0
-        self.failovers = 0
-        self.ejects = 0
-        self.health_probes = 0
+        #: The proxy process's books; :meth:`stats` is a view of them.
+        self.metrics = MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_reads = counter("replication.proxy_reads")
+        self._m_fallback_reads = counter("replication.proxy_fallback_reads")
+        self._m_writes = counter("replication.proxy_writes")
+        self._m_failovers = counter("replication.proxy_failovers")
+        self._m_ejects = counter("replication.proxy_ejects")
+        self._m_probes = counter("replication.proxy_probes")
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -155,7 +157,7 @@ class ReadProxy:
         )
 
     async def _probe(self, backend: _Backend) -> None:
-        self.health_probes += 1
+        self._m_probes.inc()
         try:
             health = await backend.call(
                 "repro_health", None, self.config.backend_timeout_s
@@ -168,8 +170,7 @@ class ReadProxy:
             asyncio.TimeoutError,
         ) as exc:
             if backend.healthy:
-                self.ejects += 1
-                self._count("replication.proxy_ejects")
+                self._m_ejects.inc()
             await backend.fail(repr(exc))
             return
         was_healthy = backend.healthy
@@ -179,13 +180,7 @@ class ReadProxy:
             lag = max(0, self.writer.height - backend.height)
             backend.healthy = lag <= self.config.max_lag_blocks
             if was_healthy and not backend.healthy:
-                self.ejects += 1
-                self._count("replication.proxy_ejects")
-
-    def _count(self, name: str, n: int = 1) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(name).inc(n)
+                self._m_ejects.inc()
 
     # -- connection handling -------------------------------------------------
     async def _handle_connection(
@@ -276,16 +271,13 @@ class ReadProxy:
                 raise RpcError(err.code, str(err), err.data) from None
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 if backend.healthy and not backend.is_writer:
-                    self.ejects += 1
-                    self._count("replication.proxy_ejects")
+                    self._m_ejects.inc()
                 await backend.fail("read failed")
-                self.failovers += 1
-                self._count("replication.proxy_failovers")
+                self._m_failovers.inc()
                 continue
-            self.reads_proxied += 1
+            self._m_reads.inc()
             if backend.is_writer:
-                self.writer_fallback_reads += 1
-            self._count("replication.proxy_reads")
+                self._m_fallback_reads.inc()
             return result
         raise RpcError(INTERNAL_ERROR, "no backend answered the read")
 
@@ -300,7 +292,7 @@ class ReadProxy:
             raise RpcError(
                 INTERNAL_ERROR, f"writer unreachable: {exc!r}"
             ) from None
-        self.writes_forwarded += 1
+        self._m_writes.inc()
         return result
 
     # -- subscriptions ---------------------------------------------------------
@@ -364,8 +356,7 @@ class ReadProxy:
             except asyncio.CancelledError:
                 raise
             except Exception:
-                self.failovers += 1
-                self._count("replication.proxy_failovers")
+                self._m_failovers.inc()
                 await asyncio.sleep(self.config.health_interval_s)
             finally:
                 if client is not None:
@@ -389,15 +380,17 @@ class ReadProxy:
         }
 
     def stats(self) -> dict:
+        value = self.metrics.value
         return {
             "role": "proxy",
-            "readsProxied": self.reads_proxied,
-            "writerFallbackReads": self.writer_fallback_reads,
-            "writesForwarded": self.writes_forwarded,
-            "failovers": self.failovers,
-            "ejects": self.ejects,
-            "healthProbes": self.health_probes,
+            "readsProxied": value("replication.proxy_reads"),
+            "writerFallbackReads": value("replication.proxy_fallback_reads"),
+            "writesForwarded": value("replication.proxy_writes"),
+            "failovers": value("replication.proxy_failovers"),
+            "ejects": value("replication.proxy_ejects"),
+            "healthProbes": value("replication.proxy_probes"),
             "healthyReplicas": sum(
                 1 for b in self.replicas if b.healthy
             ),
+            "metrics": self.metrics.snapshot(),
         }

@@ -31,20 +31,15 @@ import asyncio
 import contextlib
 import random
 import time
-from collections import deque
 
 from ..chain import rlp
 from ..evm.decoded import warm_state_codes
-from ..obs import get_registry
 from ..storage import codec, snapshot
 from ..storage.errors import StorageError
 from ..trie import StatelessValidator, StateRootMismatchError, WitnessError
 from . import stream
 from .config import ReplicationConfig
 from .errors import ReplicaDivergenceError, StreamProtocolError
-
-#: Bounded retention of per-block lag samples (bench reads these).
-_LAG_SAMPLE_CAP = 4096
 
 
 class Replica:
@@ -94,14 +89,19 @@ class Replica:
         self._stopping = False
         self._task: asyncio.Task | None = None
         self.connected = False
-        # -- counters (mirrored into repro.obs when enabled) -------------
-        self.blocks_applied = 0
-        self.reconnects = 0
-        self.resyncs = 0
-        self.divergences = 0
-        self.last_lag_s = 0.0
-        self.last_lag_blocks = 0
-        self.lag_samples_s: deque[float] = deque(maxlen=_LAG_SAMPLE_CAP)
+        #: The books of the serve stack this replica feeds (its
+        #: builder's, which is its server's). Handles are taken here:
+        #: the apply paths run on a worker thread and only increment.
+        #: Lag is the last reading, two gauges — no sample is kept.
+        self.metrics = builder.metrics
+        counter = self.metrics.counter
+        self._m_blocks_applied = counter("replication.blocks_applied")
+        self._m_reconnects = counter("replication.reconnects")
+        self._m_resyncs = counter("replication.resyncs")
+        self._m_divergences = counter("replication.divergences")
+        self._m_lag_seconds = self.metrics.gauge("replication.lag_seconds")
+        self._m_lag_seconds.set(0.0)  # a float before the first block too
+        self._m_lag_blocks = self.metrics.gauge("replication.lag_blocks")
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -131,12 +131,9 @@ class Replica:
                 await self._session()
                 attempt = 0
             except ReplicaDivergenceError:
-                self.divergences += 1
+                self._m_divergences.inc()
                 self._need_snapshot = True
                 attempt = 0  # resync is urgent: restart at base delay
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("replication.divergences").inc()
             except (
                 ConnectionError,
                 StreamProtocolError,
@@ -148,10 +145,7 @@ class Replica:
                 return
             delay = self.config.backoff.delay(attempt, self._rng)
             attempt += 1
-            self.reconnects += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("replication.reconnects").inc()
+            self._m_reconnects.inc()
             await asyncio.sleep(delay)
 
     async def _session(self) -> None:
@@ -229,18 +223,8 @@ class Replica:
         # and receipt indexing are loop-thread affairs, exactly as the
         # writer's builder resolves there).
         self.builder._resolve(block, receipts)
-        self.last_lag_s = max(0.0, time.time() - sent_at_us / 1e6)
-        self.last_lag_blocks = max(0, writer_height - height)
-        self.lag_samples_s.append(self.last_lag_s)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("replication.blocks_applied").inc()
-            registry.gauge("replication.lag_blocks").set(
-                self.last_lag_blocks
-            )
-            registry.histogram("replication.lag_ms").observe(
-                self.last_lag_s * 1000.0
-            )
+        self._m_lag_seconds.set(max(0.0, time.time() - sent_at_us / 1e6))
+        self._m_lag_blocks.set(max(0, writer_height - height))
 
     # -- apply paths (worker thread, under the state lock) -----------------
     def _apply_block(self, record):
@@ -262,7 +246,7 @@ class Replica:
                     height, exc.claimed, exc.actual
                 ) from None
             self.height = height
-            self.blocks_applied += 1
+            self._m_blocks_applied.inc()
             return receipts
 
     def _apply_block_witness(self, record):
@@ -295,7 +279,7 @@ class Replica:
             self.node.chain.append(block)
             self.node.receipts[block.hash()] = result.receipts
             self.height = height
-            self.blocks_applied += 1
+            self._m_blocks_applied.inc()
         return result.receipts
 
     def _apply_snapshot(
@@ -322,20 +306,18 @@ class Replica:
             # Re-anchor the witness-mode chain at the snapshot.
             self._last_root = root
         self._need_snapshot = False
-        self.resyncs += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("replication.resyncs").inc()
+        self._m_resyncs.inc()
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict:
+        value = self.metrics.value
         return {
             "height": self.height,
             "connected": self.connected,
-            "blocksApplied": self.blocks_applied,
-            "reconnects": self.reconnects,
-            "resyncs": self.resyncs,
-            "divergences": self.divergences,
-            "lagSeconds": round(self.last_lag_s, 6),
-            "lagBlocks": self.last_lag_blocks,
+            "blocksApplied": value("replication.blocks_applied"),
+            "reconnects": value("replication.reconnects"),
+            "resyncs": value("replication.resyncs"),
+            "divergences": value("replication.divergences"),
+            "lagSeconds": round(value("replication.lag_seconds"), 6),
+            "lagBlocks": value("replication.lag_blocks"),
         }

@@ -30,7 +30,7 @@ import os
 import time
 
 from ..chain.block import BLOCKHASH_WINDOW
-from ..obs import get_registry
+from ..obs import MetricsRegistry
 from ..storage import codec, snapshot
 from ..storage.errors import CorruptSnapshotError, UnsupportedFormatError
 from ..storage.store import WAL_NAME
@@ -106,6 +106,7 @@ class WalStreamer:
         data_dir: str,
         config: ReplicationConfig | None = None,
         fault_injector=None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.data_dir = str(data_dir)
         self.config = config or ReplicationConfig()
@@ -117,11 +118,15 @@ class WalStreamer:
         #: Per-connection commit wake-ups (set by notify_commit).
         self._wakes: set[asyncio.Event] = set()
         self._genesis: bytes | None = None
-        # -- counters (mirrored into repro.obs when enabled) -------------
-        self.connections_total = 0
-        self.connections_active = 0
-        self.blocks_streamed = 0
-        self.snapshots_sent = 0
+        #: The writer's books when its server starts this streamer; a
+        #: streamer built alone gets its own. ``health()["streaming"]``
+        #: is a view of these four series.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_connections = counter("replication.connections")
+        self._m_followers = self.metrics.gauge("replication.followers")
+        self._m_blocks_streamed = counter("replication.blocks_streamed")
+        self._m_snapshots_sent = counter("replication.snapshots_sent")
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -189,14 +194,8 @@ class WalStreamer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections_total += 1
-        self.connections_active += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("replication.connections").inc()
-            registry.gauge("replication.followers").set(
-                self.connections_active
-            )
+        self._m_connections.inc()
+        self._m_followers.inc()
         wake = asyncio.Event()
         self._wakes.add(wake)
         try:
@@ -211,11 +210,7 @@ class WalStreamer:
             pass  # torn/bogus follower: its problem, not the writer's
         finally:
             self._wakes.discard(wake)
-            self.connections_active -= 1
-            if registry.enabled:
-                registry.gauge("replication.followers").set(
-                    self.connections_active
-                )
+            self._m_followers.inc(-1)
             with contextlib.suppress(Exception):
                 writer.close()
 
@@ -249,10 +244,7 @@ class WalStreamer:
                     payload, self._index.recent_hashes(snap_height)
                 ))
                 await writer.drain()
-                self.snapshots_sent += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("replication.snapshots_sent").inc()
+                self._m_snapshots_sent.inc()
                 start_height = snap_height
             # else: behind but no newer anchor on disk — the WAL suffix
             # from the follower's own height is the only way forward.
@@ -293,20 +285,15 @@ class WalStreamer:
                         ))
                         next_index += 1
                         blocks_sent += 1
-                        self.blocks_streamed += 1
+                        self._m_blocks_streamed.inc()
                         sent_this_poll += 1
                     continue
                 writer.write(frame)
                 next_index += 1
                 blocks_sent += 1
-                self.blocks_streamed += 1
+                self._m_blocks_streamed.inc()
                 sent_this_poll += 1
             if sent_this_poll:
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter(
-                        "replication.blocks_streamed"
-                    ).inc(sent_this_poll)
                 await writer.drain()
             if self._server is None:
                 return  # streamer stopped
@@ -322,10 +309,11 @@ class WalStreamer:
                 raise ConnectionError("follower closed")
 
     def stats(self) -> dict:
+        value = self.metrics.value
         return {
-            "connectionsTotal": self.connections_total,
-            "connectionsActive": self.connections_active,
-            "blocksStreamed": self.blocks_streamed,
-            "snapshotsSent": self.snapshots_sent,
+            "connectionsTotal": value("replication.connections"),
+            "connectionsActive": value("replication.followers"),
+            "blocksStreamed": value("replication.blocks_streamed"),
+            "snapshotsSent": value("replication.snapshots_sent"),
             "walHeight": self._index.height,
         }

@@ -36,7 +36,7 @@ from ..chain.mempool import (  # noqa: F401  (AdmissionError re-export)
 from ..chain.node import Node
 from ..chain.receipt import Receipt
 from ..evm.decoded import warm_state_codes
-from ..obs import get_registry
+from ..obs import MetricsRegistry
 from ..storage.errors import AppendFailedError
 from .config import ServeConfig
 from .errors import ExecutionFailedError
@@ -61,6 +61,7 @@ class BlockBuilder:
         node: Node,
         config: ServeConfig | None = None,
         fault_injector=None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.node = node
         self.config = config or ServeConfig()
@@ -69,10 +70,6 @@ class BlockBuilder:
         self.fault_injector = fault_injector
         #: tx hash -> future resolving to a :class:`CommittedReceipt`.
         self._pending: dict[bytes, asyncio.Future] = {}
-        #: tx hash -> admission wall time, kept only while the metrics
-        #: registry is enabled: its one reader is the
-        #: ``serve.e2e_latency_ms`` histogram.
-        self._admitted_at: dict[bytes, float] = {}
         #: tx hash -> committed receipt, for ``getReceipt`` lookups.
         #: Bounded to ``config.receipt_history_blocks`` recent blocks.
         self.committed: dict[bytes, CommittedReceipt] = {}
@@ -95,14 +92,23 @@ class BlockBuilder:
         # Serve nodes start warm: pre-decode every contract already in
         # state so the first block never pays the AOT decode pass.
         warm_state_codes(node.state)
-        # -- cumulative stats (mirrored into repro.obs when enabled) ----
-        self.blocks_built = 0
-        self.txs_committed = 0
-        self.sequential_fallbacks = 0
-        self.execution_failures = 0
-        self.packed_blocks = 0
-        self.packed_parallelism_sum = 0.0
-        self.packed_deferred_total = 0
+        #: The served process's one set of books: the server hands in
+        #: its own, a builder built alone gets one. ``repro_stats`` is a
+        #: view of it. Handles are taken here, so the event loop and the
+        #: worker thread only ever increment — neither looks a series up.
+        #: No histogram: one would keep a sample per block for ever
+        #: (mean block size is ``txs_committed / blocks_built``).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_admitted = counter("serve.admitted")
+        self._m_queue_depth = self.metrics.gauge("serve.queue_depth")
+        self._m_blocks_built = counter("serve.blocks_built")
+        self._m_txs_committed = counter("serve.txs_committed")
+        self._m_sequential_fallbacks = counter("serve.sequential_fallbacks")
+        self._m_execution_failures = counter("serve.execution_failures")
+        self._m_packed_blocks = counter("serve.packed_blocks")
+        self._m_packed_parallelism = counter("serve.packed_parallelism_sum")
+        self._m_packed_deferred = counter("serve.packed_deferred")
         #: Resolved lane-depth/aging policy under conflict-aware packing.
         self.packing_policy: PackingPolicy | None = None
         if self.config.packing == "conflict_aware":
@@ -159,11 +165,8 @@ class BlockBuilder:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[tx_hash] = future
         self._wake.set()
-        registry = get_registry()
-        if registry.enabled:
-            self._admitted_at[tx_hash] = time.monotonic()
-            registry.counter("serve.admitted").inc()
-            registry.gauge("serve.queue_depth").set(self.depth)
+        self._m_admitted.inc()
+        self._m_queue_depth.set(self.depth)
         return future
 
     def future_for(self, tx_hash: bytes) -> asyncio.Future | None:
@@ -263,10 +266,7 @@ class BlockBuilder:
                 # the affected futures; anything escaping it (a commit or
                 # resolve bug) must still not kill the builder task —
                 # a dead builder hangs every future submit forever.
-                self.execution_failures += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("serve.execution_failures").inc()
+                self._m_execution_failures.inc()
 
     def _gas_target_met(self) -> bool:
         """*Could* the pool fill a block? Promised gas (the limits)
@@ -316,16 +316,11 @@ class BlockBuilder:
         self._resolve(block, receipts)
 
     def _fail(self, txs, exc: Exception) -> None:
-        self.execution_failures += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("serve.execution_failures").inc()
-            registry.gauge("serve.queue_depth").set(self.depth)
+        self._m_execution_failures.inc()
+        self._m_queue_depth.set(self.depth)
         err = ExecutionFailedError(repr(exc))
         for tx in txs:
-            tx_hash = tx.hash()
-            self._admitted_at.pop(tx_hash, None)
-            future = self._pending.pop(tx_hash, None)
+            future = self._pending.pop(tx.hash(), None)
             if future is not None and not future.done():
                 future.set_exception(err)
                 # A waiter may have already abandoned the future (its
@@ -348,9 +343,9 @@ class BlockBuilder:
         # them: in flight is the block alone.
         self._in_flight = len(block.transactions)
         if block.packed_lanes is not None:
-            self.packed_blocks += 1
-            self.packed_parallelism_sum += block.packed_parallelism
-            self.packed_deferred_total += cut.deferred
+            self._m_packed_blocks.inc()
+            self._m_packed_parallelism.inc(block.packed_parallelism)
+            self._m_packed_deferred.inc(cut.deferred)
         try:
             receipts = self._execute(block)
         except AppendFailedError:
@@ -364,10 +359,7 @@ class BlockBuilder:
             # artifacts the failed engine was working off. If that dies
             # too the node is back there again; the caller fails the futures.
             block.artifacts = None
-            self.sequential_fallbacks += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("serve.sequential_fallbacks").inc()
+            self._m_sequential_fallbacks.inc()
             receipts = self.node.execute_block(block)
         # The pre-execution dies with its block: commit_block has fed the
         # packing estimator, nothing downstream reads artifacts again,
@@ -396,23 +388,10 @@ class BlockBuilder:
             future = self._pending.pop(tx_hash, None)
             if future is not None and not future.done():
                 future.set_result(committed)
-        registry = get_registry()
-        if self._admitted_at:
-            now = time.monotonic()
-            for tx_hash in tx_hashes:
-                admitted = self._admitted_at.pop(tx_hash, None)
-                if registry.enabled and admitted is not None:
-                    registry.histogram("serve.e2e_latency_ms").observe(
-                        (now - admitted) * 1000.0
-                    )
         self._evict_history(block, tx_hashes)
-        self.blocks_built += 1
-        self.txs_committed += len(receipts)
-        if registry.enabled:
-            registry.counter("serve.blocks_built").inc()
-            registry.counter("serve.txs_committed").inc(len(receipts))
-            registry.histogram("serve.block_size").observe(len(receipts))
-            registry.gauge("serve.queue_depth").set(self.depth)
+        self._m_blocks_built.inc()
+        self._m_txs_committed.inc(len(receipts))
+        self._m_queue_depth.set(self.depth)
         for callback in list(self.on_new_head):
             with contextlib.suppress(Exception):
                 # A broken head subscriber must not kill the builder.

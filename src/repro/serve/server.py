@@ -36,7 +36,7 @@ import time
 
 from ..chain.mempool import AdmissionError
 from ..chain.node import Node
-from ..obs import get_registry
+from ..obs import MetricsRegistry, get_registry
 from ..storage import codec as storage_codec
 from . import protocol
 from .batcher import BlockBuilder
@@ -127,10 +127,7 @@ class _ReceiptWait:
         self.future.remove_done_callback(self._resolved)
         self.waits.discard(self)
         server = self.server
-        server.deadline_misses += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("serve.deadline_misses").inc()
+        server._m_deadline_misses.inc()
         server._reply(
             self.out,
             protocol.error_response(
@@ -185,8 +182,18 @@ class RpcServer:
                 receipt_history_blocks=self.config.receipt_history_blocks,
                 fault_injector=fault_injector,
             )
+        #: This process's one set of books — owned, not installed: the
+        #: builder, the streamer :meth:`start` creates and the replica
+        #: attached to the builder count each event once, here, and
+        #: :meth:`stats` / :meth:`health` are views of it. The
+        #: process-wide registry of ``repro.obs`` stays the null one in
+        #: a live server; the node's own twins (``Node.txs_replayed`` /
+        #: ``evm.*``, ``ChainStore.wal_records`` / ``storage.*``) belong
+        #: to it and are not moved here (ROADMAP item 7).
+        self.metrics = MetricsRegistry()
         self.builder = BlockBuilder(
-            self.node, self.config, fault_injector=fault_injector
+            self.node, self.config, fault_injector=fault_injector,
+            metrics=self.metrics,
         )
         if self.node.chain:
             # Restarted on a recovered chain: getReceipt and idempotent
@@ -219,19 +226,22 @@ class RpcServer:
         self._next_subscription = 1
         self._shutting_down = False
         self.builder.on_new_head.append(self._publish_new_head)
-        # -- counters the stats endpoint exposes -------------------------
-        self.requests_served = 0
+        # Handles for every series with a fixed name, taken once: the
+        # request path increments, it never looks a series up. (An
+        # admission refusal is ``serve.rejected{reason=<error type>}``,
+        # looked up when it happens.)
+        counter = self.metrics.counter
+        self._m_requests = counter("serve.requests_served")
         #: Transport writes across all connections; with
-        #: ``requests_served`` it gives frames per write.
-        self.socket_writes = 0
-        self.busy_rejects = 0
-        self.rate_limit_rejects = 0
-        self.deadline_misses = 0
-        self.admission_rejects = 0
-        self.subscription_drops = 0
-        self.health_checks = 0
-        self.idle_drops = 0
-        self.read_only_rejects = 0
+        #: ``serve.requests_served`` it gives frames per write.
+        self._m_socket_writes = counter("serve.socket_writes")
+        self._m_busy = counter("serve.rejected", reason="busy")
+        self._m_rate_limited = counter("serve.rejected", reason="rate_limited")
+        self._m_deadline_misses = counter("serve.deadline_misses")
+        self._m_subscription_drops = counter("serve.subscription_drops")
+        self._m_health_checks = counter("serve.health_checks")
+        self._m_idle_drops = counter("serve.idle_drops")
+        self._m_read_only_rejects = counter("serve.read_only_rejects")
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -258,6 +268,7 @@ class RpcServer:
                     stream_port=self.config.replication_port,
                 ),
                 fault_injector=self._fault_injector,
+                metrics=self.metrics,
             )
             await self.streamer.start()
             self.config.replication_port = (
@@ -342,13 +353,10 @@ class RpcServer:
         peer = out.transport.get_extra_info("peername")
         return peer[0] if peer else "unknown"
 
-    def _count_socket_write(self) -> None:
-        self.socket_writes += 1
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        out = Outbox(writer, on_write=self._count_socket_write)
+        out = Outbox(writer, on_write=self._m_socket_writes.inc)
         self._connections.add(out)
         self._last_activity[out] = self._clock()
         #: This connection's sendTransaction calls awaiting a receipt.
@@ -414,15 +422,11 @@ class RpcServer:
             if last < cutoff:
                 self._drop_connection(out)
                 reaped += 1
-        if reaped:
-            self.idle_drops += reaped
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("serve.idle_drops").inc(reaped)
+        self._m_idle_drops.inc(reaped)
         return reaped
 
     def _reply(self, out: Outbox, reply: dict) -> None:
-        self.requests_served += 1
+        self._m_requests.inc()
         out.write(protocol.encode_frame(reply))
 
     def _handle_request(
@@ -474,19 +478,14 @@ class RpcServer:
         """Admit a transaction; the receipt, the hash (``wait`` false)
         or :data:`_DEFERRED` with a :class:`_ReceiptWait` parked."""
         if self.config.role != "writer":
-            self.read_only_rejects += 1
+            self._m_read_only_rejects.inc()
             raise ReadOnlyError()
         if self._shutting_down or self.builder.draining:
             raise ShuttingDownError()
         if self.limiter is not None:
             client = self._client_id(out)
             if not self.limiter.try_acquire(client):
-                self.rate_limit_rejects += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter(
-                        "serve.rejected", reason="rate_limited"
-                    ).inc()
+                self._m_rate_limited.inc()
                 raise RateLimitedError(self.limiter.retry_after(client))
         tx = protocol.tx_from_wire(params.get("tx", ""))
         wait = params.get("wait", True)
@@ -512,13 +511,9 @@ class RpcServer:
         future = self.builder.future_for(tx_hash)
         if future is not None:
             if not wait:
-                self.admission_rejects += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter(
-                        "serve.rejected",
-                        reason="DuplicateTransactionError",
-                    ).inc()
+                self.metrics.counter(
+                    "serve.rejected", reason="DuplicateTransactionError"
+                ).inc()
                 raise RpcError(
                     ADMISSION_REJECTED,
                     f"transaction {tx_hash.hex()[:16]}… already pending",
@@ -527,22 +522,16 @@ class RpcServer:
             _ReceiptWait(self, out, waits, request_id, future, deadline_ms)
             return _DEFERRED
         if self.builder.depth >= self.config.max_pending:
-            self.busy_rejects += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("serve.rejected", reason="busy").inc()
+            self._m_busy.inc()
             raise BusyError(self.builder.depth, self.config.max_pending)
         try:
             future = self.builder.submit(tx)
         except AdmissionError as err:
             # Includes mempool-level duplicates (a hash heard via gossip
             # but never submitted over RPC has no pending future).
-            self.admission_rejects += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "serve.rejected", reason=type(err).__name__
-                ).inc()
+            self.metrics.counter(
+                "serve.rejected", reason=type(err).__name__
+            ).inc()
             raise RpcError(
                 ADMISSION_REJECTED, str(err),
                 {"reason": type(err).__name__},
@@ -568,16 +557,7 @@ class RpcServer:
         )
 
     def _get_balance(self, params: dict) -> int:
-        address = params.get("address")
-        if isinstance(address, str):
-            try:
-                address = int(address, 16)
-            except ValueError:
-                raise RpcError(
-                    INVALID_PARAMS, "address is not hex"
-                ) from None
-        if not isinstance(address, int):
-            raise RpcError(INVALID_PARAMS, "address required")
+        address = self._parse_address(params)
         # The lock keeps this read consistent: block execution mutates
         # the same state (and its access-tracking attribute) on a worker
         # thread, so an unguarded read could observe a mid-transaction
@@ -600,9 +580,10 @@ class RpcServer:
         return value
 
     def _observe_proof(self, blob: bytes) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.histogram("trie.proof_bytes").observe(len(blob))
+        # The process registry, beside the trie's own series (the null
+        # one's histogram is a shared no-op): a histogram keeps every
+        # sample, so it is not in self.metrics.
+        get_registry().histogram("trie.proof_bytes").observe(len(blob))
 
     def _get_proof(self, params: dict) -> dict:
         """Inclusion proof binding an account to the current state root.
@@ -719,7 +700,7 @@ class RpcServer:
                 > self.config.max_subscriber_buffer
             ):
                 del self._subscriptions[sub_id]
-                self.subscription_drops += 1
+                self._m_subscription_drops.inc()
                 continue
             out.write(frame)
 
@@ -733,10 +714,7 @@ class RpcServer:
         answering with the same pair are serving bit-identical
         universes.
         """
-        self.health_checks += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("serve.health_checks").inc()
+        self._m_health_checks.inc()
         with self.builder.state_lock:
             digest = storage_codec.state_digest_bytes(self.node.state)
         height = (
@@ -764,35 +742,43 @@ class RpcServer:
 
     # -- stats -------------------------------------------------------------
     def stats(self) -> dict:
+        """A view of :attr:`metrics` under the names clients read, the
+        node's and the store's own counts, and the registry itself."""
+        value = self.metrics.value
+        busy = value("serve.rejected", reason="busy")
+        rate_limited = value("serve.rejected", reason="rate_limited")
+        packed_blocks = value("serve.packed_blocks")
         return {
             "role": self.config.role,
-            "requestsServed": self.requests_served,
-            "socketWrites": self.socket_writes,
-            "blocksBuilt": self.builder.blocks_built,
-            "txsCommitted": self.builder.txs_committed,
+            "requestsServed": value("serve.requests_served"),
+            "socketWrites": value("serve.socket_writes"),
+            "blocksBuilt": value("serve.blocks_built"),
+            "txsCommitted": value("serve.txs_committed"),
             "queueDepth": self.builder.depth,
-            "busyRejects": self.busy_rejects,
-            "rateLimitRejects": self.rate_limit_rejects,
-            "deadlineMisses": self.deadline_misses,
-            "admissionRejects": self.admission_rejects,
-            "subscriptionDrops": self.subscription_drops,
-            "healthChecks": self.health_checks,
-            "idleDrops": self.idle_drops,
-            "readOnlyRejects": self.read_only_rejects,
-            "sequentialFallbacks": self.builder.sequential_fallbacks,
-            "executionFailures": self.builder.execution_failures,
+            "busyRejects": busy,
+            "rateLimitRejects": rate_limited,
+            "deadlineMisses": value("serve.deadline_misses"),
+            # Every other reason: the mempool's AdmissionError types.
+            "admissionRejects": (
+                self.metrics.total("serve.rejected") - busy - rate_limited
+            ),
+            "subscriptionDrops": value("serve.subscription_drops"),
+            "healthChecks": value("serve.health_checks"),
+            "idleDrops": value("serve.idle_drops"),
+            "readOnlyRejects": value("serve.read_only_rejects"),
+            "sequentialFallbacks": value("serve.sequential_fallbacks"),
+            "executionFailures": value("serve.execution_failures"),
             # Execute-once split of Node.execute_block (the sequential
             # executor): commits by artifact replay vs. stale artifacts
             # re-run through the EVM.
             "txsReplayed": self.node.txs_replayed,
             "txsReexecuted": self.node.txs_reexecuted,
             "packing": self.config.packing,
-            "packedBlocks": self.builder.packed_blocks,
-            "packedDeferred": self.builder.packed_deferred_total,
+            "packedBlocks": packed_blocks,
+            "packedDeferred": value("serve.packed_deferred"),
             "packedParallelism": (
-                self.builder.packed_parallelism_sum
-                / self.builder.packed_blocks
-                if self.builder.packed_blocks
+                value("serve.packed_parallelism_sum") / packed_blocks
+                if packed_blocks
                 else 0.0
             ),
             "chainHeight": (
@@ -815,4 +801,5 @@ class RpcServer:
                 if self.node.store is not None
                 else 0
             ),
+            "metrics": self.metrics.snapshot(),
         }

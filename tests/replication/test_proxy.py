@@ -46,7 +46,8 @@ def test_proxy_round_robins_reads_across_replicas(
                 desc="both replicas caught up",
             )
             served_before = (
-                server_a.requests_served + server_b.requests_served
+                server_a.stats()["requestsServed"]
+                + server_b.stats()["requestsServed"]
             )
             client = await RpcClient.connect(
                 "127.0.0.1", proxy.port
@@ -72,7 +73,8 @@ def test_proxy_round_robins_reads_across_replicas(
             # The reads actually landed on the replicas (round-robin),
             # not the writer.
             assert (
-                server_a.requests_served + server_b.requests_served
+                server_a.stats()["requestsServed"]
+                + server_b.stats()["requestsServed"]
                 > served_before
             )
         finally:
@@ -153,8 +155,8 @@ def test_proxy_forwards_writes_to_the_writer(deployment, tmp_path):
             finally:
                 await client.close()
             assert receipt["success"] is True
-            assert proxy.writes_forwarded == 1
-            assert writer.builder.txs_committed == 1
+            assert proxy.stats()["writesForwarded"] == 1
+            assert writer.stats()["txsCommitted"] == 1
         finally:
             await proxy.stop()
             await stop_replica(server_a, replica_a)

@@ -98,7 +98,7 @@ def test_replica_rejects_writes_with_typed_error(deployment, tmp_path):
             finally:
                 await client.close()
             assert err.value.code == READ_ONLY
-            assert replica_server.read_only_rejects == 1
+            assert replica_server.stats()["readOnlyRejects"] == 1
         finally:
             await stop_replica(replica_server, replica)
             await writer.shutdown()
@@ -134,11 +134,11 @@ def test_injected_divergence_detected_and_healed(
                     deployment, writer.config.port, 16, seed=22
                 )
                 await eventually(
-                    lambda: replica.divergences >= 1,
+                    lambda: replica.stats()["divergences"] >= 1,
                     desc="divergence detected",
                 )
                 await eventually(
-                    lambda: replica.resyncs >= 1
+                    lambda: replica.stats()["resyncs"] >= 1
                     and replica.height == len(writer.node.chain)
                     and replica.node.state_root == writer.node.state_root,
                     desc="snapshot resync reconverged",
@@ -170,7 +170,7 @@ def test_torn_stream_reconnects_with_backoff(deployment, tmp_path):
                 deployment, writer.config.port, 16, seed=23
             )
             await eventually(
-                lambda: replica.reconnects >= 1,
+                lambda: replica.stats()["reconnects"] >= 1,
                 desc="reconnect after the injected tear",
             )
             await eventually(
@@ -214,7 +214,7 @@ def test_far_behind_replica_catches_up_from_snapshot(
                     == digest_of(writer),
                     desc="snapshot catch-up",
                 )
-                assert replica.resyncs >= 1
+                assert replica.stats()["resyncs"] >= 1
                 # The pre-snapshot prefix was never replayed.
                 assert len(replica.node.chain) < replica.height
             finally:
@@ -253,11 +253,11 @@ def test_reconnect_after_resync_streams_without_second_snapshot(
             )
             try:
                 await eventually(
-                    lambda: replica.resyncs == 1
+                    lambda: replica.stats()["resyncs"] == 1
                     and replica.height == len(writer.node.chain),
                     desc="far-behind bootstrap from snapshot",
                 )
-                assert writer.streamer.snapshots_sent == 1
+                assert writer.streamer.stats()["snapshotsSent"] == 1
                 # From here only a requested or diagnosed resync may
                 # ship a snapshot: a reconnect gap is not a reason.
                 writer.streamer.config.snapshot_catchup_blocks = 1 << 20
@@ -267,7 +267,7 @@ def test_reconnect_after_resync_streams_without_second_snapshot(
                     heights.append(replica.height)
                     return (
                         injector.injected["stream_torn"] == 1
-                        and replica.reconnects >= 1
+                        and replica.stats()["reconnects"] >= 1
                         and replica.height == len(writer.node.chain)
                         and replica.node.state_root
                         == writer.node.state_root
@@ -279,10 +279,10 @@ def test_reconnect_after_resync_streams_without_second_snapshot(
                 await eventually(
                     reconverged, desc="post-tear reconvergence"
                 )
-                assert replica.blocks_applied >= 2
-                assert replica.divergences == 0
-                assert replica.resyncs == 1
-                assert writer.streamer.snapshots_sent == 1
+                assert replica.stats()["blocksApplied"] >= 2
+                assert replica.stats()["divergences"] == 0
+                assert replica.stats()["resyncs"] == 1
+                assert writer.streamer.stats()["snapshotsSent"] == 1
                 assert heights == sorted(heights)
                 assert digest_of(replica_server) == digest_of(writer)
             finally:
@@ -362,7 +362,7 @@ def test_apply_block_rolls_back_on_divergence(deployment):
     assert replica_node.state_root == root_before
     assert replica_node.chain == []
     assert replica.height == 0
-    assert replica.blocks_applied == 0
+    assert replica.stats()["blocksApplied"] == 0
 
     # The same block with the honest root applies cleanly.
     receipts = replica._apply_block(codec.WalRecord(block))
@@ -411,7 +411,7 @@ def test_a_block_that_does_not_link_is_refused_before_execution(deployment):
     assert err.value.height == 1 and err.value.actual == first.hash()
     assert codec.state_digest_bytes(replica_node.state) == before
     assert [b.hash() for b in replica_node.chain] == [first.hash()]
-    assert replica.height == 1 and replica.blocks_applied == 1
+    assert replica.height == 1 and replica.stats()["blocksApplied"] == 1
 
     asyncio.run(handle(second))
     assert replica_node.chain[-1].hash() == second.hash()

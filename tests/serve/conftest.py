@@ -21,6 +21,12 @@ import tempfile
 import pytest
 
 
+def served(builder, name: str):
+    """One ``serve.*`` series of a bare builder's registry (a builder
+    has no ``stats()``; ``RpcServer.stats`` is the view of the same)."""
+    return builder.metrics.value("serve." + name)
+
+
 @pytest.fixture(autouse=True)
 def serve_data_dir_variant(monkeypatch):
     if not os.environ.get("REPRO_SERVE_DATA_DIR"):

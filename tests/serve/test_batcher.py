@@ -9,6 +9,8 @@ from repro.serve.batcher import BlockBuilder
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_transactions
 
+from .conftest import served
+
 
 def build(deployment, **overrides):
     defaults = dict(
@@ -40,8 +42,8 @@ def test_size_target_cuts_without_waiting_window(deployment):
         return builder, committed
 
     builder, committed = asyncio.run(run())
-    assert builder.blocks_built == 1
-    assert builder.txs_committed == 4
+    assert served(builder, "blocks_built") == 1
+    assert served(builder, "txs_committed") == 4
     assert [c.tx_index for c in committed] == [0, 1, 2, 3]
     assert all(c.block_height == 1 for c in committed)
     assert builder.depth == 0
@@ -65,7 +67,7 @@ def test_time_window_cuts_partial_block(deployment):
 
     builder, committed = asyncio.run(run())
     # Neither size nor gas target was reachable; only the window fired.
-    assert builder.blocks_built == 1
+    assert served(builder, "blocks_built") == 1
     assert len(committed) == 2
 
 
@@ -93,7 +95,7 @@ def test_gas_target_cuts_and_drain_flushes_rest(deployment):
     builder, first_two, last = asyncio.run(run())
     assert {c.block_height for c in first_two} == {1}
     assert last.block_height == 2
-    assert builder.blocks_built == 2
+    assert served(builder, "blocks_built") == 2
     assert len(builder.node.mempool) == 0
 
 
@@ -114,8 +116,8 @@ def test_calls_fill_blocks_by_gas_used_not_gas_promised(deployment):
         return builder
 
     builder = asyncio.run(run())
-    assert builder.blocks_built <= 2
-    assert builder.txs_committed == 40 and builder.depth == 0
+    assert served(builder, "blocks_built") <= 2
+    assert served(builder, "txs_committed") == 40 and builder.depth == 0
     assert [
         tx for block in builder.node.chain for tx in block.transactions
     ] == calls
@@ -196,7 +198,8 @@ def test_failed_block_fails_its_own_futures_not_the_returned_tail(
     assert [(r.block_height, r.tx_index) for r in results[8:]] == [
         (1, 0), (1, 1), (1, 2), (1, 3)
     ]
-    assert builder.execution_failures == 1 and builder.blocks_built == 1
+    assert served(builder, "execution_failures") == 1
+    assert served(builder, "blocks_built") == 1
     assert builder.node.chain[0].transactions == txs[8:]
     assert builder.depth == 0
 
@@ -268,8 +271,8 @@ def test_executor_failure_degrades_to_sequential(deployment):
 
     builder, committed = asyncio.run(run())
     # Degraded, not wedged: every future resolved sequentially.
-    assert builder.sequential_fallbacks == 1
-    assert builder.blocks_built == 1
+    assert served(builder, "sequential_fallbacks") == 1
+    assert served(builder, "blocks_built") == 1
     assert all(c.receipt.success for c in committed)
 
 
@@ -298,7 +301,7 @@ def test_fallback_state_matches_clean_sequential(deployment, monkeypatch):
         futures = [builder.submit(tx) for tx in txs]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
         await builder.drain_and_stop()
-        assert builder.sequential_fallbacks == int(sabotage)
+        assert served(builder, "sequential_fallbacks") == int(sabotage)
         return builder.node.state.state_digest()
 
     clean = asyncio.run(run(sabotage=False))
@@ -333,7 +336,8 @@ def test_pre_execution_state_dies_with_its_block(deployment, executor):
 
     builder = asyncio.run(run())
     node = builder.node
-    assert builder.sequential_fallbacks == 1 and len(node.chain) == 2
+    assert served(builder, "sequential_fallbacks") == 1
+    assert len(node.chain) == 2
     assert all(block.artifacts is None for block in node.chain)
     if executor == "sequential":
         # Block 2 was committed from its artifacts before they went.
@@ -355,7 +359,7 @@ def test_drain_and_stop_idles_cleanly_when_empty(deployment):
         return builder
 
     builder = asyncio.run(run())
-    assert builder.blocks_built == 0
+    assert served(builder, "blocks_built") == 0
 
 
 def test_submit_rejection_propagates(deployment):
@@ -434,8 +438,8 @@ def test_total_execution_failure_fails_futures_not_loop(deployment):
         return builder, committed
 
     builder, committed = asyncio.run(run())
-    assert builder.execution_failures == 1
-    assert builder.blocks_built == 1
+    assert served(builder, "execution_failures") == 1
+    assert served(builder, "blocks_built") == 1
     assert all(c.receipt.success for c in committed)
 
 
@@ -452,7 +456,7 @@ def test_receipt_history_is_bounded(deployment):
         return builder, txs
 
     builder, txs = asyncio.run(run())
-    assert builder.blocks_built == 3
+    assert served(builder, "blocks_built") == 3
     # Only the two most recent blocks' receipts are retained, in the
     # server map and the node alike.
     assert builder.committed.get(txs[0].hash()) is None

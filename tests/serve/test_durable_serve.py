@@ -119,7 +119,7 @@ def test_failed_append_fails_the_block_and_nothing_else(
     # "Safe to resubmit" is true: the refused transfers were nowhere.
     assert [r["blockHeight"] for r in resubmitted] == [2] * 4
     assert all(r["success"] for r in served + resubmitted)
-    assert server.builder.sequential_fallbacks == 0
+    assert server.stats()["sequentialFallbacks"] == 0
     assert stats["walRecords"] == stats["chainHeight"] == 2
 
     # Served root == root of the served state == what a fresh node

@@ -42,7 +42,7 @@ def test_idle_connection_reaped_after_timeout(deployment):
             now[0] += 15.0  # idle is now 35s silent; active only 15s
             reaped = server._reap_idle()
             assert reaped == 1
-            assert server.idle_drops == 1
+            assert server.stats()["idleDrops"] == 1
             assert len(server._connections) == 1
 
             # The survivor still works; the reaped socket is dead.
@@ -78,7 +78,7 @@ def test_subscribers_are_exempt_from_idle_reaping(deployment):
             )
             now[0] += 10_000.0  # hours of push-only silence
             assert server._reap_idle() == 0
-            assert server.idle_drops == 0
+            assert server.stats()["idleDrops"] == 0
             assert len(server._connections) == 1
             # Still a live subscription, not a zombie entry.
             assert len(server._subscriptions) == 1

@@ -20,6 +20,8 @@ from repro.serve.batcher import BlockBuilder
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_transactions
 
+from .conftest import served
+
 
 def run_serve_path(
     deployment,
@@ -159,7 +161,7 @@ def test_engine_dying_mid_block_is_invisible(
         deployment, txs,
         executor=executor, block_size_target=4, dies_at=dies_at,
     )
-    assert builder.sequential_fallbacks >= 1
+    assert served(builder, "sequential_fallbacks") >= 1
     assert_matches_offline(deployment, node, committed, txs)
 
 
@@ -189,7 +191,7 @@ def test_serve_path_survives_pu_faults(deployment, seed, dead, at_cycle):
     assert_matches_offline(deployment, node, committed, txs)
     # Whether the scheduler drained onto survivors or the builder fell
     # back to sequential, every transaction still committed exactly once.
-    assert builder.txs_committed == len(txs)
+    assert served(builder, "txs_committed") == len(txs)
 
 
 def assert_matches_fifo_replay(deployment, node, txs, block_size):
@@ -259,7 +261,7 @@ def test_packed_serve_path_survives_pu_faults(
     )
     assert_matches_offline(deployment, node, committed, txs)
     assert_matches_fifo_replay(deployment, node, txs, 4)
-    assert builder.txs_committed == len(txs)
+    assert served(builder, "txs_committed") == len(txs)
 
 
 def test_drain_flushes_deferred_transactions(deployment):
@@ -275,7 +277,7 @@ def test_drain_flushes_deferred_transactions(deployment):
     )
     assert len(committed) == len(txs)
     assert len(node.mempool) == 0
-    assert builder.txs_committed == len(txs)
+    assert served(builder, "txs_committed") == len(txs)
     assert_matches_offline(deployment, node, committed, txs)
     assert_matches_fifo_replay(deployment, node, txs, 4)
 
@@ -296,7 +298,11 @@ def test_forced_sequential_fallback_matches_offline(
     node, committed, builder = run_serve_path(
         deployment, txs, sabotage=True
     )
-    assert builder.sequential_fallbacks == builder.blocks_built > 0
+    assert (
+        served(builder, "sequential_fallbacks")
+        == served(builder, "blocks_built")
+        > 0
+    )
     # A clean re-execution: the failed executor's artifacts are dropped,
     # so nothing the fallback committed came from a journal replay.
     assert all(block.artifacts is None for block in node.chain)

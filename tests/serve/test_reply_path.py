@@ -220,12 +220,12 @@ def test_disconnect_mid_wait_disarms_the_wait(deployment):
             # Past the deadline: a timer left armed would count a miss
             # and answer a connection that no longer exists.
             await asyncio.sleep(0.25)
-            misses = server.deadline_misses
+            misses = server.stats()["deadlineMisses"]
             # Then the commit: the departed waiter's callback is gone.
             other.send(send_frame(second, 2))
             (receipt,) = await other.read(1)
             committed = server.builder.committed.get(first.hash())
-            served = server.requests_served
+            served = server.stats()["requestsServed"]
         finally:
             await other.close()
             await server.shutdown()
@@ -373,8 +373,8 @@ def test_a_peer_that_never_reads_stops_being_read(deployment):
             # Let the stall settle: the server stops answering the
             # silent peer once its replies back up.
             served = -1
-            while served != server.requests_served:
-                served = server.requests_served
+            while served != server.stats()["requestsServed"]:
+                served = server.stats()["requestsServed"]
                 for _ in range(30):
                     await asyncio.sleep(0.01)
                     peak_buffer = max(

@@ -425,7 +425,7 @@ def test_slow_subscriber_is_dropped_not_buffered(deployment):
     assert stalled.frames == []
     assert len(healthy.frames) == 1
     assert still_subscribed == {102}
-    assert server.subscription_drops == 1
+    assert server.stats()["subscriptionDrops"] == 1
 
 
 def test_subscribe_new_heads(deployment):
@@ -474,3 +474,30 @@ def test_protocol_errors_are_typed(deployment):
     assert errors["bad_address"] == INVALID_PARAMS
     assert errors["bad_hash"] == INVALID_PARAMS
     assert errors["bad_topic"] == INVALID_PARAMS
+
+
+def test_one_address_parser_behind_every_read(deployment):
+    """``repro_getBalance`` used to carry a looser copy of the parser:
+    ``{"address": -1}`` was answered ``0`` there and refused by the
+    proof methods."""
+    methods = ("repro_getBalance", "repro_getProof", "repro_getStorageProof")
+
+    async def run():
+        server, client = await booted(deployment, make_config())
+        try:
+            refusals = []  # per input: the distinct (code, message)s
+            for params in ({"address": -1}, {"address": "zz"}, {}):
+                answers = set()
+                for method in methods:
+                    with pytest.raises(RpcClientError) as err:
+                        await client.call(method, params)
+                    answers.add((err.value.code, str(err.value)))
+                refusals.append(answers)
+        finally:
+            await client.close()
+            await server.shutdown()
+        return refusals
+
+    for answers in asyncio.run(run()):
+        assert len(answers) == 1, answers
+        assert {code for code, _ in answers} == {INVALID_PARAMS}
