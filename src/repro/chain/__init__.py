@@ -6,7 +6,7 @@ from .state import AccessSet, WorldState
 from .transaction import Transaction
 from .receipt import LogEntry, Receipt
 from .block import Block, BlockHeader
-from .bloom import AccessBloom, AccessEstimator, bloom_for_transaction
+from .bloom import AccessBloom, bloom_for_transaction
 from .mempool import (
     AdmissionError,
     DuplicateTransactionError,
@@ -32,7 +32,6 @@ def __getattr__(name: str):
 __all__ = [
     "Account",
     "AccessBloom",
-    "AccessEstimator",
     "AccessSet",
     "AdmissionError",
     "bloom_for_transaction",

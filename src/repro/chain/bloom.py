@@ -14,22 +14,20 @@ non-conflicting lanes from blooms can never miss a real conflict (it can
 only be conservative about phantom ones).
 
 Reordering user transactions is only sound when the summary is a
-*superset* of what the transaction will actually touch. Three sources,
-in decreasing precision:
+*superset* of what the transaction will actually touch, so a bloom is
+built only from an access set that is established, never guessed. Two
+sources:
 
 * **declared** — the submitter attached explicit read/write key sets in
-  ``Transaction.tags`` (``"reads"`` / ``"writes"``); trusted as exact.
+  ``Transaction.tags`` (``"reads"`` / ``"writes"``); trusted as given.
 * **plain transfer** — the recipient has no code at admission time, so
   nothing executes (calldata or not): the access set is the closed form
   of :func:`repro.chain.transfer.transfer_access` — the one discovery
-  uses; derived and exact.
-* **estimated** — last-seen access keys for the same ``(to, selector)``
-  from committed execution artifacts (the hotspot-profile shape). A
-  heuristic: marked ``exact=False`` and only used for reordering when
-  the operator opts in (``trust_estimates``); otherwise such
-  transactions get the :meth:`AccessBloom.opaque` filter, which
-  conflicts with everything and therefore keeps them in FIFO order
-  relative to *all* neighbours — safe degradation, never divergence.
+  uses.
+
+Every other transaction gets the :meth:`AccessBloom.opaque` filter,
+which conflicts with everything and therefore keeps it in FIFO order
+relative to *all* neighbours — safe degradation, never divergence.
 
 Every bloom additionally records the sender's implicit balance + nonce
 writes (fee payment, nonce bump), so two transactions from one sender
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 from hashlib import blake2b
 
-from ..obs import get_registry
 from .state import BALANCE_KEY, NONCE_KEY
 from .transfer import is_plain_transfer, transfer_access
 
@@ -97,17 +94,16 @@ class AccessBloom:
     :attr:`read_mask` / :attr:`write_mask` views. An opaque filter —
     every bit set on both sides — holds ``None`` for both.
 
-    ``exact=True`` promises the filter covers a superset of the keys the
-    transaction will actually touch — the precondition for reordering.
+    A filter that is not opaque covers a superset of the keys the
+    transaction will actually touch (both of its sources are established
+    access sets) — the precondition for reordering, and the only thing
+    the packer asks of it.
     """
 
-    __slots__ = ("bits", "hashes", "reads", "writes", "exact")
+    __slots__ = ("bits", "hashes", "reads", "writes")
 
     def __init__(
-        self,
-        bits: int = DEFAULT_BITS,
-        hashes: int = DEFAULT_HASHES,
-        exact: bool = True,
+        self, bits: int = DEFAULT_BITS, hashes: int = DEFAULT_HASHES
     ) -> None:
         if bits <= 0 or bits % 8:
             raise ValueError("bloom bits must be a positive multiple of 8")
@@ -118,7 +114,6 @@ class AccessBloom:
         #: Set bit positions per side; both ``None`` when opaque.
         self.reads: set | None = set()
         self.writes: set | None = set()
-        self.exact = exact
 
     # -- construction ------------------------------------------------------
     def _positions(self, key: tuple) -> list[int]:
@@ -134,11 +129,10 @@ class AccessBloom:
         writes,
         bits: int = DEFAULT_BITS,
         hashes: int = DEFAULT_HASHES,
-        exact: bool = True,
     ) -> "AccessBloom":
         """The filter of two key collections; a key on both sides (or
         repeated) is hashed once."""
-        bloom = cls(bits=bits, hashes=hashes, exact=exact)
+        bloom = cls(bits=bits, hashes=hashes)
         hashed: dict[tuple, list[int]] = {}
         for side, keys in ((bloom.reads, reads), (bloom.writes, writes)):
             for key in keys:
@@ -158,7 +152,7 @@ class AccessBloom:
         Opaque transactions are never reordered relative to anything —
         the packer treats them exactly as FIFO does.
         """
-        bloom = cls(bits=bits, hashes=hashes, exact=False)
+        bloom = cls(bits=bits, hashes=hashes)
         bloom.reads = bloom.writes = None
         return bloom
 
@@ -216,26 +210,33 @@ class AccessBloom:
         else:
             self.reads |= other.reads
             self.writes |= other.writes
-        self.exact = self.exact and other.exact
 
     # -- serialization (mempool spill file) --------------------------------
     def to_bytes(self) -> bytes:
-        """Stable encoding: version, hashes, exact flag, then the masks."""
+        """Stable encoding: version, hashes, a flag byte, then the masks.
+
+        The flag is ``0`` for an opaque filter and ``1`` otherwise —
+        what version 1 has always written for declared, plain-transfer
+        and opaque filters, so the layout is unchanged byte for byte.
+        """
         width = self.bits // 8
-        return bytes([1, self.hashes, 1 if self.exact else 0]) + (
+        return bytes([1, self.hashes, 0 if self.is_opaque else 1]) + (
             self.read_mask.to_bytes(width, "big")
             + self.write_mask.to_bytes(width, "big")
         )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AccessBloom":
+        """Decode :meth:`to_bytes`. The flag byte is not read: the masks
+        say whether the filter is opaque, so a blob with ``0`` beside
+        unsaturated masks is a filter over those positions."""
         if len(blob) < 3 or blob[0] != 1:
             raise ValueError("unknown access-bloom encoding")
         body = blob[3:]
         if len(body) % 2:
             raise ValueError("truncated access-bloom masks")
         width = len(body) // 2
-        bloom = cls(bits=width * 8, hashes=blob[1], exact=bool(blob[2]))
+        bloom = cls(bits=width * 8, hashes=blob[1])
         if body.count(0xFF) == len(body):
             bloom.reads = bloom.writes = None
         else:
@@ -245,139 +246,36 @@ class AccessBloom:
 
     def __eq__(self, other) -> bool:
         # Equal filters are the ones that spill to the same bytes: bits,
-        # hashes, exactness and both masks, a saturated side and an
-        # opaque one alike.
+        # hashes and both masks, a saturated side and an opaque one
+        # alike.
         return (
             isinstance(other, AccessBloom)
             and self.to_bytes() == other.to_bytes()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "opaque" if self.is_opaque else (
-            "exact" if self.exact else "estimate"
-        )
+        kind = "opaque" if self.is_opaque else "reorderable"
         return f"AccessBloom({kind}, bits={self.bits})"
 
 
-class AccessEstimator:
-    """Last-seen access keys per ``(to, selector)`` call shape.
-
-    Fed from committed execution artifacts (the same signal the hotspot
-    profile aggregates); :meth:`estimate` unions every key the shape was
-    ever seen touching, which tracks stable access patterns (token
-    transfers between varying parties still differ in *values*, so the
-    union keeps growing toward a superset for hot shapes) but stays a
-    heuristic — callers must treat the result as ``exact=False``.
-    """
-
-    def __init__(self, max_shapes: int = 4096, decay: int = 4) -> None:
-        self.max_shapes = max_shapes
-        #: Consecutive mispredictions (missed keys or OCC aborts) per
-        #: shape before the stale union is *replaced* by the latest
-        #: actual access set instead of widened further.
-        self.decay = decay
-        self._shapes: dict[tuple, tuple[set, set]] = {}
-        #: shape -> current misprediction streak.
-        self._stale: dict[tuple, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._shapes)
-
-    @staticmethod
-    def _shape(tx) -> tuple | None:
-        if tx.is_create or not tx.data:
-            return None
-        return (tx.to, bytes(tx.selector))
-
-    def observe(self, artifact) -> None:
-        """Record one committed artifact's access set."""
-        shape = self._shape(artifact.tx)
-        if shape is None:
-            return
-        entry = self._shapes.get(shape)
-        if entry is None:
-            if len(self._shapes) >= self.max_shapes:
-                evicted = next(iter(self._shapes))
-                self._shapes.pop(evicted)
-                self._stale.pop(evicted, None)
-            entry = (set(), set())
-            self._shapes[shape] = entry
-        entry[0].update(artifact.reads)
-        entry[1].update(artifact.writes)
-
-    def observe_actual(self, artifact, aborts: int = 0) -> None:
-        """Record an *OCC outcome*: actual access set plus conflict cost.
-
-        Where :meth:`observe` only ever widens a shape's union (safe for
-        reorder-soundness, but unions drift stale as contracts change
-        behaviour), this closes the loop from the speculative engine: a
-        shape whose estimate keeps mispredicting — the actual execution
-        touched keys the estimate missed, or the transaction kept
-        aborting under OCC — is *replaced* by the latest actual access
-        set after :attr:`decay` consecutive mispredictions. Each
-        misprediction increments the ``packing.estimate_corrections``
-        counter so the drift is visible in ``repro obs-report``.
-        """
-        shape = self._shape(artifact.tx)
-        if shape is None:
-            return
-        entry = self._shapes.get(shape)
-        if entry is None:
-            self.observe(artifact)
-            return
-        reads, writes = set(artifact.reads), set(artifact.writes)
-        missed = not (reads <= entry[0] and writes <= entry[1])
-        if missed or aborts:
-            self._stale[shape] = self._stale.get(shape, 0) + 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("packing.estimate_corrections").inc()
-            if self._stale[shape] >= self.decay:
-                # The accumulated union is stale: start over from what
-                # the engine actually observed.
-                self._shapes[shape] = (reads, writes)
-                self._stale[shape] = 0
-                return
-        else:
-            self._stale.pop(shape, None)
-        entry[0].update(reads)
-        entry[1].update(writes)
-
-    def estimate(self, tx) -> tuple[set, set] | None:
-        """(reads, writes) last seen for this call shape, or None."""
-        shape = self._shape(tx)
-        if shape is None:
-            return None
-        entry = self._shapes.get(shape)
-        if entry is None:
-            return None
-        return entry
-
-
-def _access_sets(tx, state, estimator, trust_estimates):
-    """``(reads, writes, exact)`` from the most precise source that
-    knows *tx* (see module docstring), or None when none does."""
+def _access_sets(tx, state):
+    """``(reads, writes)`` from the source that knows *tx* (see module
+    docstring), or None when none does."""
     reads, writes = tx.tags.get("reads"), tx.tags.get("writes")
     if reads is not None or writes is not None:
-        return reads or (), writes or (), True
+        return reads or (), writes or ()
     if state is not None and is_plain_transfer(tx, state):
         # Nothing executes at a code-free target, with or without
         # calldata: the access set is the closed form discovery itself
         # uses.
         access = transfer_access(tx)
-        return access.reads, access.writes, True
-    if trust_estimates and estimator is not None:
-        estimate = estimator.estimate(tx)
-        if estimate is not None:
-            return (*estimate, False)
+        return access.reads, access.writes
     return None
 
 
 def bloom_for_transaction(
     tx,
     state=None,
-    estimator: AccessEstimator | None = None,
-    trust_estimates: bool = False,
     bits: int = DEFAULT_BITS,
     hashes: int = DEFAULT_HASHES,
 ) -> AccessBloom:
@@ -386,13 +284,13 @@ def bloom_for_transaction(
     Callers hold whatever lock guards *state*: the code probe for the
     plain-transfer case reads shared world state.
     """
-    source = _access_sets(tx, state, estimator, trust_estimates)
+    source = _access_sets(tx, state)
     if source is None:
         return AccessBloom.opaque(bits=bits, hashes=hashes)
-    reads, writes, exact = source
+    reads, writes = source
     # Whatever the source, the sender's fee and nonce keys are read and
     # written; ``from_keys`` hashes a key on both sides once.
     implicit = ((tx.sender, BALANCE_KEY), (tx.sender, NONCE_KEY))
     return AccessBloom.from_keys(
-        (*reads, *implicit), (*writes, *implicit), bits, hashes, exact
+        (*reads, *implicit), (*writes, *implicit), bits, hashes
     )

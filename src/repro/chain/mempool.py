@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import get_registry
-from .bloom import AccessBloom, AccessEstimator, bloom_for_transaction
+from .bloom import AccessBloom, bloom_for_transaction
 from .transaction import Transaction
 
 
@@ -85,21 +85,16 @@ class PackingPolicy:
     A transaction that would extend a chain at its cap waits for a later
     block; with *aging_bound* deferrals behind it, it is force-included
     rather than skipped again.
-    *scan_window* bounds how far past the cut size the packer looks for
-    non-conflicting fill (``None``: 8× the cut size).
     """
 
     lane_depth: int | None = None
     aging_bound: int = 8
-    scan_window: int | None = None
 
     def __post_init__(self) -> None:
         if self.lane_depth is not None and self.lane_depth <= 0:
             raise ValueError("lane_depth must be positive")
         if self.aging_bound < 0:
             raise ValueError("aging_bound must be >= 0")
-        if self.scan_window is not None and self.scan_window <= 0:
-            raise ValueError("scan_window must be positive")
 
 
 @dataclass
@@ -140,8 +135,6 @@ class Mempool:
         capacity: int | None = None,
         state=None,
         per_sender_cap: int | None = None,
-        estimator: AccessEstimator | None = None,
-        trust_estimates: bool = False,
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("mempool capacity must be positive")
@@ -169,12 +162,6 @@ class Mempool:
         #: Optional world state used for balance-aware admission and the
         #: plain-transfer bloom derivation.
         self.state = state
-        #: Optional last-seen access estimator for undeclared calls.
-        self.estimator = estimator
-        #: Reorder on heuristic (estimator) blooms too. Off by default:
-        #: undeclared contract calls then get opaque blooms and are
-        #: never reordered relative to anything.
-        self.trust_estimates = trust_estimates
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -266,10 +253,7 @@ class Mempool:
         bloom = entry.bloom
         if bloom is None:
             bloom = entry.bloom = bloom_for_transaction(
-                entry.tx,
-                state=self.state,
-                estimator=self.estimator,
-                trust_estimates=self.trust_estimates,
+                entry.tx, state=self.state
             )
         return bloom
 
@@ -439,10 +423,11 @@ class Mempool:
 
         Gas accounting matches :meth:`take`: the scan stops before the
         transaction that would exceed *gas_target* (first always fits).
+        The scan looks at most 8× *count* transactions deep for fill.
         """
         policy = policy or PackingPolicy()
         lane_depth = policy.lane_depth
-        scan_window = policy.scan_window or count * 8
+        horizon = count * 8
 
         #: Lane id -> selected indices; None once merged into another.
         lanes: list[list[int] | None] = []
@@ -485,7 +470,7 @@ class Mempool:
         deferred = forced = merged = scanned = 0
         gas = 0
         for entry in self._ordered().values():
-            if len(selected) >= count or scanned >= scan_window:
+            if len(selected) >= count or scanned >= horizon:
                 break
             scanned += 1
             bloom = self._bloom(entry)
@@ -565,26 +550,6 @@ class Mempool:
             forced=forced,
             merged=merged,
         )
-
-    def observe_block(self, artifacts) -> None:
-        """Feed committed execution artifacts to the access estimator."""
-        if self.estimator is None or not artifacts:
-            return
-        for artifact in artifacts:
-            self.estimator.observe(artifact)
-
-    def observe_outcomes(self, artifacts, abort_counts=None) -> None:
-        """Feed OCC outcomes (actual access sets + per-transaction abort
-        counts from the speculative engine) to the access estimator —
-        the online-correction path that decays stale estimates (see
-        :meth:`AccessEstimator.observe_actual`)."""
-        if self.estimator is None or not artifacts:
-            return
-        for index, artifact in enumerate(artifacts):
-            if artifact is None:
-                continue
-            aborts = abort_counts[index] if abort_counts else 0
-            self.estimator.observe_actual(artifact, aborts=aborts)
 
     def remove(self, transactions: list[Transaction]) -> None:
         """Drop transactions that were included in a block."""

@@ -469,9 +469,6 @@ class Node:
                 if account is not None and account.code:
                     warm_code(account.code)
         self.mempool.remove(block.transactions)
-        # Committed access sets feed the pack-time estimator (when one
-        # is attached) for future undeclared calls of the same shape.
-        self.mempool.observe_block(block.artifacts)
 
     def rollback_block(self, token: int, folded: bool = False) -> None:
         """Put the node back where a block found it: the state at
@@ -625,13 +622,9 @@ def _run_parallel(node, block, context, num_workers, fault_injector):
 def _run_occ(node, block, context, num_workers, fault_injector):
     from ..parallel import SpeculativeBlockExecutor
 
-    result = SpeculativeBlockExecutor(
+    return SpeculativeBlockExecutor(
         node.state, context, num_workers, backend="serial"
-    ).execute_block(block.transactions)
-    # Actual access sets and abort counts: the packing estimator's
-    # online correction.
-    node.mempool.observe_outcomes(result.artifacts, result.abort_counts)
-    return result.receipts
+    ).execute_block(block.transactions).receipts
 
 
 #: The only place engines are named. ``sequential``: the EVM in block

@@ -133,7 +133,3 @@ class DBCache:
         stale = [key for key in self._lines if key[0] == code_address]
         for key in stale:
             del self._lines[key]
-
-    def resident_lines(self) -> list[DBCacheLine]:
-        """Snapshot of cached lines, LRU first."""
-        return list(self._lines.values())

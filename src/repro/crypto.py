@@ -40,11 +40,6 @@ def selector_int(signature: str) -> int:
     return int.from_bytes(selector(signature), "big")
 
 
-def address_from_int(value: int) -> int:
-    """Mask an integer to a 160-bit account address."""
-    return value & ADDRESS_MASK
-
-
 def contract_address(sender: int, nonce: int) -> int:
     """Deterministic CREATE address from sender and nonce."""
     payload = sender.to_bytes(20, "big") + nonce.to_bytes(8, "big")

@@ -37,16 +37,8 @@ class InvalidOpcode(ExceptionalHalt):
     """An undefined opcode byte was fetched."""
 
 
-class CallDepthExceeded(ExceptionalHalt):
-    """The message-call depth exceeded the EVM limit of 1024."""
-
-
 class WriteInStaticContext(ExceptionalHalt):
     """A state-modifying instruction ran inside a STATICCALL frame."""
-
-
-class InsufficientBalance(EVMError):
-    """A value transfer exceeded the sender's balance."""
 
 
 class Revert(EVMError):

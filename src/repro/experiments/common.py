@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from ..analysis.reporting import format_table
 from ..contracts.registry import Deployment, build_deployment
 from ..core.mtpu import MTPUExecutor, PUConfig
-from ..workload import all_entry_function_calls
 
 #: Contracts evaluated per-contract in the paper's section 4.2 (Table 6,
 #: Fig. 12, Fig. 13, Table 7). Table abbreviations follow the paper
@@ -107,15 +106,3 @@ def run_transactions(executor: MTPUExecutor, transactions) -> tuple[int, int]:
         cycles += execution.timing.cycles
         instructions += execution.instructions
     return cycles, instructions
-
-
-def per_contract_transactions(
-    deployment: Deployment, per_function: int = 2, seed: int = 0
-) -> dict[str, list]:
-    """Entry-function-covering transaction sets for the TOP8 contracts."""
-    return {
-        name: all_entry_function_calls(
-            deployment, name, seed=seed, per_function=per_function
-        )
-        for name in CONTRACT_ABBREVIATIONS
-    }

@@ -54,11 +54,6 @@ class LatencyReport:
             max_ms=max(samples_ms),
         )
 
-    @classmethod
-    def from_histogram(cls, histogram, label: str = "") -> "LatencyReport":
-        """Digest a :class:`~repro.obs.registry.Histogram` of ms values."""
-        return cls.from_samples(label or histogram.name, histogram.values)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

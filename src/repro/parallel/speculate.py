@@ -159,12 +159,10 @@ class SpeculativeBlockResult:
     #: True when the block degraded to the sequential fallback.
     fell_back: bool = False
     wall_seconds: float = 0.0
-    #: Per-transaction committed artifacts (actual access sets) — the
-    #: estimator-feedback signal. Entries are None only on exotic
-    #: fallback paths where capture was impossible.
+    #: Per-transaction committed artifacts (actual access sets); the
+    #: sequential fallback reads its receipts from them. Entries are
+    #: None only on exotic fallback paths where capture was impossible.
     artifacts: list[ExecutionArtifact | None] = field(default_factory=list)
-    #: Per-transaction abort counts (conflict outcomes for the estimator).
-    abort_counts: list[int] = field(default_factory=list)
 
     @property
     def tx_per_second(self) -> float:
@@ -221,7 +219,6 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
             num_workers=self.num_workers,
             backend=self.backend,
             artifacts=[None] * count,
-            abort_counts=[0] * count,
         )
         if count == 0:
             result.wall_seconds = time.perf_counter() - start
@@ -316,7 +313,6 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
                         checked_at.pop(index, None)
                         store.mark_estimates(index)
                         result.aborts += 1
-                        result.abort_counts[index] += 1
                         attempts[index] += 1
                         if attempts[index] > self.max_retries:
                             raise RetryBudgetExceeded(index)
@@ -440,7 +436,7 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
         result: SpeculativeBlockResult,
     ) -> None:
         """Guaranteed convergence path: plain in-order execution, with
-        artifacts still captured so estimator feedback survives."""
+        artifacts still captured (the receipts are read from them)."""
         state = self.state
         saved_access, state.access = state.access, None
         try:

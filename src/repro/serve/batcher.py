@@ -361,10 +361,9 @@ class BlockBuilder:
             block.artifacts = None
             self._m_sequential_fallbacks.inc()
             receipts = self.node.execute_block(block)
-        # The pre-execution dies with its block: commit_block has fed the
-        # packing estimator, nothing downstream reads artifacts again,
-        # and left on node.chain they are what every later full
-        # collection walks.
+        # The pre-execution dies with its block: once committed, nothing
+        # downstream reads artifacts again, and left on node.chain they
+        # are what every later full collection walks.
         block.artifacts = None
         return block, receipts
 

@@ -50,12 +50,6 @@ class WalTailReader:
         """Byte offset of the next unread record."""
         return self._offset
 
-    def _file_size(self) -> int:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
-
     def poll(self) -> list[bytes]:
         """Every complete new record since the last poll.
 

@@ -17,7 +17,6 @@ from repro.chain.bloom import (
     DEFAULT_BITS,
     DEFAULT_HASHES,
     AccessBloom,
-    AccessEstimator,
     bloom_for_transaction,
 )
 from repro.chain.dag import discover_access_sets
@@ -84,15 +83,15 @@ def test_serialization_round_trip_and_stability():
         writes=[(1, NONCE_KEY)],
         bits=64,
         hashes=2,
-        exact=False,
     )
     blob = bloom.to_bytes()
     assert AccessBloom.from_bytes(blob) == bloom
     # The encoding is the spill-file format: byte-stable across runs
     # (blake2b key hashing, big-endian masks). A change here silently
-    # invalidates every spilled mempool — pin it.
+    # invalidates every spilled mempool — pin it. The third byte is 1:
+    # the filter is not opaque.
     assert blob.hex() == (
-        "010200" + "0004000200001100" + "0004000000020000"
+        "010201" + "0004000200001100" + "0004000000020000"
     )
 
 
@@ -139,7 +138,6 @@ def test_spill_bytes_are_the_ones_older_builds_wrote():
         assert bloom.to_bytes() == golden
         restored = AccessBloom.from_bytes(golden)
         assert restored == bloom
-        assert restored.exact == bloom.exact
         assert restored.is_opaque == bloom.is_opaque
         assert restored.to_bytes() == golden
     # The positions behind the bytes, and the mask views over them.
@@ -151,10 +149,120 @@ def test_spill_bytes_are_the_ones_older_builds_wrote():
     assert call.read_mask == call.write_mask == (1 << DEFAULT_BITS) - 1
 
 
+def test_a_zero_flag_beside_positions_decodes_to_those_positions():
+    """Older builds could derive a bloom from a learned per-call-shape
+    estimate and spilled it with a third byte of 0 beside masks that are
+    not saturated. Such a blob is a filter over its positions, not an
+    opaque one, and re-encodes with the flag of every non-opaque
+    filter."""
+    legacy = GOLDEN_TRANSFER[:2] + b"\x00" + GOLDEN_TRANSFER[3:]
+    bloom = AccessBloom.from_bytes(legacy)
+    assert not bloom.is_opaque
+    assert bloom.reads == {426, 3365, 5732, 7345}
+    assert bloom.writes == {426, 3365, 5732}
+    assert bloom.to_bytes() == GOLDEN_TRANSFER
+
+
+def spill_genesis():
+    state = WorldState()
+    for sender in range(0xA1, 0xA8):
+        state.set_balance(sender, 10**18)
+    state.set_code(0xC0DE, b"\x00\x01\x02")
+    state.clear_journal()
+    return state
+
+
+#: A conflict-aware pool as older builds spilled it on drain: each
+#: transaction with the bit positions of its bloom (None = opaque).
+#: Transfers (two into 0xB2, two from 0xA1), two declared calls (the
+#: tags are not on the wire: only the spilled bloom carries them) and an
+#: undeclared call.
+SPILLED_POOL = [
+    (Transaction(sender=0xA1, to=0xB2, value=5, gas_limit=50_000),
+     {426, 3365, 5732, 7345}, {426, 3365, 5732}),
+    (Transaction(sender=0xA2, to=0xB2, value=6, gas_limit=50_000),
+     {426, 1166, 7345, 8059}, {426, 1166, 8059}),
+    (Transaction(sender=0xA3, to=0xB3, value=7, gas_limit=50_000),
+     {2308, 4219, 4404, 6631}, {2308, 4404, 6631}),
+    (Transaction(sender=0xA4, to=0xC0DE, data=b"\x01\x02\x03\x04",
+                 gas_limit=100_000),
+     {3509, 5289, 7949}, {3509, 5289, 7949}),
+    (Transaction(sender=0xA5, to=0xC0DE, data=b"\x01\x02\x03\x05",
+                 gas_limit=100_000),
+     {2568, 7169}, {2568, 2815, 7169}),
+    (Transaction(sender=0xA1, to=0xB4, value=8, nonce=1, gas_limit=50_000),
+     {3365, 3938, 5324, 5732}, {3365, 5324, 5732}),
+    (Transaction(sender=0xA6, to=0xC0DE, data=b"\xAA\xBB\xCC\xDD",
+                 gas_limit=100_000),
+     None, None),
+    (Transaction(sender=0xA7, to=0xB5, value=9, gas_limit=50_000),
+     {176, 1350, 4783, 6406}, {176, 1350, 4783}),
+]
+#: sha256 of the whole ``mempool.rlp`` older builds wrote for it.
+SPILLED_POOL_SHA256 = (
+    "ed411804a021117f81f9554ab920a5596cb9cf3a5cdcb7dcf8bb2d2508c63aca"
+)
+
+
+def test_a_spilled_conflict_aware_pool_readmits_with_the_same_lanes(
+    tmp_path,
+):
+    import hashlib
+    import os
+
+    from repro.chain.mempool import PackingPolicy
+    from repro.chain.node import Node
+    from repro.storage import StorageConfig, attach, codec
+    from repro.storage.store import MEMPOOL_NAME
+    from repro.storage.wal import frame_record
+
+    width = DEFAULT_BITS // 8
+
+    def version1(reads, writes):
+        if reads is None:
+            return GOLDEN_OPAQUE
+        return b"\x01\x01\x01" + b"".join(
+            sum(1 << position for position in side).to_bytes(width, "big")
+            for side in (reads, writes)
+        )
+
+    entries = [(tx, version1(r, w)) for tx, r, w in SPILLED_POOL]
+    raw = frame_record(codec.mempool_to_rlp(entries))
+    assert hashlib.sha256(raw).hexdigest() == SPILLED_POOL_SHA256
+    with open(os.path.join(tmp_path, MEMPOOL_NAME), "wb") as fh:
+        fh.write(raw)
+
+    node = Node(state=spill_genesis())
+    attach(node, str(tmp_path), StorageConfig(fsync="never"))
+    try:
+        pool = node.mempool
+        assert [
+            (tx.hash(), pool.bloom_of(tx).to_bytes())
+            for tx in pool.pending()
+        ] == [(tx.hash(), blob) for tx, blob in entries]
+        order = [tx.hash() for tx, _ in entries]
+        policy = PackingPolicy(lane_depth=2)
+        # The nonce-1 transfer waits behind its sender's capped lane, and
+        # everything after it that conflicts with it waits too.
+        first = pool.take_packed(8, policy=policy)
+        assert [order.index(tx.hash()) for tx in first.transactions] == [
+            0, 1, 2, 3, 4
+        ]
+        assert first.lanes == [[0, 1], [2], [3], [4]]
+        assert first.deferred == 3
+        second = pool.take_packed(8, policy=policy)
+        assert [order.index(tx.hash()) for tx in second.transactions] == [
+            5, 6
+        ]
+        assert second.lanes == [[0, 1]] and second.deferred == 1
+    finally:
+        node.store.close()
+
+
 def test_each_distinct_key_is_hashed_once(monkeypatch):
     """A transfer names four distinct keys, three of them on both
-    sides; declared and estimated sets add the two sender keys to both
-    sides too. One digest per distinct key, whatever the source."""
+    sides; a declared set adds the two sender keys to both sides too.
+    One digest per distinct key, whatever the source."""
     from repro.chain import bloom as bloom_module
 
     hashed = []
@@ -185,25 +293,6 @@ def test_each_distinct_key_is_hashed_once(monkeypatch):
     assert len(hashed) == len(set(hashed)) == 4
     assert declared.may_read((0xA1, NONCE_KEY))
     assert declared.may_write((0xA1, NONCE_KEY))
-    del hashed[:]
-
-    class Seen:
-        tx = call
-        reads = {(0xC0DE, 3), (0xC0DE, CODE_KEY)}
-        writes = {(0xC0DE, 3)}
-
-    estimator = AccessEstimator()
-    estimator.observe(Seen())
-    untagged = Transaction(
-        sender=0xA1, to=0xC0DE, data=b"\xAA\xBB\xCC\xDD",
-        gas_limit=100_000,
-    )
-    estimated = bloom_for_transaction(
-        untagged, state=state, estimator=estimator, trust_estimates=True
-    )
-    assert len(hashed) == len(set(hashed)) == 4
-    assert not estimated.exact and not estimated.is_opaque
-    assert estimated.may_write((0xA1, BALANCE_KEY))
 
 
 def test_opaque_absorbs_a_merge_and_saturation_reads_as_opaque():
@@ -215,12 +304,11 @@ def test_opaque_absorbs_a_merge_and_saturation_reads_as_opaque():
     lone_reader = AccessBloom.from_keys([(9, 9)], [], bits=8)
     assert not lone_reader.may_conflict(skipped)
     skipped.merge(AccessBloom.opaque(bits=8))
-    assert skipped.is_opaque and not skipped.exact
+    assert skipped.is_opaque
     assert lone_reader.may_conflict(skipped)
     assert skipped.may_conflict(lone_reader)
     saturated = AccessBloom.from_keys(
-        [(a, 0) for a in range(64)], [(a, 1) for a in range(64)],
-        bits=8, exact=False,
+        [(a, 0) for a in range(64)], [(a, 1) for a in range(64)], bits=8
     )
     assert saturated.reads is not None and saturated.is_opaque
     assert saturated == AccessBloom.opaque(bits=8)
@@ -244,7 +332,7 @@ def test_serialization_rejects_garbage():
 
 def test_opaque_conflicts_with_everything_and_survives_serialization():
     opaque = AccessBloom.opaque(bits=64)
-    assert opaque.is_opaque and not opaque.exact
+    assert opaque.is_opaque
     empty = AccessBloom(bits=64)
     assert opaque.may_conflict(opaque)
     assert not opaque.may_conflict(empty)  # nothing writes in `empty`
@@ -254,13 +342,12 @@ def test_opaque_conflicts_with_everything_and_survives_serialization():
     assert restored.is_opaque and restored == opaque
 
 
-def test_merge_unions_masks_and_demotes_exactness():
+def test_merge_unions_masks():
     a = AccessBloom.from_keys([(1, 1)], [(2, 2)], bits=64)
-    b = AccessBloom.from_keys([(3, 3)], [(4, 4)], bits=64, exact=False)
+    b = AccessBloom.from_keys([(3, 3)], [(4, 4)], bits=64)
     a.merge(b)
     assert a.may_read((1, 1)) and a.may_read((3, 3))
     assert a.may_write((2, 2)) and a.may_write((4, 4))
-    assert not a.exact
 
 
 def test_declared_sets_build_exact_bloom_with_sender_keys():
@@ -270,7 +357,7 @@ def test_declared_sets_build_exact_bloom_with_sender_keys():
         tags={"reads": [(0xBB, 5)], "writes": [(0xBB, 5)]},
     )
     bloom = bloom_for_transaction(tx)
-    assert bloom.exact and not bloom.is_opaque
+    assert not bloom.is_opaque
     assert bloom.may_read((0xBB, 5)) and bloom.may_write((0xBB, 5))
     # Implicit fee/nonce keys: two declared-set txs from one sender must
     # always conflict so their nonce order survives packing.
@@ -301,7 +388,7 @@ def test_transfer_bloom_covers_discovered_access_set():
         tx = Transaction(sender=0xA1, to=0xB2, value=value, data=data,
                          gas_limit=gas_limit)
         bloom = bloom_for_transaction(tx, state=state)
-        assert bloom.exact and not bloom.is_opaque
+        assert not bloom.is_opaque
         [artifact] = discover_access_sets([tx], state)
         for key in artifact.access.reads:
             assert bloom.may_read(key), key
@@ -326,163 +413,3 @@ def test_contract_call_without_declaration_gets_opaque_bloom():
     to_contract = Transaction(sender=0xA1, to=0xB2, value=1,
                               gas_limit=50_000)
     assert bloom_for_transaction(to_contract, state=state).is_opaque
-
-
-def test_estimator_path_is_opt_in_and_marked_inexact():
-    state = WorldState()
-    state.set_balance(0xA1, 10**18)
-    state.set_code(0xB2, b"\x00\x01\x02")
-    state.clear_journal()
-    call = Transaction(
-        sender=0xA1, to=0xB2, data=b"\xAA\xBB\xCC\xDD",
-        gas_limit=100_000,
-    )
-
-    class FakeArtifact:
-        tx = call
-        reads = {(0xB2, 3), (0xB2, CODE_KEY)}
-        writes = {(0xB2, 3)}
-
-    estimator = AccessEstimator()
-    estimator.observe(FakeArtifact())
-    assert len(estimator) == 1
-    # Without trust, the estimate is ignored: opaque (never reordered).
-    conservative = bloom_for_transaction(
-        call, state=state, estimator=estimator
-    )
-    assert conservative.is_opaque
-    trusted = bloom_for_transaction(
-        call, state=state, estimator=estimator, trust_estimates=True
-    )
-    assert not trusted.is_opaque and not trusted.exact
-    assert trusted.may_write((0xB2, 3))
-    assert trusted.may_read((0xA1, BALANCE_KEY))
-
-
-def test_estimator_evicts_oldest_shape_at_capacity():
-    estimator = AccessEstimator(max_shapes=2)
-
-    def artifact(to, selector):
-        class A:
-            tx = Transaction(sender=1, to=to, data=selector,
-                             gas_limit=100_000)
-            reads = {(to, 1)}
-            writes = {(to, 1)}
-        return A()
-
-    estimator.observe(artifact(0xB1, b"\x01\x01\x01\x01"))
-    estimator.observe(artifact(0xB2, b"\x02\x02\x02\x02"))
-    estimator.observe(artifact(0xB3, b"\x03\x03\x03\x03"))
-    assert len(estimator) == 2
-    assert estimator.estimate(
-        Transaction(sender=9, to=0xB1, data=b"\x01\x01\x01\x01",
-                    gas_limit=100_000)
-    ) is None
-
-
-def _artifact(to, selector, reads, writes, sender=1):
-    class A:
-        pass
-    A.tx = Transaction(sender=sender, to=to, data=selector,
-                       gas_limit=100_000)
-    A.reads = set(reads)
-    A.writes = set(writes)
-    return A()
-
-
-def test_observe_actual_widens_until_decay_then_replaces():
-    """Occasional mispredictions widen the union; *decay* consecutive
-    ones replace it with the latest actual set (drift correction)."""
-    from repro.obs import use_registry
-
-    estimator = AccessEstimator(decay=3)
-    sel = b"\xAA\xAA\xAA\xAA"
-    estimator.observe(_artifact(0xB1, sel, {(0xB1, 1)}, {(0xB1, 1)}))
-
-    with use_registry() as registry:
-        # Two mispredictions in a row: union widens, streak builds.
-        for slot in (2, 3):
-            estimator.observe_actual(
-                _artifact(0xB1, sel, {(0xB1, slot)}, {(0xB1, slot)})
-            )
-        reads, writes = estimator._shapes[(0xB1, sel)]
-        assert (0xB1, 1) in reads and (0xB1, 3) in reads
-        # Third consecutive miss hits the decay bound: the stale union
-        # is dropped, only the latest actual set survives.
-        estimator.observe_actual(
-            _artifact(0xB1, sel, {(0xB1, 9)}, {(0xB1, 9)})
-        )
-        reads, writes = estimator._shapes[(0xB1, sel)]
-        assert reads == {(0xB1, 9)} and writes == {(0xB1, 9)}
-        corrections = registry.counter("packing.estimate_corrections")
-        assert corrections.value == 3
-
-
-def test_observe_actual_accurate_estimate_resets_streak():
-    estimator = AccessEstimator(decay=2)
-    sel = b"\xBB\xBB\xBB\xBB"
-    estimator.observe(_artifact(0xB1, sel, {(0xB1, 1)}, {(0xB1, 1)}))
-    # Miss (streak 1), then an accurate prediction (streak resets), then
-    # another miss (streak 1 again) — never reaches decay=2, so the
-    # union keeps every key it ever saw.
-    estimator.observe_actual(_artifact(0xB1, sel, {(0xB1, 2)}, set()))
-    estimator.observe_actual(_artifact(0xB1, sel, {(0xB1, 1)}, set()))
-    estimator.observe_actual(_artifact(0xB1, sel, {(0xB1, 3)}, set()))
-    reads, _ = estimator._shapes[(0xB1, sel)]
-    assert {(0xB1, 1), (0xB1, 2), (0xB1, 3)} <= reads
-
-
-def test_observe_actual_aborts_alone_count_as_misprediction():
-    """A shape whose transactions keep aborting under OCC decays even
-    when its access-set estimate was a superset of the actual keys."""
-    estimator = AccessEstimator(decay=2)
-    sel = b"\xCC\xCC\xCC\xCC"
-    estimator.observe(
-        _artifact(0xB1, sel, {(0xB1, 1), (0xB1, 2)}, {(0xB1, 1)})
-    )
-    accurate = _artifact(0xB1, sel, {(0xB1, 1)}, {(0xB1, 1)})
-    estimator.observe_actual(accurate, aborts=1)
-    estimator.observe_actual(accurate, aborts=2)
-    reads, writes = estimator._shapes[(0xB1, sel)]
-    assert reads == {(0xB1, 1)} and writes == {(0xB1, 1)}
-
-
-def test_observe_actual_unknown_shape_falls_back_to_observe():
-    estimator = AccessEstimator()
-    estimator.observe_actual(
-        _artifact(0xB9, b"\xDD\xDD\xDD\xDD", {(0xB9, 1)}, set())
-    )
-    assert len(estimator) == 1
-
-
-def test_eviction_drops_the_stale_streak_with_the_shape():
-    """Regression: evicting a shape at capacity must also drop its
-    misprediction streak, or a re-learned shape would inherit a stale
-    streak and decay on its first miss."""
-    estimator = AccessEstimator(max_shapes=1, decay=2)
-    sel_a, sel_b = b"\x01\x01\x01\x01", b"\x02\x02\x02\x02"
-    estimator.observe(_artifact(0xB1, sel_a, {(0xB1, 1)}, set()))
-    # Build a streak of 1 on shape A (one short of decay).
-    estimator.observe_actual(_artifact(0xB1, sel_a, {(0xB1, 2)}, set()))
-    assert estimator._stale.get((0xB1, sel_a)) == 1
-    # Shape B evicts shape A — streak must go with it.
-    estimator.observe(_artifact(0xB2, sel_b, {(0xB2, 1)}, set()))
-    assert (0xB1, sel_a) not in estimator._stale
-    # Re-learn shape A: a single miss must widen, not replace.
-    estimator.observe(_artifact(0xB1, sel_a, {(0xB1, 1)}, set()))
-    estimator.observe_actual(_artifact(0xB1, sel_a, {(0xB1, 5)}, set()))
-    reads, _ = estimator._shapes[(0xB1, sel_a)]
-    assert {(0xB1, 1), (0xB1, 5)} <= reads
-
-
-def test_mempool_observe_outcomes_feeds_estimator():
-    from repro.chain.mempool import Mempool
-
-    pool = Mempool(estimator=AccessEstimator(decay=2))
-    art = _artifact(0xB1, b"\xEE\xEE\xEE\xEE", {(0xB1, 1)}, {(0xB1, 1)})
-    pool.observe_outcomes([art])
-    assert len(pool.estimator) == 1
-    # None slots (faulted / never-executed) are skipped; abort counts
-    # line up by index.
-    pool.observe_outcomes([None, art], abort_counts=[0, 1])
-    assert pool.estimator._stale.get((0xB1, b"\xEE\xEE\xEE\xEE")) == 1

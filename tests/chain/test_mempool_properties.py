@@ -274,7 +274,7 @@ def test_spill_entries_round_trip_preserves_order_and_blooms():
     # it still conflicts with a sibling touching the declared key.
     readmitted = fresh.spill_entries()
     declared = AccessBloom.from_bytes(readmitted[1][1])
-    assert declared.exact and not declared.is_opaque
+    assert not declared.is_opaque
     assert declared.may_write((0xB2, 5))
     assert readmitted[1][1] == spilled[1][1]
 
