@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Fault drill: a validator surviving a hostile block stream.
 
-Every block interval throws a different fault class at an
-:class:`AcceleratedValidator` — hostile transactions at dissemination,
-a corrupted block-embedded DAG, a PU dying mid-schedule, a stalled PU,
-a bogus claimed receipts root, and a hotspot contract upgraded after it
-was profiled. Each fault is produced by a seeded
-:class:`~repro.faults.FaultInjector` (replayable), detected by the
-corresponding defense layer, and reported in the block's
-:class:`~repro.faults.DegradationReport`.
+Every block interval throws a different fault class at a
+:class:`~repro.chain.node.Node` running the ``mtpu`` engine — hostile
+transactions at dissemination, a corrupted block-embedded DAG, a PU
+dying mid-schedule, a stalled PU, a bogus claimed receipts root, and a
+hotspot contract upgraded after it was profiled. Each fault is produced
+by a seeded :class:`~repro.faults.FaultInjector` (replayable), detected
+by the corresponding defense layer, and counted in the process registry
+(``faults.*`` read back as a :class:`~repro.faults.DegradationReport`,
+``mempool.rejections``, ``hotspot.stale_plans``).
 
 An honest reference node executes the same blocks sequentially; the
 drill ends by checking that the battered validator's world state is
@@ -19,18 +20,21 @@ Run:  python examples/fault_drill.py
 
 from dataclasses import replace
 
-from repro import AcceleratedValidator, build_deployment
-from repro.chain import Node
+from repro import build_deployment
+from repro.chain import AdmissionError, Node
+from repro.chain.node import ReceiptsRootMismatchError
 from repro.chain.receipt import receipts_root
 from repro.faults import (
     PU_DEAD,
     PU_STALL,
     DagCorruption,
+    DegradationReport,
     FaultInjector,
     FaultPlan,
     PUFault,
     TxCorruption,
 )
+from repro.obs import use_registry
 from repro.workload import generate_block
 
 #: One scenario per block interval: (label, FaultPlan).
@@ -54,29 +58,18 @@ SCENARIOS = [
 ]
 
 
-def main() -> None:
-    deployment = build_deployment()
-    validator = AcceleratedValidator(
-        deployment.state.copy(), num_pus=4, mempool_capacity=512,
-    )
-    reference = Node(state=deployment.state.copy())
-
-    print(f"{'blk':>3} {'scenario':<24} {'txs':>3} {'ok':>5} "
-          f"{'committed':>9} degradation report")
-    print("-" * 100)
-    for height, (label, plan) in enumerate(SCENARIOS, start=1):
-        injector = FaultInjector(plan)
-        validator.fault_injector = injector
-
-        honest = generate_block(
-            deployment, num_transactions=20, seed=height,
-        ).transactions
-        for tx in honest:
-            validator.hear(tx)
-        for tx in injector.hostile_transactions(honest):
-            validator.hear(tx)  # admission refuses these
-
-        block = validator.propose_block()
+def interval(node, reference, height, label, transactions, injector=None):
+    """One block interval: dissemination, the (possibly tampered)
+    proposal, its execution on the MTPU against the honest chain's
+    claim; prints one row."""
+    injector = injector or FaultInjector(FaultPlan(seed=0))
+    with use_registry() as registry:
+        for tx in transactions + injector.hostile_transactions(transactions):
+            try:
+                node.hear(tx)
+            except AdmissionError:
+                pass  # admission refuses these; the registry counts them
+        block = node.propose_block(executor="mtpu")
         block = replace(
             block,
             dag_edges=injector.corrupt_dag(
@@ -88,48 +81,67 @@ def main() -> None:
         claimed = injector.corrupt_root(
             receipts_root(reference.execute_block(block))
         )
-
-        outcome = validator.validate(block, claimed_root=claimed)
-        if not outcome.committed:
-            # The rejected block is real on the honest chain; resync it
-            # (the drill's stand-in for fetching the honest root).
-            resync = validator.validate(
-                block,
-                claimed_root=receipts_root(
-                    reference.receipts[block.hash()]
-                ),
+        try:
+            node.execute_block(
+                block, executor="mtpu", fault_injector=injector,
+                claimed_receipts_root=claimed,
             )
-            assert resync.committed
-        print(f"{height:>3} {label:<24} {len(block.transactions):>3} "
-              f"{str(outcome.verified):>5} {str(outcome.committed):>9} "
-              f"{outcome.report}")
+            committed = True
+        except ReceiptsRootMismatchError:
+            committed = False  # refused by type; nothing was committed
+    counts = {
+        "rejected": registry.total("mempool.rejections"),
+        "stale_plans": registry.total("hotspot.stale_plans"),
+    }
+    noted = " ".join(f"{k}={v}" for k, v in counts.items() if v)
+    print(f"{height:>3} {label:<24} {len(block.transactions):>3} "
+          f"{str(committed):>9} "
+          f"{DegradationReport.from_registry(registry)} {noted}".rstrip())
+    if not committed:
+        # The refused block is real on the honest chain; resync it (the
+        # drill's stand-in for fetching the honest root).
+        node.execute_block(
+            block, executor="mtpu",
+            claimed_receipts_root=receipts_root(
+                reference.receipts[block.hash()]
+            ),
+        )
+
+
+def main() -> None:
+    deployment = build_deployment()
+    node = Node(state=deployment.state.copy(), mempool_capacity=512)
+    reference = Node(state=deployment.state.copy())
+
+    print(f"{'blk':>3} {'scenario':<24} {'txs':>3} {'committed':>9} "
+          "counters")
+    print("-" * 100)
+    for height, (label, plan) in enumerate(SCENARIOS, start=1):
+        honest = generate_block(
+            deployment, num_transactions=20, seed=height,
+        ).transactions
+        interval(
+            node, reference, height, label, honest, FaultInjector(plan)
+        )
 
     # One more interval: upgrade every hot contract behind the
     # optimizer's back, then validate honest traffic.
-    hot = tuple(sorted(validator.optimizer.hotspot_addresses))
+    hot = tuple(sorted(node.hotspots.optimizer.hotspot_addresses))
     stale_plan = FaultPlan(seed=7, stale_profiles=hot)
     FaultInjector(stale_plan).poison_profiles(reference.state)
-    FaultInjector(stale_plan).poison_profiles(validator.state)
-    validator.fault_injector = None
+    FaultInjector(stale_plan).poison_profiles(node.state)
     honest = generate_block(
         deployment, num_transactions=20, seed=99,
     ).transactions
-    for tx in honest:
-        validator.hear(tx)
-    block = validator.propose_block()
-    claimed = receipts_root(reference.execute_block(block))
-    outcome = validator.validate(block, claimed_root=claimed)
-    print(f"{len(SCENARIOS) + 1:>3} {'stale hotspot profiles':<24} "
-          f"{len(block.transactions):>3} {str(outcome.verified):>5} "
-          f"{str(outcome.committed):>9} {outcome.report}")
+    interval(
+        node, reference, len(SCENARIOS) + 1, "stale hotspot profiles", honest
+    )
 
     print("-" * 100)
-    same = (validator.state.state_digest()
-            == reference.state.state_digest())
-    print(f"\nchain height {len(validator.chain)} "
+    same = node.state.state_digest() == reference.state.state_digest()
+    print(f"\nchain height {len(node.chain)} "
           f"(reference {len(reference.chain)}); "
           f"state identical to honest sequential node: {same}")
-    print(f"lifetime: {validator.total_degradation}")
     assert same, "degraded validator diverged from the honest reference"
 
 

@@ -20,8 +20,8 @@ Public API tour:
 * :mod:`repro.baselines` — the BPU comparator model.
 * :mod:`repro.analysis` — instruction mixes and context-load breakdowns.
 * :mod:`repro.faults` — fault injection (corrupted DAGs/roots, hostile
-  transactions, PU failures, stale profiles) and the per-block
-  :class:`~repro.faults.DegradationReport` robustness counters.
+  transactions, PU failures, stale profiles) and the ``faults.*``
+  robustness counters (:class:`~repro.faults.DegradationReport`).
 
 Quickstart::
 
@@ -43,7 +43,6 @@ Quickstart::
 from .chain import Block, Transaction, WorldState
 from .contracts import Deployment, build_deployment, compile_suite
 from .core.hotspot import HotspotOptimizer, HotspotTracker
-from .core.validator import AcceleratedValidator
 from .core.mtpu import MTPUExecutor, PUConfig, TimingConfig, estimate_area
 from .core.scheduler import (
     run_sequential,
@@ -70,7 +69,6 @@ __all__ = [
     "compile_suite",
     "HotspotOptimizer",
     "HotspotTracker",
-    "AcceleratedValidator",
     "MTPUExecutor",
     "PUConfig",
     "TimingConfig",

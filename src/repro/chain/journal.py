@@ -54,7 +54,7 @@ class WriteJournal:
         """Replay the ops onto *state* (journaled, access-untracked).
 
         The replay goes through the normal journaled setters so callers
-        can still snapshot/revert across it (the validator's whole-block
+        can still snapshot/revert across it (the node's whole-block
         rollback and the scheduler's mid-flight retraction rely on this).
         """
         with state.untracked():

@@ -127,6 +127,10 @@ class Node:
         #: and ran through the EVM again.
         self.txs_replayed = 0
         self.txs_reexecuted = 0
+        #: The idle-slice hotspot loop
+        #: (:class:`~repro.core.hotspot.tracker.HotspotLoop`), made by the
+        #: first block the ``mtpu`` engine runs here; None until then.
+        self.hotspots = None
         #: Optional :class:`repro.storage.ChainStore`. When set,
         #: :meth:`commit_block` appends the block to the WAL *before*
         #: mutating in-memory structures, so anything the node claims to
@@ -310,13 +314,14 @@ class Node:
         ride along on ``Block.artifacts`` for execute-once replay.
 
         *executor* names the engine (:data:`ENGINES`) the block is
-        proposed for. One that does not pre-execute (``occ``) skips
+        proposed for. One that replays traces (``mtpu``) gets a traced
+        discovery. One that does not pre-execute (``occ``) skips
         discovery entirely: the block carries no DAG and no artifacts,
         and the speculative engine finds conflicts at run time — the
         path for dynamic-storage-key workloads whose access sets cannot
         be declared or discovered ahead of reordering.
         """
-        preexecutes = _engine(executor).preexecutes  # before the pool moves
+        engine = _engine(executor)  # before the pool moves
         cut = transactions if transactions is not None else self.cut(
             max_transactions, gas_target, packing, packing_policy, executor
         )
@@ -325,11 +330,12 @@ class Node:
         header = self._proposal_header()
         context = self.block_context(header)
         registry = get_registry()
-        if not preexecutes:
+        if not engine.preexecutes:
             artifacts, edges = None, []
         else:
             artifacts = discover_access_sets(
-                txs, self.state, context, gas_target=gas_target
+                txs, self.state, context, trace=engine.traced,
+                gas_target=gas_target,
             )
             if len(artifacts) < len(txs):
                 assert packed is None, "a packed cut is never shortened"
@@ -550,6 +556,8 @@ class Engine(NamedTuple):
     #: False: blocks are proposed for it without discovery — no
     #: artifacts, no DAG, nothing measured before the cut.
     preexecutes: bool = True
+    #: True: it replays the dataflow trace, so discovery records one.
+    traced: bool = False
 
 
 def _own_artifacts(node, block):
@@ -559,6 +567,27 @@ def _own_artifacts(node, block):
     if artifacts is None or len(artifacts) != len(block.transactions):
         return None
     return artifacts
+
+
+def _checked_artifacts(node, block, context, traced=False):
+    """The artifacts and the DAG an engine schedules from: this node's
+    own proposal's, as it carries them; for any other block, a discovery
+    here — its one execution, the engine replays it — and the shipped
+    DAG checked against it, rebuilt on a lie (``faults.*`` count it)."""
+    artifacts = _own_artifacts(node, block)
+    if artifacts is not None:
+        return artifacts, block.dag_edges
+    transactions = block.transactions
+    artifacts = discover_access_sets(
+        transactions, node.state, context, trace=traced
+    )
+    edges, verdict = checked_dag(transactions, block.dag_edges, artifacts)
+    if not verdict.ok:
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("faults.dag_faults_detected").inc()
+            registry.counter("faults.dag_rebuilds").inc()
+    return artifacts, edges
 
 
 def _run_sequential(node, block, context, num_workers, fault_injector):
@@ -587,35 +616,43 @@ def _run_sequential(node, block, context, num_workers, fault_injector):
 # which cannot cross a process boundary: both pool engines run on their
 # serial backends here.
 def _run_mtpu(node, block, context, num_workers, fault_injector):
+    """The paper's verifying node: the idle slice's hotspot loop, then
+    the block on *num_workers* PUs under the spatio-temporal schedule,
+    replaying the traced artifacts. A PU fault converges inside the
+    schedule; a wrong result is the receipts-root claim's to refuse."""
+    from ..core.hotspot.tracker import HotspotLoop
     from ..core.mtpu import MTPUExecutor
     from ..core.scheduler import run_spatial_temporal
 
-    # No artifacts: the MTPU replays only traced ones, and a proposal's
-    # discovery runs untraced.
-    executor = MTPUExecutor(node.state, block=context, num_pus=num_workers)
+    if node.hotspots is None:
+        node.hotspots = HotspotLoop(node.state)
+    optimizer = node.hotspots.before_block(node, context)
+    artifacts, edges = _checked_artifacts(node, block, context, traced=True)
+    executor = MTPUExecutor(
+        node.state, block=context, num_pus=num_workers,
+        hotspot_optimizer=optimizer,
+        artifacts={artifact.tx.hash(): artifact for artifact in artifacts},
+    )
     executor.auto_clear_journal = False
     schedule = run_spatial_temporal(
-        executor, block.transactions, block.dag_edges,
-        fault_injector=fault_injector,
+        executor, block.transactions, edges, fault_injector=fault_injector
     )
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("sched.makespan_cycles").inc(
+            schedule.makespan_cycles
+        )
     return schedule.receipts_in_block_order(block.transactions)
 
 
 def _run_parallel(node, block, context, num_workers, fault_injector):
     from ..parallel import ParallelBlockExecutor
 
-    transactions, edges = block.transactions, block.dag_edges
-    artifacts = _own_artifacts(node, block)
-    if artifacts is None:
-        # Somebody else's block: this discovery is its one execution
-        # here (the engine validates against it and replays it), and
-        # the shipped DAG is checked against it and rebuilt on a lie.
-        artifacts = discover_access_sets(transactions, node.state, context)
-        edges, _ = checked_dag(transactions, edges, artifacts)
+    artifacts, edges = _checked_artifacts(node, block, context)
     return ParallelBlockExecutor(
         node.state, context, num_workers, backend="serial"
     ).execute_block(
-        transactions, edges, artifacts, artifacts=artifacts
+        block.transactions, edges, artifacts, artifacts=artifacts
     ).receipts
 
 
@@ -629,13 +666,13 @@ def _run_occ(node, block, context, num_workers, fault_injector):
 
 #: The only place engines are named. ``sequential``: the EVM in block
 #: order, replaying this node's own proposal; ``mtpu``: the
-#: spatio-temporal schedule on the MTPU simulator; ``parallel``: the
-#: declared-DAG pipeline of :mod:`repro.parallel`; ``occ``: Block-STM
-#: speculation — conflicts found by read-set validation, so
-#: dynamic-storage-key contracts run undeclared.
+#: spatio-temporal schedule on the MTPU simulator with the hotspot loop;
+#: ``parallel``: the declared-DAG pipeline of :mod:`repro.parallel`;
+#: ``occ``: Block-STM speculation — conflicts found by read-set
+#: validation, so dynamic-storage-key contracts run undeclared.
 ENGINES = {
     "sequential": Engine(_run_sequential),
-    "mtpu": Engine(_run_mtpu),
+    "mtpu": Engine(_run_mtpu, traced=True),
     "parallel": Engine(_run_parallel),
     "occ": Engine(_run_occ, preexecutes=False),
 }

@@ -103,9 +103,6 @@ class HotspotOptimizer:
         #: Code bytes at profile time, for stale-profile detection: a
         #: contract upgraded after pre-execution invalidates its plans.
         self._profiled_code: dict[int, bytes] = {}
-        #: Plans refused because the profiled contract changed.
-        self.stale_plans_discarded = 0
-        self._stale_addresses: set[int] = set()
 
     # ------------------------------------------------------------------
     # Offline profiling (the idle time slice)
@@ -162,11 +159,6 @@ class HotspotOptimizer:
         self._eliminated_by_code.pop(address, None)
         self._blocked_by_code.pop(address, None)
         self._views.pop(address, None)
-
-    def take_stale_addresses(self) -> set[int]:
-        """Contracts found stale since the last call (then resets)."""
-        stale, self._stale_addresses = self._stale_addresses, set()
-        return stale
 
     def _rebuild_views(self, address: int) -> None:
         """Merge per-selector eliminations and rebuild code views."""
@@ -247,11 +239,9 @@ class HotspotOptimizer:
         if recorded is not None and recorded != self._code_lookup(tx.to):
             # The contract changed after profiling: every plan derived
             # from the old code (chunk boundaries, eliminated PCs,
-            # prefetch keys) is stale. Degrade to unoptimized execution
-            # and queue the contract for re-profiling.
-            self.stale_plans_discarded += 1
+            # prefetch keys) is stale. Degrade to unoptimized execution;
+            # evicted, the contract is profiled afresh in a later slice.
             count("hotspot.stale_plans")
-            self._stale_addresses.add(tx.to)
             self.invalidate_contract(tx.to)
             return None
         profile = self.contract_table.get(tx.to, selector)

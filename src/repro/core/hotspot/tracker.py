@@ -9,7 +9,8 @@ slices.
 :class:`HotspotTracker` keeps an exponentially decayed invocation count
 per contract across blocks; :meth:`current_hotspots` is the TOP-k set the
 idle-slice optimizer should (re)profile. Decay makes dethroned contracts
-(CryptoCat) fall out of the set as traffic moves on.
+(CryptoCat) fall out of the set as traffic moves on. :class:`HotspotLoop`
+is that loop on one node (paper section 2.2.4).
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...chain.transaction import Transaction
+from .optimizer import HotspotOptimizer
+
+#: Abstract profiling cost per sample transaction, in the StageClock's
+#: time units — what keeps a slice within the idle budget.
+PROFILE_COST_PER_SAMPLE = 0.01
 
 
 @dataclass
@@ -70,3 +76,51 @@ class HotspotTracker:
             return 0.0
         top = sorted(self.scores.values(), reverse=True)[:k]
         return sum(top) / total
+
+
+class HotspotLoop:
+    """The idle slice of one node: ``Node.hotspots``, made by the first
+    block the ``mtpu`` engine runs there and run at the top of each."""
+
+    def __init__(self, state) -> None:
+        self.tracker = HotspotTracker()
+        self.optimizer = HotspotOptimizer(state)
+        #: Height of the last committed block folded into the tracker.
+        self.height = 0
+
+    def before_block(self, node, context) -> HotspotOptimizer:
+        """Fold every block *node* committed since the last call into the
+        tracker, re-point the optimizer at the node's state, *context*
+        and the pool's dissemination clock, and profile the TOP-8 not yet
+        profiled within ``node.clock.idle_budget`` — sampling those
+        blocks' own transactions. Returns the optimizer the block runs
+        with."""
+        fresh = []
+        for block in reversed(node.chain):
+            if block.header.height <= self.height:
+                break
+            fresh.append(block)
+        samples: dict[int, list[Transaction]] = {}
+        for block in reversed(fresh):
+            self.tracker.observe_block(block.transactions)
+            for tx in block.transactions:
+                if tx.to is not None and tx.selector is not None:
+                    samples.setdefault(tx.to, []).append(tx)
+        if fresh:
+            self.height = fresh[0].header.height
+        optimizer = self.optimizer
+        optimizer.state = node.state
+        optimizer.block = context
+        optimizer.mempool = node.mempool
+        optimizer.dissemination_cutoff = node.mempool.clock
+        budget = node.clock.idle_budget
+        for address in self.tracker.current_hotspots():
+            sample = samples.get(address)
+            if address in optimizer.hotspot_addresses or not sample:
+                continue
+            cost = PROFILE_COST_PER_SAMPLE * len(sample)
+            if cost > budget:
+                break  # the slice is over; resume next interval
+            budget -= cost
+            optimizer.optimize_contract(address, sample)
+        return optimizer

@@ -76,8 +76,8 @@ class MTPUExecutor:
         ]
         self.executions: list[TxExecution] = []
         #: When False, the journal accumulates across transactions so a
-        #: caller (fault-tolerant scheduler, verifying validator) can
-        #: snapshot/revert; the caller owns clearing it.
+        #: caller (fault-tolerant scheduler, the node's ``mtpu`` engine)
+        #: can snapshot/revert; the caller owns clearing it.
         self.auto_clear_journal = True
         #: Addresses whose *code* was rewritten earlier in this block —
         #: pre-executed Compare/Check chunks reading that code are stale.
@@ -87,12 +87,9 @@ class MTPUExecutor:
         #: tx hash -> :class:`~repro.chain.journal.ExecutionArtifact`
         #: from consensus-stage pre-execution (the execute-once
         #: pipeline). A fresh artifact is *replayed* — journal apply +
-        #: trace-driven timing — instead of re-running the EVM.
+        #: trace-driven timing — instead of re-running the EVM
+        #: (``evm.tx_reuses``; ``evm.tx_reexecutions`` when stale).
         self.artifacts = artifacts or {}
-        #: Transactions replayed from artifacts / re-executed because
-        #: their artifact's read set had been overwritten.
-        self.artifact_reuses = 0
-        self.artifact_reexecutions = 0
 
     def _code_lookup(self, address: int) -> bytes:
         # Bypass access tracking: timing-model code fetches must not
@@ -141,13 +138,11 @@ class MTPUExecutor:
                 receipt = artifact.receipt
                 access = artifact.access
                 steps = artifact.steps
-                self.artifact_reuses += 1
                 registry = get_registry()
                 if registry.enabled:
                     registry.counter("evm.tx_reuses").inc()
             else:
                 artifact = None
-                self.artifact_reexecutions += 1
                 registry = get_registry()
                 if registry.enabled:
                     registry.counter("evm.tx_reexecutions").inc()

@@ -7,8 +7,8 @@ checking only the receipts digest. This package supplies the adversary
 :class:`FaultPlan`) and the accounting (:class:`DegradationReport`) that
 let the rest of the system prove it degrades gracefully instead:
 corrupted DAGs are rebuilt, dead PUs are drained onto survivors, bogus
-claimed roots trigger a sequential fallback, hostile transactions are
-refused at admission, and crash faults against the durable store
+claimed roots are refused with nothing committed, hostile transactions
+are refused at admission, and crash faults against the durable store
 (:class:`StorageCorruption`) recover to a bit-identical state.
 """
 

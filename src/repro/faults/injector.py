@@ -5,8 +5,8 @@ The injector is the *adversary half* of the framework: given a
 transaction streams, PUs and hotspot profiles. Every mutation is drawn
 from ``random.Random(plan.seed)``, so a failing run replays exactly.
 The ``injected`` counter records what was actually injected, which the
-acceptance tests compare against the defender's
-:class:`~repro.faults.report.DegradationReport`.
+acceptance tests compare against the defender's ``faults.*`` counters
+(:class:`~repro.faults.report.DegradationReport`).
 """
 
 from __future__ import annotations

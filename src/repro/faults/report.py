@@ -1,16 +1,15 @@
-"""Degradation observability: per-block robustness counters.
+"""Degradation observability: the robustness counters.
 
-Every defensive layer increments a counter here instead of logging, so a
-node operator (or a test) can assert exactly which faults were seen and
-which recovery path handled them. The report is threaded through
-:class:`repro.core.validator.ValidationOutcome` and accumulated per
-validator lifetime via :meth:`DegradationReport.merge`.
-
-The counters are shared with the metrics registry: incrementing through
-:meth:`DegradationReport.count` also bumps the matching ``faults.<name>``
-series on the active :class:`repro.obs.MetricsRegistry`, so fault drills
-and :class:`repro.obs.BlockPerfReport` perf reports read one source of
-truth rather than two drifting sets of counters.
+Every defensive layer counts what it saw into the ``faults.<name>``
+series of the active :class:`repro.obs.MetricsRegistry` instead of
+logging, so a node operator (or a test) can assert exactly which faults
+were seen and which recovery path handled them. ``Node.execute_block``'s
+engines publish a shipped DAG's verdict (``mtpu``, ``parallel``) and the
+schedule's PU faults (``mtpu``) there;
+:meth:`DegradationReport.from_registry` reads them back as one object. A report handed to
+:func:`~repro.core.scheduler.run_spatial_temporal` counts one run on its
+own fields *and* the series (:meth:`DegradationReport.count`), so the
+two cannot disagree.
 """
 
 from __future__ import annotations
@@ -22,20 +21,13 @@ from ..obs import get_registry
 
 @dataclass
 class DegradationReport:
-    """Per-block counters: faults seen, fallbacks taken, work redone."""
+    """Counters: faults seen, recovery work done."""
 
     #: Block-embedded DAGs that failed verification (cycle, missing
     #: dependency coverage, or spurious/out-of-range edges).
     dag_faults_detected: int = 0
     #: DAGs rebuilt locally after a failed verification.
     dag_rebuilds: int = 0
-    #: MTPU receipts roots that disagreed with the block's claimed root.
-    root_mismatches: int = 0
-    #: Sequential re-executions triggered by a root mismatch.
-    sequential_fallbacks: int = 0
-    #: Blocks discarded because even sequential execution disagreed with
-    #: the claimed root (the claim itself was bogus).
-    blocks_rejected: int = 0
     #: PUs that died permanently mid-schedule.
     pu_failures_detected: int = 0
     #: PUs that stalled transiently and later recovered.
@@ -44,46 +36,12 @@ class DegradationReport:
     txs_rescheduled: int = 0
     #: Cycles lost to failed/stalled PUs (wasted partial work + stall time).
     recovery_cycles: int = 0
-    #: Hotspot plans discarded because the profiled contract changed
-    #: after pre-execution (stale profile).
-    stale_plans_discarded: int = 0
-    #: Pre-executed Compare/Check chunks discarded because the contract's
-    #: code was rewritten earlier in the same block.
-    stale_chunks_discarded: int = 0
-    #: Transactions rejected at dissemination by mempool admission checks.
-    admission_rejections: int = 0
-    #: Execute-once artifacts discarded because their recorded read
-    #: values no longer matched the state (tx re-executed functionally).
-    artifact_reexecutions: int = 0
-
-    @property
-    def faults_seen(self) -> int:
-        """Total distinct fault events detected by any layer."""
-        return (
-            self.dag_faults_detected
-            + self.root_mismatches
-            + self.pu_failures_detected
-            + self.pu_stalls_detected
-            + self.stale_plans_discarded
-            + self.stale_chunks_discarded
-            + self.admission_rejections
-        )
-
-    @property
-    def fallbacks_taken(self) -> int:
-        """Total recovery actions (degraded-mode paths exercised)."""
-        return (
-            self.dag_rebuilds
-            + self.sequential_fallbacks
-            + self.txs_rescheduled
-        )
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment one counter *and* its ``faults.<name>`` metric series.
 
-        Every live increment site (validator, scheduler driver) goes
-        through here; field assignment stays available for tests that
-        construct expected reports by hand.
+        Field assignment stays available for tests that construct
+        expected reports by hand.
         """
         setattr(self, name, getattr(self, name) + amount)
         registry = get_registry()
@@ -97,19 +55,6 @@ class DegradationReport:
         for spec in fields(report):
             setattr(report, spec.name, registry.total("faults." + spec.name))
         return report
-
-    def merge(self, other: "DegradationReport") -> None:
-        """Fold another report's counters into this one.
-
-        Pure field arithmetic — the registry already saw each event once
-        at :meth:`count` time, so merging must not re-publish.
-        """
-        for spec in fields(self):
-            setattr(
-                self,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
 
     def as_dict(self) -> dict[str, int]:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}

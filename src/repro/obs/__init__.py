@@ -15,8 +15,8 @@ Quickstart::
     from repro.obs import use_registry, use_tracing
 
     with use_registry() as reg, use_tracing() as spans:
-        outcome = validator.validate(block)
-    print(outcome.perf.to_json(indent=2))
+        node.execute_block(block, executor="mtpu")
+    print(reg.snapshot()["counters"]["sched.makespan_cycles"])
     print(reg.snapshot()["counters"]["db_cache.hits{pu=0}"])
 """
 

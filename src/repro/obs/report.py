@@ -3,10 +3,8 @@
 One report captures everything the paper measures about a block in a
 single JSON-serializable object: the headline speedup inputs (makespan
 vs. sequentialized cycles), DB-cache behaviour, per-PU utilization,
-per-transaction latency quantiles, scheduler counters, hotspot-optimizer
-effectiveness, and the block's fault/degradation counters (shared with
-:class:`repro.faults.DegradationReport` — both views increment the same
-``faults.*`` registry series, see ``DegradationReport.count``).
+per-transaction latency quantiles, scheduler counters and
+hotspot-optimizer effectiveness.
 
 Reports round-trip exactly through JSON (``from_json(to_json(r)) == r``),
 which the metric-invariant suite asserts, and are the payload of the
@@ -100,8 +98,6 @@ class BlockPerfReport:
     pus: list = field(default_factory=list)
     #: Hotspot optimizer effectiveness counters.
     hotspot: dict = field(default_factory=dict)
-    #: Fault/degradation counters (one source of truth with faults.*).
-    degradation: dict = field(default_factory=dict)
     #: Executed-instruction mix per functional-unit category.
     opcode_categories: dict = field(default_factory=dict)
     #: Structured trace (span forest) of the block, when tracing was on.
@@ -162,7 +158,6 @@ class BlockPerfReport:
         label: str,
         schedule,
         executor,
-        degradation=None,
         counters_before: dict | None = None,
         spans: list | None = None,
     ) -> "BlockPerfReport":
@@ -231,9 +226,6 @@ class BlockPerfReport:
             scheduler=dict(getattr(schedule, "scheduler_stats", {})),
             pus=pu_rows,
             hotspot=hotspot,
-            degradation=(
-                degradation.as_dict() if degradation is not None else {}
-            ),
             opcode_categories=_opcode_categories(counter_delta),
             spans=list(spans),
         )

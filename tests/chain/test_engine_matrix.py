@@ -23,6 +23,8 @@ from repro.chain.block import BLOCKHASH_WINDOW, Block
 from repro.chain.mempool import PackingPolicy
 from repro.chain.node import EXECUTORS, Node
 from repro.chain.receipt import receipts_root
+from repro.faults import DegradationReport
+from repro.obs import use_registry
 from repro.serve.loadgen import make_transactions
 from repro.storage import StorageConfig, attach, codec, recover, snapshot
 from repro.storage.wal import unframe_record
@@ -233,17 +235,57 @@ def test_the_blockhash_window_crosses_the_wire_and_a_resync(tmp_path):
 
 
 def test_parallel_rebuilds_a_dag_that_lies(deployment):
-    """The one engine that schedules from declared access sets discovers
-    them itself on somebody else's block, and does not trust the shipped
-    DAG further than it can check it."""
+    """The engines that schedule from a DAG (``parallel``, ``mtpu``)
+    discover the access sets themselves on somebody else's block and do
+    not trust the shipped DAG further than they can check it; every
+    engine commits the honest receipts and root under each lie."""
     txs = transactions_for(deployment, "top8")
     proposer = Node(state=deployment.state.copy())
     block = propose(proposer, txs, "top8", "parallel")
     receipts = proposer.execute_block(block, executor="parallel")
     assert block.dag_edges
-    for edges in ([], [(1, 0)], [(0, len(txs) + 3)]):
-        lying = Block.from_rlp(block.to_rlp())
-        lying.dag_edges = edges
-        node = Node(state=deployment.state.copy())
-        assert node.execute_block(lying, executor="parallel") == receipts
-        assert node.state_root == proposer.state_root
+    for executor in EXECUTORS:
+        for edges in ([], [(1, 0)], [(0, len(txs) + 3)]):
+            lying = Block.from_rlp(block.to_rlp())
+            lying.dag_edges = edges
+            node = Node(state=deployment.state.copy())
+            assert node.execute_block(lying, executor=executor) == receipts
+            assert node.state_root == proposer.state_root
+
+
+@pytest.mark.parametrize("executor", ("parallel", "mtpu"))
+def test_a_dag_lie_is_counted_once(deployment, executor):
+    txs = transactions_for(deployment, "top8")
+    proposer = Node(state=deployment.state.copy())
+    block = propose(proposer, txs, "top8", executor)
+    proposer.execute_block(block, executor=executor)
+    lying = Block.from_rlp(block.to_rlp())
+    lying.dag_edges = [(1, 0)]
+    with use_registry() as registry:
+        Node(state=deployment.state.copy()).execute_block(
+            lying, executor=executor
+        )
+    report = DegradationReport.from_registry(registry)
+    assert (report.dag_faults_detected, report.dag_rebuilds) == (1, 1)
+
+
+def test_mtpu_executes_each_transaction_once(deployment):
+    """As proposer (replaying its own traced discovery) and as follower
+    of a foreign ``top8`` block (one traced discovery, replayed)."""
+    txs = transactions_for(deployment, "top8")
+    with use_registry() as registry:
+        proposer = foreign_proposer(deployment.state.copy())
+        block = propose(proposer, txs, "top8", "mtpu")
+        proposer.execute_block(block, executor="mtpu")
+        counters = registry.counters_flat()
+    assert counters["evm.tx_executions"] == len(block.transactions)
+    assert counters["evm.tx_reuses"] == len(block.transactions)
+    with use_registry() as registry:
+        follower = Node(state=deployment.state.copy())
+        follower.execute_block(
+            Block.from_rlp(block.to_rlp()), executor="mtpu"
+        )
+        counters = registry.counters_flat()
+    assert counters["evm.tx_executions"] == len(block.transactions)
+    assert counters["evm.tx_reuses"] == len(block.transactions)
+    assert follower.state_root == proposer.state_root

@@ -1,11 +1,13 @@
 """Detection + recovery tests for every fault class in the FaultPlan API.
 
 Each class of injected fault must be (a) detected — visible in the
-block's :class:`~repro.faults.DegradationReport` with counters matching
-what the :class:`~repro.faults.FaultInjector` actually injected — and
-(b) recovered from: the surviving execution produces state and receipts
+``faults.*`` / ``hotspot.*`` / ``mempool.*`` counters
+(:class:`~repro.faults.DegradationReport.from_registry`) matching what
+the :class:`~repro.faults.FaultInjector` actually injected — and (b)
+recovered from: the surviving execution produces state and receipts
 identical to honest sequential execution, and a block that cannot be
-verified commits nothing.
+verified commits nothing. The verifying node is ``Node`` on the
+``mtpu`` engine.
 """
 
 from dataclasses import replace
@@ -13,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.chain import (
+    AdmissionError,
     InsufficientFundsError,
     IntrinsicGasError,
     Mempool,
@@ -25,10 +28,10 @@ from repro.chain.dag import (
     transitive_reduction,
     verify_dag,
 )
+from repro.chain.node import ReceiptsRootMismatchError
 from repro.chain.receipt import receipts_root
 from repro.core.mtpu import MTPUExecutor
 from repro.core.scheduler import run_sequential, run_spatial_temporal
-from repro.core.validator import AcceleratedValidator
 from repro.faults import (
     DagCorruption,
     DegradationReport,
@@ -39,22 +42,33 @@ from repro.faults import (
     PU_STALL,
     TxCorruption,
 )
+from repro.obs import use_registry
 from repro.workload import generate_block
 
 
-def make_validator(deployment, **kwargs):
-    kwargs.setdefault("num_pus", 4)
-    return AcceleratedValidator(deployment.state.copy(), **kwargs)
+def make_node(deployment):
+    return Node(state=deployment.state.copy())
 
 
-def honest_block(deployment, validator, num_transactions=24, seed=7):
-    """Disseminate honest traffic into *validator* and package a block."""
+def honest_block(deployment, node, num_transactions=24, seed=7):
+    """Disseminate honest traffic into *node* and package a block."""
     generated = generate_block(
         deployment, num_transactions=num_transactions, seed=seed
     )
     for tx in generated.transactions:
-        assert validator.hear(tx)
-    return validator.propose_block()
+        assert node.hear(tx)
+    return node.propose_block(executor="mtpu")
+
+
+def validate(node, block, claimed=None, fault_injector=None):
+    """*block* on the ``mtpu`` engine under a registry of its own:
+    the registry's ``faults.*`` view."""
+    with use_registry() as registry:
+        node.execute_block(
+            block, executor="mtpu", fault_injector=fault_injector,
+            claimed_receipts_root=claimed,
+        )
+    return DegradationReport.from_registry(registry)
 
 
 def reference_root(deployment, block):
@@ -121,8 +135,8 @@ class TestDagCorruptionRecovery:
     def test_detected_rebuilt_and_state_matches_sequential(
         self, deployment, spec
     ):
-        validator = make_validator(deployment)
-        block = honest_block(deployment, validator, seed=11)
+        node = make_node(deployment)
+        block = honest_block(deployment, node, seed=11)
         claimed, reference_state = reference_root(deployment, block)
 
         injector = FaultInjector(FaultPlan(seed=5, dag=spec))
@@ -133,31 +147,28 @@ class TestDagCorruptionRecovery:
             injector.injected[k] for k in
             ("dag_edge_dropped", "dag_edge_bogus", "dag_cycle")
         ) > 0
+        # A copy is not the node's own proposal: the node discovers the
+        # block itself and checks the shipped DAG against what it found.
         bad_block = replace(block, dag_edges=corrupted)
 
-        outcome = validator.validate(bad_block, claimed_root=claimed)
-        assert outcome.verified is True
-        assert outcome.committed is True
-        # Detection: the verdict names what was wrong, and the report
-        # counts one detected fault + one local rebuild.
-        assert outcome.dag_verification is not None
-        assert not outcome.dag_verification.ok
-        assert outcome.report.dag_faults_detected == 1
-        assert outcome.report.dag_rebuilds == 1
+        report = validate(node, bad_block, claimed=claimed)
+        assert node.chain == [bad_block]
+        # Detection: one detected fault + one local rebuild.
+        assert report.dag_faults_detected == 1
+        assert report.dag_rebuilds == 1
         # Recovery: scheduling used the rebuilt DAG, so the final state
         # is exactly the sequential reference.
-        assert (validator.state.state_digest()
+        assert (node.state.state_digest()
                 == reference_state.state_digest())
 
     def test_honest_dag_passes_verification(self, deployment):
-        validator = make_validator(deployment)
-        block = honest_block(deployment, validator, seed=12)
+        node = make_node(deployment)
+        block = honest_block(deployment, node, seed=12)
         claimed, _ = reference_root(deployment, block)
-        outcome = validator.validate(block, claimed_root=claimed)
-        assert outcome.verified is True
-        assert outcome.dag_verification.ok
-        assert outcome.report.dag_faults_detected == 0
-        assert outcome.report.dag_rebuilds == 0
+        report = validate(node, replace(block), claimed=claimed)
+        assert len(node.chain) == 1
+        assert report.dag_faults_detected == 0
+        assert report.dag_rebuilds == 0
 
     def test_verify_dag_classifies_each_corruption(self, deployment):
         block = generate_block(deployment, num_transactions=20, seed=13)
@@ -274,13 +285,13 @@ class TestPUFailureRecovery:
             seed=9,
             pu_faults=(PUFault(pu_id=3, kind=PU_DEAD, at_cycle=1_000),),
         ))
-        validator = make_validator(deployment, fault_injector=injector)
-        block = honest_block(deployment, validator, seed=77)
+        node = make_node(deployment)
+        block = honest_block(deployment, node, seed=77)
         claimed, reference_state = reference_root(deployment, block)
-        outcome = validator.validate(block, claimed_root=claimed)
-        assert outcome.verified is True
-        assert outcome.report.pu_failures_detected == 1
-        assert (validator.state.state_digest()
+        report = validate(node, block, claimed, fault_injector=injector)
+        assert len(node.chain) == 1
+        assert report.pu_failures_detected == 1
+        assert (node.state.state_digest()
                 == reference_state.state_digest())
 
 
@@ -288,8 +299,8 @@ class TestWrongClaimedRoot:
     """Fault class 4: a consensus message claiming a bogus receipts root."""
 
     def test_fallback_reported_and_nothing_committed(self, deployment):
-        validator = make_validator(deployment)
-        block = honest_block(deployment, validator, seed=88)
+        node = make_node(deployment)
+        block = honest_block(deployment, node, seed=88)
         claimed, _ = reference_root(deployment, block)
 
         injector = FaultInjector(FaultPlan(
@@ -299,31 +310,28 @@ class TestWrongClaimedRoot:
         assert bogus != claimed
         assert injector.injected["root_corrupted"] == 1
 
-        before = validator.state.state_digest()
-        pending_before = len(validator.node.mempool)
-        outcome = validator.validate(block, claimed_root=bogus)
-
-        # Detected: the mismatch triggered the sequential fallback...
-        assert outcome.report.root_mismatches == 1
-        assert outcome.report.sequential_fallbacks == 1
-        # ...which also disagreed with the bogus claim, so the block was
-        # rejected and nothing was committed.
-        assert outcome.verified is False
-        assert outcome.committed is False
-        assert outcome.report.blocks_rejected == 1
-        assert validator.state.state_digest() == before
-        assert validator.chain == []
-        assert len(validator.node.mempool) == pending_before
+        before = node.state.state_digest()
+        root_before = node.state_root
+        pending_before = node.mempool.pending()
+        # The claim is refused by type, naming both roots, and nothing
+        # was committed: state, root, chain and pool are as they were.
+        with pytest.raises(ReceiptsRootMismatchError) as refused:
+            validate(node, block, claimed=bogus)
+        assert (refused.value.claimed, refused.value.actual) == (
+            bogus, claimed
+        )
+        assert node.state.state_digest() == before
+        assert node.state_root == root_before
+        assert node.chain == [] and node.receipts == {}
+        assert node.mempool.pending() == pending_before
 
     def test_honest_root_commits_without_fallback(self, deployment):
-        validator = make_validator(deployment)
-        block = honest_block(deployment, validator, seed=89)
+        node = make_node(deployment)
+        block = honest_block(deployment, node, seed=89)
         claimed, reference_state = reference_root(deployment, block)
-        outcome = validator.validate(block, claimed_root=claimed)
-        assert outcome.verified is True and outcome.committed is True
-        assert outcome.report.sequential_fallbacks == 0
-        assert len(validator.chain) == 1
-        assert (validator.state.state_digest()
+        assert validate(node, block, claimed=claimed) == DegradationReport()
+        assert len(node.chain) == 1
+        assert (node.state.state_digest()
                 == reference_state.state_digest())
 
 
@@ -331,29 +339,33 @@ class TestHostileTransactions:
     """Fault class 5: malformed / duplicate / underfunded dissemination."""
 
     def test_all_hostile_traffic_refused_and_counted(self, deployment):
-        validator = make_validator(deployment)
+        node = make_node(deployment)
         honest = generate_block(
             deployment, num_transactions=12, seed=14
         ).transactions
         for tx in honest:
-            assert validator.hear(tx)
+            assert node.hear(tx)
 
         spec = TxCorruption(malformed=3, duplicates=2, underfunded=4)
         injector = FaultInjector(FaultPlan(seed=8, txs=spec))
         hostile = injector.hostile_transactions(list(honest))
         assert len(hostile) == 9
-        for tx in hostile:
-            assert validator.hear(tx) is False
-        assert len(validator.node.mempool) == len(honest)
-
-        block = validator.propose_block()
-        claimed, _ = reference_root(deployment, block)
-        outcome = validator.validate(block, claimed_root=claimed)
-        assert outcome.report.admission_rejections == sum(
+        with use_registry() as registry:
+            for tx in hostile:
+                try:
+                    assert node.hear(tx) is False  # a gossiped duplicate
+                except AdmissionError:
+                    pass
+        assert len(node.mempool) == len(honest)
+        assert registry.total("mempool.rejections") == sum(
             injector.injected[k] for k in
             ("tx_malformed", "tx_duplicate", "tx_underfunded")
         )
-        assert outcome.verified is True
+
+        block = node.propose_block(executor="mtpu")
+        claimed, _ = reference_root(deployment, block)
+        validate(node, block, claimed=claimed)
+        assert node.chain == [block]
 
     def test_typed_admission_errors(self, deployment):
         state = deployment.state.copy()
@@ -408,44 +420,48 @@ class TestStaleProfiles:
 
         # Detection: the recorded code hash no longer matches, so the
         # plan is discarded instead of trusted.
-        assert optimizer.plan_for(probe) is None
-        assert optimizer.stale_plans_discarded == 1
-        assert optimizer.take_stale_addresses() == {dai}
-        assert optimizer.take_stale_addresses() == set()
+        with use_registry() as registry:
+            assert optimizer.plan_for(probe) is None
+        assert registry.total("hotspot.stale_plans") == 1
+        # Evicted: the next idle slice profiles it afresh.
+        assert dai not in optimizer.hotspot_addresses
 
         # Recovery: re-profiling against the new code revives the plan.
         optimizer.optimize_contract(dai, samples)
         assert optimizer.plan_for(probe) is not None
 
     def test_validator_counts_stale_plans(self, deployment):
-        validator = make_validator(deployment)
-        block = honest_block(deployment, validator, seed=15)
-        claimed, _ = reference_root(deployment, block)
-        first = validator.validate(block, claimed_root=claimed)
-        assert first.verified is True
-        hot = tuple(sorted(validator.optimizer.hotspot_addresses))
-        assert hot, "first block should have produced hotspots"
+        # Block 1 is the traffic; the idle slice at the top of block 2
+        # profiles its hotspots. The reference node replays both (so the
+        # height-3 context, e.g. BLOCKHASH, agrees).
+        node = make_node(deployment)
+        reference = Node(state=deployment.state.copy())
+        for seed in (15, 16):
+            block = honest_block(deployment, node, seed=seed)
+            claimed = receipts_root(reference.execute_block(block))
+            validate(node, block, claimed)
+        hot = tuple(sorted(node.hotspots.optimizer.hotspot_addresses))
+        assert hot, "the second block's idle slice should have profiled"
 
         # "Upgrade" every hot contract after it was profiled — on the
-        # honest reference world first (so the claimed root reflects the
-        # new code), then on the validator's copy (the fault site).
+        # honest reference world (so the claimed root reflects the new
+        # code) and on the node's own state (the fault site).
         plan = FaultPlan(seed=6, stale_profiles=hot)
-        # The reference node replays block 1 (so height-2 context, e.g.
-        # BLOCKHASH, agrees) before the upgrade lands.
-        node = Node(state=deployment.state.copy())
-        node.execute_block(block)
+        FaultInjector(plan).poison_profiles(reference.state)
         FaultInjector(plan).poison_profiles(node.state)
-        FaultInjector(plan).poison_profiles(validator.state)
 
-        next_block = honest_block(deployment, validator, seed=16)
-        claimed2 = receipts_root(node.execute_block(next_block))
-        outcome = validator.validate(next_block, claimed_root=claimed2)
-        assert outcome.verified is True
-        assert outcome.report.stale_plans_discarded >= 1
-        # Stale contracts re-enter the optimization queue, so the next
+        next_block = honest_block(deployment, node, seed=17)
+        claimed = receipts_root(reference.execute_block(next_block))
+        with use_registry() as registry:
+            node.execute_block(
+                next_block, executor="mtpu", claimed_receipts_root=claimed
+            )
+        assert registry.total("hotspot.stale_plans") >= 1
+        # The stale contracts the block called are evicted, so the next
         # idle slice may re-profile them against the new code.
-        assert (validator.state.state_digest()
-                == node.state.state_digest())
+        assert set(hot) - node.hotspots.optimizer.hotspot_addresses
+        assert (node.state.state_digest()
+                == reference.state.state_digest())
 
 
 class TestNodeVerifyBlock:
@@ -490,18 +506,25 @@ class TestNodeVerifyBlock:
 
 class TestDegradationReport:
     def test_merge_and_nonzero_rendering(self):
-        a = DegradationReport(dag_faults_detected=1, txs_rescheduled=2)
-        b = DegradationReport(dag_faults_detected=1, root_mismatches=1)
-        a.merge(b)
-        assert a.dag_faults_detected == 2
-        assert a.txs_rescheduled == 2
-        assert a.root_mismatches == 1
-        text = str(a)
+        # Two runs counted into one registry: the registry is the sum.
+        with use_registry() as registry:
+            a = DegradationReport()
+            a.count("dag_faults_detected")
+            a.count("txs_rescheduled", 2)
+            b = DegradationReport()
+            b.count("dag_faults_detected")
+        merged = DegradationReport.from_registry(registry)
+        assert merged == DegradationReport(
+            dag_faults_detected=2, txs_rescheduled=2
+        )
+        text = str(merged)
         assert "dag_faults_detected=2" in text
         assert "pu_failures_detected" not in text  # zero counters hidden
 
     def test_clean_report_is_quiet(self):
         clean = DegradationReport()
-        assert clean.faults_seen == 0
-        assert clean.fallbacks_taken == 0
+        assert not any(clean.as_dict().values())
+        with use_registry() as registry:
+            pass
+        assert DegradationReport.from_registry(registry) == clean
         assert str(clean) == "DegradationReport(clean)"

@@ -1,9 +1,10 @@
 """Golden-trace regression: a small ERC-20 block's metrics and spans.
 
-One seeded ERC-20 block runs through the full accelerated-validator
-pipeline with a :class:`~repro.obs.LogicalClock`-driven tracer, and the
-resulting counters + span forest are compared byte-for-byte against the
-committed fixture. Every value is deterministic — model cycles, logical
+One seeded ERC-20 block runs through ``Node`` on the ``mtpu`` engine
+(proposal with traced discovery, MTPU replay, commit) with a
+:class:`~repro.obs.LogicalClock`-driven tracer, and the resulting
+counters + span forest are compared byte-for-byte against the committed
+fixture. Every value is deterministic — model cycles, logical
 timestamps, seeded workloads — so any diff is a real behaviour change in
 the interpreter, cache, scheduler or tracer, not noise.
 
@@ -23,7 +24,7 @@ import random
 
 import pytest
 
-from repro.core.validator import AcceleratedValidator
+from repro.chain.node import Node
 from repro.evm.context import BlockContext
 from repro.evm.decoded import DECODE_CACHE
 from repro.obs import LogicalClock, SpanTracer, use_registry, use_tracing
@@ -46,16 +47,13 @@ def run_erc20_block(deployment) -> dict:
     DECODE_CACHE.clear()
     tracer = SpanTracer(clock=LogicalClock())
     with use_registry() as registry, use_tracing(tracer):
-        validator = AcceleratedValidator(
-            state=deployment.state.copy(), num_pus=NUM_PUS,
-            deployment=deployment,
-        )
+        node = Node(state=deployment.state.copy())
         library = ActionLibrary(deployment, random.Random(SEED))
         for i in range(NUM_TRANSACTIONS):
             contract = ("Dai", "TetherToken")[i % 2]
-            validator.hear(library.to_transaction(library.plan(contract)))
-        block = validator.propose_block()
-        outcome = validator.validate(block)
+            node.hear(library.to_transaction(library.plan(contract)))
+        block = node.propose_block(executor="mtpu")
+        node.execute_block(block, executor="mtpu", num_workers=NUM_PUS)
         # Speculative (OCC) lane: the same deterministic library drives
         # a small block through the Block-STM-shaped engine so the
         # speculate.* counters are pinned by the fixture too. Serial
@@ -71,7 +69,7 @@ def run_erc20_block(deployment) -> dict:
             occ_state, block=BlockContext(height=1), backend="serial"
         ) as speculator:
             occ_result = speculator.execute_block(occ_txs)
-    assert outcome.committed
+    assert node.chain == [block]
     assert len(occ_result.receipts) == NUM_TRANSACTIONS
     return {
         "config": {

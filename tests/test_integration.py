@@ -142,19 +142,16 @@ class TestMixedWorkloadRobustness:
 
 
 class TestMultiBlockSoak:
-    """A longer soak: five 60-transaction blocks through the accelerated
-    validator, cross-checked against a plain node each block."""
+    """A longer soak: five 60-transaction blocks through ``Node`` on the
+    ``mtpu`` engine, cross-checked against a plain node each block."""
 
     def test_five_block_soak(self, deployment):
         import random
 
-        from repro.core.validator import AcceleratedValidator
+        from repro.obs import use_registry
         from repro.workload import ActionLibrary
 
-        validator = AcceleratedValidator(
-            state=deployment.state.copy(), num_pus=4,
-            deployment=deployment,
-        )
+        node = Node(state=deployment.state.copy())
         plain = Node(state=deployment.state.copy())
         library = ActionLibrary(deployment, random.Random(777))
         mixes = [
@@ -164,23 +161,21 @@ class TestMultiBlockSoak:
             ["CryptoCat", "Dai", "LinkToken"],
             ["MainchainGatewayProxy", "TetherToken", "Ballot"],
         ]
-        total_cycles = 0
-        for mix in mixes:
-            for i in range(60):
-                tx = library.to_transaction(
-                    library.plan(mix[i % len(mix)])
-                )
-                validator.hear(tx)
-                plain.hear(tx)
-            block = validator.propose_block()
-            reference = plain.execute_block(block)
-            outcome = validator.execute_block(
-                block, claimed_root=receipts_root(reference)
-            )
-            assert outcome.verified is True
-            total_cycles += outcome.makespan_cycles
-        assert len(validator.chain) == 5
-        assert (
-            validator.state.state_digest() == plain.state.state_digest()
-        )
-        assert total_cycles > 0
+        with use_registry() as registry:
+            for mix in mixes:
+                for i in range(60):
+                    tx = library.to_transaction(
+                        library.plan(mix[i % len(mix)])
+                    )
+                    node.hear(tx)
+                    plain.hear(tx)
+                block = node.propose_block(executor="mtpu")
+                reference = plain.execute_block(block)
+                assert node.execute_block(
+                    block, executor="mtpu",
+                    claimed_receipts_root=receipts_root(reference),
+                ) == reference
+        assert len(node.chain) == 5
+        assert node.state.state_digest() == plain.state.state_digest()
+        assert registry.total("sched.makespan_cycles") > 0
+        assert registry.total("hotspot.plans_applied") > 0
