@@ -2,14 +2,7 @@
 sequential interpreter with dataflow tracing."""
 
 from . import abi, decoded, opcodes
-from .code import (
-    Instruction,
-    clear_jumpdest_cache,
-    decode,
-    jumpdest_cache_stats,
-    set_jumpdest_cache_limit,
-    valid_jumpdests,
-)
+from .code import Instruction, decode, valid_jumpdests
 from .context import BlockContext, CallKind, CallResult, Message
 from .decoded import (
     DECODE_CACHE,
@@ -43,9 +36,6 @@ __all__ = [
     "Instruction",
     "decode",
     "valid_jumpdests",
-    "clear_jumpdest_cache",
-    "jumpdest_cache_stats",
-    "set_jumpdest_cache_limit",
     "DECODE_CACHE",
     "DecodeCache",
     "DecodedProgram",

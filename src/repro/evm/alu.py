@@ -3,9 +3,9 @@
 These functions implement the value semantics of the Arithmetic and Logic
 functional units (paper Table 3) with no interpreter state: every input
 and output is an unsigned 256-bit word. They are keyed by mnemonic
-(:data:`_ARITH_FN` / :data:`_LOGIC_FN`); :mod:`repro.evm.decoded`
-pre-binds them into program entries at decode time — including
-constant-folding them entirely when every operand is statically known.
+(:data:`_ARITH_FN` / :data:`_LOGIC_FN`); the templates of
+:mod:`repro.evm.decoded` call them by that name, from a lone
+instruction's function and from compiled blocks alike.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ the disassembler and the hotspot chunker.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import opcodes
@@ -79,55 +78,14 @@ def instruction_at(code: bytes, pc: int) -> Instruction:
     return Instruction(pc, info, immediate)
 
 
-# Content-keyed jump-destination memo. Keyed strictly by the code bytes
-# (dict hashing *is* content hashing), never by address, so redeploying
-# different code at a reused address can never alias a stale analysis.
-# LRU-bounded so long-running serve nodes don't grow without limit.
-_JUMPDEST_CACHE: OrderedDict[bytes, frozenset[int]] = OrderedDict()
-_JUMPDEST_CACHE_STATS = {"hits": 0, "misses": 0}
-_jumpdest_cache_limit = 4096
-
-
-def set_jumpdest_cache_limit(limit: int) -> None:
-    """Rebound the memo (evicting oldest entries if shrinking)."""
-    global _jumpdest_cache_limit
-    if limit < 1:
-        raise ValueError(f"jumpdest cache limit must be >= 1, got {limit}")
-    _jumpdest_cache_limit = limit
-    while len(_JUMPDEST_CACHE) > limit:
-        _JUMPDEST_CACHE.popitem(last=False)
-
-
-def clear_jumpdest_cache() -> None:
-    """Drop every memoized analysis (tests / bench isolation)."""
-    _JUMPDEST_CACHE.clear()
-    _JUMPDEST_CACHE_STATS["hits"] = 0
-    _JUMPDEST_CACHE_STATS["misses"] = 0
-
-
-def jumpdest_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for the jump-destination memo."""
-    stats = dict(_JUMPDEST_CACHE_STATS)
-    stats["size"] = len(_JUMPDEST_CACHE)
-    stats["limit"] = _jumpdest_cache_limit
-    return stats
-
-
 def valid_jumpdests(code: bytes) -> frozenset[int]:
     """Byte offsets that are legal JUMP/JUMPI targets.
 
     A target is valid only if it holds a JUMPDEST opcode *outside* any
-    PUSH immediate. The analysis is memoized per code blob (LRU-bounded,
-    see :func:`set_jumpdest_cache_limit`); callers on the execution hot
-    path additionally cache the result per frame/program so repeated
-    JUMPs don't even pay the memo lookup.
+    PUSH immediate. Execution reads the set off the code's
+    :class:`~repro.evm.decoded.DecodedProgram`, which the decode cache
+    keeps, so this runs once per cached code blob.
     """
-    cache = _JUMPDEST_CACHE
-    dests = cache.get(code)
-    if dests is not None:
-        cache.move_to_end(code)
-        _JUMPDEST_CACHE_STATS["hits"] += 1
-        return dests
     found: set[int] = set()
     pc = 0
     length = len(code)
@@ -138,9 +96,4 @@ def valid_jumpdests(code: bytes) -> frozenset[int]:
             found.add(pc)
         info = infos[byte]
         pc += 1 + (info.immediate_size if info is not None else 0)
-    dests = frozenset(found)
-    _JUMPDEST_CACHE_STATS["misses"] += 1
-    cache[code] = dests
-    while len(cache) > _jumpdest_cache_limit:
-        cache.popitem(last=False)
-    return dests
+    return frozenset(found)

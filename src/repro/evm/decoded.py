@@ -1,43 +1,61 @@
 """The instruction set, stated once, and the two loops that run it.
 
-The paper's ILP layer decodes raw bytecode once, caches the decoded lines,
-and folds hot instruction patterns inside the fill unit (sections 3.3.3 and
-3.3.4); :mod:`repro.core.mtpu` models that in *timing*. This module is the
-*functional* analogue, and the only place in the tree that says what an
-opcode pops, charges and does: the ``_h_*`` handlers below. A code blob is
-compiled, once per distinct content, into a :class:`DecodedProgram` — a
-flat entry table indexed by pc where
+The paper's ILP layer decodes raw bytecode once, caches the decoded
+lines and issues a line as one unit; its hotspot *Check* chunk settles
+attribute checks once so that *Execute* runs unchecked (sections
+3.3.3–3.4). :mod:`repro.core.mtpu` models that in *timing*. This module
+is the *functional* analogue, and the only place in the tree that says
+what an opcode pops, charges and does. A code blob is decoded, once per
+distinct content, into a :class:`DecodedProgram`: one entry per
+instruction (PUSH immediates pre-extracted) and its ``valid_jumpdests``.
 
-* every PUSH immediate is pre-extracted,
-* ``valid_jumpdests`` is precomputed (and statically resolved for fused
-  ``PUSH+JUMP``/``PUSH+JUMPI``),
-* hot patterns are fused into superinstruction entries mirroring
-  :data:`repro.core.mtpu.folding.FOLDABLE_CONSUMERS` — ``PUSH+JUMP[I]``,
-  ``PUSH+binop``, ``DUP+binop``, ``SWAP1+POP`` — and runs of
-  constant-producing stack code are folded to a single constant push
-  (the software form of the paper's §4 constant merging).
+Each opcode is stated once: as a *template* (``_TEMPLATES`` — PUSH and
+POP, the :mod:`~repro.evm.alu` word functions, the environment reads,
+CALLDATALOAD, MLOAD/MSTORE/MSTORE8, SHA3, SLOAD, JUMP/JUMPI/JUMPDEST; DUP
+and SWAP are shapes of the compiler's stack model), or as an ``_h_*``
+handler (every other opcode). A template is source text, compiled two
+ways:
+
+* *alone*, with the checks of one instruction in their order, into the
+  ``(evm, frame, entry) -> next_pc`` function its entries hold — the form
+  a handler has, and what :func:`run_observed` and a block's fallback
+  dispatch;
+* *inlined* into a basic block.
 
 ``EVM._run`` hands a frame and its program to one of two loops:
 
-* :func:`run_program` — under a ``NullTracer``: the fused entries, no
-  ``TraceStep``, no shadow stack. Every request is served by it.
+* :func:`run_program` — under a ``NullTracer``: one call per basic
+  block. A block starts where control lands (pc 0, a JUMPDEST, the
+  fall-through of a JUMPI, the return from a call) and ends with JUMP,
+  JUMPI, a halt, a call or create, the next JUMPDEST or the end of code.
+  On first entry it is compiled into one Python function that
+
+  - checks the stack once: the depth must cover every operand the block
+    reads and leave room for every word it pushes; if it does not, the
+    block runs one entry at a time, so the first failure raises what it
+    would have;
+  - keeps operands in locals, PUSH immediates as literals, and writes
+    the stack back before it calls a handler or exits;
+  - settles static gas in groups, before every point that could observe
+    it: a state read (SLOAD, every handler), memory growth (MLOAD,
+    MSTORE, MSTORE8, SHA3), EXP's dynamic charge, GAS, and the exit. An
+    OutOfGas can therefore move only across instructions nothing
+    observes, and the frame it aborts burns all its gas either way.
+
+  Every request is served by it.
 * :func:`run_observed` — under a :class:`~repro.evm.tracer.Tracer`: the
-  same handlers over the program's *unfused* entries, one instruction at
-  a time, with a ``TraceStep`` read off the stack, the shadow stack and
-  the gas meter around each handler call. Tracing is an observation of
-  the handlers that serve, not a second statement of them.
+  entries one at a time, with a ``TraceStep`` read off the stack, the
+  shadow stack and the gas meter around each call. Tracing is an
+  observation of the statement that serves, not a second statement.
 
-The two agree *bit for bit* — receipts, gas, logs, state digest, and
-crucially the exception *class* of the first failure (receipts carry
-``type(exc).__name__``): for a plain entry by construction, for a fused
-one because every fused handler stages its gas charges and stack-depth
-checks in exactly the order the unfused instructions would
-(``tests/evm/test_decoded_equivalence.py`` sweeps it).
-
-Why fusing interior pcs is sound: jumps may only land on JUMPDEST, JUMPDEST
-is never fused into a pattern's interior, and the fall-through into the
-interior is consumed by the pattern itself — so interior pcs are
-unreachable and need no entries.
+The two agree bit for bit — receipts, gas, logs, state digest, access
+sets, read values and, crucially, the exception *class* of the first
+failure (receipts carry ``type(exc).__name__``)
+(``tests/evm/test_decoded_equivalence.py`` sweeps it). Generated source
+holds template text, compiler-made names and the integers the compiler
+formats (immediates, pcs, gas, stack bounds); never bytes of code or
+call data. A program's blocks hang off it, so ``DECODE_CACHE``'s LRU
+bounds them too.
 
 Cache coherence: programs are keyed strictly by code *content* (bytes; a
 content hash is attached for introspection), never by address. SELFDESTRUCT
@@ -48,7 +66,9 @@ redeploying identical code is a (correct) cache hit.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
+from typing import NamedTuple
 
 from ..chain.receipt import LogEntry
 from ..crypto import ADDRESS_MASK, keccak256, keccak256_int
@@ -69,160 +89,23 @@ from .errors import (
 from .stack import MAX_DEPTH, WORD_MASK
 from .tracer import TraceStep
 
-#: Fusion depth of the folding pass (instructions absorbed per
-#: superinstruction). No deployed contract holds a constant chain longer
-#: than 4; the bound is for hand-written code.
-CHAIN_LIMIT = 64
 #: Default LRU bound of the process-wide program cache.
 DEFAULT_CACHE_PROGRAMS = 4096
 
 
 class _Halt(Exception):
-    """Internal: normal frame termination inside the fast loop."""
+    """Internal: normal frame termination inside either loop."""
 
 
 # ---------------------------------------------------------------------------
 # Handler functions
 #
-# Each entry is a tuple whose first element is one of these functions;
-# ``handler(evm, frame, entry) -> next_pc``. Entries reference
-# ``frame.stack._items`` directly. The order of each handler's checks
-# (operands before gas where it pops, gas before the overflow check where
-# it only pushes) decides which exception class a failing transaction's
-# receipt names; the fused handlers further down replay it.
+# ``handler(evm, frame, entry) -> next_pc``; an entry is a tuple whose
+# first element is the handler. Entries reference ``frame.stack._items``
+# directly. The order of each handler's checks (operands before gas where
+# it pops) decides which exception class a failing transaction's receipt
+# names.
 # ---------------------------------------------------------------------------
-
-
-def _h_push(evm, frame, e):
-    # (h, next_pc, value)
-    frame.gas.consume(3)
-    items = frame.stack._items
-    if len(items) >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    items.append(e[2])
-    return e[1]
-
-
-def _h_pop(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if not items:
-        raise StackUnderflow("pop from empty stack")
-    items.pop()
-    frame.gas.consume(2)
-    return e[1]
-
-
-def _h_dup(evm, frame, e):
-    # (h, next_pc, n)
-    frame.gas.consume(3)
-    items = frame.stack._items
-    n = e[2]
-    depth = len(items)
-    if depth < n:
-        raise StackUnderflow(f"DUP{n} on stack of depth {depth}")
-    if depth >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    items.append(items[-n])
-    return e[1]
-
-
-def _h_swap(evm, frame, e):
-    # (h, next_pc, n)
-    frame.gas.consume(3)
-    items = frame.stack._items
-    n = e[2]
-    if len(items) < n + 1:
-        raise StackUnderflow(f"SWAP{n} on stack of depth {len(items)}")
-    items[-1], items[-1 - n] = items[-1 - n], items[-1]
-    return e[1]
-
-
-def _h_bin(evm, frame, e):
-    # (h, next_pc, fn, gas)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"pop 2 from stack of depth {len(items)}")
-    a = items.pop()
-    frame.gas.consume(e[3])
-    items[-1] = e[2](a, items[-1]) & WORD_MASK
-    return e[1]
-
-
-def _h_un(evm, frame, e):
-    # (h, next_pc, fn, gas)
-    items = frame.stack._items
-    if not items:
-        raise StackUnderflow("pop from empty stack")
-    frame.gas.consume(e[3])
-    items[-1] = e[2](items[-1]) & WORD_MASK
-    return e[1]
-
-
-def _h_tri(evm, frame, e):
-    # (h, next_pc, fn, gas) — ADDMOD / MULMOD
-    items = frame.stack._items
-    if len(items) < 3:
-        raise StackUnderflow(f"pop 3 from stack of depth {len(items)}")
-    a = items.pop()
-    b = items.pop()
-    frame.gas.consume(e[3])
-    items[-1] = e[2](a, b, items[-1]) & WORD_MASK
-    return e[1]
-
-
-def _h_exp(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"pop 2 from stack of depth {len(items)}")
-    a = items.pop()
-    b = items[-1]
-    frame.gas.consume(
-        _G_EXP + evm.schedule.exp_byte * ((b.bit_length() + 7) // 8)
-    )
-    items[-1] = pow(a, b, 1 << 256)
-    return e[1]
-
-
-def _h_sha3(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"pop 2 from stack of depth {len(items)}")
-    offset = items.pop()
-    length = items[-1]
-    frame.gas.consume(
-        _G_SHA3
-        + evm.schedule.sha3_word * ((length + 31) // 32)
-        + evm._charge_memory(frame, offset, length)
-    )
-    items[-1] = keccak256_int(frame.memory.read(offset, length))
-    return e[1]
-
-
-def _h_env0(evm, frame, e):
-    # (h, next_pc, getter, gas) — 0-pop environment/context pushes
-    frame.gas.consume(e[3])
-    items = frame.stack._items
-    if len(items) >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    items.append(e[2](evm, frame) & WORD_MASK)
-    return e[1]
-
-
-def _h_calldataload(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if not items:
-        raise StackUnderflow("pop from empty stack")
-    offset = items.pop()
-    frame.gas.consume(3)
-    chunk = frame.msg.data[offset : offset + 32]
-    if len(chunk) < 32:
-        chunk = chunk + b"\x00" * (32 - len(chunk))
-    items.append(int.from_bytes(chunk, "big"))
-    return e[1]
 
 
 def _h_copy(evm, frame, e):
@@ -307,41 +190,6 @@ def _h_extcodecopy(evm, frame, e):
     return e[1]
 
 
-def _h_mload(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if not items:
-        raise StackUnderflow("pop from empty stack")
-    offset = items.pop()
-    frame.gas.consume(3 + evm._charge_memory(frame, offset, 32))
-    items.append(frame.memory.read_word(offset))
-    return e[1]
-
-
-def _h_mstore(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"pop 2 from stack of depth {len(items)}")
-    offset = items.pop()
-    value = items.pop()
-    frame.gas.consume(3 + evm._charge_memory(frame, offset, 32))
-    frame.memory.write_word(offset, value)
-    return e[1]
-
-
-def _h_mstore8(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"pop 2 from stack of depth {len(items)}")
-    offset = items.pop()
-    value = items.pop()
-    frame.gas.consume(3 + evm._charge_memory(frame, offset, 1))
-    frame.memory.write_byte(offset, value)
-    return e[1]
-
-
 def _h_log(evm, frame, e):
     # (h, next_pc, topic_count, gas)
     if frame.msg.is_static:
@@ -366,17 +214,6 @@ def _h_log(evm, frame, e):
     return e[1]
 
 
-def _h_sload(evm, frame, e):
-    # (h, next_pc, gas)
-    items = frame.stack._items
-    if not items:
-        raise StackUnderflow("pop from empty stack")
-    slot = items.pop()
-    frame.gas.consume(e[2])
-    items.append(evm.state.get_storage(frame.msg.to, slot) & WORD_MASK)
-    return e[1]
-
-
 def _h_sstore(evm, frame, e):
     # (h, next_pc)
     if frame.msg.is_static:
@@ -396,39 +233,6 @@ def _h_sstore(evm, frame, e):
     if old != 0 and value == 0:
         frame.gas.add_refund(schedule.sstore_clear_refund)
     evm.state.set_storage(address, slot, value)
-    return e[1]
-
-
-def _h_jump(evm, frame, e):
-    # (h,) — dynamic target, validated against the precomputed set
-    items = frame.stack._items
-    if not items:
-        raise StackUnderflow("pop from empty stack")
-    target = items.pop()
-    frame.gas.consume(8)
-    if target not in frame.jumpdests:
-        raise InvalidJump(f"jump to {target:#x}")
-    return target
-
-
-def _h_jumpi(evm, frame, e):
-    # (h, next_pc)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"pop 2 from stack of depth {len(items)}")
-    target = items.pop()
-    condition = items.pop()
-    frame.gas.consume(10)
-    if condition:
-        if target not in frame.jumpdests:
-            raise InvalidJump(f"jumpi to {target:#x}")
-        return target
-    return e[1]
-
-
-def _h_jumpdest(evm, frame, e):
-    # (h, next_pc)
-    frame.gas.consume(1)
     return e[1]
 
 
@@ -605,145 +409,381 @@ def _h_selfdestruct(evm, frame, e):
     raise _Halt
 
 
-# -- superinstruction handlers ----------------------------------------------
-# Gas charges and depth checks are staged in per-instruction order so the
-# first failure raises the same exception class the unfused sequence would
-# (receipts record the class name).
-
-
-def _h_push_jump(evm, frame, e):
-    # (h, target, target_is_valid)
-    frame.gas.consume(3)
-    if len(frame.stack._items) >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    frame.gas.consume(8)
-    if not e[2]:
-        raise InvalidJump(f"jump to {e[1]:#x}")
-    return e[1]
-
-
-def _h_push_jumpi(evm, frame, e):
-    # (h, next_pc, target, target_is_valid)
-    frame.gas.consume(3)
-    items = frame.stack._items
-    depth = len(items)
-    if depth >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    if depth < 1:
-        raise StackUnderflow("pop 2 from stack of depth 1")
-    condition = items.pop()
-    frame.gas.consume(10)
-    if condition:
-        if not e[3]:
-            raise InvalidJump(f"jumpi to {e[2]:#x}")
-        return e[2]
-    return e[1]
-
-
-def _h_push_bin(evm, frame, e):
-    # (h, next_pc, immediate, fn, gas) — PUSH x; BINOP  ≡  top = fn(x, top)
-    frame.gas.consume(3)
-    items = frame.stack._items
-    depth = len(items)
-    if depth >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    if depth < 1:
-        raise StackUnderflow("pop 2 from stack of depth 1")
-    frame.gas.consume(e[4])
-    items[-1] = e[3](e[2], items[-1]) & WORD_MASK
-    return e[1]
-
-
-def _h_dup_bin(evm, frame, e):
-    # (h, next_pc, n, fn, gas) — DUPn; BINOP  ≡  top = fn(x_n, top)
-    frame.gas.consume(3)
-    items = frame.stack._items
-    n = e[2]
-    depth = len(items)
-    if depth < n:
-        raise StackUnderflow(f"DUP{n} on stack of depth {depth}")
-    if depth >= MAX_DEPTH:
-        raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    frame.gas.consume(e[4])
-    items[-1] = e[3](items[-n], items[-1]) & WORD_MASK
-    return e[1]
-
-
-def _h_swap1_pop(evm, frame, e):
-    # (h, next_pc) — SWAP1; POP  ≡  delete the second-from-top word
-    frame.gas.consume(3)
-    items = frame.stack._items
-    if len(items) < 2:
-        raise StackUnderflow(f"SWAP1 on stack of depth {len(items)}")
-    frame.gas.consume(2)
-    del items[-2]
-    return e[1]
-
-
-def _h_const(evm, frame, e):
-    # (h, next_pc, stages, values) — a folded constant chain. ``stages``
-    # replays the original gas/overflow schedule: each (gas, threshold)
-    # consumes then — when threshold is non-zero — raises StackOverflow iff
-    # the *real* depth is >= threshold (threshold = MAX_DEPTH minus the
-    # chain's virtual depth at that original instruction).
-    gas = frame.gas
-    items = frame.stack._items
-    for amount, threshold in e[2]:
-        gas.consume(amount)
-        if threshold and len(items) >= threshold:
-            raise StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
-    items.extend(e[3])
-    return e[1]
+#: CALL, CALLCODE, DELEGATECALL, STATICCALL, CREATE, CREATE2: each ends
+#: a block, and the observed loop records its step ahead of the callee's.
+_CALLS = frozenset({0xF0, 0xF1, 0xF2, 0xF4, 0xF5, 0xFA})
 
 
 # ---------------------------------------------------------------------------
-# Decode-time tables
+# Templates
+#
+# A template states one opcode as source text over the names a compiled
+# function binds: ``evm``, ``frame``, ``items`` (the operand stack's
+# list), ``gas``, ``mem``, ``msg`` and ``jumpdests`` (the frame's). In
+# it, ``{0}``..``{2}`` are the popped operands, stack top first, ``{imm}``
+# the instruction's immediate (a PUSH's word, PC's own pc) and ``{next}``
+# its fall-through pc.
+#
+# ``charge`` places the opcode's gas where something observes it: ``""``
+# charges the static gas alone, any other text is a dynamic charge added
+# to it; either way, inside a block, every static charge still pending
+# goes with it. ``None``: nothing observes it — a block defers it, and a
+# lone instruction charges it in its check order (before its stack
+# checks if it only pushes or is a DUP or SWAP, after them otherwise).
 # ---------------------------------------------------------------------------
 
-_G_EXP = opcodes.BY_NAME["EXP"].gas
-_G_SHA3 = opcodes.BY_NAME["SHA3"].gas
 
-#: Two-pop pure binops fusable behind a PUSH/DUP (EXP excluded: its gas
-#: depends on the runtime exponent). Mirrors the arithmetic/logic rows of
-#: the MTPU folding catalogue.
-_BIN_FN: dict[int, object] = {}
-for _name, _fn in {**_ARITH_FN, **_LOGIC_FN}.items():
+class _Template(NamedTuple):
+    pops: int
+    result: str | None = None  # the pushed word
+    charge: str | None = None
+    body: tuple[str, ...] = ()  # runs after the charge, before the push
+
+
+_WORD_FN = {**_ARITH_FN, **_LOGIC_FN}
+_MEMORY = "evm._charge_memory(frame, {0}, %d)"
+
+_TEMPLATES: dict[int, _Template] = {
+    0x0A: _Template(  # EXP
+        2, "EXP({0}, {1})",
+        "evm.schedule.exp_byte * ((({1}).bit_length() + 7) // 8)",
+    ),
+    0x20: _Template(  # SHA3
+        2, "keccak256_int(mem.read({0}, {1}))",
+        "evm.schedule.sha3_word * (({1} + 31) // 32)"
+        " + evm._charge_memory(frame, {0}, {1})",
+    ),
+    0x35: _Template(  # CALLDATALOAD
+        1, 'int.from_bytes(msg.data[{0}:{0} + 32].ljust(32, b"\\x00"), "big")',
+    ),
+    0x50: _Template(1),  # POP
+    0x51: _Template(1, "mem.read_word({0})", _MEMORY % 32),  # MLOAD
+    0x52: _Template(2, None, _MEMORY % 32, ("mem.write_word({0}, {1})",)),
+    0x53: _Template(2, None, _MEMORY % 1, ("mem.write_byte({0}, {1})",)),
+    0x54: _Template(  # SLOAD
+        1, "evm.state.get_storage(msg.to, {0}) & WORD_MASK", "",
+    ),
+    0x56: _Template(1, None, "", (  # JUMP
+        "if {0} not in jumpdests:",
+        "    raise InvalidJump('jump to %#x' % {0})",
+        "return {0}",
+    )),
+    0x57: _Template(2, None, "", (  # JUMPI
+        "if {1}:",
+        "    if {0} not in jumpdests:",
+        "        raise InvalidJump('jumpi to %#x' % {0})",
+        "    return {0}",
+        "return {next}",
+    )),
+    0x58: _Template(0, "{imm}"),  # PC
+    0x5A: _Template(0, "gas.remaining", ""),  # GAS
+    0x5B: _Template(0),  # JUMPDEST
+}
+for _name in _WORD_FN:
     _info = opcodes.BY_NAME[_name]
-    if _info.pops == 2 and _name != "EXP":
-        _BIN_FN[_info.value] = _fn
+    if _info.value not in _TEMPLATES:
+        _args = ", ".join("{%d}" % i for i in range(_info.pops))
+        _TEMPLATES[_info.value] = _Template(_info.pops, f"{_name}({_args})")
+for _value, _read in {
+    0x30: "msg.to",  # ADDRESS
+    0x32: "msg.origin",
+    0x33: "msg.caller",
+    0x34: "msg.value",
+    0x36: "len(msg.data)",
+    0x38: "len(frame.code)",
+    0x3A: "msg.gas_price",
+    0x3D: "len(frame.return_data)",
+    0x41: "evm.block.coinbase",
+    0x42: "evm.block.timestamp",
+    0x43: "evm.block.height",
+    0x44: "evm.block.difficulty",
+    0x45: "evm.block.gas_limit",
+    0x59: "mem.size_words * 32",  # MSIZE
+}.items():
+    _TEMPLATES[_value] = _Template(0, f"({_read}) & WORD_MASK")
+for _value in range(0x60, 0x80):  # PUSH1..PUSH32
+    _TEMPLATES[_value] = _Template(0, "{imm}")
 
-_UN_FN = {
-    opcodes.BY_NAME[name].value: fn
-    for name, fn in _LOGIC_FN.items()
-    if opcodes.BY_NAME[name].pops == 1
+
+def _overflow(word):
+    """The StackOverflow of a push that found no room, carrying the word
+    it would have pushed (the observed loop records it)."""
+    exc = StackOverflow(f"stack depth would exceed {MAX_DEPTH}")
+    exc.word = word
+    return exc
+
+
+def _stepwise(evm, frame, entries, pcs):
+    """Run a block's instructions one entry at a time: its entry check
+    failed, so each must check its own operands in its own order."""
+    for pc in pcs:
+        e = entries[pc]
+        next_pc = e[0](evm, frame, e)
+    return next_pc
+
+
+# ---------------------------------------------------------------------------
+# The compiler
+# ---------------------------------------------------------------------------
+
+
+class _Compiler:
+    """Source for a run of instructions, over a model of the operand
+    stack's top: ``stack`` holds an expression per modeled word, bottom
+    first — a literal, a temporary ``t<n>``, or ``r<j>``, the word *j*-th
+    from the top when the run last wrote the stack back — and
+    ``pending`` the static gas no statement has charged yet."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.stack: list[str] = []
+        self.depth = 0  # real words the model covers
+        self.unread: set[str] = set()  # r<j> not yet read into its local
+        self.pending = 0
+        self.temps = 0
+
+    def emit(self, line: str) -> None:
+        self.lines.append(line)
+
+    def reach(self, n: int) -> None:
+        """Model at least the top *n* words."""
+        while len(self.stack) < n:
+            self.depth += 1
+            word = f"r{self.depth}"
+            self.stack.insert(0, word)
+            self.unread.add(word)
+
+    def read(self, word: str) -> str:
+        """*word*, read into its local first if it is still on the stack."""
+        if word in self.unread:
+            self.unread.discard(word)
+            self.emit(f"{word} = items[-{word[1:]}]")
+        return word
+
+    def pop(self) -> str:
+        self.reach(1)
+        return self.read(self.stack.pop())
+
+    def settle(self, dynamic: str = "") -> None:
+        """Charge the pending static gas, plus *dynamic*."""
+        parts = [str(self.pending)] if self.pending else []
+        if dynamic:
+            parts.append(dynamic)
+        if parts:
+            self.emit(f"gas.consume({' + '.join(parts)})")
+        self.pending = 0
+
+    def write_back(self) -> None:
+        """Store the model to the real stack; the model restarts empty."""
+        stack, depth = self.stack, self.depth
+        moved = [
+            i for i, word in enumerate(stack)
+            if i >= depth or word != f"r{depth - i}"
+        ]
+        if len(stack) == depth:  # same height: rewrite what moved
+            words = [self.read(stack[i]) for i in moved]
+            for i, word in zip(moved, words):
+                self.emit(f"items[-{depth - i}] = {word}")
+        else:  # rewrite from the lowest word that moved up
+            low = moved[0] if moved else len(stack)
+            drop = depth - low
+            words = [self.read(word) for word in stack[low:]]
+            if drop and words:
+                self.emit(f"items[-{drop}:] = ({', '.join(words)},)")
+            elif drop:
+                self.emit(f"del items[-{drop}:]")
+            elif len(words) == 1:
+                self.emit(f"items.append({words[0]})")
+            else:
+                self.emit(f"items.extend(({', '.join(words)},))")
+        self.stack, self.depth, self.unread = [], 0, set()
+
+    def apply(self, value: int, imm: str | None, nxt: str) -> bool:
+        """Inline one templated instruction; True when it ended the run
+        (its template returns)."""
+        stack = self.stack
+        if 0x80 <= value <= 0x8F:  # DUPn
+            n = value - 0x7F
+            self.reach(n)
+            stack.append(stack[-n])
+            return False
+        if 0x90 <= value <= 0x9F:  # SWAPn
+            n = value - 0x8F
+            self.reach(n + 1)
+            stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
+            return False
+        t = _TEMPLATES[value]
+        if t.result is None and t.charge is None:  # POP, JUMPDEST
+            self.reach(t.pops)
+            del stack[len(stack) - t.pops:]
+            return False
+        args = [self.pop() for _ in range(t.pops)]
+        exits = bool(t.body) and t.body[-1].startswith("return")
+        if exits:
+            self.write_back()
+        if t.charge is not None:
+            self.settle(t.charge.format(*args))
+        for line in t.body:
+            self.emit(line.format(*args, next=nxt))
+        if t.result == "{imm}":
+            self.stack.append(imm)
+        elif t.result is not None:
+            self.temps += 1
+            word = f"t{self.temps}"
+            self.emit(f"{word} = {t.result.format(*args)}")
+            self.stack.append(word)
+        return exits
+
+
+#: The locals a compiled function binds, each only if its source names it.
+_LOCALS = (
+    ("items", "items = frame.stack._items"),
+    ("gas", "gas = frame.gas"),
+    ("mem", "mem = frame.memory"),
+    ("msg", "msg = frame.msg"),
+    ("jumpdests", "jumpdests = frame.jumpdests"),
+)
+
+
+def _function(name: str, params: str, lines: list[str]) -> str:
+    text = "\n".join(lines)
+    head = [f"def {name}({params}):"]
+    for local, binding in _LOCALS:
+        if re.search(rf"\b{local}\b", text):
+            head.append("    " + binding)
+    return "\n".join(head + ["    " + line for line in lines]) + "\n"
+
+
+#: What compiled source names besides its locals.
+_GLOBALS = {
+    **_WORD_FN,
+    "InvalidJump": InvalidJump,
+    "MAX_DEPTH": MAX_DEPTH,
+    "StackUnderflow": StackUnderflow,
+    "WORD_MASK": WORD_MASK,
+    "_overflow": _overflow,
+    "_stepwise": _stepwise,
+    "keccak256_int": keccak256_int,
 }
 
-#: Pure stack ops eligible inside a constant chain. EXP is excluded even
-#: with a constant exponent: its dynamic gas reads the runtime
-#: ``GasSchedule``, which a decoded (schedule-agnostic) program must not
-#: bake in.
-_CHAIN_FN: dict[int, object] = dict(_BIN_FN)
-_CHAIN_FN.update(_UN_FN)
-_CHAIN_FN[opcodes.BY_NAME["ADDMOD"].value] = _ARITH_FN["ADDMOD"]
-_CHAIN_FN[opcodes.BY_NAME["MULMOD"].value] = _ARITH_FN["MULMOD"]
 
-_ENV_GETTERS = {
-    0x30: lambda evm, frame: frame.msg.to,
-    0x32: lambda evm, frame: frame.msg.origin,
-    0x33: lambda evm, frame: frame.msg.caller,
-    0x34: lambda evm, frame: frame.msg.value,
-    0x36: lambda evm, frame: len(frame.msg.data),
-    0x38: lambda evm, frame: len(frame.code),
-    0x3A: lambda evm, frame: frame.msg.gas_price,
-    0x3D: lambda evm, frame: len(frame.return_data),
-    0x41: lambda evm, frame: evm.block.coinbase,
-    0x42: lambda evm, frame: evm.block.timestamp,
-    0x43: lambda evm, frame: evm.block.height,
-    0x44: lambda evm, frame: evm.block.difficulty,
-    0x45: lambda evm, frame: evm.block.gas_limit,
-    0x59: lambda evm, frame: frame.memory.size_words * 32,
-    0x5A: lambda evm, frame: frame.gas.remaining,
-}
+def _lone_source(info) -> str:
+    """One templated instruction alone, as ``def lone(evm, frame, e)``:
+    its checks in their order."""
+    value = info.value
+    t = _TEMPLATES.get(value)
+    pops = info.pops
+    gas_first = pops == 0 or 0x80 <= value <= 0x9F  # DUPn / SWAPn
+    c = _Compiler()
+    c.pending = info.gas
+    if gas_first and (t is None or t.charge is None):
+        c.settle()
+    if pops:
+        c.emit(f"if len(items) < {pops}:")
+        c.emit(
+            f"    raise StackUnderflow('pop {pops} from stack of depth %d'"
+            " % len(items))"
+        )
+    if not gas_first and t.charge is None:
+        c.settle()
+    exits = c.apply(value, "e[2]", "e[1]")
+    if info.pushes > info.pops:
+        word = c.read(c.stack[-1])
+        c.emit("if len(items) >= MAX_DEPTH:")
+        c.emit(f"    raise _overflow({word})")
+    c.write_back()
+    if not exits:
+        c.emit("return e[1]")
+    return _function("lone", "evm, frame, e", c.lines)
+
+
+def _compile_lone() -> dict[int, object]:
+    """opcode -> its lone function, for every templated opcode (opcodes
+    whose source comes out the same, PUSH1..PUSH32, share one)."""
+    names: dict[int, str] = {}
+    sources: dict[str, str] = {}
+    for info in opcodes.OPCODES.values():
+        if info.value in _TEMPLATES or 0x80 <= info.value <= 0x9F:
+            source = _lone_source(info)
+            names[info.value] = sources.setdefault(
+                source, f"lone_{info.name}"
+            )
+    namespace = dict(_GLOBALS)
+    exec(compile("".join(
+        source.replace("def lone(", f"def {name}(", 1)
+        for source, name in sources.items()
+    ), "<templates>", "exec"), namespace)
+    return {value: namespace[name] for value, name in names.items()}
+
+
+#: opcode -> the function one instruction of it runs alone.
+_LONE = _compile_lone()
+
+
+def _compile_block(program: DecodedProgram, start: int):
+    """Compile the basic block entered at *start* (see the module
+    docstring) and keep it on *program*."""
+    code = program.code
+    end = program.code_len
+    entries = program.entries
+    namespace = program.namespace
+    if namespace is None:
+        namespace = program.namespace = dict(_GLOBALS, entries=entries)
+    c = _Compiler()
+    pcs = []
+    need = height = top = 0
+    pc = start
+    while True:
+        value = code[pc]
+        info = opcodes.INFO_BY_BYTE[value]
+        pcs.append(pc)
+        next_pc = pc + 1
+        if info is not None:  # an opcode's pops is how deep it reads
+            next_pc += info.immediate_size
+            need = max(need, info.pops - height)
+            height += info.pushes - info.pops
+            top = max(top, height)
+        entry = entries[pc]
+        if value in _LONE:
+            c.pending += info.gas
+            imm = str(entry[2]) if len(entry) > 2 else None
+            if c.apply(value, imm, str(next_pc)):
+                break
+        else:
+            c.write_back()
+            c.settle()
+            namespace[f"e{pc}"] = entry
+            call = f"e{pc}[0](evm, frame, e{pc})"
+            if info is None or info.is_terminator or value in _CALLS:
+                c.emit("return " + call)
+                break
+            c.emit(call)
+        if next_pc >= end or code[next_pc] == 0x5B:
+            c.write_back()
+            c.settle()
+            c.emit(f"return {next_pc}")
+            break
+        pc = next_pc
+    guard = []
+    if need > 0:
+        guard.append(f"len(items) < {need}")
+    if top > 0:
+        guard.append(f"len(items) > {MAX_DEPTH - top}")
+    lines = c.lines
+    if guard:
+        lines = [
+            f"if {' or '.join(guard)}:",
+            f"    return _stepwise(evm, frame, entries, {tuple(pcs)!r})",
+        ] + lines
+    name = f"block_{start}"
+    exec(compile(
+        _function(name, "evm, frame", lines), f"<block {start}>", "exec"
+    ), namespace)
+    block = program.blocks[start] = namespace.pop(name)
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("evm.blocks_compiled").inc()
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -752,132 +792,49 @@ _ENV_GETTERS = {
 
 
 class DecodedProgram:
-    """One code blob compiled to a pc-indexed entry table."""
+    """One code blob, decoded: an entry per instruction, and the basic
+    blocks compiled from them as execution first enters each."""
 
     __slots__ = (
-        "code", "code_hash", "code_len", "entries", "jumpdests",
-        "instruction_count", "fused_count", "folded_instructions",
-        "unfused",
+        "code", "code_hash", "code_len", "entries", "jumpdests", "blocks",
+        "namespace", "rows",
     )
 
-    def __init__(self, code, code_hash, entries, jumpdests,
-                 instruction_count, fused_count, folded_instructions):
+    def __init__(self, code, entries, jumpdests):
         self.code = code
-        self.code_hash = code_hash
+        self.code_hash = keccak256(code)
         self.code_len = len(code)
+        #: pc -> ``(function, ...)``, the instruction alone: its lone
+        #: template or its handler (``None`` inside PUSH immediates).
         self.entries = entries
         self.jumpdests = jumpdests
-        self.instruction_count = instruction_count
-        self.fused_count = fused_count
-        self.folded_instructions = folded_instructions
-        #: pc -> (plain entry, Instruction, extra function) for
+        #: entry pc -> compiled block, filled in by :func:`run_program`.
+        self.blocks: dict[int, object] = {}
+        #: The globals this program's blocks share.
+        self.namespace: dict | None = None
+        #: pc -> (entry, Instruction, extra function) for
         #: :func:`run_observed`, built on the first observed run.
-        self.unfused: list[tuple | None] | None = None
+        self.rows: list[tuple | None] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"<DecodedProgram {self.code_hash.hex()[:12]}… "
-            f"{self.instruction_count} instrs, {self.fused_count} fused>"
+            f"{self.code_len} bytes, {len(self.blocks)} blocks compiled>"
         )
 
 
-def _match_const_chain(instrs, start, jumpdests):
-    """Fold a maximal run of constant-producing stack code at *start*.
-
-    Simulates PUSH/DUP/SWAP/POP and pure arithmetic/logic over a virtual
-    constant stack; every operand must come from within the chain. Returns
-    ``(stages, values, length, next_pc)`` or None. A chain must absorb at
-    least two instructions including one non-PUSH computation (plain PUSH
-    runs are left for branch/binop pair fusion).
-    """
-    vstack: list[int] = []
-    # (gas accumulated since the previous check, overflow threshold or 0);
-    # merged so uncheckpointed charges collapse into one consume() without
-    # moving any charge across a depth check.
-    stages: list[tuple[int, int]] = []
-    pending_gas = 0
-    pure_ops = 0
-    length = 0
-    j = start
-    n = len(instrs)
-    while j < n and length < CHAIN_LIMIT:
-        ins = instrs[j]
-        value = ins.op.value
-        if 0x60 <= value <= 0x7F:
-            # Leave a PUSH that feeds a JUMP/JUMPI to branch fusion.
-            if j + 1 < n and instrs[j + 1].op.value in (0x56, 0x57):
-                break
-            pending_gas += 3
-            stages.append((pending_gas, MAX_DEPTH - len(vstack)))
-            pending_gas = 0
-            vstack.append((ins.immediate or 0) & WORD_MASK)
-        elif 0x80 <= value <= 0x8F:
-            k = value - 0x7F
-            if k > len(vstack):
-                break
-            pending_gas += 3
-            stages.append((pending_gas, MAX_DEPTH - len(vstack)))
-            pending_gas = 0
-            vstack.append(vstack[-k])
-        elif 0x90 <= value <= 0x9F:
-            k = value - 0x8F
-            if k + 1 > len(vstack):
-                break
-            pending_gas += 3
-            vstack[-1], vstack[-1 - k] = vstack[-1 - k], vstack[-1]
-        elif value == 0x50:  # POP
-            if not vstack:
-                break
-            pending_gas += 2
-            vstack.pop()
-        else:
-            fn = _CHAIN_FN.get(value)
-            if fn is None or ins.op.pops > len(vstack):
-                break
-            args = [vstack.pop() for _ in range(ins.op.pops)]
-            pending_gas += ins.op.gas
-            vstack.append(fn(*args) & WORD_MASK)
-            pure_ops += 1
-        length += 1
-        j += 1
-    if length < 2 or pure_ops == 0:
-        return None
-    if pending_gas:
-        stages.append((pending_gas, 0))
-    next_pc = instrs[j].pc if j < n else instrs[j - 1].next_pc
-    return tuple(stages), tuple(vstack), length, next_pc
-
-
-def _plain_entry(ins):
-    """The unfused entry for one decoded instruction."""
+def _entry(ins):
+    """The entry of one decoded instruction."""
     op = ins.op
     value = op.value
     npc = ins.next_pc
-    if 0x60 <= value <= 0x7F:
-        return (_h_push, npc, (ins.immediate or 0) & WORD_MASK)
-    if 0x80 <= value <= 0x8F:
-        return (_h_dup, npc, value - 0x7F)
-    if 0x90 <= value <= 0x9F:
-        return (_h_swap, npc, value - 0x8F)
-    fn = _BIN_FN.get(value)
-    if fn is not None:
-        return (_h_bin, npc, fn, op.gas)
-    fn = _UN_FN.get(value)
-    if fn is not None:
-        return (_h_un, npc, fn, op.gas)
-    if value in (0x08, 0x09):
-        return (_h_tri, npc, _ARITH_FN[op.name], op.gas)
-    if value == 0x0A:
-        return (_h_exp, npc)
-    if value == 0x20:
-        return (_h_sha3, npc)
-    getter = _ENV_GETTERS.get(value)
-    if getter is not None:
-        return (_h_env0, npc, getter, op.gas)
-    if value == 0x58:  # PC: the immediate *is* the value
-        return (_h_env0, npc, (lambda evm, frame, _pc=ins.pc: _pc), op.gas)
-    if value == 0x35:
-        return (_h_calldataload, npc)
+    lone = _LONE.get(value)
+    if lone is not None:
+        if 0x60 <= value <= 0x7F:
+            return (lone, npc, ins.immediate)
+        if value == 0x58:  # PC: the immediate *is* the value
+            return (lone, npc, ins.pc)
+        return (lone, npc)
     if value in (0x37, 0x39, 0x3E):
         return (_h_copy, npc, value, op.gas)
     if value == 0x40:
@@ -886,24 +843,8 @@ def _plain_entry(ins):
         return (_h_extq, npc, value, op.gas)
     if value == 0x3C:
         return (_h_extcodecopy, npc, op.gas)
-    if value == 0x50:
-        return (_h_pop, npc)
-    if value == 0x51:
-        return (_h_mload, npc)
-    if value == 0x52:
-        return (_h_mstore, npc)
-    if value == 0x53:
-        return (_h_mstore8, npc)
-    if value == 0x54:
-        return (_h_sload, npc, op.gas)
     if value == 0x55:
         return (_h_sstore, npc)
-    if value == 0x56:
-        return (_h_jump,)
-    if value == 0x57:
-        return (_h_jumpi, npc)
-    if value == 0x5B:
-        return (_h_jumpdest, npc)
     if 0xA0 <= value <= 0xA4:
         return (_h_log, npc, value - 0xA0, op.gas)
     if value in (0xF1, 0xF2, 0xF4, 0xFA):
@@ -922,84 +863,12 @@ def _plain_entry(ins):
 
 
 def build_program(code: bytes) -> DecodedProgram:
-    """AOT-compile *code* into a :class:`DecodedProgram`."""
-    instrs = decode(code)
-    jumpdests = valid_jumpdests(code)
+    """Decode *code* into a :class:`DecodedProgram` (no block compiles
+    until the trace-free loop enters it)."""
     entries: list[tuple | None] = [None] * len(code)
-    fused = 0
-    folded = 0
-    i = 0
-    n = len(instrs)
-    while i < n:
-        ins = instrs[i]
-        value = ins.op.value
-        chain = _match_const_chain(instrs, i, jumpdests)
-        if chain is not None:
-            stages, values, length, next_pc = chain
-            entries[ins.pc] = (_h_const, next_pc, stages, values)
-            fused += 1
-            folded += length - 1
-            i += length
-            continue
-        nxt = instrs[i + 1] if i + 1 < n else None
-        if nxt is not None:
-            if 0x60 <= value <= 0x7F:
-                imm = (ins.immediate or 0) & WORD_MASK
-                nv = nxt.op.value
-                if nv == 0x56:
-                    entries[ins.pc] = (
-                        _h_push_jump, imm, imm in jumpdests
-                    )
-                    fused += 1
-                    folded += 1
-                    i += 2
-                    continue
-                if nv == 0x57:
-                    entries[ins.pc] = (
-                        _h_push_jumpi, nxt.next_pc, imm,
-                        imm in jumpdests,
-                    )
-                    fused += 1
-                    folded += 1
-                    i += 2
-                    continue
-                fn = _BIN_FN.get(nv)
-                if fn is not None:
-                    entries[ins.pc] = (
-                        _h_push_bin, nxt.next_pc, imm, fn, nxt.op.gas
-                    )
-                    fused += 1
-                    folded += 1
-                    i += 2
-                    continue
-            elif 0x80 <= value <= 0x8F:
-                fn = _BIN_FN.get(nxt.op.value)
-                if fn is not None:
-                    entries[ins.pc] = (
-                        _h_dup_bin, nxt.next_pc, value - 0x7F, fn,
-                        nxt.op.gas,
-                    )
-                    fused += 1
-                    folded += 1
-                    i += 2
-                    continue
-            elif value == 0x90 and nxt.op.value == 0x50:
-                entries[ins.pc] = (_h_swap1_pop, nxt.next_pc)
-                fused += 1
-                folded += 1
-                i += 2
-                continue
-        entries[ins.pc] = _plain_entry(ins)
-        i += 1
-    return DecodedProgram(
-        code=code,
-        code_hash=keccak256(code),
-        entries=entries,
-        jumpdests=jumpdests,
-        instruction_count=n,
-        fused_count=fused,
-        folded_instructions=folded,
-    )
+    for ins in decode(code):
+        entries[ins.pc] = _entry(ins)
+    return DecodedProgram(code, entries, valid_jumpdests(code))
 
 
 # ---------------------------------------------------------------------------
@@ -1008,16 +877,18 @@ def build_program(code: bytes) -> DecodedProgram:
 
 
 def run_program(evm, frame, program: DecodedProgram) -> None:
-    """Execute *frame* over a decoded program's fused entries, trace-free
+    """Execute *frame* one compiled basic block at a time, trace-free
     (the loop under a ``NullTracer``)."""
     frame.jumpdests = program.jumpdests
-    entries = program.entries
+    blocks = program.blocks
     code_len = program.code_len
     pc = frame.pc
     try:
         while pc < code_len:
-            e = entries[pc]
-            pc = e[0](evm, frame, e)
+            block = blocks.get(pc)
+            if block is None:
+                block = _compile_block(program, pc)
+            pc = block(evm, frame)
     except _Halt:
         pass
     frame.pc = pc
@@ -1025,7 +896,7 @@ def run_program(evm, frame, program: DecodedProgram) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The observed loop: the same handlers, one instruction at a time, with a
+# The observed loop: the same entries, one instruction at a time, with a
 # TraceStep read off the stack and the gas meter around each call
 # ---------------------------------------------------------------------------
 
@@ -1065,32 +936,29 @@ _EXTRA = {
 }
 
 
-def _unfused_rows(code: bytes) -> list[tuple | None]:
-    """One plain entry per instruction of *code*, indexed by pc (fused
-    entries have no per-instruction steps to show)."""
-    rows: list[tuple | None] = [None] * len(code)
-    for ins in decode(code):
-        rows[ins.pc] = (_plain_entry(ins), ins, _EXTRA.get(ins.op.value))
-    return rows
-
-
 def run_observed(evm, frame, program: DecodedProgram) -> None:
     """Execute *frame* under ``evm.tracer``, one instruction at a time.
 
-    The handlers are the ones :func:`run_program` dispatches; what a
-    :class:`TraceStep` holds is read from outside them — operands and
-    their producers off the stack and ``frame.shadow`` before the call,
-    the result and the gas meter's movement after it.
+    Each step calls the instruction's entry — its lone template or its
+    handler, what a block's fallback dispatches; what a
+    :class:`TraceStep` holds is read from outside it — operands and their
+    producers off the stack and ``frame.shadow`` before the call, the
+    result and the gas meter's movement after it.
 
-    A step is recorded when its handler returns, halts the frame, or
+    A step is recorded when its entry returns, halts the frame, or
     raises ``Revert``, ``InvalidJump`` or ``StackOverflow``; any other
     exception leaves none. A call-family step is recorded before its
     handler runs and withdrawn if the handler refuses the call.
     """
     frame.jumpdests = program.jumpdests
-    rows = program.unfused
+    rows = program.rows
     if rows is None:
-        rows = program.unfused = _unfused_rows(program.code)
+        rows = [None] * program.code_len
+        for ins in decode(program.code):
+            rows[ins.pc] = (
+                program.entries[ins.pc], ins, _EXTRA.get(ins.op.value)
+            )
+        program.rows = rows
     tracer = evm.tracer
     msg = frame.msg
     gas = frame.gas
@@ -1100,16 +968,15 @@ def run_observed(evm, frame, program: DecodedProgram) -> None:
     pc = frame.pc
     while pc < code_len:
         e, ins, extra = rows[pc]
-        handler = e[0]
         op = ins.op
+        value = op.value
         pops = op.pops
-        is_dup = handler is _h_dup
-        is_swap = handler is _h_swap
-        # The call family (CALL, CALLCODE, DELEGATECALL, STATICCALL,
-        # CREATE, CREATE2): its step goes in ahead of the callee's.
-        is_call = handler is _h_call or handler is _h_create
+        is_dup = 0x80 <= value <= 0x8F
+        is_swap = 0x90 <= value <= 0x9F
+        # The call family: its step goes in ahead of the callee's.
+        is_call = value in _CALLS
         step = None
-        if len(items) >= pops:  # short of operands the handler refuses
+        if len(items) >= pops:  # short of operands the entry refuses
             if is_dup:  # reads the n-th word
                 operands, producers = (items[-pops],), (shadow[-pops],)
             elif is_swap:  # reads the top and the word n below it
@@ -1131,17 +998,12 @@ def run_observed(evm, frame, program: DecodedProgram) -> None:
                 tracer.record(step)
         before = gas.consumed
         try:
-            next_pc = handler(evm, frame, e)
+            next_pc = e[0](evm, frame, e)
         except (_Halt, Revert, InvalidJump, StackOverflow) as stop:
             step.gas_cost = gas.consumed - before
             if isinstance(stop, StackOverflow):
-                # The word never reached the stack: read it off the entry.
-                if is_dup:
-                    step.results = operands
-                elif handler is _h_env0:
-                    step.results = (e[2](evm, frame) & WORD_MASK,)
-                else:
-                    step.results = (e[2],)
+                # The word never reached the stack: the push carried it.
+                step.results = (stop.word,)
             tracer.record(step)
             if isinstance(stop, _Halt):
                 break
@@ -1184,7 +1046,8 @@ class DecodeCache:
     hash, never an address — so code mutation at a reused address
     (SELFDESTRUCT then CREATE/CREATE2) can never serve a stale program.
     One instance per process; pool workers each hold their own and decode
-    a given contract once per worker, not once per transaction.
+    a given contract once per worker, not once per transaction. An
+    evicted program takes its compiled blocks with it.
     """
 
     def __init__(self, max_programs: int = DEFAULT_CACHE_PROGRAMS) -> None:
@@ -1215,10 +1078,6 @@ class DecodeCache:
         registry = get_registry()
         if registry.enabled:
             registry.counter("evm.decode_cache_misses").inc()
-            if program.fused_count:
-                registry.counter("evm.fused_instructions").inc(
-                    program.fused_count
-                )
         return program
 
     def warm(self, code: bytes) -> bool:

@@ -6,14 +6,14 @@ This is the functional substrate everything else measures against:
   the paper uses as its baseline): fees, nonces, the message-call
   machinery, the frame a call runs in.
 * The instruction set itself is stated once, in :mod:`repro.evm.decoded`
-  (the ``_h_*`` handlers); this module states no opcode. ``EVM._run``
-  hands a frame's decoded program to one of that module's two loops —
-  the fused trace-free one, or, under a
-  :class:`~repro.evm.tracer.Tracer`, the observed one that produces the
-  dataflow traces driving the MTPU timing model and the hotspot
-  optimizer.
-* One set of handlers means one deterministic gas consumption per
-  transaction (the consistency constraint of paper section 3.3.3),
+  (its templates and ``_h_*`` handlers); this module states no opcode.
+  ``EVM._run`` hands a frame's decoded program to one of that module's
+  two loops — the trace-free one that runs compiled basic blocks, or,
+  under a :class:`~repro.evm.tracer.Tracer`, the observed one that
+  produces the dataflow traces driving the MTPU timing model and the
+  hotspot optimizer.
+* One statement of each opcode means one deterministic gas consumption
+  per transaction (the consistency constraint of paper section 3.3.3),
   traced or not.
 """
 
@@ -80,7 +80,7 @@ class Frame:
     # Shadow stack: trace index of the step that produced each stack slot.
     shadow: list[int] = field(default_factory=list)
     # The program's jump destinations, bound once per frame by either
-    # loop so a jump skips even the memo lookup in repro.evm.code.
+    # loop for the jumps to check against.
     jumpdests: frozenset[int] | None = None
 
 
@@ -100,8 +100,8 @@ class EVM:
         # Note: "tracer or ..." would misfire — an empty Tracer has
         # __len__() == 0 and is falsy.
         self.tracer = tracer if tracer is not None else NullTracer()
-        # Untraced, frames run the fused trace-free loop; under a tracer,
-        # the observed one (repro.evm.decoded has both).
+        # Untraced, frames run the trace-free loop of compiled blocks;
+        # under a tracer, the observed one (repro.evm.decoded has both).
         self._fast = isinstance(self.tracer, NullTracer)
 
     # ------------------------------------------------------------------
@@ -260,6 +260,7 @@ class EVM:
         snapshot = self.state.snapshot()
         gas = GasMeter(msg.gas)
         created_address: int | None = None
+        frame = None  # set once the callee's frame is entered
 
         try:
             if is_create:
@@ -318,8 +319,11 @@ class EVM:
 
         except (ExceptionalHalt, ValueError) as exc:
             # ValueError covers insufficient-balance transfers inside calls.
+            # That, and a create's address collision, refuse the call
+            # before its frame is entered: there is no call to close.
             self.state.revert(snapshot)
-            self.tracer.exit_call(False)
+            if frame is not None:
+                self.tracer.exit_call(False)
             return CallResult(
                 success=False,
                 gas_used=msg.gas,  # exceptional halt burns the frame's gas
@@ -352,6 +356,7 @@ class EVM:
         if length == 0:
             return 0
         new_words = (offset + length + 31) // 32
-        return self.schedule.memory_expansion_cost(
-            frame.memory.size_words, new_words
-        )
+        current = frame.memory.size_words
+        if new_words <= current:  # the common case: no growth
+            return 0
+        return self.schedule.memory_expansion_cost(current, new_words)

@@ -7,39 +7,46 @@ high-water mark.
 
 from __future__ import annotations
 
+from .stack import WORD_MASK
+
 
 class Memory:
     """Transaction-frame scratch memory."""
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "size_words")
 
     def __init__(self) -> None:
         self._data = bytearray()
+        #: Current size in 32-byte words (the gas rule reads it on every
+        #: memory access, so it is kept, not computed).
+        self.size_words = 0
 
     def __len__(self) -> int:
         return len(self._data)
-
-    @property
-    def size_words(self) -> int:
-        """Current size in 32-byte words."""
-        return (len(self._data) + 31) // 32
 
     def extend(self, offset: int, length: int) -> None:
         """Grow memory (zero-filled) to cover ``[offset, offset+length)``."""
         if length == 0:
             return
-        new_size = ((offset + length + 31) // 32) * 32
-        if new_size > len(self._data):
-            self._data.extend(b"\x00" * (new_size - len(self._data)))
+        new_words = (offset + length + 31) // 32
+        if new_words > self.size_words:
+            self._data.extend(bytes(32 * new_words - len(self._data)))
+            self.size_words = new_words
 
     def read(self, offset: int, length: int) -> bytes:
         """Read *length* bytes, implicitly extending memory first."""
-        self.extend(offset, length)
-        return bytes(self._data[offset : offset + length])
+        end = offset + length
+        if end > len(self._data):
+            self.extend(offset, length)
+        return bytes(self._data[offset:end])
 
     def read_word(self, offset: int) -> int:
         """MLOAD: read a 256-bit big-endian word."""
-        return int.from_bytes(self.read(offset, 32), "big")
+        data = self._data
+        end = offset + 32
+        if end > len(data):
+            self.extend(offset, 32)
+        return int.from_bytes(data[offset:end], "big")
 
     def write(self, offset: int, data: bytes) -> None:
         """Write raw bytes, implicitly extending memory first."""
@@ -50,7 +57,11 @@ class Memory:
 
     def write_word(self, offset: int, value: int) -> None:
         """MSTORE: write a 256-bit big-endian word."""
-        self.write(offset, (value & ((1 << 256) - 1)).to_bytes(32, "big"))
+        data = self._data
+        end = offset + 32
+        if end > len(data):
+            self.extend(offset, 32)
+        data[offset:end] = (value & WORD_MASK).to_bytes(32, "big")
 
     def write_byte(self, offset: int, value: int) -> None:
         """MSTORE8: write the low byte of *value*."""

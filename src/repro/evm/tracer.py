@@ -14,8 +14,8 @@ every popped operand, the index of the trace step that *produced* it (via
 a shadow stack maintained alongside the real operand stack). PUSH
 immediates and fixed-access results are the provenance roots. Steps are
 built by :func:`repro.evm.decoded.run_observed`, which watches the one
-set of instruction handlers from outside; its docstring has the rule for
-which instructions leave a step.
+statement of each instruction from outside; its docstring has the rule
+for which instructions leave a step.
 """
 
 from __future__ import annotations

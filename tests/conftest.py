@@ -27,9 +27,10 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from repro.chain import Transaction, WorldState  # noqa: E402
+from repro.chain.journal import execute_captured  # noqa: E402
 from repro.contracts import build_deployment  # noqa: E402
 from repro.contracts.asm import assemble  # noqa: E402
-from repro.evm import EVM, Tracer  # noqa: E402
+from repro.evm import EVM, BlockContext, Tracer  # noqa: E402
 from repro.storage.codec import state_digest_bytes  # noqa: E402
 
 ALICE = 0xA11CE
@@ -42,6 +43,12 @@ def pytest_addoption(parser):
         "--update-golden", action="store_true", default=False,
         help="rewrite golden fixtures (tests/obs/golden/) instead of "
              "comparing against them; review the diff before committing",
+    )
+    parser.addoption(
+        "--gas-stride", type=int, default=127,
+        help="step between the gas limits the entry-point sweep of "
+             "tests/evm/test_decoded_equivalence.py runs (1: every "
+             "limit, as CI runs it)",
     )
 
 
@@ -67,9 +74,9 @@ def run_code(state, source: str, data: bytes = b"", value: int = 0,
     """Assemble, deploy and execute a program; return (receipt, tracer).
 
     The program runs twice — observed on *state*, and trace-free (the
-    fused loop that serves requests) on a copy — and both must leave the
-    same receipt and state, so every expected value a caller asserts on
-    the returned receipt holds for both loops.
+    block-compiled loop that serves requests) on a copy — and both must
+    leave the same receipt and state, so every expected value a caller
+    asserts on the returned receipt holds for both loops.
     """
     state.set_code(address, assemble(source))
     untraced_state = state.copy()
@@ -86,6 +93,38 @@ def run_code(state, source: str, data: bytes = b"", value: int = 0,
 def run():
     """The run_code helper as a fixture."""
     return run_code
+
+
+def assert_loops_agree(state, txs, context=None) -> list:
+    """Run *txs* in order on two copies of *state*, trace-free and
+    observed, and require the same receipts (success, gas, error class,
+    logs, output), the same artifacts (access reads and writes, read
+    values, journal ops — what a DAG is built from and a replay applies)
+    and the same post-state digest. Returns the trace-free receipts."""
+    context = context or BlockContext()
+    runs = []
+    for tracer in (None, Tracer):
+        world = state.copy()
+        artifacts = [
+            execute_captured(world, tx, context,
+                             tracer=tracer() if tracer else None)
+            for tx in txs
+        ]
+        runs.append((artifacts, state_digest_bytes(world)))
+    (fast, fast_digest), (observed, observed_digest) = runs
+    for ours, theirs in zip(fast, observed, strict=True):
+        assert_same_artifact(ours, theirs)
+    assert fast_digest == observed_digest
+    return [artifact.receipt for artifact in fast]
+
+
+def assert_same_artifact(ours, theirs) -> None:
+    """Two executions of one transaction did the same thing."""
+    assert ours.receipt == theirs.receipt
+    assert ours.access.reads == theirs.access.reads
+    assert ours.access.writes == theirs.access.writes
+    assert ours.read_values == theirs.read_values
+    assert ours.journal.ops == theirs.journal.ops
 
 
 def refuse_next_append(store, site="append", half_written=False):

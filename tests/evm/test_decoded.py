@@ -1,42 +1,33 @@
-"""The decoded-program cache: fusion shapes, LRU bounds, coherence.
+"""The decoded program and its compiled blocks: block shapes, LRU bounds,
+coherence.
 
 Unit coverage of :mod:`repro.evm.decoded` (the equivalence suite in
-``test_decoded_equivalence.py`` covers bit-identity): the folding pass
-produces the expected superinstruction entries, the program and
-jumpdest caches are content-keyed LRUs, redeploying different code at a
-reused address never serves a stale program, and the ``evm.*`` counters
+``test_decoded_equivalence.py`` covers bit-identity): straight-line code
+runs as one compiled block per entry point, blocks compile only when the
+trace-free loop enters them and leave with their program, the program
+cache is a content-keyed LRU, redeploying different code at a reused
+address never serves a stale program, and the ``evm.*`` counters
 publish.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
 from repro.chain import Transaction, WorldState
 from repro.contracts.asm import assemble
 from repro.evm import EVM, Tracer, opcodes
-from repro.evm.code import (
-    clear_jumpdest_cache,
-    jumpdest_cache_stats,
-    set_jumpdest_cache_limit,
-    valid_jumpdests,
-)
-from repro.evm.decoded import (
-    DECODE_CACHE,
-    DecodeCache,
-    _h_const,
-    _h_dup_bin,
-    _h_push_bin,
-    _h_push_jump,
-    _h_push_jumpi,
-    _h_swap1_pop,
-    build_program,
-)
+from repro.evm.code import decode, valid_jumpdests
+from repro.evm.decoded import DECODE_CACHE, DecodeCache
 from repro.evm.opcodes import OPCODES
 from repro.obs import use_registry
 
 ALICE = 0xA11CE
 CONTRACT = 0xC0DE
+RETURN_TOP = "PUSH 0\nMSTORE\nPUSH 32\nPUSH 0\nRETURN"
 
 
 def _fresh_state():
@@ -53,6 +44,19 @@ def _run_tx(state, address=CONTRACT, tracer=None, data=b""):
     return evm.execute_transaction(tx)
 
 
+def _run_source(source, data=b""):
+    """Run *source* trace-free; return (receipt, its program)."""
+    code = assemble(source)
+    state = _fresh_state()
+    state.set_code(CONTRACT, code)
+    receipt = _run_tx(state, data=data)
+    return receipt, DECODE_CACHE.get(code)
+
+
+def _word(value: int) -> bytes:
+    return value.to_bytes(32, "big")
+
+
 class TestDispatchTable:
     def test_info_by_byte_matches_opcode_table(self):
         for value in range(256):
@@ -66,76 +70,100 @@ class TestDispatchTable:
 
 
 class TestFolding:
-    def _entry(self, source, pc=0):
-        program = build_program(assemble(source))
-        return program, program.entries[pc]
+    """A basic block is the line the fill unit folds: every pattern the
+    retired superinstruction pass fused (PUSH+JUMP[I], PUSH+binop,
+    DUP+binop, SWAP1+POP) runs inside one compiled block, entered only
+    where control lands."""
 
     def test_push_jump_fuses(self):
-        program, entry = self._entry("PUSH @target\nJUMP\ntarget:\nSTOP")
-        assert entry[0] is _h_push_jump
-        assert entry[2] is True  # statically validated target
-        assert program.fused_count == 1
+        source = "PUSH @target\nJUMP\ntarget:\nSTOP"
+        receipt, program = _run_source(source)
+        assert receipt.success
+        (target,) = valid_jumpdests(assemble(source))
+        assert sorted(program.blocks) == [0, target]
 
     def test_push_jump_to_invalid_target_still_fuses(self):
-        _, entry = self._entry("PUSH 0\nJUMP")
-        assert entry[0] is _h_push_jump
-        assert entry[2] is False  # raises InvalidJump at run time
+        receipt, program = _run_source("PUSH 0\nJUMP")
+        assert receipt.error == "InvalidJump"
+        assert sorted(program.blocks) == [0]
 
     def test_push_jumpi_fuses(self):
-        _, entry = self._entry("PUSH @target\nJUMPI\ntarget:\nSTOP")
-        assert entry[0] is _h_push_jumpi
+        source = "PUSH 1\nPUSH @target\nJUMPI\nSTOP\ntarget:\nSTOP"
+        receipt, program = _run_source(source)
+        assert receipt.success
+        target = max(valid_jumpdests(assemble(source)))
+        assert sorted(program.blocks) == [0, target]
 
     def test_push_binop_fuses(self):
-        # The PUSH's operand partner comes from outside (CALLDATALOAD),
-        # so this is pair fusion, not a constant chain.
-        program = build_program(
-            assemble("PUSH 0\nCALLDATALOAD\nPUSH 7\nADD\nSTOP")
+        # The PUSH's partner comes from outside (CALLDATALOAD).
+        receipt, program = _run_source(
+            f"PUSH 0\nCALLDATALOAD\nPUSH 7\nADD\n{RETURN_TOP}", _word(35)
         )
-        entry = program.entries[3]
-        assert entry[0] is _h_push_bin
-        assert entry[2] == 7
+        assert receipt.output == _word(42)
+        assert sorted(program.blocks) == [0]
 
     def test_dup_binop_fuses(self):
-        program = build_program(
-            assemble("PUSH 0\nCALLDATALOAD\nDUP1\nMUL\nSTOP")
+        receipt, program = _run_source(
+            f"PUSH 0\nCALLDATALOAD\nDUP1\nMUL\n{RETURN_TOP}", _word(9)
         )
-        assert program.entries[3][0] is _h_dup_bin
+        assert receipt.output == _word(81)
+        assert sorted(program.blocks) == [0]
 
     def test_swap1_pop_fuses(self):
-        program = build_program(
-            assemble("PUSH 0\nCALLDATALOAD\nPUSH 1\nSWAP1\nPOP\nSTOP")
+        receipt, program = _run_source(
+            f"PUSH 0\nCALLDATALOAD\nPUSH 1\nSWAP1\nPOP\n{RETURN_TOP}",
+            _word(5),
         )
-        assert program.entries[5][0] is _h_swap1_pop
-
-    def test_constant_chain_folds_to_values(self):
-        program = build_program(assemble("PUSH 2\nPUSH 3\nADD\nSTOP"))
-        entry = program.entries[0]
-        assert entry[0] is _h_const
-        assert entry[3] == (5,)  # folded at decode time
-        assert program.folded_instructions == 2
+        assert receipt.output == _word(1)
+        assert sorted(program.blocks) == [0]
 
     def test_interior_pcs_have_no_entries(self):
-        program = build_program(assemble("PUSH 2\nPUSH 3\nADD\nSTOP"))
-        # pcs 2 and 4 are the interior PUSH/ADD of the fused chain; pcs
-        # 1 and 3 are immediates. None are reachable.
-        assert program.entries[2] is None
-        assert program.entries[4] is None
+        code = assemble("PUSH 2\nPUSH 3\nADD\nSTOP")
+        program = DECODE_CACHE.get(code)
+        instruction_pcs = {ins.pc for ins in decode(code)}
+        for pc, entry in enumerate(program.entries):
+            # An entry per instruction; none inside an immediate.
+            assert (entry is not None) == (pc in instruction_pcs)
+        _run_source("PUSH 2\nPUSH 3\nADD\nSTOP")
+        assert sorted(program.blocks) == [0]  # no block inside a block
 
     def test_jumpdest_never_fused_interior(self):
+        # Block 0 falls into the loop head: it ends before the JUMPDEST,
+        # which starts its own block (the loop runs out of gas).
         source = "PUSH 2\ntarget:\nPUSH 3\nADD\nPUSH @target\nJUMP"
-        program = build_program(assemble(source))
-        code = assemble(source)
-        for pc in valid_jumpdests(code):
-            assert program.entries[pc] is not None
+        receipt, program = _run_source(source)
+        assert receipt.error == "OutOfGas"
+        assert sorted(program.blocks) == [0, *valid_jumpdests(assemble(source))]
 
-    def test_deep_limit_folds_longer_chains(self):
-        lines = [f"PUSH {i}\nADD" for i in range(1, 20)]
-        source = "PUSH 0\n" + "\n".join(lines) + "\nSTOP"
-        program = build_program(assemble(source))
-        # One limit: the 39-instruction chain is one entry.
-        assert program.fused_count == 1
-        assert program.folded_instructions == 38
-        assert program.entries[0][3] == (sum(range(20)),)
+
+class TestBlocks:
+    def test_a_program_never_run_compiles_no_block(self):
+        code = assemble("PUSH 1\nPUSH 2\nADD\nSTOP")
+        DECODE_CACHE.warm(code)
+        program = DECODE_CACHE.get(code)
+        assert program.blocks == {} and program.namespace is None
+        state = _fresh_state()
+        state.set_code(CONTRACT, code)
+        _run_tx(state.copy(), tracer=Tracer())  # the observed loop
+        assert program.blocks == {}
+        _run_tx(state)
+        assert sorted(program.blocks) == [0]
+
+    def test_an_evicted_program_takes_its_blocks(self):
+        receipt, program = _run_source("PUSH 5\nPUSH 6\nMUL\nSTOP")
+        assert receipt.success
+        block = weakref.ref(program.blocks[0])
+        code = program.code
+        del program
+        limit = DECODE_CACHE.max_programs
+        DECODE_CACHE.max_programs = 1
+        try:
+            DECODE_CACHE.get(assemble("PUSH 7\nSTOP"))  # evicts the rest
+        finally:
+            DECODE_CACHE.max_programs = limit
+        gc.collect()
+        assert block() is None
+        assert DECODE_CACHE.get(code).blocks == {}  # decoded afresh
 
 
 class TestDecodeCacheLRU:
@@ -170,33 +198,6 @@ class TestDecodeCacheLRU:
             DecodeCache(max_programs=0)
 
 
-class TestJumpdestMemo:
-    def test_hits_and_misses_counted(self):
-        clear_jumpdest_cache()
-        code = assemble("lab:\nPUSH @lab\nJUMP")
-        valid_jumpdests(code)
-        valid_jumpdests(code)
-        stats = jumpdest_cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        assert stats["size"] == 1
-
-    def test_limit_bounds_and_evicts(self):
-        clear_jumpdest_cache()
-        set_jumpdest_cache_limit(2)
-        try:
-            for i in range(4):
-                valid_jumpdests(assemble(f"PUSH {i}\nSTOP"))
-            assert jumpdest_cache_stats()["size"] == 2
-        finally:
-            set_jumpdest_cache_limit(4096)
-            clear_jumpdest_cache()
-
-    def test_rejects_nonpositive_limit(self):
-        with pytest.raises(ValueError):
-            set_jumpdest_cache_limit(0)
-
-
 class TestCacheCoherence:
     def test_redeploy_at_same_address_uses_new_code(self):
         """SELFDESTRUCT + redeploy regression: programs are keyed by code
@@ -211,6 +212,7 @@ class TestCacheCoherence:
         state.set_balance(ALICE, 10**21)
         state.set_code(CONTRACT, code_v2)
         assert _run_tx(state).output == (2).to_bytes(32, "big")
+        assert sorted(DECODE_CACHE.get(code_v2).blocks) == [0]
         # And back: the v1 program is a (correct) cache hit, not stale.
         state.set_code(CONTRACT, code_v1)
         assert _run_tx(state).output == (1).to_bytes(32, "big")
@@ -225,11 +227,11 @@ class TestCacheCoherence:
         code = assemble(source)
         state.set_code(CONTRACT, code)
         data = (41).to_bytes(32, "big")
-        assert DECODE_CACHE.get(code).fused_count == 12  # PUSH+MUL/ADD pairs
-        unfused = _run_tx(state, tracer=Tracer(), data=data)
-        fused = _run_tx(state, data=data)
-        assert fused.output == unfused.output
-        assert fused.gas_used == unfused.gas_used
+        observed = _run_tx(state, tracer=Tracer(), data=data)
+        compiled = _run_tx(state, data=data)
+        assert sorted(DECODE_CACHE.get(code).blocks) == [0]  # one block
+        assert compiled.output == observed.output
+        assert compiled.gas_used == observed.gas_used
 
 
 class TestMetrics:
@@ -246,7 +248,7 @@ class TestMetrics:
         assert flat["evm.decode_cache_misses"] == 1
         assert flat["evm.decode_cache_hits"] == 1
         assert flat["evm.fast_path_txs"] == 2
-        assert flat["evm.fused_instructions"] >= 1
+        assert flat["evm.blocks_compiled"] == 1  # once, not per run
 
     def test_traced_path_never_counts_fast_txs(self):
         state = _fresh_state()

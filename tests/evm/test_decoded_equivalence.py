@@ -1,39 +1,48 @@
-"""Differential harness: the fused trace-free loop ≡ the observed loop,
-bit for bit.
+"""Differential harness: the block-compiled trace-free loop ≡ the
+observed loop, bit for bit.
 
-Both loops of :mod:`repro.evm.decoded` dispatch the same ``_h_*``
-handlers, so an opcode's pop order, gas rule and effect cannot differ
-between them. What can differ, and what this suite holds to *same
-receipts (including the exception class name in ``error``), same gas,
-same logs, same post-state digest*, is everything around the handlers:
+Both loops of :mod:`repro.evm.decoded` run one statement of each opcode
+(a template or an ``_h_*`` handler), so an opcode's pop order, gas rule
+and effect cannot differ between them. What can differ, and what this
+suite holds to *same receipts (including the exception class name in
+``error``), same gas, same logs, same artifacts (access sets, read
+values, journal ops), same post-state digest*, is everything around that
+statement:
 
-* **fusion is sound** — the trace-free loop runs superinstructions and
-  folded constant chains, the observed loop one plain entry per
-  instruction; a fused handler that staged a charge or a depth check out
-  of per-instruction order would fail some limit of the sweeps below;
+* **blocks are sound** — the trace-free loop checks a block's stack once
+  and settles static gas in groups, the observed loop checks and charges
+  each instruction; a deferred charge that moved an OutOfGas across a
+  state read would change the access set (and so the DAG) at some limit
+  of the sweeps below;
 * **observation does not perturb** — reading operands, producers,
-  results and the gas meter around each handler leaves the execution
+  results and the gas meter around each entry leaves the execution
   alone.
 
-It checks that three ways:
+It checks that four ways:
 
 * hypothesis-generated workload blocks (dependency chains, varied seeds)
   executed by both loops;
 * crafted edge-case programs — revert, OOG at every gas limit up to the
-  success threshold (which probes failure *inside* fused patterns),
-  invalid jumps, call-depth recursion, static-context violations,
+  success threshold (which probes failure *inside* a block), invalid
+  jumps, call-depth recursion, static-context violations,
   CREATE/CREATE2/SELFDESTRUCT, stack depth at the 1024 boundary;
+* every ``(contract, selector)`` an ``erc20`` stream reaches, at every
+  gas limit from its intrinsic cost to success (``--gas-stride`` apart;
+  CI runs every limit);
 * MTPU replay under PU-fault injection: the committed receipts of a
   faulted spatio-temporal run still match the trace-free sequential run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import Transaction, WorldState
+from repro.chain.journal import execute_captured
 from repro.contracts.asm import assemble
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.core.scheduler import run_spatial_temporal
@@ -43,47 +52,12 @@ from repro.evm.decoded import DECODE_CACHE
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 from repro.obs import use_registry
 from repro.serve.loadgen import make_transactions
-from repro.storage.codec import state_digest_bytes
 from repro.workload import generate_dependency_block
+from tests.conftest import assert_loops_agree, assert_same_artifact
 
 ALICE = 0xA11CE
 BOB = 0xB0B
 CONTRACT = 0xC0DE
-
-
-def _both_paths(state, txs, block=None):
-    """Execute *txs* on copies of *state* through both loops.
-
-    Returns ``(fast_receipts, observed_receipts, fast_digest,
-    observed_digest)``. The observed run attaches a full
-    :class:`Tracer` — the exact configuration discovery/timing/profiling
-    use.
-    """
-    results = []
-    for mode in ("fast", "observed"):
-        world = state.copy()
-        if mode == "fast":
-            evm = EVM(world, block=block)
-            assert evm._fast, "NullTracer run must take the trace-free loop"
-        else:
-            evm = EVM(world, block=block, tracer=Tracer())
-            assert not evm._fast
-        receipts = [evm.execute_transaction(tx) for tx in txs]
-        results.append((receipts, state_digest_bytes(world)))
-    (fast, fast_digest), (observed, observed_digest) = results
-    return fast, observed, fast_digest, observed_digest
-
-
-def _assert_identical(state, txs, block=None):
-    fast, observed, fast_digest, observed_digest = _both_paths(
-        state, txs, block=block
-    )
-    for fast_receipt, observed_receipt in zip(fast, observed):
-        assert fast_receipt == observed_receipt
-        assert fast_receipt.gas_used == observed_receipt.gas_used
-        assert fast_receipt.error == observed_receipt.error
-        assert fast_receipt.logs == observed_receipt.logs
-    assert fast_digest == observed_digest
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +79,17 @@ class TestWorkloadBlocks:
             deployment, num_transactions=num_transactions,
             target_ratio=ratio, seed=seed,
         )
-        _assert_identical(block.deployment.state, block.transactions)
+        assert_loops_agree(block.deployment.state, block.transactions)
 
     def test_deployed_suite_stream_decodes_once_and_runs_trace_free(
         self, deployment
     ):
         """200 hot ERC-20 calls over the whole deployed suite: both
         loops agree, and the serving loop decodes each code blob once,
-        fuses, and takes every transaction trace-free."""
+        compiles each block it enters once, and takes every transaction
+        trace-free."""
         txs = make_transactions(deployment, 200, workload="erc20", seed=7)
-        _assert_identical(deployment.state, txs)
+        assert_loops_agree(deployment.state, txs)
         DECODE_CACHE.clear()
         with use_registry() as registry:
             evm = EVM(deployment.state.copy())
@@ -122,7 +97,13 @@ class TestWorkloadBlocks:
                 assert evm.execute_transaction(tx).success
         counters = registry.counters_flat()
         assert counters["evm.fast_path_txs"] == len(txs)
-        assert counters["evm.fused_instructions"] > 0
+        # Each block is compiled once, on first entry, however often it runs.
+        assert 0 < counters["evm.blocks_compiled"] == sum(
+            len(DECODE_CACHE.get(code).blocks)
+            for code in {account.code for account
+                         in deployment.state._accounts.values()
+                         if account.code}
+        )
         # Programs are not re-decoded: one miss per distinct blob.
         assert 1 <= counters["evm.decode_cache_misses"] <= len(DECODE_CACHE) + 1
         assert counters["evm.decode_cache_hits"] >= 1
@@ -132,12 +113,12 @@ class TestWorkloadBlocks:
 # Crafted edge cases
 # ---------------------------------------------------------------------------
 
-#: name -> assembly exercising one failure mode or fused pattern.
+#: name -> assembly exercising one failure mode or block shape.
 EDGE_PROGRAMS = {
     "revert_with_data": (
         "PUSH 0xdead\nPUSH 0\nMSTORE\nPUSH 32\nPUSH 0\nREVERT"
     ),
-    "invalid_jump_fused": "PUSH 7\nJUMP",  # fused PUSH+JUMP, bad target
+    "invalid_jump_fused": "PUSH 7\nJUMP",  # literal target, not a JUMPDEST
     "invalid_jump_dynamic": "PUSH 0\nCALLDATALOAD\nJUMP",
     "invalid_jumpi_taken": "PUSH 1\nPUSH 9\nSWAP1\nJUMPI",
     "invalid_opcode": "PUSH 1\nINVALID",
@@ -181,6 +162,29 @@ EDGE_PROGRAMS = {
         "PUSH 0\nPUSH 0\nPUSH 0\nPUSH 0\nADDRESS\nGAS\nSTATICCALL\nPOP\n"
         "PUSH 32\nPUSH 0\nPUSH 0\nRETURNDATACOPY\nSTOP"
     ),
+    # A block's entry check fails on underflow: it runs entry by entry.
+    "underflow_at_block_entry": "PUSH 1\nentry:\nPUSH 2\nMUL\nADD\nSTOP",
+    # The SLOAD settles; the static gas after it (over the remaining gas
+    # at some limits) is deferred to the exit, past nothing observable.
+    "sload_then_static_tail": (
+        "PUSH 7\nSLOAD\n" + "PUSH 1\nPOP\n" * 40 + "STOP"
+    ),
+    # STATICCALL into self; the callee refuses a LOG / SSTORE mid-block,
+    # after gas the block deferred.
+    "static_log_mid_block": (
+        "PUSH 0\nCALLDATALOAD\nPUSH @log\nJUMPI\n"
+        "PUSH 0\nPUSH 0\nPUSH 32\nPUSH 0\nPUSH 1\nPUSH 0\nMSTORE\n"
+        "ADDRESS\nGAS\nSTATICCALL\nPUSH 0\nMSTORE\nPUSH 32\nPUSH 0\n"
+        "RETURN\nlog:\nPUSH 3\nPUSH 4\nADD\nPOP\nPUSH 0\nPUSH 0\nLOG0\n"
+        "PUSH 5\nPOP\nSTOP"
+    ),
+    "static_sstore_mid_block": (
+        "PUSH 0\nCALLDATALOAD\nPUSH @store\nJUMPI\n"
+        "PUSH 0\nPUSH 0\nPUSH 32\nPUSH 0\nPUSH 1\nPUSH 0\nMSTORE\n"
+        "ADDRESS\nGAS\nSTATICCALL\nPUSH 0\nMSTORE\nPUSH 32\nPUSH 0\n"
+        "RETURN\nstore:\nPUSH 3\nPUSH 4\nADD\nPOP\nPUSH 1\nPUSH 0\n"
+        "SSTORE\nPUSH 5\nPOP\nSTOP"
+    ),
 }
 
 
@@ -199,16 +203,16 @@ class TestEdgePrograms:
         state = _fresh_state(assemble(EDGE_PROGRAMS[name]))
         txs = [Transaction(sender=ALICE, to=CONTRACT, data=b"\x00" * 32,
                            gas_limit=5_000_000)]
-        _assert_identical(state, txs)
+        assert_loops_agree(state, txs)
 
     @pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
     def test_every_gas_limit_to_success(self, name):
         """Sweep the gas limit from intrinsic cost to success.
 
-        Each limit moves the OutOfGas point one instruction (or one
-        fused stage) earlier — if a fused handler charged gas in the
-        wrong order relative to its checks, some limit in this sweep
-        would produce a different error class or gas_used.
+        Each limit moves the OutOfGas point one instruction earlier —
+        if a block charged gas in the wrong order relative to its checks
+        or its state reads, some limit in this sweep would produce a
+        different error class, gas_used or access set.
         """
         code = assemble(EDGE_PROGRAMS[name])
         state = _fresh_state(code)
@@ -222,26 +226,45 @@ class TestEdgePrograms:
         for gas_limit in range(20_000, ceiling, 7):
             txs = [Transaction(sender=ALICE, to=CONTRACT, data=data,
                                gas_limit=gas_limit)]
-            _assert_identical(state, txs)
+            assert_loops_agree(state, txs)
+
+
+#: tail -> how many words above its entry depth it reaches.
+BOUNDARY_TAILS = {
+    "PUSH 2\nSTOP": 1,
+    "DUP1\nSTOP": 1,
+    "PUSH 2\nADD\nSTOP": 1,  # a push, then a pop, at the boundary
+    "DUP1\nMUL\nSTOP": 1,
+    "PUSH 0\nCALLDATALOAD\nSTOP": 1,
+    "PUSH 2\nDUP1\nMUL\nADD\nSTOP": 2,
+}
 
 
 class TestStackDepthBoundary:
     def _deep_code(self, fill: int, tail: str) -> bytes:
         return assemble("\n".join(["PUSH 1"] * fill) + "\n" + tail)
 
-    @pytest.mark.parametrize("tail", [
-        "PUSH 2\nSTOP",            # fused-const overflow staging
-        "DUP1\nSTOP",
-        "PUSH 2\nADD\nSTOP",       # push+bin at the boundary
-        "DUP1\nMUL\nSTOP",
-        "PUSH 0\nCALLDATALOAD\nSTOP",
-    ])
-    @pytest.mark.parametrize("fill", [1022, 1023, 1024])
-    def test_overflow_at_1024(self, fill, tail):
-        state = _fresh_state(self._deep_code(fill, tail))
+    def _run(self, code: bytes) -> list:
+        state = _fresh_state(code)
         txs = [Transaction(sender=ALICE, to=CONTRACT, data=b"\x00" * 32,
                            gas_limit=5_000_000)]
-        _assert_identical(state, txs)
+        return assert_loops_agree(state, txs)
+
+    @pytest.mark.parametrize("tail", BOUNDARY_TAILS)
+    @pytest.mark.parametrize("fill", [1022, 1023, 1024])
+    def test_overflow_at_1024(self, fill, tail):
+        self._run(self._deep_code(fill, tail))
+
+    @pytest.mark.parametrize("tail", BOUNDARY_TAILS)
+    @pytest.mark.parametrize("fill", [1022, 1023, 1024])
+    def test_block_entered_at_depth(self, fill, tail):
+        """The tail is its own block (it starts at a JUMPDEST), entered
+        at depth *fill*: where the words it pushes would not fit, its
+        entry check fails and it runs entry by entry, overflowing where
+        the observed loop does."""
+        (receipt,) = self._run(self._deep_code(fill, "entry:\n" + tail))
+        fits = fill + BOUNDARY_TAILS[tail] <= 1024
+        assert receipt.error == ("" if fits else "StackOverflow")
 
 
 class TestCodeMutationCoherence:
@@ -260,9 +283,53 @@ class TestCodeMutationCoherence:
             txs = [
                 Transaction(sender=ALICE, to=address, gas_limit=200_000),
             ]
-            _assert_identical(world, txs)
+            assert_loops_agree(world, txs)
             # Destroy between rounds on the shared base.
             state.delete_account(address)
+
+
+# ---------------------------------------------------------------------------
+# Every entry point of an erc20 stream, at every gas limit to success
+# ---------------------------------------------------------------------------
+
+
+def _captured(state, tx, tracer):
+    """*tx*'s artifact on *state*, which is left as it was."""
+    token = state.snapshot()
+    artifact = execute_captured(state, tx, BlockContext(), tracer=tracer)
+    state.revert(token)
+    return artifact
+
+
+class TestEntryPointSweep:
+    def test_every_entry_point_at_every_gas_limit(self, deployment, request):
+        """Each ``(contract, selector)`` of a 400-call ``erc20`` stream,
+        on the state the stream reaches it in, swept from its intrinsic
+        cost to the limit it succeeds at: both loops leave the same
+        receipt, access sets, read values and journal. A deferred static
+        charge that moved an OutOfGas across an SLOAD would leave the
+        slot out of one loop's reads — a different DAG."""
+        stride = request.config.getoption("--gas-stride")
+        state = deployment.state.copy()
+        seen = set()
+        swept = 0
+        for tx in make_transactions(deployment, 400, workload="erc20",
+                                    seed=7):
+            if (tx.to, tx.data[:4]) not in seen:
+                seen.add((tx.to, tx.data[:4]))
+                ample = _captured(state, tx, None).receipt
+                floor = EVM(state).schedule.intrinsic_gas(tx.data)
+                for gas_limit in range(floor, ample.gas_used + 2, stride):
+                    probe = dataclasses.replace(tx, gas_limit=gas_limit)
+                    assert_same_artifact(
+                        _captured(state, probe, None),
+                        _captured(state, probe, Tracer()),
+                    )
+                    swept += 1
+            EVM(state).execute_transaction(tx)
+            state.clear_journal()
+        assert len(seen) == 27
+        assert swept >= sum(1 for _ in seen)
 
 
 # ---------------------------------------------------------------------------

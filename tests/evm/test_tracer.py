@@ -110,6 +110,14 @@ class TestCallRecords:
         assert tracer.calls[1].success is False
         assert tracer.calls[0].success is True
 
+    def test_call_refused_before_its_frame_opens_no_record(self, state):
+        # The caller cannot fund a value CALL: the transfer refuses it
+        # before the callee's frame exists, so no record opens or closes.
+        receipt, tracer = run_code(state, call_source(value=5) + "STOP")
+        assert receipt.success
+        assert [(c.depth, c.success) for c in tracer.calls] == [(0, True)]
+        assert tracer.calls[0].end_index == len(tracer.steps)
+
     def test_depth_annotation_on_steps(self, state):
         state.set_code(CALLEE, assemble("PUSH 1\nPOP\nSTOP"))
         src = (
