@@ -139,9 +139,9 @@ class Node:
         #: Authenticated state (repro.trie). Every committed header is
         #: sealed with the incremental trie's root — the one commitment
         #: the WAL, snapshots and the replication stream carry;
-        #: ``emit_witness`` additionally builds a stateless-validation
-        #: witness per block. ``merkleize=False`` is for offline
-        #: reference runs only: such a node cannot be made durable,
+        #: ``emit_witness`` additionally builds a block witness
+        #: (:mod:`repro.trie.witness`) per block. ``merkleize=False`` is
+        #: for offline reference runs only: such a node cannot be made durable,
         #: served or replicated.
         self.emit_witness = emit_witness
         self.trie: StateTrie | None = None

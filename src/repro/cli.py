@@ -216,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--emit-witness", action="store_true",
-        help="emit a stateless-validation witness per block (rides in "
-             "the WAL; lets witness-mode replicas skip full state)",
+        help="emit a block witness per block (rides in the WAL; "
+             "witness-mode replicas run each block on its witness)",
     )
 
     replicate = sub.add_parser(
@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument(
         "--mode", choices=("execute", "witness"), default="execute",
         help="execute: re-run every block against full local state; "
-             "witness: validate statelessly from block witnesses "
-             "(writer must run --emit-witness)",
+             "witness: re-run each block on the state its witness "
+             "proves, refusing state reads (writer must run "
+             "--emit-witness)",
     )
     replicate.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",

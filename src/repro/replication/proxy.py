@@ -5,7 +5,9 @@ A :class:`ReadProxy` listens on its own JSON-RPC port and routes:
 * ``repro_getBalance`` / ``repro_getReceipt`` — round-robin across
   *healthy* replicas; a replica that fails or times out is ejected on
   the spot and the request retries on the next backend, falling back to
-  the writer so a read is answered as long as *anything* is alive.
+  the writer so a read is answered as long as *anything* is alive. A
+  witness replica refuses state reads (``STATE_UNAVAILABLE``); those
+  pass on to the next backend without an eject.
 * ``repro_subscribe`` (newHeads) — a dedicated upstream subscription
   per downstream subscriber; when its replica dies, the pump fails
   over to another backend and re-subscribes, deduplicating heads by
@@ -27,7 +29,12 @@ import contextlib
 
 from ..obs import MetricsRegistry
 from ..serve import protocol
-from ..serve.errors import INTERNAL_ERROR, INVALID_PARAMS, RpcError
+from ..serve.errors import (
+    INTERNAL_ERROR,
+    INVALID_PARAMS,
+    STATE_UNAVAILABLE,
+    RpcError,
+)
 from ..serve.loadgen import RpcClient, RpcClientError
 from ..serve.outbox import Outbox
 from .config import ReplicationConfig
@@ -265,9 +272,13 @@ class ReadProxy:
                     method, params, self.config.backend_timeout_s
                 )
             except RpcClientError as err:
-                # A typed RPC refusal is a real answer from a live
-                # backend (bad params etc.) — surface it, don't fail
-                # over past it.
+                if err.code == STATE_UNAVAILABLE and not backend.is_writer:
+                    # A witness replica holds no state to read: ask the
+                    # next backend. It is alive, so no eject.
+                    continue
+                # Any other typed RPC refusal is a real answer from a
+                # live backend (bad params etc.) — surface it, don't
+                # fail over past it.
                 raise RpcError(err.code, str(err), err.data) from None
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 if backend.healthy and not backend.is_writer:

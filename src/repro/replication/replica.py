@@ -13,11 +13,17 @@ loop is a small, explicit state machine:
   lock so concurrent reads stay consistent) — the same call the writer
   and recovery make, its context read from the block's header, its
   compare-or-stamp check against the ``state_root`` the writer sealed.
-  A match commits and feeds the serve layer (getReceipt, newHeads
-  subscribers); a mismatch comes back *rolled back* and is re-raised as
-  :class:`~repro.replication.errors.ReplicaDivergenceError` — diverged
-  state is never committed and never served. The replica adds policy
-  only: the lock, the fault hook, the typed error, its height.
+  One apply path serves both modes: a ``witness`` replica first adopts
+  the state its block's witness proves
+  (:func:`~repro.trie.witness.witness_state`), an ``execute`` replica
+  keeps its full state. A match commits and feeds the serve layer
+  (getReceipt, newHeads subscribers); a mismatch — or execution that
+  strayed outside the witness — comes back *rolled back* (a witness
+  replica re-adopts the state it held before the block) and is
+  re-raised as :class:`~repro.replication.errors.ReplicaDivergenceError`
+  — diverged state is never committed and never served. The replica
+  adds policy only: the lock, the fault hook, the typed error, its
+  height.
 * **BACKOFF** — any torn stream (connection error, timeout, protocol
   damage) reconnects with jittered exponential backoff. A divergence
   also reconnects, but with ``need_snapshot`` set: the only acceptable
@@ -36,7 +42,7 @@ from ..chain import rlp
 from ..evm.decoded import warm_state_codes
 from ..storage import codec, snapshot
 from ..storage.errors import StorageError
-from ..trie import StatelessValidator, StateRootMismatchError, WitnessError
+from ..trie import StateRootMismatchError, WitnessError, witness_state
 from . import stream
 from .config import ReplicationConfig
 from .errors import ReplicaDivergenceError, StreamProtocolError
@@ -68,18 +74,14 @@ class Replica:
         self.writer_stream_port = writer_stream_port
         self.config = config or ReplicationConfig()
         self.fault_injector = fault_injector
-        #: ``execute`` re-runs every block against full local state and
-        #: asserts the sealed header root. ``witness`` validates
-        #: statelessly: each block must
-        #: arrive with a witness, is re-executed from it alone, and only
-        #: the root chain is maintained — the full state is never
-        #: updated, so witness replicas serve receipts and validation,
-        #: not balance reads.
+        #: ``execute`` re-runs every block against full local state.
+        #: ``witness``: each block must arrive with a witness, whose
+        #: state the node adopts before running the block — so the
+        #: state holds only the last block's witnessed accounts, and the
+        #: server refuses state reads (``STATE_UNAVAILABLE``) while
+        #: receipts, blocks and heads are served as usual. Both modes
+        #: check the sealed header root the same way.
         self.mode = mode
-        self._validator = StatelessValidator()
-        #: Witness-mode chain anchor: the last verified root (our HELLO
-        #: claim — the full state stays frozen at the last snapshot).
-        self._last_root: bytes | None = None
         self._rng = random.Random(self.config.seed)
         #: Applied chain height. Decoupled from ``len(node.chain)``
         #: because a snapshot resync replaces state without replaying
@@ -155,14 +157,7 @@ class Replica:
         self.connected = True
         try:
             with self.builder.state_lock:
-                # A witness replica's state is frozen at its last
-                # anchor; its claim is the root chain it has verified.
-                # An execute replica claims its live trie root.
-                root = (
-                    self._last_root
-                    if self.mode == "witness" and self._last_root
-                    else self.node.state_root
-                )
+                root = self.node.state_root
             writer.write(stream.encode_hello(
                 self.height, root, self._need_snapshot
             ))
@@ -214,11 +209,9 @@ class Replica:
             raise ReplicaDivergenceError(
                 height - 1, block.header.parent_hash, parent
             )
-        if self.mode == "witness":
-            apply = self._apply_block_witness
-        else:
-            apply = self._apply_block
-        receipts = await loop.run_in_executor(None, apply, record)
+        receipts = await loop.run_in_executor(
+            None, self._apply_block, record
+        )
         # Feed the serve layer on the event loop (subscription writes
         # and receipt indexing are loop-thread affairs, exactly as the
         # writer's builder resolves there).
@@ -229,64 +222,46 @@ class Replica:
     # -- apply paths (worker thread, under the state lock) -----------------
     def _apply_block(self, record):
         block = record.block
-        with self.builder.state_lock:
-            height = block.header.height
-            if self.fault_injector is not None:
-                self.fault_injector.corrupt_replica_state(
-                    self.node.state, height
-                )
-            try:
-                # Compare-or-stamp inside: the header the writer sealed
-                # must re-seal bit-identically from our replayed state.
-                receipts = self.node.execute_block(block)
-            except StateRootMismatchError as exc:
-                # Rolled back already, state and trie: until the resync
-                # lands this replica answers from the last good root.
-                raise ReplicaDivergenceError(
-                    height, exc.claimed, exc.actual
-                ) from None
-            self.height = height
-            self._m_blocks_applied.inc()
-            return receipts
-
-    def _apply_block_witness(self, record):
-        """Stateless apply: re-execute from the block witness alone.
-
-        The full world state is never touched — only the verified root
-        chain advances. Any witness damage or root mismatch is a
-        divergence: the only continuation is a snapshot resync.
-        """
-        block = record.block
         height = block.header.height
-        if not record.witness:
+        node = self.node
+        witness = self.mode == "witness"
+        if witness and not record.witness:
             raise StreamProtocolError(
                 f"block {height} carries no witness; a witness-mode "
                 "replica needs a writer running with --emit-witness"
             )
-        try:
-            result = self._validator.validate(
-                block,
-                record.witness,
-                context=self.node.block_context(block.header),
-                pre_root=self._last_root,
-            )
-        except (WitnessError, StateRootMismatchError) as exc:
-            raise ReplicaDivergenceError(
-                height, block.header.state_root, b""
-            ) from exc
         with self.builder.state_lock:
-            self._last_root = result.post_root
-            self.node.chain.append(block)
-            self.node.receipts[block.hash()] = result.receipts
+            held = node.state, node.trie
+            try:
+                if witness:
+                    node.adopt(*witness_state(
+                        record.witness, node.state_root, self.height
+                    ))
+                if self.fault_injector is not None:
+                    self.fault_injector.corrupt_replica_state(
+                        node.state, height
+                    )
+                # Compare-or-stamp inside: the header the writer sealed
+                # must re-seal bit-identically from our replayed state.
+                receipts = node.execute_block(block)
+            except (WitnessError, StateRootMismatchError) as exc:
+                # Rolled back already, state and trie: until the resync
+                # lands this replica answers from the last good root.
+                if witness:
+                    node.adopt(*held)
+                raise ReplicaDivergenceError(
+                    height, block.header.state_root,
+                    getattr(exc, "actual", b""),
+                ) from exc
             self.height = height
             self._m_blocks_applied.inc()
-        return result.receipts
+            return receipts
 
     def _apply_snapshot(
         self, payload: bytes, recent: list[tuple[int, bytes]]
     ) -> None:
         try:
-            height, root, state, trie = snapshot.decode_snapshot(payload)
+            height, _, state, trie = snapshot.decode_snapshot(payload)
         except StorageError as exc:
             raise StreamProtocolError(
                 f"unusable snapshot: {exc}"
@@ -303,8 +278,6 @@ class Replica:
             self.builder.committed.clear()
             self.builder._history.clear()
             self.height = height
-            # Re-anchor the witness-mode chain at the snapshot.
-            self._last_root = root
         self._need_snapshot = False
         self._m_resyncs.inc()
 

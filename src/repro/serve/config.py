@@ -95,8 +95,8 @@ class ServeConfig:
     fsync_interval_blocks: int = 16
 
     # -- authenticated state ----------------------------------------------
-    #: Emit a stateless-validation witness per block (rides in the WAL;
-    #: lets witness-mode replicas skip full state).
+    #: Emit a block witness per block (rides in the WAL; witness-mode
+    #: replicas run each block on the state it proves).
     emit_witness: bool = False
 
     # -- execution --------------------------------------------------------

@@ -40,6 +40,10 @@ READ_ONLY = -32007
 #: A Merkle proof cannot be served: the account/slot is absent from the
 #: trie (only inclusion is provable; ``data.reason`` is ``absent``).
 PROOF_UNAVAILABLE = -32008
+#: A state read (balance, proof) on a node that does not hold the state:
+#: a witness replica keeps only its last block's witnessed accounts
+#: (``data.reason`` is ``stateless``). Ask a node that holds it.
+STATE_UNAVAILABLE = -32009
 
 
 class RpcError(Exception):

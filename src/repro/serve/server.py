@@ -7,7 +7,8 @@ no dependencies). Methods:
   ``wait`` (default) the response is the committed receipt, otherwise
   the transaction hash. ``deadline_ms`` bounds the wait.
 * ``repro_getReceipt`` — look a committed receipt up by hash.
-* ``repro_getBalance`` — read an account balance.
+* ``repro_getBalance`` — read an account balance (a witness replica,
+  holding no full state, refuses it and the proofs: STATE_UNAVAILABLE).
 * ``repro_subscribe`` — ``newHeads`` push notifications per block.
 * ``repro_stats`` — server counters (loadgen/drills consume this).
 
@@ -49,6 +50,7 @@ from .errors import (
     INVALID_PARAMS,
     METHOD_NOT_FOUND,
     PROOF_UNAVAILABLE,
+    STATE_UNAVAILABLE,
     BusyError,
     DeadlineExceededError,
     RateLimitedError,
@@ -556,8 +558,19 @@ class RpcServer:
             committed.receipt, committed.block_height, committed.tx_index
         )
 
+    def _require_state(self) -> None:
+        """Refuse a state read a witness replica would answer wrong: its
+        state holds only the last block's witnessed accounts."""
+        replica = self.replication
+        if replica is not None and replica.mode == "witness":
+            raise RpcError(
+                STATE_UNAVAILABLE, "node holds no full state",
+                {"reason": "stateless"},
+            )
+
     def _get_balance(self, params: dict) -> int:
         address = self._parse_address(params)
+        self._require_state()
         # The lock keeps this read consistent: block execution mutates
         # the same state (and its access-tracking attribute) on a worker
         # thread, so an unguarded read could observe a mid-transaction
@@ -592,6 +605,7 @@ class RpcServer:
         the trie gets a typed PROOF_UNAVAILABLE error instead.
         """
         address = self._parse_address(params)
+        self._require_state()
         with self.builder.state_lock:
             trie = self.node.trie
             try:
@@ -617,6 +631,7 @@ class RpcServer:
         """Inclusion proof binding one storage slot to the state root."""
         address = self._parse_address(params)
         slot = self._parse_address(params, key="slot")
+        self._require_state()
         with self.builder.state_lock:
             trie = self.node.trie
             with self.node.state.untracked():

@@ -12,8 +12,8 @@ The package splits along trust boundaries:
   driven by first-touch pre-images so a block's root update costs
   O(touched · depth), never O(state).
 * :mod:`repro.trie.proof` — RLP proof blobs served over JSON-RPC.
-* :mod:`repro.trie.witness` — block witnesses and the
-  :class:`StatelessValidator` that re-executes a block from one.
+* :mod:`repro.trie.witness` — block witnesses, and
+  :func:`witness_state`, which turns one into a state a node adopts.
 """
 
 from .errors import (
@@ -41,13 +41,7 @@ from .verify import (
     verify_proof_blob,
     verify_storage_proof,
 )
-from .witness import (
-    StatelessResult,
-    StatelessValidator,
-    Witness,
-    build_witness,
-    decode_witness,
-)
+from .witness import Witness, build_witness, decode_witness, witness_state
 
 __all__ = [
     "AccountProof",
@@ -57,8 +51,6 @@ __all__ = [
     "ProofDecodingError",
     "ProofStep",
     "StateRootMismatchError",
-    "StatelessResult",
-    "StatelessValidator",
     "StateTrie",
     "StorageProof",
     "Witness",
@@ -74,4 +66,5 @@ __all__ = [
     "verify_account_proof",
     "verify_proof_blob",
     "verify_storage_proof",
+    "witness_state",
 ]

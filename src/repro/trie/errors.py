@@ -17,9 +17,10 @@ class ProofDecodingError(ValueError):
 class WitnessError(ValueError):
     """A block witness is malformed, insufficient, or inconsistent.
 
-    Raised both by the witness decoder (structural damage) and by the
-    stateless validator when execution needs state the witness did not
-    cover (a traversal crossing an unexpanded subtree stub).
+    Raised both by the witness decoder (structural damage) and, on a
+    node running a block on a witness's state, when execution needs
+    state the witness did not cover (a traversal crossing an unexpanded
+    subtree stub).
     """
 
 

@@ -12,8 +12,9 @@ instead of O(state).
 Trees can be *partial*: :meth:`MerkleTree.from_nodes` rebuilds a tree in
 which unexpanded subtrees are opaque hash stubs (the block-witness
 encoding). Any get/set/delete whose descent crosses a stub raises
-:class:`~repro.trie.errors.WitnessError` — a stateless validator can
-never silently read or write state its witness did not cover.
+:class:`~repro.trie.errors.WitnessError` — a node executing from a
+witness can never silently read or write state its witness did not
+cover.
 """
 
 from __future__ import annotations
@@ -268,7 +269,9 @@ class MerkleTree:
         return out
 
     @classmethod
-    def from_nodes(cls, nodes) -> "MerkleTree":
+    def from_nodes(
+        cls, nodes, counter: list[int] | None = None
+    ) -> "MerkleTree":
         """Rebuild a (partial) tree from :meth:`serialize_expanded` output.
 
         Structurally validates the encoding — balanced stack machine,
@@ -277,7 +280,7 @@ class MerkleTree:
         :class:`WitnessError` on any violation, so a hostile witness
         cannot materialize a tree no honest prover could have built.
         """
-        tree = cls()
+        tree = cls(counter)
         if len(nodes) == 1 and nodes[0][0] == "empty":
             return tree
         stack: list = []

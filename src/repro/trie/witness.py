@@ -1,7 +1,7 @@
-"""Block witnesses and stateless (witness-only) validation.
+"""Block witnesses: one block's pre-state, as a state a node can adopt.
 
-A witness is everything a node with *no state at all* needs to re-execute
-one block and recompute the post-state root bit-identically:
+A witness is everything a node without the full state needs to
+re-execute one block and recompute the post-state root bit-identically:
 
 * the pre-state root it starts from,
 * the account tree expanded along every touched address's path (all
@@ -22,13 +22,16 @@ tree, sole item). ``account_entries`` is
 ``[address, exists, nonce, balance, code, [[slot, value], ...]]``
 sorted by address with nonzero slot values only.
 
-The :class:`StatelessValidator` checks every entry against the decoded
-partial tree (whose root must equal ``pre_root``), executes the block on
-a state built from the entries alone, folds the resulting accounts back
-into the partial tree, and compares the new root against the header's
-claim. Execution that strays outside the witness crosses a stub and
-fails with :class:`~repro.trie.errors.WitnessError` — under-provisioned
-witnesses are detected, never silently accepted.
+:func:`witness_state` checks every entry against the decoded partial
+tree (whose root must equal ``pre_root``) and turns the witness into a
+``(WorldState, StateTrie)`` pair: the entries' accounts, and a trie over
+the partial tree bound to them the way :meth:`StateTrie.attach` binds a
+full one. A node adopts the pair and runs the block through
+``Node.execute_block`` like any other; its seal folds the post-state
+into the partial tree and checks the header's root. Execution that
+strays outside the witness crosses a stub there and fails with
+:class:`~repro.trie.errors.WitnessError` — under-provisioned witnesses
+are detected, never silently accepted.
 """
 
 from __future__ import annotations
@@ -37,30 +40,20 @@ from dataclasses import dataclass
 
 from ..chain import rlp
 from ..chain.account import Account
-from ..chain.receipt import Receipt
 from ..chain.state import WorldState
-from ..evm.context import BlockContext
-from ..evm.interpreter import EVM
 from ..obs import get_registry
 from .errors import StateRootMismatchError, WitnessError
+from .state_trie import StateTrie
 from .tree import MerkleTree
-from .verify import (
-    EMPTY_CODE_HASH,
-    account_key,
-    account_value_hash,
-    keccak,
-    slot_key,
-    storage_value_hash,
-)
+from .verify import account_key
 
 __all__ = [
     "MAX_WITNESS_BYTES",
-    "StatelessResult",
-    "StatelessValidator",
     "Witness",
     "WitnessAccount",
     "build_witness",
     "decode_witness",
+    "witness_state",
 ]
 
 #: Upper bound on an encoded witness blob (hostile-input backstop; the
@@ -97,15 +90,6 @@ class Witness:
     pre_root: bytes
     nodes: tuple[tuple, ...]
     accounts: tuple[WitnessAccount, ...]
-
-
-@dataclass(frozen=True)
-class StatelessResult:
-    """Outcome of a witness-only re-execution."""
-
-    pre_root: bytes
-    post_root: bytes
-    receipts: list[Receipt]
 
 
 # -- building (writer side) --------------------------------------------------
@@ -318,117 +302,50 @@ def decode_witness(blob: bytes) -> Witness:
     )
 
 
-# -- stateless validation -----------------------------------------------------
+# -- adopting -----------------------------------------------------------------
 
-def _storage_tree(slots) -> MerkleTree:
-    tree = MerkleTree()
-    for slot, value in slots:
-        tree.set(slot_key(slot), storage_value_hash(value))
-    return tree
+def witness_state(
+    blob: bytes, pre_root: bytes, height: int
+) -> tuple[WorldState, StateTrie]:
+    """The pre-state *blob* witnesses, as a state and its bound trie.
 
-
-class StatelessValidator:
-    """Re-execute blocks from witnesses alone — no resident state."""
-
-    def validate(
-        self,
-        block,
-        witness_blob: bytes,
-        *,
-        context: BlockContext | None = None,
-        pre_root: bytes | None = None,
-    ) -> StatelessResult:
-        """Check *witness_blob*, re-execute *block*, recompute the root.
-
-        Raises :class:`WitnessError` when the witness is malformed,
-        inconsistent with its own pre-root, or insufficient for the
-        block's execution; :class:`StateRootMismatchError` when *pre_root*
-        (the expected chain tip) or the header's claimed ``state_root``
-        disagrees with what the witness reproduces.
-        """
-        witness = decode_witness(witness_blob)
-        if pre_root is not None and witness.pre_root != pre_root:
-            # The witness does not extend the expected tip.
-            raise StateRootMismatchError(
-                block.header.height - 1, pre_root, witness.pre_root
-            )
-        tree = MerkleTree.from_nodes(list(witness.nodes))
-        if tree.root() != witness.pre_root:
-            raise WitnessError(
-                "witness tree does not hash to its claimed pre-root"
-            )
-        state = WorldState()
-        for entry in witness.accounts:
-            key = account_key(entry.address)
-            if entry.exists:
-                storage_root = _storage_tree(entry.slots).root()
-                code_hash = (
-                    keccak(entry.code) if entry.code else EMPTY_CODE_HASH
-                )
-                expected = account_value_hash(
-                    entry.nonce, entry.balance, code_hash, storage_root
-                )
-                if tree.get(key) != expected:
-                    raise WitnessError(
-                        f"witness account {entry.address:#x} does not "
-                        "match its leaf in the pre-state tree"
-                    )
-                state.load_account(
-                    entry.address,
-                    Account(
-                        nonce=entry.nonce,
-                        balance=entry.balance,
-                        code=entry.code,
-                        storage=dict(entry.slots),
-                    ),
-                )
-            elif tree.get(key) is not None:
+    *pre_root* is the root of the tip at *height* the witness must
+    extend. Raises :class:`StateRootMismatchError` when it does not and
+    :class:`WitnessError` when the witness is malformed, its tree does
+    not hash to its own pre-root, a member entry differs from its leaf
+    or a non-member entry has one.
+    """
+    witness = decode_witness(blob)
+    if witness.pre_root != pre_root:
+        raise StateRootMismatchError(height, pre_root, witness.pre_root)
+    trie = StateTrie()
+    tree = trie._tree = MerkleTree.from_nodes(witness.nodes, trie._counter)
+    if tree.root() != witness.pre_root:
+        raise WitnessError(
+            "witness tree does not hash to its claimed pre-root"
+        )
+    state = WorldState()
+    for entry in witness.accounts:
+        key = account_key(entry.address)
+        leaf = tree.get(key)
+        if not entry.exists:
+            if leaf is not None:
                 raise WitnessError(
                     f"witness claims {entry.address:#x} absent but the "
                     "pre-state tree has a leaf for it"
                 )
-        # No context handed in: no BLOCKHASH ancestry, queries answer 0
-        # exactly like a fresh node.
-        evm = EVM(
-            state, block=context or BlockContext.of_header(block.header)
+            continue
+        account = Account(
+            entry.nonce, entry.balance, entry.code, dict(entry.slots)
         )
-        receipts = [
-            evm.execute_transaction(tx) for tx in block.transactions
-        ]
-        state.clear_journal()
-        # Fold the post-state back into the partial tree. Execution that
-        # escaped the witness crosses a stub here (or did so already,
-        # inside the EVM) and fails loudly.
-        addresses = {entry.address for entry in witness.accounts}
-        addresses.update(state._accounts)
-        for address in sorted(addresses):
-            key = account_key(address)
-            account = state._accounts.get(address)
-            if account is None or account.is_empty:
-                tree.delete(key)
-                continue
-            storage_tree = _storage_tree(
-                (slot, value)
-                for slot, value in account.storage.items()
-                if value
+        # Re-deriving the leaf from the entry must leave it unchanged.
+        trie._set_leaf(entry.address, account, rebuild_storage=True)
+        if tree.get(key) != leaf:
+            raise WitnessError(
+                f"witness account {entry.address:#x} does not match its "
+                "leaf in the pre-state tree"
             )
-            tree.set(
-                key,
-                account_value_hash(
-                    account.nonce,
-                    account.balance,
-                    account.code_hash,
-                    storage_tree.root(),
-                ),
-            )
-        post_root = tree.root()
-        claimed = getattr(block.header, "state_root", b"")
-        if claimed and claimed != post_root:
-            raise StateRootMismatchError(
-                block.header.height, claimed, post_root
-            )
-        return StatelessResult(
-            pre_root=witness.pre_root,
-            post_root=post_root,
-            receipts=receipts,
-        )
+        state.load_account(entry.address, account)
+    # Bound as StateTrie.attach binds: capture on, nothing captured yet.
+    state._track_trie = True
+    return state, trie

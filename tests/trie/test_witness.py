@@ -1,4 +1,5 @@
-"""Stateless (witness) validation: bit-identity and loud failure."""
+"""A witness is a state: a node that adopts one runs its block through
+``Node.execute_block`` bit-identically, and fails loudly and typed."""
 
 import dataclasses
 
@@ -9,10 +10,10 @@ from repro.chain.receipt import receipts_root
 from repro.contracts.registry import build_deployment
 from repro.serve.loadgen import make_transactions
 from repro.trie import (
-    StatelessValidator,
     StateRootMismatchError,
     WitnessError,
     decode_witness,
+    witness_state,
 )
 
 
@@ -33,19 +34,27 @@ def _run_chain(blocks=3, per_block=16, workload="mixed"):
     return node, pre_roots, receipts_by_height
 
 
+def _replay(block, witness, pre_root):
+    """A node holding only *witness*'s state runs *block*."""
+    node = Node()
+    node.adopt(*witness_state(witness, pre_root, block.header.height - 1))
+    assert node.state_root == pre_root
+    return node, node.execute_block(block)
+
+
 def test_stateless_replay_is_bit_identical():
     node, pre_roots, receipts_by_height = _run_chain()
-    validator = StatelessValidator()
     for index, block in enumerate(node.chain):
         witness = node.witnesses[block.header.height]
-        result = validator.validate(
-            block, witness, pre_root=pre_roots[index]
-        )
-        assert result.pre_root == pre_roots[index]
-        assert result.post_root == block.header.state_root
-        assert receipts_root(result.receipts) == receipts_root(
+        replayed, receipts = _replay(block, witness, pre_roots[index])
+        assert replayed.state_root == block.header.state_root
+        assert replayed.chain == [block]
+        assert receipts_root(receipts) == receipts_root(
             receipts_by_height[block.header.height]
         )
+        accounts = decode_witness(witness).accounts
+        witnessed = {entry.address for entry in accounts}
+        assert set(replayed.state.addresses()) <= witnessed
 
 
 def test_wrong_pre_root_is_rejected():
@@ -53,7 +62,7 @@ def test_wrong_pre_root_is_rejected():
     block = node.chain[0]
     witness = node.witnesses[block.header.height]
     with pytest.raises(StateRootMismatchError):
-        StatelessValidator().validate(block, witness, pre_root=bytes(32))
+        witness_state(witness, bytes(32), 0)
 
 
 def test_tampered_header_root_is_rejected():
@@ -64,9 +73,7 @@ def test_tampered_header_root_is_rejected():
         block, header=dataclasses.replace(block.header, state_root=bytes(32))
     )
     with pytest.raises(StateRootMismatchError):
-        StatelessValidator().validate(
-            forged, witness, pre_root=pre_roots[0]
-        )
+        _replay(forged, witness, pre_roots[0])
 
 
 def test_corrupted_witness_fails_typed_never_validates():
@@ -80,9 +87,7 @@ def test_corrupted_witness_fails_typed_never_validates():
             mutated = bytearray(witness)
             mutated[index] ^= flip
             try:
-                result = StatelessValidator().validate(
-                    block, bytes(mutated), pre_root=pre_roots[0]
-                )
+                replayed, _ = _replay(block, bytes(mutated), pre_roots[0])
             except (WitnessError, StateRootMismatchError):
                 continue
             except Exception as exc:  # noqa: BLE001 - property under test
@@ -92,18 +97,14 @@ def test_corrupted_witness_fails_typed_never_validates():
                 ) from exc
             # A flip that still validates must have been semantically
             # inert — the result must still be bit-identical.
-            assert result.post_root == sealed
+            assert replayed.state_root == sealed
 
 
 def test_witness_from_wrong_block_is_rejected():
     node, pre_roots, _ = _run_chain(blocks=2)
     first, second = node.chain[0], node.chain[1]
     with pytest.raises((WitnessError, StateRootMismatchError)):
-        StatelessValidator().validate(
-            first,
-            node.witnesses[second.header.height],
-            pre_root=pre_roots[0],
-        )
+        _replay(first, node.witnesses[second.header.height], pre_roots[0])
 
 
 def test_witness_covers_reads_and_decodes():
