@@ -379,8 +379,8 @@ class Node:
         engine (:data:`ENGINES`, by name) is chosen, run and committed.
         Every engine leaves receipts and state bit-identical to the
         default, the paper's sequential baseline (Fig. 1); *num_workers*
-        sizes those that have workers, *fault_injector* strikes the
-        ``mtpu`` engine's PUs.
+        is the ``mtpu`` engine's PU count, *fault_injector* strikes its
+        PUs.
 
         If this raises — the engine died, the receipts do not hash to
         *claimed_receipts_root*, a sealed ``state_root`` does not
@@ -612,9 +612,7 @@ def _run_sequential(node, block, context, num_workers, fault_injector):
 
 
 # The other engines live in packages that import this one, so they are
-# imported when first run. A node's context carries a BLOCKHASH service,
-# which cannot cross a process boundary: both pool engines run on their
-# serial backends here.
+# imported when first run.
 def _run_mtpu(node, block, context, num_workers, fault_injector):
     """The paper's verifying node: the idle slice's hotspot loop, then
     the block on *num_workers* PUs under the spatio-temporal schedule,
@@ -648,20 +646,18 @@ def _run_mtpu(node, block, context, num_workers, fault_injector):
 def _run_parallel(node, block, context, num_workers, fault_injector):
     from ..parallel import ParallelBlockExecutor
 
-    artifacts, edges = _checked_artifacts(node, block, context)
-    return ParallelBlockExecutor(
-        node.state, context, num_workers, backend="serial"
-    ).execute_block(
-        block.transactions, edges, artifacts, artifacts=artifacts
+    artifacts, _ = _checked_artifacts(node, block, context)
+    return ParallelBlockExecutor(node.state, context).execute_block(
+        block.transactions, artifacts, artifacts=artifacts
     ).receipts
 
 
 def _run_occ(node, block, context, num_workers, fault_injector):
     from ..parallel import SpeculativeBlockExecutor
 
-    return SpeculativeBlockExecutor(
-        node.state, context, num_workers, backend="serial"
-    ).execute_block(block.transactions).receipts
+    return SpeculativeBlockExecutor(node.state, context).execute_block(
+        block.transactions
+    ).receipts
 
 
 #: The only place engines are named. ``sequential``: the EVM in block

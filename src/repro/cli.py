@@ -99,14 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON indentation (default: 2)",
     )
     obs.add_argument(
-        "--wall-clock-workers", type=int, default=None, metavar="N",
+        "--wall-clock", action="store_true",
         help=(
             "also time the block on every wall-clock lane — one EVM "
             "pass (the sequential engine: the baseline), parallel "
-            "(discover + DAG + replay), occ as a node runs it and occ "
-            "on a pool of N worker processes — receipts and state "
-            "digest held to the baseline's, each lane's tx/s and ratio "
-            "to sequential printed"
+            "(discover + DAG + replay) and occ, as a node runs them — "
+            "receipts and state digest held to the baseline's, each "
+            "lane's tx/s and ratio to sequential printed"
         ),
     )
 
@@ -130,10 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=4,
         help="PUs (mtpu) and the lanes conflict-aware packing sizes its "
-             "default lane depth for; parallel and occ run on their "
-             "serial backends inside a node, so no worker processes "
-             "start here (obs-report --wall-clock-workers and the "
-             "occ-speed drill start the only pool, the occ_pool lane)",
+             "default lane depth for; no other engine reads it",
     )
     serve.add_argument(
         "--block-size", type=int, default=128,
@@ -406,7 +402,7 @@ def _run_obs_report(args) -> int:
         f"p50/p99 tx cycles {report.p50_tx_cycles}/{report.p99_tx_cycles}]",
         file=sys.stderr,
     )
-    if args.wall_clock_workers is not None:
+    if args.wall_clock:
         from .experiments.perf import lane_lines, measure_engines
         from .workload.generator import generate_dependency_block
 
@@ -415,7 +411,6 @@ def _run_obs_report(args) -> int:
                 num_transactions=args.transactions,
                 target_ratio=args.ratio, seed=args.seed,
             ),
-            num_workers=args.wall_clock_workers,
         )
         for line in lane_lines(wall):
             print(f"[wall-clock {line}]", file=sys.stderr)

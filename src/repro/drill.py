@@ -13,9 +13,10 @@ pieces every scenario shares are stated once here: the process handle
 :func:`load_until_height`) and the reference every served chain is held
 to (:func:`sequential_reference`).
 
-What is *not* here is parity that needs no process: every executor,
-backend and proof check against sequential execution is a tier-1 test
-(``tests/parallel``, ``tests/evm``, ``tests/trie``). A drill exists
+What is *not* here is parity that needs no process: every engine,
+wall-clock lane and proof check against sequential execution is a tier-1
+test (``tests/parallel``, ``tests/experiments``, ``tests/evm``,
+``tests/trie``). A drill exists
 where the claim is about a real SIGKILL, a real socket or a real clock.
 Throughput is measured by the repo's benchmark (``bench/run.py``, from a
 separate process, over sustained runs); ``min_tps`` below is a liveness
@@ -658,32 +659,6 @@ def replication(*, transactions, clients, kill_after_blocks,
     }
 
 
-# -- scenarios: the wall-clock lanes, held to one baseline ----------------------
-def occ_speed(*, transactions, workers, seed) -> dict:
-    """A dynamic-storage-key block (no access sets declared anywhere)
-    through every wall-clock lane. Receipt and digest parity with one
-    EVM pass is asserted inside ``measure_engines`` (a break raises,
-    naming the lane); a lane that fell back to sequential re-execution
-    fails here. The ratios are printed, not gated: the speed gate is
-    ROADMAP item 1's ``dynamic_occ``. The backend parity half is
-    ``tests/parallel/test_speculate.py``."""
-    from .experiments.perf import lane_lines, measure_engines
-    from .workload.generator import generate_dynamic_block
-
-    wall = measure_engines(
-        generate_dynamic_block(num_transactions=transactions, seed=seed),
-        num_workers=workers, repeats=2,
-    )
-    failures = [
-        f"lane {name} fell back to sequential re-execution"
-        for name, lane in wall["lanes"].items() if lane.get("fell_back")
-    ]
-    return {
-        **wall, "failures": failures,
-        "summary": "; ".join(lane_lines(wall)),
-    }
-
-
 # -- the table -----------------------------------------------------------------
 #: name -> (scenario, the parameters CI runs it with).
 SCENARIOS: dict[str, tuple] = {
@@ -728,9 +703,6 @@ SCENARIOS: dict[str, tuple] = {
     "replication": (replication, dict(
         transactions=600, clients=8, kill_after_blocks=8, divergence=True,
     )),
-    # Parity across lanes + reported ratios; the speed gate is item 1's
-    # ``dynamic_occ``.
-    "occ-speed": (occ_speed, dict(transactions=128, workers=4, seed=11)),
 }
 
 

@@ -1045,9 +1045,9 @@ class DecodeCache:
     Keys are the raw code bytes — content-addressed exactly like a code
     hash, never an address — so code mutation at a reused address
     (SELFDESTRUCT then CREATE/CREATE2) can never serve a stale program.
-    One instance per process; pool workers each hold their own and decode
-    a given contract once per worker, not once per transaction. An
-    evicted program takes its compiled blocks with it.
+    One instance per process: a given contract is decoded once, not
+    once per transaction. An evicted program takes its compiled blocks
+    with it.
     """
 
     def __init__(self, max_programs: int = DEFAULT_CACHE_PROGRAMS) -> None:
@@ -1109,8 +1109,7 @@ class DecodeCache:
         }
 
 
-#: The per-process cache shared by every EVM instance (and, via fork/spawn
-#: initializers, warmed per pool worker).
+#: The per-process cache shared by every EVM instance.
 DECODE_CACHE = DecodeCache()
 
 
@@ -1123,8 +1122,7 @@ def warm_state_codes(state) -> int:
     """Warm the cache for every code-bearing account in *state*.
 
     Reads the account table directly (no access tracking, no journal);
-    used at serve-builder construction, replica snapshot install, and
-    pool-worker init.
+    used at serve-builder construction and replica snapshot install.
     """
     warmed = 0
     for account in state._accounts.values():

@@ -13,8 +13,7 @@ always measure the same thing.
 :func:`measure_engines` is the wall-clock instrument: one table of
 lanes (:data:`LANES`), every one timed against a single EVM pass over
 the block — what the ``sequential`` engine does — and held to its
-receipts and state digest. ``obs-report --wall-clock-workers`` and the
-``occ-speed`` drill print it.
+receipts and state digest. ``obs-report --wall-clock`` prints it.
 """
 
 from __future__ import annotations
@@ -112,68 +111,58 @@ def _counters(result, *names: str) -> dict:
     return {name: getattr(result, name) for name in names}
 
 
-def _lane_sequential(state, transactions, num_workers):
+def _lane_sequential(state, transactions):
     evm = EVM(state)
     start = time.perf_counter()
     receipts = [evm.execute_transaction(tx) for tx in transactions]
     return time.perf_counter() - start, receipts, {}
 
 
-def _lane_parallel(state, transactions, num_workers):
+def _lane_parallel(state, transactions):
     # Handed the artifacts its own access sets come from, the executor
-    # replays every journal in order (``replayed == n``, ``dispatched ==
-    # 0``) on either backend: this lane is discover + DAG + replay on
-    # one core, never a pool.
-    executor = ParallelBlockExecutor(
-        state, num_workers=num_workers, backend="serial"
-    )
+    # replays every journal in order (``replayed == n``). The DAG is the
+    # one a node builds for the block (at proposal, or checking another
+    # node's); the in-order walk does not read it. This lane is
+    # discover + DAG + replay.
+    executor = ParallelBlockExecutor(state)
     start = time.perf_counter()
     artifacts = discover_access_sets(transactions, state)
-    edges = build_dag_edges(transactions, artifacts)
+    build_dag_edges(transactions, artifacts)
     result = executor.execute_block(
-        transactions, edges, artifacts, artifacts=artifacts
+        transactions, artifacts, artifacts=artifacts
     )
     return time.perf_counter() - start, result.receipts, _counters(
-        result, "replayed", "dispatched", "executed_inline",
-        "stale_artifacts", "fell_back",
+        result, "replayed", "executed_inline", "stale_artifacts",
+        "fell_back",
     )
 
 
-def _lane_occ(backend: str):
-    def lane(state, transactions, num_workers):
-        with SpeculativeBlockExecutor(
-            state, num_workers=num_workers, backend=backend
-        ) as executor:
-            executor.warm()  # pool spawn outside the timed region
-            start = time.perf_counter()
-            result = executor.execute_block(transactions)
-            elapsed = time.perf_counter() - start
-        return elapsed, result.receipts, _counters(
-            result, "backend", "executions", "aborts", "validations",
-            "retries", "rounds", "fell_back",
-        )
-
-    return lane
+def _lane_occ(state, transactions):
+    executor = SpeculativeBlockExecutor(state)
+    start = time.perf_counter()
+    result = executor.execute_block(transactions)
+    return time.perf_counter() - start, result.receipts, _counters(
+        result, "executions", "aborts", "validations", "retries",
+        "rounds", "fell_back",
+    )
 
 
 #: The lane every ratio is to, and the reference every lane must match.
 BASELINE = "sequential"
-#: name -> ``lane(state, transactions, num_workers)`` -> (seconds of the
-#: timed region, receipts in block order, engine counters), the block's
+#: name -> ``lane(state, transactions)`` -> (seconds of the timed
+#: region, receipts in block order, engine counters), the block's
 #: effects applied to *state*. ``sequential`` is what
 #: ``ENGINES["sequential"]`` does to a block it holds no artifacts for:
 #: one EVM pass, no discovery, no DAG. ``parallel`` and ``occ`` are the
-#: engines as a node runs them (serial backends); ``occ_pool`` is the
-#: only lane that starts worker processes.
+#: engines as a node runs them.
 LANES = {
     BASELINE: _lane_sequential,
     "parallel": _lane_parallel,
-    "occ": _lane_occ("serial"),
-    "occ_pool": _lane_occ("process"),
+    "occ": _lane_occ,
 }
 
 
-def measure_engines(block, num_workers: int = 4, repeats: int = 3) -> dict:
+def measure_engines(block, repeats: int = 3) -> dict:
     """Wall clock of every lane in :data:`LANES` over one generated
     *block* (anything with ``transactions`` and ``deployment.state``),
     each on its own copy of the state.
@@ -197,9 +186,7 @@ def measure_engines(block, num_workers: int = 4, repeats: int = 3) -> dict:
     for _ in range(repeats):
         for name, lane in LANES.items():
             state = base_state.copy()
-            elapsed, receipts, counters[name] = lane(
-                state, transactions, num_workers
-            )
+            elapsed, receipts, counters[name] = lane(state, transactions)
             outcome = (
                 [receipt.to_rlp() for receipt in receipts],
                 state.state_digest(),
@@ -219,7 +206,6 @@ def measure_engines(block, num_workers: int = 4, repeats: int = 3) -> dict:
     best = {name: min(seconds[name]) for name in LANES}
     return {
         "num_transactions": count,
-        "num_workers": num_workers,
         "repeats": repeats,
         "lanes": {
             name: {

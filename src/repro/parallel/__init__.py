@@ -1,14 +1,12 @@
-"""``repro.parallel`` — the multicore parallel execution backend.
+"""``repro.parallel`` — the wall-clock engines ``parallel`` and ``occ``.
 
 Where :mod:`repro.core.scheduler` *models* transaction-level parallelism
-in simulated PU cycles, this package *runs* it: DAG-independent
-transactions execute concurrently across a persistent pool of worker
-processes (or inline, with the ``serial`` backend), and the coordinator
-merges their write journals back into the authoritative world state.
-Combined with the execute-once artifacts from
-:func:`repro.chain.dag.discover_access_sets`, wall-clock block
-throughput stops paying the discover-then-execute 2× tax and scales
-with the cores the machine actually has.
+in simulated PU cycles, this package runs a block in one process, on
+the same sequential contract: :class:`ParallelBlockExecutor` replays the
+execute-once artifacts from :func:`repro.chain.dag.discover_access_sets`
+and validates declared access sets, and :class:`SpeculativeBlockExecutor`
+speculates Block-STM style with no declared sets at all. Both leave
+receipts and state bit-identical to sequential execution.
 """
 
 from .executor import (

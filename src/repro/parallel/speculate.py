@@ -20,10 +20,9 @@ Smart Contracts" by way of the multicore-STM line of work):
   written by transaction *j*, value unknown". Retry overlays read
   through the chains (highest non-estimate writer below the reader).
 * **Speculation rounds** — every pending transaction without a live
-  artifact executes concurrently (process pool; round one ships *empty*
-  overlays — pure optimism against the block-entry base, so a
-  conflict-free block costs exactly one parallel round and zero IPC
-  beyond the transactions themselves).
+  artifact executes against a round-start view (a first attempt against
+  the committed frontier alone — pure optimism, so a conflict-free block
+  costs exactly one round).
 * **Dependency-directed rescheduling** — a transaction whose last
   attempt read a key that is currently estimate-marked by a lower
   pending transaction is *deferred*, not re-executed: re-running it
@@ -55,15 +54,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..chain.journal import ExecutionArtifact, WriteJournal, execute_captured
+from ..chain.journal import ExecutionArtifact, execute_captured
 from ..chain.receipt import Receipt
-from ..chain.state import WorldState
+from ..chain.state import BALANCE_KEY, CODE_KEY, NONCE_KEY, WorldState
 from ..chain.transaction import Transaction
+from ..evm.context import BlockContext
 from ..obs import get_registry
-from . import worker as worker_mod
 
 #: Version-chain marker: the writer aborted, its value is unknown until
-#: it re-executes. Coordinator-local, never crosses the process boundary.
+#: it re-executes.
 ESTIMATE = object()
 
 
@@ -74,8 +73,8 @@ class RetryBudgetExceeded(Exception):
 class MultiVersionStore:
     """Per-key version chains of speculative writes, by transaction index.
 
-    Committed transactions leave the store (their post-values move to the
-    executor's committed overlay); pending transactions' latest execution
+    Committed transactions leave the store (their post-values are in the
+    authoritative state); pending transactions' latest execution
     results (or estimate markers, after an abort) live here.
     """
 
@@ -137,6 +136,34 @@ class MultiVersionStore:
         return writers
 
 
+def apply_overlay(state: WorldState, overlay: dict) -> None:
+    """Install speculative post-values onto *state* (journaled, untracked)."""
+    with state.untracked():
+        for (address, slot), value in overlay.items():
+            if slot == BALANCE_KEY:
+                state.set_balance(address, value)
+            elif slot == NONCE_KEY:
+                state.set_nonce(address, value)
+            elif slot == CODE_KEY:
+                state.set_code(address, value)
+            else:
+                state.set_storage(address, slot, value)
+
+
+def speculate_on(
+    state: WorldState, context, tx: Transaction, overlay: dict
+) -> ExecutionArtifact:
+    """One speculation on *state* ⊕ *overlay*: overlay under a snapshot,
+    execute tracked, capture, revert. *state* is left as it was found."""
+    token = state.snapshot()
+    try:
+        if overlay:
+            apply_overlay(state, overlay)
+        return execute_captured(state, tx, context)
+    finally:
+        state.revert(token)
+
+
 @dataclass
 class SpeculativeBlockResult:
     """Receipts plus the speculative engine's full accounting."""
@@ -154,8 +181,6 @@ class SpeculativeBlockResult:
     deferrals: int = 0
     #: Speculate/validate/commit rounds until the block drained.
     rounds: int = 0
-    num_workers: int = 1
-    backend: str = "serial"
     #: True when the block degraded to the sequential fallback.
     fell_back: bool = False
     wall_seconds: float = 0.0
@@ -171,17 +196,12 @@ class SpeculativeBlockResult:
         return len(self.receipts) / self.wall_seconds
 
 
-class SpeculativeBlockExecutor(worker_mod.PoolHolder):
-    """Concurrent Block-STM-style OCC execution of blocks over *state*.
+class SpeculativeBlockExecutor:
+    """Block-STM-style OCC execution of blocks over *state*.
 
-    ``backend="process"`` speculates rounds on a persistent worker pool
-    (:class:`~repro.parallel.worker.PoolHolder`, shared with
-    :class:`ParallelBlockExecutor`, so a custom BLOCKHASH service
-    degrades it to ``"serial"`` — the service cannot cross the process
-    boundary). ``backend="serial"`` speculates inline, one transaction
-    at a time, which makes the engine exactly as deterministic as
-    sequential execution — the property harness and the golden trace
-    both pin that mode.
+    Speculation runs inline, one transaction at a time, which makes the
+    engine exactly as deterministic as sequential execution — the
+    property harness and the golden trace both pin that.
 
     *abort_hook(index, attempt)* — test/fault injection: force a
     validation abort for a fresh artifact. *fault_hook(index, attempt)*
@@ -195,13 +215,12 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
         self,
         state: WorldState,
         block=None,
-        num_workers: int = 4,
-        backend: str = "process",
         max_retries: int = 8,
         abort_hook=None,
         fault_hook=None,
     ) -> None:
-        super().__init__(state, block, num_workers, backend)
+        self.state = state
+        self.block = block or BlockContext()
         self.max_retries = max_retries
         self.abort_hook = abort_hook
         self.fault_hook = fault_hook
@@ -215,10 +234,7 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
         start = time.perf_counter()
         count = len(transactions)
         result = SpeculativeBlockResult(
-            receipts=[],
-            num_workers=self.num_workers,
-            backend=self.backend,
-            artifacts=[None] * count,
+            receipts=[], artifacts=[None] * count,
         )
         if count == 0:
             result.wall_seconds = time.perf_counter() - start
@@ -228,7 +244,6 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
             self._run(transactions, result)
         except RetryBudgetExceeded:
             self.state.revert(entry_token)
-            self._pool_dirty = True
             self._fallback_sequential(transactions, result)
         result.wall_seconds = time.perf_counter() - start
         self._publish_metrics(result)
@@ -247,7 +262,6 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
         attempts = [0] * count
         pending = list(range(count))
         store = MultiVersionStore()
-        inline_only = self.backend == "serial"
         #: Validation memo: the authoritative state only moves when a
         #: journal commits, so an artifact re-checks its read set only
         #: when a commit since its last full check touched one of its
@@ -279,8 +293,7 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
                 result.deferrals += len(deferred)
 
                 executed = self._speculate(
-                    transactions, runnable, attempts, store, inline_only,
-                    result,
+                    transactions, runnable, attempts, store, result,
                 )
                 for index, artifact in executed:
                     artifacts[index] = artifact
@@ -322,17 +335,12 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
                         post_values = artifact.journal.post_values()
                         artifact.journal.apply(self.state)
                         receipts[index] = artifact.receipt
-                        self._committed.update(post_values)
                         for key in post_values:
                             key_versions[key] = commit_seq
                         commit_seq += 1
                         if artifact.journal.has_delete:
-                            # Overlays cannot express deletion: stop
-                            # trusting the pool base, finish inline —
-                            # and drop the validation memo, since the
-                            # deleted keys may not appear in post_values.
-                            self._pool_dirty = True
-                            inline_only = True
+                            # The deleted keys may not appear in
+                            # post_values: drop the validation memo.
                             checked_at.clear()
                         store.clear(index)
                         result.artifacts[index] = artifact
@@ -348,32 +356,23 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
         runnable: list[int],
         attempts: list[int],
         store: MultiVersionStore,
-        inline_only: bool,
         result: SpeculativeBlockResult,
     ) -> list[tuple[int, ExecutionArtifact]]:
         """Execute *runnable* against round-start views; return artifacts.
 
-        Results are collected *before* the store is updated, so inline
-        and pooled speculation observe identical views — the engine's
-        accounting does not depend on the backend.
-
-        Dispatch policy: *first attempts* go to the process pool in bulk
-        (round one ships every transaction with an empty or tiny overlay
-        — maximum parallelism, minimal IPC), while *retries* execute
-        inline on the coordinator. Retries are conflicters, and
-        conflicters form serial chains: shipping them to workers buys no
-        parallelism but pays pickling for the committed-overlay they
-        need. Inline, they read the authoritative state directly plus
-        the version-chain view, while the pool crunches the next bulk.
+        Results are collected *before* the store is updated: a first
+        attempt reads the authoritative state alone, a retry also the
+        version-chain view below it as the round found it.
         """
         executed: list[tuple[int, ExecutionArtifact]] = []
-
-        def account(index: int) -> None:
+        for index in runnable:
             result.executions += 1
             if attempts[index] > 0:
                 result.retries += 1
-
-        def faulted(index: int) -> bool:
+            view = store.view_below(index) if attempts[index] > 0 else {}
+            artifact = speculate_on(
+                self.state, self.block, transactions[index], view
+            )
             if self.fault_hook is not None and self.fault_hook(
                 index, attempts[index]
             ):
@@ -381,53 +380,8 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
                 attempts[index] += 1
                 if attempts[index] > self.max_retries:
                     raise RetryBudgetExceeded(index)
-                return True
-            return False
-
-        pool_batch: list[int] = []
-        inline_batch: list[int] = []
-        if inline_only or self.backend == "serial":
-            inline_batch = list(runnable)
-        else:
-            for index in runnable:
-                if attempts[index] == 0:
-                    pool_batch.append(index)
-                else:
-                    inline_batch.append(index)
-            if len(pool_batch) < 2:
-                # Not worth a round trip; run on the coordinator.
-                inline_batch = sorted(pool_batch + inline_batch)
-                pool_batch = []
-
-        futures = {}
-        if pool_batch:
-            pool = self._ensure_pool()
-            overlay = dict(self._committed)
-            for index in pool_batch:
-                account(index)
-                futures[pool.submit(
-                    worker_mod.execute_task, transactions[index], overlay,
-                )] = index
-        for index in inline_batch:
-            account(index)
-            view = store.view_below(index) if attempts[index] > 0 else {}
-            artifact = worker_mod.speculate_on(
-                self.state, self.block, transactions[index], view
-            )
-            if not faulted(index):
-                executed.append((index, artifact))
-        for future, index in futures.items():
-            receipt, access, ops, read_values = future.result()
-            if faulted(index):
                 continue
-            executed.append((index, ExecutionArtifact(
-                tx=transactions[index],
-                receipt=receipt,
-                access=access,
-                journal=WriteJournal(ops),
-                read_values=read_values,
-            )))
-        executed.sort(key=lambda pair: pair[0])
+            executed.append((index, artifact))
         return executed
 
     def _fallback_sequential(
@@ -448,7 +402,6 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
             state.access = saved_access
         result.receipts = [a.receipt for a in result.artifacts]
         result.fell_back = True
-        self._pool_dirty = True
 
     def _publish_metrics(self, result: SpeculativeBlockResult) -> None:
         registry = get_registry()
@@ -461,5 +414,4 @@ class SpeculativeBlockExecutor(worker_mod.PoolHolder):
         registry.counter("speculate.deferrals").inc(result.deferrals)
         if result.fell_back:
             registry.counter("speculate.fallbacks").inc()
-        registry.gauge("speculate.workers").set(result.num_workers)
         registry.gauge("speculate.wall_tps").set(result.tx_per_second)

@@ -104,8 +104,7 @@ class ServeConfig:
     #: :data:`repro.chain.node.ENGINES`, which describes each.
     executor: str = "sequential"
     #: PUs (mtpu) and the lanes packing's default lane depth is sized
-    #: for. ``parallel`` and ``occ`` run on their serial backends inside
-    #: a node: no worker processes here.
+    #: for; no other engine reads it.
     num_workers: int = 4
 
     # -- block packing ----------------------------------------------------

@@ -359,14 +359,9 @@ def test_parallel_executor_commits_the_same_state(specs, replay):
             if interpreter:
                 interpreter_only(patch)
             artifacts = dag.discover_access_sets(txs, state, context)
-        edges = dag.build_dag_edges(txs, artifacts)
-        with ParallelBlockExecutor(
-            state, block=context, backend="serial"
-        ) as executor:
-            result = executor.execute_block(
-                txs, edges, artifacts,
-                artifacts=artifacts if replay else None,
-            )
+        result = ParallelBlockExecutor(state, block=context).execute_block(
+            txs, artifacts, artifacts=artifacts if replay else None,
+        )
         return result, state
 
     result, state = run(interpreter=False)

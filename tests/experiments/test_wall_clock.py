@@ -1,8 +1,8 @@
 """The wall-clock instrument (``experiments/perf.py: measure_engines``).
 
 What is pinned is what each lane *is* — so a ratio printed by
-``obs-report --wall-clock-workers`` or the ``occ-speed`` drill is a
-ratio to the engine that serves — not how fast anything ran.
+``obs-report --wall-clock`` is a ratio to the engine that serves — not
+how fast anything ran.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def block(request, deployment):
 def test_every_lane_lands_on_the_baselines_receipts_and_digest(block):
     """Parity is asserted inside, per lane and repeat: returning at all
     means it held. The lanes' effects are the sequential ones."""
-    wall = measure_engines(block, num_workers=2, repeats=1)
+    wall = measure_engines(block, repeats=1)
     assert list(wall["lanes"]) == list(LANES)
     assert next(iter(LANES)) == BASELINE  # the reference runs first
     for name, lane in wall["lanes"].items():
@@ -42,8 +42,6 @@ def test_every_lane_lands_on_the_baselines_receipts_and_digest(block):
         assert lane["seconds"] > 0 and lane["tx_per_second"] > 0
         assert not lane.get("fell_back"), name
     assert wall["lanes"][BASELINE]["ratio_to_sequential"] == 1.0
-    assert wall["lanes"]["occ"]["backend"] == "serial"
-    assert wall["lanes"]["occ_pool"]["backend"] == "process"
 
 
 def test_the_baseline_is_one_evm_pass(block):
@@ -51,7 +49,7 @@ def test_the_baseline_is_one_evm_pass(block):
     transaction (the baseline this replaced ran every one twice)."""
     state = block.deployment.state.copy()
     with use_registry() as registry:
-        _, receipts, _ = LANES[BASELINE](state, block.transactions, 2)
+        _, receipts, _ = LANES[BASELINE](state, block.transactions)
         counters = registry.counters_flat()
     assert counters["evm.tx_executions"] == N
     reference = block.deployment.state.copy()
@@ -64,9 +62,9 @@ def test_the_baseline_is_one_evm_pass(block):
 
 def test_the_parallel_lane_replays_and_dispatches_nothing(block):
     """Handed the artifacts its own access sets come from, the executor
-    never touches a pool: nobody should read this lane as multicore."""
-    lane = measure_engines(block, num_workers=2, repeats=1)["lanes"]
-    assert lane["parallel"]["dispatched"] == 0
+    replays every journal and executes nothing: nobody should read this
+    lane as multicore."""
+    lane = measure_engines(block, repeats=1)["lanes"]
     assert lane["parallel"]["replayed"] == N
     assert lane["parallel"]["executed_inline"] == 0
 
@@ -74,27 +72,27 @@ def test_the_parallel_lane_replays_and_dispatches_nothing(block):
 def test_a_lane_that_diverges_is_named(block, monkeypatch):
     honest = LANES["occ"]
 
-    def sabotaged(state, transactions, num_workers):
-        out = honest(state, transactions, num_workers)
+    def sabotaged(state, transactions):
+        out = honest(state, transactions)
         state.set_balance(0xDEAD, 1)
         return out
 
     monkeypatch.setitem(perf.LANES, "occ", sabotaged)
     with pytest.raises(AssertionError, match="lane 'occ': state digest"):
-        measure_engines(block, num_workers=2, repeats=1)
+        measure_engines(block, repeats=1)
 
-    def wrong_receipts(state, transactions, num_workers):
-        seconds, receipts, counters = honest(state, transactions, num_workers)
+    def wrong_receipts(state, transactions):
+        seconds, receipts, counters = honest(state, transactions)
         return seconds, receipts[:-1], counters
 
     monkeypatch.setitem(perf.LANES, "occ", wrong_receipts)
     with pytest.raises(AssertionError, match="lane 'occ': receipts"):
-        measure_engines(block, num_workers=2, repeats=1)
+        measure_engines(block, repeats=1)
 
 
 def test_obs_report_prints_one_line_per_lane(tmp_path, capsys):
     assert main([
-        "obs-report", "--transactions", "8", "--wall-clock-workers", "2",
+        "obs-report", "--transactions", "8", "--wall-clock",
         "--out", str(tmp_path / "report.json"),
     ]) == 0
     lines = [
@@ -103,4 +101,3 @@ def test_obs_report_prints_one_line_per_lane(tmp_path, capsys):
     ]
     assert [line.split()[1].rstrip(":") for line in lines] == list(LANES)
     assert all("x sequential" in line for line in lines)
-    assert "dispatched=0" in lines[1]

@@ -56,8 +56,7 @@ def run_erc20_block(deployment) -> dict:
         node.execute_block(block, executor="mtpu", num_workers=NUM_PUS)
         # Speculative (OCC) lane: the same deterministic library drives
         # a small block through the Block-STM-shaped engine so the
-        # speculate.* counters are pinned by the fixture too. Serial
-        # backend — identical accounting to the pool, no nondeterminism.
+        # speculate.* counters are pinned by the fixture too.
         occ_state = deployment.state.copy()
         occ_txs = [
             library.to_transaction(
@@ -65,10 +64,9 @@ def run_erc20_block(deployment) -> dict:
             )
             for i in range(NUM_TRANSACTIONS)
         ]
-        with SpeculativeBlockExecutor(
-            occ_state, block=BlockContext(height=1), backend="serial"
-        ) as speculator:
-            occ_result = speculator.execute_block(occ_txs)
+        occ_result = SpeculativeBlockExecutor(
+            occ_state, block=BlockContext(height=1)
+        ).execute_block(occ_txs)
     assert node.chain == [block]
     assert len(occ_result.receipts) == NUM_TRANSACTIONS
     return {

@@ -1,20 +1,24 @@
-"""The multicore parallel backend against its sequential contract.
+"""The declared-access-set engine against its sequential contract.
 
 Every test pins the same invariant from a different angle: whatever mix
-of artifact replay, inline execution, worker dispatch and fallback the
-coordinator picks, the resulting receipts and ``state_digest()`` must be
-bit-identical to plain block-order sequential execution.
+of artifact replay, EVM execution and fallback the executor takes, the
+resulting receipts and ``state_digest()`` must be bit-identical to plain
+block-order sequential execution.
 """
 
-import pytest
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.dag import build_dag_edges, discover_access_sets
+from repro.chain.dag import discover_access_sets
+from repro.chain.node import Node
 from repro.chain.state import AccessSet
+from repro.chain.transaction import Transaction
 from repro.evm.interpreter import EVM
 from repro.obs import use_registry
 from repro.parallel import ParallelBlockExecutor
+from repro.serve.loadgen import make_transactions
 from repro.workload.generator import (
     generate_block,
     generate_dependency_block,
@@ -30,9 +34,7 @@ def sequential_reference(deployment, transactions):
 
 def discover(deployment, transactions):
     state = deployment.state.copy()
-    artifacts = discover_access_sets(transactions, state)
-    edges = build_dag_edges(transactions, artifacts)
-    return state, artifacts, edges
+    return state, discover_access_sets(transactions, state)
 
 
 class TestSerialBackend:
@@ -43,10 +45,10 @@ class TestSerialBackend:
         receipts, digest = sequential_reference(
             deployment, block.transactions
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
-        executor = ParallelBlockExecutor(state, backend="serial")
+        state, artifacts = discover(deployment, block.transactions)
+        executor = ParallelBlockExecutor(state)
         result = executor.execute_block(
-            block.transactions, edges, artifacts
+            block.transactions, artifacts
         )
         assert result.receipts == receipts
         assert state.state_digest() == digest
@@ -60,10 +62,10 @@ class TestSerialBackend:
         receipts, digest = sequential_reference(
             deployment, block.transactions
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
-        executor = ParallelBlockExecutor(state, backend="serial")
+        state, artifacts = discover(deployment, block.transactions)
+        executor = ParallelBlockExecutor(state)
         result = executor.execute_block(
-            block.transactions, edges, artifacts, artifacts=artifacts
+            block.transactions, artifacts, artifacts=artifacts
         )
         assert result.receipts == receipts
         assert state.state_digest() == digest
@@ -87,10 +89,10 @@ class TestSerialBackend:
         receipts, digest = sequential_reference(
             deployment, block.transactions
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
-        executor = ParallelBlockExecutor(state, backend="serial")
+        state, artifacts = discover(deployment, block.transactions)
+        executor = ParallelBlockExecutor(state)
         result = executor.execute_block(
-            block.transactions, edges, artifacts,
+            block.transactions, artifacts,
             artifacts=artifacts if use_artifacts else None,
         )
         assert result.receipts == receipts
@@ -105,61 +107,13 @@ class TestSerialBackend:
         receipts, digest = sequential_reference(
             deployment, block.transactions
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
-        executor = ParallelBlockExecutor(state, backend="serial")
+        state, artifacts = discover(deployment, block.transactions)
+        executor = ParallelBlockExecutor(state)
         result = executor.execute_block(
-            block.transactions, edges, artifacts, artifacts=artifacts
+            block.transactions, artifacts, artifacts=artifacts
         )
         assert result.receipts == receipts
         assert state.state_digest() == digest
-
-
-class TestProcessBackend:
-    def test_matches_sequential(self, deployment):
-        block = generate_dependency_block(
-            deployment, num_transactions=16, target_ratio=0.25, seed=13
-        )
-        receipts, digest = sequential_reference(
-            deployment, block.transactions
-        )
-        state, artifacts, edges = discover(deployment, block.transactions)
-        with ParallelBlockExecutor(
-            state, num_workers=2, backend="process"
-        ) as executor:
-            result = executor.execute_block(
-                block.transactions, edges, artifacts
-            )
-        assert result.backend == "process"
-        assert result.receipts == receipts
-        assert state.state_digest() == digest
-        assert result.dispatched == len(block.transactions)
-        assert not result.fell_back
-
-    def test_pool_survives_across_blocks(self, deployment):
-        first = generate_dependency_block(
-            deployment, num_transactions=8, target_ratio=0.0, seed=14
-        )
-        second = generate_dependency_block(
-            deployment, num_transactions=8, target_ratio=0.0, seed=15
-        )
-        # Sequential reference: both blocks applied in order.
-        state_ref = deployment.state.copy()
-        evm = EVM(state_ref)
-        for tx in first.transactions + second.transactions:
-            evm.execute_transaction(tx)
-
-        state = deployment.state.copy()
-        with ParallelBlockExecutor(
-            state, num_workers=2, backend="process"
-        ) as executor:
-            for block in (first, second):
-                artifacts = discover_access_sets(block.transactions, state)
-                edges = build_dag_edges(block.transactions, artifacts)
-                result = executor.execute_block(
-                    block.transactions, edges, artifacts
-                )
-                assert not result.fell_back
-        assert state.state_digest() == state_ref.state_digest()
 
 
 class TestAccessMismatchFallback:
@@ -174,24 +128,18 @@ class TestAccessMismatchFallback:
         victim.writes.pop()
         return declared
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_fallback_restores_sequential_result(
-        self, deployment, backend
-    ):
+    def test_fallback_restores_sequential_result(self, deployment):
         block = generate_dependency_block(
             deployment, num_transactions=10, target_ratio=0.5, seed=16
         )
         receipts, digest = sequential_reference(
             deployment, block.transactions
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
+        state, artifacts = discover(deployment, block.transactions)
         declared = self._corrupt(artifacts, index=0)
-        with ParallelBlockExecutor(
-            state, num_workers=2, backend=backend
-        ) as executor:
-            result = executor.execute_block(
-                block.transactions, edges, declared
-            )
+        result = ParallelBlockExecutor(state).execute_block(
+            block.transactions, declared
+        )
         assert result.fell_back
         assert result.mismatches
         assert result.receipts == receipts
@@ -201,11 +149,11 @@ class TestAccessMismatchFallback:
         block = generate_dependency_block(
             deployment, num_transactions=8, target_ratio=0.5, seed=17
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
+        state, artifacts = discover(deployment, block.transactions)
         declared = self._corrupt(artifacts, index=0)
         with use_registry() as registry:
-            executor = ParallelBlockExecutor(state, backend="serial")
-            executor.execute_block(block.transactions, edges, declared)
+            executor = ParallelBlockExecutor(state)
+            executor.execute_block(block.transactions, declared)
             counters = registry.counters_flat()
         assert counters.get("parallel.fallbacks") == 1
 
@@ -213,33 +161,65 @@ class TestAccessMismatchFallback:
         block = generate_dependency_block(
             deployment, num_transactions=8, target_ratio=0.0, seed=18
         )
-        state, artifacts, edges = discover(deployment, block.transactions)
+        state, artifacts = discover(deployment, block.transactions)
         with use_registry() as registry:
-            executor = ParallelBlockExecutor(
-                state, num_workers=3, backend="serial"
-            )
+            executor = ParallelBlockExecutor(state)
             executor.execute_block(
-                block.transactions, edges, artifacts, artifacts=artifacts
+                block.transactions, artifacts, artifacts=artifacts
             )
             counters = registry.counters_flat()
         assert counters.get("parallel.replayed") == len(block.transactions)
         assert "parallel.fallbacks" not in counters
 
 
-class TestSerialWalksBlockOrder:
-    def test_serial_equals_process_on_mixed_fresh_and_stale(
+class TestCoinbaseReadFallback:
+    def test_transfer_to_the_coinbase_runs_the_block_sequentially(
         self, deployment
     ):
-        """The serial backend walks the block in order instead of
-        draining the DAG's ready heap; on a block whose artifacts are
-        part fresh, part stale it must land where the process backend
-        (which still schedules off the heap) lands — same receipts,
-        same state, same replay/stale accounting."""
+        """A transfer *to* the block's coinbase reads the balance every
+        transaction's fee credits, in an order no declared set states:
+        the engine runs the block sequentially instead, and lands where
+        an artifact-less EVM replay on a second node lands."""
+        node = Node(state=deployment.state.copy())
+        txs = make_transactions(deployment, 6, workload="transfer", seed=3)
+        tx = txs[2]
+        txs[2] = Transaction(
+            sender=tx.sender, to=node.coinbase, nonce=tx.nonce,
+            value=tx.value, gas_limit=tx.gas_limit,
+        )
+        for tx in txs:
+            node.hear(tx)
+        block = node.propose_block(
+            max_transactions=len(txs), executor="parallel"
+        )
+        assert block.transactions == txs
+        with use_registry() as registry:
+            receipts = node.execute_block(block, executor="parallel")
+            counters = registry.counters_flat()
+        assert counters.get("parallel.fallbacks") == 1
+
+        reference = Node(state=deployment.state.copy())
+        plain = dataclasses.replace(
+            block,
+            header=dataclasses.replace(block.header, state_root=b""),
+            artifacts=None,
+        )
+        assert receipts == reference.execute_block(plain)
+        assert node.state.state_digest() == reference.state.state_digest()
+
+
+class TestSerialWalksBlockOrder:
+    def test_mixed_artifacts_match_the_evm(
+        self, deployment
+    ):
+        """On a block whose artifacts are part fresh, part stale the walk
+        replays the fresh ones, runs the stale ones through the EVM and
+        lands where one EVM pass lands — same receipts, same state."""
         block = generate_dependency_block(
             deployment, num_transactions=16, target_ratio=0.5, seed=19
         )
         txs = block.transactions
-        state, artifacts, edges = discover(deployment, txs)
+        state, artifacts = discover(deployment, txs)
         # Stale every artifact that read this balance, without changing
         # what any transaction touches.
         victim = txs[0].sender
@@ -249,24 +229,12 @@ class TestSerialWalksBlockOrder:
         evm = EVM(reference)
         receipts = [evm.execute_transaction(tx) for tx in txs]
 
-        outcomes = {}
-        for backend in ("serial", "process"):
-            run_state = state.copy()
-            with ParallelBlockExecutor(
-                run_state, num_workers=2, backend=backend
-            ) as executor:
-                result = executor.execute_block(
-                    txs, edges, artifacts, artifacts=artifacts
-                )
-            assert result.backend == backend
-            assert not result.fell_back
-            assert result.receipts == receipts
-            assert run_state.state_digest() == reference.state_digest()
-            outcomes[backend] = result
-        serial, process = outcomes["serial"], outcomes["process"]
-        assert 0 < serial.stale_artifacts < len(txs)
-        assert serial.replayed == process.replayed
-        assert serial.stale_artifacts == process.stale_artifacts
-        assert serial.executed_inline == serial.stale_artifacts
-        assert process.dispatched == process.stale_artifacts
-        assert serial.replayed + serial.stale_artifacts == len(txs)
+        result = ParallelBlockExecutor(state).execute_block(
+            txs, artifacts, artifacts=artifacts
+        )
+        assert not result.fell_back
+        assert result.receipts == receipts
+        assert state.state_digest() == reference.state_digest()
+        assert 0 < result.stale_artifacts < len(txs)
+        assert result.executed_inline == result.stale_artifacts
+        assert result.replayed + result.stale_artifacts == len(txs)

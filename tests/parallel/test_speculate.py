@@ -123,10 +123,9 @@ def test_speculation_is_bit_identical_to_sequential(balances, specs):
     txs = make_txs(specs)
     receipts, digest = sequential_reference(balances, txs)
     state = seed_state(balances)
-    with SpeculativeBlockExecutor(
-        state, block=BlockContext(height=1), backend="serial"
-    ) as executor:
-        result = executor.execute_block(txs)
+    result = SpeculativeBlockExecutor(
+        state, block=BlockContext(height=1)
+    ).execute_block(txs)
     assert_identical(receipts, digest, result, state)
     # Work accounting: every commit is one execution plus its aborts,
     # and a conflict chain of length L costs at most L(L-1)/2 aborts.
@@ -153,11 +152,10 @@ def test_forced_mid_block_aborts_never_diverge(
     txs = make_txs(specs)
     receipts, digest = sequential_reference(balances, txs)
     state = seed_state(balances)
-    with SpeculativeBlockExecutor(
-        state, block=BlockContext(height=1), backend="serial",
+    result = SpeculativeBlockExecutor(
+        state, block=BlockContext(height=1),
         abort_hook=lambda i, attempts: i == abort_index and attempts < 2,
-    ) as executor:
-        result = executor.execute_block(txs)
+    ).execute_block(txs)
     assert_identical(receipts, digest, result, state)
     if abort_index < len(txs):
         assert result.aborts >= 2
@@ -178,11 +176,10 @@ def test_pu_faults_lose_work_not_correctness(balances, specs, fault_index):
     txs = make_txs(specs)
     receipts, digest = sequential_reference(balances, txs)
     state = seed_state(balances)
-    with SpeculativeBlockExecutor(
-        state, block=BlockContext(height=1), backend="serial",
+    result = SpeculativeBlockExecutor(
+        state, block=BlockContext(height=1),
         fault_hook=lambda i, attempts: i == fault_index and attempts < 2,
-    ) as executor:
-        result = executor.execute_block(txs)
+    ).execute_block(txs)
     assert_identical(receipts, digest, result, state)
 
 
@@ -200,52 +197,19 @@ def test_retry_exhaustion_falls_back_to_sequential(balances, specs):
     txs = make_txs(specs)
     receipts, digest = sequential_reference(balances, txs)
     state = seed_state(balances)
-    with SpeculativeBlockExecutor(
-        state, block=BlockContext(height=1), backend="serial",
+    result = SpeculativeBlockExecutor(
+        state, block=BlockContext(height=1),
         max_retries=2, abort_hook=lambda i, attempts: i == 0,
-    ) as executor:
-        result = executor.execute_block(txs)
+    ).execute_block(txs)
     assert result.fell_back
     assert_identical(receipts, digest, result, state)
     # The fallback still captures every artifact (its receipts).
     assert all(r is not None for r in result.artifacts)
 
 
-def test_process_backend_matches_serial_accounting():
-    """The pool backend must produce byte-identical outputs *and*
-    identical abort/retry accounting — the engine's decisions may not
-    depend on where speculation physically ran."""
-    from repro.workload.generator import generate_block
-
-    gen = generate_block(num_transactions=24, seed=3)
-    txs = gen.transactions
-    base = gen.deployment.state
-    receipts, digest = None, None
-    accounting = {}
-    for backend in ("serial", "process"):
-        state = base.copy()
-        with SpeculativeBlockExecutor(
-            state, block=BlockContext(height=1), num_workers=2,
-            backend=backend,
-        ) as executor:
-            result = executor.execute_block(txs)
-        accounting[backend] = (
-            result.executions, result.aborts, result.rounds,
-            result.validations,
-        )
-        if receipts is None:
-            receipts, digest = result.receipts, state.state_digest()
-        else:
-            assert [r.to_rlp() for r in receipts] == [
-                r.to_rlp() for r in result.receipts
-            ]
-            assert digest == state.state_digest()
-    assert accounting["serial"] == accounting["process"]
-
-
 def test_dynamic_block_without_declared_sets_commits_identically():
     """The headline path: calldata-derived storage keys, no access sets
-    anywhere, bit-identical commit — wherever speculation physically ran."""
+    anywhere, bit-identical commit."""
     from repro.workload import generate_dynamic_block
 
     block = generate_dynamic_block(num_transactions=24, seed=11)
@@ -254,19 +218,12 @@ def test_dynamic_block_without_declared_sets_commits_identically():
     receipts = [evm.execute_transaction(tx) for tx in block.transactions]
     digest = state.state_digest()
 
-    accounting = set()
-    for backend in ("serial", "process"):
-        occ_state = block.deployment.state.copy()
-        with SpeculativeBlockExecutor(
-            occ_state, block=BlockContext(height=1), backend=backend
-        ) as executor:
-            result = executor.execute_block(block.transactions)
-        assert result.backend == backend  # the pool really ran it
-        assert_identical(receipts, digest, result, occ_state)
-        assert result.aborts > 0  # the workload genuinely conflicts
-        accounting.add((result.executions, result.aborts, result.rounds,
-                        result.validations))
-    assert len(accounting) == 1  # abort decisions do not depend on where
+    occ_state = block.deployment.state.copy()
+    result = SpeculativeBlockExecutor(
+        occ_state, block=BlockContext(height=1)
+    ).execute_block(block.transactions)
+    assert_identical(receipts, digest, result, occ_state)
+    assert result.aborts > 0  # the workload genuinely conflicts
 
 
 def test_node_execute_block_occ_commits():
@@ -289,37 +246,16 @@ def test_node_execute_block_occ_commits():
 
 
 class TestEngineEdges:
-    def test_invalid_backend_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            SpeculativeBlockExecutor(WorldState(), backend="threads")
-
-    def test_custom_blockhash_degrades_process_to_serial(self):
-        context = BlockContext(height=5, blockhash_fn=lambda h: h + 1)
-        executor = SpeculativeBlockExecutor(
-            WorldState(), block=context, backend="process"
-        )
-        assert executor.backend == "serial"
-
-    def test_warm_is_a_noop_on_the_serial_backend(self):
-        executor = SpeculativeBlockExecutor(WorldState(), backend="serial")
-        executor.warm()
-        assert executor._pool is None
-
     def test_empty_block_commits_nothing(self):
         state = seed_state([10] * len(ACCOUNTS))
-        with SpeculativeBlockExecutor(state, backend="serial") as executor:
-            result = executor.execute_block([])
+        result = SpeculativeBlockExecutor(state).execute_block([])
         assert result.receipts == []
         assert result.executions == 0
         assert result.tx_per_second == 0.0
 
     def test_selfdestruct_switches_off_the_pool_base(self):
-        """A committed SELFDESTRUCT invalidates the workers' pristine
-        base (overlays cannot express deletion): the engine finishes
-        the block inline and marks the pool dirty — outputs still
-        bit-identical to sequential."""
+        """A committed SELFDESTRUCT deletes keys its journal's post-values
+        may not name: outputs still bit-identical to sequential."""
         from repro.contracts.asm import assemble
 
         destructor = 0xDEAD
@@ -345,12 +281,9 @@ class TestEngineEdges:
         digest = ref_state.state_digest()
 
         state = build_state()
-        with SpeculativeBlockExecutor(
-            state, block=BlockContext(height=1), num_workers=2,
-            backend="process",
-        ) as executor:
-            result = executor.execute_block(txs)
-            assert executor._pool_dirty
+        result = SpeculativeBlockExecutor(
+            state, block=BlockContext(height=1)
+        ).execute_block(txs)
         assert_identical(receipts, digest, result, state)
 
     def test_metrics_flow_through_the_registry(self):
@@ -360,15 +293,11 @@ class TestEngineEdges:
         txs = make_txs([(0, 1, 5), (1, 2, 5), (2, 3, 5)])
         state = seed_state(balances)
         with use_registry() as registry:
-            with SpeculativeBlockExecutor(
-                state, backend="serial"
-            ) as executor:
-                result = executor.execute_block(txs)
+            result = SpeculativeBlockExecutor(state).execute_block(txs)
             counters = registry.counters_flat()
         assert counters["speculate.executions"] == result.executions
         assert counters["speculate.validations"] == result.validations
         # Wall-clock series are gauges: excluded from the deterministic
         # counter snapshot (the golden fixture depends on this).
         assert "speculate.wall_tps" not in counters
-        assert registry.gauge("speculate.workers").value >= 1
         assert result.tx_per_second > 0.0

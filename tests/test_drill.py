@@ -148,26 +148,3 @@ def test_serve_row_passes_in_process(capsys):
 def test_serve_row_fails_by_its_floor(capsys):
     assert main(["serve", "transactions=64", "min_tps=1000000000"]) == 1
     assert "< floor 1000000000" in capsys.readouterr().err
-
-
-def test_occ_speed_row_fails_on_a_parity_break_not_on_a_ratio(
-    monkeypatch, capsys
-):
-    from repro.experiments import perf
-
-    small = ["occ-speed", "transactions=8", "workers=2"]
-    assert main(small) == 0  # whatever the ratios read
-    out, err = capsys.readouterr()
-    assert sorted(json.loads(out)["lanes"]) == sorted(perf.LANES)
-    assert "occ_pool:" in err and "x sequential" in err
-
-    honest = perf.LANES["occ_pool"]
-
-    def sabotaged(state, transactions, num_workers):
-        out = honest(state, transactions, num_workers)
-        state.set_balance(0xDEAD, 1)
-        return out
-
-    monkeypatch.setitem(perf.LANES, "occ_pool", sabotaged)
-    assert main(small) == 1
-    assert "lane 'occ_pool': state digest diverged" in capsys.readouterr().err
