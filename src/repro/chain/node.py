@@ -591,19 +591,28 @@ def _checked_artifacts(node, block, context, traced=False):
     return artifacts, edges
 
 
-def _walk(node, block, context, artifacts):
-    """The in-order walk ``sequential`` and ``parallel`` share: without
-    *artifacts*, one EVM pass; with them, each transaction whose artifact
-    is its own and still fresh commits by journal replay, and every other
-    runs the EVM (``Node.txs_replayed`` / ``txs_reexecuted`` count the
-    split)."""
-    execute = EVM(node.state, block=context).execute_transaction
-    transactions = block.transactions
+def walk_in_order(state, transactions, artifacts, context=None):
+    """The in-order walk over *state*: without *artifacts*, one EVM pass;
+    with them, each transaction whose artifact is its own and still fresh
+    commits by journal replay, and every other runs the EVM. Returns the
+    receipts in block order and how many were replayed."""
+    execute = EVM(state, block=context).execute_transaction
     if artifacts is None:
-        return [execute(tx) for tx in transactions]
-    receipts, replayed = replay_in_order(
-        node.state, transactions, artifacts, lambda _, tx: execute(tx)
+        return [execute(tx) for tx in transactions], 0
+    return replay_in_order(
+        state, transactions, artifacts, lambda _, tx: execute(tx)
     )
+
+
+def _walk(node, block, context, artifacts):
+    """The walk ``sequential`` and ``parallel`` share, on the node's
+    state (``Node.txs_replayed`` / ``txs_reexecuted`` count the split of
+    a walk over artifacts)."""
+    receipts, replayed = walk_in_order(
+        node.state, block.transactions, artifacts, context
+    )
+    if artifacts is None:
+        return receipts
     reexecuted = len(receipts) - replayed
     node.txs_replayed += replayed
     node.txs_reexecuted += reexecuted

@@ -17,17 +17,29 @@ Ties the pieces together (paper section 3.4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ...chain.state import WorldState
 from ...chain.transaction import Transaction
+from ...evm.code import Instruction
 from ...evm.context import BlockContext
+from ...evm.decoded import DECODE_CACHE
 from ...evm.interpreter import EVM
 from ...evm.tracer import TraceStep, Tracer
 from ...obs import count, timed
-from ..mtpu.fill_unit import CodeIndex
 from .chunking import find_chunks
 from .profiler import ContractTable, ExecutionProfile
+
+
+class CodeView(NamedTuple):
+    """A contract's instruction stream with its constant-eliminated
+    instructions dropped: the code's own ``Instruction`` objects, which
+    the fill unit packs more densely (their dependencies through the
+    eliminated stack ops are gone — the Constants Table supplies the
+    operands instead)."""
+
+    instructions: list[Instruction]
+    index_of_pc: dict[int, int]
 
 
 @dataclass
@@ -98,7 +110,7 @@ class HotspotOptimizer:
         #: Contract-level eliminations merged over every profiled selector.
         self._eliminated_by_code: dict[int, set[tuple[int, int]]] = {}
         self._blocked_by_code: dict[int, set[tuple[int, int]]] = {}
-        self._views: dict[int, CodeIndex] = {}
+        self._views: dict[int, CodeView] = {}
         self.hotspot_addresses: set[int] = set()
         #: Code bytes at profile time, for stale-profile detection: a
         #: contract upgraded after pre-execution invalidates its plans.
@@ -188,20 +200,20 @@ class HotspotOptimizer:
         if not self.enable_elimination:
             return
         eliminated = self._eliminated_by_code.get(code_address, set())
-        full = CodeIndex(code_address, self._code_lookup(code_address))
+        program = DECODE_CACHE.get(self._code_lookup(code_address))
         filtered = [
             instr
-            for instr in full.instructions
+            for instr in program.instructions
             if (code_address, instr.pc) not in eliminated
         ]
-        self._views[code_address] = CodeIndex.from_instructions(
-            code_address, filtered
+        self._views[code_address] = CodeView(
+            filtered, {instr.pc: i for i, instr in enumerate(filtered)}
         )
 
     # ------------------------------------------------------------------
     # Execution-time queries
     # ------------------------------------------------------------------
-    def code_view(self, code_address: int) -> CodeIndex | None:
+    def code_view(self, code_address: int) -> CodeView | None:
         """Optimized decode view, when elimination produced one."""
         return self._views.get(code_address)
 

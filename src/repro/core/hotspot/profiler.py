@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...evm.code import decode
+from ...evm.decoded import DECODE_CACHE
 from ...evm.tracer import TraceStep
 from .chunking import ChunkSpans, find_chunks, on_path_fraction, visited_code_bytes
 from .constants import FrameAnalysis, analyze_trace
@@ -97,7 +97,8 @@ class ContractTable:
         # Bytecode-loading fraction for the hotspot contract itself.
         code = code_lookup(address)
         sizes = {
-            instr.pc: instr.size for instr in decode(code)
+            instr.pc: instr.size
+            for instr in DECODE_CACHE.get(code).instructions
         }
         profile.on_path_fraction = on_path_fraction(
             profile.visited_pcs.get(address, set()), sizes, len(code)

@@ -3,7 +3,7 @@ hierarchy, and the analytical area/power model."""
 
 from .area import AreaReport, MTPUAreaConfig, bpu_equivalents, estimate_area
 from .db_cache import CacheStats, DBCache
-from .fill_unit import CodeIndex, DBCacheLine, FillConfig, LineSlot, build_line
+from .fill_unit import DBCacheLine, FillConfig, LineSlot, build_line
 from .folding import FOLDABLE_CONSUMERS, FoldedOp, try_fold
 from .memory import CallContractStack, ContextLoadModel, StateBuffer
 from .processor import MTPUExecutor, TxExecution
@@ -17,7 +17,6 @@ __all__ = [
     "estimate_area",
     "CacheStats",
     "DBCache",
-    "CodeIndex",
     "DBCacheLine",
     "FillConfig",
     "LineSlot",

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...evm import opcodes
-from ...evm.code import Instruction, decode
 from ...obs import get_registry
 from ...evm.opcodes import (
     FORWARD_CONSUMER_CATEGORIES,
@@ -149,14 +148,20 @@ def _stack_delta(op: FoldedOp) -> tuple[int, int]:
 
 def build_line(
     code_address: int,
-    instructions: list[Instruction],
-    index_of_pc: dict[int, int],
+    decoded,
     start_pc: int,
     config: FillConfig | None = None,
 ) -> DBCacheLine | None:
-    """Build one line starting at *start_pc*; None if pc is undecodable."""
+    """Build one line starting at *start_pc*; None if pc is undecodable.
+
+    *decoded* is what the PU packs from: the code's
+    :class:`~repro.evm.decoded.DecodedProgram`, or the hotspot
+    optimizer's view of it — anything with ``instructions`` and
+    ``index_of_pc``.
+    """
     config = config or FillConfig()
-    start_index = index_of_pc.get(start_pc)
+    instructions = decoded.instructions
+    start_index = decoded.index_of_pc.get(start_pc)
     if start_index is None:
         return None
 
@@ -276,45 +281,3 @@ def build_line(
             registry.counter("fill.forwards").inc()
         registry.histogram("fill.line_length").observe(line.orig_count)
     return line
-
-
-class CodeIndex:
-    """Decoded view of one contract's bytecode, shared across lines."""
-
-    def __init__(self, code_address: int, code: bytes) -> None:
-        self.code_address = code_address
-        self.instructions = decode(code)
-        self.index_of_pc = {
-            instr.pc: i for i, instr in enumerate(self.instructions)
-        }
-
-    @classmethod
-    def from_instructions(
-        cls, code_address: int, instructions: list[Instruction]
-    ) -> "CodeIndex":
-        """Build a view from an already-filtered instruction stream.
-
-        Used by the hotspot optimizer: constant-eliminated instructions
-        are dropped from the stream, so lines built from the view pack the
-        surviving instructions more densely (their dependencies through
-        the eliminated stack ops are gone — the Constants Table supplies
-        the operands instead).
-        """
-        view = cls.__new__(cls)
-        view.code_address = code_address
-        view.instructions = list(instructions)
-        view.index_of_pc = {
-            instr.pc: i for i, instr in enumerate(view.instructions)
-        }
-        return view
-
-    def line_at(
-        self, start_pc: int, config: FillConfig | None = None
-    ) -> DBCacheLine | None:
-        return build_line(
-            self.code_address,
-            self.instructions,
-            self.index_of_pc,
-            start_pc,
-            config,
-        )

@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ...evm.decoded import DECODE_CACHE
 from ...evm.opcodes import Category
 from ...evm.tracer import TraceStep
 from ...obs import get_registry
 from .db_cache import DBCache
-from .fill_unit import CodeIndex, DBCacheLine, FillConfig
+from .fill_unit import DBCacheLine, FillConfig, build_line
 from .memory import CallContractStack, ContextLoadModel, StateBuffer
 from .timing import TimingConfig
 
@@ -108,7 +109,8 @@ class PU:
             config.timing.call_contract_stack_bytes
         )
         self.context_model = ContextLoadModel(config.timing)
-        self._code_indexes: dict[int, CodeIndex] = {}
+        #: code address -> what the fill unit packs lines from.
+        self._decoded: dict = {}
         #: Contract currently (last) executed — scheduler redundancy hint.
         self.current_contract: int | None = None
         self.busy_until: float = 0.0
@@ -118,24 +120,29 @@ class PU:
         self._stall_cycles = 0
         self._prefetch_hits = 0
 
-    # -- static decode cache ------------------------------------------------
-    def code_index(self, code_address: int) -> CodeIndex:
-        index = self._code_indexes.get(code_address)
-        if index is None:
-            index = CodeIndex(code_address, self.code_lookup(code_address))
-            self._code_indexes[code_address] = index
-        return index
+    # -- what the fill unit reads ---------------------------------------------
+    def code_index(self, code_address: int):
+        """The decoded code the fill unit packs *code_address*'s lines
+        from: the code's :data:`~repro.evm.decoded.DECODE_CACHE` program,
+        fetched on this PU's first line there, or the hotspot view
+        installed since."""
+        decoded = self._decoded.get(code_address)
+        if decoded is None:
+            decoded = DECODE_CACHE.get(self.code_lookup(code_address))
+            self._decoded[code_address] = decoded
+        return decoded
 
-    def install_code_view(self, code_address: int, view: CodeIndex) -> None:
-        """Replace the decode view (hotspot-optimized instruction stream).
+    def install_code_view(self, code_address: int, view) -> None:
+        """Replace the decoded code with a hotspot view (the optimized
+        instruction stream).
 
-        Lines built from the previous view are dropped: a line whose pcs
+        Lines built from the previous one are dropped: a line whose pcs
         include eliminated instructions would never match an optimized
         trace again and would otherwise pin its slot forever.
         """
-        if self._code_indexes.get(code_address) is view:
+        if self._decoded.get(code_address) is view:
             return
-        self._code_indexes[code_address] = view
+        self._decoded[code_address] = view
         self.db_cache.invalidate_code(code_address)
 
     # -- memory stalls ----------------------------------------------------------
@@ -322,8 +329,9 @@ class PU:
             # Upper-bound mode: every cacheable line is present.
             line = self.db_cache.peek(step.code_address, step.pc)
             if line is None:
-                line = self.code_index(step.code_address).line_at(
-                    step.pc, fill_config
+                line = build_line(
+                    step.code_address, self.code_index(step.code_address),
+                    step.pc, fill_config,
                 )
                 if line is not None and line.cacheable:
                     self.db_cache.insert(line)
@@ -338,7 +346,10 @@ class PU:
             return line, True
         # Miss: fill unit constructs the candidate line.
         return (
-            self.code_index(step.code_address).line_at(step.pc, fill_config),
+            build_line(
+                step.code_address, self.code_index(step.code_address),
+                step.pc, fill_config,
+            ),
             False,
         )
 

@@ -2,7 +2,7 @@
 sequential interpreter with dataflow tracing."""
 
 from . import abi, decoded, opcodes
-from .code import Instruction, decode, valid_jumpdests
+from .code import Instruction
 from .context import BlockContext, CallKind, CallResult, Message
 from .decoded import (
     DECODE_CACHE,
@@ -34,8 +34,6 @@ __all__ = [
     "decoded",
     "opcodes",
     "Instruction",
-    "decode",
-    "valid_jumpdests",
     "DECODE_CACHE",
     "DecodeCache",
     "DecodedProgram",

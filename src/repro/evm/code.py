@@ -1,8 +1,10 @@
-"""Static bytecode utilities: decoding and jump-destination analysis.
+"""The bytecode decoder.
 
-The MTPU fill unit (paper section 3.3.3) consumes *decoded bytecodes*;
-this module is the shared decoder used by the interpreter, the fill unit,
-the disassembler and the hotspot chunker.
+The MTPU fill unit (paper section 3.3.3) consumes *decoded bytecodes*.
+Everything that runs or models a contract reads them off the code's one
+:class:`~repro.evm.decoded.DecodedProgram`, which calls :func:`decode`;
+the only other callers are the static readers that never execute code:
+the disassembler and the Table 6 instruction-mix analysis.
 """
 
 from __future__ import annotations
@@ -60,40 +62,3 @@ def decode(code: bytes) -> list[Instruction]:
         instructions.append(Instruction(pc, info, immediate))
         pc += 1 + info.immediate_size
     return instructions
-
-
-def instruction_at(code: bytes, pc: int) -> Instruction:
-    """Decode the single instruction at *pc*."""
-    invalid = opcodes.BY_NAME["INVALID"]
-    if pc >= len(code):
-        return Instruction(pc, opcodes.BY_NAME["STOP"])
-    info = opcodes.info(code[pc])
-    if info is None:
-        return Instruction(pc, invalid)
-    immediate = None
-    if info.immediate_size:
-        raw = code[pc + 1 : pc + 1 + info.immediate_size]
-        raw = raw + b"\x00" * (info.immediate_size - len(raw))
-        immediate = int.from_bytes(raw, "big")
-    return Instruction(pc, info, immediate)
-
-
-def valid_jumpdests(code: bytes) -> frozenset[int]:
-    """Byte offsets that are legal JUMP/JUMPI targets.
-
-    A target is valid only if it holds a JUMPDEST opcode *outside* any
-    PUSH immediate. Execution reads the set off the code's
-    :class:`~repro.evm.decoded.DecodedProgram`, which the decode cache
-    keeps, so this runs once per cached code blob.
-    """
-    found: set[int] = set()
-    pc = 0
-    length = len(code)
-    infos = opcodes.INFO_BY_BYTE
-    while pc < length:
-        byte = code[pc]
-        if byte == 0x5B:
-            found.add(pc)
-        info = infos[byte]
-        pc += 1 + (info.immediate_size if info is not None else 0)
-    return frozenset(found)

@@ -7,7 +7,9 @@ attribute checks once so that *Execute* runs unchecked (sections
 is the *functional* analogue, and the only place in the tree that says
 what an opcode pops, charges and does. A code blob is decoded, once per
 distinct content, into a :class:`DecodedProgram`: one entry per
-instruction (PUSH immediates pre-extracted) and its ``valid_jumpdests``.
+instruction (PUSH immediates pre-extracted) and its jump destinations,
+read off the same pass. Its ``Instruction`` stream is a second, lazy
+phase for the readers that model the code rather than run it.
 
 Each opcode is stated once: as a *template* (``_TEMPLATES`` — PUSH and
 POP, the :mod:`~repro.evm.alu` word functions, the environment reads,
@@ -75,7 +77,7 @@ from ..crypto import ADDRESS_MASK, keccak256, keccak256_int
 from ..obs import get_registry
 from . import opcodes
 from .alu import _ARITH_FN, _LOGIC_FN
-from .code import decode, valid_jumpdests
+from .code import Instruction, decode
 from .context import CallKind, Message
 from .errors import (
     ExceptionalHalt,
@@ -792,12 +794,24 @@ def _compile_block(program: DecodedProgram, start: int):
 
 
 class DecodedProgram:
-    """One code blob, decoded: an entry per instruction, and the basic
-    blocks compiled from them as execution first enters each."""
+    """One code blob, decoded: the only decoded form of it in the process.
+
+    Built in phases, each for its readers:
+
+    * ``entries`` and ``jumpdests``, eager, from one :func:`decode` pass
+      (:func:`build_program`): what both loops run;
+    * ``blocks``, each compiled the first time :func:`run_program` enters
+      it;
+    * ``instructions`` and ``index_of_pc``, one more pass on first ask:
+      what models the code rather than runs it — :func:`run_observed`'s
+      ``rows``, the MTPU fill unit, the hotspot optimizer's views and the
+      profiler. The trace-free loop never asks, so a served process never
+      holds them.
+    """
 
     __slots__ = (
         "code", "code_hash", "code_len", "entries", "jumpdests", "blocks",
-        "namespace", "rows",
+        "namespace", "rows", "_instructions", "_index_of_pc",
     )
 
     def __init__(self, code, entries, jumpdests):
@@ -807,6 +821,7 @@ class DecodedProgram:
         #: pc -> ``(function, ...)``, the instruction alone: its lone
         #: template or its handler (``None`` inside PUSH immediates).
         self.entries = entries
+        #: pcs of the JUMPDESTs outside PUSH immediates.
         self.jumpdests = jumpdests
         #: entry pc -> compiled block, filled in by :func:`run_program`.
         self.blocks: dict[int, object] = {}
@@ -815,6 +830,24 @@ class DecodedProgram:
         #: pc -> (entry, Instruction, extra function) for
         #: :func:`run_observed`, built on the first observed run.
         self.rows: list[tuple | None] | None = None
+        self._instructions: list[Instruction] | None = None
+        self._index_of_pc: dict[int, int] | None = None
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """The decoded instructions in pc order (decoded on first ask)."""
+        if self._instructions is None:
+            self._instructions = decode(self.code)
+        return self._instructions
+
+    @property
+    def index_of_pc(self) -> dict[int, int]:
+        """pc -> position in :attr:`instructions`."""
+        if self._index_of_pc is None:
+            self._index_of_pc = {
+                ins.pc: i for i, ins in enumerate(self.instructions)
+            }
+        return self._index_of_pc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
@@ -866,9 +899,12 @@ def build_program(code: bytes) -> DecodedProgram:
     """Decode *code* into a :class:`DecodedProgram` (no block compiles
     until the trace-free loop enters it)."""
     entries: list[tuple | None] = [None] * len(code)
+    jumpdests = []
     for ins in decode(code):
         entries[ins.pc] = _entry(ins)
-    return DecodedProgram(code, entries, valid_jumpdests(code))
+        if ins.op.value == 0x5B:
+            jumpdests.append(ins.pc)
+    return DecodedProgram(code, entries, frozenset(jumpdests))
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +990,7 @@ def run_observed(evm, frame, program: DecodedProgram) -> None:
     rows = program.rows
     if rows is None:
         rows = [None] * program.code_len
-        for ins in decode(program.code):
+        for ins in program.instructions:
             rows[ins.pc] = (
                 program.entries[ins.pc], ins, _EXTRA.get(ins.op.value)
             )

@@ -21,11 +21,10 @@ from __future__ import annotations
 import time
 
 from ..chain.dag import build_dag_edges, discover_access_sets
-from ..chain.journal import replay_in_order
+from ..chain.node import walk_in_order
 from ..core.hotspot import HotspotOptimizer
 from ..core.mtpu import MTPUExecutor, PUConfig
 from ..core.scheduler import run_sequential, run_spatial_temporal
-from ..evm.interpreter import EVM
 from ..obs import (
     BlockPerfReport,
     LogicalClock,
@@ -113,9 +112,8 @@ def _counters(result, *names: str) -> dict:
 
 
 def _lane_sequential(state, transactions):
-    evm = EVM(state)
     start = time.perf_counter()
-    receipts = [evm.execute_transaction(tx) for tx in transactions]
+    receipts, _ = walk_in_order(state, transactions, None)
     return time.perf_counter() - start, receipts, {}
 
 
@@ -124,13 +122,10 @@ def _lane_parallel(state, transactions):
     # replays every journal (``replayed == n``). The DAG is the one a node
     # builds for the block (at proposal, or checking another node's); the
     # walk does not read it. This lane is discover + DAG + replay.
-    execute = EVM(state).execute_transaction
     start = time.perf_counter()
     artifacts = discover_access_sets(transactions, state)
     build_dag_edges(transactions, artifacts)
-    receipts, replayed = replay_in_order(
-        state, transactions, artifacts, lambda _, tx: execute(tx)
-    )
+    receipts, replayed = walk_in_order(state, transactions, artifacts)
     return time.perf_counter() - start, receipts, {
         "replayed": replayed, "reexecuted": len(receipts) - replayed,
     }

@@ -4,16 +4,17 @@ import pytest
 
 from repro.contracts.asm import assemble
 from repro.core.mtpu.db_cache import DBCache
-from repro.core.mtpu.fill_unit import CodeIndex
+from repro.core.mtpu.fill_unit import build_line
+from repro.evm.decoded import build_program
 
 
 def make_line(start_pc=0, source="PUSH 1\nPUSH 2\nADD\nSTOP",
               code_address=1):
-    return CodeIndex(code_address, assemble(source)).line_at(start_pc)
+    return build_line(code_address, build_program(assemble(source)), start_pc)
 
 
 def single_line(code_address=1):
-    return CodeIndex(code_address, assemble("STOP")).line_at(0)
+    return build_line(code_address, build_program(assemble("STOP")), 0)
 
 
 class TestLookup:

@@ -2,15 +2,14 @@
 
 from repro.contracts.asm import assemble
 from repro.contracts.registry import compile_suite
-from repro.core.mtpu.fill_unit import (
-    CodeIndex,
-    FillConfig,
-)
+from repro.core.hotspot.optimizer import CodeView
+from repro.core.mtpu.fill_unit import FillConfig, build_line
+from repro.evm.decoded import build_program
 
 
 def line_for(source, start_pc=0, **config_kwargs):
-    index = CodeIndex(0xC0DE, assemble(source))
-    return index.line_at(start_pc, FillConfig(**config_kwargs))
+    program = build_program(assemble(source))
+    return build_line(0xC0DE, program, start_pc, FillConfig(**config_kwargs))
 
 
 class TestTermination:
@@ -49,8 +48,8 @@ class TestTermination:
         assert names.count("SLOAD") == 1
 
     def test_undecodable_start_returns_none(self):
-        index = CodeIndex(0xC0DE, assemble("PUSH2 0x1234"))
-        assert index.line_at(1) is None  # inside the immediate
+        program = build_program(assemble("PUSH2 0x1234"))
+        assert build_line(0xC0DE, program, 1) is None  # inside the immediate
 
     def test_next_pc_recorded(self):
         line = line_for("PUSH 1\nPUSH 2\nADD\nSTOP")
@@ -107,9 +106,8 @@ class TestLineAccounting:
     def test_gas_is_sum_of_constituents(self):
         source = "PUSH 1\nPUSH 2\nADD\nPUSH 0\nMSTORE"
         line = line_for(source)
-        from repro.evm.code import decode
-
-        gas_at = {i.pc: i.op.gas for i in decode(assemble(source))}
+        program = build_program(assemble(source))
+        gas_at = {i.pc: i.op.gas for i in program.instructions}
         assert line.gas_static == sum(gas_at[pc] for pc in line.pcs)
 
     def test_pcs_cover_execution_order(self):
@@ -129,9 +127,9 @@ class TestLineAccounting:
         suite = compile_suite()
         config = FillConfig()
         for artifact in suite.values():
-            index = CodeIndex(1, artifact.bytecode)
-            for instr in index.instructions[:200]:
-                line = index.line_at(instr.pc, config)
+            program = build_program(artifact.bytecode)
+            for instr in program.instructions[:200]:
+                line = build_line(1, program, instr.pc, config)
                 if line is None:
                     continue
                 counts = {}
@@ -144,9 +142,9 @@ class TestLineAccounting:
     def test_at_most_one_forward_per_line(self):
         suite = compile_suite()
         for artifact in suite.values():
-            index = CodeIndex(1, artifact.bytecode)
-            for instr in index.instructions[:200]:
-                line = index.line_at(instr.pc)
+            program = build_program(artifact.bytecode)
+            for instr in program.instructions[:200]:
+                line = build_line(1, program, instr.pc)
                 if line is None:
                     continue
                 forwards = [
@@ -158,24 +156,21 @@ class TestLineAccounting:
         suite = compile_suite()
         branch_names = {"JUMP", "JUMPI"}
         for artifact in suite.values():
-            index = CodeIndex(1, artifact.bytecode)
-            for instr in index.instructions[:200]:
-                line = index.line_at(instr.pc)
+            program = build_program(artifact.bytecode)
+            for instr in program.instructions[:200]:
+                line = build_line(1, program, instr.pc)
                 if line is None:
                     continue
                 for slot in line.slots[:-1]:
                     assert slot.op.primary.op.name not in branch_names
 
     def test_gas_invariant_over_suite(self):
-        from repro.evm.code import decode
-
         suite = compile_suite()
         for artifact in list(suite.values())[:4]:
-            instructions = decode(artifact.bytecode)
-            gas_at = {i.pc: i.op.gas for i in instructions}
-            index = CodeIndex(1, artifact.bytecode)
-            for instr in instructions[:150]:
-                line = index.line_at(instr.pc)
+            program = build_program(artifact.bytecode)
+            gas_at = {i.pc: i.op.gas for i in program.instructions}
+            for instr in program.instructions[:150]:
+                line = build_line(1, program, instr.pc)
                 if line is None:
                     continue
                 assert line.gas_static == sum(
@@ -185,13 +180,12 @@ class TestLineAccounting:
 
 class TestOptimizedViews:
     def test_from_instructions_filters(self):
-        from repro.evm.code import decode
-
-        code = assemble("PUSH 1\nPUSH 2\nADD\nSTOP")
-        instructions = decode(code)
-        filtered = [i for i in instructions if i.op.name != "PUSH1"]
-        view = CodeIndex.from_instructions(7, filtered)
-        assert 0 not in view.index_of_pc
-        line = view.line_at(4)  # the ADD
+        program = build_program(assemble("PUSH 1\nPUSH 2\nADD\nSTOP"))
+        filtered = [i for i in program.instructions if i.op.name != "PUSH1"]
+        view = CodeView(
+            filtered, {i.pc: n for n, i in enumerate(filtered)}
+        )
+        assert build_line(7, view, 0) is None  # eliminated
+        line = build_line(7, view, 4)  # the ADD
         assert line is not None
         assert line.pcs[0] == 4

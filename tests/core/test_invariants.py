@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.hotspot import HotspotOptimizer
 from repro.core.mtpu import MTPUExecutor, PUConfig
-from repro.core.mtpu.fill_unit import CodeIndex
+from repro.core.mtpu.fill_unit import FillConfig, build_line
 from repro.core.scheduler import run_spatial_temporal
 from repro.evm import EVM, Tracer
+from repro.evm.decoded import build_program
 from repro.workload import all_entry_function_calls, generate_block
 
 
@@ -76,14 +77,13 @@ class TestFillUnitFuzz:
     @given(st.binary(min_size=1, max_size=150), st.integers(0, 2**31))
     def test_lines_over_random_bytecode(self, code, seed):
         """Line invariants hold for arbitrary byte soup."""
-        code = bytes(code)
-        index = CodeIndex(1, code)
+        program = build_program(bytes(code))
         rng = random.Random(seed)
-        candidates = [i.pc for i in index.instructions]
+        candidates = [i.pc for i in program.instructions]
         if not candidates:
             return
         for pc in rng.sample(candidates, min(8, len(candidates))):
-            line = index.line_at(pc)
+            line = build_line(1, program, pc)
             if line is None:
                 continue
             pcs = line.pcs
@@ -95,7 +95,7 @@ class TestFillUnitFuzz:
             assert line.next_pc > pcs[-1]
             # Gas is the sum over covered instructions.
             gas_at = {
-                i.pc: i.op.gas for i in index.instructions
+                i.pc: i.op.gas for i in program.instructions
             }
             assert line.gas_static == sum(gas_at[p] for p in pcs)
             # Issue count never exceeds original count.
@@ -106,14 +106,12 @@ class TestFillUnitFuzz:
     def test_folding_toggle_preserves_coverage(self, code):
         """With and without folding, a line covers a prefix of the same
         instruction stream (folding may only extend/pack it)."""
-        from repro.core.mtpu.fill_unit import FillConfig
-
-        index = CodeIndex(1, bytes(code))
-        if not index.instructions:
+        program = build_program(bytes(code))
+        if not program.instructions:
             return
-        pc = index.instructions[0].pc
-        folded = index.line_at(pc, FillConfig(folding=True))
-        unfolded = index.line_at(pc, FillConfig(folding=False))
+        pc = program.instructions[0].pc
+        folded = build_line(1, program, pc, FillConfig(folding=True))
+        unfolded = build_line(1, program, pc, FillConfig(folding=False))
         if folded is None or unfolded is None:
             return
         shorter = min(len(folded.pcs), len(unfolded.pcs))

@@ -20,7 +20,6 @@ import pytest
 from repro.chain import Transaction, WorldState
 from repro.contracts.asm import assemble
 from repro.evm import EVM, Tracer, opcodes
-from repro.evm.code import decode, valid_jumpdests
 from repro.evm.decoded import DECODE_CACHE, DecodeCache
 from repro.evm.opcodes import OPCODES
 from repro.obs import use_registry
@@ -79,7 +78,7 @@ class TestFolding:
         source = "PUSH @target\nJUMP\ntarget:\nSTOP"
         receipt, program = _run_source(source)
         assert receipt.success
-        (target,) = valid_jumpdests(assemble(source))
+        (target,) = program.jumpdests
         assert sorted(program.blocks) == [0, target]
 
     def test_push_jump_to_invalid_target_still_fuses(self):
@@ -91,7 +90,7 @@ class TestFolding:
         source = "PUSH 1\nPUSH @target\nJUMPI\nSTOP\ntarget:\nSTOP"
         receipt, program = _run_source(source)
         assert receipt.success
-        target = max(valid_jumpdests(assemble(source)))
+        target = max(program.jumpdests)
         assert sorted(program.blocks) == [0, target]
 
     def test_push_binop_fuses(self):
@@ -120,7 +119,7 @@ class TestFolding:
     def test_interior_pcs_have_no_entries(self):
         code = assemble("PUSH 2\nPUSH 3\nADD\nSTOP")
         program = DECODE_CACHE.get(code)
-        instruction_pcs = {ins.pc for ins in decode(code)}
+        instruction_pcs = {ins.pc for ins in program.instructions}
         for pc, entry in enumerate(program.entries):
             # An entry per instruction; none inside an immediate.
             assert (entry is not None) == (pc in instruction_pcs)
@@ -133,7 +132,7 @@ class TestFolding:
         source = "PUSH 2\ntarget:\nPUSH 3\nADD\nPUSH @target\nJUMP"
         receipt, program = _run_source(source)
         assert receipt.error == "OutOfGas"
-        assert sorted(program.blocks) == [0, *valid_jumpdests(assemble(source))]
+        assert sorted(program.blocks) == [0, *program.jumpdests]
 
 
 class TestBlocks:
