@@ -77,29 +77,6 @@ class WriteJournal:
                 else:  # pragma: no cover - defensive
                     raise RuntimeError(f"unknown write op {kind!r}")
 
-    def post_values(self) -> dict[tuple, object]:
-        """Key -> absolute post-value map (delta/delete ops excluded).
-
-        This is what ``occ`` records in its multi-version store to build
-        read views for dependent transactions.
-        """
-        values: dict[tuple, object] = {}
-        for op in self.ops:
-            kind = op[0]
-            if kind == "storage":
-                values[(op[1], op[2])] = op[3]
-            elif kind == "balance":
-                values[(op[1], BALANCE_KEY)] = op[2]
-            elif kind == "nonce":
-                values[(op[1], NONCE_KEY)] = op[2]
-            elif kind == "code":
-                values[(op[1], CODE_KEY)] = op[2]
-        return values
-
-    @property
-    def has_delete(self) -> bool:
-        return any(op[0] == "delete" for op in self.ops)
-
 
 @dataclass
 class ExecutionArtifact:

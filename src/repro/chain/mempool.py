@@ -311,29 +311,13 @@ class Mempool:
         entry = self._pool.get(tx.hash())
         return entry is not None and entry.heard_at < time
 
-    def take(
-        self, count: int, gas_target: int | None = None
-    ) -> list[Transaction]:
-        """Remove and return up to *count* transactions, oldest first.
-
-        With *gas_target*, stop before the transaction whose gas limit
-        would push the cumulative total past the target — except that the
-        very first transaction is always taken (a single over-budget
-        transaction must not wedge block building forever).
-        """
+    def take(self, count: int) -> list[Transaction]:
+        """Remove and return up to *count* transactions, oldest first."""
         cut: list[_PoolEntry] = []
-        gas = 0
         for entry in self._ordered().values():
             if len(cut) >= count:
                 break
-            if (
-                gas_target is not None
-                and cut
-                and gas + entry.tx.gas_limit > gas_target
-            ):
-                break
             cut.append(entry)
-            gas += entry.tx.gas_limit
         for entry in cut:
             self._forget(entry.tx.hash())
         self._last_cut = cut
@@ -421,7 +405,7 @@ class Mempool:
         strictly shrinks each cut: inclusion within (rank + 1) cuts is
         structural, the aging bound just tightens it.
 
-        Gas accounting matches :meth:`take`: the scan stops before the
+        Gas is promised gas (the limits): the scan stops before the
         transaction that would exceed *gas_target* (first always fits).
         The scan looks at most 8× *count* transactions deep for fill.
         """

@@ -242,7 +242,6 @@ class Node:
         gas_target: int | None = None,
         packing: str = "fifo",
         packing_policy=None,
-        executor: str = "sequential",
     ) -> list[Transaction] | PackedTake:
         """Take the next block's candidates out of the pool: the one
         statement of the cut, for :meth:`propose_block` and for the
@@ -250,10 +249,9 @@ class Node:
         worker thread. Reads the pool and its blooms only, never the
         state.
 
-        ``fifo``: :meth:`Mempool.take` — the oldest, by count; promised
-        gas (the limits) bounds the cut only when *executor* measures
-        nothing before it runs, since a pre-executing proposal fills by
-        gas *used* and puts the rest back. ``conflict_aware``:
+        ``fifo``: :meth:`Mempool.take` — the oldest, by count; the
+        proposal measures them and fills by gas *used*, putting the rest
+        back. ``conflict_aware``:
         :meth:`Mempool.take_packed` under *packing_policy*, always
         bounded by promised gas (its lanes index the cut, so it is never
         shortened); the :class:`PackedTake` keeps the lanes for
@@ -266,12 +264,7 @@ class Node:
             )
         if packing != "fifo":
             raise ValueError(f"unknown packing {packing!r}")
-        return self.mempool.take(
-            max_transactions,
-            gas_target=(
-                None if _engine(executor).preexecutes else gas_target
-            ),
-        )
+        return self.mempool.take(max_transactions)
 
     def propose_block(
         self,
@@ -296,10 +289,10 @@ class Node:
         the cut (the serve loop cuts on the event loop and proposes on a
         worker thread); the target applies all the same.
 
-        Where nothing is measured before the cut the senders' promise
-        stands in (:meth:`cut` states when). A receipt never uses more
-        than its limit, so that bound implies the measured one and such
-        a cut is never shortened (its lanes stay valid).
+        A conflict-aware cut is bounded by the senders' promise (their
+        limits) instead. A receipt never uses more than its limit, so
+        that bound implies the measured one and such a cut is never
+        shortened (its lanes stay valid).
 
         ``packing="conflict_aware"`` spreads mutually conflicting
         transactions across blocks (and groups them into parallel lanes
@@ -315,39 +308,32 @@ class Node:
 
         *executor* names the engine (:data:`ENGINES`) the block is
         proposed for. One that replays traces (``mtpu``) gets a traced
-        discovery. One that does not pre-execute (``occ``) skips
-        discovery entirely: the block carries no DAG and no artifacts,
-        and the speculative engine finds conflicts at run time — the
-        path for dynamic-storage-key workloads whose access sets cannot
-        be declared or discovered ahead of reordering.
+        discovery.
         """
         engine = _engine(executor)  # before the pool moves
         cut = transactions if transactions is not None else self.cut(
-            max_transactions, gas_target, packing, packing_policy, executor
+            max_transactions, gas_target, packing, packing_policy
         )
         packed = cut if isinstance(cut, PackedTake) else None
         txs = cut if packed is None else packed.transactions
         header = self._proposal_header()
         context = self.block_context(header)
         registry = get_registry()
-        if not engine.preexecutes:
-            artifacts, edges = None, []
-        else:
-            artifacts = discover_access_sets(
-                txs, self.state, context, trace=engine.traced,
-                gas_target=gas_target,
+        artifacts = discover_access_sets(
+            txs, self.state, context, trace=engine.traced,
+            gas_target=gas_target,
+        )
+        if len(artifacts) < len(txs):
+            assert packed is None, "a packed cut is never shortened"
+            self.mempool.put_back(txs[len(artifacts):])
+            txs = txs[:len(artifacts)]
+        edges = transitive_reduction(
+            len(txs), build_dag_edges(txs, artifacts)
+        )
+        if registry.enabled:
+            registry.histogram("block.gas_used").observe(
+                sum(artifact.receipt.gas_used for artifact in artifacts)
             )
-            if len(artifacts) < len(txs):
-                assert packed is None, "a packed cut is never shortened"
-                self.mempool.put_back(txs[len(artifacts):])
-                txs = txs[:len(artifacts)]
-            edges = transitive_reduction(
-                len(txs), build_dag_edges(txs, artifacts)
-            )
-            if registry.enabled:
-                registry.histogram("block.gas_used").observe(
-                    sum(artifact.receipt.gas_used for artifact in artifacts)
-                )
         block = Block(
             header=header,
             transactions=txs,
@@ -554,9 +540,6 @@ class Engine(NamedTuple):
     #: took the snapshot owns it) and never catches in order to fall
     #: back — its own convergence path is part of it.
     run: Callable[..., list[Receipt]]
-    #: False: blocks are proposed for it without discovery — no
-    #: artifacts, no DAG, nothing measured before the cut.
-    preexecutes: bool = True
     #: True: it replays the dataflow trace, so discovery records one.
     traced: bool = False
 
@@ -638,8 +621,8 @@ def _run_parallel(node, block, context, num_workers, fault_injector):
     return _walk(node, block, context, artifacts)
 
 
-# The other engines live in packages that import this one, so they are
-# imported when first run.
+# ``mtpu`` lives in a package that imports this one, so it is imported
+# when first run.
 def _run_mtpu(node, block, context, num_workers, fault_injector):
     """The paper's verifying node: the idle slice's hotspot loop, then
     the block on *num_workers* PUs under the spatio-temporal schedule,
@@ -670,27 +653,15 @@ def _run_mtpu(node, block, context, num_workers, fault_injector):
     return schedule.receipts_in_block_order(block.transactions)
 
 
-def _run_occ(node, block, context, num_workers, fault_injector):
-    from ..parallel import SpeculativeBlockExecutor
-
-    return SpeculativeBlockExecutor(node.state, context).execute_block(
-        block.transactions
-    ).receipts
-
-
 #: The only place engines are named. ``sequential``: the EVM in block
 #: order, replaying this node's own proposal; ``mtpu``: the
 #: spatio-temporal schedule on the MTPU simulator with the hotspot loop;
 #: ``parallel``: the same in-order walk, replaying what it discovers
-#: itself on anyone else's block, whose DAG it checks;
-#: ``occ``: Block-STM speculation (:mod:`repro.parallel`) — conflicts
-#: found by read-set validation, so dynamic-storage-key contracts run
-#: undeclared.
+#: itself on anyone else's block, whose DAG it checks.
 ENGINES = {
     "sequential": Engine(_run_sequential),
     "mtpu": Engine(_run_mtpu, traced=True),
     "parallel": Engine(_run_parallel),
-    "occ": Engine(_run_occ, preexecutes=False),
 }
 EXECUTORS = tuple(ENGINES)
 

@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--wall-clock", action="store_true",
         help=(
             "also time the block on every wall-clock lane — one EVM "
-            "pass (the sequential engine: the baseline), parallel "
-            "(discover + DAG + replay) and occ, as a node runs them — "
+            "pass (the sequential engine: the baseline) and parallel "
+            "(discover + DAG + replay), as a node runs them — "
             "receipts and state digest held to the baseline's, each "
             "lane's tx/s and ratio to sequential printed"
         ),
@@ -122,9 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor", choices=EXECUTORS, default="sequential",
-        help="block execution backend (default: sequential); occ is "
-             "speculative Block-STM execution with no access-set "
-             "discovery — dynamic-storage-key contracts run undeclared",
+        help="block execution backend (default: sequential)",
     )
     serve.add_argument(
         "--workers", type=int, default=4,

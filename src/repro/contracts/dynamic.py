@@ -3,8 +3,8 @@
 Every contract here derives its hot storage slots from *runtime* values —
 token addresses picked per call, loop counters, delegatecalled layouts —
 so no submitter can attach a truthful access-set declaration and the
-conflict-aware packer sees them as opaque. They exist to exercise the
-speculative (Block-STM) executor, which needs no declarations at all:
+conflict-aware packer sees them as opaque. Only executing them finds
+their keys — the proposer's pre-execution, or a follower's discovery:
 
 * :func:`make_path_router` — a multi-hop AMM router whose reserve slots
   depend on the ``(tokenIn, tokenOut)`` pair of *each hop* of a

@@ -41,8 +41,8 @@ WETH = 0x1009
 BALLOT = 0x100A
 CRYPTOCAT = 0x100B
 #: Dynamic-storage-key archetypes (repro.contracts.dynamic): their hot
-#: slots are calldata-derived, so they run undeclared — the speculative
-#: (OCC) executor's workloads.
+#: slots are calldata-derived, so no declared access set covers them;
+#: pre-execution discovers them.
 PATH_ROUTER = 0x100C
 AIRDROP = 0x100D
 ROUTER_PROXY = 0x100E
@@ -275,7 +275,7 @@ def _seed_genesis(d: Deployment) -> None:
 
     # Token balances and allowances. The dynamic-archetype spenders
     # (path router, its proxy, the airdrop distributor) get the same
-    # pre-approval so undeclared OCC workloads execute successfully.
+    # pre-approval so the dynamic workloads execute successfully.
     spenders = (UNISWAP_ROUTER, SWAP_ROUTER, GATEWAY_PROXY,
                 PATH_ROUTER, ROUTER_PROXY, AIRDROP)
     for token in ("TetherToken", "Dai", "LinkToken", "FiatTokenProxy",

@@ -32,7 +32,6 @@ from ..obs import (
     use_registry,
     use_tracing,
 )
-from ..parallel import SpeculativeBlockExecutor
 from ..workload import all_entry_function_calls
 from ..workload.generator import INDEPENDENT_TOKENS, generate_dependency_block
 
@@ -107,10 +106,6 @@ def measure_block(
     return report
 
 
-def _counters(result, *names: str) -> dict:
-    return {name: getattr(result, name) for name in names}
-
-
 def _lane_sequential(state, transactions):
     start = time.perf_counter()
     receipts, _ = walk_in_order(state, transactions, None)
@@ -131,28 +126,17 @@ def _lane_parallel(state, transactions):
     }
 
 
-def _lane_occ(state, transactions):
-    executor = SpeculativeBlockExecutor(state)
-    start = time.perf_counter()
-    result = executor.execute_block(transactions)
-    return time.perf_counter() - start, result.receipts, _counters(
-        result, "executions", "aborts", "validations", "retries",
-        "rounds", "fell_back",
-    )
-
-
 #: The lane every ratio is to, and the reference every lane must match.
 BASELINE = "sequential"
 #: name -> ``lane(state, transactions)`` -> (seconds of the timed
 #: region, receipts in block order, engine counters), the block's
 #: effects applied to *state*. ``sequential`` is what
 #: ``ENGINES["sequential"]`` does to a block it holds no artifacts for:
-#: one EVM pass, no discovery, no DAG. ``parallel`` and ``occ`` are the
-#: engines as a node runs them.
+#: one EVM pass, no discovery, no DAG. ``parallel`` is the engine as a
+#: node runs it.
 LANES = {
     BASELINE: _lane_sequential,
     "parallel": _lane_parallel,
-    "occ": _lane_occ,
 }
 
 

@@ -285,7 +285,7 @@ class BlockBuilder:
         # safe here on the event loop without the lock.
         cut = self.node.cut(
             config.block_size_target, config.gas_target, config.packing,
-            self.packing_policy, config.executor,
+            self.packing_policy,
         )
         txs = cut.transactions if isinstance(cut, PackedTake) else cut
         if not txs:

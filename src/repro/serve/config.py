@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chain.node import EXECUTORS
+from ..chain.node import _engine
 
 
 @dataclass
@@ -41,9 +41,9 @@ class ServeConfig:
     block_size_target: int = 128
     #: Cumulative gas a block may use, at most the header's gas limit
     #: (None: off). Pending gas *limits* reaching it close the batching
-    #: window; the gas the block's transactions *used* fills it. Cuts
-    #: that are not pre-executed (the ``occ`` engine) or that fix their
-    #: lanes at the cut (``packing="conflict_aware"``) stay on limits.
+    #: window; the gas the block's transactions *used* fills it. A cut
+    #: that fixes its lanes at the cut (``packing="conflict_aware"``)
+    #: stays on limits.
     gas_target: int | None = 30_000_000
     #: Cut a block this long after the first pending transaction arrived.
     block_interval_ms: float = 50.0
@@ -122,8 +122,7 @@ class ServeConfig:
     packing_aging_bound: int = 8
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}")
+        _engine(self.executor)  # refuses an unknown name, naming the rest
         if self.packing not in ("fifo", "conflict_aware"):
             raise ValueError(f"unknown packing {self.packing!r}")
         if (

@@ -302,8 +302,8 @@ def make_transactions(
     library = ActionLibrary(deployment, rng)
     if workload == "dynamic":
         # Dynamic-storage-key traffic (path swaps, delegatecall proxy
-        # swaps, batch airdrops): no declarable access sets — pair with
-        # ``--executor occ``, which needs none.
+        # swaps, batch airdrops): no declarable access sets — the
+        # proposer's pre-execution discovers them.
         dynamic_names = ["AirdropDistributor", "AirdropDistributor",
                          "PathRouter", "RouterProxy"]
         for i in range(count):

@@ -212,18 +212,15 @@ def generate_dynamic_block(
     seed: int = 0,
     swap_fraction: float = 0.15,
     proxy_fraction: float = 0.10,
-    declare: bool = False,
 ) -> GeneratedBlock:
     """Block of dynamic-storage-key traffic with *no declared access sets*.
 
     Every transaction's hot slots are calldata-derived (multi-hop path
     swaps, delegatecall proxy swaps, batch airdrops to computed
     recipient runs — see :mod:`repro.contracts.dynamic`), so the
-    declared-set pipeline sees them as opaque. By default the returned
-    block carries **empty** ``access_sets``/``dag_edges`` — the shape
-    the speculative (OCC) executor consumes; ``declare=True`` runs the
-    usual discovery pass instead, for head-to-head comparisons against
-    the engines that discover access sets.
+    declared-set pipeline sees them as opaque. The returned block
+    carries **empty** ``access_sets``/``dag_edges``, as any follower
+    receives it: the engine that runs it discovers them.
 
     Senders are assigned round-robin over distinct accounts, and
     airdrops dominate the default mix, so the workload's *actual*
@@ -251,8 +248,6 @@ def generate_dynamic_block(
             contract = "AirdropDistributor"
         call = library.plan(contract, sender=sender)
         transactions.append(planned_call_to_transaction(deployment, call))
-    if declare:
-        return _finalize(deployment, transactions)
     return GeneratedBlock(deployment=deployment, transactions=transactions)
 
 

@@ -250,7 +250,9 @@ def test_a_target_with_code_takes_the_interpreter():
     assert flat["evm.tx_executions"] == 3
     before, deploy, after = artifacts
     assert deploy.receipt.contract_address == LATE_CODE
-    assert not before.journal.post_values().keys() & {(LATE_CODE, 0)}
+    assert ("storage", LATE_CODE, 0) not in {
+        op[:3] for op in before.journal.ops
+    }
     assert (LATE_CODE, 0) in after.writes  # the deployed code ran
     assert not state.has_code(LATE_CODE)  # discovery reverted the deploy
 

@@ -25,6 +25,7 @@ from repro.chain.node import EXECUTORS, Node
 from repro.chain.receipt import receipts_root
 from repro.faults import DegradationReport
 from repro.obs import use_registry
+from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_transactions
 from repro.storage import StorageConfig, attach, codec, recover, snapshot
 from repro.storage.wal import unframe_record
@@ -97,13 +98,14 @@ def test_every_engine_commits_what_the_evm_computes(
 def test_an_unknown_engine_is_refused_by_name(deployment):
     node = Node(state=deployment.state.copy())
     block = node.propose_block()
-    for call in (
-        lambda: node.execute_block(block, executor="threads"),
-        lambda: node.propose_block(executor="threads"),
+    for unknown, call in (
+        ("threads", lambda: node.execute_block(block, executor="threads")),
+        ("threads", lambda: node.propose_block(executor="threads")),
+        ("occ", lambda: ServeConfig(executor="occ")),
     ):
         with pytest.raises(ValueError) as refused:
             call()
-        assert "threads" in str(refused.value)
+        assert unknown in str(refused.value)
         assert all(name in str(refused.value) for name in EXECUTORS)
     assert node.chain == []
 

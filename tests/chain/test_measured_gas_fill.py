@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.chain import Transaction
 from repro.chain.dag import discover_access_sets
-from repro.chain.node import Node
+from repro.chain.node import EXECUTORS, Node
 from repro.evm.interpreter import EVM
 from repro.obs import use_registry
 from repro.serve.loadgen import make_transactions
@@ -150,19 +150,22 @@ def test_a_filled_chain_replays_to_the_same_sealed_roots(
 
 def test_calls_fill_a_block_their_promises_would_not(deployment):
     """40 TOP8 calls promise 200M gas and use about 2M: one block under
-    the default target, where the promised bound cut seven."""
+    the default target, where the promised bound cut seven — for every
+    engine, since every proposal is measured before it is filled."""
     calls = make_transactions(deployment, 40, workload="erc20", seed=3)
-    node = Node(state=deployment.state.copy())
-    for tx in calls:
-        node.hear(tx)
-    with use_registry() as registry:
-        block = node.propose_block(max_transactions=128,
-                                   gas_target=30_000_000)
-    assert block.transactions == calls and len(node.mempool) == 0
-    assert "mempool.returned" not in registry.counters_flat()
-    assert registry.histogram("block.gas_used").values == [
-        sum(artifact.receipt.gas_used for artifact in block.artifacts)
-    ]
+    for executor in EXECUTORS:
+        node = Node(state=deployment.state.copy())
+        for tx in calls:
+            node.hear(tx)
+        with use_registry() as registry:
+            block = node.propose_block(max_transactions=128,
+                                       gas_target=30_000_000,
+                                       executor=executor)
+        assert block.transactions == calls and len(node.mempool) == 0, executor
+        assert "mempool.returned" not in registry.counters_flat(), executor
+        assert registry.histogram("block.gas_used").values == [
+            sum(artifact.receipt.gas_used for artifact in block.artifacts)
+        ], executor
 
 
 def test_returned_candidates_are_counted_not_readmitted(deployment):
@@ -216,16 +219,10 @@ def test_a_returned_tail_precedes_everything_admitted_since():
 
 
 def test_unmeasured_cuts_stay_on_promised_gas(deployment):
-    """occ proposes without pre-executing and a packed cut fixes its
-    lanes at the cut: both stop on the sum of gas limits, which implies
-    the measured bound — a packed cut is never shortened."""
+    """A packed cut fixes its lanes at the cut: it stops on the sum of
+    gas limits, which implies the measured bound — a packed cut is never
+    shortened."""
     calls = make_transactions(deployment, 12, workload="erc20", seed=3)
-
-    node = Node(state=deployment.state.copy())
-    for tx in calls:
-        node.hear(tx)
-    block = node.propose_block(gas_target=12_000_000, executor="occ")
-    assert block.transactions == calls[:2] and block.artifacts is None
 
     node = Node(state=deployment.state.copy())
     for tx in calls:

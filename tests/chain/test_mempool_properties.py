@@ -135,32 +135,6 @@ def test_known_before_under_interleaved_hear_and_propose(ops):
                 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    gas_limits=st.lists(
-        st.integers(21_000, 200_000), min_size=1, max_size=20
-    ),
-    gas_target=st.integers(21_000, 500_000),
-    count=st.integers(1, 20),
-)
-def test_take_respects_gas_target(gas_limits, gas_target, count):
-    pool = Mempool()
-    for nonce, gas_limit in enumerate(gas_limits):
-        pool.add(tx(nonce=nonce, gas_limit=gas_limit))
-    taken = pool.take(count, gas_target=gas_target)
-    # Always at least one (a single over-budget tx must not wedge), in
-    # FIFO order, and never past the target beyond the first.
-    assert [t.nonce for t in taken] == list(range(len(taken)))
-    assert 1 <= len(taken) <= count
-    total = sum(t.gas_limit for t in taken)
-    if len(taken) > 1:
-        assert total <= gas_target
-    # Maximality: the next pending tx would not also have fit.
-    leftover = pool.pending()
-    if leftover and len(taken) < count:
-        assert total + leftover[0].gas_limit > gas_target
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     capacity=st.one_of(st.none(), st.integers(1, 6)),
@@ -185,7 +159,7 @@ def test_pending_gas_tracks_the_pool(capacity, ops):
             pool.add(tx(sender=nonce % 3, nonce=nonce,
                         gas_limit=gas_limit))
         elif op == "take":
-            pool.take(2, gas_target=gas_limit)
+            pool.take(2)
         elif op == "take_packed":
             pool.take_packed(2, gas_target=gas_limit)
         elif op == "put_back":

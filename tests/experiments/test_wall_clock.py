@@ -70,23 +70,25 @@ def test_the_parallel_lane_replays_and_dispatches_nothing(block):
 
 
 def test_a_lane_that_diverges_is_named(block, monkeypatch):
-    honest = LANES["occ"]
+    honest = LANES["parallel"]
 
     def sabotaged(state, transactions):
         out = honest(state, transactions)
         state.set_balance(0xDEAD, 1)
         return out
 
-    monkeypatch.setitem(perf.LANES, "occ", sabotaged)
-    with pytest.raises(AssertionError, match="lane 'occ': state digest"):
+    monkeypatch.setitem(perf.LANES, "parallel", sabotaged)
+    with pytest.raises(
+        AssertionError, match="lane 'parallel': state digest"
+    ):
         measure_engines(block, repeats=1)
 
     def wrong_receipts(state, transactions):
         seconds, receipts, counters = honest(state, transactions)
         return seconds, receipts[:-1], counters
 
-    monkeypatch.setitem(perf.LANES, "occ", wrong_receipts)
-    with pytest.raises(AssertionError, match="lane 'occ': receipts"):
+    monkeypatch.setitem(perf.LANES, "parallel", wrong_receipts)
+    with pytest.raises(AssertionError, match="lane 'parallel': receipts"):
         measure_engines(block, repeats=1)
 
 

@@ -25,10 +25,8 @@ import random
 import pytest
 
 from repro.chain.node import Node
-from repro.evm.context import BlockContext
 from repro.evm.decoded import DECODE_CACHE
 from repro.obs import LogicalClock, SpanTracer, use_registry, use_tracing
-from repro.parallel import SpeculativeBlockExecutor
 from repro.workload import ActionLibrary
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "erc20_block.json"
@@ -54,21 +52,16 @@ def run_erc20_block(deployment) -> dict:
             node.hear(library.to_transaction(library.plan(contract)))
         block = node.propose_block(executor="mtpu")
         node.execute_block(block, executor="mtpu", num_workers=NUM_PUS)
-        # Speculative (OCC) lane: the same deterministic library drives
-        # a small block through the Block-STM-shaped engine so the
-        # speculate.* counters are pinned by the fixture too.
-        occ_state = deployment.state.copy()
-        occ_txs = [
-            library.to_transaction(
-                library.plan(("Dai", "TetherToken")[i % 2])
-            )
-            for i in range(NUM_TRANSACTIONS)
-        ]
-        occ_result = SpeculativeBlockExecutor(
-            occ_state, block=BlockContext(height=1)
-        ).execute_block(occ_txs)
+        # Trace-free lane: the same deterministic library drives a
+        # second block through the default engine on a node that keeps
+        # no trie, so the fast-path evm.* counters are pinned too.
+        fast = Node(state=deployment.state.copy(), merkleize=False)
+        for i in range(NUM_TRANSACTIONS):
+            contract = ("Dai", "TetherToken")[i % 2]
+            fast.hear(library.to_transaction(library.plan(contract)))
+        fast_receipts = fast.execute_block(fast.propose_block())
     assert node.chain == [block]
-    assert len(occ_result.receipts) == NUM_TRANSACTIONS
+    assert len(fast_receipts) == NUM_TRANSACTIONS
     return {
         "config": {
             "transactions": NUM_TRANSACTIONS,
@@ -96,20 +89,6 @@ def test_erc20_block_matches_golden_trace(deployment, request):
     assert payload["counters"] == golden["counters"]
     assert payload["spans"] == golden["spans"]
     assert payload["config"] == golden["config"]
-
-
-def test_speculation_is_metered(deployment):
-    """The OCC lane publishes its cost accounting: executions cover the
-    block, and every validation/abort/retry series is present."""
-    counters = run_erc20_block(deployment)["counters"]
-    assert counters["speculate.executions"] >= NUM_TRANSACTIONS
-    assert counters["speculate.validations"] >= NUM_TRANSACTIONS
-    assert counters["speculate.executions"] == (
-        NUM_TRANSACTIONS + counters["speculate.aborts"]
-    )
-    for name in ("speculate.aborts", "speculate.retries",
-                 "speculate.deferrals"):
-        assert name in counters
 
 
 def test_merkleization_is_metered(deployment):

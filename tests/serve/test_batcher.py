@@ -204,15 +204,11 @@ def test_failed_block_fails_its_own_futures_not_the_returned_tail(
     assert builder.depth == 0
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(executor="occ"),
-    dict(packing="conflict_aware"),
-])
-def test_unmeasured_cuts_stay_on_promised_gas(deployment, overrides):
-    """occ proposes without pre-executing, and a packed cut's lanes index
-    the cut: both stop on the sum of gas limits (two 50k transfers per
-    100k, where measured gas would fit three), and the proposal never
-    returns anything — a packed cut is never shortened."""
+def test_unmeasured_cuts_stay_on_promised_gas(deployment):
+    """A packed cut's lanes index the cut: it stops on the sum of gas
+    limits (two 50k transfers per 100k, where measured gas would fit
+    three), and the proposal never returns anything — a packed cut is
+    never shortened."""
     from repro.obs import use_registry
 
     txs = make_transactions(deployment, 6)
@@ -220,7 +216,7 @@ def test_unmeasured_cuts_stay_on_promised_gas(deployment, overrides):
     async def run():
         builder = build(
             deployment, block_size_target=100, gas_target=100_000,
-            **overrides,
+            packing="conflict_aware",
         )
         builder.start()
         futures = [builder.submit(tx) for tx in txs]
@@ -233,11 +229,10 @@ def test_unmeasured_cuts_stay_on_promised_gas(deployment, overrides):
     chain = builder.node.chain
     assert [len(block.transactions) for block in chain] == [2, 2, 2]
     assert "mempool.returned" not in registry.counters_flat()
-    if "packing" in overrides:
-        assert all(
-            sorted(i for lane in block.packed_lanes for i in lane) == [0, 1]
-            for block in chain
-        )
+    assert all(
+        sorted(i for lane in block.packed_lanes for i in lane) == [0, 1]
+        for block in chain
+    )
 
 
 @pytest.mark.parametrize("gas_target", [0, -1, 30_000_001])

@@ -1,10 +1,9 @@
 """Dynamic-storage-key workloads: the blocks declared access sets miss.
 
-The speculative (OCC) executor exists for transactions whose storage
-keys derive from *calldata* — a path router whose reserve slots depend
-on which token pair the caller names, a batch airdrop whose recipient
-loop count rides in an argument, and a delegatecall proxy whose hot
-path lands in proxy-local storage. These tests pin three facts the
+These are transactions whose storage keys derive from *calldata* — a
+path router whose reserve slots depend on which token pair the caller
+names, a batch airdrop whose recipient loop count rides in an argument,
+and a delegatecall proxy whose hot path lands in proxy-local storage. These tests pin three facts the
 benchmark leans on: the contracts execute successfully, their access
 sets genuinely vary with calldata (so no static declaration covers
 them), and :func:`generate_dynamic_block` emits the blocks *without*
@@ -168,12 +167,6 @@ class TestGenerateDynamicBlock:
         targets = {tx.to for tx in block.transactions}
         assert targets <= {PATH_ROUTER, AIRDROP, ROUTER_PROXY}
         assert AIRDROP in targets  # the majority archetype
-
-    def test_declared_variant_still_finalizes(self):
-        block = generate_dynamic_block(
-            num_transactions=12, seed=4, declare=True
-        )
-        assert len(block.access_sets) == 12
 
 
 def test_loadgen_dynamic_workload_round_trips():
