@@ -4,8 +4,8 @@
 graph (DAG), which is discovered by nodes in the consensus stage through
 concurrency control or software transaction memory."
 
-We discover the DAG the way a consensus-stage node can: speculatively
-execute the candidate batch once (on a throwaway copy of the state) while
+We discover the DAG the way a consensus-stage node can: execute the
+candidate batch once, in place — that execution is the block's — while
 recording read/write sets, then draw an edge i → j (i before j in block
 order) whenever the two access sets conflict or the transactions share a
 sender (nonce ordering).
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import get_registry
-from .journal import ExecutionArtifact, execute_captured
+from .journal import ExecutionArtifact, execute_captured, execute_tracked
 from .state import WorldState
 from .transaction import Transaction
 from .transfer import execute_transfer, is_plain_transfer
@@ -29,20 +29,20 @@ def discover_access_sets(
     trace: bool = False,
     gas_target: int | None = None,
 ) -> list[ExecutionArtifact]:
-    """Speculatively execute the batch once, keeping everything it found.
+    """Execute the batch once, in block order, on *state*, and say what
+    each transaction did.
 
     Returns one :class:`~repro.chain.journal.ExecutionArtifact` per
-    transaction — access set, receipt, write journal, read values and
-    (with ``trace=True``) the dataflow trace — so consumers can *reuse*
-    the pre-execution instead of running the EVM a second time. The
-    artifact list is access-set-compatible (``.reads`` / ``.writes`` /
+    transaction executed — receipt and access set, and with
+    ``trace=True`` the dataflow trace plus the write journal and read
+    values the MTPU replays from. The artifact list is
+    access-set-compatible (``.reads`` / ``.writes`` /
     ``conflicts_with``), so it drops directly into
     :func:`build_dag_edges` and :func:`verify_dag`.
 
-    The input *state* is left untouched: execution happens in place under
-    a journal snapshot that is reverted at the end (no more deep-copying
-    the whole world state per block, so pre-execution cost scales with
-    the block, not with total chain state).
+    *state* is left as executed: this pass is the block's execution,
+    not a rehearsal of it. If it raises, it reverts what it did first.
+    A caller that needs the pre-state takes a snapshot and reverts.
 
     A transaction whose target holds no code when its turn comes never
     enters the interpreter: :func:`~repro.chain.transfer.execute_transfer`
@@ -77,7 +77,11 @@ def discover_access_sets(
                 gas_used += artifacts[-1].receipt.gas_used
                 if tx.gas_limit > gas_target - gas_used:
                     break
-            if not trace and is_plain_transfer(tx, state):
+            if trace:
+                artifacts.append(
+                    execute_captured(state, tx, context, Tracer())
+                )
+            elif is_plain_transfer(tx, state):
                 artifact = execute_transfer(
                     state, tx, context.coinbase,
                     DEFAULT_SCHEDULE.intrinsic_gas(tx.data),
@@ -86,13 +90,12 @@ def discover_access_sets(
                 if registry.enabled:
                     count_transaction(registry, artifact.receipt)
                     registry.counter("evm.closed_form_txs").inc()
-                continue
-            artifacts.append(execute_captured(
-                state, tx, context, Tracer() if trace else None
-            ))
-    finally:
-        state.access = None
+            else:
+                artifacts.append(execute_tracked(state, tx, context))
+    except BaseException:
         state.revert(block_token)
+        raise
+    finally:
         state.access = saved_access
     return artifacts
 

@@ -1,14 +1,13 @@
 """Write journals and execution artifacts (the execute-once pipeline).
 
-Speculative pre-execution in the consensus stage (``discover_access_sets``)
-used to throw its work away: receipts and traces were discarded and every
-transaction was functionally executed a second time by the scheduler
-drivers. An :class:`ExecutionArtifact` keeps that work — the receipt, the
-dataflow trace, the access set, the *write journal* (post-values of every
-key the transaction mutated) and the *read values* (entry values of every
-key the outcome depends on) — so downstream consumers can *replay* the
-transaction by applying its journal, after checking that its read values
-are still what they were at pre-execution time.
+Consensus-stage pre-execution (``discover_access_sets``) keeps its work
+in an :class:`ExecutionArtifact`. An untraced discovery *is* the block's
+execution, so its artifacts hold the receipt and access set only. A
+traced one runs for the MTPU, which replays it on the pre-state: its
+artifacts add the dataflow trace, the *write journal* (post-values of
+every key the transaction mutated) and the *read values* (entry values
+of every key the outcome depends on), so a transaction is *replayed* by
+applying its journal once its read values are checked to still hold.
 
 Replay soundness: a transaction is a deterministic function of the entry
 values of the keys it reads. If every recorded read value matches the
@@ -87,12 +86,16 @@ class ExecutionArtifact:
     :data:`NONCE_KEY` sentinels — to the value each key held when the
     transaction started executing. ``steps`` is the dataflow trace
     (``None`` unless the pre-execution ran with tracing enabled).
+
+    An artifact nobody replays — an untraced EVM execution
+    (:func:`execute_tracked`) — has no ``journal`` (``None``: applying
+    it raises) and no read values.
     """
 
     tx: Transaction
     receipt: Receipt
     access: AccessSet
-    journal: WriteJournal
+    journal: WriteJournal | None = None
     read_values: dict[tuple, object] = field(default_factory=dict)
     steps: list | None = None
 
@@ -124,33 +127,6 @@ class ExecutionArtifact:
         return True
 
 
-def replay_in_order(
-    state: WorldState,
-    transactions: list[Transaction],
-    artifacts: list[ExecutionArtifact],
-    run,
-) -> tuple[list[Receipt], int]:
-    """Execute-once in block order, the walk every in-order consumer of
-    pre-execution artifacts shares: a transaction whose artifact (they
-    line up by index) is its own and still
-    :meth:`~ExecutionArtifact.is_fresh` commits by applying the
-    artifact's journal and taking its receipt; any other is handed to
-    ``run(index, tx)``, which executes it on *state* and returns its
-    receipt. Returns the receipts and how many were replayed."""
-    receipts: list[Receipt] = []
-    replayed = 0
-    for index, (tx, artifact) in enumerate(
-        zip(transactions, artifacts, strict=True)
-    ):
-        if artifact.tx.hash() == tx.hash() and artifact.is_fresh(state):
-            artifact.journal.apply(state)
-            receipts.append(artifact.receipt)
-            replayed += 1
-        else:
-            receipts.append(run(index, tx))
-    return receipts, replayed
-
-
 def _journal_key(entry: tuple) -> tuple | None:
     """Map a state-journal entry to its (address, slot) key."""
     kind = entry[0]
@@ -175,14 +151,14 @@ def _read_key(state: WorldState, address: int, slot) -> object:
     return state.get_storage(address, slot)
 
 
-def execute_captured(
+def execute_tracked(
     state: WorldState, tx: Transaction, context, tracer=None
 ) -> ExecutionArtifact:
-    """Run *tx* through the EVM on *state* under access tracking and
-    capture what it did; *state* is left as executed."""
+    """Run *tx* through the EVM on *state* under access tracking; *state*
+    is left as executed. The artifact holds the receipt and the access
+    set only."""
     from ..evm.interpreter import EVM  # local import avoids a cycle
 
-    token = state.snapshot()
     access = state.begin_access_tracking()
     try:
         receipt = EVM(
@@ -190,8 +166,18 @@ def execute_captured(
         ).execute_transaction(tx)
     finally:
         state.end_access_tracking()
+    return ExecutionArtifact(tx, receipt, access)
+
+
+def execute_captured(
+    state: WorldState, tx: Transaction, context, tracer=None
+) -> ExecutionArtifact:
+    """:func:`execute_tracked`, then capture what it did
+    (:func:`capture_artifact`) so the artifact can be replayed."""
+    token = state.snapshot()
+    run = execute_tracked(state, tx, context, tracer)
     return capture_artifact(
-        state, tx, receipt, access, state.changes_since(token),
+        state, tx, run.receipt, run.access, state.changes_since(token),
         coinbase=context.coinbase,
         steps=tracer.steps if tracer is not None else None,
     )

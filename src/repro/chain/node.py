@@ -32,11 +32,27 @@ from .dag import (
     discover_access_sets,
     transitive_reduction,
 )
-from .journal import replay_in_order
 from .mempool import DuplicateTransactionError, Mempool, PackedTake
 from .receipt import Receipt, receipts_root
 from .state import WorldState
 from .transaction import Transaction
+
+
+class _Proposal(NamedTuple):
+    """An open proposal: the *block* with the *header* it was proposed
+    under, applied to the state; the snapshot from before its discovery
+    (*token*), its *receipts*, and the journal length when
+    :meth:`Node.propose_block` returned (*mark*)."""
+
+    block: Block
+    header: BlockHeader
+    token: int
+    receipts: list[Receipt]
+    mark: int
+
+
+class StaleProposalError(RuntimeError):
+    """The state was written under an open proposal before its commit."""
 
 
 class ReceiptsRootMismatchError(RuntimeError):
@@ -116,17 +132,13 @@ class Node:
         #: reaches, the BLOCKHASH window (:meth:`block_hash`).
         self.ancestor_hashes: dict[int, bytes] = {}
         self.receipts: dict[bytes, list[Receipt]] = {}
-        #: The block :meth:`propose_block` built last. Its artifacts were
-        #: discovered here, under this node's context (coinbase, clock,
-        #: BLOCKHASH history) — the only block :meth:`execute_block`
-        #: will replay instead of executing.
-        self._proposed: Block | None = None
-        #: Execute-once split of the in-order walk (``sequential`` and
-        #: ``parallel``): transactions committed by journal replay, and
-        #: those whose artifact was refused (stale or another
-        #: transaction's) and ran through the EVM again.
-        self.txs_replayed = 0
-        self.txs_reexecuted = 0
+        #: The open proposal (an in-order engine's, applied to the
+        #: state): the only block :meth:`execute_block` commits without
+        #: running an engine pass.
+        self._proposal: _Proposal | None = None
+        #: The block :meth:`propose_block` built last for ``mtpu``: the
+        #: only block whose (traced) artifacts that engine replays.
+        self._traced_proposal: Block | None = None
         #: The idle-slice hotspot loop
         #: (:class:`~repro.core.hotspot.tracker.HotspotLoop`), made by the
         #: first block the ``mtpu`` engine runs here; None until then.
@@ -165,6 +177,7 @@ class Node:
         *trie* already attached to it (snapshot resync, recovery
         transplant) — the trie is built once, by whoever verified the
         state against its stamped root."""
+        self.abandon_proposal()
         self.state = state
         self.mempool.state = state
         self.trie = trie
@@ -301,16 +314,17 @@ class Node:
         depth and the anti-starvation aging bound. The cut rides on
         ``Block.packed_lanes`` / ``packed_parallelism``.
 
-        The dependency DAG is discovered by speculative execution on a
-        state copy and stored (transitively reduced) in the block, as the
-        paper's consensus-stage nodes do; the pre-execution artifacts
-        ride along on ``Block.artifacts`` for execute-once replay.
-
-        *executor* names the engine (:data:`ENGINES`) the block is
-        proposed for. One that replays traces (``mtpu``) gets a traced
-        discovery.
+        The dependency DAG is discovered by executing the block once
+        (:func:`~repro.chain.dag.discover_access_sets`; the artifacts
+        ride on ``Block.artifacts``) and stored, transitively reduced,
+        as the paper's consensus-stage nodes do. For an in-order
+        *executor* (:data:`ENGINES`) that execution is kept: the block
+        stays applied, an open proposal for :meth:`execute_block` to
+        commit. For ``mtpu`` it is traced and reverted: the MTPU replays
+        it on the pre-state.
         """
         engine = _engine(executor)  # before the pool moves
+        self.abandon_proposal()
         cut = transactions if transactions is not None else self.cut(
             max_transactions, gas_target, packing, packing_policy
         )
@@ -319,17 +333,24 @@ class Node:
         header = self._proposal_header()
         context = self.block_context(header)
         registry = get_registry()
+        token = self.state.snapshot()
         artifacts = discover_access_sets(
             txs, self.state, context, trace=engine.traced,
             gas_target=gas_target,
         )
-        if len(artifacts) < len(txs):
-            assert packed is None, "a packed cut is never shortened"
-            self.mempool.put_back(txs[len(artifacts):])
-            txs = txs[:len(artifacts)]
-        edges = transitive_reduction(
-            len(txs), build_dag_edges(txs, artifacts)
-        )
+        try:
+            if engine.traced:
+                self.state.revert(token)
+            if len(artifacts) < len(txs):
+                assert packed is None, "a packed cut is never shortened"
+                self.mempool.put_back(txs[len(artifacts):])
+                txs = txs[:len(artifacts)]
+            edges = transitive_reduction(
+                len(txs), build_dag_edges(txs, artifacts)
+            )
+        except Exception:
+            self.rollback_block(token)
+            raise
         if registry.enabled:
             registry.histogram("block.gas_used").observe(
                 sum(artifact.receipt.gas_used for artifact in artifacts)
@@ -347,8 +368,20 @@ class Node:
                 registry.histogram("block.packed_parallelism").observe(
                     packed.parallelism
                 )
-        self._proposed = block
+        self._traced_proposal = block if engine.traced else None
+        if not engine.traced:
+            receipts = [artifact.receipt for artifact in artifacts]
+            self._proposal = _Proposal(
+                block, header, token, receipts, self.state.snapshot()
+            )
         return block
+
+    def abandon_proposal(self) -> None:
+        """Roll the open proposal back to where it found the node
+        (:meth:`rollback_block`); nothing when none is open."""
+        proposal, self._proposal = self._proposal, None
+        if proposal is not None:
+            self.rollback_block(proposal.token)
 
     # -- execution stage ----------------------------------------------------------
     def execute_block(
@@ -373,27 +406,40 @@ class Node:
         reproduce, the witness build or the store's append failed — the
         node is exactly where the block found it (:meth:`rollback_block`).
 
-        Execute-once, on the default engine: the block this node itself
-        just proposed carries its consensus-stage pre-execution on
-        ``block.artifacts``. In block order, an artifact whose read
-        values still hold
-        (:meth:`~repro.chain.journal.ExecutionArtifact.is_fresh`) is
-        committed by applying its write journal and taking its receipt;
-        a transaction whose artifact belongs to another transaction or
-        is stale runs through the EVM, and so does the whole block when
-        the artifact list does not line up with it. Every other block
-        — another node's proposal, recovery, replicas, hand-built or
-        decoded blocks — runs every transaction through the EVM, as the
-        paper's verifying nodes do (``parallel`` and ``mtpu`` run it once,
-        as a discovery of their own, and replay that).
+        Execute-once: an in-order engine commits this node's open
+        proposal (:meth:`propose_block`) as it stands, with no engine
+        pass — refused, and rolled back, if the state was written since
+        (:class:`StaleProposalError`: that write would be sealed into the
+        root with no transaction having made it). Any other call
+        abandons the open proposal first (:meth:`abandon_proposal`).
+        Every other block — another node's proposal, recovery, replicas,
+        hand-built or decoded blocks — runs every transaction through the
+        EVM, as the paper's verifying nodes do (``parallel`` and ``mtpu``
+        as a discovery of their own that checks the shipped DAG).
         """
         engine = _engine(executor)
-        token = self.state.snapshot()
+        proposal = self._proposal
+        own = (
+            proposal is not None and proposal.block is block
+            and proposal.header is block.header and not engine.traced
+        )
+        if not own:
+            self.abandon_proposal()
+        self._proposal = None
+        token = proposal.token if own else self.state.snapshot()
         try:
-            context = self.block_context(block.header)
-            receipts = engine.run(
-                self, block, context, num_workers, fault_injector
-            )
+            if own:
+                if self.state.snapshot() != proposal.mark:
+                    raise StaleProposalError(
+                        f"block {block.header.height}: the state was "
+                        "written between propose_block and execute_block"
+                    )
+                receipts = proposal.receipts
+            else:
+                context = self.block_context(block.header)
+                receipts = engine.run(
+                    self, block, context, num_workers, fault_injector
+                )
             if claimed_receipts_root is not None:
                 actual = receipts_root(receipts)
                 if actual != claimed_receipts_root:
@@ -517,12 +563,13 @@ class Node:
         ``state_root`` — *nothing* changes (a bogus claim must not
         poison the node) and the verdict is falsy.
 
-        Verification never replays ``block.artifacts``: every
-        transaction runs through the EVM, whatever the block carries —
-        checking a proposer's results by applying the proposer's own
-        journals would check nothing.
+        Verification never takes a proposal's word: an open proposal is
+        abandoned first and every transaction runs through the EVM,
+        whatever the block carries — checking a proposer's results by
+        committing the proposer's own execution would check nothing.
         """
-        self._proposed = None  # a block under verification is nobody's own
+        self.abandon_proposal()  # a block under verification is nobody's own
+        self._traced_proposal = None
         try:
             self.execute_block(block, claimed_receipts_root=claimed_root)
         except (ReceiptsRootMismatchError, StateRootMismatchError) as exc:
@@ -540,31 +587,25 @@ class Engine(NamedTuple):
     #: took the snapshot owns it) and never catches in order to fall
     #: back — its own convergence path is part of it.
     run: Callable[..., list[Receipt]]
-    #: True: it replays the dataflow trace, so discovery records one.
+    #: True: it replays the dataflow trace on the pre-state, so its
+    #: discovery records one and is reverted. False: an in-order engine,
+    #: which commits the node's own open proposal as it stands.
     traced: bool = False
 
 
-def _own_artifacts(node, block):
-    """The pre-execution *block* carries, when it is this node's own
-    proposal and lines up with the block; None for every other block."""
-    artifacts = block.artifacts if block is node._proposed else None
-    if artifacts is None or len(artifacts) != len(block.transactions):
-        return None
-    return artifacts
-
-
 def _checked_artifacts(node, block, context, traced=False):
-    """The artifacts and the DAG an engine schedules from: this node's
-    own proposal's, as it carries them; for any other block, a discovery
-    here — its one execution, the engine replays it — and the shipped
-    DAG checked against it, rebuilt on a lie (``faults.*`` count it)."""
-    artifacts = _own_artifacts(node, block)
-    if artifacts is not None:
-        return artifacts, block.dag_edges
+    """A discovery here — the block's one execution — and the shipped
+    DAG checked against it, rebuilt on a lie (``faults.*`` count it).
+    Untraced, the discovery is left applied: it is the block's
+    execution. Traced, it is reverted: the MTPU replays it on the
+    pre-state."""
     transactions = block.transactions
+    token = node.state.snapshot()
     artifacts = discover_access_sets(
         transactions, node.state, context, trace=traced
     )
+    if traced:
+        node.state.revert(token)
     edges, verdict = checked_dag(transactions, block.dag_edges, artifacts)
     if not verdict.ok:
         registry = get_registry()
@@ -574,51 +615,24 @@ def _checked_artifacts(node, block, context, traced=False):
     return artifacts, edges
 
 
-def walk_in_order(state, transactions, artifacts, context=None):
-    """The in-order walk over *state*: without *artifacts*, one EVM pass;
-    with them, each transaction whose artifact is its own and still fresh
-    commits by journal replay, and every other runs the EVM. Returns the
-    receipts in block order and how many were replayed."""
+def walk_in_order(state, transactions, context=None):
+    """The in-order walk over *state*: one EVM pass in block order.
+    Returns the receipts."""
     execute = EVM(state, block=context).execute_transaction
-    if artifacts is None:
-        return [execute(tx) for tx in transactions], 0
-    return replay_in_order(
-        state, transactions, artifacts, lambda _, tx: execute(tx)
-    )
-
-
-def _walk(node, block, context, artifacts):
-    """The walk ``sequential`` and ``parallel`` share, on the node's
-    state (``Node.txs_replayed`` / ``txs_reexecuted`` count the split of
-    a walk over artifacts)."""
-    receipts, replayed = walk_in_order(
-        node.state, block.transactions, artifacts, context
-    )
-    if artifacts is None:
-        return receipts
-    reexecuted = len(receipts) - replayed
-    node.txs_replayed += replayed
-    node.txs_reexecuted += reexecuted
-    registry = get_registry()
-    if registry.enabled:
-        if replayed:
-            registry.counter("evm.tx_reuses").inc(replayed)
-        if reexecuted:
-            registry.counter("evm.tx_reexecutions").inc(reexecuted)
-    return receipts
+    return [execute(tx) for tx in transactions]
 
 
 def _run_sequential(node, block, context, num_workers, fault_injector):
-    return _walk(node, block, context, _own_artifacts(node, block))
+    return walk_in_order(node.state, block.transactions, context)
 
 
 def _run_parallel(node, block, context, num_workers, fault_injector):
-    """The walk over the artifacts ``_checked_artifacts`` hands back: on
-    anyone else's block, one discovery here and the shipped DAG checked
-    against it. Block order is a topological order of any DAG over the
-    block, so the walk needs no edges."""
+    """One untraced discovery here, applied, with the shipped DAG
+    checked against it; the receipts are the discovery's. Block order is
+    a topological order of any DAG over the block, so the DAG orders
+    nothing here."""
     artifacts, _ = _checked_artifacts(node, block, context)
-    return _walk(node, block, context, artifacts)
+    return [artifact.receipt for artifact in artifacts]
 
 
 # ``mtpu`` lives in a package that imports this one, so it is imported
@@ -635,7 +649,12 @@ def _run_mtpu(node, block, context, num_workers, fault_injector):
     if node.hotspots is None:
         node.hotspots = HotspotLoop(node.state)
     optimizer = node.hotspots.before_block(node, context)
-    artifacts, edges = _checked_artifacts(node, block, context, traced=True)
+    if block is node._traced_proposal and block.artifacts is not None:
+        artifacts, edges = block.artifacts, block.dag_edges
+    else:
+        artifacts, edges = _checked_artifacts(
+            node, block, context, traced=True
+        )
     executor = MTPUExecutor(
         node.state, block=context, num_pus=num_workers,
         hotspot_optimizer=optimizer,
@@ -654,10 +673,10 @@ def _run_mtpu(node, block, context, num_workers, fault_injector):
 
 
 #: The only place engines are named. ``sequential``: the EVM in block
-#: order, replaying this node's own proposal; ``mtpu``: the
-#: spatio-temporal schedule on the MTPU simulator with the hotspot loop;
-#: ``parallel``: the same in-order walk, replaying what it discovers
-#: itself on anyone else's block, whose DAG it checks.
+#: order; ``mtpu``: the spatio-temporal schedule on the MTPU simulator
+#: with the hotspot loop; ``parallel``: a discovery in block order that
+#: checks the shipped DAG. ``Node.execute_block`` runs neither in-order
+#: engine over this node's own open proposal: it commits it.
 ENGINES = {
     "sequential": Engine(_run_sequential),
     "mtpu": Engine(_run_mtpu, traced=True),

@@ -108,32 +108,29 @@ def measure_block(
 
 def _lane_sequential(state, transactions):
     start = time.perf_counter()
-    receipts, _ = walk_in_order(state, transactions, None)
-    return time.perf_counter() - start, receipts, {}
+    receipts = walk_in_order(state, transactions)
+    return time.perf_counter() - start, receipts
 
 
 def _lane_parallel(state, transactions):
-    # Walked in order over the artifacts its own discovery made, the block
-    # replays every journal (``replayed == n``). The DAG is the one a node
-    # builds for the block (at proposal, or checking another node's); the
-    # walk does not read it. This lane is discover + DAG + replay.
+    # The discovery is the block's execution: it leaves the effects
+    # applied and its receipts are the block's. The DAG is the one a node
+    # builds for the block (at proposal, or checking another node's).
+    # This lane is discover + DAG.
     start = time.perf_counter()
     artifacts = discover_access_sets(transactions, state)
     build_dag_edges(transactions, artifacts)
-    receipts, replayed = walk_in_order(state, transactions, artifacts)
-    return time.perf_counter() - start, receipts, {
-        "replayed": replayed, "reexecuted": len(receipts) - replayed,
-    }
+    receipts = [artifact.receipt for artifact in artifacts]
+    return time.perf_counter() - start, receipts
 
 
 #: The lane every ratio is to, and the reference every lane must match.
 BASELINE = "sequential"
 #: name -> ``lane(state, transactions)`` -> (seconds of the timed
-#: region, receipts in block order, engine counters), the block's
-#: effects applied to *state*. ``sequential`` is what
-#: ``ENGINES["sequential"]`` does to a block it holds no artifacts for:
-#: one EVM pass, no discovery, no DAG. ``parallel`` is the engine as a
-#: node runs it.
+#: region, receipts in block order), the block's effects applied to
+#: *state*. ``sequential`` is what ``ENGINES["sequential"]`` does to a
+#: block that is not its own proposal: one EVM pass, no discovery, no
+#: DAG. ``parallel`` is the engine as a node runs it.
 LANES = {
     BASELINE: _lane_sequential,
     "parallel": _lane_parallel,
@@ -153,18 +150,16 @@ def measure_engines(block, repeats: int = 3) -> dict:
     ``lanes[name]``: ``seconds`` (best of *repeats*), ``repeat_seconds``
     (every run, in order — the spread), ``tx_per_second`` and
     ``ratio_to_sequential`` (both from the bests, same machine, same
-    interleaved runs), and the engine's counters (the same every run:
-    the block and the engines are deterministic).
+    interleaved runs).
     """
     transactions = block.transactions
     base_state = block.deployment.state
     seconds: dict[str, list[float]] = {name: [] for name in LANES}
-    counters = {}
     reference = None
     for _ in range(repeats):
         for name, lane in LANES.items():
             state = base_state.copy()
-            elapsed, receipts, counters[name] = lane(state, transactions)
+            elapsed, receipts = lane(state, transactions)
             outcome = (
                 [receipt.to_rlp() for receipt in receipts],
                 state.state_digest(),
@@ -191,21 +186,15 @@ def measure_engines(block, repeats: int = 3) -> dict:
                 "repeat_seconds": seconds[name],
                 "tx_per_second": count / best[name],
                 "ratio_to_sequential": best[BASELINE] / best[name],
-                **counters[name],
             }
             for name in LANES
         },
     }
 
 
-_TIMING_KEYS = (
-    "seconds", "repeat_seconds", "tx_per_second", "ratio_to_sequential",
-)
-
-
 def lane_lines(wall: dict) -> list[str]:
-    """One line per lane: best and median tx/s, the ratio to the
-    baseline, and what the engine counted."""
+    """One line per lane: best and median tx/s and the ratio to the
+    baseline."""
     # Imported here: `repro serve` imports this module through the CLI,
     # and statistics brings decimal + fractions (≈ 0.7 MB of RSS) along.
     import statistics
@@ -213,14 +202,9 @@ def lane_lines(wall: dict) -> list[str]:
     lines = []
     for name, lane in wall["lanes"].items():
         median = statistics.median(lane["repeat_seconds"])
-        counters = " ".join(
-            f"{key}={value}" for key, value in lane.items()
-            if key not in _TIMING_KEYS
-        )
         lines.append(
             f"{name}: {lane['tx_per_second']:.0f} tx/s best, "
             f"{wall['num_transactions'] / median:.0f} median, "
             f"{lane['ratio_to_sequential']:.2f}x {BASELINE}"
-            + (f" ({counters})" if counters else "")
         )
     return lines

@@ -3,20 +3,20 @@
 The inference-stack continuous-batching shape applied to blocks: client
 transactions stream into the node's mempool; the builder closes the
 batching window as soon as a size target, a promised-gas target, or a
-time budget is hit — what *could* fill a block; the proposer fills the
-block by the gas its pre-execution measured and returns what did not fit
-to the pool — what *does*; the block executes on a worker thread
-(any engine of ``Node.execute_block``); and each
-transaction's response future resolves the moment its receipt commits.
-Receipts and ``state_digest()`` are bit-identical to
-offline sequential execution — every engine behind
-``Node.execute_block`` guarantees it, and any engine failure (e.g. every
-PU killed by an injected fault) degrades to a clean sequential
-re-execution of the same block (through the EVM, the proposal's
-artifacts dropped) instead of wedging the loop. A *commit* failure (the
-store refused the append) is not an engine failure: the node has put
-itself back where the block found it, and the block's futures fail
-without it running again.
+time budget is hit — what *could* fill a block; the proposer executes
+the cut once, fills the block by the gas that execution measured and
+returns what did not fit to the pool — what *does*; an in-order engine
+commits that execution as it stands, any other runs the block
+(``Node.execute_block``), on a worker thread; and each transaction's
+response future resolves the moment its receipt commits. Receipts and
+``state_digest()`` are bit-identical to offline sequential execution —
+every engine behind ``Node.execute_block`` guarantees it, and any
+engine failure (e.g. every PU killed by an injected fault) degrades to
+a clean sequential re-execution of the same block through the EVM
+instead of wedging the loop. A *commit* failure (the store refused the
+append) is not an engine failure: the node has put itself back where
+the block found it, and the block's futures fail without it running
+again.
 """
 
 from __future__ import annotations
@@ -330,8 +330,16 @@ class BlockBuilder:
 
     # -- execution (worker thread; one block at a time) --------------------
     def _build_and_execute(self, cut):
+        # Propose and execute run inside one state_lock hold: between
+        # them an in-order proposal is open (applied, uncommitted), and
+        # no RPC read and no admission may ever see it.
         with self.state_lock:
-            return self._build_and_execute_locked(cut)
+            try:
+                return self._build_and_execute_locked(cut)
+            except Exception:
+                # Nothing committed: a proposal still open is abandoned.
+                self.node.abandon_proposal()
+                raise
 
     def _build_and_execute_locked(self, cut):
         block = self.node.propose_block(
@@ -353,12 +361,12 @@ class BlockBuilder:
             # again would answer a full disk with a second execution.
             raise
         except Exception:
-            # Degrade, never wedge: the node is back where the block
-            # found it (state, unsealed header, trie) and the block
-            # re-executes sequentially — through the EVM, not from the
-            # artifacts the failed engine was working off. If that dies
-            # too the node is back there again; the caller fails the futures.
-            block.artifacts = None
+            # Degrade, never wedge: the node is back where the block (or
+            # its proposal, abandoned here) found it — state, unsealed
+            # header, trie — and the block re-executes sequentially,
+            # through the EVM. If that dies too the node is back there
+            # again; the caller fails the futures.
+            self.node.abandon_proposal()
             self._m_sequential_fallbacks.inc()
             receipts = self.node.execute_block(block)
         # The pre-execution dies with its block: once committed, nothing

@@ -189,9 +189,9 @@ class RpcServer:
         #: attached to the builder count each event once, here, and
         #: :meth:`stats` / :meth:`health` are views of it. The
         #: process-wide registry of ``repro.obs`` stays the null one in
-        #: a live server; the node's own twins (``Node.txs_replayed`` /
-        #: ``evm.*``, ``ChainStore.wal_records`` / ``storage.*``) belong
-        #: to it and are not moved here (ROADMAP item 7).
+        #: a live server; the node's own twins (``evm.*``,
+        #: ``ChainStore.wal_records`` / ``storage.*``) belong to it and
+        #: are not moved here (ROADMAP item 7).
         self.metrics = MetricsRegistry()
         self.builder = BlockBuilder(
             self.node, self.config, fault_injector=fault_injector,
@@ -783,11 +783,6 @@ class RpcServer:
             "readOnlyRejects": value("serve.read_only_rejects"),
             "sequentialFallbacks": value("serve.sequential_fallbacks"),
             "executionFailures": value("serve.execution_failures"),
-            # Execute-once split of Node.execute_block (the sequential
-            # executor): commits by artifact replay vs. stale artifacts
-            # re-run through the EVM.
-            "txsReplayed": self.node.txs_replayed,
-            "txsReexecuted": self.node.txs_reexecuted,
             "packing": self.config.packing,
             "packedBlocks": packed_blocks,
             "packedDeferred": value("serve.packed_deferred"),

@@ -85,8 +85,12 @@ class GeneratedBlock:
 def _finalize(
     deployment: Deployment, transactions: list[Transaction]
 ) -> GeneratedBlock:
-    """Discover access sets and the dependency DAG for a batch."""
-    access_sets = discover_access_sets(transactions, deployment.state)
+    """Discover access sets and the dependency DAG for a batch; the
+    deployment's state is left as it was."""
+    state = deployment.state
+    token = state.snapshot()
+    access_sets = discover_access_sets(transactions, state)
+    state.revert(token)
     edges = transitive_reduction(
         len(transactions), build_dag_edges(transactions, access_sets)
     )

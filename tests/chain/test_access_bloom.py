@@ -389,7 +389,7 @@ def test_transfer_bloom_covers_discovered_access_set():
                          gas_limit=gas_limit)
         bloom = bloom_for_transaction(tx, state=state)
         assert not bloom.is_opaque
-        [artifact] = discover_access_sets([tx], state)
+        [artifact] = discover_access_sets([tx], state.copy())
         for key in artifact.access.reads:
             assert bloom.may_read(key), key
         for key in artifact.access.writes:

@@ -4,7 +4,9 @@ is exactly where the block found it, whoever sealed the block and
 wherever the failure landed: inside the engine, at the receipts-root
 claim, at a sealed ``state_root`` that does not reproduce, in the
 witness build, at a store that refuses the append. Then the honest block
-applies."""
+applies. For the node's own proposal — already applied by the
+discovery that proposed it — "where the block found it" is where the
+*proposal* found the node."""
 
 import dataclasses
 
@@ -34,7 +36,9 @@ def node_facing_block_two(deployment, tmp_path, own, executor="sequential"):
     """A durable, witness-emitting node one block into its chain, with
     block 2 in hand — its own proposal (unsealed, artifacts attached) or
     one sealed by a proposer with another coinbase and clock, off the
-    wire — and four more transactions pooled behind it."""
+    wire — and four more transactions pooled behind it. Returns the
+    node, the block and :func:`everything` from before the block (for
+    an own proposal: before ``propose_block``)."""
     txs = make_transactions(deployment, 20, workload="erc20", seed=7)
     node = Node(state=deployment.state.copy(), emit_witness=True)
     attach(node, str(tmp_path), StorageConfig(fsync="never"))
@@ -44,9 +48,10 @@ def node_facing_block_two(deployment, tmp_path, own, executor="sequential"):
         node.execute_block(node.propose_block())
         for tx in txs[8:]:
             node.hear(tx)
+        before = everything(node, tmp_path)
         return node, node.propose_block(
             max_transactions=8, executor=executor
-        )
+        ), before
     proposer = foreign_proposer(deployment.state.copy())
     for cut in (txs[:8], txs[8:16]):
         for tx in cut:
@@ -55,28 +60,31 @@ def node_facing_block_two(deployment, tmp_path, own, executor="sequential"):
     node.execute_block(Block.from_rlp(proposer.chain[0].to_rlp()))
     for tx in txs[8:]:
         node.hear(tx)
-    return node, Block.from_rlp(proposer.chain[1].to_rlp())
+    return node, Block.from_rlp(proposer.chain[1].to_rlp()), everything(
+        node, tmp_path
+    )
 
 
 def everything(node, tmp_path):
+    """Everything a block may change but the pool, which the cut moved."""
     return (
         node.state.state_digest(),
         node.state_root,
         list(node.chain),
         dict(node.receipts),
-        [tx.hash() for tx in node.mempool.pending()],
         dict(node.witnesses),
         scan_wal(str(tmp_path / WAL_NAME)),
     )
 
 
 def assert_rolled_back_then_applies(
-    node, block, tmp_path, fail, honest_header=None
+    node, block, before, tmp_path, fail, honest_header=None
 ):
     header = block.header
-    before = everything(node, tmp_path)
+    pending = [tx.hash() for tx in node.mempool.pending()]
     fail()
     assert everything(node, tmp_path) == before
+    assert [tx.hash() for tx in node.mempool.pending()] == pending
     assert node.state_root == StateTrie.rebuild_root(node.state)
     assert node.state._journal == []
     assert block.header is header
@@ -102,7 +110,9 @@ def assert_rolled_back_then_applies(
 def test_an_engine_dying_mid_block(
     deployment, tmp_path, executor, dies_at, own
 ):
-    node, block = node_facing_block_two(deployment, tmp_path, own, executor)
+    node, block, before = node_facing_block_two(
+        deployment, tmp_path, own, executor
+    )
 
     def fail():
         run = dying_midway(
@@ -115,7 +125,7 @@ def test_an_engine_dying_mid_block(
         with pytest.raises(RuntimeError, match="died mid-block"):
             run(block)
 
-    assert_rolled_back_then_applies(node, block, tmp_path, fail)
+    assert_rolled_back_then_applies(node, block, before, tmp_path, fail)
 
 
 @pytest.mark.parametrize("own", [False, True], ids=["foreign", "own"])
@@ -123,7 +133,7 @@ def test_an_engine_dying_mid_block(
 def test_a_receipts_root_claim_that_is_wrong(
     deployment, tmp_path, through, own
 ):
-    node, block = node_facing_block_two(deployment, tmp_path, own)
+    node, block, before = node_facing_block_two(deployment, tmp_path, own)
 
     def fail():
         if through == "verify_block":
@@ -134,7 +144,7 @@ def test_a_receipts_root_claim_that_is_wrong(
             node.execute_block(block, claimed_receipts_root=FORGED)
         assert err.value.claimed == FORGED != err.value.actual
 
-    assert_rolled_back_then_applies(node, block, tmp_path, fail)
+    assert_rolled_back_then_applies(node, block, before, tmp_path, fail)
 
 
 @pytest.mark.parametrize("own", [False, True], ids=["foreign", "own"])
@@ -142,7 +152,7 @@ def test_a_receipts_root_claim_that_is_wrong(
 def test_a_sealed_state_root_that_does_not_reproduce(
     deployment, tmp_path, through, own
 ):
-    node, block = node_facing_block_two(deployment, tmp_path, own)
+    node, block, before = node_facing_block_two(deployment, tmp_path, own)
     honest = block.header
     # What an honest run of the same two blocks computes.
     twin = Node(state=deployment.state.copy())
@@ -164,7 +174,7 @@ def test_a_sealed_state_root_that_does_not_reproduce(
         )
 
     assert_rolled_back_then_applies(
-        node, block, tmp_path, fail, honest_header=honest
+        node, block, before, tmp_path, fail, honest_header=honest
     )
 
 
@@ -172,7 +182,7 @@ def test_a_sealed_state_root_that_does_not_reproduce(
 def test_a_witness_build_that_raises(
     deployment, tmp_path, monkeypatch, own
 ):
-    node, block = node_facing_block_two(deployment, tmp_path, own)
+    node, block, before = node_facing_block_two(deployment, tmp_path, own)
 
     def fail():
         def broken(*args):
@@ -183,13 +193,13 @@ def test_a_witness_build_that_raises(
             with pytest.raises(RuntimeError, match="witness build died"):
                 node.execute_block(block)
 
-    assert_rolled_back_then_applies(node, block, tmp_path, fail)
+    assert_rolled_back_then_applies(node, block, before, tmp_path, fail)
 
 
 @pytest.mark.parametrize("own", [False, True], ids=["foreign", "own"])
 @pytest.mark.parametrize("site", ["append", "sync"])
 def test_a_store_that_refuses_the_append(deployment, tmp_path, site, own):
-    node, block = node_facing_block_two(deployment, tmp_path, own)
+    node, block, before = node_facing_block_two(deployment, tmp_path, own)
     node.store.config = dataclasses.replace(
         node.store.config, fsync="always"
     )
@@ -199,4 +209,4 @@ def test_a_store_that_refuses_the_append(deployment, tmp_path, site, own):
         with pytest.raises(AppendFailedError):
             node.execute_block(block)
 
-    assert_rolled_back_then_applies(node, block, tmp_path, fail)
+    assert_rolled_back_then_applies(node, block, before, tmp_path, fail)

@@ -4,10 +4,12 @@
 target holds no code instead of running it (``repro.chain.transfer``).
 Nothing selects that path but the input, so nothing but this suite keeps
 it honest: every generated block is pre-executed twice — as shipped, and
-with the predicate patched to refuse everything, which is the interpreter
-path of the parent commit — and the two must agree artifact by artifact,
-then root by root through every consumer of those artifacts. A gas or
-fee rule edited in ``evm/`` and not in ``chain/transfer.py`` fails here.
+through the interpreter with every artifact captured in full
+(``execute_captured``) — and the two must agree artifact by artifact,
+then root by root through every consumer of those artifacts, where the
+interpreter side is discovery with the predicate patched to refuse
+everything. A gas or fee rule edited in ``evm/`` and not in
+``chain/transfer.py`` fails here.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import Transaction, WorldState, dag
+from repro.chain.journal import execute_captured
 from repro.chain.node import Node
 from repro.chain.receipt import receipts_root
 from repro.chain.transfer import is_plain_transfer, transfer_access
@@ -94,10 +97,15 @@ def interpreter_only(monkeypatch_context):
 
 
 def discover_both(txs, state, context):
+    """The block discovered as shipped, and each transaction through the
+    interpreter with its artifact captured in full (an untraced
+    discovery keeps no journal for the interpreter's transactions); the
+    state is left as it was."""
+    token = state.snapshot()
     closed = dag.discover_access_sets(txs, state, context)
-    with pytest.MonkeyPatch.context() as patch:
-        interpreter_only(patch)
-        reference = dag.discover_access_sets(txs, state, context)
+    state.revert(token)
+    reference = [execute_captured(state, tx, context) for tx in txs]
+    state.revert(token)
     return closed, reference
 
 
@@ -108,6 +116,11 @@ def assert_same_artifacts(closed, reference):
         assert got.receipt == want.receipt, got.tx
         assert got.access.reads == want.access.reads, got.tx
         assert got.access.writes == want.access.writes, got.tx
+        if got.journal is None:
+            # Discovery ran it through the interpreter and, untraced,
+            # captured nothing beyond the receipt and the access set.
+            assert got.tx.to is None or got.tx.to in (COUNTER, LATE_CODE)
+            continue
         assert got.journal.ops == want.journal.ops, got.tx  # in order
         assert got.read_values == want.read_values, got.tx
         assert got.steps is None and want.steps is None
@@ -124,7 +137,7 @@ def test_artifacts_equal_the_interpreters(specs, coinbase_funded):
     closed, reference = discover_both(
         txs, state, BlockContext(coinbase=COINBASE)
     )
-    assert state_digest_bytes(state) == before  # reverted, as ever
+    assert state_digest_bytes(state) == before
     assert_same_artifacts(closed, reference)
     # Every edge the DAG builder draws is drawn from the same sets.
     assert dag.build_dag_edges(txs, closed) == dag.build_dag_edges(
@@ -254,7 +267,8 @@ def test_a_target_with_code_takes_the_interpreter():
         op[:3] for op in before.journal.ops
     }
     assert (LATE_CODE, 0) in after.writes  # the deployed code ran
-    assert not state.has_code(LATE_CODE)  # discovery reverted the deploy
+    assert after.journal is None  # an untraced EVM artifact: not replayable
+    assert state.has_code(LATE_CODE)  # discovery is the execution
 
 
 def test_a_traced_pass_runs_everything():
@@ -310,8 +324,8 @@ def test_counters_match_the_interpreters_under_a_live_registry():
 
 # -- root by root ------------------------------------------------------------
 def run_node(txs, emit_witness, interpreter):
-    """Propose + execute on a fresh node; the proposal is replayed from
-    its artifacts, so the closed-form journals are what gets committed."""
+    """Propose + execute on a fresh node; the proposal commits as its
+    discovery left it, so the closed form's effects are what commits."""
     node = Node(state=genesis(), emit_witness=emit_witness)
     with pytest.MonkeyPatch.context() as patch:
         if interpreter:
@@ -319,8 +333,9 @@ def run_node(txs, emit_witness, interpreter):
         # Handed over the way the serve loop does, past the mempool's
         # door: under-gas and unfunded transactions reach the block.
         block = node.propose_block(transactions=txs)
-        receipts = node.execute_block(block)
-    assert node.txs_reexecuted == 0
+        with use_registry() as registry:
+            receipts = node.execute_block(block)
+    assert "evm.tx_executions" not in registry.counters_flat()
     return node, receipts
 
 
@@ -351,7 +366,7 @@ def test_node_commits_the_same_roots(specs, emit_witness):
 @settings(deadline=None)
 @given(specs=BLOCK, own=st.booleans())
 def test_parallel_executor_commits_the_same_state(specs, own):
-    """The ``parallel`` engine replays its own proposal (*own*), or, as a
+    """The ``parallel`` engine commits its own proposal (*own*), or, as a
     second node handed the block without artifacts, its own discovery."""
     txs = build(specs)
 
@@ -364,8 +379,11 @@ def test_parallel_executor_commits_the_same_state(specs, own):
             if not own:
                 node = Node(state=genesis())
                 block = dataclasses.replace(block, artifacts=None)
-            receipts = node.execute_block(block, executor="parallel")
-        assert (node.txs_replayed, node.txs_reexecuted) == (len(txs), 0)
+            with use_registry() as registry:
+                receipts = node.execute_block(block, executor="parallel")
+        assert registry.counters_flat().get("evm.tx_executions", 0) == (
+            0 if own else len(txs)
+        )
         return node, receipts
 
     node, receipts = run(interpreter=False)

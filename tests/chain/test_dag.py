@@ -1,5 +1,6 @@
 """Dependency-DAG discovery and graph utilities."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -97,13 +98,45 @@ class TestMetrics:
 
 
 class TestDiscovery:
-    def test_discovery_leaves_state_untouched(self, deployment):
+    def test_discovery_leaves_the_state_as_executed(self, deployment):
+        """Discovery is the block's execution: it leaves the state where
+        one EVM pass in block order leaves it, receipts included."""
+        from repro.evm import EVM
         from repro.workload import generate_block
 
         block = generate_block(deployment, num_transactions=10, seed=4)
-        digest = deployment.state.state_digest()
-        discover_access_sets(block.transactions, deployment.state)
-        assert deployment.state.state_digest() == digest
+        state = deployment.state.copy()
+        artifacts = discover_access_sets(block.transactions, state)
+        reference = deployment.state.copy()
+        evm = EVM(reference)
+        assert [artifact.receipt for artifact in artifacts] == [
+            evm.execute_transaction(tx) for tx in block.transactions
+        ]
+        assert state.state_digest() == reference.state_digest()
+
+    def test_a_discovery_that_raises_reverts_itself(
+        self, deployment, monkeypatch
+    ):
+        from repro.chain import dag
+        from repro.workload import generate_block
+
+        block = generate_block(deployment, num_transactions=10, seed=4)
+        state = deployment.state.copy()
+        digest = state.state_digest()
+        real = dag.execute_tracked
+        calls = []
+
+        def dies_on_the_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("discovery died")
+            return real(*args)
+
+        monkeypatch.setattr(dag, "execute_tracked", dies_on_the_third)
+        with pytest.raises(RuntimeError, match="discovery died"):
+            discover_access_sets(block.transactions, state)
+        assert state.state_digest() == digest
+        assert state.access is None
 
     def test_transfers_between_disjoint_accounts_independent(
         self, deployment
@@ -120,7 +153,7 @@ class TestDiscovery:
                         data=abi.encode_call(
                             "transfer(address,uint256)", d, 1)),
         ]
-        sets = discover_access_sets(txs, deployment.state)
+        sets = discover_access_sets(txs, deployment.state.copy())
         assert build_dag_edges(txs, sets) == []
 
     def test_overlapping_transfers_conflict(self, deployment):
@@ -136,7 +169,7 @@ class TestDiscovery:
                         data=abi.encode_call(
                             "transfer(address,uint256)", c, 1)),
         ]
-        sets = discover_access_sets(txs, deployment.state)
+        sets = discover_access_sets(txs, deployment.state.copy())
         assert build_dag_edges(txs, sets) == [(0, 1)]
 
 

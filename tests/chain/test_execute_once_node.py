@@ -1,11 +1,15 @@
-"""Execute-once on the sequential path: ``Node.execute_block`` commits
-the consensus-stage pre-execution of the block the node itself proposed.
+"""Execute-once on the in-order path: a node's own proposal is its
+execution. ``Node.propose_block`` for ``sequential`` or ``parallel``
+leaves the block's effects on the state (an open proposal), and
+``Node.execute_block`` of that block commits them as they stand.
 
-The invariants: replay commits exactly what a fresh node computes by
-running the same block through the EVM; a stale, misplaced or foreign
-artifact is never trusted (that transaction runs through the EVM, and is
-counted); and the paths whose job is to *check* a block — a different
-node, ``verify_block``, recovery — never replay at all.
+The invariants: the commit equals what a fresh node computes by running
+the same block through the EVM, with one EVM run per transaction; the
+state moving under an open proposal is refused; nothing riding on
+``block.artifacts`` is ever applied; every other entry abandons the
+proposal, leaving the node bit-identical to how the proposal found it;
+and the paths whose job is to *check* a block — a different node,
+``verify_block``, recovery — run the EVM.
 """
 
 import dataclasses
@@ -18,13 +22,16 @@ from hypothesis import strategies as st
 from repro.chain import Transaction
 from repro.chain.block import BlockHeader
 from repro.chain.journal import WriteJournal
-from repro.chain.node import Node
+from repro.chain.node import Node, StaleProposalError
 from repro.chain.receipt import receipts_root
 from repro.contracts.asm import assemble
 from repro.obs import use_registry
+from repro.serve.batcher import BlockBuilder
+from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_transactions
-from repro.storage import StorageConfig, attach, recover
+from repro.storage import AppendFailedError, StorageConfig, attach, recover
 from repro.storage.codec import state_digest_bytes
+from repro.trie import StateTrie
 
 DESTRUCTOR = 0xDE57
 FACTORY = 0xFAC7
@@ -127,6 +134,10 @@ def assert_same_outcome(node, receipts, twin, twin_receipts):
             == twin.state.get_balance(twin.coinbase))
 
 
+def executions(registry):
+    return registry.counters_flat().get("evm.tx_executions", 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ops=OPS, seed=st.integers(0, 2**16))
 def test_replay_commits_what_the_evm_computes(deployment, ops, seed):
@@ -136,13 +147,22 @@ def test_replay_commits_what_the_evm_computes(deployment, ops, seed):
         block = propose(node, txs)
         receipts = node.execute_block(block)
         counters = registry.counters_flat()
-    # One EVM pass (discovery); execution was journal replay throughout.
+    # One EVM pass (discovery), committed as it stands.
     assert counters["evm.tx_executions"] == len(txs)
-    assert counters["evm.tx_reuses"] == node.txs_replayed == len(txs)
+    assert "evm.tx_reuses" not in counters
     assert "evm.tx_reexecutions" not in counters
-    assert node.txs_reexecuted == 0
     twin_receipts, twin = evm_only_twin(deployment, block)
     assert_same_outcome(node, receipts, twin, twin_receipts)
+
+
+def where(node):
+    """Everything a proposal may touch, bit for bit."""
+    return (
+        state_digest_bytes(node.state),
+        node.state_root,
+        list(node.state._journal),
+        list(node.chain),
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -151,25 +171,26 @@ def test_state_changed_under_a_read_key_reexecutes(
     deployment, ops, seed, victim
 ):
     """Another writer got in between propose and execute: the sender's
-    balance is no longer what discovery saw."""
+    balance is no longer what discovery saw. Committing the proposal
+    would seal that write into the block's root with no transaction
+    having made it, so the commit is refused, the node rolls back to
+    where the proposal found it (the stray write included), and the
+    block then re-executes through the EVM."""
     txs = build_txs(deployment, ops, seed)
     sender = txs[victim % len(txs)].sender
-
-    def drain(target):
-        target.state.set_balance(
-            sender, target.state.get_balance(sender) // 2 + 7
-        )
-
     node = Node(state=genesis(deployment))
+    before = where(node)
     block = propose(node, txs)
-    drain(node)
+    node.state.set_balance(
+        sender, node.state.get_balance(sender) // 2 + 7
+    )
+    with pytest.raises(StaleProposalError):
+        node.execute_block(block)
+    assert where(node) == before
     with use_registry() as registry:
         receipts = node.execute_block(block)
-        counters = registry.counters_flat()
-    assert node.txs_reexecuted >= 1
-    assert counters["evm.tx_reexecutions"] == node.txs_reexecuted
-    assert node.txs_replayed + node.txs_reexecuted == len(txs)
-    twin_receipts, twin = evm_only_twin(deployment, block, prepare=drain)
+    assert executions(registry) == len(txs)
+    twin_receipts, twin = evm_only_twin(deployment, block)
     assert_same_outcome(node, receipts, twin, twin_receipts)
 
 
@@ -177,34 +198,6 @@ def _transfer_block(deployment, count=6):
     node = Node(state=genesis(deployment))
     txs = make_transactions(deployment, count, workload="transfer", seed=4)
     return node, propose(node, txs)
-
-
-def test_poisoned_read_value_reexecutes_only_that_transaction(deployment):
-    node, block = _transfer_block(deployment)
-    artifact = block.artifacts[2]
-    # read_values is built from a set: its first key varies with the
-    # process's string-hash seed and may be the recipient's code (bytes).
-    key = next(
-        key for key, value in artifact.read_values.items()
-        if isinstance(value, int)
-    )
-    artifact.read_values[key] = artifact.read_values[key] + 1
-    receipts = node.execute_block(block)
-    assert (node.txs_replayed, node.txs_reexecuted) == (5, 1)
-    twin_receipts, twin = evm_only_twin(deployment, block)
-    assert_same_outcome(node, receipts, twin, twin_receipts)
-
-
-def test_misplaced_artifacts_are_not_trusted(deployment):
-    """Right length, wrong transaction: both swapped slots re-execute."""
-    node, block = _transfer_block(deployment)
-    block.artifacts[0], block.artifacts[1] = (
-        block.artifacts[1], block.artifacts[0]
-    )
-    receipts = node.execute_block(block)
-    assert (node.txs_replayed, node.txs_reexecuted) == (4, 2)
-    twin_receipts, twin = evm_only_twin(deployment, block)
-    assert_same_outcome(node, receipts, twin, twin_receipts)
 
 
 def forbid_replay(monkeypatch):
@@ -220,44 +213,167 @@ def no_replay(monkeypatch):
     forbid_replay(monkeypatch)
 
 
+def commits_as_proposed(deployment, node, block):
+    """The open proposal commits with no engine pass and no journal
+    applied, and lands where a plain EVM run of the block does."""
+    with use_registry() as registry:
+        receipts = node.execute_block(block)
+    assert executions(registry) == 0
+    twin_receipts, twin = evm_only_twin(deployment, block)
+    assert_same_outcome(node, receipts, twin, twin_receipts)
+
+
+def test_poisoned_read_value_reexecutes_only_that_transaction(
+    deployment, no_replay
+):
+    """Editing ``block.artifacts`` of an open proposal changes nothing:
+    the commit takes the receipts the node kept, not the block's."""
+    node, block = _transfer_block(deployment)
+    artifact = block.artifacts[2]
+    # read_values is built from a set: its first key varies with the
+    # process's string-hash seed and may be the recipient's code (bytes).
+    key = next(
+        key for key, value in artifact.read_values.items()
+        if isinstance(value, int)
+    )
+    artifact.read_values[key] = artifact.read_values[key] + 1
+    artifact.receipt = dataclasses.replace(artifact.receipt, gas_used=1)
+    commits_as_proposed(deployment, node, block)
+
+
+def test_misplaced_artifacts_are_not_trusted(deployment, no_replay):
+    """Right length, wrong transaction: still nothing changes."""
+    node, block = _transfer_block(deployment)
+    block.artifacts[0], block.artifacts[1] = (
+        block.artifacts[1], block.artifacts[0]
+    )
+    commits_as_proposed(deployment, node, block)
+
+
 def test_wrong_length_artifact_list_is_ignored(deployment, no_replay):
     node, block = _transfer_block(deployment)
     block.artifacts = block.artifacts[:-1]
-    receipts = node.execute_block(block)
-    assert node.txs_replayed == node.txs_reexecuted == 0
-    twin_receipts, twin = evm_only_twin(deployment, block)
-    assert_same_outcome(node, receipts, twin, twin_receipts)
+    commits_as_proposed(deployment, node, block)
 
 
 def test_other_nodes_and_verify_block_run_the_evm(deployment, no_replay):
     """Artifacts are the proposer's own: a peer handed the very same
     block object (artifacts attached) executes or verifies it for real."""
     proposer, block = _transfer_block(deployment)
+    count = len(block.transactions)
     executing_peer = Node(state=genesis(deployment))
-    receipts = executing_peer.execute_block(block)
-    assert executing_peer.txs_replayed == 0
+    with use_registry() as registry:
+        receipts = executing_peer.execute_block(block)
+    assert executions(registry) == count
     verifying_peer = Node(state=genesis(deployment))
     assert verifying_peer.verify_block(block, receipts_root(receipts))
-    # The proposer itself verifying its own block does not replay either.
-    assert proposer.verify_block(block, receipts_root(receipts))
-    assert proposer.txs_replayed == 0
+    # The proposer itself verifying its own block abandons the proposal
+    # and runs the EVM too.
+    with use_registry() as registry:
+        assert proposer.verify_block(block, receipts_root(receipts))
+    assert executions(registry) == count
 
 
 def test_recovery_runs_the_evm(deployment, tmp_path, monkeypatch):
     node = Node(state=genesis(deployment))
     attach(node, str(tmp_path), StorageConfig(fsync="never"))
     txs = make_transactions(deployment, 8, workload="erc20", seed=9)
-    for start in (0, 4):
-        node.execute_block(propose(node, txs[start:start + 4]))
-    assert node.txs_replayed == 8
+    with use_registry() as registry:
+        for start in (0, 4):
+            node.execute_block(propose(node, txs[start:start + 4]))
+    assert executions(registry) == 8
     digest = state_digest_bytes(node.state)
     node.store.close()
 
     forbid_replay(monkeypatch)
-    result = recover(str(tmp_path))
+    with use_registry() as registry:
+        result = recover(str(tmp_path))
     assert result.height == 2
     assert result.state_digest == digest
-    assert result.node.txs_replayed == 0
+    assert executions(registry) == 8
+
+
+# -- every other entry abandons the open proposal -----------------------------
+def _second_proposal(node, txs):
+    block = propose(node, txs)
+    node.propose_block(max_transactions=0)
+    return block, node.execute_block(block)
+
+
+def _foreign_block(node, txs):
+    block = propose(node, txs)
+    foreign = dataclasses.replace(block, artifacts=None)
+    return foreign, node.execute_block(foreign)
+
+
+def _mtpu(node, txs):
+    block = propose(node, txs)
+    return block, node.execute_block(block, executor="mtpu", num_workers=2)
+
+
+def _verify_block(node, txs):
+    block = propose(node, txs)
+    claimed = receipts_root([artifact.receipt for artifact in block.artifacts])
+    assert node.verify_block(block, claimed)
+    return block, node.receipts[block.hash()]
+
+
+def _builder_failure(node, txs):
+    """The builder's failure path: the commit never ran (here: the
+    store refused it before the engine was reached)."""
+    for tx in txs:
+        node.hear(tx)
+    builder = BlockBuilder(node, ServeConfig(port=0, gas_target=None))
+    proposed = []
+
+    def refused(block):
+        proposed.append(block)
+        raise AppendFailedError("refused before the commit")
+
+    builder._execute = refused
+    with pytest.raises(AppendFailedError):
+        builder._build_and_execute(node.cut(len(txs)))
+    [block] = proposed
+    return block, node.execute_block(block)
+
+
+ABANDONING = {
+    "propose_block": _second_proposal,
+    "foreign_execute_block": _foreign_block,
+    "mtpu_execute_block": _mtpu,
+    "verify_block": _verify_block,
+    "builder_failure": _builder_failure,
+}
+
+
+@pytest.mark.parametrize("entry", ABANDONING)
+@settings(max_examples=8, deadline=None)
+@given(ops=OPS, seed=st.integers(0, 2**16))
+def test_an_abandoned_proposal_leaves_the_node_where_it_found_it(
+    deployment, entry, ops, seed
+):
+    """Each entry that is not the commit of the open proposal first puts
+    the node back, bit for bit, where the proposal found it; then the
+    block applies through an execution of its own (one more run per
+    transaction) and lands where a plain EVM run does."""
+    txs = build_txs(deployment, ops, seed)
+    node = Node(state=genesis(deployment))
+    before = where(node)
+    found = []
+    abandon = node.abandon_proposal
+
+    def watched():
+        abandon()
+        found.append(where(node))
+
+    node.abandon_proposal = watched
+    with use_registry() as registry:
+        block, receipts = ABANDONING[entry](node, txs)
+    assert found and all(state == before for state in found)
+    assert node.state_root == StateTrie.rebuild_root(node.state)
+    assert executions(registry) == 2 * len(txs)
+    twin_receipts, twin = evm_only_twin(deployment, block)
+    assert_same_outcome(node, receipts, twin, twin_receipts)
 
 
 class TestHeaderHashIsComputedOnce:

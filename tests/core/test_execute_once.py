@@ -99,9 +99,11 @@ class TestExecuteOnce:
 
         state = deployment.state.copy()
         context = node.block_context(block.header)
+        token = state.snapshot()
         artifacts = discover_access_sets(
             block.transactions, state, context, trace=True
         )
+        state.revert(token)
         by_hash = {a.tx.hash(): a for a in artifacts}
         # Corrupt every artifact's read values: none may replay.
         for artifact in artifacts:

@@ -201,7 +201,7 @@ class TestPUFailureRecovery:
         )
         txs = block.transactions
         state = deployment.state.copy()
-        access = discover_access_sets(txs, state)
+        access = discover_access_sets(txs, state.copy())
         edges = transitive_reduction(
             len(txs), build_dag_edges(txs, access)
         )
@@ -474,10 +474,12 @@ class TestNodeVerifyBlock:
         ).transactions
         for tx in txs:
             node.hear(tx)
+        # The proposal is applied until something commits or abandons
+        # it: "everything" is where the proposal found the node.
+        before = node.state.state_digest()
         block = node.propose_block()
         for tx in block.transactions:  # take() drained them; repool
             node.hear(tx)
-        before = node.state.state_digest()
         pending = len(node.mempool)
 
         verdict = node.verify_block(block, claimed_root=b"\x13" * 32)

@@ -1,20 +1,21 @@
 """The ``parallel`` engine against its sequential contract.
 
-``parallel`` is the in-order walk ``sequential`` runs, over the artifacts
-of this node's own proposal or, on anyone else's block, of a discovery it
-runs itself (the shipped DAG checked against it). Every test pins the
-same invariant from a different angle: whatever mix of artifact replay
-and EVM execution the walk takes, the receipts and ``state_digest()``
-are bit-identical to plain block-order sequential execution.
+``parallel`` commits this node's own proposal as its discovery left it
+or, on anyone else's block, runs a discovery of its own in block order
+(the shipped DAG checked against it) and commits that. Every test pins
+the same invariant from a different angle: either way, the receipts and
+``state_digest()`` are bit-identical to plain block-order sequential
+execution, from one EVM run per transaction.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import Block
-from repro.chain.node import Node
+from repro.chain.node import Node, StaleProposalError
 from repro.chain.transaction import Transaction
 from repro.evm.interpreter import EVM
 from repro.obs import use_registry
@@ -35,7 +36,8 @@ def sequential_reference(deployment, transactions, context):
 def run_parallel(deployment, transactions, own=True):
     """*transactions* through ``Node.execute_block(executor="parallel")``:
     as the node's own proposal (*own*), else as a second node handed the
-    proposal off the wire, without its artifacts."""
+    proposal off the wire, without its artifacts. Returns the node and
+    the counters ``execute_block`` published."""
     proposer = Node(state=deployment.state.copy())
     block = proposer.propose_block(
         transactions=transactions, executor="parallel"
@@ -44,37 +46,36 @@ def run_parallel(deployment, transactions, own=True):
     node = proposer if own else Node(state=deployment.state.copy())
     if not own:
         block = Block.from_rlp(block.to_rlp())
-    receipts = node.execute_block(block, executor="parallel")
+    with use_registry() as registry:
+        receipts = node.execute_block(block, executor="parallel")
     reference = sequential_reference(
         deployment, transactions, node.block_context(block.header)
     )
     assert receipts == reference[0]
     assert node.state.state_digest() == reference[1]
-    return node
+    return node, registry.counters_flat()
 
 
 class TestSerialBackend:
     def test_matches_sequential(self, deployment):
-        """A follower discovers the block itself and replays that."""
+        """A follower's discovery is its execution of the block."""
         block = generate_dependency_block(
             deployment, num_transactions=24, target_ratio=0.5, seed=11
         )
-        node = run_parallel(deployment, block.transactions, own=False)
-        assert node.txs_replayed == len(block.transactions)
-        assert node.txs_reexecuted == 0
+        _, counters = run_parallel(
+            deployment, block.transactions, own=False
+        )
+        assert counters["evm.tx_executions"] == len(block.transactions)
 
     def test_pipeline_replays_fresh_artifacts(self, deployment):
+        """The node's own proposal: its discovery ran in block order on
+        the state the block commits to, and is what commits."""
         block = generate_dependency_block(
             deployment, num_transactions=24, target_ratio=0.25, seed=12
         )
-        n = len(block.transactions)
-        with use_registry() as registry:
-            node = run_parallel(deployment, block.transactions)
-            counters = registry.counters_flat()
-        # Discovery ran in block order on the state the block commits
-        # to, so every artifact replays fresh.
-        assert (node.txs_replayed, node.txs_reexecuted) == (n, 0)
-        assert counters["evm.tx_reuses"] == n
+        _, counters = run_parallel(deployment, block.transactions)
+        assert "evm.tx_executions" not in counters
+        assert "evm.tx_reuses" not in counters
         assert "evm.tx_reexecutions" not in counters
         assert not any(name.startswith("parallel.") for name in counters)
 
@@ -106,10 +107,10 @@ class TestCoinbaseReadFallback:
         self, deployment
     ):
         """A transfer *to* the block's coinbase reads the balance every
-        transaction's fee credits. The walk is block order, so the
-        credits its artifact read are the ones it finds: it replays like
-        any other (no fallback exists), and the block lands where an
-        artifact-less EVM replay on a second node lands."""
+        transaction's fee credits. Discovery runs in block order, so the
+        credits it read are the ones that commit (no fallback exists),
+        and the block lands where an artifact-less EVM replay on a
+        second node lands."""
         node = Node(state=deployment.state.copy())
         txs = make_transactions(deployment, 6, workload="transfer", seed=3)
         tx = txs[2]
@@ -125,9 +126,7 @@ class TestCoinbaseReadFallback:
         assert block.transactions == txs
         with use_registry() as registry:
             receipts = node.execute_block(block, executor="parallel")
-            counters = registry.counters_flat()
-        assert counters["evm.tx_reuses"] == len(txs)
-        assert "evm.tx_reexecutions" not in counters
+        assert "evm.tx_executions" not in registry.counters_flat()
 
         reference = Node(state=deployment.state.copy())
         plain = dataclasses.replace(
@@ -143,26 +142,27 @@ class TestSerialWalksBlockOrder:
     def test_mixed_artifacts_match_the_evm(
         self, deployment
     ):
-        """On a block whose artifacts are part fresh, part stale the walk
-        replays the fresh ones, runs the stale ones through the EVM and
-        lands where one EVM pass lands — same receipts, same state."""
+        """A write to the state between propose and execute (here: a
+        balance some transactions read) is refused at the commit — it
+        would be sealed into the block's root with no transaction having
+        made it. The node is back where the proposal found it, and the
+        block then lands where one EVM pass over that state lands."""
         block = generate_dependency_block(
             deployment, num_transactions=16, target_ratio=0.5, seed=19
         )
         txs = block.transactions
         node = Node(state=deployment.state.copy())
-        proposal = node.propose_block(transactions=txs, executor="parallel")
-        # Stale every artifact that read this balance, without changing
-        # what any transaction touches.
         state = node.state
+        reference = state.copy()
+        proposal = node.propose_block(transactions=txs, executor="parallel")
         victim = txs[0].sender
         state.set_balance(victim, state.get_balance(victim) + 1)
-        state.clear_journal()
-        reference = state.copy()
+        with pytest.raises(StaleProposalError):
+            node.execute_block(proposal, executor="parallel")
+        assert state.state_digest() == reference.state_digest()
+        assert not node.chain
+
         evm = EVM(reference, block=node.block_context(proposal.header))
         receipts = [evm.execute_transaction(tx) for tx in txs]
-
         assert node.execute_block(proposal, executor="parallel") == receipts
         assert state.state_digest() == reference.state_digest()
-        assert 0 < node.txs_reexecuted < len(txs)
-        assert node.txs_replayed + node.txs_reexecuted == len(txs)

@@ -82,7 +82,11 @@ def run_serve_path(
 def dying_midway(node, run_engine, dies_at):
     """*run_engine* with a tripwire on the sender-nonce bump — the one
     state write every engine makes once per transaction, whichever way
-    it applies it (the EVM increments, a journal replay sets)."""
+    it applies it (the EVM increments, a journal replay sets). A node's
+    own in-order proposal is committed as its discovery left it, with no
+    engine pass and no bump: there the commit dies instead, at the seal
+    with the state dirtied further, when the block holds ``dies_at``
+    transactions."""
 
     def execute(block):
         bumps = 0
@@ -96,11 +100,21 @@ def dying_midway(node, run_engine, dies_at):
                 return original(*args)
             return bump
 
+        def dying_seal(original):
+            def seal(sealed):
+                if not bumps and len(sealed.transactions) >= dies_at:
+                    node.state.set_balance(0xDEAD, 123)
+                    raise RuntimeError("engine died mid-block")
+                return original(sealed)
+            return seal
+
         state = node.state
         with mock.patch.object(
             state, "increment_nonce", tripwire(state.increment_nonce)
         ), mock.patch.object(
             state, "set_nonce", tripwire(state.set_nonce)
+        ), mock.patch.object(
+            node, "seal_state_root", dying_seal(node.seal_state_root)
         ):
             return run_engine(block)
 
@@ -303,8 +317,7 @@ def test_forced_sequential_fallback_matches_offline(
         == served(builder, "blocks_built")
         > 0
     )
-    # A clean re-execution: the failed executor's artifacts are dropped,
-    # so nothing the fallback committed came from a journal replay.
+    # A clean re-execution: the failed attempt abandoned its proposal,
+    # so what the fallback committed is its own EVM pass.
     assert all(block.artifacts is None for block in node.chain)
-    assert node.txs_replayed == node.txs_reexecuted == 0
     assert_matches_offline(deployment, node, committed, txs)

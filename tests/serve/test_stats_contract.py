@@ -50,8 +50,6 @@ SERVER_STATS = {
     "readOnlyRejects": "int",
     "sequentialFallbacks": "int",
     "executionFailures": "int",
-    "txsReplayed": "int",
-    "txsReexecuted": "int",
     "packing": "str",
     "packedBlocks": "int",
     "packedDeferred": "int",

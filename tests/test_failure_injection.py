@@ -67,7 +67,7 @@ def inject_failures(deployment, seed=90):
         tags={"contract": None, "is_erc20": False},
     ))
 
-    access = discover_access_sets(txs, deployment.state)
+    access = discover_access_sets(txs, deployment.state.copy())
     edges = transitive_reduction(len(txs), build_dag_edges(txs, access))
     return txs, edges
 
