@@ -87,9 +87,9 @@ class ExecutionArtifact:
     transaction started executing. ``steps`` is the dataflow trace
     (``None`` unless the pre-execution ran with tracing enabled).
 
-    An artifact nobody replays — an untraced EVM execution
-    (:func:`execute_tracked`) — has no ``journal`` (``None``: applying
-    it raises) and no read values.
+    An artifact nobody replays — an untraced execution
+    (:func:`execute_tracked`, or a plain transfer's closed form) — has
+    no ``journal`` (``None``: applying it raises) and no read values.
     """
 
     tx: Transaction

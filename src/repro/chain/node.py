@@ -113,17 +113,12 @@ class Node:
         clock: StageClock | None = None,
         coinbase: int = 0xC0FFEE,
         mempool_capacity: int | None = None,
-        per_sender_cap: int | None = None,
         store=None,
         merkleize: bool = True,
         emit_witness: bool = False,
     ) -> None:
         self.state = state or WorldState()
-        self.mempool = Mempool(
-            capacity=mempool_capacity,
-            state=self.state,
-            per_sender_cap=per_sender_cap,
-        )
+        self.mempool = Mempool(capacity=mempool_capacity, state=self.state)
         self.clock = clock or StageClock()
         self.coinbase = coinbase
         self.chain: list[Block] = []

@@ -4,10 +4,10 @@ The paper's hotspot optimiser pre-executes chunks whose outcome depends
 only on transaction attributes. A message call to an account that holds
 no code is the degenerate case: the whole transaction is such a chunk.
 Nothing runs there — calldata, if any, is paid for in the intrinsic gas
-and ignored — so its receipt, access set, write journal and read values
-are a function of ``(tx, sender balance and nonce, recipient balance,
-coinbase, intrinsic gas)`` and can be written down without an ``EVM``,
-a ``Message``, a ``Frame`` or a gas meter.
+and ignored — so its receipt, access set and effects are a function of
+``(tx, sender balance and nonce, recipient balance, coinbase, intrinsic
+gas)`` and can be written down without an ``EVM``, a ``Message``, a
+``Frame`` or a gas meter.
 
 This module is the repo's one statement of that function:
 
@@ -17,8 +17,8 @@ This module is the repo's one statement of that function:
   admission-time bloom (:func:`repro.chain.bloom.bloom_for_transaction`)
   and by discovery;
 * :func:`execute_transfer` — what
-  ``EVM.execute_transaction`` + :func:`~repro.chain.journal.capture_artifact`
-  would have built, field for field, with the effects applied in place
+  :func:`~repro.chain.journal.execute_tracked` would have returned (the
+  receipt and the access set), with the effects applied in place
   through the journaled setters.
 
 ``tests/chain/test_closed_form_transfer.py`` holds it to the interpreter.
@@ -26,9 +26,9 @@ This module is the repo's one statement of that function:
 
 from __future__ import annotations
 
-from .journal import ExecutionArtifact, WriteJournal
+from .journal import ExecutionArtifact
 from .receipt import Receipt
-from .state import BALANCE_KEY, CODE_KEY, NONCE_KEY, AccessSet, WorldState
+from .state import BALANCE_KEY, CODE_KEY, AccessSet, WorldState
 from .transaction import Transaction
 
 
@@ -60,20 +60,19 @@ def transfer_access(tx: Transaction) -> AccessSet:
 def execute_transfer(
     state: WorldState, tx: Transaction, coinbase: int, intrinsic: int
 ) -> ExecutionArtifact:
-    """Execute a plain transfer on *state* and return its artifact.
+    """Execute a plain transfer on *state*; the artifact holds the
+    receipt and the access set only, as an untraced EVM execution's does.
 
     The caller has checked :func:`is_plain_transfer` and suspended access
     tracking. The order of checks and effects is the interpreter's:
     intrinsic gas, balance ≥ value (neither bumps the nonce nor charges
     a fee), nonce bump, value move, then the fee — capped at what the
-    sender has left — credited to the coinbase as a commutative delta.
+    sender has left — credited to the coinbase.
     State is read through the normal getters, so a witness-emitting node
     records the same first touches the interpreter would have made.
     """
     sender, to, value = tx.sender, tx.to, tx.value
     balance = state.get_balance(sender)
-    nonce = state.get_nonce(sender)
-    read_values = {(sender, BALANCE_KEY): balance, (sender, NONCE_KEY): nonce}
 
     error = ""
     if intrinsic > tx.gas_limit:
@@ -82,11 +81,9 @@ def execute_transfer(
         gas_used, error = intrinsic, "insufficient balance for value"
     if error:
         receipt = Receipt(tx.hash(), False, gas_used, error=error)
-        return ExecutionArtifact(
-            tx, receipt, AccessSet(), WriteJournal(), read_values
-        )
+        return ExecutionArtifact(tx, receipt, AccessSet())
 
-    # Balances by address, in the order the interpreter first journals
+    # Balances by address, in the order the interpreter first touches
     # them; keying by address makes a self-transfer and a sender or
     # recipient that is the coinbase fall out of the same arithmetic.
     entry = {
@@ -94,9 +91,6 @@ def execute_transfer(
         to: state.get_balance(to),
         coinbase: state.get_balance(coinbase),
     }
-    read_values[(to, CODE_KEY)] = b""
-    if value:
-        read_values[(to, BALANCE_KEY)] = entry[to]
     fee = intrinsic * tx.gas_price
     post = dict(entry)
     post[sender] -= value
@@ -105,20 +99,9 @@ def execute_transfer(
     post[coinbase] += fee
 
     state.increment_nonce(sender)
-    ops: list[tuple] = [("nonce", sender, nonce + 1)]
     for address, final in post.items():
-        if final == entry[address]:
-            continue
-        state.set_balance(address, final)
-        if address != coinbase:
-            ops.append(("balance", address, final))
-    credited = post[coinbase] - entry[coinbase]
-    if credited:
-        ops.append(("balance_delta", coinbase, credited))
+        if final != entry[address]:
+            state.set_balance(address, final)
     return ExecutionArtifact(
-        tx,
-        Receipt(tx.hash(), True, intrinsic),
-        transfer_access(tx),
-        WriteJournal(ops),
-        read_values,
+        tx, Receipt(tx.hash(), True, intrinsic), transfer_access(tx)
     )

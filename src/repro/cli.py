@@ -13,6 +13,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -20,6 +21,8 @@ import time
 
 from . import experiments
 from .chain.node import EXECUTORS
+from .serve.config import ServeConfig
+from .storage.config import StorageConfig
 
 #: CLI name -> experiment callable.
 EXPERIMENTS = {
@@ -44,6 +47,14 @@ EXPERIMENTS = {
     "ablation-selection": experiments.ablation_selection_overhead,
     "ablation-pus": experiments.ablation_pu_scaling,
 }
+
+#: How long ``loadgen --mode open`` offers its ``--rate``.
+OPEN_LOOP_SECONDS = 5.0
+
+
+def _defaulted(text: str, config, name: str) -> str:
+    """*text* and the default the *config* dataclass states for *name*."""
+    return f"{text} (default: {getattr(config, name)})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,15 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON report here instead of stdout",
     )
     obs.add_argument(
-        "--indent", type=int, default=2,
-        help="JSON indentation (default: 2)",
-    )
-    obs.add_argument(
         "--wall-clock", action="store_true",
         help=(
             "also time the block on every wall-clock lane — one EVM "
             "pass (the sequential engine: the baseline) and parallel "
-            "(discover + DAG + replay), as a node runs them — "
+            "(discover + DAG), as a node runs them — "
             "receipts and state digest held to the baseline's, each "
             "lane's tx/s and ratio to sequential printed"
         ),
@@ -113,103 +120,110 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the JSON-RPC node front-end (newline-delimited "
              "JSON-RPC 2.0 over TCP)",
+        # A flag not given stays unset: ServeConfig states the default.
+        argument_default=argparse.SUPPRESS,
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8545)
+    serve.add_argument(
+        "--host", help=_defaulted("listen address", ServeConfig, "host"),
+    )
+    serve.add_argument(
+        "--port", type=int,
+        help=_defaulted("JSON-RPC port, 0 for an ephemeral one",
+                        ServeConfig, "port"),
+    )
     serve.add_argument(
         "--accounts", type=int, default=64,
         help="genesis accounts (loadgen must use the same value)",
     )
     serve.add_argument(
-        "--executor", choices=EXECUTORS, default="sequential",
-        help="block execution backend (default: sequential)",
+        "--executor", choices=EXECUTORS,
+        help=_defaulted("block execution backend", ServeConfig, "executor"),
     )
     serve.add_argument(
-        "--workers", type=int, default=4,
-        help="PUs (mtpu) and the lanes conflict-aware packing sizes its "
-             "default lane depth for; no other engine reads it",
+        "--workers", dest="num_workers", type=int, metavar="N",
+        help=_defaulted(
+            "the lanes a block is cut for, which mtpu runs as PUs; "
+            "conflict-aware packing caps one conflict chain at block "
+            "size / workers per block", ServeConfig, "num_workers",
+        ),
     )
     serve.add_argument(
-        "--block-size", type=int, default=128,
-        help="cut a block at this many transactions (default: 128)",
+        "--block-size", dest="block_size_target", type=int, metavar="N",
+        help=_defaulted(
+            "cut a block at this many transactions",
+            ServeConfig, "block_size_target",
+        ),
     )
     serve.add_argument(
-        "--gas-target", type=int, default=30_000_000,
-        help="cumulative gas a block may use, at most the 30M block "
-             "gas limit; pending gas limits reaching it cut a block "
-             "early (default: 30M)",
+        "--gas-target", type=int, metavar="GAS",
+        help=_defaulted(
+            "cumulative gas a block may use, at most the 30M block gas "
+            "limit; pending gas limits reaching it cut a block early",
+            ServeConfig, "gas_target",
+        ),
     )
     serve.add_argument(
-        "--interval-ms", type=float, default=50.0,
-        help="cut a block this long after the first pending tx "
-             "(default: 50)",
+        "--interval-ms", dest="block_interval_ms", type=float,
+        metavar="MS",
+        help=_defaulted(
+            "cut a block this long after the first pending tx",
+            ServeConfig, "block_interval_ms",
+        ),
     )
     serve.add_argument(
-        "--max-pending", type=int, default=4096,
-        help="admitted-but-uncommitted bound; beyond it clients get "
-             "typed BUSY errors (default: 4096)",
+        "--max-pending", type=int, metavar="N",
+        help=_defaulted(
+            "admitted-but-uncommitted bound; beyond it clients get typed "
+            "BUSY errors", ServeConfig, "max_pending",
+        ),
     )
     serve.add_argument(
-        "--per-sender-cap", type=int, default=1024,
-        help="pending transactions allowed per sender (default: 1024)",
-    )
-    serve.add_argument(
-        "--rate-limit", type=float, default=None, metavar="TX_PER_S",
+        "--rate-limit", type=float, metavar="TX_PER_S",
         help="per-client token-bucket rate (default: off)",
     )
     serve.add_argument(
-        "--rate-burst", type=int, default=64,
-        help="token-bucket burst size (default: 64)",
-    )
-    serve.add_argument(
-        "--data-dir", default=None,
+        "--data-dir",
         help="durable chain directory (WAL + snapshots); restarting "
              "with the same directory recovers and resumes the chain "
              "(default: in-memory only)",
     )
     serve.add_argument(
         "--fsync", choices=("always", "interval", "never"),
-        default="always",
-        help="WAL fsync policy with --data-dir (default: always)",
+        help=_defaulted(
+            "WAL fsync policy with --data-dir", StorageConfig, "fsync",
+        ),
     )
     serve.add_argument(
-        "--snapshot-interval", type=int, default=64,
-        help="world-state snapshot cadence in blocks (default: 64)",
+        "--snapshot-interval", dest="snapshot_interval_blocks", type=int,
+        metavar="BLOCKS",
+        help=_defaulted(
+            "world-state snapshot cadence in blocks",
+            StorageConfig, "snapshot_interval_blocks",
+        ),
     )
     serve.add_argument(
-        "--fsync-interval", type=int, default=16,
-        help="blocks between fsyncs under --fsync interval "
-             "(default: 16)",
-    )
-    serve.add_argument(
-        "--replication-port", type=int, default=None, metavar="PORT",
+        "--replication-port", type=int, metavar="PORT",
         help="with --data-dir: stream the WAL to verifying replicas on "
              "this port (0 = ephemeral; the bound port is announced on "
              "stderr)",
     )
     serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
+        "--idle-timeout", dest="idle_timeout_s", type=float,
+        metavar="SECONDS",
         help="drop connections silent this long (subscribers exempt; "
              "default: never)",
     )
     serve.add_argument(
-        "--packing", choices=("fifo", "conflict_aware"), default="fifo",
-        help="block cut policy: fifo (arrival order) or conflict_aware "
-             "(spread conflicting transactions across blocks and "
-             "parallel lanes; state stays bit-identical to fifo)",
+        "--packing", choices=("fifo", "conflict_aware"),
+        help=_defaulted(
+            "block cut policy: fifo (arrival order) or conflict_aware "
+            "(spread conflicting transactions across blocks and parallel "
+            "lanes; state stays bit-identical to fifo)",
+            ServeConfig, "packing",
+        ),
     )
     serve.add_argument(
-        "--packing-lane-depth", type=int, default=None, metavar="N",
-        help="max transactions one conflict chain contributes per "
-             "packed block (default: block size / workers)",
-    )
-    serve.add_argument(
-        "--packing-aging-bound", type=int, default=8, metavar="N",
-        help="deferred cuts before a conflicting transaction is "
-             "force-included (default: 8)",
-    )
-    serve.add_argument(
-        "--emit-witness", action="store_true",
+        "--emit-witness", action="store_true", default=False,
         help="emit a block witness per block (rides in the WAL; "
              "witness-mode replicas run each block on its witness)",
     )
@@ -275,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     proxy.add_argument(
         "--max-lag-blocks", type=int, default=1024,
-        help="eject replicas lagging the writer by more than this "
-             "(default: 1024)",
+        help="eject replicas lagging the writer by more than this: the "
+             "staleness a proxied read may have (default: 1024)",
     )
 
     recover = sub.add_parser(
@@ -285,15 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(replays the WAL, repairs torn tails)",
     )
     recover.add_argument("data_dir", help="chain data directory")
-    recover.add_argument(
-        "--receipt-history-blocks", type=int, default=1024,
-        help="receipt retention window the replay must cover "
-             "(default: 1024); 0 means archival full replay",
-    )
-    recover.add_argument(
-        "--no-repair", action="store_true",
-        help="report tail damage without truncating the WAL file",
-    )
     recover.add_argument(
         "--json", action="store_true",
         help="print the recovery report as JSON",
@@ -354,11 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--rate", type=float, default=500.0,
-        help="open loop: offered load in tx/s (default: 500)",
-    )
-    loadgen.add_argument(
-        "--duration", type=float, default=5.0,
-        help="open loop: seconds to sustain --rate (default: 5)",
+        help=f"open loop: offered load in tx/s for {OPEN_LOOP_SECONDS:g} s "
+             "(default: 500)",
     )
     loadgen.add_argument(
         "--workload",
@@ -366,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="transfer",
     )
     loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-request deadline forwarded to the server",
-    )
     loadgen.add_argument(
         "--json", action="store_true",
         help="print the full LoadResult as JSON",
@@ -386,7 +384,7 @@ def _run_obs_report(args) -> int:
         ratio=args.ratio,
         seed=args.seed,
     )
-    rendered = report.to_json(indent=args.indent)
+    rendered = report.to_json(indent=2)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(rendered + "\n")
@@ -415,40 +413,32 @@ def _run_obs_report(args) -> int:
     return 0
 
 
+def serve_config(args) -> ServeConfig:
+    """The :class:`ServeConfig` of a parsed ``serve`` command line: the
+    flags that were given, every other setting the dataclass default."""
+    given = vars(args)
+
+    def settings(config) -> dict:
+        return {
+            f.name: given[f.name]
+            for f in dataclasses.fields(config)
+            if f.name in given
+        }
+
+    storage = StorageConfig(**settings(StorageConfig))
+    return ServeConfig(**settings(ServeConfig), storage=storage)
+
+
 def _run_serve(args) -> int:
     import asyncio
 
     from .chain.node import Node
     from .contracts.registry import build_deployment
-    from .serve import RpcServer, ServeConfig
+    from .serve import RpcServer
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        block_size_target=args.block_size,
-        gas_target=args.gas_target,
-        block_interval_ms=args.interval_ms,
-        max_pending=args.max_pending,
-        per_sender_cap=args.per_sender_cap,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        executor=args.executor,
-        num_workers=args.workers,
-        data_dir=args.data_dir,
-        fsync=args.fsync,
-        snapshot_interval_blocks=args.snapshot_interval,
-        fsync_interval_blocks=args.fsync_interval,
-        replication_port=args.replication_port,
-        idle_timeout_s=args.idle_timeout,
-        packing=args.packing,
-        packing_lane_depth=args.packing_lane_depth,
-        packing_aging_bound=args.packing_aging_bound,
-        emit_witness=args.emit_witness,
-    )
+    config = serve_config(args)
     deployment = build_deployment(num_accounts=args.accounts)
-    node = Node(state=deployment.state,
-                per_sender_cap=args.per_sender_cap,
-                emit_witness=config.emit_witness)
+    node = Node(state=deployment.state, emit_witness=args.emit_witness)
     server = RpcServer(node=node, config=config)
     if server.recovery is not None:
         recovery = server.recovery
@@ -456,7 +446,7 @@ def _run_serve(args) -> int:
             print(f"recovery: {warning}", file=sys.stderr)
         print(
             f"recovered height {recovery.height} from "
-            f"{args.data_dir} (snapshot {recovery.snapshot_height} + "
+            f"{config.data_dir} (snapshot {recovery.snapshot_height} + "
             f"{recovery.replayed_blocks} replayed blocks, "
             f"digest {recovery.state_digest.hex()[:16]}…)",
             file=sys.stderr,
@@ -504,7 +494,7 @@ def _run_replicate(args) -> int:
     from .chain.node import Node
     from .contracts.registry import build_deployment
     from .replication import Replica, ReplicationConfig
-    from .serve import RpcServer, ServeConfig
+    from .serve import RpcServer
 
     config = ServeConfig(
         host=args.host,
@@ -635,13 +625,11 @@ def _run_loadgen(args) -> int:
         result = asyncio.run(loadgen.run_closed_loop(
             args.requests, clients=args.clients,
             workload=args.workload, seed=args.seed,
-            deadline_ms=args.deadline_ms,
         ))
     else:
         result = asyncio.run(loadgen.run_open_loop(
-            args.rate, args.duration, clients=args.clients,
+            args.rate, OPEN_LOOP_SECONDS, clients=args.clients,
             workload=args.workload, seed=args.seed,
-            deadline_ms=args.deadline_ms,
         ))
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -732,12 +720,11 @@ def _run_proof(args) -> int:
 def _run_recover(args) -> int:
     from .storage import StorageError, recover
 
-    retention = args.receipt_history_blocks or None
     try:
+        # The retention window a served node with this directory keeps.
         result = recover(
             args.data_dir,
-            receipt_history_blocks=retention,
-            repair=not args.no_repair,
+            receipt_history_blocks=ServeConfig.receipt_history_blocks,
         )
     except StorageError as exc:
         print(f"recover failed: {exc}", file=sys.stderr)

@@ -192,8 +192,7 @@ def sequential_reference(genesis, blocks) -> tuple[list[bytes], bytes]:
 # -- scenarios: serving --------------------------------------------------------
 def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
           executor="sequential", workload="transfer", packing="fifo",
-          packing_lane_depth=None, min_parallelism=None,
-          max_blocks=None) -> dict:
+          num_workers=4, min_parallelism=None, max_blocks=None) -> dict:
     """Boot an in-process :class:`RpcServer` on an ephemeral port, drive
     it closed-loop over real sockets, drain, and hold the chain it built
     to the sequential reference."""
@@ -203,11 +202,10 @@ def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
     config = ServeConfig(
         host="127.0.0.1", port=0, block_size_target=block_size_target,
         block_interval_ms=25.0, executor=executor, packing=packing,
-        packing_lane_depth=packing_lane_depth,
+        num_workers=num_workers,
     )
     deployment = build_deployment()
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     arrival: list = []
     if packing == "conflict_aware":
         # Record admission order (the event loop admits serially), so
@@ -682,13 +680,13 @@ SCENARIOS: dict[str, tuple] = {
         block_size_target=64, max_blocks=40,
         min_tps=50.0, max_p99_ms=5000.0,
     )),
-    # Conflict-heavy load through packing=conflict_aware: digest parity
-    # with a FIFO replay of the submission order, a packed-parallelism
-    # floor, no dropped receipt.
+    # Conflict-heavy load through packing=conflict_aware, blocks cut for
+    # 8 lanes of 4: digest parity with a FIFO replay of the submission
+    # order, a packed-parallelism floor, no dropped receipt.
     "packing": (serve, dict(
         transactions=256, clients=16, block_size_target=32,
         workload="hotburst", packing="conflict_aware",
-        packing_lane_depth=4, min_parallelism=1.5,
+        num_workers=8, min_parallelism=1.5,
         min_tps=100.0, max_p99_ms=5000.0,
     )),
     # SIGKILL a durably serving node mid-load, recover offline, hold the

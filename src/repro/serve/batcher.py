@@ -41,6 +41,9 @@ from ..storage.errors import AppendFailedError
 from .config import ServeConfig
 from .errors import ExecutionFailedError
 
+#: How long a drain may run before the builder cancels what is left.
+DRAIN_TIMEOUT_S = 30.0
+
 
 class CommittedReceipt:
     """A receipt plus its position in the chain."""
@@ -109,17 +112,16 @@ class BlockBuilder:
         self._m_packed_blocks = counter("serve.packed_blocks")
         self._m_packed_parallelism = counter("serve.packed_parallelism_sum")
         self._m_packed_deferred = counter("serve.packed_deferred")
-        #: Resolved lane-depth/aging policy under conflict-aware packing.
+        #: Lane-depth/aging policy under conflict-aware packing: a block
+        #: is cut for ``num_workers`` lanes; the aging bound is
+        #: :class:`PackingPolicy`'s own.
         self.packing_policy: PackingPolicy | None = None
         if self.config.packing == "conflict_aware":
-            depth = self.config.packing_lane_depth or max(
-                1,
-                self.config.block_size_target
-                // max(1, self.config.num_workers),
-            )
             self.packing_policy = PackingPolicy(
-                lane_depth=depth,
-                aging_bound=self.config.packing_aging_bound,
+                lane_depth=max(
+                    1,
+                    self.config.block_size_target // self.config.num_workers,
+                ),
             )
 
     # -- ingress -----------------------------------------------------------
@@ -187,21 +189,14 @@ class BlockBuilder:
             if receipts is None:
                 continue  # outside the recovered retention window
             height = block.header.height
-            for index, (tx, receipt) in enumerate(
-                zip(block.transactions, receipts)
+            tx_hashes = [tx.hash() for tx in block.transactions]
+            for index, (tx_hash, receipt) in enumerate(
+                zip(tx_hashes, receipts)
             ):
-                self.committed[tx.hash()] = CommittedReceipt(
+                self.committed[tx_hash] = CommittedReceipt(
                     receipt, height, index
                 )
-            self._history.append(
-                (block.hash(), [tx.hash() for tx in block.transactions])
-            )
-        retain = self.config.receipt_history_blocks
-        while retain is not None and len(self._history) > retain:
-            old_block_hash, old_tx_hashes = self._history.popleft()
-            self.node.receipts.pop(old_block_hash, None)
-            for tx_hash in old_tx_hashes:
-                self.committed.pop(tx_hash, None)
+            self._evict_history(block, tx_hashes)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -218,7 +213,7 @@ class BlockBuilder:
             return
         try:
             await asyncio.wait_for(
-                self._task, timeout=self.config.drain_timeout_s
+                self._task, timeout=DRAIN_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             self._task.cancel()

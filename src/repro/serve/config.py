@@ -1,10 +1,12 @@
-"""Serving-layer configuration: block cutting, admission, and SLO knobs."""
+"""Serving-layer configuration: the one statement of a served process's
+settings and their defaults (``repro serve`` flags only override them)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..chain.node import _engine
+from ..storage.config import StorageConfig
 
 
 @dataclass
@@ -53,58 +55,43 @@ class ServeConfig:
     #: block in flight). Beyond it, sendTransaction gets a typed BUSY
     #: error instead of unbounded buffering.
     max_pending: int = 4096
-    #: Per-sender pending cap forwarded to the mempool (None: off).
+    #: Per-sender pending cap the server sets on the mempool (None:
+    #: off).
     per_sender_cap: int | None = 1024
-    #: Per-client token-bucket refill rate, requests/second (None: off).
+    #: Per-client token-bucket refill rate, requests/second (None: off);
+    #: each bucket holds ``serve.server.RATE_BURST`` requests.
     rate_limit: float | None = None
-    #: Token-bucket burst size.
-    rate_burst: int = 64
 
-    # -- latency SLOs -----------------------------------------------------
-    #: Default sendTransaction wait deadline; requests may override.
-    default_deadline_ms: float = 30_000.0
-    #: How long shutdown() waits for the drain before force-closing.
-    drain_timeout_s: float = 30.0
+    # -- connections ------------------------------------------------------
     #: Drop connections silent longer than this (None: never). Dead
     #: sockets must not pin per-connection tasks forever; subscribers
     #: are exempt (their traffic is server-push by design).
     idle_timeout_s: float | None = None
 
-    # -- retention / egress bounds ----------------------------------------
+    # -- retention --------------------------------------------------------
     #: Keep receipts for this many recent blocks (getReceipt and the
     #: idempotent-resubmission window). Older receipts are evicted from
     #: the server *and* the node; None retains everything (archival —
     #: memory then grows with committed transactions).
     receipt_history_blocks: int | None = 1024
-    #: Drop a newHeads subscription whose transport write buffer exceeds
-    #: this many bytes — a stalled subscriber must not buffer without
-    #: bound.
-    max_subscriber_buffer: int = 1 << 20
 
     # -- durability -------------------------------------------------------
     #: Chain data directory. None serves purely in memory; set, every
-    #: committed block is WAL-appended (and fsynced per ``fsync``)
-    #: before client futures resolve, and startup recovers whatever the
-    #: directory already holds.
+    #: committed block is WAL-appended (and fsynced per
+    #: ``storage.fsync``) before client futures resolve, and startup
+    #: recovers whatever the directory already holds.
     data_dir: str | None = None
-    #: WAL fsync policy: "always", "interval", or "never".
-    fsync: str = "always"
-    #: World-state snapshot cadence (blocks) — the recovery anchors.
-    snapshot_interval_blocks: int = 64
-    #: fsync cadence under the "interval" policy.
-    fsync_interval_blocks: int = 16
-
-    # -- authenticated state ----------------------------------------------
-    #: Emit a block witness per block (rides in the WAL; witness-mode
-    #: replicas run each block on the state it proves).
-    emit_witness: bool = False
+    #: The store's fsync policy and snapshot cadence, used with
+    #: ``data_dir``.
+    storage: StorageConfig = field(default_factory=StorageConfig)
 
     # -- execution --------------------------------------------------------
     #: The engine behind ``Node.execute_block``: a name from
     #: :data:`repro.chain.node.ENGINES`, which describes each.
     executor: str = "sequential"
-    #: PUs (mtpu) and the lanes packing's default lane depth is sized
-    #: for; no other engine reads it.
+    #: The lanes a block is cut for, which ``mtpu`` runs as PUs: a
+    #: conflict-aware cut caps one conflict chain at
+    #: ``max(1, block_size_target // num_workers)`` transactions.
     num_workers: int = 4
 
     # -- block packing ----------------------------------------------------
@@ -113,25 +100,13 @@ class ServeConfig:
     #: transactions spread across blocks and lanes, receipts and state
     #: digest bit-identical to FIFO (the pack-equivalence property).
     packing: str = "fifo"
-    #: Cap on one conflict chain's transactions per block (None:
-    #: ``max(1, block_size_target // num_workers)``, sized so every
-    #: worker gets a lane).
-    packing_lane_depth: int | None = None
-    #: Deferred cuts before a conflicting transaction is force-included
-    #: (the anti-starvation bound).
-    packing_aging_bound: int = 8
 
     def __post_init__(self) -> None:
         _engine(self.executor)  # refuses an unknown name, naming the rest
         if self.packing not in ("fifo", "conflict_aware"):
             raise ValueError(f"unknown packing {self.packing!r}")
-        if (
-            self.packing_lane_depth is not None
-            and self.packing_lane_depth <= 0
-        ):
-            raise ValueError("packing_lane_depth must be positive")
-        if self.packing_aging_bound < 0:
-            raise ValueError("packing_aging_bound must be >= 0")
+        if self.num_workers < 1:
+            raise ValueError("num_workers must be positive")
         if self.role not in ("writer", "replica"):
             raise ValueError(f"unknown role {self.role!r}")
         if self.replication_port is not None and self.data_dir is None:
@@ -154,6 +129,8 @@ class ServeConfig:
                 )
         if self.max_pending <= 0:
             raise ValueError("max_pending must be positive")
+        if self.per_sender_cap is not None and self.per_sender_cap <= 0:
+            raise ValueError("per_sender_cap must be positive")
         if self.block_interval_ms < 0:
             raise ValueError("block_interval_ms must be >= 0")
         if (
@@ -161,13 +138,3 @@ class ServeConfig:
             and self.receipt_history_blocks <= 0
         ):
             raise ValueError("receipt_history_blocks must be positive")
-        if self.max_subscriber_buffer <= 0:
-            raise ValueError("max_subscriber_buffer must be positive")
-        from ..storage.config import FSYNC_POLICIES
-
-        if self.fsync not in FSYNC_POLICIES:
-            raise ValueError(f"unknown fsync policy {self.fsync!r}")
-        if self.snapshot_interval_blocks <= 0:
-            raise ValueError("snapshot_interval_blocks must be positive")
-        if self.fsync_interval_blocks <= 0:
-            raise ValueError("fsync_interval_blocks must be positive")

@@ -410,7 +410,6 @@ class LoadGenerator:
         clients: int = 4,
         workload: str = "transfer",
         seed: int = 0,
-        deadline_ms: float | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> LoadResult:
         """N clients, one request in flight each, until *total* sent."""
@@ -434,8 +433,6 @@ class LoadGenerator:
                     except asyncio.QueueEmpty:
                         return
                     params = {"tx": protocol.tx_to_wire(tx)}
-                    if deadline_ms is not None:
-                        params["deadline_ms"] = deadline_ms
                     started = time.monotonic()
                     try:
                         await client.call(
@@ -472,7 +469,6 @@ class LoadGenerator:
         clients: int = 4,
         workload: str = "transfer",
         seed: int = 0,
-        deadline_ms: float | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> LoadResult:
         """Fire at *rate* tx/s for *duration_s*, regardless of replies."""
@@ -492,8 +488,6 @@ class LoadGenerator:
 
         async def fire(client: RpcClient, tx) -> None:
             params = {"tx": protocol.tx_to_wire(tx)}
-            if deadline_ms is not None:
-                params["deadline_ms"] = deadline_ms
             started = time.monotonic()
             try:
                 await client.call("repro_sendTransaction", params)

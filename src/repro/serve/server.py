@@ -40,7 +40,7 @@ from ..chain.node import Node
 from ..obs import MetricsRegistry, get_registry
 from ..storage import codec as storage_codec
 from . import protocol
-from .batcher import BlockBuilder
+from .batcher import DRAIN_TIMEOUT_S, BlockBuilder
 from .config import ServeConfig
 from ..trie import encode_proof
 from .outbox import Outbox
@@ -63,6 +63,13 @@ from .ratelimit import RateLimiter
 #: ``_dispatch``'s result for a request whose reply comes later, from a
 #: :class:`_ReceiptWait`.
 _DEFERRED = object()
+#: sendTransaction's wait deadline when the request names none.
+DEFAULT_DEADLINE_MS = 30_000.0
+#: Drop a newHeads subscription whose transport write buffer exceeds
+#: this many bytes: a stalled subscriber must not buffer without bound.
+MAX_SUBSCRIBER_BUFFER = 1 << 20
+#: Token-bucket burst size under ``ServeConfig.rate_limit``.
+RATE_BURST = 64
 
 
 def _failure(request_id, exc: BaseException) -> dict:
@@ -148,39 +155,30 @@ class RpcServer:
 
     def __init__(
         self,
-        node: Node | None = None,
+        node: Node,
         config: ServeConfig | None = None,
         fault_injector=None,
     ) -> None:
         self.config = config or ServeConfig()
         self._fault_injector = fault_injector
-        self.node = node or Node(
-            per_sender_cap=self.config.per_sender_cap,
-            emit_witness=self.config.emit_witness,
-        )
-        if self.node.trie is None:
+        self.node = node
+        if node.trie is None:
             raise ValueError(
                 "a served node must Merkleize: headers are sealed with "
                 "the trie's state_root and proofs are cut from it"
             )
-        if self.config.per_sender_cap is not None:
-            self.node.mempool.per_sender_cap = self.config.per_sender_cap
+        # Before recovery, which re-admits spilled transactions.
+        node.mempool.per_sender_cap = self.config.per_sender_cap
         #: :class:`repro.storage.RecoveryResult` when startup recovered
         #: an existing data directory, else None.
         self.recovery = None
         if self.config.data_dir is not None:
-            from ..storage import StorageConfig, attach
+            from ..storage import attach
 
             self.recovery = attach(
-                self.node,
+                node,
                 self.config.data_dir,
-                StorageConfig(
-                    fsync=self.config.fsync,
-                    fsync_interval_blocks=self.config.fsync_interval_blocks,
-                    snapshot_interval_blocks=(
-                        self.config.snapshot_interval_blocks
-                    ),
-                ),
+                self.config.storage,
                 receipt_history_blocks=self.config.receipt_history_blocks,
                 fault_injector=fault_injector,
             )
@@ -202,7 +200,7 @@ class RpcServer:
             # resubmission must keep working for already-acked hashes.
             self.builder.seed_committed()
         self.limiter = (
-            RateLimiter(self.config.rate_limit, self.config.rate_burst)
+            RateLimiter(self.config.rate_limit, RATE_BURST)
             if self.config.rate_limit is not None
             else None
         )
@@ -323,7 +321,7 @@ class RpcServer:
                     *(out.writer.wait_closed() for out in connections),
                     return_exceptions=True,
                 ),
-                timeout=self.config.drain_timeout_s,
+                timeout=DRAIN_TIMEOUT_S,
             )
         except asyncio.TimeoutError:
             # A peer that never reads its replies cannot hold the
@@ -491,9 +489,7 @@ class RpcServer:
                 raise RateLimitedError(self.limiter.retry_after(client))
         tx = protocol.tx_from_wire(params.get("tx", ""))
         wait = params.get("wait", True)
-        deadline_ms = params.get(
-            "deadline_ms", self.config.default_deadline_ms
-        )
+        deadline_ms = params.get("deadline_ms", DEFAULT_DEADLINE_MS)
         if not isinstance(deadline_ms, (int, float)):
             raise RpcError(INVALID_PARAMS, "deadline_ms must be a number")
         tx_hash = tx.hash()
@@ -710,10 +706,7 @@ class RpcServer:
             # reading would otherwise grow its transport write buffer
             # with every block, forever. Past the cap, the subscription
             # is dropped rather than buffered.
-            if (
-                out.transport.get_write_buffer_size()
-                > self.config.max_subscriber_buffer
-            ):
+            if out.transport.get_write_buffer_size() > MAX_SUBSCRIBER_BUFFER:
                 del self._subscriptions[sub_id]
                 self._m_subscription_drops.inc()
                 continue

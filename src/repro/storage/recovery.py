@@ -134,13 +134,12 @@ def _count_spilled(data_dir: str) -> int:
 def recover(
     data_dir: str,
     receipt_history_blocks: int | None = 1024,
-    repair: bool = True,
 ) -> RecoveryResult:
     """Rebuild a node from *data_dir*: snapshot + WAL-suffix replay.
 
     Tail damage (torn/partial final records, CRC mismatches at the end
-    of the log) is truncated — with ``repair=True`` the file itself is
-    trimmed — warned about, and counted. Damage *followed by further
+    of the log) is truncated — the file itself is trimmed — warned
+    about, and counted. Damage *followed by further
     valid records* is mid-log corruption and raises
     :class:`CorruptWalError`: truncating there would silently drop
     durably committed blocks. An intact WAL record, anchor snapshot or
@@ -204,7 +203,7 @@ def recover(
 
     # Every payload this recovery uses has now been read in the supported
     # format (anything else raised above, files byte-identical): repair.
-    if corruption is not None and repair and os.path.exists(wal_path):
+    if corruption is not None and os.path.exists(wal_path):
         truncate_wal(wal_path, valid_prefix_bytes)
 
     # The snapshot's trie was built once, to verify it; the replay node

@@ -4,11 +4,10 @@
 target holds no code instead of running it (``repro.chain.transfer``).
 Nothing selects that path but the input, so nothing but this suite keeps
 it honest: every generated block is pre-executed twice — as shipped, and
-through the interpreter with every artifact captured in full
-(``execute_captured``) — and the two must agree artifact by artifact,
-then root by root through every consumer of those artifacts, where the
-interpreter side is discovery with the predicate patched to refuse
-everything. A gas or fee rule edited in ``evm/`` and not in
+through the interpreter, which is discovery with the predicate patched
+to refuse everything — and the two must agree transaction by
+transaction on the receipt, the access set and the state left behind,
+then root by root through every consumer of those artifacts. A gas or fee rule edited in ``evm/`` and not in
 ``chain/transfer.py`` fails here.
 """
 
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import Transaction, WorldState, dag
-from repro.chain.journal import execute_captured
 from repro.chain.node import Node
 from repro.chain.receipt import receipts_root
 from repro.chain.transfer import is_plain_transfer, transfer_access
@@ -97,34 +95,38 @@ def interpreter_only(monkeypatch_context):
 
 
 def discover_both(txs, state, context):
-    """The block discovered as shipped, and each transaction through the
-    interpreter with its artifact captured in full (an untraced
-    discovery keeps no journal for the interpreter's transactions); the
-    state is left as it was."""
-    token = state.snapshot()
-    closed = dag.discover_access_sets(txs, state, context)
-    state.revert(token)
-    reference = [execute_captured(state, tx, context) for tx in txs]
-    state.revert(token)
-    return closed, reference
+    """The block discovered as shipped and through the interpreter alone,
+    each side on its own copy of *state*, one transaction at a time:
+    per side, the artifacts and the state digest after each of them."""
+    sides = []
+    for interpreter in (False, True):
+        current = state.copy()
+        artifacts, digests = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            if interpreter:
+                interpreter_only(patch)
+            for tx in txs:
+                artifacts += dag.discover_access_sets([tx], current, context)
+                digests.append(state_digest_bytes(current))
+        sides.append((artifacts, digests))
+    return sides
 
 
 def assert_same_artifacts(closed, reference):
-    assert len(closed) == len(reference)
-    for got, want in zip(closed, reference):
+    (got_artifacts, got_digests), (want_artifacts, want_digests) = (
+        closed, reference
+    )
+    assert len(got_artifacts) == len(want_artifacts)
+    for got, want, got_digest, want_digest in zip(
+        got_artifacts, want_artifacts, got_digests, want_digests
+    ):
         assert got.tx is want.tx
         assert got.receipt == want.receipt, got.tx
         assert got.access.reads == want.access.reads, got.tx
         assert got.access.writes == want.access.writes, got.tx
-        if got.journal is None:
-            # Discovery ran it through the interpreter and, untraced,
-            # captured nothing beyond the receipt and the access set.
-            assert got.tx.to is None or got.tx.to in (COUNTER, LATE_CODE)
-            continue
-        assert got.journal.ops == want.journal.ops, got.tx  # in order
-        assert got.read_values == want.read_values, got.tx
-        assert got.steps is None and want.steps is None
-        assert got == want
+        # Untraced on both sides: nothing replays either artifact.
+        assert got.journal is None and not got.read_values, got.tx
+        assert got_digest == want_digest, got.tx  # the same effects
 
 
 # -- artifact by artifact ----------------------------------------------------
@@ -132,16 +134,13 @@ def assert_same_artifacts(closed, reference):
 @given(specs=BLOCK, coinbase_funded=st.booleans())
 def test_artifacts_equal_the_interpreters(specs, coinbase_funded):
     txs = build(specs)
-    state = genesis(coinbase_funded)
-    before = state_digest_bytes(state)
     closed, reference = discover_both(
-        txs, state, BlockContext(coinbase=COINBASE)
+        txs, genesis(coinbase_funded), BlockContext(coinbase=COINBASE)
     )
-    assert state_digest_bytes(state) == before
     assert_same_artifacts(closed, reference)
     # Every edge the DAG builder draws is drawn from the same sets.
-    assert dag.build_dag_edges(txs, closed) == dag.build_dag_edges(
-        txs, reference
+    assert dag.build_dag_edges(txs, closed[0]) == dag.build_dag_edges(
+        txs, reference[0]
     )
 
 
@@ -206,35 +205,39 @@ def test_named_case(name, coinbase_funded):
 
 def test_the_named_cases_are_what_they_say():
     """Pin the outcome each name promises, on the closed-form side."""
+    untouched = state_digest_bytes(genesis())
+
     def run(name):
-        return dag.discover_access_sets(
-            build(NAMED_CASES[name]), genesis(),
+        state = genesis()
+        artifacts = dag.discover_access_sets(
+            build(NAMED_CASES[name]), state,
             BlockContext(coinbase=COINBASE),
         )
+        return artifacts, state
 
-    [refused] = run("value above balance")
+    [refused], state = run("value above balance")
     assert refused.receipt.error == "insufficient balance for value"
     assert refused.receipt.gas_used == 21_000
-    assert not refused.journal.ops  # no nonce bump, no fee
+    assert state_digest_bytes(state) == untouched  # no nonce bump, no fee
     assert not refused.reads and not refused.writes
 
-    [under_gas] = run("intrinsic gas above limit")
+    [under_gas], state = run("intrinsic gas above limit")
     assert under_gas.receipt.error == "intrinsic gas exceeds limit"
-    assert under_gas.receipt.gas_used == 20_999 and not under_gas.journal.ops
+    assert under_gas.receipt.gas_used == 20_999
+    assert state_digest_bytes(state) == untouched
 
-    [capped] = run("fee above what is left")
+    [capped], state = run("fee above what is left")
     assert capped.receipt.success
-    assert ("balance", POOR[0], 0) in capped.journal.ops  # max(0, …)
-    assert capped.journal.ops[-1] == ("balance_delta", COINBASE, 21_000)
+    assert state.get_balance(POOR[0]) == 0  # max(0, …)
+    assert state.get_balance(COINBASE) == 10**9 + 21_000
 
-    [own] = run("self transfer")
+    [own], state = run("self transfer")
     assert own.writes == {(RICH[0], "balance")}
-    assert own.journal.ops == [
-        ("nonce", RICH[0], 1), ("balance", RICH[0], 10**15 - 21_000),
-        ("balance_delta", COINBASE, 21_000),
-    ]
+    assert state.get_nonce(RICH[0]) == 1
+    assert state.get_balance(RICH[0]) == 10**15 - 21_000
+    assert state.get_balance(COINBASE) == 10**9 + 21_000
 
-    [idle] = run("zero value")
+    [idle], _ = run("zero value")
     assert idle.reads == {(RICH[1], "code")} and not idle.writes
 
 
@@ -263,9 +266,7 @@ def test_a_target_with_code_takes_the_interpreter():
     assert flat["evm.tx_executions"] == 3
     before, deploy, after = artifacts
     assert deploy.receipt.contract_address == LATE_CODE
-    assert ("storage", LATE_CODE, 0) not in {
-        op[:3] for op in before.journal.ops
-    }
+    assert before.access == transfer_access(before.tx)  # a plain transfer
     assert (LATE_CODE, 0) in after.writes  # the deployed code ran
     assert after.journal is None  # an untraced EVM artifact: not replayable
     assert state.has_code(LATE_CODE)  # discovery is the execution

@@ -24,6 +24,7 @@ from repro.chain.block import BlockHeader
 from repro.chain.journal import WriteJournal
 from repro.chain.node import Node, StaleProposalError
 from repro.chain.receipt import receipts_root
+from repro.chain.state import AccessSet
 from repro.contracts.asm import assemble
 from repro.obs import use_registry
 from repro.serve.batcher import BlockBuilder
@@ -230,13 +231,9 @@ def test_poisoned_read_value_reexecutes_only_that_transaction(
     the commit takes the receipts the node kept, not the block's."""
     node, block = _transfer_block(deployment)
     artifact = block.artifacts[2]
-    # read_values is built from a set: its first key varies with the
-    # process's string-hash seed and may be the recipient's code (bytes).
-    key = next(
-        key for key, value in artifact.read_values.items()
-        if isinstance(value, int)
-    )
-    artifact.read_values[key] = artifact.read_values[key] + 1
+    # An untraced artifact carries a receipt and an access set: poison
+    # both.
+    artifact.access = AccessSet()
     artifact.receipt = dataclasses.replace(artifact.receipt, gas_used=1)
     commits_as_proposed(deployment, node, block)
 

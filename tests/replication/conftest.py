@@ -14,6 +14,7 @@ import time
 from repro.chain.node import Node
 from repro.replication import BackoffPolicy, Replica, ReplicationConfig
 from repro.serve import RpcServer, ServeConfig
+from repro.storage import StorageConfig
 
 
 def fast_replication(**overrides) -> ReplicationConfig:
@@ -53,16 +54,12 @@ async def start_writer(
         gas_target=None,
         block_interval_ms=25.0,
         data_dir=str(tmp_path / "writer"),
-        fsync="never",
-        snapshot_interval_blocks=4,
+        storage=StorageConfig(fsync="never", snapshot_interval_blocks=4),
         replication_port=0,
     )
     defaults.update(overrides)
     config = ServeConfig(**defaults)
-    node = Node(
-        state=deployment.state.copy(),
-        per_sender_cap=config.per_sender_cap,
-    )
+    node = Node(state=deployment.state.copy())
     server = RpcServer(
         node=node, config=config, fault_injector=fault_injector
     )

@@ -10,7 +10,7 @@ from repro.replication import Replica, ReplicaDivergenceError
 from repro.serve import READ_ONLY, RpcClientError, ServeConfig
 from repro.serve.batcher import BlockBuilder
 from repro.serve.loadgen import RpcClient
-from repro.storage import codec
+from repro.storage import StorageConfig, codec
 
 from .conftest import (
     digest_of,
@@ -21,6 +21,9 @@ from .conftest import (
     start_writer,
     stop_replica,
 )
+
+#: A writer store that snapshots every 2 blocks.
+FAST_SNAPSHOTS = StorageConfig(fsync="never", snapshot_interval_blocks=2)
 
 
 def test_replica_follows_writer_bit_identical(deployment, tmp_path):
@@ -191,7 +194,7 @@ def test_far_behind_replica_catches_up_from_snapshot(
 ):
     async def run():
         writer = await start_writer(
-            deployment, tmp_path, snapshot_interval_blocks=2
+            deployment, tmp_path, storage=FAST_SNAPSHOTS
         )
         # The snapshot-vs-stream call is the WRITER's: its streamer
         # compares the HELLO gap against its own catch-up threshold.
@@ -240,7 +243,7 @@ def test_reconnect_after_resync_streams_without_second_snapshot(
     async def run():
         writer = await start_writer(
             deployment, tmp_path, fault_injector=injector,
-            snapshot_interval_blocks=2,
+            storage=FAST_SNAPSHOTS,
         )
         writer.streamer.config.snapshot_catchup_blocks = 2
         try:

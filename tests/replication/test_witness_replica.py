@@ -19,7 +19,7 @@ from repro.serve.batcher import BlockBuilder
 from repro.serve.errors import STATE_UNAVAILABLE
 from repro.serve.loadgen import RpcClient, RpcClientError, make_transactions
 from repro.serve.server import RpcServer
-from repro.storage import codec
+from repro.storage import StorageConfig, codec
 from repro.trie import decode_witness
 
 from .conftest import (
@@ -40,16 +40,10 @@ async def _start_witness_writer(deployment, tmp_path) -> RpcServer:
         gas_target=None,
         block_interval_ms=25.0,
         data_dir=str(tmp_path / "writer"),
-        fsync="never",
-        snapshot_interval_blocks=4,
+        storage=StorageConfig(fsync="never", snapshot_interval_blocks=4),
         replication_port=0,
-        emit_witness=True,
     )
-    node = Node(
-        state=deployment.state.copy(),
-        per_sender_cap=config.per_sender_cap,
-        emit_witness=True,
-    )
+    node = Node(state=deployment.state.copy(), emit_witness=True)
     server = RpcServer(node=node, config=config)
     await server.start()
     return server

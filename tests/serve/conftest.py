@@ -12,6 +12,7 @@ logger — a future exception nobody retrieved, an exception escaping a
 callback or a transport — fails the test that produced it.
 """
 
+import dataclasses
 import logging
 import os
 import shutil
@@ -41,7 +42,7 @@ def serve_data_dir_variant(monkeypatch):
     def durable_post_init(self):
         if self.data_dir is None:
             self.data_dir = tempfile.mkdtemp(prefix="repro-serve-t1-")
-            self.fsync = "never"
+            self.storage = dataclasses.replace(self.storage, fsync="never")
             created.append(self.data_dir)
         original_post_init(self)
 

@@ -21,8 +21,7 @@ def build(deployment, **overrides):
     )
     defaults.update(overrides)
     config = ServeConfig(**defaults)
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     return BlockBuilder(node, config)
 
 
@@ -243,6 +242,21 @@ def test_config_refuses_a_gas_target_it_cannot_honour(gas_target):
         ServeConfig(gas_target=gas_target)
     assert ServeConfig(gas_target=None).gas_target is None
     assert ServeConfig(gas_target=30_000_000).gas_target == 30_000_000
+
+
+@pytest.mark.parametrize("num_workers", [0, -1])
+def test_config_refuses_a_block_cut_for_no_lanes(num_workers):
+    """No PU would run an mtpu block, and a negative count would cut
+    lanes as deep as the block."""
+    with pytest.raises(ValueError, match="num_workers"):
+        ServeConfig(num_workers=num_workers)
+
+
+@pytest.mark.parametrize("per_sender_cap", [0, -1])
+def test_config_refuses_a_per_sender_cap_nobody_could_meet(per_sender_cap):
+    with pytest.raises(ValueError, match="per_sender_cap"):
+        ServeConfig(per_sender_cap=per_sender_cap)
+    assert ServeConfig(per_sender_cap=None).per_sender_cap is None
 
 
 def test_executor_failure_degrades_to_sequential(deployment):

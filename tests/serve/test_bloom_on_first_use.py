@@ -16,6 +16,7 @@ from repro.chain.node import Node
 from repro.serve import RpcClient, RpcServer, ServeConfig
 from repro.serve import protocol
 from repro.serve.loadgen import make_transactions
+from repro.storage import StorageConfig
 from repro.storage.store import ChainStore
 
 
@@ -33,8 +34,7 @@ def make_config(**overrides):
 
 
 def make_server(deployment, config):
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     return RpcServer(node=node, config=config)
 
 
@@ -95,7 +95,7 @@ def test_fifo_serving_derives_no_bloom(deployment, monkeypatch):
 def test_drain_spill_derives_then_restart_reuses(
     deployment, derivations, tmp_path
 ):
-    config = dict(data_dir=str(tmp_path), fsync="never")
+    config = dict(data_dir=str(tmp_path), storage=StorageConfig(fsync="never"))
     txs = make_transactions(deployment, 3, seed=9)
 
     async def run_spill():
@@ -141,8 +141,7 @@ def test_packing_derives_at_submit_under_the_state_lock(
     deployment, derivations, monkeypatch
 ):
     config = make_config(
-        packing="conflict_aware", packing_lane_depth=2,
-        block_size_target=8,
+        packing="conflict_aware", block_size_target=8,  # 4 lanes of 2
     )
     contexts = []
 

@@ -11,7 +11,7 @@ from repro.serve import RpcClient, RpcServer, ServeConfig
 from repro.serve import protocol
 from repro.serve.errors import EXECUTION_FAILED
 from repro.serve.loadgen import RpcClientError, make_transactions
-from repro.storage import recover, verify_store
+from repro.storage import StorageConfig, recover, verify_store
 from repro.storage.codec import state_digest_bytes
 from repro.storage.wal import scan_wal
 from repro.trie import StateTrie
@@ -26,16 +26,14 @@ def make_config(data_dir, **overrides):
         block_interval_ms=25.0,
         executor="sequential",
         data_dir=str(data_dir),
-        fsync="never",
-        snapshot_interval_blocks=2,
+        storage=StorageConfig(fsync="never", snapshot_interval_blocks=2),
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
 
 def make_server(deployment, config):
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     return RpcServer(node=node, config=config)
 
 

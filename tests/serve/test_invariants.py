@@ -8,6 +8,7 @@ the same blocks exactly.
 """
 
 import asyncio
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -33,14 +34,14 @@ def run_serve_path(
     sabotage=False,
     dies_at=None,
     packing="fifo",
-    packing_lane_depth=None,
-    packing_aging_bound=8,
+    aging_bound=None,
 ):
     """Push *txs* through a BlockBuilder; returns (node, committed, builder).
 
     *sabotage*: every block's engine dies before it starts. *dies_at*:
     every block's engine dies on its ``dies_at``-th transaction, the
     ones before it applied (a block shorter than that runs clean).
+    *aging_bound* overrides the packing policy's own.
     """
 
     async def go():
@@ -52,13 +53,14 @@ def run_serve_path(
             executor=executor,
             num_workers=num_workers,
             packing=packing,
-            packing_lane_depth=packing_lane_depth,
-            packing_aging_bound=packing_aging_bound,
         )
-        node = Node(state=deployment.state.copy(),
-                    per_sender_cap=config.per_sender_cap)
+        node = Node(state=deployment.state.copy())
         builder = BlockBuilder(node, config,
                                fault_injector=fault_injector)
+        if aging_bound is not None:
+            builder.packing_policy = replace(
+                builder.packing_policy, aging_bound=aging_bound
+            )
         if sabotage:
             def explode(block):
                 raise RuntimeError("forced executor failure")
@@ -228,10 +230,10 @@ def assert_matches_fifo_replay(deployment, node, txs, block_size):
     seed=st.integers(0, 2**16),
     count=st.integers(1, 12),
     block_size=st.integers(1, 5),
-    lane_depth=st.one_of(st.none(), st.integers(1, 3)),
+    num_workers=st.integers(1, 5),
 )
 def test_packed_serve_path_matches_offline_and_fifo(
-    deployment, executor, workload, seed, count, block_size, lane_depth
+    deployment, executor, workload, seed, count, block_size, num_workers
 ):
     txs = make_transactions(
         deployment, count, workload=workload, seed=seed
@@ -239,7 +241,7 @@ def test_packed_serve_path_matches_offline_and_fifo(
     node, committed, builder = run_serve_path(
         deployment, txs,
         executor=executor, block_size_target=block_size,
-        packing="conflict_aware", packing_lane_depth=lane_depth,
+        num_workers=num_workers, packing="conflict_aware",
     )
     assert_matches_offline(deployment, node, committed, txs)
     assert_matches_fifo_replay(deployment, node, txs, block_size)
@@ -269,25 +271,26 @@ def test_packed_serve_path_survives_pu_faults(
                             seed=seed)
     node, committed, builder = run_serve_path(
         deployment, txs,
-        executor="mtpu", block_size_target=4,
+        executor="mtpu", block_size_target=8,  # 4 PUs, lanes of 2
         fault_injector=FaultInjector(plan),
-        packing="conflict_aware", packing_lane_depth=2,
+        packing="conflict_aware",
     )
     assert_matches_offline(deployment, node, committed, txs)
-    assert_matches_fifo_replay(deployment, node, txs, 4)
+    assert_matches_fifo_replay(deployment, node, txs, 8)
     assert served(builder, "txs_committed") == len(txs)
 
 
 def test_drain_flushes_deferred_transactions(deployment):
     """A drain must commit every admitted transaction even when packing
-    keeps deferring most of them: lane_depth=1 with a hot conflicting
-    workload forces a deferral on every cut."""
+    keeps deferring most of them: lanes of 1 (4 transactions cut for 4
+    lanes) with a hot conflicting workload force a deferral on every
+    cut."""
     txs = make_transactions(deployment, 16, workload="hotburst", seed=3)
     node, committed, builder = run_serve_path(
         deployment, txs,
         block_size_target=4,
-        packing="conflict_aware", packing_lane_depth=1,
-        packing_aging_bound=100,  # aging never forces inclusion here
+        packing="conflict_aware",
+        aging_bound=100,  # aging never forces inclusion here
     )
     assert len(committed) == len(txs)
     assert len(node.mempool) == 0

@@ -26,6 +26,7 @@ from repro.serve import (
     RpcClient,
     RpcClientError,
 )
+from repro.serve import server as server_module
 from repro.serve.loadgen import make_transactions
 
 from tests.replication.conftest import (
@@ -150,7 +151,7 @@ def test_every_series_a_view_reads_exists_at_zero_before_traffic(
     assert get_registry() is NULL_REGISTRY
 
 
-def test_mixed_run_every_legacy_key_equals_its_series(deployment):
+def test_mixed_run_every_legacy_key_equals_its_series(deployment, monkeypatch):
     async def refused(call) -> int:
         with pytest.raises(RpcClientError) as err:
             await call
@@ -200,7 +201,7 @@ def test_mixed_run_every_legacy_key_equals_its_series(deployment):
             assert await refused(send(txs[7], wait=False)) == RATE_LIMITED
             writer.limiter = None
             # Block 2 finds its one subscriber over the buffer cap.
-            writer.config.max_subscriber_buffer = -1
+            monkeypatch.setattr(server_module, "MAX_SUBSCRIBER_BUFFER", -1)
             assert (await send(txs[7]))["blockHeight"] == 2
             # Hours pass; only `client` keeps talking (and `idle` is no
             # longer a subscriber, so nothing exempts it).

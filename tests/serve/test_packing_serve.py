@@ -7,6 +7,7 @@ packing counters.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,9 @@ from repro.serve import (
 from repro.serve import protocol
 
 HOT = 0xAB00_0001  # one shared recipient: every flood tx conflicts
+#: Deferred cuts before a conflicting transaction is force-included:
+#: below the serve default, so the flood reaches it within a few blocks.
+AGING_BOUND = 2
 
 
 def make_config(**overrides):
@@ -33,17 +37,18 @@ def make_config(**overrides):
         block_interval_ms=5.0,
         executor="sequential",
         packing="conflict_aware",
-        packing_lane_depth=2,
-        packing_aging_bound=2,
+        num_workers=2,  # lanes of 2
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
 
 async def booted(deployment, config):
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     server = RpcServer(node=node, config=config)
+    server.builder.packing_policy = replace(
+        server.builder.packing_policy, aging_bound=AGING_BOUND
+    )
     await server.start()
     client = await RpcClient.connect(config.host, config.port)
     return server, client
@@ -127,7 +132,8 @@ def test_duplicate_while_deferred_is_refused(deployment):
     """A transaction sitting deferred in the pool is still 'pending':
     resubmitting it must be refused, not double-admitted."""
     config = make_config(
-        block_size_target=100, block_interval_ms=10_000.0,
+        block_size_target=100, num_workers=50,  # lanes of 2
+        block_interval_ms=10_000.0,
     )
 
     async def run():

@@ -26,8 +26,7 @@ def make_config(**overrides):
 
 
 async def booted(deployment, config, **node_kwargs):
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap, **node_kwargs)
+    node = Node(state=deployment.state.copy(), **node_kwargs)
     server = RpcServer(node=node, config=config)
     await server.start()
     client = await RpcClient.connect(config.host, config.port)

@@ -39,8 +39,7 @@ def make_config(**overrides):
 
 
 async def boot(deployment, config):
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     server = RpcServer(node=node, config=config)
     await server.start()
     return server

@@ -17,6 +17,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.errors import INVALID_PARAMS, METHOD_NOT_FOUND
 from repro.serve.loadgen import make_transactions
 
@@ -35,8 +36,7 @@ def make_config(**overrides):
 
 
 def make_server(deployment, config):
-    node = Node(state=deployment.state.copy(),
-                per_sender_cap=config.per_sender_cap)
+    node = Node(state=deployment.state.copy())
     return RpcServer(node=node, config=config)
 
 
@@ -126,9 +126,10 @@ def test_saturated_ingress_gets_typed_busy(deployment):
     assert stats["queueDepth"] == 2  # the refused tx was never buffered
 
 
-def test_rate_limit_enforced_per_client(deployment):
+def test_rate_limit_enforced_per_client(deployment, monkeypatch):
+    monkeypatch.setattr(server_module, "RATE_BURST", 2)
     config = make_config(
-        rate_limit=0.001, rate_burst=2,
+        rate_limit=0.001,
         block_size_target=100, block_interval_ms=10_000.0,
     )
 
@@ -381,7 +382,7 @@ def test_resubmission_of_in_flight_block_executes_once(deployment):
     assert delta == tx_value
 
 
-def test_slow_subscriber_is_dropped_not_buffered(deployment):
+def test_slow_subscriber_is_dropped_not_buffered(deployment, monkeypatch):
     class FakeTransport:
         def __init__(self, size):
             self.size = size
@@ -400,7 +401,8 @@ def test_slow_subscriber_is_dropped_not_buffered(deployment):
         def write(self, frame):
             self.frames.append(frame)
 
-    config = make_config(max_subscriber_buffer=1024)
+    monkeypatch.setattr(server_module, "MAX_SUBSCRIBER_BUFFER", 1024)
+    config = make_config()
 
     async def run():
         server, client = await booted(deployment, config)

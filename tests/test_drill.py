@@ -77,10 +77,14 @@ def test_overrides_are_typed_by_the_row():
     scenario, row = SCENARIOS["packing"]
     assert parse_overrides(scenario, row, [
         "transactions=64", "min_tps=10", "workload=transfer",
-        "max_blocks=9", "min_parallelism=2", "packing_lane_depth=none",
+        "max_blocks=9", "min_parallelism=2", "num_workers=2",
     ]) == {
         "transactions": 64, "min_tps": 10.0, "workload": "transfer",
-        "max_blocks": 9, "min_parallelism": 2.0, "packing_lane_depth": None,
+        "max_blocks": 9, "min_parallelism": 2.0, "num_workers": 2,
+    }
+    # A None-defaulted parameter takes ``none`` over the row's value.
+    assert parse_overrides(scenario, row, ["min_parallelism=none"]) == {
+        "min_parallelism": None
     }
     scenario, row = SCENARIOS["serve"]
     # None-defaulted, no value in this row: int, then float, then str.
