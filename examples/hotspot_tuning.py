@@ -11,6 +11,7 @@ Run:  python examples/hotspot_tuning.py
 """
 
 from repro import build_deployment
+from repro.chain.dag import discover_access_sets
 from repro.core.hotspot import HotspotOptimizer, find_chunks
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.crypto import selector
@@ -18,13 +19,16 @@ from repro.evm import EVM, Tracer
 from repro.workload import all_entry_function_calls
 
 
-def cycles_with(deployment, txs, optimizer=None) -> int:
+def cycles_with(artifacts, optimizer=None) -> int:
     executor = MTPUExecutor(
-        deployment.state.copy(), num_pus=1, pu_config=PUConfig(),
+        artifacts, num_pus=1, pu_config=PUConfig(),
         hotspot_optimizer=optimizer,
     )
     pu = executor.pus[0]
-    return sum(executor.execute_on(pu, tx).cycles for tx in txs)
+    return sum(
+        executor.time_on(pu, index).cycles
+        for index in range(len(artifacts))
+    )
 
 
 def build_optimizer(deployment, samples, **toggles) -> HotspotOptimizer:
@@ -76,7 +80,10 @@ def main() -> None:
           f"{len(tracer.steps) - 1}")
 
     print("\n== ablation: cycles for a 4x-per-function batch ==")
-    plain = cycles_with(deployment, workload)
+    artifacts = discover_access_sets(
+        workload, deployment.state.copy(), trace=True
+    )
+    plain = cycles_with(artifacts)
     rows = [("no hotspot optimization", plain, None)]
     configs = [
         ("chunk pre-execution only", dict(enable_elimination=False,
@@ -89,8 +96,7 @@ def main() -> None:
     ]
     for label, toggles in configs:
         optimizer = build_optimizer(deployment, samples, **toggles)
-        rows.append((label, cycles_with(deployment, workload, optimizer),
-                     None))
+        rows.append((label, cycles_with(artifacts, optimizer), None))
     for label, cycles, _ in rows:
         print(f"  {label:32s}: {cycles:>7} cycles "
               f"({plain / cycles:.2f}x)")

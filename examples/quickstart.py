@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Quickstart: accelerate one block of smart-contract transactions.
 
-Builds the synthetic mainnet, generates a block of transactions, and
-executes it three ways — sequentially (the baseline every real node uses
-today), with barrier-round parallelism, and with the paper's
-spatio-temporal scheduler on a 4-PU MTPU — verifying along the way that
-all three agree on every receipt.
+Builds the synthetic mainnet, generates a block of transactions,
+executes it once (traced), and times that execution three ways on the
+MTPU — sequentially (the baseline every real node uses today), with
+barrier-round parallelism, and with the paper's spatio-temporal
+scheduler on 4 PUs — checking that no schedule reorders a conflicting
+pair of transactions.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import build_deployment, generate_block
-from repro.chain.receipt import receipts_root
+from repro.chain.dag import check_schedule_order, discover_access_sets
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.core.scheduler import (
     run_sequential,
@@ -31,25 +32,24 @@ def main() -> None:
     print(f"  TOP5 share: {block.top_k_share(5):.0%} "
           "(paper observes 37% on mainnet)")
 
-    def executor(num_pus: int) -> MTPUExecutor:
-        return MTPUExecutor(
-            deployment.state.copy(), num_pus=num_pus,
-            pu_config=PUConfig(),
-        )
-
     print("\nexecuting...")
+    artifacts = discover_access_sets(
+        block.transactions, deployment.state.copy(), trace=True
+    )
+
+    def executor(num_pus: int) -> MTPUExecutor:
+        return MTPUExecutor(artifacts, num_pus=num_pus, pu_config=PUConfig())
+
     seq = run_sequential(executor(1), block.transactions)
     sync = run_synchronous(executor(4), block.transactions,
                            block.dag_edges)
     st = run_spatial_temporal(executor(4), block.transactions,
                               block.dag_edges)
 
-    root = receipts_root(seq.receipts_in_block_order(block.transactions))
-    for label, result in (("synchronous x4", sync),
-                          ("spatio-temporal x4", st)):
-        assert receipts_root(
-            result.receipts_in_block_order(block.transactions)
-        ) == root, f"{label} diverged!"
+    for result in (seq, sync, st):
+        check_schedule_order(
+            block.transactions, artifacts, result.executions
+        )
 
     print(f"  sequential 1 PU     : {seq.makespan_cycles:>8} cycles "
           "(baseline)")

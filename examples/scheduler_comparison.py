@@ -12,6 +12,7 @@ Run:  python examples/scheduler_comparison.py [num_txs] [num_pus]
 
 import sys
 
+from repro.chain.dag import discover_access_sets
 from repro.core.hotspot import HotspotOptimizer
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.core.scheduler import (
@@ -47,10 +48,13 @@ def main() -> None:
                 all_entry_function_calls(deployment, name, seed=1),
             )
 
+        artifacts = discover_access_sets(
+            block.transactions, deployment.state.copy(), trace=True
+        )
+
         def run(runner, pus, hotspot=None, **pu_kwargs):
             executor = MTPUExecutor(
-                deployment.state.copy(), num_pus=pus,
-                pu_config=PUConfig(**pu_kwargs),
+                artifacts, num_pus=pus, pu_config=PUConfig(**pu_kwargs),
                 hotspot_optimizer=hotspot,
             )
             if runner is run_sequential:

@@ -6,8 +6,9 @@ Walks the full three-stage node pipeline the paper describes (Fig. 4):
 1. **Dissemination** — users broadcast approvals, swaps on both routers,
    stablecoin transfers and a marketplace purchase.
 2. **Consensus** — the proposer packages them with the dependency DAG.
-3. **Execution** — a validator replays the block on a hotspot-optimized
-   4-PU MTPU and reports throughput at the paper's 300 MHz clock.
+3. **Execution** — a validator executes the block once and times it on
+   a hotspot-optimized 4-PU MTPU, reporting throughput at the paper's
+   300 MHz clock.
 
 Run:  python examples/token_exchange_block.py
 """
@@ -15,6 +16,7 @@ Run:  python examples/token_exchange_block.py
 import random
 
 from repro import build_deployment
+from repro.chain.dag import discover_access_sets
 from repro.chain.node import Node
 from repro.chain.receipt import receipts_root
 from repro.contracts import registry
@@ -86,14 +88,17 @@ def main() -> None:
     print(f"hotspot contract table: {len(optimizer.contract_table)} "
           "(contract, function) profiles")
 
+    artifacts = discover_access_sets(
+        block.transactions, deployment.state.copy(), trace=True
+    )
     baseline = run_sequential(
-        MTPUExecutor(deployment.state.copy(), num_pus=1,
+        MTPUExecutor(artifacts, num_pus=1,
                      pu_config=PUConfig(enable_db_cache=False,
                                         redundancy_reuse=False)),
         block.transactions,
     )
     accelerated = run_spatial_temporal(
-        MTPUExecutor(deployment.state.copy(), num_pus=4,
+        MTPUExecutor(artifacts, num_pus=4,
                      pu_config=PUConfig(), hotspot_optimizer=optimizer),
         block.transactions, block.dag_edges,
     )

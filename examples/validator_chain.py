@@ -44,14 +44,15 @@ def main() -> None:
         for i in range(16):
             contract = mix[i % len(mix)]
             node.hear(library.to_transaction(library.plan(contract)))
-        block = node.propose_block(executor="mtpu")
         profiled = (
             set(node.hotspots.optimizer.hotspot_addresses)
             if node.hotspots else set()
         )
+        # The idle slice runs between the cut and the discovery.
+        block = node.propose_block(executor="mtpu")
         with use_registry() as registry:
             node.execute_block(block, executor="mtpu")
-        # The engine made the node's idle-slice loop on its first block.
+        # The first mtpu proposal made the node's idle-slice loop.
         loop = node.hotspots
         optimized = names(
             sorted(loop.optimizer.hotspot_addresses - profiled)

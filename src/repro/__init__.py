@@ -25,17 +25,20 @@ Public API tour:
 
 Quickstart::
 
-    from repro import build_deployment, generate_dependency_block
-    from repro.core.mtpu import MTPUExecutor, PUConfig
+    from repro import generate_dependency_block
+    from repro.chain.dag import discover_access_sets
+    from repro.core.mtpu import MTPUExecutor
     from repro.core.scheduler import run_sequential, run_spatial_temporal
 
     block = generate_dependency_block(num_transactions=64,
                                       target_ratio=0.3, seed=1)
-    state = block.deployment.state
+    # Execute the block once, traced; the MTPU only times it.
+    artifacts = discover_access_sets(
+        block.transactions, block.deployment.state.copy(), trace=True)
     seq = run_sequential(
-        MTPUExecutor(state.copy(), num_pus=1), block.transactions)
+        MTPUExecutor(artifacts, num_pus=1), block.transactions)
     par = run_spatial_temporal(
-        MTPUExecutor(state.copy(), num_pus=4),
+        MTPUExecutor(artifacts, num_pus=4),
         block.transactions, block.dag_edges)
     print(f"speedup: {seq.makespan_cycles / par.makespan_cycles:.2f}x")
 """

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chain.transaction import Transaction
-from ..chain.state import WorldState
-from ..evm.context import BlockContext
 from ..core.mtpu.processor import MTPUExecutor
 from ..core.mtpu.pu import PUConfig
 from ..core.scheduler.composite_dag import CompositeDAG
@@ -34,20 +32,19 @@ from ..core.scheduler.composite_dag import CompositeDAG
 DEFAULT_APP_ENGINE_ALPHA = 12.82
 
 
-def measure_gsc_costs(
-    state: WorldState,
-    transactions: list[Transaction],
-    block: BlockContext | None = None,
-) -> list[int]:
-    """Per-transaction cycles on the GSC-engine proxy (baseline PU)."""
+def measure_gsc_costs(artifacts: list) -> list[int]:
+    """Per-transaction cycles on the GSC-engine proxy (baseline PU) of
+    a block's traced *artifacts*, in block order."""
     executor = MTPUExecutor(
-        state.copy(),
-        block=block,
+        artifacts,
         num_pus=1,
         pu_config=PUConfig(enable_db_cache=False, redundancy_reuse=False),
     )
     pu = executor.pus[0]
-    return [executor.execute_on(pu, tx).cycles for tx in transactions]
+    return [
+        executor.time_on(pu, index).cycles
+        for index in range(len(artifacts))
+    ]
 
 
 @dataclass

@@ -96,9 +96,9 @@ class Block:
     #: execution result of transaction i (i must commit before j starts).
     dag_edges: list[tuple[int, int]] = field(default_factory=list)
     #: Consensus-stage pre-execution artifacts, one per transaction
-    #: (:class:`~repro.chain.journal.ExecutionArtifact`). Node-local —
+    #: (:class:`~repro.chain.artifact.ExecutionArtifact`). Node-local —
     #: never serialized, set only by ``Node.propose_block``; the
-    #: proposer's executors use them for execute-once replay.
+    #: proposer's ``mtpu`` engine times its own proposal from them.
     artifacts: list | None = field(default=None, repr=False, compare=False)
     #: Conflict-aware packing lanes: index lists partitioning
     #: ``transactions`` into serial chains with no conflicts between

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import get_registry
-from .journal import ExecutionArtifact, execute_captured, execute_tracked
+from .artifact import ExecutionArtifact, execute_tracked
 from .state import WorldState
 from .transaction import Transaction
 from .transfer import execute_transfer, is_plain_transfer
@@ -32,10 +32,10 @@ def discover_access_sets(
     """Execute the batch once, in block order, on *state*, and say what
     each transaction did.
 
-    Returns one :class:`~repro.chain.journal.ExecutionArtifact` per
+    Returns one :class:`~repro.chain.artifact.ExecutionArtifact` per
     transaction executed — receipt and access set, and with
-    ``trace=True`` the dataflow trace plus the write journal and read
-    values the MTPU replays from. The artifact list is
+    ``trace=True`` the dataflow trace and the code the MTPU's timing
+    reads, as the transaction left it. The artifact list is
     access-set-compatible (``.reads`` / ``.writes`` /
     ``conflicts_with``), so it drops directly into
     :func:`build_dag_edges` and :func:`verify_dag`.
@@ -79,7 +79,7 @@ def discover_access_sets(
                     break
             if trace:
                 artifacts.append(
-                    execute_captured(state, tx, context, Tracer())
+                    execute_tracked(state, tx, context, Tracer())
                 )
             elif is_plain_transfer(tx, state):
                 artifact = execute_transfer(
@@ -113,7 +113,7 @@ def build_dag_edges(
     index keyed by ``(address, slot)``: cost is proportional to the total
     number of accesses (plus output edges), not to the square of the
     block size. *access_sets* may be :class:`~repro.chain.state.AccessSet`
-    or :class:`~repro.chain.journal.ExecutionArtifact` instances.
+    or :class:`~repro.chain.artifact.ExecutionArtifact` instances.
     """
     edges: set[tuple[int, int]] = set()
 
@@ -296,6 +296,48 @@ def verify_dag(
         or result.spurious_edges
     )
     return result
+
+
+class ScheduleOrderError(RuntimeError):
+    """A schedule reordered (or overlapped) two conflicting transactions,
+    or did not run every transaction exactly once."""
+
+
+def check_schedule_order(
+    transactions: list[Transaction],
+    access_sets: list,
+    executions,
+) -> None:
+    """Audit a schedule: its order must be a linear extension of the
+    conflict relation — a conflicting pair is never swapped (the
+    swappability criterion of Bartoletti et al., arxiv 1905.04366).
+
+    *executions* are the schedule's timings, anything with ``index``,
+    ``start_cycle`` and ``end_cycle``. Every transaction must have run
+    exactly once, and for every pair ``i < j`` that conflicts under the
+    reference builder (:func:`build_dag_edges_pairwise`, not the indexed
+    one the DAG was built with), ``j`` must start no earlier than ``i``
+    ends. Raises :class:`ScheduleOrderError` otherwise.
+    """
+    spans: dict[int, tuple[int, int]] = {}
+    for execution in executions:
+        if execution.index in spans:
+            raise ScheduleOrderError(
+                f"transaction {execution.index} ran twice"
+            )
+        spans[execution.index] = (
+            execution.start_cycle, execution.end_cycle
+        )
+    missing = sorted(set(range(len(transactions))) - spans.keys())
+    if missing:
+        raise ScheduleOrderError(f"transactions {missing} never ran")
+    for i, j in build_dag_edges_pairwise(transactions, access_sets):
+        start, end = spans[j][0], spans[i][1]
+        if start < end:
+            raise ScheduleOrderError(
+                f"transactions {i} and {j} conflict, but {j} started "
+                f"at cycle {start}, before {i} ended at cycle {end}"
+            )
 
 
 def checked_dag(

@@ -28,6 +28,7 @@ from ..trie import StateRootMismatchError, StateTrie, build_witness
 from .block import BLOCKHASH_WINDOW, GENESIS_PARENT, Block, BlockHeader
 from .dag import (
     build_dag_edges,
+    check_schedule_order,
     checked_dag,
     discover_access_sets,
     transitive_reduction,
@@ -41,14 +42,33 @@ from .transaction import Transaction
 class _Proposal(NamedTuple):
     """An open proposal: the *block* with the *header* it was proposed
     under, applied to the state; the snapshot from before its discovery
-    (*token*), its *receipts*, and the journal length when
-    :meth:`Node.propose_block` returned (*mark*)."""
+    (*token*), its *receipts* and the discovery's *artifacts* (the
+    node's own copies, whatever becomes of ``block.artifacts``), and the
+    journal length when :meth:`Node.propose_block` returned (*mark*)."""
 
     block: Block
     header: BlockHeader
     token: int
     receipts: list[Receipt]
+    artifacts: list
     mark: int
+
+    def commits(self, block: Block, engine: "Engine") -> bool:
+        """True when *block* is this proposal as proposed — its header,
+        the transactions the discovery ran — and *engine* can commit it
+        (one that times the block needs the traces)."""
+        artifacts = self.artifacts
+        return (
+            block is self.block and block.header is self.header
+            and len(block.transactions) == len(artifacts)
+            and all(
+                artifact.tx is tx
+                for artifact, tx in zip(artifacts, block.transactions)
+            )
+            and not (engine.traced and any(
+                artifact.steps is None for artifact in artifacts
+            ))
+        )
 
 
 class StaleProposalError(RuntimeError):
@@ -127,16 +147,12 @@ class Node:
         #: reaches, the BLOCKHASH window (:meth:`block_hash`).
         self.ancestor_hashes: dict[int, bytes] = {}
         self.receipts: dict[bytes, list[Receipt]] = {}
-        #: The open proposal (an in-order engine's, applied to the
-        #: state): the only block :meth:`execute_block` commits without
-        #: running an engine pass.
+        #: The open proposal (applied to the state): the only block
+        #: :meth:`execute_block` commits without running an engine pass.
         self._proposal: _Proposal | None = None
-        #: The block :meth:`propose_block` built last for ``mtpu``: the
-        #: only block whose (traced) artifacts that engine replays.
-        self._traced_proposal: Block | None = None
         #: The idle-slice hotspot loop
         #: (:class:`~repro.core.hotspot.tracker.HotspotLoop`), made by the
-        #: first block the ``mtpu`` engine runs here; None until then.
+        #: first ``mtpu`` block proposed or executed here; None until then.
         self.hotspots = None
         #: Optional :class:`repro.storage.ChainStore`. When set,
         #: :meth:`commit_block` appends the block to the WAL *before*
@@ -147,13 +163,12 @@ class Node:
         #: sealed with the incremental trie's root — the one commitment
         #: the WAL, snapshots and the replication stream carry;
         #: ``emit_witness`` additionally builds a block witness
-        #: (:mod:`repro.trie.witness`) per block. ``merkleize=False`` is
+        #: (:mod:`repro.trie.witness`) per block, which the store's WAL
+        #: record carries. ``merkleize=False`` is
         #: for offline reference runs only: such a node cannot be made durable,
         #: served or replicated.
         self.emit_witness = emit_witness
         self.trie: StateTrie | None = None
-        #: height -> witness blob, bounded to the BLOCKHASH window.
-        self.witnesses: dict[int, bytes] = {}
         if merkleize:
             self.attach_trie()
         elif emit_witness:
@@ -312,11 +327,12 @@ class Node:
         The dependency DAG is discovered by executing the block once
         (:func:`~repro.chain.dag.discover_access_sets`; the artifacts
         ride on ``Block.artifacts``) and stored, transitively reduced,
-        as the paper's consensus-stage nodes do. For an in-order
-        *executor* (:data:`ENGINES`) that execution is kept: the block
-        stays applied, an open proposal for :meth:`execute_block` to
-        commit. For ``mtpu`` it is traced and reverted: the MTPU replays
-        it on the pre-state.
+        as the paper's consensus-stage nodes do. That execution is kept:
+        the block stays applied, an open proposal for
+        :meth:`execute_block` to commit. For ``mtpu`` it is traced, for
+        the MTPU to time, and the node's idle slice
+        (:class:`~repro.core.hotspot.tracker.HotspotLoop`) runs first,
+        between the cut and the discovery.
         """
         engine = _engine(executor)  # before the pool moves
         self.abandon_proposal()
@@ -327,6 +343,8 @@ class Node:
         txs = cut if packed is None else packed.transactions
         header = self._proposal_header()
         context = self.block_context(header)
+        if engine.traced:
+            _idle_slice(self, context)
         registry = get_registry()
         token = self.state.snapshot()
         artifacts = discover_access_sets(
@@ -334,8 +352,6 @@ class Node:
             gas_target=gas_target,
         )
         try:
-            if engine.traced:
-                self.state.revert(token)
             if len(artifacts) < len(txs):
                 assert packed is None, "a packed cut is never shortened"
                 self.mempool.put_back(txs[len(artifacts):])
@@ -363,12 +379,11 @@ class Node:
                 registry.histogram("block.packed_parallelism").observe(
                     packed.parallelism
                 )
-        self._traced_proposal = block if engine.traced else None
-        if not engine.traced:
-            receipts = [artifact.receipt for artifact in artifacts]
-            self._proposal = _Proposal(
-                block, header, token, receipts, self.state.snapshot()
-            )
+        self._proposal = _Proposal(
+            block, header, token,
+            [artifact.receipt for artifact in artifacts], list(artifacts),
+            self.state.snapshot(),
+        )
         return block
 
     def abandon_proposal(self) -> None:
@@ -401,12 +416,13 @@ class Node:
         reproduce, the witness build or the store's append failed — the
         node is exactly where the block found it (:meth:`rollback_block`).
 
-        Execute-once: an in-order engine commits this node's open
-        proposal (:meth:`propose_block`) as it stands, with no engine
+        Execute-once: every engine commits this node's open proposal
+        (:meth:`propose_block`) as its discovery left it, with no engine
         pass — refused, and rolled back, if the state was written since
         (:class:`StaleProposalError`: that write would be sealed into the
-        root with no transaction having made it). Any other call
-        abandons the open proposal first (:meth:`abandon_proposal`).
+        root with no transaction having made it); ``mtpu`` then times it
+        (:func:`_time_on_pus`), from a traced proposal only. Any other
+        call abandons the open proposal first (:meth:`abandon_proposal`).
         Every other block — another node's proposal, recovery, replicas,
         hand-built or decoded blocks — runs every transaction through the
         EVM, as the paper's verifying nodes do (``parallel`` and ``mtpu``
@@ -414,10 +430,7 @@ class Node:
         """
         engine = _engine(executor)
         proposal = self._proposal
-        own = (
-            proposal is not None and proposal.block is block
-            and proposal.header is block.header and not engine.traced
-        )
+        own = proposal is not None and proposal.commits(block, engine)
         if not own:
             self.abandon_proposal()
         self._proposal = None
@@ -430,6 +443,11 @@ class Node:
                         "written between propose_block and execute_block"
                     )
                 receipts = proposal.receipts
+                if engine.traced:
+                    _time_on_pus(
+                        self, block, proposal.artifacts, block.dag_edges,
+                        num_workers, fault_injector,
+                    )
             else:
                 context = self.block_context(block.header)
                 receipts = engine.run(
@@ -488,10 +506,6 @@ class Node:
             raise
         self.state.clear_journal()
         self.chain.append(block)
-        if witness is not None:
-            height = block.header.height
-            self.witnesses[height] = witness
-            self.witnesses.pop(height - BLOCKHASH_WINDOW, None)
         self.receipts[block.hash()] = receipts
         # Warm the decoded-program cache for code deployed in this block
         # so the very next call to a fresh contract skips the AOT decode.
@@ -564,7 +578,6 @@ class Node:
         committing the proposer's own execution would check nothing.
         """
         self.abandon_proposal()  # a block under verification is nobody's own
-        self._traced_proposal = None
         try:
             self.execute_block(block, claimed_receipts_root=claimed_root)
         except (ReceiptsRootMismatchError, StateRootMismatchError) as exc:
@@ -582,25 +595,20 @@ class Engine(NamedTuple):
     #: took the snapshot owns it) and never catches in order to fall
     #: back — its own convergence path is part of it.
     run: Callable[..., list[Receipt]]
-    #: True: it replays the dataflow trace on the pre-state, so its
-    #: discovery records one and is reverted. False: an in-order engine,
-    #: which commits the node's own open proposal as it stands.
+    #: True: its discovery records the dataflow trace, the node's idle
+    #: slice runs before it, and every block it commits — its own
+    #: proposal included — is then timed on the MTPU.
     traced: bool = False
 
 
 def _checked_artifacts(node, block, context, traced=False):
-    """A discovery here — the block's one execution — and the shipped
-    DAG checked against it, rebuilt on a lie (``faults.*`` count it).
-    Untraced, the discovery is left applied: it is the block's
-    execution. Traced, it is reverted: the MTPU replays it on the
-    pre-state."""
+    """A discovery here — the block's one execution, left applied — and
+    the shipped DAG checked against it, rebuilt on a lie (``faults.*``
+    count it)."""
     transactions = block.transactions
-    token = node.state.snapshot()
     artifacts = discover_access_sets(
         transactions, node.state, context, trace=traced
     )
-    if traced:
-        node.state.revert(token)
     edges, verdict = checked_dag(transactions, block.dag_edges, artifacts)
     if not verdict.ok:
         registry = get_registry()
@@ -630,48 +638,59 @@ def _run_parallel(node, block, context, num_workers, fault_injector):
     return [artifact.receipt for artifact in artifacts]
 
 
-# ``mtpu`` lives in a package that imports this one, so it is imported
+# ``mtpu`` lives in packages that import this one, so they are imported
 # when first run.
-def _run_mtpu(node, block, context, num_workers, fault_injector):
-    """The paper's verifying node: the idle slice's hotspot loop, then
-    the block on *num_workers* PUs under the spatio-temporal schedule,
-    replaying the traced artifacts. A PU fault converges inside the
-    schedule; a wrong result is the receipts-root claim's to refuse."""
+def _idle_slice(node, context) -> None:
+    """The idle slice before a block's discovery: the node's hotspot
+    loop (made on first use) folds the chain and profiles."""
     from ..core.hotspot.tracker import HotspotLoop
-    from ..core.mtpu import MTPUExecutor
-    from ..core.scheduler import run_spatial_temporal
 
     if node.hotspots is None:
         node.hotspots = HotspotLoop(node.state)
-    optimizer = node.hotspots.before_block(node, context)
-    if block is node._traced_proposal and block.artifacts is not None:
-        artifacts, edges = block.artifacts, block.dag_edges
-    else:
-        artifacts, edges = _checked_artifacts(
-            node, block, context, traced=True
-        )
+    node.hotspots.before_block(node, context)
+
+
+def _time_on_pus(node, block, artifacts, edges, num_workers,
+                 fault_injector) -> None:
+    """Time the applied block's traced *artifacts* on *num_workers* PUs
+    under the spatio-temporal schedule, with the idle slice's hotspot
+    plans, and audit the schedule (:func:`check_schedule_order` raises
+    on a reordered conflicting pair). A PU fault converges inside the
+    schedule."""
+    from ..core.mtpu import MTPUExecutor
+    from ..core.scheduler import run_spatial_temporal
+
     executor = MTPUExecutor(
-        node.state, block=context, num_pus=num_workers,
-        hotspot_optimizer=optimizer,
-        artifacts={artifact.tx.hash(): artifact for artifact in artifacts},
+        artifacts, num_pus=num_workers,
+        hotspot_optimizer=node.hotspots.optimizer,
     )
-    executor.auto_clear_journal = False
     schedule = run_spatial_temporal(
         executor, block.transactions, edges, fault_injector=fault_injector
     )
+    check_schedule_order(block.transactions, artifacts, schedule.executions)
     registry = get_registry()
     if registry.enabled:
         registry.counter("sched.makespan_cycles").inc(
             schedule.makespan_cycles
         )
-    return schedule.receipts_in_block_order(block.transactions)
+
+
+def _run_mtpu(node, block, context, num_workers, fault_injector):
+    """The paper's verifying node: the idle slice, a traced discovery
+    that checks the shipped DAG, then the block timed on the MTPU. A
+    wrong result is the receipts-root claim's to refuse."""
+    _idle_slice(node, context)
+    artifacts, edges = _checked_artifacts(node, block, context, traced=True)
+    _time_on_pus(node, block, artifacts, edges, num_workers, fault_injector)
+    return [artifact.receipt for artifact in artifacts]
 
 
 #: The only place engines are named. ``sequential``: the EVM in block
-#: order; ``mtpu``: the spatio-temporal schedule on the MTPU simulator
-#: with the hotspot loop; ``parallel``: a discovery in block order that
-#: checks the shipped DAG. ``Node.execute_block`` runs neither in-order
-#: engine over this node's own open proposal: it commits it.
+#: order; ``mtpu``: a traced discovery timed on the MTPU simulator
+#: under the spatio-temporal schedule, with the hotspot loop;
+#: ``parallel``: a discovery in block order that checks the shipped
+#: DAG. ``Node.execute_block`` runs no engine over this node's own open
+#: proposal: it commits it (and ``mtpu`` times it).
 ENGINES = {
     "sequential": Engine(_run_sequential),
     "mtpu": Engine(_run_mtpu, traced=True),

@@ -224,7 +224,7 @@ class WorldState:
         acct.nonce = old + 1
 
     def set_nonce(self, address: int, value: int) -> None:
-        """Directly set a nonce (journal replay; not an EVM operation)."""
+        """Directly set a nonce (state setup; not an EVM operation)."""
         acct = self.account(address)
         old = acct.nonce
         if old != value:
@@ -314,9 +314,8 @@ class WorldState:
     def changes_since(self, token: int) -> list[tuple]:
         """The journal entries recorded since snapshot *token*, in order.
 
-        Each entry carries the *old* value (see the journal format above);
-        callers combine it with the current state to derive a
-        transaction's write journal without re-executing anything.
+        Each entry carries the *old* value (see the journal format
+        above): what a transaction wrote, and what each write replaced.
         """
         return self._journal[token:]
 
@@ -357,9 +356,9 @@ class WorldState:
     def untracked(self):
         """Suspend access tracking for bookkeeping reads/writes.
 
-        Used wherever the infrastructure (journal replay, artifact
-        freshness checks, timing-model code fetches) touches state without
-        that touch being part of the transaction's semantic access set.
+        Used wherever the infrastructure (RPC reads, fault injection)
+        touches state without that touch being part of a transaction's
+        semantic access set.
         """
         saved, self.access = self.access, None
         try:

@@ -17,7 +17,7 @@ This module is the repo's one statement of that function:
   admission-time bloom (:func:`repro.chain.bloom.bloom_for_transaction`)
   and by discovery;
 * :func:`execute_transfer` — what
-  :func:`~repro.chain.journal.execute_tracked` would have returned (the
+  :func:`~repro.chain.artifact.execute_tracked` would have returned (the
   receipt and the access set), with the effects applied in place
   through the journaled setters.
 
@@ -26,7 +26,7 @@ This module is the repo's one statement of that function:
 
 from __future__ import annotations
 
-from .journal import ExecutionArtifact
+from .artifact import ExecutionArtifact
 from .receipt import Receipt
 from .state import BALANCE_KEY, CODE_KEY, AccessSet, WorldState
 from .transaction import Transaction

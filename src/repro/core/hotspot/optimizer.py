@@ -240,15 +240,16 @@ class HotspotOptimizer:
         value = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return value < self.known_fraction
 
-    def plan_for(self, tx: Transaction) -> HotspotPlan | None:
-        """The optimization plan for a transaction, or None."""
+    def plan_for(self, tx: Transaction, code: bytes) -> HotspotPlan | None:
+        """The optimization plan for a transaction whose target held
+        *code* when it ran, or None."""
         if tx.to is None or tx.to not in self.hotspot_addresses:
             return None
         selector = tx.selector
         if selector is None:
             return None
         recorded = self._profiled_code.get(tx.to)
-        if recorded is not None and recorded != self._code_lookup(tx.to):
+        if recorded is not None and recorded != code:
             # The contract changed after profiling: every plan derived
             # from the old code (chunk boundaries, eliminated PCs,
             # prefetch keys) is stale. Degrade to unoptimized execution;

@@ -80,7 +80,7 @@ class HotspotTracker:
 
 class HotspotLoop:
     """The idle slice of one node: ``Node.hotspots``, made by the first
-    block the ``mtpu`` engine runs there and run at the top of each."""
+    ``mtpu`` block there and run before each one's discovery."""
 
     def __init__(self, state) -> None:
         self.tracker = HotspotTracker()

@@ -1,9 +1,12 @@
-"""MTPU top level: functional execution fused with PU timing.
+"""MTPU top level: the timing of a block that has already executed.
 
-The :class:`MTPUExecutor` is what schedulers drive: it executes a
-transaction *functionally* (reference EVM, producing the receipt and the
-dataflow trace) and *temporally* (replaying the trace through a PU's
-pipeline/DB-cache model), returning both. The shared state buffer and the
+The block executes once, in block order, before the MTPU sees it
+(:func:`~repro.chain.dag.discover_access_sets` with ``trace=True``).
+The :class:`MTPUExecutor` is what schedulers drive: it takes that
+execution's artifacts — each transaction's receipt, access set,
+dataflow trace and the code the transaction left — and *times* a
+transaction by replaying its trace through a PU's pipeline/DB-cache
+model. It owns no state and writes none. The shared state buffer and the
 per-PU DB caches / Call_Contract stacks persist across transactions, so
 redundancy scheduled onto one PU compounds exactly as in the paper.
 """
@@ -13,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ...chain.receipt import Receipt
-from ...chain.state import CODE_KEY, WorldState
+from ...chain.state import CODE_KEY
 from ...chain.transaction import Transaction
-from ...evm.context import BlockContext
-from ...evm.interpreter import EVM
-from ...evm.tracer import Tracer
 from ...obs import get_registry, get_tracer
 from .memory import StateBuffer
 from .pu import PU, PUConfig, TraceTiming
@@ -25,10 +25,12 @@ from .pu import PU, PUConfig, TraceTiming
 
 @dataclass
 class TxExecution:
-    """Result of one transaction on one PU."""
+    """One transaction timed on one PU."""
 
     tx: Transaction
     receipt: Receipt
+    #: The transaction's position in the block.
+    index: int
     pu_id: int
     context_cycles: int
     timing: TraceTiming
@@ -36,6 +38,9 @@ class TxExecution:
     #: Addresses whose code this transaction rewrote (stale-chunk
     #: bookkeeping; needed to undo tracking on retraction).
     code_writes: frozenset[int] = frozenset()
+    #: The cycles the schedule ran it between (set by the driver).
+    start_cycle: int = 0
+    end_cycle: int = 0
 
     @property
     def cycles(self) -> int:
@@ -47,24 +52,24 @@ class TxExecution:
 
 
 class MTPUExecutor:
-    """A k-PU MTPU over one world state."""
+    """A k-PU MTPU timing one block's traced artifacts (in block order)."""
 
     def __init__(
         self,
-        state: WorldState,
-        block: BlockContext | None = None,
+        artifacts: list,
         num_pus: int = 4,
         pu_config: PUConfig | None = None,
         hotspot_optimizer=None,
-        artifacts: dict | None = None,
     ) -> None:
-        self.state = state
-        self.block = block or BlockContext()
+        self.artifacts = artifacts
         self.pu_config = pu_config or PUConfig()
         self.state_buffer = StateBuffer(
             self.pu_config.timing.state_buffer_entries
         )
         self.hotspot_optimizer = hotspot_optimizer
+        #: The code the transaction being timed left (its artifact's
+        #: ``code``): every code read of every PU is served from it.
+        self._code: dict[int, bytes] = {}
         self.pus = [
             PU(
                 pu_id=i,
@@ -75,39 +80,24 @@ class MTPUExecutor:
             for i in range(num_pus)
         ]
         self.executions: list[TxExecution] = []
-        #: When False, the journal accumulates across transactions so a
-        #: caller (fault-tolerant scheduler, the node's ``mtpu`` engine)
-        #: can snapshot/revert; the caller owns clearing it.
-        self.auto_clear_journal = True
         #: Addresses whose *code* was rewritten earlier in this block —
         #: pre-executed Compare/Check chunks reading that code are stale.
         self._code_written: set[int] = set()
         #: Pre-executed hotspot chunks discarded as stale this block.
         self.stale_chunks_discarded = 0
-        #: tx hash -> :class:`~repro.chain.journal.ExecutionArtifact`
-        #: from consensus-stage pre-execution (the execute-once
-        #: pipeline). A fresh artifact is *replayed* — journal apply +
-        #: trace-driven timing — instead of re-running the EVM
-        #: (``evm.tx_reuses``; ``evm.tx_reexecutions`` when stale).
-        self.artifacts = artifacts or {}
 
     def _code_lookup(self, address: int) -> bytes:
-        # Bypass access tracking: timing-model code fetches must not
-        # pollute the dependency analysis.
-        saved = self.state.access
-        self.state.access = None
-        try:
-            return self.state.get_code(address)
-        finally:
-            self.state.access = saved
+        return self._code[address]
 
-    def execute_on(self, pu: PU, tx: Transaction) -> TxExecution:
-        """Run one transaction functionally and time it on *pu*."""
+    def time_on(self, pu: PU, index: int) -> TxExecution:
+        """Time the block's *index*-th transaction on *pu*."""
         span_tracer = get_tracer()
         if not span_tracer.enabled:
-            return self._execute_on(pu, tx)
+            return self._time_on(pu, index)
+        # The span keeps its name: golden traces and reports pin it.
         with span_tracer.span("tx.execute", pu=pu.pu_id) as span:
-            execution = self._execute_on(pu, tx)
+            execution = self._time_on(pu, index)
+            tx = execution.tx
             span.set(
                 contract=(
                     f"{tx.to:#x}" if tx.to is not None else None
@@ -118,54 +108,19 @@ class MTPUExecutor:
             )
             return execution
 
-    def _execute_on(self, pu: PU, tx: Transaction) -> TxExecution:
+    def _time_on(self, pu: PU, index: int) -> TxExecution:
         if not self.pu_config.redundancy_reuse:
             # Without the redundancy optimization, every transaction
             # rebuilds its context and decoded-bytecode state from scratch.
             pu.db_cache.invalidate()
             pu.call_stack.clear()
 
-        # Execute-once pipeline: a fresh consensus-stage artifact is
-        # replayed (journal apply) instead of re-running the EVM. The
-        # trace it carries still drives the full PU timing model below,
-        # so cycle accounting is identical either way.
-        artifact = self.artifacts.get(tx.hash()) if self.artifacts else None
-        if artifact is not None and artifact.steps is not None:
-            if artifact.is_fresh(self.state):
-                artifact.journal.apply(self.state)
-                if self.state.access is not None:
-                    self.state.access.merge(artifact.access)
-                receipt = artifact.receipt
-                access = artifact.access
-                steps = artifact.steps
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("evm.tx_reuses").inc()
-            else:
-                artifact = None
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("evm.tx_reexecutions").inc()
-        else:
-            artifact = None
-        if artifact is None:
-            tracer = Tracer()
-            evm = EVM(self.state, block=self.block, tracer=tracer)
-            saved_access = self.state.access
-            access = self.state.begin_access_tracking()
-            try:
-                receipt = evm.execute_transaction(tx)
-            finally:
-                self.state.end_access_tracking()
-                if saved_access is not None:
-                    saved_access.merge(access)
-                self.state.access = saved_access
-            steps = tracer.steps
-        if self.auto_clear_journal:
-            self.state.clear_journal()
+        artifact = self.artifacts[index]
+        tx, steps = artifact.tx, artifact.steps
+        self._code = artifact.code
         code_writes = {
             address
-            for address, slot in access.writes
+            for address, slot in artifact.access.writes
             if slot == CODE_KEY
         }
 
@@ -174,7 +129,7 @@ class MTPUExecutor:
         on_path_fraction = 1.0
         hotspot_applied = False
         if self.hotspot_optimizer is not None and tx.to is not None:
-            plan = self.hotspot_optimizer.plan_for(tx)
+            plan = self.hotspot_optimizer.plan_for(tx, self._code[tx.to])
             if plan is not None and plan.preexecute and (
                 tx.to in self._code_written
             ):
@@ -223,7 +178,8 @@ class MTPUExecutor:
         self._code_written |= code_writes
         execution = TxExecution(
             tx=tx,
-            receipt=receipt,
+            receipt=artifact.receipt,
+            index=index,
             pu_id=pu.pu_id,
             context_cycles=context_cycles,
             timing=timing,
@@ -233,18 +189,9 @@ class MTPUExecutor:
         self.executions.append(execution)
         return execution
 
-    def retract(self, execution: TxExecution, journal_token: int) -> None:
-        """Undo a speculative execution whose PU failed mid-flight.
-
-        Requires :attr:`auto_clear_journal` to be False so the state can
-        be reverted to *journal_token* (taken just before the dispatch).
-        The transaction will re-execute on a surviving PU later.
-        """
-        if self.auto_clear_journal:
-            raise RuntimeError(
-                "retract() needs auto_clear_journal=False to roll back"
-            )
-        self.state.revert(journal_token)
+    def retract(self, execution: TxExecution) -> None:
+        """Forget a timing whose PU failed mid-flight; the transaction
+        is timed again on a surviving PU later."""
         self.executions.remove(execution)
         pu = self.pus[execution.pu_id]
         pu.busy_cycles -= execution.cycles

@@ -11,9 +11,11 @@ Three drivers, matching the paper's evaluation configurations:
   (Fig. 14b): PUs pick work the moment they go idle, guided by the
   Scheduling/Transaction tables.
 
-All drivers execute transactions *functionally* in an order that is a
-linear extension of the dependency DAG, so the final state and receipts
-equal sequential execution — asserted by the integration tests.
+The block has already executed once, in block order; the drivers only
+*time* it, so they write no state. Each records when every transaction
+ran (``TxExecution.start_cycle`` / ``end_cycle``), and
+:func:`~repro.chain.dag.check_schedule_order` audits that no conflicting
+pair of transactions overlapped or swapped.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class ScheduleResult:
     def receipts_in_block_order(
         self, transactions: list[Transaction]
     ) -> list[Receipt]:
-        by_hash = {e.tx.hash(): e.receipt for e in self.executions}
-        return [by_hash[tx.hash()] for tx in transactions]
+        by_index = {e.index: e.receipt for e in self.executions}
+        return [by_index[index] for index in range(len(transactions))]
 
     def speedup_over(self, baseline: "ScheduleResult") -> float:
         if self.makespan_cycles == 0:
@@ -77,9 +79,11 @@ def run_sequential(
     """Block-order execution on PU0 — the paper's 1× reference."""
     pu = executor.pus[0]
     makespan = 0
-    for tx in transactions:
-        execution = executor.execute_on(pu, tx)
+    for index in range(len(transactions)):
+        execution = executor.time_on(pu, index)
+        execution.start_cycle = makespan
         makespan += execution.cycles
+        execution.end_cycle = makespan
     return ScheduleResult(
         makespan_cycles=makespan,
         executions=list(executor.executions),
@@ -111,9 +115,9 @@ def run_synchronous(
         round_cycles = 0
         for pu, tx_index in zip(pus, ready):
             dag.start(tx_index)
-            execution = executor.execute_on(
-                pu, transactions[tx_index]
-            )
+            execution = executor.time_on(pu, tx_index)
+            execution.start_cycle = makespan
+            execution.end_cycle = makespan + execution.cycles
             busy[pu.pu_id] += execution.cycles
             round_cycles = max(round_cycles, execution.cycles)
         for tx_index in ready:
@@ -147,11 +151,10 @@ def run_spatial_temporal(
 
     When a :class:`~repro.faults.FaultInjector` is supplied, its PU
     faults are enacted: a PU that dies (or stalls past its timeout) has
-    its in-flight transaction rolled back and re-enqueued on surviving
-    PUs, its Scheduling-Table column cleared, and the lost cycles
-    recorded into *report* (a
-    :class:`~repro.faults.DegradationReport`). The final state and
-    receipts remain identical to sequential execution.
+    its in-flight transaction's timing dropped and the transaction
+    re-enqueued on surviving PUs, its Scheduling-Table column cleared,
+    and the lost cycles recorded into *report* (a
+    :class:`~repro.faults.DegradationReport`).
     """
     dag = CompositeDAG(transactions, edges)
     scheduler = SpatialTemporalScheduler(
@@ -163,9 +166,6 @@ def run_spatial_temporal(
     pending_faults = {}
     if fault_injector is not None:
         pending_faults = dict(fault_injector.pu_faults(len(pus)))
-        if pending_faults:
-            # Mid-flight recovery needs the journal for rollback.
-            executor.auto_clear_journal = False
 
     #: (time, sequence, kind, pu_id, tx_index) events.
     events: list[tuple[int, int, int, int, int]] = []
@@ -213,21 +213,15 @@ def run_spatial_temporal(
                 if outcome is None:
                     continue
                 scheduler.on_start(pu_id, outcome)
-                token = (
-                    executor.state.snapshot() if pending_faults else 0
-                )
-                execution = executor.execute_on(
-                    pus[pu_id], transactions[outcome.tx_index]
-                )
+                execution = executor.time_on(pus[pu_id], outcome.tx_index)
                 duration = execution.cycles + selection_overhead
                 fault = pending_faults.get(pu_id)
                 if fault is not None and fault.at_cycle < now + duration:
-                    # The PU dies/stalls mid-execution: roll the
-                    # speculative state back and re-enqueue the
-                    # transaction on the survivors.
+                    # The PU dies/stalls mid-execution: drop its timing
+                    # and re-enqueue the transaction on the survivors.
                     pending_faults.pop(pu_id)
                     fail_at = max(now, fault.at_cycle)
-                    executor.retract(execution, token)
+                    executor.retract(execution)
                     scheduler.on_abort(pu_id, outcome.tx_index)
                     wasted = fail_at - now
                     busy[pu_id] += wasted
@@ -248,6 +242,8 @@ def run_spatial_temporal(
                     progressed = True
                     continue
                 busy[pu_id] += duration
+                execution.start_cycle = now
+                execution.end_cycle = now + duration
                 sequence += 1
                 heapq.heappush(
                     events,

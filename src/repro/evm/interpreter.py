@@ -53,9 +53,8 @@ def count_transaction(registry, receipt: Receipt) -> None:
     receipt without an :class:`EVM`.
     """
     registry.counter("evm.transactions").inc()
-    # Functional executions only — artifact replays in the execute-once
-    # pipeline do not pass through here, so this counter exposes how
-    # many times each block's transactions actually ran.
+    # Functional executions: how many times each block's transactions
+    # actually ran (once each, on the execute-once pipeline).
     registry.counter("evm.tx_executions").inc()
     registry.counter("evm.gas_used").inc(receipt.gas_used)
     if not receipt.success:

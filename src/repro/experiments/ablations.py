@@ -17,6 +17,7 @@ from .common import (
     run_transactions,
     shared_deployment,
     single_pu_executor,
+    trace_once,
 )
 
 
@@ -33,17 +34,15 @@ def ablation_window_size(
     block = generate_dependency_block(
         num_transactions=num_transactions, target_ratio=0.3, seed=seed
     )
-    deployment = block.deployment
+    artifacts = trace_once(block.deployment.state, block.transactions)
     baseline = run_sequential(
-        MTPUExecutor(deployment.state.copy(), num_pus=1,
-                     pu_config=PUConfig()),
+        MTPUExecutor(artifacts, num_pus=1, pu_config=PUConfig()),
         block.transactions,
     )
     rows = []
     for window in windows:
         result = run_spatial_temporal(
-            MTPUExecutor(deployment.state.copy(), num_pus=4,
-                         pu_config=PUConfig()),
+            MTPUExecutor(artifacts, num_pus=4, pu_config=PUConfig()),
             block.transactions, block.dag_edges,
             window_size=window,
         )
@@ -70,11 +69,12 @@ def ablation_state_buffer(
         txs.extend(all_entry_function_calls(
             deployment, name, seed=seed, per_function=6
         ))
+    artifacts = trace_once(deployment.state, txs)
     rows = []
     for entries in capacities:
         timing = TimingConfig(state_buffer_entries=entries)
-        executor = single_pu_executor(deployment, timing=timing)
-        cycles, _ = run_transactions(executor, txs)
+        executor = single_pu_executor(artifacts, timing=timing)
+        cycles, _ = run_transactions(executor)
         buffer = executor.state_buffer
         hit = buffer.hits / max(1, buffer.hits + buffer.misses)
         rows.append([entries, cycles, f"{hit:.0%}"])
@@ -96,11 +96,12 @@ def ablation_unit_capacity(
     fill_unit.DEFAULT_UNIT_CAPACITY). This sweep quantifies that choice.
     """
     deployment = shared_deployment()
-    txs = all_entry_function_calls(
+    artifacts = trace_once(deployment.state, all_entry_function_calls(
         deployment, "TetherToken", seed=seed, per_function=per_function
+    ))
+    base_cycles, _ = run_transactions(
+        single_pu_executor(artifacts, enable_db_cache=False)
     )
-    base_executor = single_pu_executor(deployment, enable_db_cache=False)
-    base_cycles, _ = run_transactions(base_executor, txs)
 
     configs = [
         ("1 field/unit (paper literal)", {}),
@@ -110,12 +111,9 @@ def ablation_unit_capacity(
     ]
     rows = []
     for label, capacity in configs:
-        executor = MTPUExecutor(
-            deployment.state.copy(), num_pus=1,
-            pu_config=PUConfig(perfect_cache=True,
-                               unit_capacity=capacity),
-        )
-        cycles, _ = run_transactions(executor, txs)
+        cycles, _ = run_transactions(single_pu_executor(
+            artifacts, perfect_cache=True, unit_capacity=capacity,
+        ))
         rows.append([label, base_cycles / cycles])
     return ExperimentResult(
         experiment_id="Ablation UC",
@@ -135,17 +133,15 @@ def ablation_selection_overhead(
     block = generate_dependency_block(
         num_transactions=num_transactions, target_ratio=0.2, seed=seed
     )
-    deployment = block.deployment
+    artifacts = trace_once(block.deployment.state, block.transactions)
     baseline = run_sequential(
-        MTPUExecutor(deployment.state.copy(), num_pus=1,
-                     pu_config=PUConfig()),
+        MTPUExecutor(artifacts, num_pus=1, pu_config=PUConfig()),
         block.transactions,
     )
     rows = []
     for overhead in overheads:
         result = run_spatial_temporal(
-            MTPUExecutor(deployment.state.copy(), num_pus=4,
-                         pu_config=PUConfig()),
+            MTPUExecutor(artifacts, num_pus=4, pu_config=PUConfig()),
             block.transactions, block.dag_edges,
             selection_overhead=overhead,
         )
@@ -168,17 +164,15 @@ def ablation_pu_scaling(
     block = generate_dependency_block(
         num_transactions=num_transactions, target_ratio=0.1, seed=seed
     )
-    deployment = block.deployment
+    artifacts = trace_once(block.deployment.state, block.transactions)
     baseline = run_sequential(
-        MTPUExecutor(deployment.state.copy(), num_pus=1,
-                     pu_config=PUConfig()),
+        MTPUExecutor(artifacts, num_pus=1, pu_config=PUConfig()),
         block.transactions,
     )
     rows = []
     for count in pu_counts:
         result = run_spatial_temporal(
-            MTPUExecutor(deployment.state.copy(), num_pus=count,
-                         pu_config=PUConfig()),
+            MTPUExecutor(artifacts, num_pus=count, pu_config=PUConfig()),
             block.transactions, block.dag_edges,
         )
         rows.append([count,

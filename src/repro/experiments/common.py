@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.reporting import format_table
+from ..chain.dag import discover_access_sets
 from ..contracts.registry import Deployment, build_deployment
 from ..core.mtpu import MTPUExecutor, PUConfig
 
@@ -86,23 +87,28 @@ def shared_deployment() -> Deployment:
     return _SHARED_DEPLOYMENT
 
 
-def single_pu_executor(
-    deployment: Deployment, **config_kwargs
-) -> MTPUExecutor:
-    """A fresh 1-PU executor over a copy of the genesis state."""
+def trace_once(state, transactions) -> list:
+    """*transactions* executed once, in order, on a copy of *state*,
+    traced: the artifacts every MTPU configuration that times them
+    shares."""
+    return discover_access_sets(transactions, state.copy(), trace=True)
+
+
+def single_pu_executor(artifacts: list, **config_kwargs) -> MTPUExecutor:
+    """A fresh 1-PU executor over *artifacts*."""
     return MTPUExecutor(
-        deployment.state.copy(), num_pus=1,
-        pu_config=PUConfig(**config_kwargs),
+        artifacts, num_pus=1, pu_config=PUConfig(**config_kwargs),
     )
 
 
-def run_transactions(executor: MTPUExecutor, transactions) -> tuple[int, int]:
-    """Run all transactions on PU0; returns (cycles, instructions)."""
+def run_transactions(executor: MTPUExecutor) -> tuple[int, int]:
+    """Time every transaction on PU0, in order; returns (cycles,
+    instructions)."""
     pu = executor.pus[0]
     cycles = 0
     instructions = 0
-    for tx in transactions:
-        execution = executor.execute_on(pu, tx)
+    for index in range(len(executor.artifacts)):
+        execution = executor.time_on(pu, index)
         cycles += execution.timing.cycles
         instructions += execution.instructions
     return cycles, instructions

@@ -13,7 +13,7 @@ from ..workload import (
     generate_erc20_block,
 )
 from ..workload.generator import INDEPENDENT_TOKENS
-from .common import ExperimentResult, shared_deployment
+from .common import ExperimentResult, shared_deployment, trace_once
 
 #: Paper Table 8 (single core, vs one GSC engine).
 PAPER_TABLE8 = {
@@ -78,14 +78,13 @@ def table8_bpu_erc20(
             deployment, num_transactions=num_transactions,
             erc20_fraction=fraction, seed=seed + i,
         )
-        gsc_costs = measure_gsc_costs(
-            deployment.state, block.transactions
-        )
+        artifacts = trace_once(deployment.state, block.transactions)
+        gsc_costs = measure_gsc_costs(artifacts)
         gsc_total = sum(gsc_costs)
         bpu_total = bpu.run_single_core(block.transactions, gsc_costs)
 
         mtpu_executor = MTPUExecutor(
-            deployment.state.copy(), num_pus=1,
+            artifacts, num_pus=1,
             pu_config=PUConfig(), hotspot_optimizer=optimizer,
         )
         mtpu = run_sequential(mtpu_executor, block.transactions)
@@ -133,9 +132,8 @@ def table9_bpu_parallel(
             num_conflict_chains=2, token_cycle=True,
         )
         deployment = block.deployment
-        gsc_costs = measure_gsc_costs(
-            deployment.state, block.transactions
-        )
+        artifacts = trace_once(deployment.state, block.transactions)
+        gsc_costs = measure_gsc_costs(artifacts)
         gsc_total = sum(gsc_costs)
         bpu_total = bpu.run_parallel(
             block.transactions, gsc_costs, block.dag_edges, cores=cores
@@ -150,7 +148,7 @@ def table9_bpu_parallel(
                 deployment.address_of(name), samples
             )
         mtpu_executor = MTPUExecutor(
-            deployment.state.copy(), num_pus=cores,
+            artifacts, num_pus=cores,
             pu_config=PUConfig(), hotspot_optimizer=optimizer,
         )
         mtpu = run_spatial_temporal(
@@ -203,9 +201,10 @@ def headline_speedup(
             optimizer.optimize_contract(
                 deployment.address_of(name), samples
             )
+        artifacts = trace_once(deployment.state, block.transactions)
         baseline = run_sequential(
             MTPUExecutor(
-                deployment.state.copy(), num_pus=1,
+                artifacts, num_pus=1,
                 pu_config=PUConfig(enable_db_cache=False,
                                    redundancy_reuse=False),
             ),
@@ -215,7 +214,7 @@ def headline_speedup(
         for pu_count in pu_counts:
             full = run_spatial_temporal(
                 MTPUExecutor(
-                    deployment.state.copy(), num_pus=pu_count,
+                    artifacts, num_pus=pu_count,
                     pu_config=PUConfig(), hotspot_optimizer=optimizer,
                 ),
                 block.transactions, block.dag_edges,

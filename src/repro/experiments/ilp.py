@@ -10,6 +10,7 @@ from .common import (
     run_transactions,
     shared_deployment,
     single_pu_executor,
+    trace_once,
 )
 
 #: Paper Table 7: contract -> (upper IPC, upper speedup, 2K IPC,
@@ -26,9 +27,8 @@ PAPER_TABLE7 = {
 }
 
 
-def _ablation_cycles(deployment, txs, **config_kwargs) -> tuple[int, int]:
-    executor = single_pu_executor(deployment, **config_kwargs)
-    return run_transactions(executor, txs)
+def _ablation_cycles(artifacts, **config_kwargs) -> tuple[int, int]:
+    return run_transactions(single_pu_executor(artifacts, **config_kwargs))
 
 
 def fig12_ilp_ablation(
@@ -39,22 +39,18 @@ def fig12_ilp_ablation(
     headers = ["Smart Contract", "F&D", "F&D+DF", "F&D+DF+IF"]
     rows = []
     for name, label in CONTRACT_ABBREVIATIONS.items():
-        txs = all_entry_function_calls(
+        artifacts = trace_once(deployment.state, all_entry_function_calls(
             deployment, name, seed=seed, per_function=per_function
-        )
-        base, _ = _ablation_cycles(
-            deployment, txs, enable_db_cache=False
-        )
+        ))
+        base, _ = _ablation_cycles(artifacts, enable_db_cache=False)
         fd, _ = _ablation_cycles(
-            deployment, txs, perfect_cache=True,
+            artifacts, perfect_cache=True,
             enable_forwarding=False, enable_folding=False,
         )
         df, _ = _ablation_cycles(
-            deployment, txs, perfect_cache=True, enable_folding=False
+            artifacts, perfect_cache=True, enable_folding=False
         )
-        all_on, _ = _ablation_cycles(
-            deployment, txs, perfect_cache=True
-        )
+        all_on, _ = _ablation_cycles(artifacts, perfect_cache=True)
         rows.append([label, base / fd, base / df, base / all_on])
     averages = [
         sum(row[i] for row in rows) / len(rows) for i in (1, 2, 3)
@@ -106,12 +102,11 @@ def fig13_cache_hit_ratio(
             deployment, name, seed=seed, per_function=per_function
         )
         mixed_txs.extend(txs)
+        artifacts = trace_once(deployment.state, txs)
         ratios = []
         for entries in sizes:
-            executor = single_pu_executor(
-                deployment, cache_entries=entries
-            )
-            run_transactions(executor, txs)
+            executor = single_pu_executor(artifacts, cache_entries=entries)
+            run_transactions(executor)
             ratios.append(executor.pus[0].db_cache.stats.hit_ratio)
         rows.append([label] + [f"{100 * r:.1f}%" for r in ratios])
 
@@ -119,10 +114,11 @@ def fig13_cache_hit_ratio(
     import random as _random
 
     _random.Random(seed).shuffle(mixed_txs)
+    mixed = trace_once(deployment.state, mixed_txs)
     mixed_ratios = []
     for entries in sizes:
-        executor = single_pu_executor(deployment, cache_entries=entries)
-        run_transactions(executor, mixed_txs)
+        executor = single_pu_executor(mixed, cache_entries=entries)
+        run_transactions(executor)
         mixed_ratios.append(executor.pus[0].db_cache.stats.hit_ratio)
     rows.append(
         ["Mixed TOP8"] + [f"{100 * r:.1f}%" for r in mixed_ratios]
@@ -160,18 +156,14 @@ def table7_ipc(
     losses = []
     for name in TABLE7_ORDER:
         label = CONTRACT_ABBREVIATIONS[name]
-        txs = all_entry_function_calls(
+        artifacts = trace_once(deployment.state, all_entry_function_calls(
             deployment, name, seed=seed, per_function=per_function
-        )
-        base_cycles, _ = _ablation_cycles(
-            deployment, txs, enable_db_cache=False
-        )
+        ))
+        base_cycles, _ = _ablation_cycles(artifacts, enable_db_cache=False)
         upper_cycles, instructions = _ablation_cycles(
-            deployment, txs, perfect_cache=True
+            artifacts, perfect_cache=True
         )
-        real_cycles, _ = _ablation_cycles(
-            deployment, txs, cache_entries=2048
-        )
+        real_cycles, _ = _ablation_cycles(artifacts, cache_entries=2048)
         upper_ipc = instructions / upper_cycles
         real_ipc = instructions / real_cycles
         upper_speedup = base_cycles / upper_cycles

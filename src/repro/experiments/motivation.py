@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..analysis.bytecode_share import measure_bytecode_share
 from ..analysis.instruction_mix import CATEGORY_ORDER, instruction_mix
+from ..chain.node import walk_in_order
 from ..workload import all_entry_function_calls, generate_block
 from ..workload.ethereum_stats import (
     CONSENSUS_THROUGHPUT_TPS,
@@ -15,7 +16,6 @@ from .common import (
     CONTRACT_ABBREVIATIONS,
     ExperimentResult,
     shared_deployment,
-    single_pu_executor,
 )
 
 
@@ -41,13 +41,10 @@ def table1_ethereum_stats(seed: int = 0) -> ExperimentResult:
     )
 
     def average_gas(block) -> float:
-        executor = single_pu_executor(
-            deployment, enable_db_cache=False, redundancy_reuse=False
-        )
-        pu = executor.pus[0]
         gas = [
-            executor.execute_on(pu, tx).receipt.gas_used
-            for tx in block.transactions
+            receipt.gas_used for receipt in walk_in_order(
+                deployment.state.copy(), block.transactions
+            )
         ]
         return sum(gas) / len(gas)
 

@@ -55,7 +55,8 @@ def measure_block(
     """
     # Block generation runs the EVM for access discovery; keep it (and
     # the offline hotspot profiling) outside the registry scope so the
-    # report only counts the block's own execution.
+    # report only counts the block's own execution — the traced one
+    # inside it, which both configurations time.
     block = generate_dependency_block(
         num_transactions=num_transactions, target_ratio=ratio, seed=seed,
     )
@@ -70,22 +71,15 @@ def measure_block(
                 deployment.address_of(name), samples
             )
 
-    baseline = run_sequential(
-        MTPUExecutor(
-            deployment.state.copy(), num_pus=1,
-            pu_config=PUConfig(
-                enable_db_cache=False, redundancy_reuse=False
-            ),
-        ),
-        block.transactions,
-    )
-
     clock = LogicalClock() if deterministic_trace else None
     tracer = SpanTracer(clock=clock) if clock is not None else SpanTracer()
     with use_registry() as registry, use_tracing(tracer):
         counters_before = registry.counters_flat()
+        artifacts = discover_access_sets(
+            block.transactions, deployment.state.copy(), trace=True
+        )
         executor = MTPUExecutor(
-            deployment.state.copy(), num_pus=num_pus,
+            artifacts, num_pus=num_pus,
             pu_config=PUConfig(), hotspot_optimizer=optimizer,
         )
         schedule = run_spatial_temporal(
@@ -100,6 +94,15 @@ def measure_block(
             executor=executor,
             counters_before=counters_before,
         )
+    baseline = run_sequential(
+        MTPUExecutor(
+            artifacts, num_pus=1,
+            pu_config=PUConfig(
+                enable_db_cache=False, redundancy_reuse=False
+            ),
+        ),
+        block.transactions,
+    )
     # Replace the self-relative sequentialized sum with the measured
     # plain-core baseline, making headline_speedup the paper's metric.
     report.sequential_cycles = baseline.makespan_cycles

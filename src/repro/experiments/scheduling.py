@@ -11,36 +11,40 @@ from ..core.scheduler import (
 )
 from ..workload import all_entry_function_calls, generate_dependency_block
 from ..workload.generator import INDEPENDENT_TOKENS
-from .common import ExperimentResult
+from .common import ExperimentResult, trace_once
 
 #: Dependency ratios swept on the x-axis of Figs. 14-16.
 RATIO_SWEEP = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
 
-def _sequential_baseline(block, **pu_kwargs) -> int:
+def _sequential_baseline(block, artifacts, **pu_kwargs) -> int:
     executor = MTPUExecutor(
-        block.deployment.state.copy(), num_pus=1,
-        pu_config=PUConfig(**pu_kwargs),
+        artifacts, num_pus=1, pu_config=PUConfig(**pu_kwargs),
     )
     return run_sequential(executor, block.transactions).makespan_cycles
 
 
-def _parallel(block, runner, num_pus, hotspot=None, **pu_kwargs):
+def _parallel(block, artifacts, runner, num_pus, hotspot=None,
+              **pu_kwargs):
     executor = MTPUExecutor(
-        block.deployment.state.copy(), num_pus=num_pus,
-        pu_config=PUConfig(**pu_kwargs),
+        artifacts, num_pus=num_pus, pu_config=PUConfig(**pu_kwargs),
         hotspot_optimizer=hotspot,
     )
     return runner(executor, block.transactions, block.dag_edges)
 
 
 def _blocks_for_sweep(num_transactions, seed, ratios):
-    return [
+    """(block, its traced artifacts) per ratio."""
+    blocks = [
         generate_dependency_block(
             num_transactions=num_transactions, target_ratio=ratio,
             seed=seed + i,
         )
         for i, ratio in enumerate(ratios)
+    ]
+    return [
+        (block, trace_once(block.deployment.state, block.transactions))
+        for block in blocks
     ]
 
 
@@ -60,15 +64,15 @@ def fig14_scheduling_speedup(
         f"sync x{k}" for k in pu_counts
     ] + [f"ST x{k}" for k in pu_counts]
     rows = []
-    for block in blocks:
-        base = _sequential_baseline(block, redundancy_reuse=False)
+    for block, artifacts in blocks:
+        base = _sequential_baseline(block, artifacts, redundancy_reuse=False)
         row = [f"{block.measured_dependency_ratio:.2f}"]
         for k in pu_counts:
-            sync = _parallel(block, run_synchronous, k,
+            sync = _parallel(block, artifacts, run_synchronous, k,
                              redundancy_reuse=False)
             row.append(base / sync.makespan_cycles)
         for k in pu_counts:
-            st = _parallel(block, run_spatial_temporal, k,
+            st = _parallel(block, artifacts, run_spatial_temporal, k,
                            redundancy_reuse=False)
             row.append(base / st.makespan_cycles)
         rows.append(row)
@@ -105,10 +109,10 @@ def fig15_utilization(
     blocks = _blocks_for_sweep(num_transactions, seed, ratios)
     headers = ["dep ratio", f"sync x{num_pus}", f"ST x{num_pus}"]
     rows = []
-    for block in blocks:
-        sync = _parallel(block, run_synchronous, num_pus,
+    for block, artifacts in blocks:
+        sync = _parallel(block, artifacts, run_synchronous, num_pus,
                          redundancy_reuse=False)
-        st = _parallel(block, run_spatial_temporal, num_pus,
+        st = _parallel(block, artifacts, run_spatial_temporal, num_pus,
                        redundancy_reuse=False)
         rows.append([
             f"{block.measured_dependency_ratio:.2f}",
@@ -147,17 +151,18 @@ def fig16_redundancy_hotspot(
     for k in pu_counts:
         headers += [f"ST+Re x{k}", f"ST+Re+Hot x{k}"]
     rows = []
-    for block in blocks:
-        base = _sequential_baseline(block, redundancy_reuse=False)
+    for block, artifacts in blocks:
+        base = _sequential_baseline(block, artifacts, redundancy_reuse=False)
         optimizer = _workload_optimizer(block.deployment, seed)
         row = [f"{block.measured_dependency_ratio:.2f}"]
         for k in pu_counts:
             redundancy = _parallel(
-                block, run_spatial_temporal, k, redundancy_reuse=True
+                block, artifacts, run_spatial_temporal, k,
+                redundancy_reuse=True,
             )
             hotspot = _parallel(
-                block, run_spatial_temporal, k, hotspot=optimizer,
-                redundancy_reuse=True,
+                block, artifacts, run_spatial_temporal, k,
+                hotspot=optimizer, redundancy_reuse=True,
             )
             row.append(base / redundancy.makespan_cycles)
             row.append(base / hotspot.makespan_cycles)

@@ -26,7 +26,11 @@ from repro.storage import (
 from repro.storage.store import WAL_NAME
 from repro.storage.wal import scan_wal
 from repro.trie import StateRootMismatchError, StateTrie
-from tests.conftest import foreign_proposer, refuse_next_append
+from tests.conftest import (
+    foreign_proposer,
+    refuse_next_append,
+    wal_witnesses,
+)
 from tests.serve.test_invariants import dying_midway
 
 FORGED = b"\x13" * 32
@@ -66,13 +70,13 @@ def node_facing_block_two(deployment, tmp_path, own, executor="sequential"):
 
 
 def everything(node, tmp_path):
-    """Everything a block may change but the pool, which the cut moved."""
+    """Everything a block may change but the pool, which the cut moved
+    (the WAL scan covers the witnesses its records carry)."""
     return (
         node.state.state_digest(),
         node.state_root,
         list(node.chain),
         dict(node.receipts),
-        dict(node.witnesses),
         scan_wal(str(tmp_path / WAL_NAME)),
     )
 
@@ -96,7 +100,7 @@ def assert_rolled_back_then_applies(
     assert node.receipts[block.hash()] == receipts
     assert block.header.state_root == node.state_root
     assert node.state_root == StateTrie.rebuild_root(node.state)
-    assert set(node.witnesses) == {1, 2}
+    assert set(wal_witnesses(node.store)) == {1, 2}
     assert len(node.mempool) == 4
     node.store.close()
     recovered = recover(str(tmp_path))

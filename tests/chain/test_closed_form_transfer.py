@@ -12,6 +12,7 @@ then root by root through every consumer of those artifacts. A gas or fee rule e
 """
 
 import dataclasses
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,9 @@ from repro.contracts.asm import assemble
 from repro.crypto import contract_address
 from repro.evm.context import BlockContext
 from repro.obs import use_registry
+from repro.storage import StorageConfig, attach
 from repro.storage.codec import state_digest_bytes
+from tests.conftest import wal_witnesses
 
 COINBASE = 0xC0FFEE  # Node's default
 RICH = [0xA000 + i for i in range(3)]
@@ -124,8 +127,8 @@ def assert_same_artifacts(closed, reference):
         assert got.receipt == want.receipt, got.tx
         assert got.access.reads == want.access.reads, got.tx
         assert got.access.writes == want.access.writes, got.tx
-        # Untraced on both sides: nothing replays either artifact.
-        assert got.journal is None and not got.read_values, got.tx
+        # Untraced on both sides: no trace, no code for the MTPU.
+        assert got.steps is None and got.code is None, got.tx
         assert got_digest == want_digest, got.tx  # the same effects
 
 
@@ -268,7 +271,7 @@ def test_a_target_with_code_takes_the_interpreter():
     assert deploy.receipt.contract_address == LATE_CODE
     assert before.access == transfer_access(before.tx)  # a plain transfer
     assert (LATE_CODE, 0) in after.writes  # the deployed code ran
-    assert after.journal is None  # an untraced EVM artifact: not replayable
+    assert after.steps is None  # an untraced EVM artifact: no trace
     assert state.has_code(LATE_CODE)  # discovery is the execution
 
 
@@ -325,10 +328,14 @@ def test_counters_match_the_interpreters_under_a_live_registry():
 
 # -- root by root ------------------------------------------------------------
 def run_node(txs, emit_witness, interpreter):
-    """Propose + execute on a fresh node; the proposal commits as its
-    discovery left it, so the closed form's effects are what commits."""
+    """Propose + execute on a fresh durable node; the proposal commits as
+    its discovery left it, so the closed form's effects are what
+    commits. Returns the node, the receipts and the witnesses its WAL
+    records carry."""
     node = Node(state=genesis(), emit_witness=emit_witness)
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as data_dir:
+        attach(node, data_dir, StorageConfig(fsync="never"))
         if interpreter:
             interpreter_only(patch)
         # Handed over the way the serve loop does, past the mempool's
@@ -336,23 +343,29 @@ def run_node(txs, emit_witness, interpreter):
         block = node.propose_block(transactions=txs)
         with use_registry() as registry:
             receipts = node.execute_block(block)
+        witnesses = wal_witnesses(node.store)
+        node.store.close()
     assert "evm.tx_executions" not in registry.counters_flat()
-    return node, receipts
+    return node, receipts, witnesses
 
 
 @settings(deadline=None)
 @given(specs=BLOCK, emit_witness=st.booleans())
 def test_node_commits_the_same_roots(specs, emit_witness):
     txs = build(specs)
-    node, receipts = run_node(txs, emit_witness, interpreter=False)
-    twin, twin_receipts = run_node(txs, emit_witness, interpreter=True)
+    node, receipts, witnesses = run_node(
+        txs, emit_witness, interpreter=False
+    )
+    twin, twin_receipts, twin_witnesses = run_node(
+        txs, emit_witness, interpreter=True
+    )
     assert receipts == twin_receipts
     assert receipts_root(receipts) == receipts_root(twin_receipts)
     assert node.state_root == twin.state_root
     assert node.chain[-1].hash() == twin.chain[-1].hash()
     assert state_digest_bytes(node.state) == state_digest_bytes(twin.state)
-    assert node.witnesses == twin.witnesses  # byte for byte
-    assert bool(node.witnesses) == emit_witness
+    assert witnesses == twin_witnesses  # byte for byte
+    assert bool(witnesses) == emit_witness
 
     # And a node that never saw an artifact: the plain EVM replay.
     plain = Node(state=genesis())

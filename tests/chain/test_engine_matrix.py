@@ -272,22 +272,21 @@ def test_a_dag_lie_is_counted_once(deployment, executor):
 
 
 def test_mtpu_executes_each_transaction_once(deployment):
-    """As proposer (replaying its own traced discovery) and as follower
-    of a foreign ``top8`` block (one traced discovery, replayed)."""
+    """As proposer (its own traced discovery, committed and timed) and
+    as follower of a foreign ``top8`` block (one traced discovery,
+    timed): one execution and one timing per transaction."""
     txs = transactions_for(deployment, "top8")
     with use_registry() as registry:
         proposer = foreign_proposer(deployment.state.copy())
         block = propose(proposer, txs, "top8", "mtpu")
         proposer.execute_block(block, executor="mtpu")
-        counters = registry.counters_flat()
-    assert counters["evm.tx_executions"] == len(block.transactions)
-    assert counters["evm.tx_reuses"] == len(block.transactions)
+    assert registry.value("evm.tx_executions") == len(block.transactions)
+    assert registry.total("pu.traces") == len(block.transactions)
     with use_registry() as registry:
         follower = Node(state=deployment.state.copy())
         follower.execute_block(
             Block.from_rlp(block.to_rlp()), executor="mtpu"
         )
-        counters = registry.counters_flat()
-    assert counters["evm.tx_executions"] == len(block.transactions)
-    assert counters["evm.tx_reuses"] == len(block.transactions)
+    assert registry.value("evm.tx_executions") == len(block.transactions)
+    assert registry.total("pu.traces") == len(block.transactions)
     assert follower.state_root == proposer.state_root

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.chain import Transaction
 from repro.chain.block import BlockHeader
-from repro.chain.journal import WriteJournal
 from repro.chain.node import Node, StaleProposalError
 from repro.chain.receipt import receipts_root
 from repro.chain.state import AccessSet
@@ -150,8 +149,6 @@ def test_replay_commits_what_the_evm_computes(deployment, ops, seed):
         counters = registry.counters_flat()
     # One EVM pass (discovery), committed as it stands.
     assert counters["evm.tx_executions"] == len(txs)
-    assert "evm.tx_reuses" not in counters
-    assert "evm.tx_reexecutions" not in counters
     twin_receipts, twin = evm_only_twin(deployment, block)
     assert_same_outcome(node, receipts, twin, twin_receipts)
 
@@ -201,22 +198,9 @@ def _transfer_block(deployment, count=6):
     return node, propose(node, txs)
 
 
-def forbid_replay(monkeypatch):
-    """Any journal replay from here on is a test failure."""
-    def refuse(self, state):
-        raise AssertionError("a write journal was replayed")
-
-    monkeypatch.setattr(WriteJournal, "apply", refuse)
-
-
-@pytest.fixture()
-def no_replay(monkeypatch):
-    forbid_replay(monkeypatch)
-
-
 def commits_as_proposed(deployment, node, block):
-    """The open proposal commits with no engine pass and no journal
-    applied, and lands where a plain EVM run of the block does."""
+    """The open proposal commits with no engine pass and lands where a
+    plain EVM run of the block does."""
     with use_registry() as registry:
         receipts = node.execute_block(block)
     assert executions(registry) == 0
@@ -224,9 +208,7 @@ def commits_as_proposed(deployment, node, block):
     assert_same_outcome(node, receipts, twin, twin_receipts)
 
 
-def test_poisoned_read_value_reexecutes_only_that_transaction(
-    deployment, no_replay
-):
+def test_poisoned_read_value_reexecutes_only_that_transaction(deployment):
     """Editing ``block.artifacts`` of an open proposal changes nothing:
     the commit takes the receipts the node kept, not the block's."""
     node, block = _transfer_block(deployment)
@@ -238,7 +220,7 @@ def test_poisoned_read_value_reexecutes_only_that_transaction(
     commits_as_proposed(deployment, node, block)
 
 
-def test_misplaced_artifacts_are_not_trusted(deployment, no_replay):
+def test_misplaced_artifacts_are_not_trusted(deployment):
     """Right length, wrong transaction: still nothing changes."""
     node, block = _transfer_block(deployment)
     block.artifacts[0], block.artifacts[1] = (
@@ -247,13 +229,13 @@ def test_misplaced_artifacts_are_not_trusted(deployment, no_replay):
     commits_as_proposed(deployment, node, block)
 
 
-def test_wrong_length_artifact_list_is_ignored(deployment, no_replay):
+def test_wrong_length_artifact_list_is_ignored(deployment):
     node, block = _transfer_block(deployment)
     block.artifacts = block.artifacts[:-1]
     commits_as_proposed(deployment, node, block)
 
 
-def test_other_nodes_and_verify_block_run_the_evm(deployment, no_replay):
+def test_other_nodes_and_verify_block_run_the_evm(deployment):
     """Artifacts are the proposer's own: a peer handed the very same
     block object (artifacts attached) executes or verifies it for real."""
     proposer, block = _transfer_block(deployment)
@@ -271,7 +253,7 @@ def test_other_nodes_and_verify_block_run_the_evm(deployment, no_replay):
     assert executions(registry) == count
 
 
-def test_recovery_runs_the_evm(deployment, tmp_path, monkeypatch):
+def test_recovery_runs_the_evm(deployment, tmp_path):
     node = Node(state=genesis(deployment))
     attach(node, str(tmp_path), StorageConfig(fsync="never"))
     txs = make_transactions(deployment, 8, workload="erc20", seed=9)
@@ -282,7 +264,6 @@ def test_recovery_runs_the_evm(deployment, tmp_path, monkeypatch):
     digest = state_digest_bytes(node.state)
     node.store.close()
 
-    forbid_replay(monkeypatch)
     with use_registry() as registry:
         result = recover(str(tmp_path))
     assert result.height == 2
@@ -301,6 +282,14 @@ def _foreign_block(node, txs):
     block = propose(node, txs)
     foreign = dataclasses.replace(block, artifacts=None)
     return foreign, node.execute_block(foreign)
+
+
+def _edited_block(node, txs):
+    """The proposal's block object with its transaction list rebuilt:
+    not the transactions the discovery ran, so not committed as run."""
+    block = propose(node, txs)
+    block.transactions = [dataclasses.replace(tx) for tx in txs]
+    return block, node.execute_block(block)
 
 
 def _mtpu(node, txs):
@@ -337,6 +326,7 @@ def _builder_failure(node, txs):
 ABANDONING = {
     "propose_block": _second_proposal,
     "foreign_execute_block": _foreign_block,
+    "edited_block": _edited_block,
     "mtpu_execute_block": _mtpu,
     "verify_block": _verify_block,
     "builder_failure": _builder_failure,

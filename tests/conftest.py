@@ -27,11 +27,15 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from repro.chain import Transaction, WorldState  # noqa: E402
-from repro.chain.journal import execute_captured  # noqa: E402
+from repro.chain.artifact import execute_tracked  # noqa: E402
 from repro.contracts import build_deployment  # noqa: E402
 from repro.contracts.asm import assemble  # noqa: E402
 from repro.evm import EVM, BlockContext, Tracer  # noqa: E402
-from repro.storage.codec import state_digest_bytes  # noqa: E402
+from repro.storage.codec import (  # noqa: E402
+    decode_wal_record,
+    state_digest_bytes,
+)
+from repro.storage.wal import scan_wal  # noqa: E402
 
 ALICE = 0xA11CE
 BOB = 0xB0B
@@ -95,36 +99,79 @@ def run():
     return run_code
 
 
+def execute_observed(state, tx, context=None, tracer=None) -> tuple:
+    """Run *tx* on *state* (left as executed) and say what it did: its
+    artifact (receipt and access sets — what a DAG is built from), its
+    undo-journal slice (``changes_since``: every write with the value it
+    replaced, in order) and what each of those writes left. From one
+    pre-state those two are the whole post-state: nothing else moved.
+    (A full ``state_digest_bytes`` per transaction re-hashes a token's
+    whole storage after every write: several times slower over the
+    entry-point sweep, for nothing this does not already pin.)"""
+    token = state.snapshot()
+    artifact = execute_tracked(
+        state, tx, context or BlockContext(), tracer=tracer
+    )
+    changes = state.changes_since(token)
+    return artifact, changes, [_left(state, entry) for entry in changes]
+
+
+def _left(state, entry):
+    """What the write an undo-journal *entry* records left in *state*
+    (raw reads: no access tracking)."""
+    kind, account = entry[0], state._accounts.get(entry[1])
+    if account is None or kind in ("created", "deleted"):
+        return account is not None
+    if kind == "storage":
+        return account.storage.get(entry[2])
+    return getattr(account, kind)  # balance, nonce, code
+
+
 def assert_loops_agree(state, txs, context=None) -> list:
     """Run *txs* in order on two copies of *state*, trace-free and
-    observed, and require the same receipts (success, gas, error class,
-    logs, output), the same artifacts (access reads and writes, read
-    values, journal ops — what a DAG is built from and a replay applies)
-    and the same post-state digest. Returns the trace-free receipts."""
-    context = context or BlockContext()
+    observed, and require transaction by transaction the same execution
+    (:func:`assert_same_execution`) — by induction, the same state
+    before and after every transaction — and the same state digest
+    after the block. Returns the trace-free receipts."""
     runs = []
     for tracer in (None, Tracer):
         world = state.copy()
-        artifacts = [
-            execute_captured(world, tx, context,
+        observed = [
+            execute_observed(world, tx, context,
                              tracer=tracer() if tracer else None)
             for tx in txs
         ]
-        runs.append((artifacts, state_digest_bytes(world)))
+        runs.append((observed, state_digest_bytes(world)))
     (fast, fast_digest), (observed, observed_digest) = runs
     for ours, theirs in zip(fast, observed, strict=True):
-        assert_same_artifact(ours, theirs)
+        assert_same_execution(ours, theirs)
     assert fast_digest == observed_digest
-    return [artifact.receipt for artifact in fast]
+    return [artifact.receipt for artifact, _, _ in fast]
 
 
-def assert_same_artifact(ours, theirs) -> None:
-    """Two executions of one transaction did the same thing."""
+def assert_same_execution(ours, theirs) -> None:
+    """Two :func:`execute_observed` runs of one transaction from the
+    same state did the same thing: same receipt (success, gas, error
+    class, logs, output), same access reads and writes, same writes
+    with the same old values in the same order, and the same values
+    left by them. What it read is a function of that state."""
+    (ours, our_changes, our_left) = ours
+    (theirs, their_changes, their_left) = theirs
     assert ours.receipt == theirs.receipt
     assert ours.access.reads == theirs.access.reads
     assert ours.access.writes == theirs.access.writes
-    assert ours.read_values == theirs.read_values
-    assert ours.journal.ops == theirs.journal.ops
+    assert our_changes == their_changes
+    assert our_left == their_left
+
+
+def wal_witnesses(store) -> dict[int, bytes]:
+    """height -> the block witness *store*'s WAL record of that block
+    carries (where a witness-emitting node's witnesses live)."""
+    records = map(decode_wal_record, scan_wal(store.wal_path).records)
+    return {
+        record.block.header.height: record.witness
+        for record in records if record.witness
+    }
 
 
 def refuse_next_append(store, site="append", half_written=False):

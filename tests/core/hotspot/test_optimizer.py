@@ -7,6 +7,7 @@ from repro.chain.receipt import receipts_root
 from repro.core.hotspot import HotspotOptimizer
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.workload import all_entry_function_calls
+from repro.experiments.common import trace_once
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +28,18 @@ def workload(deployment):
 
 def run_all(deployment, txs, hotspot=None, **config_kwargs):
     executor = MTPUExecutor(
-        deployment.state.copy(), num_pus=1,
+        trace_once(deployment.state, txs), num_pus=1,
         pu_config=PUConfig(**config_kwargs),
         hotspot_optimizer=hotspot,
     )
     pu = executor.pus[0]
-    executions = [executor.execute_on(pu, tx) for tx in txs]
+    executions = [executor.time_on(pu, index) for index in range(len(txs))]
     return executor, executions
+
+
+def plan_for(optimizer, deployment, tx):
+    """*optimizer*'s plan for *tx* run against the genesis code."""
+    return optimizer.plan_for(tx, deployment.state.get_code(tx.to))
 
 
 class TestContractTable:
@@ -70,21 +76,21 @@ class TestContractTable:
 class TestPlans:
     def test_plan_for_profiled_contract(self, deployment, optimizer,
                                         workload):
-        plan = optimizer.plan_for(workload[0])
+        plan = plan_for(optimizer, deployment, workload[0])
         assert plan is not None
         assert plan.on_path_fraction < 1.0
         assert plan.eliminated_pcs
 
     def test_no_plan_for_unprofiled(self, deployment, optimizer):
         txs = all_entry_function_calls(deployment, "OpenSea", seed=34)
-        assert optimizer.plan_for(txs[0]) is None
+        assert plan_for(optimizer, deployment, txs[0]) is None
 
     def test_skip_indices_cover_preexec_prefix(self, deployment,
                                                optimizer, workload):
         from repro.evm import EVM, Tracer
 
         tx = workload[0]
-        plan = optimizer.plan_for(tx)
+        plan = plan_for(optimizer, deployment, tx)
         state = deployment.state.copy()
         tracer = Tracer()
         EVM(state, tracer=tracer).execute_transaction(tx)
@@ -105,7 +111,7 @@ class TestPlans:
         optimizer.optimize_contract(
             deployment.address_of("TetherToken"), samples
         )
-        plan = optimizer.plan_for(workload[0])
+        plan = plan_for(optimizer, deployment, workload[0])
         assert plan.eliminated_pcs == frozenset()
         assert plan.prefetch_pcs == frozenset()
         assert plan.on_path_fraction == 1.0
@@ -122,13 +128,13 @@ class TestEndToEnd:
 
     def test_hotspot_preserves_receipts(self, deployment, optimizer,
                                         workload):
-        ex_plain, plain = run_all(deployment, workload)
-        ex_hot, optimized = run_all(deployment, workload,
-                                    hotspot=optimizer)
+        digest = deployment.state.state_digest()
+        _, plain = run_all(deployment, workload)
+        _, optimized = run_all(deployment, workload, hotspot=optimizer)
         assert receipts_root([e.receipt for e in plain]) == receipts_root(
             [e.receipt for e in optimized]
         )
-        assert ex_plain.state.state_digest() == ex_hot.state.state_digest()
+        assert deployment.state.state_digest() == digest
 
     def test_hotspot_applied_flag(self, deployment, optimizer, workload):
         _, optimized = run_all(deployment, workload, hotspot=optimizer)
@@ -148,5 +154,5 @@ class TestEndToEnd:
         optimizer.optimize_contract(
             deployment.address_of("TetherToken"), samples
         )
-        plan = optimizer.plan_for(workload[0])
+        plan = plan_for(optimizer, deployment, workload[0])
         assert plan.preexecute is False

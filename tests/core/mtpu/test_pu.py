@@ -5,12 +5,14 @@ import pytest
 from repro.chain import Transaction
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.workload import all_entry_function_calls
+from repro.experiments.common import trace_once
 
 
-def fresh_executor(deployment, **config_kwargs):
+def fresh_executor(deployment, txs, num_pus=1, **config_kwargs):
+    """An MTPU over *txs* executed once on a copy of the genesis."""
     return MTPUExecutor(
-        deployment.state.copy(),
-        num_pus=1,
+        trace_once(deployment.state, txs),
+        num_pus=num_pus,
         pu_config=PUConfig(**config_kwargs),
     )
 
@@ -21,18 +23,21 @@ def tether_txs(deployment):
                                     per_function=3)
 
 
-def total_cycles(executor, txs):
+def total_cycles(executor):
     pu = executor.pus[0]
-    return sum(executor.execute_on(pu, tx).cycles for tx in txs)
+    return sum(
+        executor.time_on(pu, index).cycles
+        for index in range(len(executor.artifacts))
+    )
 
 
 class TestModes:
     def test_ilp_beats_baseline(self, deployment, tether_txs):
         baseline = total_cycles(
-            fresh_executor(deployment, enable_db_cache=False), tether_txs
+            fresh_executor(deployment, tether_txs, enable_db_cache=False)
         )
         ilp = total_cycles(
-            fresh_executor(deployment, perfect_cache=True), tether_txs
+            fresh_executor(deployment, tether_txs, perfect_cache=True)
         )
         assert ilp < baseline
         # The ILP upper bound lands in the paper's 1.6x-2.4x band.
@@ -40,35 +45,33 @@ class TestModes:
 
     def test_perfect_cache_bounds_real_cache(self, deployment, tether_txs):
         perfect = total_cycles(
-            fresh_executor(deployment, perfect_cache=True), tether_txs
+            fresh_executor(deployment, tether_txs, perfect_cache=True)
         )
         real = total_cycles(
-            fresh_executor(deployment, cache_entries=2048), tether_txs
+            fresh_executor(deployment, tether_txs, cache_entries=2048)
         )
         assert perfect <= real
 
     def test_feature_ablation_is_monotone(self, deployment, tether_txs):
         fd = total_cycles(
-            fresh_executor(deployment, perfect_cache=True,
+            fresh_executor(deployment, tether_txs, perfect_cache=True,
                            enable_forwarding=False, enable_folding=False),
-            tether_txs,
         )
         df = total_cycles(
-            fresh_executor(deployment, perfect_cache=True,
+            fresh_executor(deployment, tether_txs, perfect_cache=True,
                            enable_folding=False),
-            tether_txs,
         )
         all_on = total_cycles(
-            fresh_executor(deployment, perfect_cache=True), tether_txs
+            fresh_executor(deployment, tether_txs, perfect_cache=True)
         )
         assert all_on <= df <= fd
 
     def test_tiny_cache_behaves_like_bigger_baseline(self, deployment,
                                                      tether_txs):
-        tiny = fresh_executor(deployment, cache_entries=4)
-        big = fresh_executor(deployment, cache_entries=4096)
-        tiny_cycles = total_cycles(tiny, tether_txs)
-        big_cycles = total_cycles(big, tether_txs)
+        tiny = fresh_executor(deployment, tether_txs, cache_entries=4)
+        big = fresh_executor(deployment, tether_txs, cache_entries=4096)
+        tiny_cycles = total_cycles(tiny)
+        big_cycles = total_cycles(big)
         assert big_cycles <= tiny_cycles
         assert (
             big.pus[0].db_cache.stats.hit_ratio
@@ -77,44 +80,45 @@ class TestModes:
 
     def test_instruction_count_mode_independent(self, deployment,
                                                 tether_txs):
-        a = fresh_executor(deployment, enable_db_cache=False)
-        b = fresh_executor(deployment, perfect_cache=True)
-        total_cycles(a, tether_txs)
-        total_cycles(b, tether_txs)
+        a = fresh_executor(deployment, tether_txs, enable_db_cache=False)
+        b = fresh_executor(deployment, tether_txs, perfect_cache=True)
+        total_cycles(a)
+        total_cycles(b)
         assert a.total_instructions() == b.total_instructions()
+
+
+def twice(tx):
+    """*tx* and a fresh identical call after it."""
+    return [tx, Transaction(sender=tx.sender, to=tx.to, data=tx.data,
+                            gas_limit=tx.gas_limit)]
 
 
 class TestRedundancyReuse:
     def test_repeated_contract_hits_cache(self, deployment, tether_txs):
-        executor = fresh_executor(deployment, cache_entries=2048)
-        pu = executor.pus[0]
-        first = executor.execute_on(pu, tether_txs[0])
-        repeat_tx = tether_txs[0]
-        # A fresh identical call mostly hits lines filled by the first.
-        second = executor.execute_on(
-            pu,
-            Transaction(
-                sender=repeat_tx.sender, to=repeat_tx.to,
-                data=repeat_tx.data, gas_limit=repeat_tx.gas_limit,
-            ),
+        executor = fresh_executor(
+            deployment, twice(tether_txs[0]), cache_entries=2048
         )
+        pu = executor.pus[0]
+        first = executor.time_on(pu, 0)
+        # A fresh identical call mostly hits lines filled by the first.
+        second = executor.time_on(pu, 1)
         assert second.timing.cycles < first.timing.cycles
         assert second.timing.line_hits > 0
 
     def test_context_reuse_skips_bytecode_load(self, deployment,
                                                tether_txs):
-        executor = fresh_executor(deployment)
+        executor = fresh_executor(deployment, tether_txs[:2])
         pu = executor.pus[0]
-        first = executor.execute_on(pu, tether_txs[0])
-        second = executor.execute_on(pu, tether_txs[1])
+        first = executor.time_on(pu, 0)
+        second = executor.time_on(pu, 1)
         assert second.context_cycles < first.context_cycles
 
     def test_no_reuse_flag_flushes(self, deployment, tether_txs):
         reuse = total_cycles(
-            fresh_executor(deployment, redundancy_reuse=True), tether_txs
+            fresh_executor(deployment, tether_txs, redundancy_reuse=True)
         )
         no_reuse = total_cycles(
-            fresh_executor(deployment, redundancy_reuse=False), tether_txs
+            fresh_executor(deployment, tether_txs, redundancy_reuse=False)
         )
         assert reuse < no_reuse
 
@@ -123,7 +127,7 @@ class TestSkipAndPrefetch:
     def test_skipped_steps_cost_nothing(self, deployment, tether_txs):
         from repro.evm import EVM, Tracer
 
-        executor = fresh_executor(deployment, enable_db_cache=False)
+        executor = fresh_executor(deployment, [], enable_db_cache=False)
         pu = executor.pus[0]
         state = deployment.state.copy()
         tracer = Tracer()
@@ -141,8 +145,8 @@ class TestSkipAndPrefetch:
         tracer = Tracer()
         EVM(state, tracer=tracer).execute_transaction(tether_txs[0])
 
-        cold = fresh_executor(deployment, enable_db_cache=False)
-        warm = fresh_executor(deployment, enable_db_cache=False)
+        cold = fresh_executor(deployment, [], enable_db_cache=False)
+        warm = fresh_executor(deployment, [], enable_db_cache=False)
         no_prefetch = cold.pus[0].time_trace(tracer.steps)
         all_prefetch = warm.pus[0].time_trace(
             tracer.steps,
@@ -153,15 +157,12 @@ class TestSkipAndPrefetch:
 
 class TestStateBufferSharing:
     def test_state_buffer_shared_across_pus(self, deployment, tether_txs):
-        executor = MTPUExecutor(
-            deployment.state.copy(), num_pus=2,
-            pu_config=PUConfig(enable_db_cache=False),
+        executor = fresh_executor(
+            deployment, twice(tether_txs[0]), num_pus=2,
+            enable_db_cache=False,
         )
-        tx = tether_txs[0]
-        first = executor.execute_on(executor.pus[0], tx)
-        again = Transaction(sender=tx.sender, to=tx.to, data=tx.data,
-                            gas_limit=tx.gas_limit)
-        second = executor.execute_on(executor.pus[1], again)
+        first = executor.time_on(executor.pus[0], 0)
+        second = executor.time_on(executor.pus[1], 1)
         # PU1 benefits from state warmed by PU0.
         assert second.timing.cycles < first.timing.cycles
 
@@ -176,8 +177,8 @@ class TestColdSingleTransaction:
 
         for name in ("TetherToken", "Dai", "OpenSea"):
             tx = all_entry_function_calls(deployment, name, seed=61)[0]
-            executor = fresh_executor(deployment, cache_entries=2048)
-            executor.execute_on(executor.pus[0], tx)
+            executor = fresh_executor(deployment, [tx], cache_entries=2048)
+            executor.time_on(executor.pus[0], 0)
             ratio = executor.pus[0].db_cache.stats.hit_ratio
             assert ratio < 0.30, (name, ratio)
 
@@ -194,6 +195,6 @@ class TestColdSingleTransaction:
             data=abi.encode_call("winningProposal()"),
             gas_limit=2_000_000,
         )
-        executor = fresh_executor(deployment, cache_entries=2048)
-        executor.execute_on(executor.pus[0], tx)
+        executor = fresh_executor(deployment, [tx], cache_entries=2048)
+        executor.time_on(executor.pus[0], 0)
         assert executor.pus[0].db_cache.stats.hits > 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.receipt import receipts_root
+from repro.chain.dag import check_schedule_order
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.core.scheduler import (
     run_sequential,
@@ -12,13 +12,25 @@ from repro.core.scheduler import (
     run_synchronous,
 )
 from repro.workload import generate_dependency_block
+from repro.experiments.common import trace_once
 
 
 def executor_for(block, num_pus, **config_kwargs):
     return MTPUExecutor(
-        block.deployment.state.copy(), num_pus=num_pus,
-        pu_config=PUConfig(**config_kwargs),
+        trace_once(block.deployment.state, block.transactions),
+        num_pus=num_pus, pu_config=PUConfig(**config_kwargs),
     )
+
+
+def assert_serializable(block, executor, result):
+    """No conflicting pair overlapped or swapped, and the receipts are
+    the block-order execution's."""
+    check_schedule_order(
+        block.transactions, executor.artifacts, result.executions
+    )
+    assert result.receipts_in_block_order(block.transactions) == [
+        artifact.receipt for artifact in executor.artifacts
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -33,31 +45,21 @@ class TestSerializability:
     blockchain consistency."""
 
     def test_spatial_temporal_matches_sequential(self, mid_block):
-        seq = run_sequential(executor_for(mid_block, 1),
-                             mid_block.transactions)
-        par = run_spatial_temporal(
-            executor_for(mid_block, 4), mid_block.transactions,
-            mid_block.dag_edges,
-        )
-        assert receipts_root(
-            seq.receipts_in_block_order(mid_block.transactions)
-        ) == receipts_root(
-            par.receipts_in_block_order(mid_block.transactions)
-        )
-
-    def test_synchronous_matches_sequential(self, mid_block):
         seq_ex = executor_for(mid_block, 1)
         seq = run_sequential(seq_ex, mid_block.transactions)
+        par_ex = executor_for(mid_block, 4)
+        par = run_spatial_temporal(
+            par_ex, mid_block.transactions, mid_block.dag_edges,
+        )
+        assert_serializable(mid_block, seq_ex, seq)
+        assert_serializable(mid_block, par_ex, par)
+
+    def test_synchronous_matches_sequential(self, mid_block):
         sync_ex = executor_for(mid_block, 4)
         sync = run_synchronous(
             sync_ex, mid_block.transactions, mid_block.dag_edges
         )
-        assert receipts_root(
-            seq.receipts_in_block_order(mid_block.transactions)
-        ) == receipts_root(
-            sync.receipts_in_block_order(mid_block.transactions)
-        )
-        assert seq_ex.state.state_digest() == sync_ex.state.state_digest()
+        assert_serializable(mid_block, sync_ex, sync)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -69,16 +71,11 @@ class TestSerializability:
         block = generate_dependency_block(
             num_transactions=16, target_ratio=ratio, seed=seed
         )
-        seq_ex = executor_for(block, 1)
-        seq = run_sequential(seq_ex, block.transactions)
         par_ex = executor_for(block, num_pus)
         par = run_spatial_temporal(
             par_ex, block.transactions, block.dag_edges
         )
-        assert receipts_root(
-            seq.receipts_in_block_order(block.transactions)
-        ) == receipts_root(par.receipts_in_block_order(block.transactions))
-        assert seq_ex.state.state_digest() == par_ex.state.state_digest()
+        assert_serializable(block, par_ex, par)
 
     def test_all_transactions_executed_once(self, mid_block):
         result = run_spatial_temporal(

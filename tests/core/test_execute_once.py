@@ -1,12 +1,11 @@
 """The execute-once block pipeline through the ``mtpu`` engine.
 
 The proposal's traced discovery (a follower's DAG-verification pass on
-somebody else's block) is a full speculative execution of the block;
-its artifacts are handed to the MTPU, which replays fresh ones instead
-of re-running the EVM. The headline invariant: on a happy ERC-20 block
-every transaction executes functionally exactly once
-(``evm.tx_executions == len(block.transactions)``), and the replay path
-never changes what the block commits — even under injected PU faults.
+somebody else's block) is the block's one execution, left applied; the
+MTPU only times its artifacts. The headline invariant: on a happy ERC-20
+block every transaction executes functionally exactly once
+(``evm.tx_executions == len(block.transactions)``), and timing never
+changes what the block commits — even under injected PU faults.
 """
 
 import random
@@ -42,9 +41,9 @@ def feed_erc20(node, deployment, count, seed=21):
 class TestExecuteOnce:
     def test_erc20_block_executes_each_tx_once(self, node, deployment):
         feed_erc20(node, deployment, 12)
-        # The proposer replays its own traced discovery; a follower gets
-        # the sealed block off the wire, and its traced DAG-verification
-        # pass is the block's one execution there.
+        # The proposer commits (and times) its own traced discovery; a
+        # follower gets the sealed block off the wire, and its traced
+        # DAG-verification pass is the block's one execution there.
         with use_registry() as proposing:
             block = node.propose_block(executor="mtpu")
             node.execute_block(block, executor="mtpu")
@@ -57,12 +56,10 @@ class TestExecuteOnce:
         n = len(block.transactions)
         for registry in (proposing, following):
             counters = registry.counters_flat()
-            # One functional execution per transaction; the MTPU stage
-            # replayed every artifact.
+            # One functional execution per transaction, and every one
+            # of them timed.
             assert counters["evm.tx_executions"] == n
-            assert counters["evm.tx_reuses"] == n
-            # Re-execution is counted separately and stayed silent.
-            assert counters.get("evm.tx_reexecutions", 0) == 0
+            assert registry.total("pu.traces") == n
             assert DegradationReport.from_registry(registry) == (
                 DegradationReport()
             )
@@ -82,44 +79,6 @@ class TestExecuteOnce:
             node.state.state_digest()
             == reference.state.state_digest()
         )
-
-    def test_stale_artifact_reexecutes_functionally(self, node,
-                                                    deployment):
-        # Poison the artifacts' recorded read values after discovery:
-        # the MTPU must detect staleness and fall back to real execution,
-        # still landing on the sequential result.
-        feed_erc20(node, deployment, 8, seed=23)
-        block = node.propose_block(executor="mtpu")
-        reference = Node(state=deployment.state.copy())
-        ref_receipts = reference.execute_block(block)
-
-        from repro.chain.dag import discover_access_sets
-        from repro.core.mtpu import MTPUExecutor
-        from repro.core.scheduler import run_sequential
-
-        state = deployment.state.copy()
-        context = node.block_context(block.header)
-        token = state.snapshot()
-        artifacts = discover_access_sets(
-            block.transactions, state, context, trace=True
-        )
-        state.revert(token)
-        by_hash = {a.tx.hash(): a for a in artifacts}
-        # Corrupt every artifact's read values: none may replay.
-        for artifact in artifacts:
-            for key in artifact.read_values:
-                artifact.read_values[key] = object()
-        with use_registry() as registry:
-            mtpu = MTPUExecutor(state, block=context, artifacts=by_hash)
-            schedule = run_sequential(mtpu, block.transactions)
-        assert registry.total("evm.tx_reuses") == 0
-        assert registry.total("evm.tx_reexecutions") == len(
-            block.transactions
-        )
-        assert receipts_root(
-            schedule.receipts_in_block_order(block.transactions)
-        ) == receipts_root(ref_receipts)
-        assert state.state_digest() == reference.state.state_digest()
 
 
 class TestReplayUnderPUFaults:

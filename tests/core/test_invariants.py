@@ -12,6 +12,7 @@ from repro.core.scheduler import run_spatial_temporal
 from repro.evm import EVM, Tracer
 from repro.evm.decoded import build_program
 from repro.workload import all_entry_function_calls, generate_block
+from repro.experiments.common import trace_once
 
 
 class TestConstantEliminationSoundness:
@@ -59,8 +60,8 @@ class TestDeterminism:
         makespans = []
         for _ in range(2):
             result = run_spatial_temporal(
-                MTPUExecutor(deployment.state.copy(), num_pus=4,
-                             pu_config=PUConfig()),
+                MTPUExecutor(trace_once(deployment.state, block.transactions),
+                             num_pus=4, pu_config=PUConfig()),
                 block.transactions, block.dag_edges,
             )
             makespans.append(result.makespan_cycles)

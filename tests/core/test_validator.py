@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.chain.dag import discover_access_sets
 from repro.chain.node import Node, ReceiptsRootMismatchError, StageClock
 from repro.chain.receipt import receipts_root
 from repro.core.mtpu import MTPUExecutor
@@ -27,10 +28,11 @@ def feed(node, deployment, contracts, count, seed=0):
 
 def execute(node, block=None, claimed=None):
     """One block on the ``mtpu`` engine (the node's next proposal by
-    default), under a registry of its own: (receipts, registry)."""
-    if block is None:
-        block = node.propose_block(executor="mtpu")
+    default — its idle slice included), under a registry of its own:
+    (receipts, registry)."""
     with use_registry() as registry:
+        if block is None:
+            block = node.propose_block(executor="mtpu")
         receipts = node.execute_block(
             block, executor="mtpu", claimed_receipts_root=claimed
         )
@@ -143,14 +145,17 @@ class TestDynamicHotspots:
         feed(node, deployment, ["Dai"], 14, seed=20)
         execute(node)
         feed(node, deployment, ["Dai"], 14, seed=21)
-        block = node.propose_block(executor="mtpu")
         before = node.state.copy()
+        block = node.propose_block(executor="mtpu")
         context = node.block_context(block.header)
         _, registry = execute(node, block)
         hot = registry.total("sched.makespan_cycles")
 
+        artifacts = discover_access_sets(
+            block.transactions, before, context, trace=True
+        )
         cold = run_spatial_temporal(
-            MTPUExecutor(before, block=context, num_pus=4),
+            MTPUExecutor(artifacts, num_pus=4),
             block.transactions, block.dag_edges,
         )
         assert cold.receipts_in_block_order(block.transactions) == (
@@ -180,6 +185,8 @@ class TestMempoolIntegration:
         # Every transaction got a plan (Dai is a hotspot contract), but
         # the stranger's could not pre-execute.
         assert registry.total("hotspot.plans_applied") == len(receipts)
-        plan = node.hotspots.optimizer.plan_for(stranger_tx)
+        plan = node.hotspots.optimizer.plan_for(
+            stranger_tx, node.state.get_code(stranger_tx.to)
+        )
         assert plan is not None
         assert plan.preexecute is False

@@ -6,7 +6,8 @@ whose immediates hold JUMPDEST bytes or run past the end of code, small
 words that make jumps land on a JUMPDEST or miss it, and undefined bytes,
 at gas limits that are sometimes too small. Whatever the code does, the
 block-compiled trace-free loop and the observed loop must leave the same
-receipt (error class and gas included), artifacts and post-state digest
+receipt (error class and gas included), access sets and writes
+transaction by transaction, and post-state digest
 (``assert_loops_agree``). The named cases pin the block edges the sweeps
 of ``test_decoded_equivalence.py`` do not name: a state read before gas
 the block cannot pay, a schedule other than the default, and a redeploy.
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import Transaction, WorldState
-from repro.chain.journal import execute_captured
+from repro.chain.artifact import execute_tracked
 from repro.contracts.asm import assemble
 from repro.evm import EVM, GasSchedule, Tracer, opcodes
 from repro.evm.context import BlockContext
@@ -137,7 +138,7 @@ class TestBlockEdges:
             tx = Transaction(sender=ALICE, to=CONTRACT,
                              gas_limit=21_000 + 3 + 200 + spare)
             for tracer in (None, Tracer()):
-                artifact = execute_captured(
+                artifact = execute_tracked(
                     _world(code), tx, BlockContext(), tracer=tracer
                 )
                 assert artifact.receipt.error == "OutOfGas"

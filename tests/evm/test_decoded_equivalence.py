@@ -5,9 +5,10 @@ Both loops of :mod:`repro.evm.decoded` run one statement of each opcode
 (a template or an ``_h_*`` handler), so an opcode's pop order, gas rule
 and effect cannot differ between them. What can differ, and what this
 suite holds to *same receipts (including the exception class name in
-``error``), same gas, same logs, same artifacts (access sets, read
-values, journal ops), same post-state digest*, is everything around that
-statement:
+``error``), same gas, same logs, same access sets, same writes with the
+same old values (the undo-journal slice) and the same values left by
+them, transaction by transaction, same post-state digest*, is
+everything around that statement:
 
 * **blocks are sound** — the trace-free loop checks a block's stack once
   and settles static gas in groups, the observed loop checks and charges
@@ -29,8 +30,9 @@ It checks that four ways:
 * every ``(contract, selector)`` an ``erc20`` stream reaches, at every
   gas limit from its intrinsic cost to success (``--gas-stride`` apart;
   CI runs every limit);
-* MTPU replay under PU-fault injection: the committed receipts of a
-  faulted spatio-temporal run still match the trace-free sequential run.
+* the MTPU under PU-fault injection: the traced execution a faulted
+  spatio-temporal schedule times matches the trace-free sequential run,
+  and the schedule reorders no conflicting pair.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import Transaction, WorldState
-from repro.chain.journal import execute_captured
+from repro.chain.dag import check_schedule_order, discover_access_sets
 from repro.contracts.asm import assemble
 from repro.core.mtpu import MTPUExecutor, PUConfig
 from repro.core.scheduler import run_spatial_temporal
@@ -53,7 +55,11 @@ from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 from repro.obs import use_registry
 from repro.serve.loadgen import make_transactions
 from repro.workload import generate_dependency_block
-from tests.conftest import assert_loops_agree, assert_same_artifact
+from tests.conftest import (
+    assert_loops_agree,
+    assert_same_execution,
+    execute_observed,
+)
 
 ALICE = 0xA11CE
 BOB = 0xB0B
@@ -293,12 +299,13 @@ class TestCodeMutationCoherence:
 # ---------------------------------------------------------------------------
 
 
-def _captured(state, tx, tracer):
-    """*tx*'s artifact on *state*, which is left as it was."""
+def _observed(state, tx, tracer):
+    """:func:`execute_observed` of *tx* on *state*, which is left as it
+    was."""
     token = state.snapshot()
-    artifact = execute_captured(state, tx, BlockContext(), tracer=tracer)
+    observed = execute_observed(state, tx, tracer=tracer)
     state.revert(token)
-    return artifact
+    return observed
 
 
 class TestEntryPointSweep:
@@ -306,7 +313,7 @@ class TestEntryPointSweep:
         """Each ``(contract, selector)`` of a 400-call ``erc20`` stream,
         on the state the stream reaches it in, swept from its intrinsic
         cost to the limit it succeeds at: both loops leave the same
-        receipt, access sets, read values and journal. A deferred static
+        receipt, access sets, writes and state. A deferred static
         charge that moved an OutOfGas across an SLOAD would leave the
         slot out of one loop's reads — a different DAG."""
         stride = request.config.getoption("--gas-stride")
@@ -317,13 +324,13 @@ class TestEntryPointSweep:
                                     seed=7):
             if (tx.to, tx.data[:4]) not in seen:
                 seen.add((tx.to, tx.data[:4]))
-                ample = _captured(state, tx, None).receipt
+                ample = _observed(state, tx, None)[0].receipt
                 floor = EVM(state).schedule.intrinsic_gas(tx.data)
                 for gas_limit in range(floor, ample.gas_used + 2, stride):
                     probe = dataclasses.replace(tx, gas_limit=gas_limit)
-                    assert_same_artifact(
-                        _captured(state, probe, None),
-                        _captured(state, probe, Tracer()),
+                    assert_same_execution(
+                        _observed(state, probe, None),
+                        _observed(state, probe, Tracer()),
                     )
                     swept += 1
             EVM(state).execute_transaction(tx)
@@ -333,7 +340,7 @@ class TestEntryPointSweep:
 
 
 # ---------------------------------------------------------------------------
-# Fault injection: MTPU replay vs fast sequential path
+# Fault injection: the MTPU timing a traced block vs the fast path
 # ---------------------------------------------------------------------------
 
 
@@ -358,13 +365,18 @@ class TestFaultInjection:
             ),)
         injector = FaultInjector(FaultPlan(seed=seed, pu_faults=pu_faults))
 
+        artifacts = discover_access_sets(
+            block.transactions, block.deployment.state.copy(), trace=True
+        )
         executor = MTPUExecutor(
-            block.deployment.state.copy(), num_pus=num_pus,
-            pu_config=PUConfig(),
+            artifacts, num_pus=num_pus, pu_config=PUConfig(),
         )
         result = run_spatial_temporal(
             executor, block.transactions, block.dag_edges,
             fault_injector=injector,
+        )
+        check_schedule_order(
+            block.transactions, artifacts, result.executions
         )
 
         world = block.deployment.state.copy()

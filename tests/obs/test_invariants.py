@@ -26,6 +26,7 @@ from repro.core.scheduler import run_spatial_temporal
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 from repro.obs import NULL_REGISTRY, BlockPerfReport, get_registry, use_registry
 from repro.workload import generate_dependency_block
+from repro.experiments.common import trace_once
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,8 @@ def run_instrumented(block, num_pus=4, fault_injector=None):
     """Run *block* spatio-temporally inside a fresh registry scope."""
     with use_registry() as registry:
         executor = MTPUExecutor(
-            block.deployment.state.copy(), num_pus=num_pus,
+            trace_once(block.deployment.state, block.transactions),
+            num_pus=num_pus,
             pu_config=PUConfig(),
         )
         schedule = run_spatial_temporal(
@@ -126,7 +128,8 @@ class TestReportRoundTrip:
         with use_registry() as registry:
             before = registry.counters_flat()
             executor = MTPUExecutor(
-                block.deployment.state.copy(), num_pus=4,
+                trace_once(block.deployment.state, block.transactions),
+                num_pus=4,
                 pu_config=PUConfig(),
             )
             schedule = run_spatial_temporal(
@@ -156,7 +159,8 @@ class TestDisabledInstrumentation:
 
         assert get_registry() is NULL_REGISTRY
         executor = MTPUExecutor(
-            block.deployment.state.copy(), num_pus=4,
+            trace_once(block.deployment.state, block.transactions),
+            num_pus=4,
             pu_config=PUConfig(),
         )
         plain = run_spatial_temporal(
@@ -181,7 +185,8 @@ class TestDisabledInstrumentation:
         report = DegradationReport()
         with use_registry() as registry:
             executor = MTPUExecutor(
-                block.deployment.state.copy(), num_pus=4,
+                trace_once(block.deployment.state, block.transactions),
+                num_pus=4,
                 pu_config=PUConfig(),
             )
             run_spatial_temporal(

@@ -20,6 +20,7 @@ from repro.core.scheduler import run_sequential, run_spatial_temporal
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 from repro.obs import use_registry
 from repro.workload import generate_dependency_block
+from repro.experiments.common import trace_once
 
 
 def _ops_histogram(registry) -> dict:
@@ -33,7 +34,8 @@ def _run(block, driver, num_pus, fault_injector=None):
     """Execute *block* under a fresh registry; returns (registry, result)."""
     with use_registry() as registry:
         executor = MTPUExecutor(
-            block.deployment.state.copy(), num_pus=num_pus,
+            trace_once(block.deployment.state, block.transactions),
+            num_pus=num_pus,
             pu_config=PUConfig(),
         )
         if driver == "sequential":
@@ -110,11 +112,12 @@ class TestParallelMetricsMatchSequential:
         )
         assert committed_gas == seq_reg.value("evm.gas_used")
 
-        # The registry additionally counted any aborted attempt, so it
-        # can only exceed the committed totals, and the scheduler's
-        # admission accounting explains the difference exactly.
-        assert par_reg.value("evm.gas_used") >= committed_gas
+        # The block executed once; an aborted attempt is timed again,
+        # never executed again, and the scheduler's admission accounting
+        # explains the extra timings exactly.
+        assert par_reg.value("evm.gas_used") == committed_gas
         stats = par.scheduler_stats
         assert stats["admitted"] == stats["commits"] + stats["aborts"]
         assert stats["commits"] == len(block.transactions)
-        assert par_reg.value("evm.transactions") == stats["admitted"]
+        assert par_reg.value("evm.transactions") == len(block.transactions)
+        assert par_reg.total("pu.traces") == stats["admitted"]

@@ -3,6 +3,7 @@ the state its witness proves; state reads are refused, never wrong."""
 
 import asyncio
 import dataclasses
+import tempfile
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.serve.batcher import BlockBuilder
 from repro.serve.errors import STATE_UNAVAILABLE
 from repro.serve.loadgen import RpcClient, RpcClientError, make_transactions
 from repro.serve.server import RpcServer
-from repro.storage import StorageConfig, codec
+from repro.storage import StorageConfig, attach, codec
+from repro.storage.wal import scan_wal
 from repro.trie import decode_witness
 
 from .conftest import (
@@ -80,17 +82,23 @@ def _witness_replica(deployment):
 
 
 def _committed_records(deployment, blocks=1, count=4):
+    """A durable witness-emitting writer's chain and its WAL records
+    (each block with its witness), read back off the log."""
     writer = Node(state=deployment.state.copy(), emit_witness=True)
     txs = make_transactions(deployment, blocks * count, seed=3)
-    records = []
-    for start in range(0, blocks * count, count):
-        for tx in txs[start:start + count]:
-            writer.hear(tx)
-        block = writer.propose_block(max_transactions=count)
-        writer.execute_block(block)
-        records.append(codec.WalRecord(
-            block, witness=writer.witnesses[block.header.height]
-        ))
+    with tempfile.TemporaryDirectory() as data_dir:
+        attach(writer, data_dir, StorageConfig(fsync="never"))
+        for start in range(0, blocks * count, count):
+            for tx in txs[start:start + count]:
+                writer.hear(tx)
+            writer.execute_block(
+                writer.propose_block(max_transactions=count)
+            )
+        records = [
+            codec.decode_wal_record(payload)
+            for payload in scan_wal(writer.store.wal_path).records
+        ]
+        writer.store.close()
     return writer, records
 
 

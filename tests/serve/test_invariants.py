@@ -83,9 +83,8 @@ def run_serve_path(
 
 def dying_midway(node, run_engine, dies_at):
     """*run_engine* with a tripwire on the sender-nonce bump — the one
-    state write every engine makes once per transaction, whichever way
-    it applies it (the EVM increments, a journal replay sets). A node's
-    own in-order proposal is committed as its discovery left it, with no
+    state write every engine's execution makes once per transaction. A
+    node's own proposal is committed as its discovery left it, with no
     engine pass and no bump: there the commit dies instead, at the seal
     with the state dirtied further, when the block holds ``dies_at``
     transactions."""
@@ -113,8 +112,6 @@ def dying_midway(node, run_engine, dies_at):
         state = node.state
         with mock.patch.object(
             state, "increment_nonce", tripwire(state.increment_nonce)
-        ), mock.patch.object(
-            state, "set_nonce", tripwire(state.set_nonce)
         ), mock.patch.object(
             node, "seal_state_root", dying_seal(node.seal_state_root)
         ):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import BPUModel, measure_gsc_costs
 from repro.workload import generate_erc20_block
+from repro.experiments.common import trace_once
 
 #: Paper Table 8, BPU row: ERC20 proportion -> single-core speedup.
 PAPER_TABLE8_BPU = {
@@ -47,7 +48,9 @@ class TestSimulatedModel:
 
     @pytest.fixture(scope="class")
     def costs(self, deployment, block):
-        return measure_gsc_costs(deployment.state, block.transactions)
+        return measure_gsc_costs(
+            trace_once(deployment.state, block.transactions)
+        )
 
     def test_single_core_between_bounds(self, block, costs):
         model = BPUModel()
@@ -81,7 +84,7 @@ class TestSimulatedModel:
             num_transactions=24, target_ratio=1.0, seed=42
         )
         costs = measure_gsc_costs(
-            block.deployment.state, block.transactions
+            trace_once(block.deployment.state, block.transactions)
         )
         model = BPUModel()
         single = model.run_single_core(block.transactions, costs)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.chain import Transaction
 from repro.chain.dag import (
     build_dag_edges,
+    check_schedule_order,
     discover_access_sets,
     transitive_reduction,
     verify_dag,
@@ -30,6 +31,7 @@ from repro.faults import (
     PUFault,
 )
 from repro.workload import generate_block
+from repro.experiments.common import trace_once
 
 
 def inject_failures(deployment, seed=90):
@@ -77,9 +79,9 @@ def failing_block(deployment):
     return inject_failures(deployment)
 
 
-def executor(deployment, num_pus, **kwargs):
+def executor(deployment, txs, num_pus, **kwargs):
     return MTPUExecutor(
-        deployment.state.copy(), num_pus=num_pus,
+        trace_once(deployment.state, txs), num_pus=num_pus,
         pu_config=PUConfig(**kwargs),
     )
 
@@ -88,7 +90,7 @@ class TestFailureSemantics:
     def test_failures_fail_and_healthy_succeed(self, deployment,
                                                failing_block):
         txs, edges = failing_block
-        result = run_sequential(executor(deployment, 1), txs)
+        result = run_sequential(executor(deployment, txs, 1), txs)
         receipts = result.receipts_in_block_order(txs)
         # The three injected failures are the 3rd/2nd/1st from the end -1.
         assert not receipts[-4].success  # broke sender
@@ -100,7 +102,7 @@ class TestFailureSemantics:
 
     def test_oog_burns_the_whole_limit(self, deployment, failing_block):
         txs, edges = failing_block
-        result = run_sequential(executor(deployment, 1), txs)
+        result = run_sequential(executor(deployment, txs, 1), txs)
         receipts = result.receipts_in_block_order(txs)
         assert receipts[-3].gas_used == 22_000
         assert receipts[-3].error == "OutOfGas"
@@ -110,27 +112,29 @@ class TestFailureSemantics:
         self, deployment, failing_block, num_pus
     ):
         txs, edges = failing_block
-        seq = run_sequential(executor(deployment, 1), txs)
+        seq = run_sequential(executor(deployment, txs, 1), txs)
         root = receipts_root(seq.receipts_in_block_order(txs))
         for runner in (run_synchronous, run_spatial_temporal):
-            par = runner(executor(deployment, num_pus), txs, edges)
+            par_ex = executor(deployment, txs, num_pus)
+            par = runner(par_ex, txs, edges)
             assert receipts_root(
                 par.receipts_in_block_order(txs)
             ) == root
+            check_schedule_order(txs, par_ex.artifacts, par.executions)
 
     def test_final_state_identical(self, deployment, failing_block):
+        """The block executes once; the schedule must not have swapped
+        a conflicting pair, failures included."""
         txs, edges = failing_block
-        seq_ex = executor(deployment, 1)
-        run_sequential(seq_ex, txs)
-        par_ex = executor(deployment, 4)
-        run_spatial_temporal(par_ex, txs, edges)
-        assert seq_ex.state.state_digest() == par_ex.state.state_digest()
+        par_ex = executor(deployment, txs, 4)
+        par = run_spatial_temporal(par_ex, txs, edges)
+        check_schedule_order(txs, par_ex.artifacts, par.executions)
 
     def test_failed_txs_still_timed(self, deployment, failing_block):
         """A reverting transaction consumes PU cycles — failures are not
         free in the timing model."""
         txs, edges = failing_block
-        ex = executor(deployment, 1)
+        ex = executor(deployment, txs, 1)
         result = run_sequential(ex, txs)
         failed = [e for e in result.executions if not e.receipt.success]
         assert failed
@@ -148,9 +152,9 @@ class TestFailureSemantics:
             deployment.address_of("Dai"),
             all_entry_function_calls(deployment, "Dai", seed=9),
         )
-        plain = run_sequential(executor(deployment, 1), txs)
+        plain = run_sequential(executor(deployment, txs, 1), txs)
         hot_ex = MTPUExecutor(
-            deployment.state.copy(), num_pus=1,
+            trace_once(deployment.state, txs), num_pus=1,
             pu_config=PUConfig(), hotspot_optimizer=optimizer,
         )
         hot = run_sequential(hot_ex, txs)
@@ -162,8 +166,8 @@ class TestFailureSemantics:
 class TestInjectedFaultsPropertyBased:
     """Property: under arbitrary seeded DAG corruption plus an arbitrary
     PU failure, spatio-temporal scheduling (with its detection and
-    recovery paths engaged) still produces final state and receipts
-    identical to sequential execution."""
+    recovery paths engaged) times every transaction once and reorders
+    no conflicting pair."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -210,17 +214,16 @@ class TestInjectedFaultsPropertyBased:
         )
 
         report = DegradationReport()
-        par_ex = executor(deployment, num_pus)
+        par_ex = executor(deployment, txs, num_pus)
         par = run_spatial_temporal(
             par_ex, txs, edges, fault_injector=injector, report=report
         )
-        seq_ex = executor(deployment, 1)
-        seq = run_sequential(seq_ex, txs)
-
-        assert par_ex.state.state_digest() == seq_ex.state.state_digest()
+        check_schedule_order(txs, par_ex.artifacts, par.executions)
         assert receipts_root(
             par.receipts_in_block_order(txs)
-        ) == receipts_root(seq.receipts_in_block_order(txs))
+        ) == receipts_root(
+            [artifact.receipt for artifact in par_ex.artifacts]
+        )
         # A cycle injection is always caught; a dropped reduced edge
         # always breaks conflict coverage.
         if injector.injected["dag_cycle"]:

@@ -3,6 +3,7 @@ execution path the paper evaluates."""
 
 import random
 
+from repro.chain.dag import check_schedule_order
 from repro.chain.node import Node
 from repro.chain.receipt import receipts_root
 from repro.core.hotspot import HotspotOptimizer
@@ -18,6 +19,7 @@ from repro.workload import (
     generate_block,
     generate_dependency_block,
 )
+from repro.experiments.common import trace_once
 
 
 class TestFullPipeline:
@@ -34,16 +36,17 @@ class TestFullPipeline:
         reference = node.execute_block(block)
         reference_root = receipts_root(reference)
 
-        # An accelerated validator replays the same block on the MTPU
-        # under each scheduler and must verify the same receipts.
+        # An accelerated validator executes the same block once, traced,
+        # and times it on the MTPU under each scheduler: the receipts
+        # verify, and no schedule reorders a conflicting pair.
+        artifacts = trace_once(deployment.state, block.transactions)
         for runner, pus in (
             (run_sequential, 1),
             (run_synchronous, 4),
             (run_spatial_temporal, 4),
         ):
             executor = MTPUExecutor(
-                deployment.state.copy(), num_pus=pus,
-                pu_config=PUConfig(),
+                artifacts, num_pus=pus, pu_config=PUConfig(),
             )
             if runner is run_sequential:
                 result = runner(executor, block.transactions)
@@ -54,6 +57,9 @@ class TestFullPipeline:
             assert receipts_root(
                 result.receipts_in_block_order(block.transactions)
             ) == reference_root
+            check_schedule_order(
+                block.transactions, artifacts, result.executions
+            )
 
     def test_multi_block_chain_stays_consistent(self, deployment):
         node = Node(state=deployment.state.copy())
@@ -85,9 +91,10 @@ class TestHeadlineSpeedup:
                 deployment.address_of(name), samples
             )
 
+        artifacts = trace_once(deployment.state, block.transactions)
         baseline = run_sequential(
             MTPUExecutor(
-                deployment.state.copy(), num_pus=1,
+                artifacts, num_pus=1,
                 pu_config=PUConfig(enable_db_cache=False,
                                    redundancy_reuse=False),
             ),
@@ -95,7 +102,7 @@ class TestHeadlineSpeedup:
         )
         full = run_spatial_temporal(
             MTPUExecutor(
-                deployment.state.copy(), num_pus=4,
+                artifacts, num_pus=4,
                 pu_config=PUConfig(),
                 hotspot_optimizer=optimizer,
             ),
@@ -105,27 +112,21 @@ class TestHeadlineSpeedup:
         speedup = full.speedup_over(baseline)
         assert 3.0 < speedup < 20.0
         # Correctness never traded away.
-        assert receipts_root(
-            baseline.receipts_in_block_order(block.transactions)
-        ) == receipts_root(
-            full.receipts_in_block_order(block.transactions)
-        )
+        check_schedule_order(block.transactions, artifacts, full.executions)
 
 
 class TestMixedWorkloadRobustness:
     def test_realistic_block_parallel_execution(self, deployment):
         block = generate_block(deployment, num_transactions=50, seed=75)
+        artifacts = trace_once(deployment.state, block.transactions)
         seq = run_sequential(
-            MTPUExecutor(deployment.state.copy(), num_pus=1),
-            block.transactions,
+            MTPUExecutor(artifacts, num_pus=1), block.transactions,
         )
         par = run_spatial_temporal(
-            MTPUExecutor(deployment.state.copy(), num_pus=4),
+            MTPUExecutor(artifacts, num_pus=4),
             block.transactions, block.dag_edges,
         )
-        assert receipts_root(
-            seq.receipts_in_block_order(block.transactions)
-        ) == receipts_root(par.receipts_in_block_order(block.transactions))
+        check_schedule_order(block.transactions, artifacts, par.executions)
         # Realistic blocks have real dependencies, so gains are modest
         # but must exist relative to critical-path limits.
         assert par.makespan_cycles <= seq.makespan_cycles
@@ -135,7 +136,8 @@ class TestMixedWorkloadRobustness:
             deployment, num_transactions=20, seed=76, sct_fraction=0.0
         )
         par = run_spatial_temporal(
-            MTPUExecutor(deployment.state.copy(), num_pus=4),
+            MTPUExecutor(trace_once(deployment.state, block.transactions),
+                         num_pus=4),
             block.transactions, block.dag_edges,
         )
         assert len(par.executions) == 20

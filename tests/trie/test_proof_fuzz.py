@@ -9,12 +9,15 @@ exception, and no mutated proof may ever *verify* against the root it
 was cut from.
 """
 
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.node import Node
 from repro.chain.transaction import Transaction
+from repro.storage import StorageConfig, attach
 from repro.trie import (
     ProofDecodingError,
     WitnessError,
@@ -25,6 +28,7 @@ from repro.trie import (
     verify_proof_blob,
     verify_storage_proof,
 )
+from tests.conftest import wal_witnesses
 
 DECODERS = [
     (decode_proof, ProofDecodingError),
@@ -55,12 +59,15 @@ def proven():
     node.state.set_storage(2, 5, 99)
     node.trie.update(node.state)
     node.hear(Transaction(sender=1, to=3, value=7))
-    block = node.propose_block()
-    node.execute_block(block)
+    with tempfile.TemporaryDirectory() as data_dir:
+        attach(node, data_dir, StorageConfig(fsync="never"))
+        block = node.propose_block()
+        node.execute_block(block)
+        witness_blob = wal_witnesses(node.store)[block.header.height]
+        node.store.close()
     root = node.state_root
     account_blob = encode_proof(node.trie.account_proof(1))
     storage_blob = encode_proof(node.trie.storage_proof(2, 5, 99))
-    witness_blob = node.witnesses[block.header.height]
     return root, account_blob, storage_blob, witness_blob
 
 
