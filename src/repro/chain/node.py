@@ -175,8 +175,8 @@ class Node:
             raise ValueError("emit_witness requires merkleize")
 
     def attach_trie(self) -> bytes:
-        """(Re)build the state trie over the current state and enable
-        first-touch capture; returns the current root."""
+        """(Re)build the state trie over the current state, which folds
+        the state's journal from then on; returns the current root."""
         trie = StateTrie()
         root = trie.attach(self.state)
         self.adopt(self.state, trie)
@@ -191,7 +191,7 @@ class Node:
         self.state = state
         self.mempool.state = state
         self.trie = trie
-        state._track_reads = self.emit_witness
+        state.witness_reads = set() if self.emit_witness else None
 
     @property
     def state_root(self) -> bytes:
@@ -479,9 +479,9 @@ class Node:
         nothing that was committed.
 
         When Merkleizing, the witness (which needs the *pre-block* trie
-        shape and the undrained touch capture) is built first, then the
-        header is sealed with the post-block root, so the WAL record and
-        the chain both carry the sealed header.
+        shape and the block's journal entries unfolded) is built first,
+        then the header is sealed with the post-block root, so the WAL
+        record and the chain both carry the sealed header.
 
         Anything raised before the append is durable — a refused one
         included (:class:`~repro.storage.AppendFailedError`: the log is
@@ -523,21 +523,21 @@ class Node:
         *token*, the journal empty, the trie its mirror (nothing else
         is written before the last thing that can fail).
 
-        Execution leaves the trie alone, so draining the first-touch
-        capture restores it. *folded*: the seal folded the block in and
-        drained the capture, and only a rebuild undoes that — O(state),
-        fault-only, and required: this node keeps answering proofs, and
-        one cut from the un-rolled-back trie would bind diverged
-        contents to a root no header sealed.
+        Execution leaves the trie alone, so folding the journal entries
+        the revert leaves (writes made before *token*, e.g. an injected
+        fault's) restores it. *folded*: the seal folded the block in, and
+        only a rebuild undoes that — O(state), fault-only, and required:
+        this node keeps answering proofs, and one cut from the
+        un-rolled-back trie would bind diverged contents to a root no
+        header sealed.
         """
         self.state.revert(token)
+        if self.trie is not None:
+            if folded:
+                self.attach_trie()
+            else:
+                self.trie.update(self.state)
         self.state.clear_journal()
-        if self.trie is None:
-            return
-        if folded:
-            self.attach_trie()
-        else:
-            self.trie.update(self.state)
 
     def seal_state_root(self, block: Block) -> None:
         """Fold the block's state effects into the trie and seal (or

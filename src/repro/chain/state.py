@@ -5,7 +5,10 @@ Two capabilities the rest of the system leans on:
 * **Journaling / snapshots** — transaction atomicity: a frame that runs out
   of gas or REVERTs rolls back exactly its own writes (paper section 3.3.6:
   "If an exception occurs, the modified state is discarded without
-  affecting the original state").
+  affecting the original state"). On a node the journal spans the whole
+  block, so it is also the block's one record of what it wrote:
+  :meth:`WorldState.pre_images` reads the Merkle trie's dirty set and the
+  block witness's pre-block accounts back out of it.
 * **Access tracking** — every storage/balance/code read and write is
   recorded into an :class:`AccessSet`. Read/write sets are how the
   consensus stage discovers the inter-transaction dependency DAG that the
@@ -23,8 +26,8 @@ from .account import Account
 #: (as opposed to a concrete storage slot).
 BALANCE_KEY = "balance"
 CODE_KEY = "code"
-#: Journal-only sentinel: nonces are deliberately outside access tracking
-#: (they never create DAG edges) but write journals must still carry them.
+#: Nonces are deliberately outside access tracking (they never create DAG
+#: edges); access blooms still declare the sender's nonce as written.
 NONCE_KEY = "nonce"
 
 # Journal entries are tagged tuples describing one reversible mutation:
@@ -35,8 +38,9 @@ NONCE_KEY = "nonce"
 #   ("code", address, old_code)
 #   ("storage", address, slot, old_value_or_None)
 # A snapshot is an index into the journal list. The structured form (vs.
-# opaque undo closures) is what lets the execute-once pipeline read the
-# exact mutation set of a transaction back out of the journal.
+# opaque undo closures) is what lets pre_images() read each touched
+# account's pre-block contents back out of it, for the trie and the
+# witness; the tests read a transaction's write set out of it too.
 
 
 @dataclass
@@ -71,38 +75,57 @@ class AccessSet:
         self.writes |= other.writes
 
 
-class _TriePre:
-    """First-touch pre-image of one account within the current block.
+class PreImage:
+    """One journaled address as it stood before the journal's unfolded
+    entries (:meth:`WorldState.pre_images`): ``exists`` (an account
+    record), its fields, the old value of every storage slot written
+    (``slots``, 0 = absent) and, when a SELFDESTRUCT replaced the storage
+    wholesale, the removed account (``wiped``; ``slots`` then holds only
+    the writes before it)."""
 
-    Captured lazily by ``WorldState._mark_dirty`` the first time a block
-    touches an address, before the mutation lands. The captured fields
-    are what the address looked like at block start; ``slots`` maps each
-    first-touched storage slot to its old value (0 = absent), and
-    ``storage_full`` snapshots the whole storage dict when an operation
-    replaces it wholesale (SELFDESTRUCT, snapshot transplant) — after
-    that, per-slot olds stop being recorded because block-start storage
-    is already fully determined.
-
-    The dict of these (``WorldState._trie_pre``) doubles as the Merkle
-    trie's dirty set: :meth:`repro.trie.StateTrie.update` drains it.
-    """
-
-    __slots__ = ("exists", "nonce", "balance", "code", "slots",
-                 "storage_full")
+    __slots__ = ("exists", "nonce", "balance", "code", "slots", "wiped")
 
     def __init__(self, account: Account | None) -> None:
-        if account is None:
-            self.exists = False
-            self.nonce = 0
-            self.balance = 0
-            self.code = b""
-        else:
-            self.exists = True
-            self.nonce = account.nonce
-            self.balance = account.balance
-            self.code = account.code
+        self.wiped: Account | None = None
         self.slots: dict[int, int] = {}
-        self.storage_full: dict[int, int] | None = None
+        self.become(account)
+
+    def become(self, account: Account | None) -> None:
+        if account is None:
+            self.exists, self.nonce, self.balance, self.code = (
+                False, 0, 0, b"")
+        else:
+            self.exists, self.nonce, self.balance, self.code = (
+                True, account.nonce, account.balance, account.code)
+
+    @property
+    def member(self) -> bool:
+        """True when the account was a trie member (present, non-empty)."""
+        return self.exists and bool(self.nonce or self.balance or self.code)
+
+    def changed(self, account: Account | None) -> bool:
+        """True when *account*, as it is now, needs its leaf re-derived:
+        membership, a field or a written slot differs, or it was wiped."""
+        if account is None or account.is_empty:
+            return self.member
+        if not self.member or self.wiped is not None or (
+            account.nonce, account.balance, account.code
+        ) != (self.nonce, self.balance, self.code):
+            return True
+        storage = account.storage
+        return any(storage.get(slot, 0) != old
+                   for slot, old in self.slots.items())
+
+    def storage(self, account: Account | None) -> dict[int, int]:
+        """The pre-image's whole storage, given the *account* now."""
+        base = self.wiped or account
+        storage = dict(base.storage) if base is not None else {}
+        for slot, old in self.slots.items():
+            if old:
+                storage[slot] = old
+            else:
+                storage.pop(slot, None)
+        return storage
 
 
 class WorldState:
@@ -120,36 +143,25 @@ class WorldState:
         # the last one), not O(total state).
         self._digest_dirty: set[int] = set()
         self._leaf_hashes: dict[int, bytes] = {}
-        # First-touch pre-image capture for the authenticated state trie
-        # (see _TriePre). Off by default; StateTrie.attach enables
-        # mutation capture, witness-emitting nodes also enable read
-        # capture so block witnesses cover every address execution saw.
-        self._track_trie = False
-        self._track_reads = False
-        self._trie_pre: dict[int, _TriePre] = {}
-
-    def _mark_dirty(self, address: int) -> _TriePre | None:
-        """Dirty *address* for the digest and (when tracking) capture its
-        first-touch pre-image. Call *before* mutating the account."""
-        self._digest_dirty.add(address)
-        if not self._track_trie:
-            return None
-        pre = self._trie_pre.get(address)
-        if pre is None:
-            pre = _TriePre(self._accounts.get(address))
-            self._trie_pre[address] = pre
-        return pre
+        # A Merkle trie mirrors this state (bind_trie), and the journal
+        # entries before _folded are in it already.
+        self._trie_bound = False
+        self._folded = 0
+        #: Addresses read since the journal was last cleared, on a
+        #: witness-emitting node (None elsewhere): a block witness
+        #: covers what execution read as well as what it wrote.
+        self.witness_reads: set[int] | None = None
 
     def _mark_read(self, address: int) -> None:
-        if self._track_reads and address not in self._trie_pre:
-            self._trie_pre[address] = _TriePre(self._accounts.get(address))
+        if self.witness_reads is not None:
+            self.witness_reads.add(address)
 
     # -- account lifecycle -------------------------------------------------
     def account(self, address: int) -> Account:
         """Fetch (creating lazily) the account at *address*."""
         acct = self._accounts.get(address)
         if acct is None:
-            self._mark_dirty(address)
+            self._digest_dirty.add(address)
             acct = Account()
             self._accounts[address] = acct
             self._journal.append(("created", address))
@@ -161,18 +173,10 @@ class WorldState:
         acct = self._accounts.get(address)
         return acct is not None and not acct.is_empty
 
-    def has_account(self, address: int) -> bool:
-        """True if the account record is materialized (even when empty)."""
-        return address in self._accounts
-
     def delete_account(self, address: int) -> None:
         """SELFDESTRUCT: remove the account entirely."""
-        pre = self._mark_dirty(address)
+        self._digest_dirty.add(address)
         acct = self._accounts.pop(address, None)
-        if pre is not None and pre.storage_full is None:
-            # Wholesale storage replacement: the per-slot diff log stops
-            # here; block-start storage = this snapshot + earlier olds.
-            pre.storage_full = dict(acct.storage) if acct else {}
         if acct is not None:
             self._journal.append(("deleted", address, acct))
         # The cached digest leaf must die with the account, or a
@@ -197,7 +201,7 @@ class WorldState:
         old = acct.balance
         if old != value:
             self._journal.append(("balance", address, old))
-            self._mark_dirty(address)
+            self._digest_dirty.add(address)
             acct.balance = value
         self._record_write(address, BALANCE_KEY)
 
@@ -220,7 +224,7 @@ class WorldState:
         acct = self.account(address)
         old = acct.nonce
         self._journal.append(("nonce", address, old))
-        self._mark_dirty(address)
+        self._digest_dirty.add(address)
         acct.nonce = old + 1
 
     def set_nonce(self, address: int, value: int) -> None:
@@ -229,7 +233,7 @@ class WorldState:
         old = acct.nonce
         if old != value:
             self._journal.append(("nonce", address, old))
-            self._mark_dirty(address)
+            self._digest_dirty.add(address)
             acct.nonce = value
 
     # -- code -------------------------------------------------------------------
@@ -243,8 +247,8 @@ class WorldState:
         """True when code is deployed at *address*.
 
         A bookkeeping probe for choosing an execution path: it is neither
-        access-tracked nor captured as a witness read, so asking leaves
-        no trace the execution itself would not have left.
+        access-tracked nor a witness read, so asking leaves no trace the
+        execution itself would not have left.
         """
         acct = self._accounts.get(address)
         return acct is not None and bool(acct.code)
@@ -253,7 +257,7 @@ class WorldState:
         acct = self.account(address)
         old = acct.code
         self._journal.append(("code", address, old))
-        self._mark_dirty(address)
+        self._digest_dirty.add(address)
         acct.code = code
         self._record_write(address, CODE_KEY)
 
@@ -270,9 +274,7 @@ class WorldState:
         acct = self.account(address)
         old = acct.storage.get(slot)
         self._journal.append(("storage", address, slot, old))
-        pre = self._mark_dirty(address)
-        if pre is not None and pre.storage_full is None:
-            pre.slots.setdefault(slot, old or 0)
+        self._digest_dirty.add(address)
         if value == 0:
             acct.storage.pop(slot, None)
         else:
@@ -286,6 +288,9 @@ class WorldState:
 
     def revert(self, token: int) -> None:
         """Undo all writes made since snapshot *token*."""
+        # Below the fold the bound trie holds writes this undoes: only
+        # a rebuild (StateTrie.attach) mirrors the state again.
+        self._folded = min(self._folded, token)
         accounts = self._accounts
         while len(self._journal) > token:
             entry = self._journal.pop()
@@ -319,17 +324,55 @@ class WorldState:
         """
         return self._journal[token:]
 
-    def commit(self, token: int) -> None:
-        """Discard undo entries newer than *token* (writes become final
-        relative to that snapshot; outer snapshots can still revert them)."""
-        # Journal entries must be kept so outer frames can still revert;
-        # commit is a no-op by design. It exists to make call-frame intent
-        # explicit at the interpreter layer.
-        del token
+    def pre_images(self) -> dict[int, PreImage]:
+        """Every address the unfolded journal entries touched, with its
+        :class:`PreImage` — the trie's dirty set and a witness's
+        pre-block accounts — by undoing the entries on paper, newest
+        first: the oldest entry for a field wins, ``created`` means no
+        account before it, and a ``deleted`` entry restores the whole
+        account as it was removed."""
+        accounts = self._accounts
+        pres: dict[int, PreImage] = {}
+        for entry in reversed(self._journal[self._folded:]):
+            pre = pres.get(entry[1])
+            if pre is None:
+                pre = pres[entry[1]] = PreImage(accounts.get(entry[1]))
+            kind = entry[0]
+            if kind == "balance":
+                pre.balance = entry[2]
+            elif kind == "storage":
+                pre.slots[entry[2]] = entry[3] or 0
+            elif kind == "nonce":
+                pre.nonce = entry[2]
+            elif kind == "code":
+                pre.code = entry[2]
+            elif kind == "created":
+                pre.become(None)
+            else:  # deleted: the whole account as it was removed
+                pre.become(entry[2])
+                pre.wiped, pre.slots = entry[2], {}
+        return pres
+
+    def bind_trie(self) -> None:
+        """A Merkle trie now mirrors this state as it stands (built by
+        :meth:`repro.trie.StateTrie.attach`, or folded by its ``update``):
+        the journal so far is in it, and every later write must be
+        journaled to reach it."""
+        self._trie_bound = True
+        self._folded = len(self._journal)
 
     def clear_journal(self) -> None:
-        """Drop all undo history (call between transactions)."""
+        """Drop all undo history and the read set (call between blocks,
+        or transactions off a node). On a trie-bound state every entry
+        must be folded first, or its write would never reach the root."""
+        if self._trie_bound and self._folded != len(self._journal):
+            raise RuntimeError(
+                "clearing journal entries the bound trie has not folded"
+            )
         self._journal.clear()
+        self._folded = 0
+        if self.witness_reads is not None:
+            self.witness_reads.clear()
 
     # -- access tracking -----------------------------------------------------------
     def begin_access_tracking(self) -> AccessSet:
@@ -354,38 +397,38 @@ class WorldState:
 
     @contextmanager
     def untracked(self):
-        """Suspend access tracking for bookkeeping reads/writes.
+        """Suspend access tracking and witness reads for bookkeeping
+        reads/writes.
 
-        Used wherever the infrastructure (RPC reads, fault injection)
-        touches state without that touch being part of a transaction's
-        semantic access set.
+        Used wherever the infrastructure (RPC reads, fault injection,
+        hotspot profiling) touches state without that touch being part
+        of a transaction's semantic access set or a block's witness.
         """
-        saved, self.access = self.access, None
+        saved = self.access, self.witness_reads
+        self.access = self.witness_reads = None
         try:
             yield self
         finally:
-            self.access = saved
+            self.access, self.witness_reads = saved
 
     def load_account(self, address: int, account: Account) -> None:
         """Install an account record directly (snapshot restore).
 
         Bypasses the journal and access tracking — this is bulk state
-        loading by the storage layer, not an EVM-visible mutation.
+        loading by the storage layer, not an EVM-visible mutation — so
+        a trie-bound state refuses it: the write would never reach the
+        root.
         """
-        pre = self._mark_dirty(address)
-        if pre is not None and pre.storage_full is None:
-            old = self._accounts.get(address)
-            pre.storage_full = dict(old.storage) if old else {}
+        if self._trie_bound:
+            raise RuntimeError("load_account on a trie-bound state")
+        self._digest_dirty.add(address)
         self._accounts[address] = account
 
     # -- copying -------------------------------------------------------------------
     def copy(self) -> "WorldState":
-        """Deep copy with a fresh (empty) journal.
-
-        Trie pre-image tracking does not carry over: a clone has no
-        attached trie, and speculative copies (DAG discovery) must not
-        feed captures back into the original's dirty set.
-        """
+        """Deep copy with a fresh (empty) journal, bound to no trie and
+        recording no witness reads: speculative copies (hotspot
+        profiling) must not feed the original's block records."""
         clone = WorldState()
         clone._accounts = {
             addr: acct.copy() for addr, acct in self._accounts.items()

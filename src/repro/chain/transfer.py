@@ -69,7 +69,7 @@ def execute_transfer(
     a fee), nonce bump, value move, then the fee — capped at what the
     sender has left — credited to the coinbase.
     State is read through the normal getters, so a witness-emitting node
-    records the same first touches the interpreter would have made.
+    records the same reads the interpreter would have made.
     """
     sender, to, value = tx.sender, tx.to, tx.value
     balance = state.get_balance(sender)

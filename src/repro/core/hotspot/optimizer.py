@@ -120,12 +120,8 @@ class HotspotOptimizer:
     # Offline profiling (the idle time slice)
     # ------------------------------------------------------------------
     def _code_lookup(self, address: int) -> bytes:
-        saved = self.state.access
-        self.state.access = None
-        try:
+        with self.state.untracked():
             return self.state.get_code(address)
-        finally:
-            self.state.access = saved
 
     @timed("hotspot.optimize_contract")
     def optimize_contract(

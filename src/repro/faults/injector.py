@@ -251,8 +251,8 @@ class FaultInjector:
     def corrupt_replica_state(self, state, height: int) -> bool:
         """The divergence drill: flip one balance in applied state.
 
-        Mutates through the state's own setters so the trie's dirty
-        capture sees it — the corruption *will* be folded into the next
+        Mutates through the state's own setters and leaves the journal
+        entry in place, so the corruption *will* be folded into the next
         root update, which is exactly what the replica's per-block
         state-root check must catch. Fires once.
         """
@@ -267,7 +267,6 @@ class FaultInjector:
         victim = self.rng.choice(addresses)
         with state.untracked():
             state.set_balance(victim, state.get_balance(victim) + 1)
-        state.clear_journal()
         self.injected["replica_state_corrupted"] += 1
         return True
 
@@ -287,7 +286,6 @@ class FaultInjector:
             if not code:
                 continue
             state.set_code(address, code + b"\x00")
-            state.clear_journal()
             self.injected["stale_profile"] += 1
             poisoned.append(address)
         return poisoned

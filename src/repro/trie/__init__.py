@@ -9,8 +9,9 @@ The package splits along trust boundaries:
   memoized hashing (the node-side workhorse).
 * :mod:`repro.trie.state_trie` — :class:`StateTrie`, the incremental
   bridge from :class:`~repro.chain.state.WorldState` to a sealed root,
-  driven by first-touch pre-images so a block's root update costs
-  O(touched · depth), never O(state).
+  driven by the state's undo journal (the block's one record of what it
+  wrote) so a block's root update costs O(touched · depth), never
+  O(state).
 * :mod:`repro.trie.proof` — RLP proof blobs served over JSON-RPC.
 * :mod:`repro.trie.witness` — block witnesses, and
   :func:`witness_state`, which turns one into a state a node adopts.

@@ -5,9 +5,10 @@ leaf value commits to ``(nonce, balance, code_hash, storage_root)``, so
 the single 32-byte state root authenticates every balance and every
 storage slot in the system.
 
-Incrementality is driven by the state's first-touch pre-image capture
-(``WorldState._trie_pre``): :meth:`StateTrie.update` drains it and
-re-derives only the touched leaves, so a block's root update costs
+Incrementality is driven by the state's undo journal:
+:meth:`StateTrie.update` folds the entries recorded since its last fold
+(:meth:`~repro.chain.state.WorldState.pre_images`) and re-derives only
+the leaves of the accounts they changed, so a block's root update costs
 O(touched · depth) rather than O(state). Accounts that are absent or
 *empty* (``Account.is_empty``) are not in the trie, matching the flat
 digest's convention; zero-valued slots are likewise absent from their
@@ -49,11 +50,8 @@ class StateTrie:
 
     # -- construction ------------------------------------------------------
     def attach(self, state) -> bytes:
-        """Bind to *state*: full build, then enable first-touch capture.
-
-        Any pre-images captured before the build are stale against the
-        freshly built trie, so the capture buffer is reset.
-        """
+        """Bind to *state*: a full build, after which :meth:`update`
+        folds the writes the state journals from here on."""
         self._tree = MerkleTree(self._counter)
         self._storage.clear()
         self._info.clear()
@@ -61,8 +59,7 @@ class StateTrie:
             if account.is_empty:
                 continue
             self._set_leaf(address, account, rebuild_storage=True)
-        state._track_trie = True
-        state._trie_pre.clear()
+        state.bind_trie()
         return self.root()
 
     @classmethod
@@ -81,19 +78,20 @@ class StateTrie:
 
     # -- incremental maintenance -------------------------------------------
     def update(self, state) -> bytes:
-        """Fold the state's captured dirty set into the trie; new root."""
+        """Fold the state's unfolded journal entries into the trie; new
+        root. Accounts that end as they began are not re-derived."""
         started = time.perf_counter()
         rehashed_before = self._counter[0]
-        pre_images = state._trie_pre
-        for address, pre in pre_images.items():
+        for address, pre in state.pre_images().items():
             account = state._accounts.get(address)
+            if not pre.changed(account):
+                continue
             if account is None or account.is_empty:
                 self._drop_leaf(address)
                 continue
-            # A wholesale storage replacement (delete/redeploy,
-            # transplant via load_account) invalidates the old subtrie;
-            # slot diffs only describe in-place mutation.
-            if pre.storage_full is not None or address not in self._storage:
+            # A SELFDESTRUCT replaced the storage wholesale, so the old
+            # subtrie goes; slot diffs only describe in-place mutation.
+            if pre.wiped is not None or address not in self._storage:
                 self._set_leaf(address, account, rebuild_storage=True)
             else:
                 subtrie = self._storage[address]
@@ -106,7 +104,7 @@ class StateTrie:
                     else:
                         subtrie.delete(slot_key(slot))
                 self._set_leaf(address, account, rebuild_storage=False)
-        pre_images.clear()
+        state.bind_trie()
         root = self.root()
         self._registry.counter("trie.root_updates").inc()
         self._registry.counter("trie.nodes_rehashed").inc(

@@ -78,10 +78,6 @@ class MerkleTree:
         self._root = None
         self._counter = counter if counter is not None else [0]
 
-    @property
-    def nodes_rehashed(self) -> int:
-        return self._counter[0]
-
     # -- queries -----------------------------------------------------------
     def get(self, key: bytes) -> bytes | None:
         """The value hash at *key*, or None when absent.
@@ -109,48 +105,42 @@ class MerkleTree:
         if node is None:
             self._root = _Leaf(key, value)
             return
-        # Peek descent (no invalidation yet) to the leaf this key routes
-        # to; its key decides where the new branch splices in.
+        # Descend to the leaf this key routes to; its key decides where
+        # the new branch splices in.
+        path: list[_Branch] = []
         while isinstance(node, _Branch):
+            path.append(node)
             node = node.right if key_bit(key, node.bit) else node.left
         if isinstance(node, _Stub):
             raise WitnessError(
                 "insert crossed an unexpanded witness subtree"
             )
         if node.key == key:
-            current = self._root
-            while isinstance(current, _Branch):
-                current.hash = None
-                current = (
-                    current.right
-                    if key_bit(key, current.bit)
-                    else current.left
-                )
-            current.value = value
-            current.hash = None
+            for branch in path:
+                branch.hash = None
+            node.value = value
+            node.hash = None
             return
         diverge = _diverge_bit(key, node.key)
         # Splice point: the first node whose bit exceeds the diverging
-        # bit (bits strictly increase along any path).
-        parent = None
-        current = self._root
-        while isinstance(current, _Branch) and current.bit < diverge:
-            current.hash = None
-            parent = current
-            current = (
-                current.right if key_bit(key, current.bit) else current.left
-            )
+        # bit (bits strictly increase along any path, and the two keys
+        # agree on every bit of this one).
+        depth = 0
+        while depth < len(path) and path[depth].bit < diverge:
+            path[depth].hash = None
+            depth += 1
+        current = path[depth] if depth < len(path) else node
         leaf = _Leaf(key, value)
         if key_bit(key, diverge):
             branch = _Branch(diverge, current, leaf)
         else:
             branch = _Branch(diverge, leaf, current)
-        if parent is None:
+        if depth == 0:
             self._root = branch
-        elif key_bit(key, parent.bit):
-            parent.right = branch
+        elif key_bit(key, path[depth - 1].bit):
+            path[depth - 1].right = branch
         else:
-            parent.left = branch
+            path[depth - 1].left = branch
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; returns False when it was not present."""

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ..chain import rlp
 from ..chain.account import Account
-from ..chain.state import WorldState
+from ..chain.state import PreImage, WorldState
 from ..obs import get_registry
 from .errors import StateRootMismatchError, WitnessError
 from .state_trie import StateTrie
@@ -94,48 +94,17 @@ class Witness:
 
 # -- building (writer side) --------------------------------------------------
 
-def _pre_account(state, address: int):
-    """Reconstruct the pre-block (nonce, balance, code, storage) of
-    *address* from the state's first-touch capture; None when the
-    account was absent or empty (not a trie member) pre-block."""
-    pre = state._trie_pre.get(address)
-    if pre is None:
-        # Untouched this block: current contents *are* the pre-block
-        # contents (the address was pulled in as a belt-and-braces
-        # member of the touched set, e.g. a zero-value recipient).
-        account = state._accounts.get(address)
-        if account is None or account.is_empty:
-            return None
-        return account.nonce, account.balance, account.code, dict(
-            account.storage
-        )
-    if not pre.exists or (
-        pre.nonce == 0 and pre.balance == 0 and not pre.code
-    ):
-        return None
-    if pre.storage_full is not None:
-        storage = dict(pre.storage_full)
-    else:
-        account = state._accounts.get(address)
-        storage = dict(account.storage) if account is not None else {}
-        # First-touch slot olds overlay the current dict back to its
-        # block-start contents (0 = the slot was absent).
-        for slot, old in pre.slots.items():
-            if old:
-                storage[slot] = old
-            else:
-                storage.pop(slot, None)
-    return pre.nonce, pre.balance, pre.code, storage
-
-
 def build_witness(trie, state, block) -> bytes:
     """Encode the witness for *block*, just executed against *state*.
 
-    Must run *before* ``trie.update`` drains the state's capture buffer
+    Must run *before* ``trie.update`` folds the block's journal entries
     (i.e. before the post-root is sealed): the trie is still at its
-    pre-block shape and ``state._trie_pre`` still holds the touched set.
+    pre-block shape and the journal still holds the block's writes. The
+    touched set is every address the block wrote or read
+    (``state.witness_reads``), its coinbase, senders and recipients.
     """
-    touched = set(state._trie_pre)
+    pres = state.pre_images()
+    touched = set(pres).union(state.witness_reads or ())
     touched.add(block.header.coinbase)
     for tx in block.transactions:
         touched.add(tx.sender)
@@ -144,23 +113,24 @@ def build_witness(trie, state, block) -> bytes:
     addresses = sorted(touched)
     entries = []
     for address in addresses:
-        pre = _pre_account(state, address)
-        if pre is None:
+        # An address the block only read is its own pre-image.
+        account = state._accounts.get(address)
+        pre = pres.get(address) or PreImage(account)
+        if not pre.member:
             entries.append(
                 [rlp.encode_int(address), b"", b"", b"", b"", []]
             )
             continue
-        nonce, balance, code, storage = pre
         entries.append(
             [
                 rlp.encode_int(address),
                 rlp.encode_int(1),
-                rlp.encode_int(nonce),
-                rlp.encode_int(balance),
-                code,
+                rlp.encode_int(pre.nonce),
+                rlp.encode_int(pre.balance),
+                pre.code,
                 [
                     [rlp.encode_int(slot), rlp.encode_int(value)]
-                    for slot, value in sorted(storage.items())
+                    for slot, value in sorted(pre.storage(account).items())
                     if value
                 ],
             ]
@@ -346,6 +316,6 @@ def witness_state(
                 "leaf in the pre-state tree"
             )
         state.load_account(entry.address, account)
-    # Bound as StateTrie.attach binds: capture on, nothing captured yet.
-    state._track_trie = True
+    # Bound as StateTrie.attach binds: nothing journaled yet.
+    state.bind_trie()
     return state, trie

@@ -22,7 +22,8 @@ VALUES = st.integers(min_value=0, max_value=2**64)
 
 
 #: load_account bypasses the journal by design (snapshot restore), so
-#: revert scenarios must stick to the journaled subset.
+#: it runs only before a trie is bound, and revert scenarios must stick
+#: to the journaled subset.
 JOURNALED_OPS = ["balance", "nonce", "storage", "code", "delete"]
 ALL_OPS = JOURNALED_OPS + ["load"]
 
@@ -57,12 +58,25 @@ def mutate(state: WorldState, data, ops=ALL_OPS) -> None:
 @given(st.data())
 def test_incremental_root_matches_rebuild(data):
     state = WorldState()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        mutate(state, data, ops=["load"])
     trie = StateTrie()
     trie.attach(state)
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
-            mutate(state, data)
+            mutate(state, data, ops=JOURNALED_OPS)
         assert trie.update(state) == StateTrie.rebuild_root(state)
+
+
+def test_load_account_refuses_a_trie_bound_state():
+    """A load bypasses the journal: on a bound state it would never
+    reach the root."""
+    from repro.chain.account import Account
+
+    state = WorldState()
+    StateTrie().attach(state)
+    with pytest.raises(RuntimeError):
+        state.load_account(1, Account(balance=5))
 
 
 @settings(max_examples=30, deadline=None)
