@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..evm.gas import DEFAULT_SCHEDULE
 from ..obs import get_registry
 from .bloom import AccessBloom, bloom_for_transaction
 from .transaction import Transaction
@@ -167,10 +168,6 @@ class Mempool:
         return len(self._pool)
 
     def _check_admission(self, tx: Transaction) -> None:
-        # Intrinsic gas needs the fee schedule; imported lazily because
-        # repro.evm transitively imports repro.chain at package init.
-        from ..evm.gas import DEFAULT_SCHEDULE
-
         intrinsic = DEFAULT_SCHEDULE.intrinsic_gas(tx.data, tx.is_create)
         if tx.gas_limit < intrinsic:
             raise IntrinsicGasError(

@@ -176,7 +176,11 @@ class Node:
 
     def attach_trie(self) -> bytes:
         """(Re)build the state trie over the current state, which folds
-        the state's journal from then on; returns the current root."""
+        the state's journal from then on; returns the current root.
+
+        An open proposal is abandoned first: the new trie is built over
+        the state as the proposal found it."""
+        self.abandon_proposal()
         trie = StateTrie()
         root = trie.attach(self.state)
         self.adopt(self.state, trie)

@@ -16,6 +16,12 @@ Item = bytes | list["Item"]
 #: interpreter's recursion limit.
 MAX_DEPTH = 64
 
+#: The one-byte items, and the one-byte prefixes of a string / list
+#: payload under 56 bytes, built once instead of per item.
+_BYTE = [bytes([value]) for value in range(0x80)]
+_STRING_PREFIX = [bytes([0x80 + size]) for size in range(56)]
+_LIST_PREFIX = [bytes([0xC0 + size]) for size in range(56)]
+
 
 class RLPDecodingError(ValueError):
     """Raised for malformed RLP input."""
@@ -30,8 +36,7 @@ def encode(item: Item) -> bytes:
     if isinstance(item, (bytes, bytearray)):
         return _encode_bytes(bytes(item))
     if isinstance(item, list):
-        payload = b"".join(encode(sub) for sub in item)
-        return _length_prefix(len(payload), 0xC0) + payload
+        return _encode_list(item)
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 
@@ -84,6 +89,29 @@ def as_list(item: Item, what: str = "item",
     return item
 
 
+def _encode_list(items: list) -> bytes:
+    # A byte-string member is prefixed here, in the loop; only a nested
+    # list (or a rarer type) goes back through encode().
+    parts: list[bytes] = []
+    append = parts.append
+    for sub in items:
+        if type(sub) is bytes:
+            size = len(sub)
+            if size < 56:
+                if size != 1 or sub[0] >= 0x80:
+                    append(_STRING_PREFIX[size])
+            else:
+                append(_length_prefix(size, 0x80))
+            append(sub)
+        else:
+            append(encode(sub))
+    payload = b"".join(parts)
+    size = len(payload)
+    if size < 56:
+        return _LIST_PREFIX[size] + payload
+    return _length_prefix(size, 0xC0) + payload
+
+
 def _encode_bytes(data: bytes) -> bytes:
     if len(data) == 1 and data[0] < 0x80:
         return data
@@ -102,7 +130,7 @@ def _decode_at(data: bytes, pos: int, depth: int = 0) -> tuple[Item, int]:
         raise RLPDecodingError("unexpected end of input")
     prefix = data[pos]
     if prefix < 0x80:  # single byte literal
-        return bytes([prefix]), pos + 1
+        return _BYTE[prefix], pos + 1
     if prefix < 0xB8:  # short string
         length = prefix - 0x80
         chunk = _take(data, pos + 1, length)
@@ -131,13 +159,32 @@ def _decode_list(
     end = start + length
     if end > len(data):
         raise RLPDecodingError("list payload exceeds input")
+    # Single bytes and short strings, the bulk of every wire format, are
+    # decoded here with _decode_at's checks in _decode_at's order; only
+    # long strings and nested lists go back through it.
     items: list[Item] = []
+    append = items.append
+    size = len(data)
     pos = start
     while pos < end:
-        item, pos = _decode_at(data, pos, depth + 1)
+        prefix = data[pos]
+        if prefix < 0x80:  # single byte literal
+            append(_BYTE[prefix])
+            pos += 1
+            continue
+        if prefix < 0xB8:  # short string
+            first = pos + 1
+            pos = first + prefix - 0x80
+            if pos > size:
+                raise RLPDecodingError("payload exceeds input")
+            chunk = data[first:pos]
+            if prefix == 0x81 and chunk[0] < 0x80:
+                raise RLPDecodingError("non-canonical single byte encoding")
+        else:
+            chunk, pos = _decode_at(data, pos, depth + 1)
         if pos > end:
             raise RLPDecodingError("list item exceeds list payload")
-        items.append(item)
+        append(chunk)
     return items, end
 
 

@@ -94,7 +94,12 @@ class Transaction:
             raise rlp.RLPDecodingError(
                 "transaction to must be empty or 20 bytes"
             )
-        tx = cls(
+        blob = bytes(blob)
+        # The fields are filled in one dict write, not through the
+        # frozen dataclass's __init__ (an object.__setattr__ per field):
+        # this runs once per transaction that reaches the node.
+        tx = object.__new__(cls)
+        tx.__dict__.update(
             sender=int.from_bytes(sender_bytes, "big"),
             to=None if to_bytes == b"" else int.from_bytes(to_bytes, "big"),
             nonce=rlp.decode_int(nonce),
@@ -102,10 +107,10 @@ class Transaction:
             gas_price=rlp.decode_int(gas_price),
             value=rlp.decode_int(value),
             data=rlp.as_bytes(data, "transaction data"),
+            tags={},
+            _rlp=blob,
+            _hash=keccak256(blob),
         )
-        blob = bytes(blob)
-        tx.__dict__["_rlp"] = blob
-        tx.__dict__["_hash"] = keccak256(blob)
         return tx
 
     def hash(self) -> bytes:

@@ -276,9 +276,10 @@ class FaultInjector:
     def poison_profiles(self, state) -> list[int]:
         """Mutate planned contracts *after* they were profiled.
 
-        Appends a dead byte to the contract's code (behaviour-preserving
-        but hash-changing) and perturbs a high storage slot, modelling a
-        contract upgraded between pre-execution and block arrival.
+        Appends a dead ``0x00`` (STOP) byte to the contract's code —
+        behaviour-preserving but hash-changing — and touches nothing
+        else, modelling a contract upgraded between pre-execution and
+        block arrival. Returns the addresses poisoned.
         """
         poisoned: list[int] = []
         for address in self.plan.stale_profiles:

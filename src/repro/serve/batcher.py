@@ -73,6 +73,9 @@ class BlockBuilder:
         self.fault_injector = fault_injector
         #: tx hash -> future resolving to a :class:`CommittedReceipt`.
         self._pending: dict[bytes, asyncio.Future] = {}
+        #: tx hash -> the waiters :meth:`attach` parked on it (a dict as
+        #: an ordered set), settled in the pass that settles the hash.
+        self._waiters: dict[bytes, dict] = {}
         #: tx hash -> committed receipt, for ``getReceipt`` lookups.
         #: Bounded to ``config.receipt_history_blocks`` recent blocks.
         self.committed: dict[bytes, CommittedReceipt] = {}
@@ -175,6 +178,26 @@ class BlockBuilder:
         """The pending future for an already-admitted transaction."""
         return self._pending.get(tx_hash)
 
+    def attach(self, tx_hash: bytes, waiter) -> None:
+        """Settle *waiter* with the pending transaction *tx_hash*.
+
+        ``waiter.settle(committed, exc)`` is called, and must not raise,
+        inside the pass that resolves (a :class:`CommittedReceipt`) or
+        fails (an exception) the transaction — a block's waiters are
+        answered in one loop over the block, not one future callback
+        hop each. Several waiters may share a hash (a retry attaches to
+        an in-flight one).
+        """
+        self._waiters.setdefault(tx_hash, {})[waiter] = None
+
+    def detach(self, tx_hash: bytes, waiter) -> None:
+        """Forget *waiter*: nothing is left for it to answer."""
+        waiters = self._waiters.get(tx_hash)
+        if waiters is not None:
+            waiters.pop(waiter, None)
+            if not waiters:
+                del self._waiters[tx_hash]
+
     def seed_committed(self) -> None:
         """Rebuild the receipt indexes from an already-populated node.
 
@@ -217,10 +240,8 @@ class BlockBuilder:
             )
         except asyncio.TimeoutError:
             self._task.cancel()
-            for future in self._pending.values():
-                if not future.done():
-                    future.cancel()
-            self._pending.clear()
+            for tx_hash in list(self._pending):
+                self._settle(tx_hash, None, asyncio.CancelledError())
         self._task = None
 
     # -- the loop ----------------------------------------------------------
@@ -315,13 +336,26 @@ class BlockBuilder:
         self._m_queue_depth.set(self.depth)
         err = ExecutionFailedError(repr(exc))
         for tx in txs:
-            future = self._pending.pop(tx.hash(), None)
-            if future is not None and not future.done():
-                future.set_exception(err)
-                # A waiter may have already abandoned the future (its
-                # deadline elapsed); retrieving the exception here keeps
+            self._settle(tx.hash(), None, err)
+
+    def _settle(self, tx_hash: bytes, committed, exc=None) -> None:
+        """Answer the future of *tx_hash* and every waiter attached to
+        it: with *committed*, or with *exc* (a cancellation cancels the
+        future)."""
+        future = self._pending.pop(tx_hash, None)
+        if future is not None and not future.done():
+            if exc is None:
+                future.set_result(committed)
+            elif isinstance(exc, asyncio.CancelledError):
+                future.cancel()
+            else:
+                future.set_exception(exc)
+                # Nobody may await the future (the server answers its
+                # waiters instead); retrieving the exception keeps
                 # asyncio from logging "exception was never retrieved".
                 future.exception()
+        for waiter in self._waiters.pop(tx_hash, ()):
+            waiter.settle(committed, exc)
 
     # -- execution (worker thread; one block at a time) --------------------
     def _build_and_execute(self, cut):
@@ -387,9 +421,7 @@ class BlockBuilder:
         ):
             committed = CommittedReceipt(receipt, height, index)
             self.committed[tx_hash] = committed
-            future = self._pending.pop(tx_hash, None)
-            if future is not None and not future.done():
-                future.set_result(committed)
+            self._settle(tx_hash, committed)
         self._evict_history(block, tx_hashes)
         self._m_blocks_built.inc()
         self._m_txs_committed.inc(len(receipts))

@@ -20,9 +20,14 @@ from .errors import INVALID_REQUEST, PARSE_ERROR, RpcError
 MAX_LINE_BYTES = 1 << 20
 
 
+#: The one encoder every frame goes through: ``json.dumps`` with
+#: non-default separators builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(obj: dict) -> bytes:
     """One JSON object as a newline-terminated wire frame."""
-    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    return (_ENCODER.encode(obj) + "\n").encode()
 
 
 def decode_frame(line: bytes) -> dict:

@@ -22,8 +22,10 @@ client or buffers without bound.
 A request costs one pass on the way in and a share of one socket write
 on the way out. Each connection's reader handles its lines inline: reads
 answer at once, and a waiting ``repro_sendTransaction`` leaves a
-:class:`_ReceiptWait` (a done-callback on the builder's future plus one
-deadline timer) instead of a task. Replies queue on the connection's
+:class:`_ReceiptWait` instead of a task: a waiter the block builder
+answers in its one pass over the committed block, and a place on the
+server's one :class:`_DeadlineWheel` (tick buckets swept by a single
+timer) instead of a timer per request. Replies queue on the connection's
 :class:`~repro.serve.outbox.Outbox`, flushed once per loop turn, and the
 reader stops reading a connection whose transport is over its
 write-buffer high-water mark.
@@ -65,6 +67,9 @@ from .ratelimit import RateLimiter
 _DEFERRED = object()
 #: sendTransaction's wait deadline when the request names none.
 DEFAULT_DEADLINE_MS = 30_000.0
+#: The deadline wheel's resolution: a wait expires within one tick
+#: after its deadline.
+DEADLINE_TICK_S = 0.005
 #: Drop a newHeads subscription whose transport write buffer exceeds
 #: this many bytes: a stalled subscriber must not buffer without bound.
 MAX_SUBSCRIBER_BUFFER = 1 << 20
@@ -83,23 +88,94 @@ def _failure(request_id, exc: BaseException) -> dict:
     return protocol.error_response(request_id, exc)
 
 
+class _DeadlineWheel:
+    """Every parked wait's deadline, in buckets of one tick, swept by one
+    timer.
+
+    A wait joins the bucket of the first tick boundary past its
+    deadline, so it never expires early and expires at most one tick
+    (:data:`DEADLINE_TICK_S`) late. One ``call_at`` timer is armed for
+    the earliest bucket; it expires everything due, then re-arms for
+    the next (a bucket that emptied under it costs one early wake-up).
+    A wait that is answered or cancelled leaves its bucket in O(1), and
+    the timer is cancelled when the last one leaves — an idle server
+    holds no handle.
+    """
+
+    __slots__ = ("_buckets", "_timer")
+
+    def __init__(self) -> None:
+        #: tick -> the waits expiring at it (a dict as an ordered set).
+        self._buckets: dict[int, dict[_ReceiptWait, None]] = {}
+        #: The one sweep; None while no wait is parked.
+        self._timer: asyncio.TimerHandle | None = None
+
+    def add(self, wait: _ReceiptWait, delay_s: float) -> int:
+        """Park *wait* to expire *delay_s* from now; returns its tick."""
+        loop = asyncio.get_running_loop()
+        tick = int((loop.time() + delay_s) // DEADLINE_TICK_S) + 1
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = {}
+            timer = self._timer
+            if timer is None or tick * DEADLINE_TICK_S < timer.when():
+                self._arm(loop, tick)
+        bucket[wait] = None
+        return tick
+
+    def discard(self, wait: _ReceiptWait) -> None:
+        bucket = self._buckets.get(wait.tick)
+        if bucket is None or wait not in bucket:
+            return
+        del bucket[wait]
+        if not bucket:
+            del self._buckets[wait.tick]
+            if not self._buckets:
+                self.close()
+
+    def close(self) -> None:
+        """Disarm the sweep (no wait is left, or the server is shutting
+        down); a later :meth:`add` arms it again."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, tick: int) -> None:
+        self.close()
+        self._timer = loop.call_at(tick * DEADLINE_TICK_S, self._sweep)
+
+    def _sweep(self) -> None:
+        self._timer = None
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        due = sorted(
+            tick for tick in self._buckets if tick * DEADLINE_TICK_S <= now
+        )
+        for tick in due:
+            for wait in self._buckets.pop(tick):
+                wait.expire()
+        if self._buckets:
+            self._arm(loop, min(self._buckets))
+
+
 class _ReceiptWait:
     """One ``repro_sendTransaction`` waiting for its receipt.
 
-    A done-callback on the builder's future and one deadline timer;
-    whichever fires first answers the request, exactly once, and
-    disarms the other. Several waits may hang off one future (a retry
-    of an in-flight hash attaches to it). The transaction itself is
-    never affected: past the deadline it stays admitted, commits, and
+    A waiter the builder settles (:meth:`BlockBuilder.attach`) and a
+    place on the server's :class:`_DeadlineWheel`; whichever comes first
+    answers the request, exactly once, and disarms the other. Several
+    waits may hang off one transaction (a retry of an in-flight hash
+    attaches to it), each with its own deadline. The transaction itself
+    is never affected: past the deadline it stays admitted, commits, and
     is served by ``repro_getReceipt``.
     """
 
     __slots__ = (
-        "server", "out", "waits", "request_id", "future", "deadline_ms",
-        "timer",
+        "server", "out", "waits", "request_id", "tx_hash", "deadline_ms",
+        "tick",
     )
 
-    def __init__(self, server, out, waits, request_id, future,
+    def __init__(self, server, out, waits, request_id, tx_hash,
                  deadline_ms) -> None:
         self.server = server
         self.out = out
@@ -107,35 +183,39 @@ class _ReceiptWait:
         #: when the connection goes away.
         self.waits = waits
         self.request_id = request_id
-        self.future = future
+        self.tx_hash = tx_hash
         self.deadline_ms = deadline_ms
-        self.timer = asyncio.get_running_loop().call_later(
-            deadline_ms / 1000.0, self._expired
-        )
-        future.add_done_callback(self._resolved)
+        #: The wheel bucket this wait expires in.
+        self.tick = server._deadlines.add(self, deadline_ms / 1000.0)
+        server.builder.attach(tx_hash, self)
         waits.add(self)
 
-    def _resolved(self, future: asyncio.Future) -> None:
-        self.timer.cancel()
+    def settle(self, committed, exc: BaseException | None) -> None:
+        """The transaction's block committed (*committed*) or failed
+        (*exc*); called by the builder, in its pass over the block."""
+        self.server._deadlines.discard(self)
         self.waits.discard(self)
-        try:
-            committed = future.result()
-            reply = protocol.response(
-                self.request_id,
-                protocol.receipt_to_wire(
-                    committed.receipt,
-                    committed.block_height,
-                    committed.tx_index,
-                ),
-            )
-        except (Exception, asyncio.CancelledError) as exc:
+        if exc is None:
+            try:
+                reply = protocol.response(
+                    self.request_id,
+                    protocol.receipt_to_wire(
+                        committed.receipt,
+                        committed.block_height,
+                        committed.tx_index,
+                    ),
+                )
+            except Exception as err:
+                reply = _failure(self.request_id, err)
+        else:
             reply = _failure(self.request_id, exc)
         self.server._reply(self.out, reply)
 
-    def _expired(self) -> None:
-        self.future.remove_done_callback(self._resolved)
-        self.waits.discard(self)
+    def expire(self) -> None:
+        """The deadline passed (the wheel has already let go of it)."""
         server = self.server
+        server.builder.detach(self.tx_hash, self)
+        self.waits.discard(self)
         server._m_deadline_misses.inc()
         server._reply(
             self.out,
@@ -146,8 +226,8 @@ class _ReceiptWait:
 
     def cancel(self) -> None:
         """The connection is gone: nobody is left to answer."""
-        self.timer.cancel()
-        self.future.remove_done_callback(self._resolved)
+        self.server._deadlines.discard(self)
+        self.server.builder.detach(self.tx_hash, self)
 
 
 class RpcServer:
@@ -225,6 +305,8 @@ class RpcServer:
         self._subscriptions: dict[int, Outbox] = {}
         self._next_subscription = 1
         self._shutting_down = False
+        #: Every parked sendTransaction's deadline, on one timer.
+        self._deadlines = _DeadlineWheel()
         self.builder.on_new_head.append(self._publish_new_head)
         # Handles for every series with a fixed name, taken once: the
         # request path increments, it never looks a series up. (An
@@ -304,11 +386,10 @@ class RpcServer:
         if self.streamer is not None:
             await self.streamer.stop()
         await self.builder.drain_and_stop()
-        # The drain resolved (or, past its timeout, cancelled) every
-        # receipt future and queued the waits' callbacks on the loop:
-        # one turn runs them, then every reply still in an outbox goes
-        # to its transport, which close() flushes before it closes.
-        await asyncio.sleep(0)
+        # The drain answered (or, past its timeout, cancelled) every
+        # wait; every reply still in an outbox goes to its transport
+        # below, which close() flushes before it closes.
+        self._deadlines.close()
         if self._server is not None:
             self._server.close()
         connections = list(self._connections)
@@ -506,8 +587,7 @@ class RpcServer:
         # a DEADLINE_EXCEEDED — attaches to the existing wait. It must
         # never be re-admitted: that would orphan the original waiter's
         # future and execute the transaction a second time.
-        future = self.builder.future_for(tx_hash)
-        if future is not None:
+        if self.builder.future_for(tx_hash) is not None:
             if not wait:
                 self.metrics.counter(
                     "serve.rejected", reason="DuplicateTransactionError"
@@ -517,13 +597,13 @@ class RpcServer:
                     f"transaction {tx_hash.hex()[:16]}… already pending",
                     {"reason": "DuplicateTransactionError"},
                 )
-            _ReceiptWait(self, out, waits, request_id, future, deadline_ms)
+            _ReceiptWait(self, out, waits, request_id, tx_hash, deadline_ms)
             return _DEFERRED
         if self.builder.depth >= self.config.max_pending:
             self._m_busy.inc()
             raise BusyError(self.builder.depth, self.config.max_pending)
         try:
-            future = self.builder.submit(tx)
+            self.builder.submit(tx)
         except AdmissionError as err:
             # Includes mempool-level duplicates (a hash heard via gossip
             # but never submitted over RPC has no pending future).
@@ -536,7 +616,7 @@ class RpcServer:
             ) from None
         if not wait:
             return {"txHash": tx_hash.hex()}
-        _ReceiptWait(self, out, waits, request_id, future, deadline_ms)
+        _ReceiptWait(self, out, waits, request_id, tx_hash, deadline_ms)
         return _DEFERRED
 
     def _get_receipt(self, params: dict) -> object:

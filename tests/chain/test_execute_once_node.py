@@ -363,6 +363,22 @@ def test_an_abandoned_proposal_leaves_the_node_where_it_found_it(
     assert_same_outcome(node, receipts, twin, twin_receipts)
 
 
+def test_attach_trie_abandons_an_open_proposal_before_it_builds(
+    deployment,
+):
+    """A trie rebuilt under an open proposal is built over the state the
+    proposal found, not over the proposal's writes that the abandon
+    then reverts."""
+    node = Node(state=genesis(deployment))
+    before = where(node)
+    [tx] = make_transactions(deployment, 1, workload="transfer", seed=3)
+    node.hear(tx)
+    node.propose_block()
+    node.attach_trie()
+    assert node.trie.root() == StateTrie.rebuild_root(node.state)
+    assert where(node) == before
+
+
 class TestHeaderHashIsComputedOnce:
     HEADER = BlockHeader(
         height=3, timestamp=1_600_000_039, coinbase=0xC0FFEE,

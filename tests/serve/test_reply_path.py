@@ -1,9 +1,10 @@
 """The per-transaction path: no task per request, one write per turn.
 
-A waiting ``repro_sendTransaction`` is a done-callback plus a deadline
-timer; its reply goes through the connection's outbox, which reaches the
-transport once per event-loop turn; a connection whose peer does not
-read its replies stops being read.
+A waiting ``repro_sendTransaction`` is a waiter the block builder
+settles in its pass over the committed block, plus a place on the
+server's one deadline wheel; its reply goes through the connection's
+outbox, which reaches the transport once per event-loop turn; a
+connection whose peer does not read its replies stops being read.
 
 The clients here are bare stream pairs (no reader task of their own),
 so every task and every transport write counted is the server's.
@@ -22,7 +23,14 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve import protocol
+from repro.serve.errors import DeadlineExceededError
 from repro.serve.loadgen import make_transactions
+from repro.serve.server import DEADLINE_TICK_S, _DeadlineWheel
+
+
+def parked(wheel) -> tuple:
+    """(waits on the wheel, whether its sweep is armed)."""
+    return sum(map(len, wheel._buckets.values())), wheel._timer is not None
 
 
 def make_config(**overrides):
@@ -167,10 +175,15 @@ def test_deadline_answers_once_and_the_commit_writes_nothing_more(
         server = await boot(deployment, config)
         wire = await Wire.open(server)
         first, second = make_transactions(deployment, 2)
+        loop = asyncio.get_running_loop()
         try:
+            sent = loop.time()
             wire.send(send_frame(first, 1, deadline_ms=30))
             (expired,) = await wire.read(1)
-            # The wait ended; the transaction did not.
+            elapsed = loop.time() - sent
+            # The wait ended, and left the wheel disarmed; the
+            # transaction did not end.
+            assert parked(server._deadlines) == (0, False)
             assert server.builder.depth == 1
             assert server.builder.future_for(first.hash()) is not None
             # The second transaction completes the block: its receipt is
@@ -185,11 +198,17 @@ def test_deadline_answers_once_and_the_commit_writes_nothing_more(
         finally:
             await wire.close()
             await server.shutdown()
-        return expired, receipt, fetched, stats
+        return expired, elapsed, receipt, fetched, stats
 
-    expired, receipt, fetched, stats = asyncio.run(run())
-    assert expired["id"] == 1
+    expired, elapsed, receipt, fetched, stats = asyncio.run(run())
+    assert expired == {
+        "jsonrpc": "2.0", "id": 1,
+        "error": DeadlineExceededError(30).to_obj(),
+    }
     assert expired["error"]["code"] == DEADLINE_EXCEEDED
+    # Never before the deadline; one tick late at most, plus what a
+    # loaded host's loop and loopback add.
+    assert 0.030 <= elapsed <= 0.030 + DEADLINE_TICK_S + 0.5
     assert receipt["id"] == 2 and receipt["result"]["txIndex"] == 1
     # Frame three is the getReceipt answer: no late reply for id 1
     # slipped in between.
@@ -216,6 +235,10 @@ def test_disconnect_mid_wait_disarms_the_wait(deployment):
             await gone.close()
             while gone.out in server._connections:
                 await asyncio.sleep(0.001)
+            # Its one wait left the wheel, which disarmed, and the
+            # builder holds no waiter for it.
+            assert parked(server._deadlines) == (0, False)
+            assert server.builder._waiters == {}
             # Past the deadline: a timer left armed would count a miss
             # and answer a connection that no longer exists.
             await asyncio.sleep(0.25)
@@ -236,6 +259,160 @@ def test_disconnect_mid_wait_disarms_the_wait(deployment):
     assert committed is not None and committed.receipt.success
     assert served == 1  # only the live connection was ever answered
     assert writes == []
+
+
+class _Clocked:
+    """A wheel entry that records when it expired."""
+
+    def __init__(self, wheel, delay_s, log):
+        self.loop = asyncio.get_running_loop()
+        self.deadline = self.loop.time() + delay_s
+        self.log = log
+        self.tick = wheel.add(self, delay_s)
+
+    def expire(self):
+        self.log.append((self, self.loop.time()))
+
+
+def test_the_wheel_never_expires_early_and_at_most_one_tick_late():
+    delays = [0.0, 0.001, 0.004, 0.005, 0.0051, 0.012, 0.03, 0.03, 0.047]
+
+    async def run():
+        wheel = _DeadlineWheel()
+        log = []
+        waits = [_Clocked(wheel, delay, log) for delay in delays]
+        # One bucket per tick boundary, one timer for the earliest.
+        assert parked(wheel) == (len(delays), True)
+        while len(log) < len(waits):
+            await asyncio.sleep(0.002)
+        assert parked(wheel) == (0, False)
+        return waits, log
+
+    waits, log = asyncio.run(run())
+    assert {id(wait) for wait, _ in log} == {id(wait) for wait in waits}
+    for wait, expired_at in log:
+        boundary = wait.tick * DEADLINE_TICK_S
+        # The bucket is the first tick boundary past the deadline ...
+        assert 0 < boundary - wait.deadline <= DEADLINE_TICK_S + 1e-9
+        # ... and the sweep runs at or after it, never before the
+        # deadline (after it only by the loop's own scheduling delay).
+        assert wait.deadline <= boundary <= expired_at
+    # Buckets expire in tick order.
+    ticks = [wait.tick for wait, _ in log]
+    assert ticks == sorted(ticks)
+
+
+def test_a_resolved_wait_leaves_its_bucket_and_the_last_disarms():
+    async def run():
+        wheel = _DeadlineWheel()
+        log = []
+        early, late, shared = (
+            _Clocked(wheel, delay, log) for delay in (0.05, 5.0, 5.0)
+        )
+        assert parked(wheel) == (3, True)
+        wheel.discard(early)
+        wheel.discard(early)  # a second discard is a no-op
+        assert parked(wheel) == (2, True)
+        # The timer armed for the emptied bucket finds nothing due and
+        # re-arms for the next one.
+        await asyncio.sleep(0.08)
+        assert log == [] and parked(wheel) == (2, True)
+        wheel.discard(late)
+        assert parked(wheel) == (1, True)
+        wheel.discard(shared)
+        assert parked(wheel) == (0, False)
+        early.tick = wheel.add(early, 0.01)
+        assert parked(wheel) == (1, True)
+        wheel.close()
+        return log
+
+    assert asyncio.run(run()) == []
+
+
+def test_a_retry_attached_to_an_in_flight_hash_keeps_its_own_deadline(
+    deployment,
+):
+    config = make_config(block_size_target=2, block_interval_ms=10_000.0)
+
+    async def run():
+        server = await boot(deployment, config)
+        wire = await Wire.open(server)
+        retry = await Wire.open(server)
+        first, second = make_transactions(deployment, 2)
+        try:
+            wire.send(send_frame(first, 1, deadline_ms=60_000))
+            while server.builder.depth < 1:
+                await asyncio.sleep(0.001)
+            retry.send(send_frame(first, 7, deadline_ms=30))
+            (expired,) = await retry.read(1)
+            # The retry's deadline passed; the original's did not.
+            assert parked(server._deadlines) == (1, True)
+            assert len(server.builder._waiters[first.hash()]) == 1
+            wire.send(send_frame(second, 2))
+            replies = await wire.read(2)
+            wheel = parked(server._deadlines)
+            stats = server.stats()
+        finally:
+            await wire.close()
+            await retry.close()
+            await server.shutdown()
+        return expired, replies, wheel, stats
+
+    expired, replies, wheel, stats = asyncio.run(run())
+    assert expired["id"] == 7
+    assert expired["error"]["code"] == DEADLINE_EXCEEDED
+    by_id = {reply["id"]: reply for reply in replies}
+    assert by_id[1]["result"]["txIndex"] == 0
+    assert by_id[2]["result"]["txIndex"] == 1
+    assert wheel == (0, False)
+    assert stats["deadlineMisses"] == 1
+    assert stats["txsCommitted"] == 2
+
+
+def test_a_closed_loop_leaves_the_wheel_empty_and_disarmed(deployment):
+    config = make_config(block_size_target=8, block_interval_ms=20.0)
+    total, lanes = 48, 4
+
+    async def run():
+        server = await boot(deployment, config)
+        wires = [await Wire.open(server) for _ in range(lanes)]
+        txs = make_transactions(deployment, total)
+        seen = []
+
+        async def lane(index):
+            wire = wires[index]
+            replies = []
+            for request_id in range(index, total, lanes):
+                wire.send(send_frame(txs[request_id], request_id))
+                replies += await wire.read(1)
+            return replies
+
+        async def watch():
+            while True:
+                seen.append(parked(server._deadlines)[0])
+                await asyncio.sleep(0.001)
+
+        watcher = asyncio.ensure_future(watch())
+        try:
+            replies = sum(
+                await asyncio.gather(*(lane(i) for i in range(lanes))), []
+            )
+            watcher.cancel()
+            after = (
+                *parked(server._deadlines),
+                dict(server.builder._waiters),
+            )
+        finally:
+            for wire in wires:
+                await wire.close()
+            await server.shutdown()
+        return replies, max(seen), after
+
+    replies, peak, after = asyncio.run(run())
+    assert sorted(reply["id"] for reply in replies) == list(range(total))
+    assert all(reply["result"]["success"] for reply in replies)
+    assert 1 <= peak <= lanes
+    assert after == (0, False, {})
 
 
 def test_retry_of_an_in_flight_hash_waits_on_the_same_future(deployment):
