@@ -433,6 +433,7 @@ def _run_serve(args) -> int:
     import asyncio
 
     from .chain.node import Node
+    from .collector import CollectorPolicy
     from .contracts.registry import build_deployment
     from .serve import RpcServer
 
@@ -482,7 +483,8 @@ def _run_serve(args) -> int:
             )
 
     try:
-        asyncio.run(_serve())
+        with CollectorPolicy(server.metrics):
+            asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
     return 0
@@ -492,6 +494,7 @@ def _run_replicate(args) -> int:
     import asyncio
 
     from .chain.node import Node
+    from .collector import CollectorPolicy
     from .contracts.registry import build_deployment
     from .replication import Replica, ReplicationConfig
     from .serve import RpcServer
@@ -554,7 +557,8 @@ def _run_replicate(args) -> int:
             )
 
     try:
-        asyncio.run(_serve())
+        with CollectorPolicy(server.metrics):
+            asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
     return 0

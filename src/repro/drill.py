@@ -19,8 +19,9 @@ test (``tests/parallel``, ``tests/experiments``, ``tests/evm``,
 ``tests/trie``). A drill exists
 where the claim is about a real SIGKILL, a real socket or a real clock.
 Throughput is measured by the repo's benchmark (``bench/run.py``, from a
-separate process, over sustained runs); ``min_tps`` below is a liveness
-floor an order of magnitude under that figure, not a measurement.
+separate process, over sustained runs); ``min_tps`` below is a floor an
+order of magnitude under that figure, not a measurement, and is held
+against the drill process's CPU time rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -225,17 +226,23 @@ def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
         server = RpcServer(node=node, config=config)
         await server.start()
         try:
+            cpu_started = time.process_time()
             load = await LoadGenerator(
                 config.host, config.port, deployment=deployment
             ).run_closed_loop(
                 transactions, clients=clients, workload=workload, seed=7
             )
+            cpu_s = time.process_time() - cpu_started
             # What an operator reads off the live process, over the wire.
-            return load, await rpc(config.port, "repro_stats")
+            return load, cpu_s, await rpc(config.port, "repro_stats")
         finally:
             await server.shutdown()
 
-    load, stats = asyncio.run(drive())
+    load, cpu_s, stats = asyncio.run(drive())
+    # The floor is on this process's CPU time (server, worker thread and
+    # load generator alike), so a neighbour sharing the cores does not
+    # count against it; the wall-clock rate is reported beside it.
+    cpu_tps = load.ok / cpu_s if cpu_s > 0 else float("inf")
     dropped = load.requested - load.ok - sum(load.errors.values())
     failures = []
     if load.unanswered:
@@ -281,9 +288,10 @@ def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
     if max_blocks is not None and blocks_built > max_blocks:
         # Blocks cut on promised instead of measured gas run small.
         failures.append(f"{blocks_built} blocks > bound {max_blocks}")
-    if load.tx_per_second < min_tps:
+    if cpu_tps < min_tps:
         failures.append(
-            f"throughput {load.tx_per_second:.0f} tx/s < floor {min_tps:.0f}"
+            f"throughput {cpu_tps:.0f} tx per CPU-second "
+            f"< floor {min_tps:.0f}"
         )
     latency = load.latency
     if latency.p99_ms > max_p99_ms:
@@ -293,11 +301,13 @@ def serve(*, transactions, clients, block_size_target, min_tps, max_p99_ms,
     return {
         "executor": executor,
         "load": load.to_dict(),
+        "cpu_tx_per_s": cpu_tps,
         "stats": stats,
         "dropped_receipts": dropped,
         "failures": failures,
         "summary": (
-            f"{load.tx_per_second:.0f} tx/s closed-loop, p50/p99 "
+            f"{load.tx_per_second:.0f} tx/s closed-loop "
+            f"({cpu_tps:.0f} per CPU-second), p50/p99 "
             f"{latency.p50_ms:.1f}/{latency.p99_ms:.1f} ms, "
             f"{blocks_built} blocks"
         ),

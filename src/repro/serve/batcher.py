@@ -1,4 +1,4 @@
-"""The continuous block builder: queue → batch → execute → futures.
+"""The continuous block builder: queue → batch → execute → waiters.
 
 The inference-stack continuous-batching shape applied to blocks: client
 transactions stream into the node's mempool; the builder closes the
@@ -8,14 +8,14 @@ the cut once, fills the block by the gas that execution measured and
 returns what did not fit to the pool — what *does*; an in-order engine
 commits that execution as it stands, any other runs the block
 (``Node.execute_block``), on a worker thread; and each transaction's
-response future resolves the moment its receipt commits. Receipts and
+waiters are settled the moment its receipt commits. Receipts and
 ``state_digest()`` are bit-identical to offline sequential execution —
 every engine behind ``Node.execute_block`` guarantees it, and any
 engine failure (e.g. every PU killed by an injected fault) degrades to
 a clean sequential re-execution of the same block through the EVM
 instead of wedging the loop. A *commit* failure (the store refused the
 append) is not an engine failure: the node has put itself back where
-the block found it, and the block's futures fail without it running
+the block found it, and the block's waiters fail without it running
 again.
 """
 
@@ -56,6 +56,27 @@ class CommittedReceipt:
         self.tx_index = tx_index
 
 
+class _FutureWaiter:
+    """:meth:`BlockBuilder.attach`'s waiter that settles a future (a
+    cancellation cancels it)."""
+
+    __slots__ = ("future",)
+
+    def __init__(self, future: asyncio.Future):
+        self.future = future
+
+    def settle(self, committed, exc) -> None:
+        future = self.future
+        if future.done():
+            return
+        if exc is None:
+            future.set_result(committed)
+        elif isinstance(exc, asyncio.CancelledError):
+            future.cancel()
+        else:
+            future.set_exception(exc)
+
+
 class BlockBuilder:
     """Owns the node and the build-execute-resolve loop."""
 
@@ -71,8 +92,9 @@ class BlockBuilder:
         #: Optional :class:`repro.faults.FaultInjector` whose PU faults
         #: strike the MTPU engine (degradation, never divergence).
         self.fault_injector = fault_injector
-        #: tx hash -> future resolving to a :class:`CommittedReceipt`.
-        self._pending: dict[bytes, asyncio.Future] = {}
+        #: Hashes admitted and not yet settled, from admission until the
+        #: receipt commits or the block fails.
+        self._pending: set[bytes] = set()
         #: tx hash -> the waiters :meth:`attach` parked on it (a dict as
         #: an ordered set), settled in the pass that settles the hash.
         self._waiters: dict[bytes, dict] = {}
@@ -137,8 +159,9 @@ class BlockBuilder:
     def draining(self) -> bool:
         return self._draining
 
-    def submit(self, tx) -> asyncio.Future:
-        """Admit *tx* and return the future of its committed receipt.
+    def submit(self, tx) -> bytes:
+        """Admit *tx* and return its hash; :meth:`attach` (or
+        :meth:`receipt_future`) waits for its committed receipt.
 
         Raises :class:`~repro.chain.mempool.AdmissionError` (including
         the duplicate/sender-cap subtypes) when the mempool refuses it;
@@ -150,8 +173,8 @@ class BlockBuilder:
         # block, so it cannot guard against resubmission of a
         # transaction that is mid-execution — _pending can (it holds the
         # hash from admission until the receipt resolves). Without this
-        # check a retry would re-admit, orphan the original waiter's
-        # future, and execute the transaction a second time.
+        # check a retry would re-admit, orphan the original waiters and
+        # execute the transaction a second time.
         if tx_hash in self._pending:
             raise DuplicateTransactionError(
                 f"transaction {tx_hash.hex()[:16]}… already pending"
@@ -167,16 +190,23 @@ class BlockBuilder:
                 # derive it here so the cut only ever reads it. FIFO
                 # cuts never look at blooms and skip the derivation.
                 mempool.bloom_of(tx)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[tx_hash] = future
+        self._pending.add(tx_hash)
         self._wake.set()
         self._m_admitted.inc()
         self._m_queue_depth.set(self.depth)
-        return future
+        return tx_hash
 
-    def future_for(self, tx_hash: bytes) -> asyncio.Future | None:
-        """The pending future for an already-admitted transaction."""
-        return self._pending.get(tx_hash)
+    def is_pending(self, tx_hash: bytes) -> bool:
+        """Admitted and not yet settled (pooled or mid-block)."""
+        return tx_hash in self._pending
+
+    def receipt_future(self, tx_hash: bytes) -> asyncio.Future:
+        """A future of the pending *tx_hash*'s :class:`CommittedReceipt`
+        — for callers that await one; the served path attaches its
+        waits directly."""
+        future = asyncio.get_running_loop().create_future()
+        self.attach(tx_hash, _FutureWaiter(future))
+        return future
 
     def attach(self, tx_hash: bytes, waiter) -> None:
         """Settle *waiter* with the pending transaction *tx_hash*.
@@ -279,9 +309,9 @@ class BlockBuilder:
                 raise
             except Exception:
                 # Degrade, never wedge: _cut_and_execute already failed
-                # the affected futures; anything escaping it (a commit or
+                # the affected waiters; anything escaping it (a commit or
                 # resolve bug) must still not kill the builder task —
-                # a dead builder hangs every future submit forever.
+                # a dead builder hangs every later wait forever.
                 self._m_execution_failures.inc()
 
     def _gas_target_met(self) -> bool:
@@ -317,7 +347,7 @@ class BlockBuilder:
         except Exception as exc:
             # Even the sequential fallback failed, or the store refused
             # the block. State was rolled back; fail exactly this
-            # block's futures with a typed error and keep the loop alive
+            # block's waiters with a typed error and keep the loop alive
             # for everything else.
             # Candidates the proposal put back are in the pool again
             # and will still execute: they are not this block's.
@@ -339,21 +369,9 @@ class BlockBuilder:
             self._settle(tx.hash(), None, err)
 
     def _settle(self, tx_hash: bytes, committed, exc=None) -> None:
-        """Answer the future of *tx_hash* and every waiter attached to
-        it: with *committed*, or with *exc* (a cancellation cancels the
-        future)."""
-        future = self._pending.pop(tx_hash, None)
-        if future is not None and not future.done():
-            if exc is None:
-                future.set_result(committed)
-            elif isinstance(exc, asyncio.CancelledError):
-                future.cancel()
-            else:
-                future.set_exception(exc)
-                # Nobody may await the future (the server answers its
-                # waiters instead); retrieving the exception keeps
-                # asyncio from logging "exception was never retrieved".
-                future.exception()
+        """Answer every waiter attached to *tx_hash*: with *committed*,
+        or with *exc*."""
+        self._pending.discard(tx_hash)
         for waiter in self._waiters.pop(tx_hash, ()):
             waiter.settle(committed, exc)
 
@@ -394,7 +412,7 @@ class BlockBuilder:
             # its proposal, abandoned here) found it — state, unsealed
             # header, trie — and the block re-executes sequentially,
             # through the EVM. If that dies too the node is back there
-            # again; the caller fails the futures.
+            # again; the caller fails the waiters.
             self.node.abandon_proposal()
             self._m_sequential_fallbacks.inc()
             receipts = self.node.execute_block(block)

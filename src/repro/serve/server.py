@@ -81,7 +81,7 @@ def _failure(request_id, exc: BaseException) -> dict:
     """The error reply for *exc*: typed errors as they are, anything
     else as INTERNAL_ERROR — a traceback never reaches the wire."""
     if isinstance(exc, asyncio.CancelledError):
-        # The drain timed out and cancelled the receipt future.
+        # The drain timed out and cancelled the wait.
         exc = ShuttingDownError()
     elif not isinstance(exc, RpcError):
         exc = RpcError(INTERNAL_ERROR, repr(exc))
@@ -585,9 +585,9 @@ class RpcServer:
             )
         # A retry of an in-flight hash — pooled or mid-block, e.g. after
         # a DEADLINE_EXCEEDED — attaches to the existing wait. It must
-        # never be re-admitted: that would orphan the original waiter's
-        # future and execute the transaction a second time.
-        if self.builder.future_for(tx_hash) is not None:
+        # never be re-admitted: that would orphan the original waiters
+        # and execute the transaction a second time.
+        if self.builder.is_pending(tx_hash):
             if not wait:
                 self.metrics.counter(
                     "serve.rejected", reason="DuplicateTransactionError"
@@ -606,7 +606,7 @@ class RpcServer:
             self.builder.submit(tx)
         except AdmissionError as err:
             # Includes mempool-level duplicates (a hash heard via gossip
-            # but never submitted over RPC has no pending future).
+            # but never submitted over RPC is not pending here).
             self.metrics.counter(
                 "serve.rejected", reason=type(err).__name__
             ).inc()

@@ -280,7 +280,7 @@ def test_propose_block_gas_target_matches_mempool_take():
             block_interval_ms=10_000.0,
         ))
         builder.start()
-        futures = [builder.submit(t) for t in txs]
+        futures = [builder.receipt_future(builder.submit(t)) for t in txs]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
         await builder.drain_and_stop()
         return builder.node.chain

@@ -30,7 +30,7 @@ def test_size_target_cuts_without_waiting_window(deployment):
         builder = build(deployment, block_size_target=4)
         builder.start()
         futures = [
-            builder.submit(tx)
+            builder.receipt_future(builder.submit(tx))
             for tx in make_transactions(deployment, 4)
         ]
         # The 10s window must NOT gate this: size target is hit.
@@ -55,7 +55,7 @@ def test_time_window_cuts_partial_block(deployment):
         )
         builder.start()
         futures = [
-            builder.submit(tx)
+            builder.receipt_future(builder.submit(tx))
             for tx in make_transactions(deployment, 2)
         ]
         committed = await asyncio.wait_for(
@@ -77,7 +77,7 @@ def test_gas_target_cuts_and_drain_flushes_rest(deployment):
         )
         builder.start()
         txs = make_transactions(deployment, 3)  # 50k gas limit each
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         # Promised gas (150k) closes the window; the block is filled by
         # gas used: two transfers spend 42k of the 90k target, which
         # leaves less than the third's 50k limit — it goes back to the
@@ -109,7 +109,7 @@ def test_calls_fill_blocks_by_gas_used_not_gas_promised(deployment):
             deployment, block_size_target=128, gas_target=30_000_000
         )
         builder.start()
-        futures = [builder.submit(tx) for tx in calls]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in calls]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=10.0)
         await builder.drain_and_stop()
         return builder
@@ -138,7 +138,7 @@ def test_gas_target_binding_mid_candidates_returns_the_tail(deployment):
             lambda block, receipts: depths.append(builder.depth)
         )
         builder.start()
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         depths.append(builder.depth)
         await asyncio.wait_for(asyncio.gather(*futures[:16]), timeout=5.0)
         depths.append(builder.depth)
@@ -183,7 +183,7 @@ def test_failed_block_fails_its_own_futures_not_the_returned_tail(
         builder._execute = explode
         builder.node.execute_block = explode_fallback
         builder.start()
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         results = await asyncio.wait_for(
             asyncio.gather(*futures, return_exceptions=True), timeout=5.0
         )
@@ -218,7 +218,7 @@ def test_unmeasured_cuts_stay_on_promised_gas(deployment):
             packing="conflict_aware",
         )
         builder.start()
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=10.0)
         await builder.drain_and_stop()
         return builder
@@ -269,7 +269,7 @@ def test_executor_failure_degrades_to_sequential(deployment):
         builder._execute = explode
         builder.start()
         futures = [
-            builder.submit(tx)
+            builder.receipt_future(builder.submit(tx))
             for tx in make_transactions(deployment, 4)
         ]
         committed = await asyncio.wait_for(
@@ -308,7 +308,7 @@ def test_fallback_state_matches_clean_sequential(deployment, monkeypatch):
 
             monkeypatch.setattr(Node, "seal_state_root", flaky)
         builder.start()
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
         await builder.drain_and_stop()
         assert served(builder, "sequential_fallbacks") == int(sabotage)
@@ -339,7 +339,7 @@ def test_pre_execution_state_dies_with_its_block(deployment, executor):
 
         builder._execute = first_block_dies
         builder.start()
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         await asyncio.wait_for(asyncio.gather(*futures), timeout=10.0)
         await builder.drain_and_stop()
         return builder
@@ -393,13 +393,14 @@ def test_in_flight_hash_is_refused_even_after_take(deployment):
     async def run():
         builder = build(deployment, block_size_target=100)
         tx = make_transactions(deployment, 1)[0]
-        original = builder.submit(tx)
+        original = builder.receipt_future(builder.submit(tx))
         taken = builder.node.mempool.take(10)  # simulate the block cut
         assert [t.hash() for t in taken] == [tx.hash()]
         with pytest.raises(DuplicateTransactionError):
             builder.submit(tx)
-        # The original future survived the refused resubmission.
-        assert builder.future_for(tx.hash()) is original
+        # The original wait survived the refused resubmission.
+        assert builder.is_pending(tx.hash())
+        assert not original.done()
 
     asyncio.run(run())
 
@@ -422,7 +423,7 @@ def test_total_execution_failure_fails_futures_not_loop(deployment):
         builder.start()
         digest_before = builder.node.state.state_digest()
         doomed = [
-            builder.submit(tx)
+            builder.receipt_future(builder.submit(tx))
             for tx in make_transactions(deployment, 2)
         ]
         with pytest.raises(ExecutionFailedError):
@@ -435,7 +436,7 @@ def test_total_execution_failure_fails_futures_not_loop(deployment):
         assert builder.depth == 0
         builder.node.execute_block = real_seq
         fresh = [
-            builder.submit(tx)
+            builder.receipt_future(builder.submit(tx))
             for tx in make_transactions(deployment, 2, seed=1)
         ]
         committed = await asyncio.wait_for(
@@ -458,7 +459,9 @@ def test_receipt_history_is_bounded(deployment):
         builder.start()
         txs = make_transactions(deployment, 3)
         for tx in txs:  # one block each: size target is 1
-            await asyncio.wait_for(builder.submit(tx), timeout=5.0)
+            await asyncio.wait_for(
+                builder.receipt_future(builder.submit(tx)), timeout=5.0
+            )
         await builder.drain_and_stop()
         return builder, txs
 

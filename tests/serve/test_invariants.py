@@ -71,7 +71,7 @@ def run_serve_path(
                 node, builder._execute, dies_at
             )
         builder.start()
-        futures = [builder.submit(tx) for tx in txs]
+        futures = [builder.receipt_future(builder.submit(tx)) for tx in txs]
         committed = await asyncio.wait_for(
             asyncio.gather(*futures), timeout=60.0
         )

@@ -185,7 +185,7 @@ def test_deadline_answers_once_and_the_commit_writes_nothing_more(
             # transaction did not end.
             assert parked(server._deadlines) == (0, False)
             assert server.builder.depth == 1
-            assert server.builder.future_for(first.hash()) is not None
+            assert server.builder.is_pending(first.hash())
             # The second transaction completes the block: its receipt is
             # the only frame the commit may write.
             wire.send(send_frame(second, 2))
@@ -415,7 +415,7 @@ def test_a_closed_loop_leaves_the_wheel_empty_and_disarmed(deployment):
     assert after == (0, False, {})
 
 
-def test_retry_of_an_in_flight_hash_waits_on_the_same_future(deployment):
+def test_retry_of_an_in_flight_hash_attaches_to_the_same_wait(deployment):
     config = make_config(block_size_target=2, block_interval_ms=10_000.0)
 
     async def run():
@@ -427,13 +427,15 @@ def test_retry_of_an_in_flight_hash_waits_on_the_same_future(deployment):
             wire.send(send_frame(first, 1))
             while server.builder.depth < 1:
                 await asyncio.sleep(0.001)
-            future = server.builder.future_for(first.hash())
+            (original_wait,) = server.builder._waiters[first.hash()]
             retry.send(send_frame(first, 7))
             await asyncio.sleep(0.05)
-            # Attached, not re-admitted: still one transaction, one
-            # future, now with two waiters.
+            # Attached, not re-admitted: still one transaction, still
+            # pending, now with two waiters.
             assert server.builder.depth == 1
-            assert server.builder.future_for(first.hash()) is future
+            assert server.builder.is_pending(first.hash())
+            waiters = list(server.builder._waiters[first.hash()])
+            assert len(waiters) == 2 and waiters[0] is original_wait
             wire.send(send_frame(second, 2))
             original = await wire.read(2)
             (attached,) = await retry.read(1)

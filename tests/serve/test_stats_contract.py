@@ -5,7 +5,9 @@ socket, for the four things that answer these methods: an in-memory
 writer, a durable writer streaming to one follower, a replica and a
 :class:`ReadProxy`. Written (and green) before the counters behind the
 payload moved into ``RpcServer.metrics``; the one difference allowed
-since is the added ``metrics`` key of ``repro_stats``.
+since is the added ``metrics`` key of ``repro_stats``. Under it, a
+CLI-launched writer and replica also publish the ``gc.*`` series of
+``repro.collector``, pinned here by name and type.
 
 Keys read outside ``src/`` — a rename breaks a frozen reader:
 
@@ -19,6 +21,7 @@ Keys read outside ``src/`` — a rename breaks a frozen reader:
 
 import asyncio
 
+from repro.drill import ReproProcess, rpc
 from repro.replication import ReadProxy
 from repro.serve import RpcClient
 
@@ -110,6 +113,17 @@ BACKEND = {
 }
 
 
+#: What a served process (``repro serve``, ``repro replicate``) publishes
+#: under ``metrics`` about the cyclic collector (``repro.collector``).
+#: An in-process server keeps the default collector and has none.
+GC_COUNTERS = {
+    **{f"gc.collections{{generation={g}}}": "int" for g in range(3)},
+    **{f"gc.pause_ms{{generation={g}}}": "float" for g in range(3)},
+    "gc.unfrozen_walks": "int",
+}
+GC_GAUGES = {"gc.frozen": "int"}
+
+
 def shape(payload: dict) -> dict:
     """key -> JSON type of its value, as the socket delivered it."""
     return {
@@ -194,3 +208,33 @@ def test_streaming_writer_replica_and_proxy_payloads(deployment, tmp_path):
     assert shape(stats) == PROXY_STATS
     assert shape(health) == PROXY_HEALTH
     assert [shape(backend) for backend in health["backends"]] == [BACKEND] * 2
+
+
+def test_served_processes_publish_their_collector_work(tmp_path):
+    def gc_shapes(stats: dict) -> tuple[dict, dict]:
+        metrics = stats["metrics"]
+        return tuple(
+            {
+                key: type(value).__name__
+                for key, value in metrics[kind].items()
+                if key.startswith("gc.")
+            }
+            for kind in ("counters", "gauges")
+        )
+
+    writer_argv = [
+        "serve", "--host", "127.0.0.1", "--port", "0",
+        "--data-dir", str(tmp_path), "--replication-port", "0",
+    ]
+    with ReproProcess(writer_argv, announcements=2) as writer:
+        replica_argv = [
+            "replicate", "--host", "127.0.0.1", "--port", "0",
+            "--writer-stream-port", str(writer.ports[1]),
+        ]
+        with ReproProcess(replica_argv) as replica:
+            for proc in (writer, replica):
+                stats = asyncio.run(rpc(proc.port, "repro_stats"))
+                assert shape(stats) == SERVER_STATS
+                assert gc_shapes(stats) == (GC_COUNTERS, GC_GAUGES)
+            assert replica.stop() == 0
+        assert writer.stop() == 0
