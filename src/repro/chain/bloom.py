@@ -19,10 +19,11 @@ built only from an access set that is established, never guessed. Two
 sources:
 
 * **declared** — the submitter attached explicit read/write key sets in
-  ``Transaction.tags`` (``"reads"`` / ``"writes"``); trusted as given.
+  ``Transaction.tags`` (``"reads"`` / ``"writes"``); trusted as given,
+  and built by :meth:`AccessBloom.from_keys`.
 * **plain transfer** — the recipient has no code at admission time, so
   nothing executes (calldata or not): the access set is the closed form
-  of :func:`repro.chain.transfer.transfer_access` — the one discovery
+  of :func:`repro.chain.transfer.transfer_keys` — the one discovery
   uses.
 
 Every other transaction gets the :meth:`AccessBloom.opaque` filter,
@@ -32,14 +33,35 @@ relative to *all* neighbours — safe degradation, never divergence.
 Every bloom additionally records the sender's implicit balance + nonce
 writes (fee payment, nonce bump), so two transactions from one sender
 always conflict and keep their nonce order under any packing.
+
+**The plain-transfer bloom in closed form.** Its keys are fixed: the
+sender's balance and nonce on both sides, the recipient's code read,
+and, when value moves, the recipient's balance on both sides. So
+:func:`bloom_for_transaction` writes the two position sets straight from
+:func:`~repro.chain.transfer.transfer_keys` with a key function that
+returns each key's digest, with no access set, no key tuples and no
+``from_keys`` pass; the positions, and so the spill bytes, are the ones
+``from_keys`` derives over the same keys. The digests
+(:func:`_key_hash`) come from a per-slot memo keyed by the address int,
+so a repeat sender or a hot recipient costs dict lookups, not blake2b.
+The memo holds digests, not positions, so it serves every geometry; a
+slot's table is emptied when it reaches :data:`MEMO_ENTRIES`.
+
+**A plain-transfer bloom rests on the recipient having no code.** Code
+can land there after admission (a CREATE, inner or not, at a pre-funded
+address); the pooled bloom is then no longer a superset, and the packer
+could let a transaction that really conflicts with it jump ahead. The
+mempool therefore indexes its closed-form blooms by recipient, and each
+committed block's code writes re-derive the blooms pooled for those
+addresses (:meth:`repro.chain.mempool.Mempool.code_landed`).
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
 
-from .state import BALANCE_KEY, NONCE_KEY
-from .transfer import is_plain_transfer, transfer_access
+from .state import BALANCE_KEY, CODE_KEY, NONCE_KEY
+from .transfer import is_plain_transfer, transfer_keys
 
 #: Default filter geometry. Conflict tests are *mask intersections*, so
 #: the false-positive rate is ~(k·n₁)(k·n₂)/m per side pair — unlike a
@@ -53,6 +75,10 @@ DEFAULT_HASHES = 1
 
 _LOW64 = (1 << 64) - 1
 
+#: Entries per slot table of the plain-transfer digest memo (balance,
+#: nonce, code) before the table is emptied: ≈ 0.5 MB per full table.
+MEMO_ENTRIES = 4096
+
 
 def _key_hash(key: tuple) -> int:
     """Stable 128-bit hash of an ``(address, slot)`` key.
@@ -63,6 +89,30 @@ def _key_hash(key: tuple) -> int:
     address, slot = key
     blob = f"{address}:{slot!r}".encode()
     return int.from_bytes(blake2b(blob, digest_size=16).digest(), "big")
+
+
+def _spread(digest: int, bits: int, hashes: int) -> list[int]:
+    """The bit positions of a key with this digest (double hashing)."""
+    h1, h2 = digest >> 64, digest & _LOW64
+    return [(h1 + i * h2) % bits for i in range(hashes)]
+
+
+#: slot sentinel -> {address: _key_hash((address, slot))}. A cache of a
+#: pure function, so every pool and thread in the process may share it.
+_DIGESTS: dict[str, dict[int, int]] = {
+    BALANCE_KEY: {}, NONCE_KEY: {}, CODE_KEY: {},
+}
+
+
+def _digest(address: int, slot: str) -> int:
+    """``_key_hash((address, slot))`` through the per-slot memo."""
+    memo = _DIGESTS[slot]
+    digest = memo.get(address)
+    if digest is None:
+        if len(memo) >= MEMO_ENTRIES:
+            memo.clear()
+        digest = memo[address] = _key_hash((address, slot))
+    return digest
 
 
 def _mask_of(side: set | None, bits: int) -> int:
@@ -117,10 +167,7 @@ class AccessBloom:
 
     # -- construction ------------------------------------------------------
     def _positions(self, key: tuple) -> list[int]:
-        digest = _key_hash(key)
-        h1, h2 = digest >> 64, digest & _LOW64
-        bits = self.bits
-        return [(h1 + i * h2) % bits for i in range(self.hashes)]
+        return _spread(_key_hash(key), self.bits, self.hashes)
 
     @classmethod
     def from_keys(
@@ -258,19 +305,37 @@ class AccessBloom:
         return f"AccessBloom({kind}, bits={self.bits})"
 
 
-def _access_sets(tx, state):
-    """``(reads, writes)`` from the source that knows *tx* (see module
-    docstring), or None when none does."""
+def _declared(tx):
+    """``(reads, writes)`` the submitter declared in ``tx.tags``, or
+    None."""
     reads, writes = tx.tags.get("reads"), tx.tags.get("writes")
-    if reads is not None or writes is not None:
-        return reads or (), writes or ()
-    if state is not None and is_plain_transfer(tx, state):
-        # Nothing executes at a code-free target, with or without
-        # calldata: the access set is the closed form discovery itself
-        # uses.
-        access = transfer_access(tx)
-        return access.reads, access.writes
-    return None
+    if reads is None and writes is None:
+        return None
+    return reads or (), writes or ()
+
+
+def _transfer_bloom(tx, bits: int, hashes: int) -> AccessBloom:
+    """The closed-form bloom of a plain transfer (module docstring):
+    equal to ``from_keys`` over ``transfer_keys(tx)`` plus the sender's
+    implicit keys, each distinct key hashed at most once."""
+    sender = tx.sender
+    fee, nonce = _digest(sender, BALANCE_KEY), _digest(sender, NONCE_KEY)
+    reads, writes = transfer_keys(tx, _digest)
+    bloom = AccessBloom(bits, hashes)
+    if hashes == 1:
+        # One position per key, the first of _spread's.
+        fee, nonce = (fee >> 64) % bits, (nonce >> 64) % bits
+        bloom.reads = positions = {fee, nonce}
+        for digest in reads:
+            positions.add((digest >> 64) % bits)
+        bloom.writes = positions = {fee, nonce}
+        for digest in writes:
+            positions.add((digest >> 64) % bits)
+        return bloom
+    for side, digests in ((bloom.reads, reads), (bloom.writes, writes)):
+        for digest in (fee, nonce, *digests):
+            side.update(_spread(digest, bits, hashes))
+    return bloom
 
 
 def bloom_for_transaction(
@@ -284,13 +349,29 @@ def bloom_for_transaction(
     Callers hold whatever lock guards *state*: the code probe for the
     plain-transfer case reads shared world state.
     """
-    source = _access_sets(tx, state)
-    if source is None:
-        return AccessBloom.opaque(bits=bits, hashes=hashes)
-    reads, writes = source
-    # Whatever the source, the sender's fee and nonce keys are read and
-    # written; ``from_keys`` hashes a key on both sides once.
-    implicit = ((tx.sender, BALANCE_KEY), (tx.sender, NONCE_KEY))
-    return AccessBloom.from_keys(
-        (*reads, *implicit), (*writes, *implicit), bits, hashes
+    declared = _declared(tx)
+    if declared is not None:
+        reads, writes = declared
+        # The sender's fee and nonce keys are read and written too;
+        # ``from_keys`` hashes a key on both sides once.
+        implicit = ((tx.sender, BALANCE_KEY), (tx.sender, NONCE_KEY))
+        return AccessBloom.from_keys(
+            (*reads, *implicit), (*writes, *implicit), bits, hashes
+        )
+    if state is not None and is_plain_transfer(tx, state):
+        # Nothing executes at a code-free target, with or without
+        # calldata.
+        return _transfer_bloom(tx, bits, hashes)
+    return AccessBloom.opaque(bits=bits, hashes=hashes)
+
+
+def is_closed_form(tx, bloom: AccessBloom) -> bool:
+    """True when *bloom*, pooled for *tx*, may be a plain-transfer bloom:
+    a reorderable filter of an undeclared call, which holds only while
+    ``tx.to`` has no code. (A bloom readmitted from a spill file counts:
+    tags never travel, so its source is not known.)"""
+    return (
+        bloom.reads is not None
+        and tx.to is not None
+        and _declared(tx) is None
     )

@@ -29,7 +29,10 @@ deferring only what would push a conflict chain past its cap — bounded
 by an aging rule so nothing starves.
 The bloom is derived on first use (:meth:`Mempool.bloom_of`, a packed
 cut, or a spill), not at admission: a FIFO pool never reads one, so it
-never pays for one.
+never pays for one. A plain-transfer bloom holds only while its
+recipient has no code, so the pool indexes those by recipient and
+re-derives them when a committed block writes code there
+(:meth:`Mempool.code_landed`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 from ..evm.gas import DEFAULT_SCHEDULE
 from ..obs import get_registry
-from .bloom import AccessBloom, bloom_for_transaction
+from .bloom import AccessBloom, bloom_for_transaction, is_closed_form
 from .transaction import Transaction
 
 
@@ -163,6 +166,9 @@ class Mempool:
         #: Optional world state used for balance-aware admission and the
         #: plain-transfer bloom derivation.
         self.state = state
+        #: Recipient address -> hashes of the pooled transactions whose
+        #: bloom rests on it having no code (``is_closed_form``).
+        self._code_free: dict[int, set[bytes]] = {}
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -232,7 +238,9 @@ class Mempool:
         ).heard_at:
             self._order_dirty = True
         self._arrival_counter = max(self._arrival_counter, heard_at) + 1
-        self._pool[tx_hash] = _PoolEntry(tx, heard_at, bloom)
+        self._pool[tx_hash] = entry = _PoolEntry(tx, heard_at, bloom)
+        if bloom is not None:
+            self._watch(entry, tx_hash)
         self._by_sender[tx.sender] = self._by_sender.get(tx.sender, 0) + 1
         self.pending_gas += tx.gas_limit
         registry.counter("mempool.added").inc()
@@ -252,7 +260,39 @@ class Mempool:
             bloom = entry.bloom = bloom_for_transaction(
                 entry.tx, state=self.state
             )
+            self._watch(entry, entry.tx.hash())
         return bloom
+
+    def _watch(self, entry: _PoolEntry, tx_hash: bytes) -> None:
+        """Index *entry* under its recipient when its bloom holds only
+        while the recipient has no code."""
+        if is_closed_form(entry.tx, entry.bloom):
+            watchers = self._code_free.get(entry.tx.to)
+            if watchers is None:
+                self._code_free[entry.tx.to] = {tx_hash}
+            else:
+                watchers.add(tx_hash)
+
+    def code_landed(self, addresses) -> None:
+        """Code was written at *addresses* (a committed block's code
+        writes): re-derive, against :attr:`state`, every pooled bloom
+        that rested on one of them having no code. Costs the entries
+        indexed under *addresses*, not the pool. Called under whatever
+        lock guards the state, like any derivation."""
+        for address in addresses:
+            for tx_hash in self._code_free.pop(address, ()):
+                entry = self._pool[tx_hash]
+                entry.bloom = None
+                self._bloom(entry)
+
+    def rebase(self, state) -> None:
+        """Derive from *state*, which replaced :attr:`state` wholesale:
+        code may now sit at any indexed recipient."""
+        self.state = state
+        self.code_landed(
+            [address for address in self._code_free
+             if state.has_code(address)]
+        )
 
     def bloom_of(self, tx: Transaction) -> AccessBloom:
         """The access bloom of a pooled transaction (``KeyError`` when
@@ -274,6 +314,11 @@ class Mempool:
 
     def _forget(self, tx_hash: bytes) -> None:
         entry = self._pool.pop(tx_hash)
+        watchers = self._code_free.get(entry.tx.to)
+        if watchers is not None:
+            watchers.discard(tx_hash)
+            if not watchers:
+                del self._code_free[entry.tx.to]
         self.pending_gas -= entry.tx.gas_limit
         remaining = self._by_sender.get(entry.tx.sender, 0) - 1
         if remaining > 0:
@@ -346,10 +391,12 @@ class Mempool:
             )
         del self._last_cut[-len(tail):]
         by_sender = self._by_sender
-        for entry in tail:
+        for tx_hash, entry in zip(hashes, tail):
             sender = entry.tx.sender
             by_sender[sender] = by_sender.get(sender, 0) + 1
             self.pending_gas += entry.tx.gas_limit
+            if entry.bloom is not None:
+                self._watch(entry, tx_hash)
         returned = dict(zip(hashes, tail))
         returned.update(self._pool)
         self._pool = returned

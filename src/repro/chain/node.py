@@ -193,7 +193,7 @@ class Node:
         state against its stamped root."""
         self.abandon_proposal()
         self.state = state
-        self.mempool.state = state
+        self.mempool.rebase(state)
         self.trie = trie
         state.witness_reads = set() if self.emit_witness else None
 
@@ -508,19 +508,24 @@ class Node:
             block.header = unsealed
             self.rollback_block(token, folded)
             raise
+        landed = self.state.code_written()
         self.state.clear_journal()
         self.chain.append(block)
         self.receipts[block.hash()] = receipts
         # Warm the decoded-program cache for code deployed in this block
-        # so the very next call to a fresh contract skips the AOT decode.
-        # Raw account reads: no access tracking, no journal.
+        # (an inner CREATE's too) so the very next call to a fresh
+        # contract skips the AOT decode. Raw account reads: no access
+        # tracking, no journal.
         accounts = self.state._accounts
-        for receipt in receipts:
-            if receipt.success and receipt.contract_address is not None:
-                account = accounts.get(receipt.contract_address)
-                if account is not None and account.code:
-                    warm_code(account.code)
+        for address in landed:
+            account = accounts.get(address)
+            if account is not None and account.code:
+                warm_code(account.code)
         self.mempool.remove(block.transactions)
+        # A pooled plain-transfer bloom holds while its recipient has no
+        # code: the ones pooled for an address this block wrote code at
+        # are derived again.
+        self.mempool.code_landed(landed)
 
     def rollback_block(self, token: int, folded: bool = False) -> None:
         """Put the node back where a block found it: the state at

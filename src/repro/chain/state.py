@@ -134,6 +134,9 @@ class WorldState:
     def __init__(self) -> None:
         self._accounts: dict[int, Account] = {}
         self._journal: list[tuple] = []
+        #: Journal indices of the ``code`` entries appended since the
+        #: last clear, reverted ones included (:meth:`code_written`).
+        self._code_marks: list[int] = []
         self.access: AccessSet | None = None
         # Per-account digest leaf cache (maintained by
         # repro.storage.codec.state_digest_bytes): addresses whose leaf
@@ -256,6 +259,7 @@ class WorldState:
     def set_code(self, address: int, code: bytes) -> None:
         acct = self.account(address)
         old = acct.code
+        self._code_marks.append(len(self._journal))
         self._journal.append(("code", address, old))
         self._digest_dirty.add(address)
         acct.code = code
@@ -353,6 +357,17 @@ class WorldState:
                 pre.wiped, pre.slots = entry[2], {}
         return pres
 
+    def code_written(self) -> set[int]:
+        """Addresses whose code a journal entry since the last clear
+        wrote, in O(code writes): a mark whose entry a revert popped
+        either points past the journal or at whatever entry replaced
+        it, and only a live ``code`` entry counts."""
+        journal = self._journal
+        return {
+            journal[index][1] for index in self._code_marks
+            if index < len(journal) and journal[index][0] == "code"
+        }
+
     def bind_trie(self) -> None:
         """A Merkle trie now mirrors this state as it stands (built by
         :meth:`repro.trie.StateTrie.attach`, or folded by its ``update``):
@@ -370,6 +385,7 @@ class WorldState:
                 "clearing journal entries the bound trie has not folded"
             )
         self._journal.clear()
+        self._code_marks.clear()
         self._folded = 0
         if self.witness_reads is not None:
             self.witness_reads.clear()

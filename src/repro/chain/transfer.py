@@ -13,9 +13,10 @@ This module is the repo's one statement of that function:
 
 * :func:`is_plain_transfer` — the predicate (a property of the input,
   never a switch);
-* :func:`transfer_access` — the tracked access keys, shared by the
-  admission-time bloom (:func:`repro.chain.bloom.bloom_for_transaction`)
-  and by discovery;
+* :func:`transfer_keys` — the keys it touches, written by a key function:
+  as ``(address, slot)`` pairs by :func:`transfer_access` (the tracked
+  access set discovery uses) and as key digests by the admission-time
+  bloom (:func:`repro.chain.bloom.bloom_for_transaction`);
 * :func:`execute_transfer` — what
   :func:`~repro.chain.artifact.execute_tracked` would have returned (the
   receipt and the access set), with the effects applied in place
@@ -42,19 +43,32 @@ def is_plain_transfer(tx: Transaction, state: WorldState) -> bool:
     return tx.to is not None and not state.has_code(tx.to)
 
 
-def transfer_access(tx: Transaction) -> AccessSet:
-    """Tracked access set of a plain transfer that goes through.
+def _pair(address: int, slot: str) -> tuple:
+    return address, slot
 
-    The code probe of the call, plus both balances when value moves.
-    The sender's fee payment and nonce bump are outside access tracking
-    (they never draw DAG edges); blooms add them as implicit keys. A
-    transfer refused before the call (intrinsic gas, balance) touches
-    nothing, so this is a superset for every outcome.
+
+def transfer_keys(tx: Transaction, key=_pair) -> tuple[tuple, tuple]:
+    """``(reads, writes)`` of a plain transfer that goes through, each
+    key written ``key(address, slot)``.
+
+    The call probes the recipient's code; when value moves, both
+    balances are read and written. The sender's fee payment and nonce
+    bump are outside access tracking (they never draw DAG edges); blooms
+    add them as implicit keys. A transfer refused before the call
+    (intrinsic gas, balance) touches nothing, so this is a superset for
+    every outcome.
     """
+    probe = key(tx.to, CODE_KEY)
     if not tx.value:
-        return AccessSet(reads={(tx.to, CODE_KEY)})
-    moved = ((tx.sender, BALANCE_KEY), (tx.to, BALANCE_KEY))
-    return AccessSet(reads={(tx.to, CODE_KEY), *moved}, writes={*moved})
+        return (probe,), ()
+    moved = key(tx.sender, BALANCE_KEY), key(tx.to, BALANCE_KEY)
+    return (probe, *moved), moved
+
+
+def transfer_access(tx: Transaction) -> AccessSet:
+    """Tracked access set of a plain transfer (:func:`transfer_keys`)."""
+    reads, writes = transfer_keys(tx)
+    return AccessSet(reads=set(reads), writes=set(writes))
 
 
 def execute_transfer(

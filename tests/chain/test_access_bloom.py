@@ -262,7 +262,9 @@ def test_a_spilled_conflict_aware_pool_readmits_with_the_same_lanes(
 def test_each_distinct_key_is_hashed_once(monkeypatch):
     """A transfer names four distinct keys, three of them on both
     sides; a declared set adds the two sender keys to both sides too.
-    One digest per distinct key, whatever the source."""
+    At most one digest per distinct key and bloom, whatever the source:
+    on a cold digest memo a transfer hashes its four keys once each, and
+    a second transfer between the same parties hashes none."""
     from repro.chain import bloom as bloom_module
 
     hashed = []
@@ -273,6 +275,9 @@ def test_each_distinct_key_is_hashed_once(monkeypatch):
         return key_hash(key)
 
     monkeypatch.setattr(bloom_module, "_key_hash", counting)
+    monkeypatch.setattr(bloom_module, "_DIGESTS", {
+        slot: {} for slot in bloom_module._DIGESTS
+    })
     state = golden_state()
     bloom_for_transaction(
         Transaction(sender=0xA1, to=0xB2, value=5, gas_limit=50_000),
@@ -283,6 +288,12 @@ def test_each_distinct_key_is_hashed_once(monkeypatch):
         (0xA1, NONCE_KEY),
     }, key=repr)
     del hashed[:]
+    bloom_for_transaction(
+        Transaction(sender=0xA1, to=0xB2, value=6, nonce=1,
+                    gas_limit=50_000),
+        state=state,
+    )
+    assert hashed == []
     call = Transaction(
         sender=0xA1, to=0xC0DE, data=b"\xAA\xBB\xCC\xDD",
         gas_limit=100_000,

@@ -21,6 +21,7 @@ change which transfers fail and fork the digest. Alongside it:
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from repro.chain.mempool import Mempool, PackingPolicy
 from repro.chain.node import Node
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
+from repro.contracts.asm import assemble
+from repro.crypto import contract_address
 from repro.faults import PU_DEAD, FaultInjector, FaultPlan, PUFault
 
 #: Small, overlapping account pool with tight balances: transfers
@@ -524,3 +527,88 @@ def test_merges_deferrals_and_forced_are_counted(deployment):
     assert all(totals.values()), totals
     for name, total in totals.items():
         assert counters[f"mempool.packed_{name}"] == total
+
+
+# -- a pooled plain-transfer bloom when code lands at its recipient --------
+FORWARDER_TO = 0x5EED
+
+
+def _code_lands_at_a_pooled_recipient(inner: bool):
+    """A node whose pool holds C (V→X), A (U→X, 100) and B (Y→W, 50;
+    Y holds 30), each bloom derived while X had no code, behind a
+    transaction that deploys a forwarder at X: the forwarder sends its
+    CALLVALUE on to Y, so A really funds B. *inner*: the deployment is a
+    CREATE inside a factory call, which leaves no ``contract_address``
+    on its receipt."""
+    V, U, W, D, F = 0xA1, 0xA2, 0xA3, 0xD0, 0xFAC
+    runtime = assemble(
+        "PUSH 0\n" * 4 + f"CALLVALUE\nPUSH {FORWARDER_TO}\nGAS\nCALL\nSTOP"
+    )
+    init = assemble(
+        f"PUSH {int.from_bytes(runtime, 'big')}\nPUSH 0\nMSTORE\n"
+        f"PUSH {len(runtime)}\nPUSH {32 - len(runtime)}\nRETURN"
+    )
+    state = WorldState()
+    for account in (V, U, D):
+        state.set_balance(account, 10**18)
+    state.set_balance(FORWARDER_TO, 30)
+    if inner:
+        state.set_code(F, assemble(
+            f"PUSH {int.from_bytes(init, 'big')}\nPUSH 0\nMSTORE\n"
+            f"PUSH {len(init)}\nPUSH {32 - len(init)}\nPUSH 0\nCREATE\n"
+            "STOP"
+        ))
+        # A CREATE derives from the creator's nonce before its bump.
+        x = contract_address(F, 0)
+        deploy = Transaction(sender=D, to=F, nonce=1, gas_limit=500_000)
+    else:
+        x = contract_address(D, 1)
+        deploy = Transaction(sender=D, to=None, data=init, nonce=1,
+                             gas_limit=500_000)
+    state.set_balance(x, 7)  # pre-funded, still no code
+    state.clear_journal()
+    txs = [
+        deploy,
+        Transaction(sender=V, to=x, value=5, nonce=1, gas_limit=100_000),
+        Transaction(sender=U, to=x, value=100, nonce=1, gas_limit=100_000),
+        Transaction(sender=FORWARDER_TO, to=W, value=50, nonce=1,
+                    gas_limit=50_000),
+    ]
+    return state, txs, x
+
+
+def _chain_of(state, txs, packing, policy=None):
+    node = Node(state=state.copy())
+    for tx in txs:
+        node.hear(tx)
+        if packing == "conflict_aware":
+            node.mempool.bloom_of(tx)  # at admission, as submit does
+    sizes = iter([1])
+    while len(node.mempool):
+        block = node.propose_block(
+            max_transactions=next(sizes, 3), packing=packing,
+            packing_policy=policy,
+        )
+        node.execute_block(block)
+    return node
+
+
+@pytest.mark.parametrize("inner", [False, True], ids=["create", "inner"])
+def test_code_landing_at_a_pooled_recipient_keeps_fifo_order(inner):
+    """Code deployed at X after C and A were pooled: their closed-form
+    blooms no longer cover what they touch (X's code now moves A's value
+    on to Y), so the pool re-derives them when the deploying block
+    commits. Before that rule, the packer cut [C, B] then [A] and B
+    failed with ``insufficient balance for value``."""
+    state, txs, x = _code_lands_at_a_pooled_recipient(inner)
+    fifo = _chain_of(state, txs, "fifo")
+    packed = _chain_of(
+        state, txs, "conflict_aware", PackingPolicy(lane_depth=1)
+    )
+    assert fifo.state.has_code(x) and packed.state.has_code(x)
+    by_hash = receipts_by_hash(packed)
+    assert all(by_hash[tx.hash()].success for tx in txs), [
+        by_hash[tx.hash()].error for tx in txs
+    ]
+    assert by_hash == receipts_by_hash(fifo)
+    assert packed.state.state_digest() == fifo.state.state_digest()
