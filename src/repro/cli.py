@@ -429,6 +429,31 @@ def serve_config(args) -> ServeConfig:
     return ServeConfig(**settings(ServeConfig), storage=storage)
 
 
+def _drain_on_signals() -> None:
+    """Make the first SIGINT or SIGTERM cancel the running task into
+    its ``finally`` drain, a SIGINT inherited as ignored (a
+    non-interactive shell's ``cmd &``) included; a second signal acts
+    as the default does and cuts the drain short.
+
+    Called before the ``listening on`` announcement, which a supervisor
+    may answer with a signal, and with no ``await`` between it and the
+    ``try`` the cancel lands in."""
+    import asyncio
+    import signal
+
+    loop = asyncio.get_running_loop()
+    task = asyncio.current_task()
+    signals = (signal.SIGINT, signal.SIGTERM)
+
+    def stop() -> None:
+        for signum in signals:
+            loop.remove_signal_handler(signum)
+        task.cancel()
+
+    for signum in signals:
+        loop.add_signal_handler(signum, stop)
+
+
 def _run_serve(args) -> int:
     import asyncio
 
@@ -455,6 +480,7 @@ def _run_serve(args) -> int:
 
     async def _serve() -> None:
         await server.start()
+        _drain_on_signals()
         print(
             f"repro serve: listening on "
             f"{config.host}:{config.port} "
@@ -532,6 +558,7 @@ def _run_replicate(args) -> int:
     async def _serve() -> None:
         await server.start()
         replica.start()
+        _drain_on_signals()
         print(
             f"repro replica: listening on "
             f"{config.host}:{config.port} "
@@ -589,6 +616,7 @@ def _run_proxy(args) -> int:
 
     async def _serve() -> None:
         await proxy.start()
+        _drain_on_signals()
         print(
             f"repro proxy: listening on {proxy.host}:{proxy.port} "
             f"(writer {args.writer}, "

@@ -67,7 +67,7 @@ class ReproProcess:
     """
 
     def __init__(self, argv: list[str], announcements: int = 1,
-                 boot_timeout: float = 60.0):
+                 boot_timeout: float = 60.0, preexec_fn=None):
         src_root = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -76,6 +76,7 @@ class ReproProcess:
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", *argv],
             env=env, stderr=subprocess.PIPE, bufsize=0,
+            preexec_fn=preexec_fn,
         )
         #: Every stderr line read so far (boot lines, then the drain's).
         self.stderr_lines: list[str] = []
@@ -126,10 +127,11 @@ class ReproProcess:
             self.proc.kill()
         self._reap()
 
-    def stop(self) -> int:
-        """SIGINT → drain; the exit code (-9 if the drain never ended)."""
+    def stop(self, signum: int = signal.SIGINT) -> int:
+        """*signum* (SIGINT or SIGTERM) → drain; the exit code (-9 if
+        the drain never ended)."""
         if self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGINT)
+            self.proc.send_signal(signum)
         try:
             self._reap(timeout=DRAIN_TIMEOUT_S)
         except subprocess.TimeoutExpired:

@@ -77,15 +77,15 @@ MAX_SUBSCRIBER_BUFFER = 1 << 20
 RATE_BURST = 64
 
 
-def _failure(request_id, exc: BaseException) -> dict:
-    """The error reply for *exc*: typed errors as they are, anything
+def _failure(request_id, exc: BaseException) -> bytes:
+    """The error frame for *exc*: typed errors as they are, anything
     else as INTERNAL_ERROR — a traceback never reaches the wire."""
     if isinstance(exc, asyncio.CancelledError):
         # The drain timed out and cancelled the wait.
         exc = ShuttingDownError()
     elif not isinstance(exc, RpcError):
         exc = RpcError(INTERNAL_ERROR, repr(exc))
-    return protocol.error_response(request_id, exc)
+    return protocol.encode_frame(protocol.error_response(request_id, exc))
 
 
 class _DeadlineWheel:
@@ -197,19 +197,17 @@ class _ReceiptWait:
         self.waits.discard(self)
         if exc is None:
             try:
-                reply = protocol.response(
+                frame = protocol.receipt_frame(
                     self.request_id,
-                    protocol.receipt_to_wire(
-                        committed.receipt,
-                        committed.block_height,
-                        committed.tx_index,
-                    ),
+                    committed.receipt,
+                    committed.block_height,
+                    committed.tx_index,
                 )
             except Exception as err:
-                reply = _failure(self.request_id, err)
+                frame = _failure(self.request_id, err)
         else:
-            reply = _failure(self.request_id, exc)
-        self.server._reply(self.out, reply)
+            frame = _failure(self.request_id, exc)
+        self.server._reply(self.out, frame)
 
     def expire(self) -> None:
         """The deadline passed (the wheel has already let go of it)."""
@@ -219,9 +217,7 @@ class _ReceiptWait:
         server._m_deadline_misses.inc()
         server._reply(
             self.out,
-            protocol.error_response(
-                self.request_id, DeadlineExceededError(self.deadline_ms)
-            ),
+            _failure(self.request_id, DeadlineExceededError(self.deadline_ms)),
         )
 
     def cancel(self) -> None:
@@ -506,9 +502,9 @@ class RpcServer:
         self._m_idle_drops.inc(reaped)
         return reaped
 
-    def _reply(self, out: Outbox, reply: dict) -> None:
+    def _reply(self, out: Outbox, frame: bytes) -> None:
         self._m_requests.inc()
-        out.write(protocol.encode_frame(reply))
+        out.write(frame)
 
     def _handle_request(
         self, line: bytes, out: Outbox, waits: set
@@ -520,15 +516,20 @@ class RpcServer:
             result = self._dispatch(obj, request_id, out, waits)
             if result is _DEFERRED:
                 return
-            reply = protocol.response(request_id, result)
+            if result.__class__ is not bytes:
+                result = protocol.encode_frame(
+                    protocol.response(request_id, result)
+                )
         except Exception as exc:
-            reply = _failure(request_id, exc)
-        self._reply(out, reply)
+            result = _failure(request_id, exc)
+        self._reply(out, result)
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch(
         self, obj: dict, request_id, out: Outbox, waits: set
     ) -> object:
+        """The request's result, a ready reply frame (``bytes``, a
+        receipt), or :data:`_DEFERRED`."""
         method = obj.get("method")
         params = obj.get("params") or {}
         if not isinstance(params, dict):
@@ -536,7 +537,7 @@ class RpcServer:
         if method == "repro_sendTransaction":
             return self._send_transaction(params, request_id, out, waits)
         if method == "repro_getReceipt":
-            return self._get_receipt(params)
+            return self._get_receipt(params, request_id)
         if method == "repro_getBalance":
             return self._get_balance(params)
         if method == "repro_getProof":
@@ -556,8 +557,9 @@ class RpcServer:
     def _send_transaction(
         self, params: dict, request_id, out: Outbox, waits: set
     ) -> object:
-        """Admit a transaction; the receipt, the hash (``wait`` false)
-        or :data:`_DEFERRED` with a :class:`_ReceiptWait` parked."""
+        """Admit a transaction; the receipt's frame, the hash (``wait``
+        false) or :data:`_DEFERRED` with a :class:`_ReceiptWait`
+        parked."""
         if self.config.role != "writer":
             self._m_read_only_rejects.inc()
             raise ReadOnlyError()
@@ -578,7 +580,8 @@ class RpcServer:
         # never re-execute — serve its receipt instead.
         committed = self.builder.committed.get(tx_hash)
         if committed is not None:
-            return protocol.receipt_to_wire(
+            return protocol.receipt_frame(
+                request_id,
                 committed.receipt,
                 committed.block_height,
                 committed.tx_index,
@@ -619,7 +622,7 @@ class RpcServer:
         _ReceiptWait(self, out, waits, request_id, tx_hash, deadline_ms)
         return _DEFERRED
 
-    def _get_receipt(self, params: dict) -> object:
+    def _get_receipt(self, params: dict, request_id) -> object:
         tx_hash_hex = params.get("txHash")
         if not isinstance(tx_hash_hex, str):
             raise RpcError(INVALID_PARAMS, "txHash (hex string) required")
@@ -630,8 +633,11 @@ class RpcServer:
         committed = self.builder.committed.get(tx_hash)
         if committed is None:
             return None
-        return protocol.receipt_to_wire(
-            committed.receipt, committed.block_height, committed.tx_index
+        return protocol.receipt_frame(
+            request_id,
+            committed.receipt,
+            committed.block_height,
+            committed.tx_index,
         )
 
     def _require_state(self) -> None:

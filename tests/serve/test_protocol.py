@@ -30,6 +30,25 @@ class TestFraming:
             protocol.decode_frame(b"[1,2]\n")
         assert err.value.code == INVALID_REQUEST
 
+    @pytest.mark.parametrize(
+        "literal", [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400"]
+    )
+    def test_non_finite_numbers_are_parse_errors(self, literal):
+        # JSON has no such numbers, and a reply echoing one as the id
+        # would not be JSON either.
+        line = (b'{"jsonrpc":"2.0","id":%s,"method":"repro_health"}\n'
+                % literal)
+        with pytest.raises(RpcError) as err:
+            protocol.decode_frame(line)
+        assert err.value.code == PARSE_ERROR
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_a_non_finite_reply_is_refused_not_written(self, value):
+        with pytest.raises(ValueError):
+            protocol.encode_frame(protocol.response(1, {"x": value}))
+
 
 class TestTxCodec:
     def test_tx_round_trip(self):

@@ -23,7 +23,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve import protocol
-from repro.serve.errors import DeadlineExceededError
+from repro.serve.errors import PARSE_ERROR, DeadlineExceededError
 from repro.serve.loadgen import make_transactions
 from repro.serve.server import DEADLINE_TICK_S, _DeadlineWheel
 
@@ -601,3 +601,30 @@ def test_a_peer_that_never_reads_stops_being_read(deployment):
     }
     assert codes <= {BUSY}
     assert sum(1 for reply in replies if "result" in reply) >= 256
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_non_finite_id_is_answered_in_json(deployment):
+    async def run():
+        server = await boot(deployment, make_config())
+        wire = await Wire.open(server)
+        try:
+            wire.send(
+                b'{"jsonrpc":"2.0","id":NaN,"method":"repro_health"}\n',
+                b'{"jsonrpc":"2.0","id":1e400,"method":"repro_health"}\n',
+            )
+            return [
+                json.loads(await asyncio.wait_for(wire.reader.readline(), 10),
+                           parse_constant=_refuse_constant)
+                for _ in range(2)
+            ]
+        finally:
+            await wire.close()
+            await server.shutdown()
+
+    for reply in asyncio.run(run()):
+        assert reply["id"] is None
+        assert reply["error"]["code"] == PARSE_ERROR
