@@ -34,7 +34,7 @@ from .dag import (
     transitive_reduction,
 )
 from .mempool import DuplicateTransactionError, Mempool, PackedTake
-from .receipt import Receipt, receipts_root
+from .receipt import CommittedReceipt, Receipt, receipts_root
 from .state import WorldState
 from .transaction import Transaction
 
@@ -141,12 +141,21 @@ class Node:
         self.mempool = Mempool(capacity=mempool_capacity, state=self.state)
         self.clock = clock or StageClock()
         self.coinbase = coinbase
+        # The committed history is written here only: by commit_block,
+        # prune_receipts, reset and take_over.
         self.chain: list[Block] = []
         #: height -> hash of the blocks below ``chain[0]``, shipped by a
         #: snapshot resync instead of replayed: with ``chain`` where it
         #: reaches, the BLOCKHASH window (:meth:`block_hash`).
         self.ancestor_hashes: dict[int, bytes] = {}
+        #: block hash -> its receipts, for a suffix of the chain (the
+        #: newest blocks :meth:`prune_receipts` keeps).
         self.receipts: dict[bytes, list[Receipt]] = {}
+        #: tx hash -> (height, index) of its receipt in :attr:`receipts`,
+        #: filed and forgotten with them; :meth:`receipt_of` reads it.
+        self.tx_index: dict[bytes, tuple[int, int]] = {}
+        #: :attr:`height` while the chain is empty (a resync's anchor).
+        self._anchor = 0
         #: The open proposal (applied to the state): the only block
         #: :meth:`execute_block` commits without running an engine pass.
         self._proposal: _Proposal | None = None
@@ -186,11 +195,38 @@ class Node:
         self.adopt(self.state, trie)
         return root
 
+    def reset(self, state: WorldState, trie: StateTrie, chain=(),
+              anchor: int = 0, recent=()) -> None:
+        """Start the committed history over on a wholesale replacement
+        *state* with its *trie* (:meth:`adopt`): the chain becomes
+        *chain* (blocks a recovery does not replay, held without
+        receipts); receipts and their index are emptied. With no *chain*
+        (a snapshot resync) the height is *anchor* and the BLOCKHASH
+        window below it the *recent* (height, hash) pairs shipped. Each
+        field is swapped for a new object, never emptied in place, so a
+        lock-free reader (:meth:`receipt_of`) holds the old one or the
+        new; the anchor goes first, so :attr:`height` never reads an
+        empty chain over the old anchor."""
+        self.adopt(state, trie)
+        self._anchor = anchor
+        self.chain = list(chain)
+        self.receipts = {}
+        self.tx_index = {}
+        self.ancestor_hashes = dict(recent)
+
+    def take_over(self, other: "Node") -> None:
+        """Become *other* — its state, trie and committed history: a
+        recovery, run on a node of its own, moved into the one that
+        serves."""
+        self.reset(other.state, other.trie, other.chain, other._anchor,
+                   other.ancestor_hashes.items())
+        self.receipts, self.tx_index = other.receipts, other.tx_index
+
     def adopt(self, state: WorldState, trie: StateTrie) -> None:
         """Swap in a wholesale replacement *state* together with the
-        *trie* already attached to it (snapshot resync, recovery
-        transplant) — the trie is built once, by whoever verified the
-        state against its stamped root."""
+        *trie* already attached to it (:meth:`reset`, a witness replica)
+        — the trie is built once, by whoever verified the state against
+        its stamped root."""
         self.abandon_proposal()
         self.state = state
         self.mempool.rebase(state)
@@ -240,20 +276,64 @@ class Node:
 
         return BlockContext.of_header(header, ancestor)
 
+    @property
+    def height(self) -> int:
+        """Height of the last committed block: the chain's top, or the
+        anchor a snapshot resync left while the chain is empty."""
+        chain = self.chain
+        return chain[-1].header.height if chain else self._anchor
+
+    def block_at(self, height: int) -> Block | None:
+        """Block *height* where this node's chain holds it."""
+        chain = self.chain
+        index = height - chain[0].header.height if chain else -1
+        return chain[index] if 0 <= index < len(chain) else None
+
     def block_hash(self, height: int) -> bytes | None:
         """Hash of block *height* where this node holds it: on its
         chain, or among the ancestors a snapshot resync shipped."""
-        chain = self.chain
-        index = height - chain[0].header.height if chain else -1
-        if 0 <= index < len(chain):
-            return chain[index].hash()
-        return self.ancestor_hashes.get(height)
+        block = self.block_at(height)
+        return block.hash() if block else self.ancestor_hashes.get(height)
+
+    def receipt_of(self, tx_hash: bytes) -> CommittedReceipt | None:
+        """*tx_hash*'s committed receipt with its place in the chain, or
+        None: not committed here, or pruned. Needs no lock beside a
+        commit, prune or reset on another thread: each read is one dict
+        or list operation, and an entry whose receipts went between two
+        of them reads as pruned."""
+        entry = self.tx_index.get(tx_hash)
+        block = self.block_at(entry[0]) if entry is not None else None
+        receipts = self.receipts.get(block.hash()) if block else None
+        if receipts is None:
+            return None
+        return CommittedReceipt(receipts[entry[1]], *entry)
+
+    def prune_receipts(self, keep: int | None) -> None:
+        """Forget the receipts of every block below the newest *keep*
+        (None: keep them all), their index entries with them."""
+        if keep is None:
+            return
+        chain, receipts, tx_index = self.chain, self.receipts, self.tx_index
+        # The held receipts are a suffix of the chain: walk down from the
+        # newest block outside the window to the first one already gone.
+        position = len(chain) - keep - 1
+        while position >= 0:
+            block = chain[position]
+            if receipts.pop(block.hash(), None) is None:
+                break
+            height = block.header.height
+            for tx in block.transactions:
+                tx_hash = tx.hash()
+                entry = tx_index.get(tx_hash)
+                if entry is not None and entry[0] == height:
+                    del tx_index[tx_hash]
+            position -= 1
 
     def _proposal_header(self, height: int | None = None) -> BlockHeader:
         """The unsealed header this node proposes at *height*: the
         proposer's policy — its clock, its coinbase — stated once."""
         if height is None:
-            height = len(self.chain) + 1
+            height = self.height + 1
         return BlockHeader(
             height=height,
             timestamp=1_600_000_000 + height * int(self.clock.block_interval),
@@ -472,7 +552,8 @@ class Node:
     def commit_block(
         self, block: Block, receipts: list[Receipt], token: int = 0
     ) -> None:
-        """Append an executed block: chain, receipts, mempool, journal.
+        """Append an executed block: chain, receipts and their index,
+        mempool, journal.
 
         The caller has already applied the block's state effects; this
         is the one shared commit path and the one place the journal is
@@ -512,6 +593,11 @@ class Node:
         self.state.clear_journal()
         self.chain.append(block)
         self.receipts[block.hash()] = receipts
+        # After the receipts: an entry the index holds always finds them.
+        height = block.header.height
+        tx_index = self.tx_index
+        for index, tx in enumerate(block.transactions):
+            tx_index[tx.hash()] = (height, index)
         # Warm the decoded-program cache for code deployed in this block
         # (an inner CREATE's too) so the very next call to a fresh
         # contract skips the AOT decode. Raw account reads: no access

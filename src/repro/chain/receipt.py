@@ -7,6 +7,7 @@ and what other nodes verify during the execution stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..crypto import keccak256
 from . import rlp
@@ -108,6 +109,16 @@ class Receipt:
 
     def hash(self) -> bytes:
         return keccak256(self.to_rlp())
+
+
+class CommittedReceipt(NamedTuple):
+    """A receipt plus its position in the chain: what a lookup
+    (:meth:`~repro.chain.node.Node.receipt_of`) or a settled wait
+    answers, made when asked for — the node's index holds atoms."""
+
+    receipt: Receipt
+    block_height: int
+    tx_index: int
 
 
 def receipts_root(receipts: list[Receipt]) -> bytes:

@@ -22,8 +22,7 @@ loop is a small, explicit state machine:
   replica re-adopts the state it held before the block) and is
   re-raised as :class:`~repro.replication.errors.ReplicaDivergenceError`
   — diverged state is never committed and never served. The replica
-  adds policy only: the lock, the fault hook, the typed error, its
-  height.
+  adds policy only: the lock, the fault hook, the typed error.
 * **BACKOFF** — any torn stream (connection error, timeout, protocol
   damage) reconnects with jittered exponential backoff. A divergence
   also reconnects, but with ``need_snapshot`` set: the only acceptable
@@ -83,10 +82,6 @@ class Replica:
         #: check the sealed header root the same way.
         self.mode = mode
         self._rng = random.Random(self.config.seed)
-        #: Applied chain height. Decoupled from ``len(node.chain)``
-        #: because a snapshot resync replaces state without replaying
-        #: the blocks below the anchor.
-        self.height = len(node.chain)
         self._need_snapshot = False
         self._stopping = False
         self._task: asyncio.Task | None = None
@@ -159,7 +154,7 @@ class Replica:
             with self.builder.state_lock:
                 root = self.node.state_root
             writer.write(stream.encode_hello(
-                self.height, root, self._need_snapshot
+                self.node.height, root, self._need_snapshot
             ))
             await writer.drain()
             loop = asyncio.get_running_loop()
@@ -196,11 +191,12 @@ class Replica:
             raise StreamProtocolError(f"undecodable block: {exc}") from None
         block = record.block
         height = block.header.height
-        if height <= self.height:
+        applied = self.node.height
+        if height <= applied:
             return  # reconnect overlap: already applied
-        if height != self.height + 1:
+        if height != applied + 1:
             raise StreamProtocolError(
-                f"stream gap: got block {height}, applied {self.height}"
+                f"stream gap: got block {height}, applied {applied}"
             )
         parent = self.node.block_hash(height - 1)
         if parent is not None and block.header.parent_hash != parent:
@@ -212,9 +208,8 @@ class Replica:
         receipts = await loop.run_in_executor(
             None, self._apply_block, record
         )
-        # Feed the serve layer on the event loop (subscription writes
-        # and receipt indexing are loop-thread affairs, exactly as the
-        # writer's builder resolves there).
+        # Feed the serve layer on the event loop (waiters, subscription
+        # writes, the receipt window), as the writer's builder does.
         self.builder._resolve(block, receipts)
         self._m_lag_seconds.set(max(0.0, time.time() - sent_at_us / 1e6))
         self._m_lag_blocks.set(max(0, writer_height - height))
@@ -235,7 +230,7 @@ class Replica:
             try:
                 if witness:
                     node.adopt(*witness_state(
-                        record.witness, node.state_root, self.height
+                        record.witness, node.state_root, node.height
                     ))
                 if self.fault_injector is not None:
                     self.fault_injector.corrupt_replica_state(
@@ -253,7 +248,6 @@ class Replica:
                     height, block.header.state_root,
                     getattr(exc, "actual", b""),
                 ) from exc
-            self.height = height
             self._m_blocks_applied.inc()
             return receipts
 
@@ -267,17 +261,11 @@ class Replica:
                 f"unusable snapshot: {exc}"
             ) from None
         with self.builder.state_lock:
-            self.node.adopt(state, trie)
+            # The BLOCKHASH window below the anchor: shipped, not replayed.
+            self.node.reset(state, trie, anchor=height, recent=recent)
             # A snapshot may carry contracts this replica never executed;
             # pre-decode them so post-resync blocks replay at full speed.
             warm_state_codes(state)
-            self.node.chain = []
-            # The BLOCKHASH window below the anchor: shipped, not replayed.
-            self.node.ancestor_hashes = dict(recent)
-            self.node.receipts = {}
-            self.builder.committed.clear()
-            self.builder._history.clear()
-            self.height = height
         self._need_snapshot = False
         self._m_resyncs.inc()
 
@@ -285,7 +273,7 @@ class Replica:
     def stats(self) -> dict:
         value = self.metrics.value
         return {
-            "height": self.height,
+            "height": self.node.height,
             "connected": self.connected,
             "blocksApplied": value("replication.blocks_applied"),
             "reconnects": value("replication.reconnects"),

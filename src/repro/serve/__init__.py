@@ -10,7 +10,8 @@ futures; ``repro.serve.loadgen`` drives the whole path over real sockets
 and ``python -m repro.drill serve`` gates it in CI.
 """
 
-from .batcher import BlockBuilder, CommittedReceipt
+from ..chain.receipt import CommittedReceipt
+from .batcher import BlockBuilder
 from .config import ServeConfig
 from .errors import (
     ADMISSION_REJECTED,

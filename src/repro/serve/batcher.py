@@ -25,7 +25,6 @@ import asyncio
 import contextlib
 import threading
 import time
-from collections import deque
 
 from ..chain.mempool import (  # noqa: F401  (AdmissionError re-export)
     AdmissionError,
@@ -34,7 +33,7 @@ from ..chain.mempool import (  # noqa: F401  (AdmissionError re-export)
     PackingPolicy,
 )
 from ..chain.node import Node
-from ..chain.receipt import Receipt
+from ..chain.receipt import CommittedReceipt, Receipt
 from ..evm.decoded import warm_state_codes
 from ..obs import MetricsRegistry
 from ..storage.errors import AppendFailedError
@@ -43,17 +42,6 @@ from .errors import ExecutionFailedError
 
 #: How long a drain may run before the builder cancels what is left.
 DRAIN_TIMEOUT_S = 30.0
-
-
-class CommittedReceipt:
-    """A receipt plus its position in the chain."""
-
-    __slots__ = ("receipt", "block_height", "tx_index")
-
-    def __init__(self, receipt: Receipt, block_height: int, tx_index: int):
-        self.receipt = receipt
-        self.block_height = block_height
-        self.tx_index = tx_index
 
 
 class _FutureWaiter:
@@ -98,12 +86,6 @@ class BlockBuilder:
         #: tx hash -> the waiters :meth:`attach` parked on it (a dict as
         #: an ordered set), settled in the pass that settles the hash.
         self._waiters: dict[bytes, dict] = {}
-        #: tx hash -> committed receipt, for ``getReceipt`` lookups.
-        #: Bounded to ``config.receipt_history_blocks`` recent blocks.
-        self.committed: dict[bytes, CommittedReceipt] = {}
-        #: (block hash, tx hashes) per retained block, oldest first —
-        #: the eviction order for the receipt-retention window.
-        self._history: deque[tuple[bytes, list[bytes]]] = deque()
         #: Serializes block execution (worker thread) against event-loop
         #: reads of the shared world state: getBalance and the mempool's
         #: balance-aware admission both peek at ``node.state`` and toggle
@@ -227,29 +209,6 @@ class BlockBuilder:
             waiters.pop(waiter, None)
             if not waiters:
                 del self._waiters[tx_hash]
-
-    def seed_committed(self) -> None:
-        """Rebuild the receipt indexes from an already-populated node.
-
-        After crash recovery the node carries a replayed chain and its
-        receipts, but ``committed``/``_history`` (which back getReceipt
-        and idempotent resubmission) live here. Seeding them restores
-        both behaviors across a restart, bounded by the same retention
-        window as live serving.
-        """
-        for block in self.node.chain:
-            receipts = self.node.receipts.get(block.hash())
-            if receipts is None:
-                continue  # outside the recovered retention window
-            height = block.header.height
-            tx_hashes = [tx.hash() for tx in block.transactions]
-            for index, (tx_hash, receipt) in enumerate(
-                zip(tx_hashes, receipts)
-            ):
-                self.committed[tx_hash] = CommittedReceipt(
-                    receipt, height, index
-                )
-            self._evict_history(block, tx_hashes)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -432,15 +391,20 @@ class BlockBuilder:
 
     # -- commit ------------------------------------------------------------
     def _resolve(self, block, receipts: list[Receipt]) -> None:
-        height = block.header.height
-        tx_hashes = [tx.hash() for tx in block.transactions]
-        for index, (tx_hash, receipt) in enumerate(
-            zip(tx_hashes, receipts)
+        """Settle a committed block's waiters, then keep the node's
+        newest ``receipt_history_blocks`` blocks of receipts (``None``:
+        all); older ones are no longer served, nor resubmits of them
+        idempotent."""
+        height, waiters = block.header.height, self._waiters
+        for index, (tx, receipt) in enumerate(
+            zip(block.transactions, receipts)
         ):
-            committed = CommittedReceipt(receipt, height, index)
-            self.committed[tx_hash] = committed
-            self._settle(tx_hash, committed)
-        self._evict_history(block, tx_hashes)
+            tx_hash = tx.hash()
+            if tx_hash in waiters:
+                self._settle(tx_hash, CommittedReceipt(receipt, height, index))
+            else:
+                self._pending.discard(tx_hash)
+        self.node.prune_receipts(self.config.receipt_history_blocks)
         self._m_blocks_built.inc()
         self._m_txs_committed.inc(len(receipts))
         self._m_queue_depth.set(self.depth)
@@ -448,22 +412,3 @@ class BlockBuilder:
             with contextlib.suppress(Exception):
                 # A broken head subscriber must not kill the builder.
                 callback(block, receipts)
-
-    def _evict_history(self, block, tx_hashes: list[bytes]) -> None:
-        """Bound receipt retention to ``receipt_history_blocks`` blocks.
-
-        Without a bound, ``committed`` (and ``Node.receipts``) grow
-        linearly with every transaction ever served. Receipts older than
-        the window stop being served — getReceipt returns null and
-        resubmission of an ancient hash is no longer idempotent; run
-        with ``receipt_history_blocks=None`` for archival behavior.
-        """
-        retain = self.config.receipt_history_blocks
-        if retain is None:
-            return
-        self._history.append((block.hash(), tx_hashes))
-        while len(self._history) > retain:
-            old_block_hash, old_tx_hashes = self._history.popleft()
-            self.node.receipts.pop(old_block_hash, None)
-            for tx_hash in old_tx_hashes:
-                self.committed.pop(tx_hash, None)

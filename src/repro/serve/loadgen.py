@@ -28,7 +28,7 @@ from ..chain.transaction import Transaction
 from ..contracts.registry import Deployment, build_deployment
 from ..obs.report import LatencyReport
 from . import protocol
-from .errors import BUSY, RATE_LIMITED
+from .errors import BUSY, RATE_LIMITED, RpcError
 
 
 class RpcClientError(Exception):
@@ -147,6 +147,10 @@ class RpcClient:
                     self._notifications.put_nowait(obj)
         except (asyncio.CancelledError, ConnectionError):
             pass
+        except RpcError:
+            # An undecodable reply: the stream cannot be trusted past
+            # it, so the connection is closed, as a dropped one would be.
+            self._writer.close()
         finally:
             for future in self._inflight.values():
                 if not future.done():

@@ -66,9 +66,10 @@ def decode_frame(line: bytes) -> dict:
     try:
         text = line.decode()
         obj, end = _scan_once(text, _skip_whitespace(text, 0).end())
-    except (ValueError, StopIteration):
+    except (ValueError, StopIteration, RecursionError):
         # UnicodeDecodeError and JSONDecodeError are ValueErrors;
-        # StopIteration is the scanner finding no value at all.
+        # StopIteration is the scanner finding no value at all;
+        # RecursionError is nesting deeper than the scanner recurses.
         raise RpcError(PARSE_ERROR, "invalid JSON") from None
     if _skip_whitespace(text, end).end() != len(text):
         raise RpcError(PARSE_ERROR, "invalid JSON")

@@ -197,12 +197,7 @@ class _ReceiptWait:
         self.waits.discard(self)
         if exc is None:
             try:
-                frame = protocol.receipt_frame(
-                    self.request_id,
-                    committed.receipt,
-                    committed.block_height,
-                    committed.tx_index,
-                )
+                frame = protocol.receipt_frame(self.request_id, *committed)
             except Exception as err:
                 frame = _failure(self.request_id, err)
         else:
@@ -271,10 +266,6 @@ class RpcServer:
             self.node, self.config, fault_injector=fault_injector,
             metrics=self.metrics,
         )
-        if self.node.chain:
-            # Restarted on a recovered chain: getReceipt and idempotent
-            # resubmission must keep working for already-acked hashes.
-            self.builder.seed_committed()
         self.limiter = (
             RateLimiter(self.config.rate_limit, RATE_BURST)
             if self.config.rate_limit is not None
@@ -578,14 +569,9 @@ class RpcServer:
         tx_hash = tx.hash()
         # Idempotent resubmission: a hash that already committed must
         # never re-execute — serve its receipt instead.
-        committed = self.builder.committed.get(tx_hash)
+        committed = self.node.receipt_of(tx_hash)
         if committed is not None:
-            return protocol.receipt_frame(
-                request_id,
-                committed.receipt,
-                committed.block_height,
-                committed.tx_index,
-            )
+            return protocol.receipt_frame(request_id, *committed)
         # A retry of an in-flight hash — pooled or mid-block, e.g. after
         # a DEADLINE_EXCEEDED — attaches to the existing wait. It must
         # never be re-admitted: that would orphan the original waiters
@@ -630,15 +616,10 @@ class RpcServer:
             tx_hash = bytes.fromhex(tx_hash_hex)
         except ValueError:
             raise RpcError(INVALID_PARAMS, "txHash is not hex") from None
-        committed = self.builder.committed.get(tx_hash)
+        committed = self.node.receipt_of(tx_hash)
         if committed is None:
             return None
-        return protocol.receipt_frame(
-            request_id,
-            committed.receipt,
-            committed.block_height,
-            committed.tx_index,
-        )
+        return protocol.receipt_frame(request_id, *committed)
 
     def _require_state(self) -> None:
         """Refuse a state read a witness replica would answer wrong: its
@@ -746,24 +727,15 @@ class RpcServer:
         snapshot resync — heights below the anchor return None.
         """
         height = params.get("height", "latest")
-        with self.builder.state_lock:
-            chain = self.node.chain
-            if height == "latest":
-                block = chain[-1] if chain else None
-            else:
-                if not isinstance(height, int) or height < 0:
-                    raise RpcError(
-                        INVALID_PARAMS,
-                        'height must be an integer or "latest"',
-                    )
-                block = None
-                if chain:
-                    index = height - chain[0].header.height
-                    if 0 <= index < len(chain):
-                        block = chain[index]
-            if block is None:
-                return None
-            return protocol.header_to_wire(block)
+        if height == "latest":
+            height = self.node.height
+        elif not isinstance(height, int) or height < 0:
+            raise RpcError(
+                INVALID_PARAMS, 'height must be an integer or "latest"'
+            )
+        # No lock: the node's chain is read one list operation at a time.
+        block = self.node.block_at(height)
+        return None if block is None else protocol.header_to_wire(block)
 
     def _subscribe(self, params: dict, out: Outbox) -> dict:
         topic = params.get("topic", "newHeads")
@@ -811,11 +783,7 @@ class RpcServer:
         self._m_health_checks.inc()
         with self.builder.state_lock:
             digest = storage_codec.state_digest_bytes(self.node.state)
-        height = (
-            self.replication.height
-            if self.replication is not None
-            else len(self.node.chain)
-        )
+            height = self.node.height
         out = {
             "role": self.config.role,
             "height": height,
@@ -870,11 +838,7 @@ class RpcServer:
                 if packed_blocks
                 else 0.0
             ),
-            "chainHeight": (
-                self.replication.height
-                if self.replication is not None
-                else len(self.node.chain)
-            ),
+            "chainHeight": self.node.height,
             "shuttingDown": self._shutting_down,
             "durable": self.node.store is not None,
             "recoveredHeight": (

@@ -209,8 +209,7 @@ def recover(
     # The snapshot's trie was built once, to verify it; the replay node
     # adopts it, and its per-block seal check is the divergence detector.
     node = Node()
-    node.adopt(state, trie)
-    node.chain = blocks[:anchor_height]
+    node.reset(state, trie, chain=blocks[:anchor_height])
 
     replayed = 0
     for block in blocks[anchor_height:]:
@@ -223,10 +222,8 @@ def recover(
         replayed += 1
 
     # Receipt retention: replay may have gone further back than the
-    # window (anchor granularity); trim to the newest N blocks.
-    if receipt_history_blocks is not None:
-        for block in blocks[:max(0, len(blocks) - receipt_history_blocks)]:
-            node.receipts.pop(block.hash(), None)
+    # window (anchor granularity); keep the newest N blocks'.
+    node.prune_receipts(receipt_history_blocks)
 
     tracker = HotspotTracker()
     for block in blocks:
@@ -262,8 +259,9 @@ def attach(
 
     Fresh directory: writes the genesis snapshot for the node's current
     state and starts logging. Existing store: runs :func:`recover`,
-    transplants the recovered state (with the trie the replay kept
-    current), chain and receipts into *node*, then re-admits any
+    moves the recovered state (with the trie the replay kept current)
+    and committed history into *node* (:meth:`Node.take_over`: its
+    receipt index came with the replay), then re-admits any
     spilled mempool transactions (consuming the spill file) and counts
     them via ``storage.mempool_respilled``. Returns the
     :class:`RecoveryResult` when a recovery ran, else ``None``.
@@ -299,9 +297,7 @@ def attach(
         result = recover(
             data_dir, receipt_history_blocks=receipt_history_blocks
         )
-        node.adopt(result.node.state, result.node.trie)
-        node.chain = result.node.chain
-        node.receipts = result.node.receipts
+        node.take_over(result.node)
 
     store = ChainStore(data_dir, config, fault_injector=fault_injector)
     store.init_genesis(node.state, state_root=node.state_root)

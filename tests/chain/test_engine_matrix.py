@@ -215,7 +215,7 @@ def test_the_blockhash_window_crosses_the_wire_and_a_resync(tmp_path):
     resynced = Node(state=block_env_state())
     replica = offline_replica(resynced)
     replica._apply_snapshot(payload, shipped)
-    assert resynced.chain == [] and replica.height == anchor
+    assert resynced.chain == [] and replica.node.height == anchor
     assert resynced.block_hash(anchor) == hashes[anchor]
     assert resynced.block_hash(anchor - BLOCKHASH_WINDOW) is None
     replica._apply_block(codec.WalRecord(Block.from_rlp(wire)))

@@ -3,7 +3,8 @@
 The chaos drill (``python -m repro.drill replication``) covers the
 real-process SIGKILL; these fixtures wire the same components
 inside one event loop so the tier-1 suite can exercise streaming,
-divergence, resync, and proxy routing deterministically and fast.
+divergence, resync, and proxy routing deterministically and fast. CI
+also runs the suite under asyncio debug mode (``-X dev``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from repro.chain.node import Node
 from repro.replication import BackoffPolicy, Replica, ReplicationConfig
 from repro.serve import RpcServer, ServeConfig
 from repro.storage import StorageConfig
+
+# Under ``python -X dev`` anything asyncio reports through its logger
+# fails the test that produced it, here as in the serve suite.
+from ..serve.conftest import asyncio_errors_fail_under_dev_mode  # noqa: F401
 
 
 def fast_replication(**overrides) -> ReplicationConfig:

@@ -41,8 +41,8 @@ def test_proxy_round_robins_reads_across_replicas(
                 deployment, writer.config.port, 8, seed=31
             )
             await eventually(
-                lambda: replica_a.height == len(writer.node.chain)
-                and replica_b.height == len(writer.node.chain),
+                lambda: replica_a.node.height == len(writer.node.chain)
+                and replica_b.node.height == len(writer.node.chain),
                 desc="both replicas caught up",
             )
             served_before = (
@@ -98,7 +98,7 @@ def test_proxy_ejects_dead_replica_and_falls_back_to_writer(
                 deployment, writer.config.port, 4, seed=32
             )
             await eventually(
-                lambda: replica_a.height == len(writer.node.chain),
+                lambda: replica_a.node.height == len(writer.node.chain),
                 desc="replica caught up",
             )
             client = await RpcClient.connect(

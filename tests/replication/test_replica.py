@@ -37,7 +37,7 @@ def test_replica_follows_writer_bit_identical(deployment, tmp_path):
                 deployment, writer.config.port, 12, seed=21
             )
             await eventually(
-                lambda: replica.height == len(writer.node.chain)
+                lambda: replica.node.height == len(writer.node.chain)
                 and len(writer.node.chain) > 0,
                 desc="replica caught up",
             )
@@ -66,7 +66,7 @@ def test_replica_follows_writer_bit_identical(deployment, tmp_path):
             assert balance == writer_balance
             assert receipt is not None and receipt["success"] is True
             assert health["role"] == "replica"
-            assert health["height"] == replica.height
+            assert health["height"] == replica.node.height
             assert (
                 health["stateDigest"] == digest_of(writer).hex()
             )
@@ -142,7 +142,7 @@ def test_injected_divergence_detected_and_healed(
                 )
                 await eventually(
                     lambda: replica.stats()["resyncs"] >= 1
-                    and replica.height == len(writer.node.chain)
+                    and replica.node.height == len(writer.node.chain)
                     and replica.node.state_root == writer.node.state_root,
                     desc="snapshot resync reconverged",
                 )
@@ -177,7 +177,7 @@ def test_torn_stream_reconnects_with_backoff(deployment, tmp_path):
                 desc="reconnect after the injected tear",
             )
             await eventually(
-                lambda: replica.height == len(writer.node.chain)
+                lambda: replica.node.height == len(writer.node.chain)
                 and digest_of(replica_server) == digest_of(writer),
                 desc="post-reconnect reconvergence",
             )
@@ -212,14 +212,14 @@ def test_far_behind_replica_catches_up_from_snapshot(
             )
             try:
                 await eventually(
-                    lambda: replica.height == len(writer.node.chain)
+                    lambda: replica.node.height == len(writer.node.chain)
                     and digest_of(replica_server)
                     == digest_of(writer),
                     desc="snapshot catch-up",
                 )
                 assert replica.stats()["resyncs"] >= 1
                 # The pre-snapshot prefix was never replayed.
-                assert len(replica.node.chain) < replica.height
+                assert len(replica.node.chain) < replica.node.height
             finally:
                 await stop_replica(replica_server, replica)
         finally:
@@ -257,21 +257,21 @@ def test_reconnect_after_resync_streams_without_second_snapshot(
             try:
                 await eventually(
                     lambda: replica.stats()["resyncs"] == 1
-                    and replica.height == len(writer.node.chain),
+                    and replica.node.height == len(writer.node.chain),
                     desc="far-behind bootstrap from snapshot",
                 )
                 assert writer.streamer.stats()["snapshotsSent"] == 1
                 # From here only a requested or diagnosed resync may
                 # ship a snapshot: a reconnect gap is not a reason.
                 writer.streamer.config.snapshot_catchup_blocks = 1 << 20
-                heights = [replica.height]
+                heights = [replica.node.height]
 
                 def reconverged():
-                    heights.append(replica.height)
+                    heights.append(replica.node.height)
                     return (
                         injector.injected["stream_torn"] == 1
                         and replica.stats()["reconnects"] >= 1
-                        and replica.height == len(writer.node.chain)
+                        and replica.node.height == len(writer.node.chain)
                         and replica.node.state_root
                         == writer.node.state_root
                     )
@@ -364,13 +364,13 @@ def test_apply_block_rolls_back_on_divergence(deployment):
     assert codec.state_digest_bytes(replica_node.state) == before
     assert replica_node.state_root == root_before
     assert replica_node.chain == []
-    assert replica.height == 0
+    assert replica.node.height == 0
     assert replica.stats()["blocksApplied"] == 0
 
     # The same block with the honest root applies cleanly.
     receipts = replica._apply_block(codec.WalRecord(block))
     assert len(receipts) == len(block.transactions)
-    assert replica.height == 1
+    assert replica.node.height == 1
     assert replica_node.state_root == block.header.state_root
     assert (
         codec.state_digest_bytes(replica_node.state) == good_digest
@@ -414,7 +414,7 @@ def test_a_block_that_does_not_link_is_refused_before_execution(deployment):
     assert err.value.height == 1 and err.value.actual == first.hash()
     assert codec.state_digest_bytes(replica_node.state) == before
     assert [b.hash() for b in replica_node.chain] == [first.hash()]
-    assert replica.height == 1 and replica.stats()["blocksApplied"] == 1
+    assert replica.node.height == 1 and replica.stats()["blocksApplied"] == 1
 
     asyncio.run(handle(second))
     assert replica_node.chain[-1].hash() == second.hash()

@@ -112,7 +112,7 @@ def test_witness_apply_advances_root_chain_without_state(deployment):
     replica = _witness_replica(deployment)
     receipts = replica._apply_block(record)
     assert len(receipts) == len(record.block.transactions)
-    assert replica.height == 1
+    assert replica.node.height == 1
     assert replica.node.state_root == writer.state_root
     assert replica.node.chain == [record.block]
     assert replica.node.receipts[record.block.hash()] == receipts
@@ -144,7 +144,7 @@ def test_corrupted_witness_is_divergence(deployment):
     with pytest.raises(ReplicaDivergenceError) as err:
         replica._apply_block(bad)
     assert err.value.height == 1
-    assert replica.height == 0  # nothing committed
+    assert replica.node.height == 0  # nothing committed
 
 
 def test_failed_witness_block_changes_nothing(deployment):
@@ -172,14 +172,16 @@ def test_failed_witness_block_changes_nothing(deployment):
                 seed=3, network=NetworkFault(corrupt_at_height=1)
             ))
         before = (
-            list(node.chain), dict(node.receipts), replica.height,
+            list(node.chain), dict(node.receipts), dict(node.tx_index),
+            node.height,
             node.state_root, replica.stats()["blocksApplied"],
         )
         with pytest.raises(ReplicaDivergenceError) as err:
             replica._apply_block(record)
         assert err.value.height == 1, name
         after = (
-            list(node.chain), dict(node.receipts), replica.height,
+            list(node.chain), dict(node.receipts), dict(node.tx_index),
+            node.height,
             node.state_root, replica.stats()["blocksApplied"],
         )
         assert after == before, name
@@ -188,7 +190,7 @@ def test_failed_witness_block_changes_nothing(deployment):
     replica._apply_block(honest)
     replica._apply_block(second)
     assert node.state_root == writer.state_root
-    assert replica.height == 2
+    assert replica.node.height == 2
 
 
 def test_witness_replica_follows_writer_end_to_end(
@@ -202,7 +204,7 @@ def test_witness_replica_follows_writer_end_to_end(
                 deployment, writer.config.port, 8, seed=5
             )
             await eventually(
-                lambda: replica.height == len(writer.node.chain)
+                lambda: replica.node.height == len(writer.node.chain)
                 and len(writer.node.chain) > 0,
                 desc="witness replica caught up",
             )
@@ -234,7 +236,7 @@ def test_witness_replica_health_claims_the_verified_root(
         try:
             await send_transfers(deployment, writer.config.port, 16, seed=7)
             await eventually(
-                lambda: replica.height == len(writer.node.chain) >= 2,
+                lambda: replica.node.height == len(writer.node.chain) >= 2,
                 desc="witness replica caught up",
             )
             client = await RpcClient.connect(
@@ -268,7 +270,7 @@ def test_proxy_reads_past_a_witness_replica(deployment, tmp_path):
                 deployment, writer.config.port, 16, seed=9
             )
             await eventually(
-                lambda: replica.height == len(writer.node.chain) > 0
+                lambda: replica.node.height == len(writer.node.chain) > 0
                 and proxy.replicas[0].healthy,
                 desc="witness replica caught up and healthy",
             )

@@ -468,9 +468,10 @@ def test_receipt_history_is_bounded(deployment):
     builder, txs = asyncio.run(run())
     assert served(builder, "blocks_built") == 3
     # Only the two most recent blocks' receipts are retained, in the
-    # server map and the node alike.
-    assert builder.committed.get(txs[0].hash()) is None
-    assert builder.committed.get(txs[1].hash()) is not None
-    assert builder.committed.get(txs[2].hash()) is not None
+    # node's receipts and its index alike.
+    assert builder.node.receipt_of(txs[0].hash()) is None
+    assert builder.node.receipt_of(txs[1].hash()) is not None
+    assert builder.node.receipt_of(txs[2].hash()) is not None
     assert len(builder.node.receipts) == 2
+    assert len(builder.node.tx_index) == 2
     assert len(builder.node.chain) == 3

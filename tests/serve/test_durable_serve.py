@@ -177,7 +177,7 @@ def test_restart_resumes_and_serves_old_receipts(deployment, tmp_path):
                 for tx in txs
             ]
             # Resubmitting a committed transaction stays idempotent
-            # across the restart: seed_committed() restored the dedup
+            # across the restart: the replay filed the node's receipt
             # index, so the original receipt comes back unre-executed.
             resubmitted = await client.call(
                 "repro_sendTransaction",

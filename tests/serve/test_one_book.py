@@ -263,7 +263,7 @@ def test_replication_views_read_the_books_of_the_stack_they_feed(
                 deployment, writer.config.port, 6, seed=5
             )
             await eventually(
-                lambda: replica.height == len(writer.node.chain) > 0,
+                lambda: replica.node.height == len(writer.node.chain) > 0,
                 desc="replica caught up",
             )
             await client.call(

@@ -25,6 +25,14 @@ class TestFraming:
             protocol.decode_frame(b"{nope}\n")
         assert err.value.code == PARSE_ERROR
 
+    @pytest.mark.parametrize("opener", [b"[", b'{"a":'])
+    def test_deep_nesting_is_a_parse_error(self, opener):
+        # Deeper than json's scanner recurses, yet far under the line
+        # bound: refused like any other unparsable line.
+        with pytest.raises(RpcError) as err:
+            protocol.decode_frame(opener * 100_000 + b"\n")
+        assert err.value.code == PARSE_ERROR
+
     def test_non_object_rejected(self):
         with pytest.raises(RpcError) as err:
             protocol.decode_frame(b"[1,2]\n")

@@ -246,7 +246,7 @@ def test_disconnect_mid_wait_disarms_the_wait(deployment):
             # Then the commit: the departed waiter's callback is gone.
             other.send(send_frame(second, 2))
             (receipt,) = await other.read(1)
-            committed = server.builder.committed.get(first.hash())
+            committed = server.node.receipt_of(first.hash())
             served = server.stats()["requestsServed"]
         finally:
             await other.close()

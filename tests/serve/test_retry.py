@@ -217,6 +217,38 @@ def test_non_idempotent_request_not_retried_on_drop():
     assert connections == 1
 
 
+def test_an_undecodable_reply_closes_the_connection_cleanly():
+    async def run():
+        peer_saw_eof = asyncio.get_running_loop().create_future()
+
+        async def handle(reader, writer):
+            await reader.readline()
+            writer.write(b"not json\n")
+            await writer.drain()
+            # The client, not this peer, ends the connection.
+            peer_saw_eof.set_result(await reader.read() == b"")
+
+        server, port = await _scripted_server(handle)
+        client = await RpcClient.connect("127.0.0.1", port)
+        try:
+            with pytest.raises(ConnectionError):
+                await client.call("repro_health")
+            await asyncio.wait_for(client._pump, timeout=5.0)
+            return client._pump.exception(), await asyncio.wait_for(
+                peer_saw_eof, timeout=5.0
+            )
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+    pump_error, peer_saw_eof = asyncio.run(run())
+    # The reader ended cleanly — no exception left for nobody to
+    # retrieve — and closed the connection, as a dropped one would be.
+    assert pump_error is None
+    assert peer_saw_eof
+
+
 def test_load_result_counts_retries_separately():
     result = LoadResult(mode="closed", requested=10, ok=10, retries=3)
     encoded = result.to_dict()

@@ -182,7 +182,7 @@ def test_deadline_cancels_wait_not_transaction(deployment):
             await client.close()
             await server.shutdown()
         # Drain committed it; the receipt is now fetchable server-side.
-        committed = server.builder.committed.get(tx.hash())
+        committed = server.node.receipt_of(tx.hash())
         return err.value, unresolved, committed, server.stats()
 
     err, unresolved, committed, stats = asyncio.run(run())

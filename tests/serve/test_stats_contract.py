@@ -174,7 +174,7 @@ def test_streaming_writer_replica_and_proxy_payloads(deployment, tmp_path):
         try:
             await send_transfers(deployment, writer.config.port, 6, seed=5)
             await eventually(
-                lambda: replica.height == len(writer.node.chain) > 0,
+                lambda: replica.node.height == len(writer.node.chain) > 0,
                 desc="replica caught up",
             )
             return (

@@ -101,6 +101,15 @@ TOMBSTONES = [
         r"_trie_pre|_TriePre|_track_trie|_track_reads|storage_full", DOCS,
         40, "the first-touch pre-image capture: the journal is the record",
     ),
+    Tombstone(
+        r"seed_committed|_evict_history|builder\.committed"
+        r"|builder\._history", ("src",),
+        45, "the node is the one record of its receipts: one index",
+    ),
+    Tombstone(
+        r"self\.height", ("src/repro/replication/replica.py",),
+        45, "a replica's height is its node's: one height",
+    ),
 ]
 
 
